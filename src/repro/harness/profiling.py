@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import repro.protocols.aba as _aba_mod
 import repro.sim.engine as _engine_mod
 import repro.sim.metrics as _metrics_mod
 from repro.harness.runner import run_instance
@@ -57,6 +58,48 @@ def profile_check_calls(instance: ProtocolInstance, f: int,
         del authenticator.check  # restore the bound method
     return CheckCallProfile(result=result, wall_seconds=wall,
                             check_calls=calls[0])
+
+
+@dataclass
+class HandlerCallProfile:
+    """One instrumented execution: its result and how many per-message
+    steps (a node absorbing one message, or the round digest tallying
+    one) the iterated-BA nodes ran."""
+
+    result: ExecutionResult
+    handler_calls: int
+
+
+def profile_handler_calls(instance: ProtocolInstance, f: int,
+                          seed=0) -> HandlerCallProfile:
+    """Run ``instance`` counting ``AbaNode`` per-message steps.
+
+    Every step dispatches through ``aba._HANDLERS``, whose entries are
+    wrapped for the run: the per-message fold costs one step per
+    delivery (Θ(n²) a round when everyone multicasts), the shared round
+    digest one per *message* — so the count tells, independently of the
+    hardware, which of the two an execution took.
+    """
+    calls = [0]
+
+    def counting(step):
+        def counted(target, message):
+            calls[0] += 1
+            return step(target, message)
+        return counted
+
+    table = _aba_mod._HANDLERS
+    saved = dict(table)
+    for cls, handler in saved.items():
+        if handler is not None:  # memoized "foreign payload" entries
+            valid, absorb, tally = handler
+            table[cls] = (valid, counting(absorb), counting(tally))
+    try:
+        result = run_instance(instance, f, seed=seed)
+    finally:
+        table.clear()
+        table.update(saved)
+    return HandlerCallProfile(result=result, handler_calls=calls[0])
 
 
 @dataclass

@@ -31,6 +31,7 @@ At any time, a quorum of iteration-``r`` commits for ``b`` (or a valid
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.protocols.base import Authenticator, ProposerPolicy
@@ -49,6 +50,7 @@ from repro.protocols.messages import (
     VoteMsg,
 )
 from repro.serialization import _intern_field_key, intern_by_key, intern_payload
+from repro.sim.network import Delivery
 from repro.sim.node import Node, RoundContext
 from repro.types import Bit, NodeId, Round, other_bit
 
@@ -86,6 +88,124 @@ def vote_send_round(iteration: int) -> Round:
     """The global round in which iteration-``r`` votes are multicast
     (inverse of :func:`schedule` for the Vote phase)."""
     return 0 if iteration == 1 else 4 * iteration - 4
+
+
+class VoteTally:
+    """One ``(iteration, bit)``'s votes of a round digest.
+
+    ``votes`` maps voter → auth in arrival order.  Once :meth:`seal`
+    finds a quorum, ``prefix`` is its first ``threshold`` entries and
+    ``quorum`` the certificate they form — the one every node with no
+    votes of its own outside the prefix assembles.  ``lowest`` is the
+    commit certificate (lowest ``threshold`` voter ids of the whole
+    tally), filled in by the first node that commits on a tally equal
+    to this one.  Nodes may keep a tally past its round; it holds votes
+    only, never the round's deliveries.
+    """
+
+    __slots__ = ("votes", "prefix", "quorum", "lowest")
+
+    def __init__(self) -> None:
+        self.votes: Dict[NodeId, Any] = {}
+        self.prefix: Optional[Dict[NodeId, Any]] = None
+        self.quorum: Optional[Certificate] = None
+        self.lowest: Optional[Certificate] = None
+
+
+class RoundDigest:
+    """One round's common delivery list, validated and tallied once.
+
+    In the Appendix C protocols every honest node multicasts and every
+    honest node receives the same set, so the per-message fold computes
+    n times over what is, up to each node's few prior entries, one
+    result.  The digest is that result for an empty node, kept in the
+    order the fold depends on: votes and commits per ``(iteration,
+    bit)`` in arrival order (commits attached to a Terminate included),
+    the first certificate of maximal rank per bit, proposals with the
+    node that relayed them, and the last Terminate.
+    ``AbaNode._merge_digest`` replays it into a node with dict updates.
+    """
+
+    __slots__ = ("best", "votes", "proposals", "commits", "terminate")
+
+    def __init__(self) -> None:
+        self.best: Dict[Bit, Optional[Certificate]] = {0: None, 1: None}
+        self.votes: Dict[Tuple[int, Bit], VoteTally] = {}
+        self.proposals: Dict[int, List[Tuple[NodeId, ProposeMsg]]] = {}
+        self.commits: Dict[Tuple[int, Bit], Dict[NodeId, CommitMsg]] = {}
+        self.terminate: Optional[Tuple[int, Bit]] = None
+
+    def _rank(self, certificate: Optional[Certificate]) -> None:
+        if certificate is not None and (
+                certificate.iteration > rank(self.best[certificate.bit])):
+            self.best[certificate.bit] = certificate
+
+    def add_status(self, delivery: Delivery) -> None:
+        self._rank(delivery.payload.certificate)
+
+    def add_propose(self, delivery: Delivery) -> None:
+        msg = delivery.payload
+        self._rank(msg.certificate)
+        self.proposals.setdefault(msg.iteration, []).append(
+            (delivery.sender, msg))
+
+    def add_vote(self, delivery: Delivery) -> None:
+        msg = delivery.payload
+        if msg.iteration > 1:
+            self._rank(msg.proposal.certificate)
+        tally = self.votes.get((msg.iteration, msg.bit))
+        if tally is None:
+            tally = self.votes[(msg.iteration, msg.bit)] = VoteTally()
+        tally.votes.setdefault(msg.sender, msg.auth)
+
+    def add_commit(self, delivery: Delivery) -> None:
+        msg = delivery.payload
+        self._rank(msg.certificate)
+        self.commits.setdefault(
+            (msg.iteration, msg.bit), {}).setdefault(msg.sender, msg)
+
+    def add_terminate(self, delivery: Delivery) -> None:
+        msg = delivery.payload
+        recorded = self.commits.setdefault((msg.iteration, msg.bit), {})
+        for commit in msg.commits:
+            recorded.setdefault(commit.sender, commit)
+        self.terminate = (msg.iteration, msg.bit)
+
+    def seal(self, threshold: int) -> bool:
+        """Assemble the quorum certificates; ``False`` when the fold's
+        result for this round depends on an interleaving the tally does
+        not record: two vote iterations for one bit (which quorum forms
+        first decides whether the other's certificate is assembled at
+        all), or a received certificate ranked at or above its bit's
+        vote iteration (it may or may not pre-empt the quorum's)."""
+        iteration_of: Dict[Bit, int] = {}
+        for (iteration, bit), tally in self.votes.items():
+            if iteration_of.setdefault(bit, iteration) != iteration:
+                return False
+            if rank(self.best[bit]) >= iteration:
+                return False
+            if len(tally.votes) >= threshold:
+                tally.prefix = dict(islice(tally.votes.items(), threshold))
+                tally.quorum = certificate_from_votes(
+                    iteration, bit, tally.prefix, threshold)
+        return True
+
+
+def _merge_first_wins(mine: dict, arrivals: dict) -> dict:
+    """``mine.setdefault(k, v)`` for every arrival, at C speed: entries
+    already in ``mine`` keep their place and value, new ones append in
+    arrival order.  Returns a copy of the prior entries."""
+    prior = dict(mine)
+    mine.update(arrivals)
+    if prior:
+        mine.update(prior)
+    return prior
+
+
+def _same_entries(prior: dict, shared: dict) -> bool:
+    """Whether every ``prior`` entry is in ``shared`` with the very same
+    value object (certificates are interned by their auths' identity)."""
+    return all(shared.get(key) is value for key, value in prior.items())
 
 
 @dataclass
@@ -130,6 +250,9 @@ class AbaNode(Node):
         self.commits_seen: Dict[Tuple[int, Bit], Dict[NodeId, CommitMsg]] = {}
         # Valid proposals received, per iteration.
         self.proposals: Dict[int, List[ProposeMsg]] = {}
+        # (iteration, bit) -> the round-digest tally this node's
+        # votes_seen entry was merged from and still equals in size.
+        self._shared_tallies: Dict[Tuple[int, Bit], VoteTally] = {}
         self.last_vote: Optional[Bit] = None
         self.decision: Optional[Bit] = None
         self.decision_iteration: Optional[int] = None
@@ -183,15 +306,6 @@ class AbaNode(Node):
                 current.iteration if current is not None else 0):
             self.best_cert[certificate.bit] = certificate
 
-    def _proposal_valid(self, msg: ProposeMsg) -> bool:
-        if msg.bit not in (0, 1):
-            return False
-        if not self._verification.check_proposal(
-                self.config.proposer, msg.sender, msg.iteration,
-                msg.bit, msg.auth):
-            return False
-        return self._check_certificate(msg.certificate, expected_bit=msg.bit)
-
     def _preferred_bit(self) -> Bit:
         """Bit of the overall highest certificate; falls back to the last
         vote, then the input bit."""
@@ -202,95 +316,91 @@ class AbaNode(Node):
             return 1
         return self.last_vote if self.last_vote is not None else self.input_bit
 
-    # -- inbox processing ------------------------------------------------------
-    def _process_inbox(self, ctx: RoundContext) -> Optional[Tuple[int, Bit]]:
-        """Validate and absorb every delivery; return a pending decision
-        ``(iteration, bit)`` if one became available."""
-        pending: Optional[Tuple[int, Bit]] = None
-        # The shared valid-payload front is probed inline: at n = 1536 a
-        # single execution dispatches millions of deliveries, and the
-        # method-call indirection of ``is_known_valid`` per delivery is
-        # itself a top-five profile entry.  Reading the dict directly is
-        # equivalent — ``mark_valid`` is gated on CACHING_ENABLED, so the
-        # dict stays empty (every ``get`` misses) when caching is off.
-        # Dispatch compares exact classes first (payload dataclasses are
-        # never subclassed in-tree) with an isinstance fallback so
-        # out-of-tree subclasses keep the historical behavior.
-        front = self._verification.valid_payloads
-        for delivery in ctx.inbox:
-            msg = delivery.payload
-            entry = front.get(id(msg))
-            known = entry is not None and entry[0] is msg
-            cls = msg.__class__
-            if cls is VoteMsg:
-                self._handle_vote(msg, known)
-            elif cls is StatusMsg:
-                self._handle_status(msg, known)
-            elif cls is CommitMsg:
-                self._handle_commit(msg, known)
-            elif cls is ProposeMsg:
-                self._handle_propose(msg, known)
-            elif cls is TerminateMsg:
-                adopted = self._handle_terminate(msg, known)
-                if adopted is not None:
-                    pending = adopted
-            elif isinstance(msg, StatusMsg):
-                self._handle_status(msg, known)
-            elif isinstance(msg, ProposeMsg):
-                self._handle_propose(msg, known)
-            elif isinstance(msg, VoteMsg):
-                self._handle_vote(msg, known)
-            elif isinstance(msg, CommitMsg):
-                self._handle_commit(msg, known)
-            elif isinstance(msg, TerminateMsg):
-                adopted = self._handle_terminate(msg, known)
-                if adopted is not None:
-                    pending = adopted
-        for (iteration, bit), commits in self.commits_seen.items():
-            if len(commits) >= self.config.threshold:
-                pending = (iteration, bit)
-        return pending
+    # -- validation predicates ------------------------------------------------
+    # Recipient-independent (see VerificationCache): each runs at most once
+    # per payload object per execution while it keeps succeeding, whether
+    # the object reaches a node through the per-message fold or through
+    # the round digest.
+    def _valid_status(self, msg: StatusMsg) -> bool:
+        topic = ("Status", msg.iteration, msg.bit)
+        return (self._check_auth(msg.sender, topic, msg.auth)
+                and self._check_certificate(msg.certificate,
+                                            expected_bit=msg.bit))
 
-    def _handle_status(self, msg: StatusMsg, known: bool = False) -> None:
-        # Validation (not absorption) of a message is recipient-independent:
-        # the first recipient to validate this exact object spares the rest
-        # (see VerificationCache.is_known_valid; ``known`` is the inlined
-        # front probe from _process_inbox).  The handlers below follow the
-        # same shape: skip to the state updates on a front hit.
-        if not (known or self._verification.is_known_valid(msg)):
-            topic = ("Status", msg.iteration, msg.bit)
-            if not self._check_auth(msg.sender, topic, msg.auth):
-                return
-            if not self._check_certificate(msg.certificate,
-                                           expected_bit=msg.bit):
-                return
-            self._verification.mark_valid(msg)
+    def _valid_propose(self, msg: ProposeMsg) -> bool:
+        if msg.bit not in (0, 1):
+            return False
+        if not self._verification.check_proposal(
+                self.config.proposer, msg.sender, msg.iteration,
+                msg.bit, msg.auth):
+            return False
+        return self._check_certificate(msg.certificate, expected_bit=msg.bit)
+
+    def _valid_vote(self, msg: VoteMsg) -> bool:
+        if msg.bit not in (0, 1):
+            return False
+        topic = ("Vote", msg.iteration, msg.bit)
+        if not self._check_auth(msg.sender, topic, msg.auth):
+            return False
+        if msg.iteration > 1:
+            # Footnote 11: votes beyond iteration 1 carry the leader
+            # proposal that justifies them.
+            proposal = msg.proposal
+            if (proposal is None or proposal.iteration != msg.iteration
+                    or proposal.bit != msg.bit
+                    or not self._valid_propose(proposal)):
+                return False
+        return True
+
+    def _valid_commit(self, msg: CommitMsg) -> bool:
+        if msg.bit not in (0, 1):
+            return False
+        topic = ("Commit", msg.iteration, msg.bit)
+        if not self._check_auth(msg.sender, topic, msg.auth):
+            return False
+        certificate = msg.certificate
+        if (certificate is None or certificate.iteration != msg.iteration
+                or certificate.bit != msg.bit):
+            return False
+        return self._check_certificate(certificate, expected_bit=msg.bit)
+
+    def _valid_commit_ref(self, commit: CommitMsg) -> bool:
+        """Validity of a certificate-stripped commit inside a Terminate.
+
+        Lemma 15 bounds messages at O(λ(log κ + log n)), so Terminate
+        attaches the λ/2 commits *without* their vote certificates.  The
+        ticket quorum alone is sound: fewer than λ/2 corrupt nodes hold
+        commit tickets (Lemma 11), so the quorum contains an honest
+        committer.
+        """
+        if commit.bit not in (0, 1):
+            return False
+        topic = ("Commit", commit.iteration, commit.bit)
+        return self._check_auth(commit.sender, topic, commit.auth)
+
+    def _valid_terminate(self, msg: TerminateMsg) -> bool:
+        if msg.bit not in (0, 1):
+            return False
+        topic = ("Terminate", msg.bit)
+        if not self._check_auth(msg.sender, topic, msg.auth):
+            return False
+        senders = set()
+        for commit in msg.commits:
+            if (commit.iteration != msg.iteration or commit.bit != msg.bit
+                    or not self._valid_commit_ref(commit)):
+                return False
+            senders.add(commit.sender)
+        return len(senders) >= self.config.threshold
+
+    # -- absorb steps (validated messages only) -------------------------------
+    def _absorb_status(self, msg: StatusMsg) -> None:
         self._absorb_certificate(msg.certificate)
 
-    def _handle_propose(self, msg: ProposeMsg, known: bool = False) -> None:
-        if not (known or self._verification.is_known_valid(msg)):
-            if not self._proposal_valid(msg):
-                return
-            self._verification.mark_valid(msg)
+    def _absorb_propose(self, msg: ProposeMsg) -> None:
         self._absorb_certificate(msg.certificate)
         self.proposals.setdefault(msg.iteration, []).append(msg)
 
-    def _handle_vote(self, msg: VoteMsg, known: bool = False) -> None:
-        if not (known or self._verification.is_known_valid(msg)):
-            if msg.bit not in (0, 1):
-                return
-            topic = ("Vote", msg.iteration, msg.bit)
-            if not self._check_auth(msg.sender, topic, msg.auth):
-                return
-            if msg.iteration > 1:
-                # Footnote 11: votes beyond iteration 1 carry the leader
-                # proposal that justifies them.
-                proposal = msg.proposal
-                if (proposal is None or proposal.iteration != msg.iteration
-                        or proposal.bit != msg.bit
-                        or not self._proposal_valid(proposal)):
-                    return
-            self._verification.mark_valid(msg)
+    def _absorb_vote(self, msg: VoteMsg) -> None:
         if msg.iteration > 1:
             self._absorb_certificate(msg.proposal.certificate)
         self._record_vote(msg.iteration, msg.bit, msg.sender, msg.auth)
@@ -312,67 +422,152 @@ class AbaNode(Node):
             # intern arena collapses the n content-equal copies to one
             # object — and every identity-keyed memo downstream (size
             # accounting, certificate fronts) hits for all of them.
-            self._absorb_certificate(intern_payload(certificate_from_votes(
-                iteration, bit, votes, self.config.threshold)))
+            self._absorb_certificate(certificate_from_votes(
+                iteration, bit, votes, self.config.threshold))
 
-    def _commit_valid(self, msg: CommitMsg) -> bool:
-        if msg.bit not in (0, 1):
-            return False
-        topic = ("Commit", msg.iteration, msg.bit)
-        if not self._check_auth(msg.sender, topic, msg.auth):
-            return False
-        certificate = msg.certificate
-        if (certificate is None or certificate.iteration != msg.iteration
-                or certificate.bit != msg.bit):
-            return False
-        return self._check_certificate(certificate, expected_bit=msg.bit)
-
-    def _handle_commit(self, msg: CommitMsg, known: bool = False) -> None:
-        if not (known or self._verification.is_known_valid(msg)):
-            if not self._commit_valid(msg):
-                return
-            self._verification.mark_valid(msg)
+    def _absorb_commit(self, msg: CommitMsg) -> None:
         self._absorb_certificate(msg.certificate)
         self.commits_seen.setdefault(
             (msg.iteration, msg.bit), {}).setdefault(msg.sender, msg)
 
-    def _commit_ref_valid(self, commit: CommitMsg) -> bool:
-        """Validity of a certificate-stripped commit inside a Terminate.
-
-        Lemma 15 bounds messages at O(λ(log κ + log n)), so Terminate
-        attaches the λ/2 commits *without* their vote certificates.  The
-        ticket quorum alone is sound: fewer than λ/2 corrupt nodes hold
-        commit tickets (Lemma 11), so the quorum contains an honest
-        committer.
-        """
-        if commit.bit not in (0, 1):
-            return False
-        topic = ("Commit", commit.iteration, commit.bit)
-        return self._check_auth(commit.sender, topic, commit.auth)
-
-    def _handle_terminate(self, msg: TerminateMsg,
-                          known: bool = False) -> Optional[Tuple[int, Bit]]:
-        if not (known or self._verification.is_known_valid(msg)):
-            if msg.bit not in (0, 1):
-                return None
-            topic = ("Terminate", msg.bit)
-            if not self._check_auth(msg.sender, topic, msg.auth):
-                return None
-            senders = set()
-            for commit in msg.commits:
-                if (commit.iteration != msg.iteration or commit.bit != msg.bit
-                        or not self._commit_ref_valid(commit)):
-                    return None
-                senders.add(commit.sender)
-            if len(senders) < self.config.threshold:
-                return None
-            self._verification.mark_valid(msg)
+    def _absorb_terminate(self, msg: TerminateMsg) -> Tuple[int, Bit]:
         # Record the quorum so this node's own (relayed) Terminate can
         # attach it.
         recorded = self.commits_seen.setdefault((msg.iteration, msg.bit), {})
         for commit in msg.commits:
             recorded.setdefault(commit.sender, commit)
         return (msg.iteration, msg.bit)
+
+    # -- inbox processing ------------------------------------------------------
+    def _admit(self, msg: Any) -> Optional[tuple]:
+        """The handler-table entry of a message that is valid, else None.
+
+        Validation (not absorption) is recipient-independent, and the
+        simulation hands every recipient the same payload object: the
+        first successful validation marks the object
+        (``VerificationCache.valid_payloads``) and spares every later
+        recipient.  The front is read directly — a single execution
+        admits millions of deliveries at n = 1536, and ``mark_valid`` is
+        gated on CACHING_ENABLED, so the dict stays empty (every ``get``
+        misses) when caching is off.  Failures are never remembered: a
+        ``False`` can become ``True`` later.
+        """
+        try:
+            handler = _HANDLERS[msg.__class__]
+        except KeyError:
+            handler = _resolve_handler(msg.__class__)
+        if handler is None:
+            return None
+        entry = self._verification.valid_payloads.get(id(msg))
+        if entry is None or entry[0] is not msg:
+            if not handler[0](self, msg):
+                return None
+            self._verification.mark_valid(msg)
+        return handler
+
+    def _fold(self, inbox: List[Delivery]) -> Optional[Tuple[int, Bit]]:
+        """The reference semantics of a round: validate and absorb every
+        delivery, one at a time, in order.  Returns the last valid
+        Terminate's ``(iteration, bit)``, if any."""
+        pending: Optional[Tuple[int, Bit]] = None
+        admit = self._admit
+        for delivery in inbox:
+            msg = delivery.payload
+            handler = admit(msg)
+            if handler is not None:
+                adopted = handler[1](self, msg)
+                if adopted is not None:
+                    pending = adopted
+        return pending
+
+    def _build_digest(self, broadcast: List[Delivery]) -> Optional[RoundDigest]:
+        """Validate a round's common delivery list once and tally it.
+
+        ``None`` sends every node of the round down :meth:`_fold`: on any
+        message that fails validation (it may pass for a later recipient,
+        so the failure is not shared), or when the tally cannot stand in
+        for the fold's order of arrival (:meth:`RoundDigest.seal`).
+        """
+        digest = RoundDigest()
+        for delivery in broadcast:
+            handler = self._admit(delivery.payload)
+            if handler is not None:
+                handler[2](digest, delivery)
+            elif _resolve_handler(delivery.payload.__class__) is not None:
+                return None  # invalid (a foreign payload is just skipped)
+        return digest if digest.seal(self.config.threshold) else None
+
+    def _merge_digest(self, digest: RoundDigest) -> bool:
+        """Absorb a whole round from its digest; ``False`` (nothing
+        touched) when this node must fold its inbox itself.
+
+        Equivalent to folding ``digest``'s delivery list minus this
+        node's own multicasts: those are already absorbed (own vote
+        tallied, own commit recorded, their certificates ranked) when
+        they are staged, so meeting them again changes nothing — except
+        an own proposal, which must not be appended twice.
+        """
+        threshold = self.config.threshold
+        best_cert = self.best_cert
+        votes_seen = self.votes_seen
+        for (iteration, bit), tally in digest.votes.items():
+            mine = votes_seen.get((iteration, bit))
+            if (mine is not None and len(mine) >= threshold
+                    and rank(best_cert[bit]) < iteration):
+                # A quorum on hand without its certificate: the fold
+                # assembles one from the *whole* tally at the next vote.
+                return False
+        # Received certificates all rank below this round's vote
+        # iteration of their bit (seal), so they commute with the quorum
+        # certificates assembled below.
+        for certificate in digest.best.values():
+            self._absorb_certificate(certificate)
+        for key, tally in digest.votes.items():
+            iteration, bit = key
+            mine = votes_seen.setdefault(key, {})
+            prior = _merge_first_wins(mine, tally.votes)
+            if (len(prior) < threshold <= len(mine)
+                    and rank(best_cert[bit]) < iteration):
+                # The fold crosses the quorum at the first ``threshold``
+                # entries of the merged tally: the digest's own prefix
+                # whenever the prior entries lie inside it, else e.g.
+                # {first f arrivals, own late vote}.
+                if tally.quorum is not None and _same_entries(
+                        prior, tally.prefix):
+                    certificate = tally.quorum
+                else:
+                    certificate = certificate_from_votes(
+                        iteration, bit,
+                        dict(islice(mine.items(), threshold)), threshold)
+                self._absorb_certificate(certificate)
+            if len(mine) == len(tally.votes) and _same_entries(
+                    prior, tally.votes):
+                self._shared_tallies[key] = tally
+        me = self.node_id
+        for iteration, arrivals in digest.proposals.items():
+            self.proposals.setdefault(iteration, []).extend(
+                [msg for sender, msg in arrivals if sender != me])
+        for key, commits in digest.commits.items():
+            _merge_first_wins(self.commits_seen.setdefault(key, {}), commits)
+        return True
+
+    def _process_inbox(self, ctx: RoundContext) -> Optional[Tuple[int, Bit]]:
+        """Absorb the round's deliveries; return a pending decision
+        ``(iteration, bit)`` if one became available.
+
+        A round every node receives alike (``ctx.broadcast``) is
+        validated and tallied once per execution and merged here;
+        anything else is folded message by message."""
+        digest = self._verification.round_digest(
+            ctx.broadcast, self._build_digest)
+        if digest is not None and self._merge_digest(digest):
+            pending = digest.terminate
+        else:
+            pending = self._fold(ctx.inbox)
+        for (iteration, bit), commits in self.commits_seen.items():
+            if len(commits) >= self.config.threshold:
+                pending = (iteration, bit)
+        return pending
 
     # -- decision ---------------------------------------------------------------
     def _terminate(self, ctx: RoundContext, iteration: int, bit: Bit) -> None:
@@ -384,7 +579,7 @@ class AbaNode(Node):
         if auth is not None:
             commits = self.commits_seen.get((iteration, bit), {})
             # Strip the vote certificates from the attached commits to meet
-            # the O(λ(log κ + log n)) message bound (see _commit_ref_valid).
+            # the O(λ(log κ + log n)) message bound (see _valid_commit_ref).
             # Interned as a whole quorum: every terminating node strips the
             # same commits, so the content-equal stripped tuples collapse
             # to one object — keyed by the chosen commits' identity (their
@@ -479,8 +674,17 @@ class AbaNode(Node):
             opposing = self.votes_seen.get((iteration, other_bit(bit)), {})
             if len(votes) < self.config.threshold or opposing:
                 continue
-            certificate = intern_payload(certificate_from_votes(
-                iteration, bit, votes, self.config.threshold))
+            # Nodes whose tally is one shared round tally all commit on
+            # the same lowest-``threshold`` certificate: assemble it once.
+            shared = self._shared_tallies.get((iteration, bit))
+            if shared is None or len(shared.votes) != len(votes):
+                certificate = certificate_from_votes(
+                    iteration, bit, votes, self.config.threshold)
+            else:
+                if shared.lowest is None:
+                    shared.lowest = certificate_from_votes(
+                        iteration, bit, votes, self.config.threshold)
+                certificate = shared.lowest
             self._absorb_certificate(certificate)
             auth = self.config.authenticator.attempt(
                 self.node_id, ("Commit", iteration, bit))
@@ -543,3 +747,32 @@ class AbaNode(Node):
     def finalize(self) -> Bit:
         decided = self.output()
         return decided if decided is not None else self._preferred_bit()
+
+
+#: Payload class → (validation predicate, per-node absorb step, digest
+#: tally step).  The single place a message type is wired in: the fold
+#: and the digest builder both dispatch through it, so they cannot
+#: disagree on what is valid.
+_HANDLERS: Dict[type, Optional[tuple]] = {
+    StatusMsg: (AbaNode._valid_status, AbaNode._absorb_status,
+                RoundDigest.add_status),
+    ProposeMsg: (AbaNode._valid_propose, AbaNode._absorb_propose,
+                 RoundDigest.add_propose),
+    VoteMsg: (AbaNode._valid_vote, AbaNode._absorb_vote,
+              RoundDigest.add_vote),
+    CommitMsg: (AbaNode._valid_commit, AbaNode._absorb_commit,
+                RoundDigest.add_commit),
+    TerminateMsg: (AbaNode._valid_terminate, AbaNode._absorb_terminate,
+                   RoundDigest.add_terminate),
+}
+
+
+def _resolve_handler(cls: type) -> Optional[tuple]:
+    """Table entry for a payload class not listed itself: its nearest
+    listed base class's (payload dataclasses are never subclassed
+    in-tree), or ``None`` for a foreign payload.  Memoized."""
+    if cls not in _HANDLERS:
+        _HANDLERS[cls] = next(
+            (_HANDLERS[base] for base in cls.__mro__ if base in _HANDLERS),
+            None)
+    return _HANDLERS[cls]

@@ -468,8 +468,8 @@ class LeaderBaNode(Node):
         # could never outrank it — same skip as AbaNode._record_vote).
         if (len(votes) >= self.config.threshold
                 and rank(self.locked) < view):
-            self._absorb_qc(intern_payload(certificate_from_votes(
-                view, bit, votes, self.config.threshold)))
+            self._absorb_qc(certificate_from_votes(
+                view, bit, votes, self.config.threshold))
 
     def _handle_precommit(self, msg: PrecommitMsg,
                           known: bool = False) -> None:
@@ -629,8 +629,8 @@ class LeaderBaNode(Node):
             votes = self.votes_seen.get((view, bit), {})
             if len(votes) < self.config.threshold:
                 continue
-            self._absorb_qc(intern_payload(certificate_from_votes(
-                view, bit, votes, self.config.threshold)))
+            self._absorb_qc(certificate_from_votes(
+                view, bit, votes, self.config.threshold))
             auth = self.config.authenticator.attempt(
                 self.node_id, ("Precommit", view, bit))
             if auth is not None:

@@ -45,7 +45,7 @@ flip it off and assert byte-identical execution results either way.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.protocols.base import Authenticator, ProposerPolicy
 from repro.protocols.certificates import Certificate, verify_certificate
@@ -79,7 +79,8 @@ class VerificationCache:
     """
 
     __slots__ = ("_auth", "_auth_keys", "_certs", "_cert_keys",
-                 "_cert_true_by_id", "_proposals", "valid_payloads")
+                 "_cert_true_by_id", "_proposals", "valid_payloads",
+                 "_round_digest")
 
     def __init__(self) -> None:
         # type_tagged (node_id, topic, auth) of verified checks; covers
@@ -112,6 +113,31 @@ class VerificationCache:
         # is re-attempted per recipient, because a ``False`` can become
         # ``True`` later (see module docstring).
         self.valid_payloads: Dict[int, Tuple[Any, ...]] = {}
+        # (delivery list, its digest) of the current round only — see
+        # :meth:`round_digest`.
+        self._round_digest: Optional[Tuple[List[Any], Any]] = None
+
+    def round_digest(self, broadcast: Optional[List[Any]],
+                     build: Callable[[List[Any]], Any]) -> Any:
+        """``build(broadcast)``, computed by the first node of the round
+        to ask and served to the rest.
+
+        ``broadcast`` is a round's common delivery list
+        (``RoundContext.broadcast``), matched by identity; what ``build``
+        returns — the validated, tallied round, or ``None`` when the
+        round must be folded per message — is the caller's business.
+        Like ``valid_payloads`` this shares positive work only: ``build``
+        must give up (``None``) on any message that fails validation.
+        One slot, overwritten each round, so neither a digest nor its
+        delivery list outlives the next round.  Returns ``None`` without
+        a broadcast and when caching is disabled.
+        """
+        if broadcast is None or not CACHING_ENABLED:
+            return None
+        slot = self._round_digest
+        if slot is None or slot[0] is not broadcast:
+            slot = self._round_digest = (broadcast, build(broadcast))
+        return slot[1]
 
     def is_known_valid(self, payload: Any) -> bool:
         """Has this exact payload object already passed full validation?"""

@@ -20,6 +20,7 @@ accidentally exceed the model it claims to work in.
 from __future__ import annotations
 
 import abc
+import weakref
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
 from repro.errors import CapabilityError
@@ -36,7 +37,11 @@ class AdversaryApi:
     """Budget- and capability-checked access to the execution."""
 
     def __init__(self, simulation: "Simulation") -> None:
-        self._sim = simulation
+        # Weak: the simulation owns its API (and, through the adversary,
+        # is reachable from it).  A strong back-reference would make
+        # every finished execution — nodes, tallies, transcript — cyclic
+        # garbage that lingers until a full collection happens by.
+        self._sim = weakref.proxy(simulation)
 
     # -- read-only view ---------------------------------------------------
     @property

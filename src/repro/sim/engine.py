@@ -179,12 +179,18 @@ class Simulation:
 
     # -- the round loop ------------------------------------------------------
     def _honest_step(self, round_index: Round, inboxes) -> None:
+        # A round of unblocked multicasts has one delivery list common to
+        # every node; handing it over (instead of n materialized inboxes)
+        # lets a protocol absorb it once for all of them.
+        broadcast = getattr(inboxes, "broadcast", None)
         for node in self.nodes:
             node_id = node.node_id
             if self.controller.is_corrupt(node_id) or node.halted:
                 continue
-            ctx = RoundContext(node_id, round_index, inboxes[node_id],
-                               self.rng_for_node(node_id))
+            ctx = RoundContext(
+                node_id, round_index,
+                inboxes[node_id] if broadcast is None else None,
+                self.rng_for_node(node_id), broadcast)
             node.on_round(ctx)
             for recipient, payload in ctx.staged:
                 envelope = self.network.stage(
@@ -315,8 +321,9 @@ def legacy_synchronize(simulation: Simulation) -> int:
     Deliveries landing between steps accumulate into per-node
     buffers handed over at the next step.
 
-    Kept — like :func:`~repro.sim.network.legacy_deliver` — as the
-    conformance reference for the event scheduler: the differential
+    Kept as the conformance reference for the event scheduler (as
+    ``legacy_deliver`` in ``tests/test_delivery_differential.py`` is for
+    batched delivery): the differential
     suite (``tests/test_event_engine_differential.py``) runs whole
     executions through both paths and asserts identity of decisions,
     rounds, transcripts, NetworkStats, and RNG draw order.  Selectable

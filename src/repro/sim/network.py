@@ -20,6 +20,13 @@ Inboxes that nothing reads (halted nodes, corrupt nodes whose adversary
 ignores them) cost nothing.  Delivery order within an inbox is still
 send order, and repeated runs still replay exactly.
 
+When every surviving envelope of a round is an unblocked multicast, all
+recipients see the *same* delivery list minus their own sends.
+:attr:`RoundInboxes.broadcast` exposes that one list, so a protocol can
+absorb the round once for all of its nodes (``protocols/aba.py``'s round
+digest) instead of once per inbox; any unicast or per-recipient
+suppression leaves it ``None``.
+
 The recipient-set contract (multicast fan-out to everyone but the
 sender, sender self-skip on unicasts, per-``(envelope, recipient)``
 suppression) lives in exactly one place, :meth:`_surviving_entries`;
@@ -64,6 +71,12 @@ class Delivery:
     payload: Any
 
 
+def own_view(broadcast: List[Delivery], node: NodeId) -> List[Delivery]:
+    """``node``'s inbox in a round whose common delivery list is
+    ``broadcast``: everything but its own multicasts."""
+    return [delivery for delivery in broadcast if delivery.sender != node]
+
+
 class RoundInboxes(Mapping):
     """Lazy per-node inbox views over one round's shared entry list.
 
@@ -74,9 +87,13 @@ class RoundInboxes(Mapping):
     ``(sender, recipient, delivery, blocked)`` tuples — ``recipient`` is
     ``None`` for a multicast, ``blocked`` the (usually empty, shared)
     frozenset of suppressed recipients for that envelope.
+
+    ``broadcast`` is the round's common delivery list when every entry
+    is an unblocked multicast (each inbox is then :func:`own_view` of
+    it), else ``None``.
     """
 
-    __slots__ = ("_n", "_entries", "_views")
+    __slots__ = ("_n", "_entries", "_views", "broadcast")
 
     def __init__(self, n: int,
                  entries: List[Tuple[NodeId, Optional[NodeId],
@@ -84,18 +101,26 @@ class RoundInboxes(Mapping):
         self._n = n
         self._entries = entries
         self._views: Dict[NodeId, List[Delivery]] = {}
+        self.broadcast: Optional[List[Delivery]] = None
+        if all(recipient is None and not blocked
+               for _, recipient, _, blocked in entries):
+            self.broadcast = [entry[2] for entry in entries]
 
     def __getitem__(self, node: NodeId) -> List[Delivery]:
         view = self._views.get(node)
         if view is None:
             if not (isinstance(node, int) and 0 <= node < self._n):
                 raise KeyError(node)
-            view = [
-                delivery
-                for sender, recipient, delivery, blocked in self._entries
-                if (recipient == node or (recipient is None and sender != node))
-                and node not in blocked
-            ]
+            if self.broadcast is not None:
+                view = own_view(self.broadcast, node)
+            else:
+                view = [
+                    delivery
+                    for sender, recipient, delivery, blocked in self._entries
+                    if (recipient == node
+                        or (recipient is None and sender != node))
+                    and node not in blocked
+                ]
             self._views[node] = view
         return view
 
@@ -265,20 +290,3 @@ class SynchronousNetwork:
         self._reset_window()
         self._delivered_round += 1
         return RoundInboxes(self.n, entries)
-
-
-def legacy_deliver(network: SynchronousNetwork) -> Dict[NodeId, List[Delivery]]:
-    """Reference implementation of delivery: eager per-recipient expansion.
-
-    Kept (as a test helper, not production code) so differential tests
-    can assert the batched :meth:`SynchronousNetwork.deliver` produces
-    exactly what the historical O(n²) eager path produced.  Consumes the
-    staging window through the same :meth:`~SynchronousNetwork._drain_staged`
-    per-copy contract the conditioned network uses.
-    """
-    inboxes: Dict[NodeId, List[Delivery]] = {
-        node: [] for node in range(network.n)}
-    network._drain_staged(
-        lambda envelope, recipient, delivery: inboxes[recipient].append(delivery))
-    network._delivered_round += 1
-    return inboxes

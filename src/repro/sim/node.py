@@ -15,21 +15,39 @@ import abc
 import random
 from typing import Any, List, Optional
 
-from repro.sim.network import Delivery
+from repro.sim.network import Delivery, own_view
 from repro.types import Bit, NodeId, Round
 
 
 class RoundContext:
-    """What a node sees and can do during one round."""
+    """What a node sees and can do during one round.
+
+    ``broadcast`` is the round's common delivery list when every node
+    receives the same multicasts (``RoundInboxes.broadcast``), so a
+    protocol can share one pass over it across its nodes; it is ``None``
+    whenever inboxes differ (conditioned networks, unicasts, suppressed
+    copies) and for sandboxed or re-wrapped contexts.  With a broadcast
+    the engine passes ``inbox=None`` and the node's own view is built
+    only if something reads :attr:`inbox`.
+    """
 
     def __init__(self, node_id: NodeId, round_index: Round,
-                 inbox: List[Delivery], rng: random.Random) -> None:
+                 inbox: Optional[List[Delivery]], rng: random.Random,
+                 broadcast: Optional[List[Delivery]] = None) -> None:
         self.node_id = node_id
         self.round = round_index
-        self.inbox = inbox
+        self._inbox = inbox
+        self.broadcast = broadcast
         self.rng = rng
         #: Messages staged this round: (recipient | None, payload).
         self.staged: List[tuple[Optional[NodeId], Any]] = []
+
+    @property
+    def inbox(self) -> List[Delivery]:
+        """The messages delivered to this node this round, in send order."""
+        if self._inbox is None:
+            self._inbox = own_view(self.broadcast, self.node_id)
+        return self._inbox
 
     def multicast(self, payload: Any) -> None:
         """Stage a multicast to all other nodes (the paper's only

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.crypto.groups import TEST_GROUP
+from repro.sim.network import Delivery
 from repro.types import SecurityParameters
 
 
@@ -27,3 +28,10 @@ def params() -> SecurityParameters:
 
 def mixed_inputs(n: int) -> list:
     return [i % 2 for i in range(n)]
+
+
+def receive(node, msg):
+    """Run one message through an ``AbaNode``'s per-message fold (validate,
+    then absorb); returns the ``(iteration, bit)`` a valid Terminate
+    adopts, else ``None``."""
+    return node._fold([Delivery(sender=msg.sender, payload=msg)])

@@ -17,6 +17,7 @@ from repro.protocols.messages import (
 from repro.sim.leader import RoundRobinLeaderOracle
 from repro.sim.network import Delivery
 from repro.sim.node import RoundContext
+from tests.conftest import receive
 
 
 @pytest.fixture
@@ -56,7 +57,7 @@ class TestStatusHandling:
         bogus = _cert(authenticator, 1, 1, range(2))  # sub-quorum
         msg = StatusMsg(iteration=2, bit=1, certificate=bogus, sender=3,
                         auth=authenticator.attempt(3, ("Status", 2, 1)))
-        node._handle_status(msg)
+        receive(node, msg)
         assert node.best_cert[1] is None
 
     def test_status_with_valid_certificate_absorbed(self, world):
@@ -65,7 +66,7 @@ class TestStatusHandling:
         cert = _cert(authenticator, 1, 1, range(f + 1))
         msg = StatusMsg(iteration=2, bit=1, certificate=cert, sender=3,
                         auth=authenticator.attempt(3, ("Status", 2, 1)))
-        node._handle_status(msg)
+        receive(node, msg)
         assert node.best_cert[1] == cert
 
     def test_status_wrong_auth_topic_ignored(self, world):
@@ -74,7 +75,7 @@ class TestStatusHandling:
         cert = _cert(authenticator, 1, 1, range(f + 1))
         msg = StatusMsg(iteration=2, bit=1, certificate=cert, sender=3,
                         auth=authenticator.attempt(3, ("Status", 9, 1)))
-        node._handle_status(msg)
+        receive(node, msg)
         assert node.best_cert[1] is None
 
 
@@ -112,15 +113,15 @@ class TestCommitHandling:
             certificate=_cert(authenticator, 1, 1, range(f + 1)),  # rank 1
             sender=3,
             auth=authenticator.attempt(3, ("Commit", 2, 1)))
-        node._handle_commit(commit)
+        receive(node, commit)
         assert (2, 1) not in node.commits_seen
 
     def test_duplicate_commit_senders_counted_once(self, world):
         n, f, authenticator, config, nodes = world
         node = nodes[0]
         commit = _commit(authenticator, 1, 1, 3, range(f + 1))
-        node._handle_commit(commit)
-        node._handle_commit(commit)
+        receive(node, commit)
+        receive(node, commit)
         assert len(node.commits_seen[(1, 1)]) == 1
 
 
@@ -138,14 +139,14 @@ class TestTerminateHandling:
     def test_valid_terminate_adopted(self, world):
         n, f, authenticator, config, nodes = world
         node = nodes[0]
-        adopted = node._handle_terminate(self._terminate_msg(authenticator, f))
+        adopted = receive(node, self._terminate_msg(authenticator, f))
         assert adopted == (1, 1)
 
     def test_subquorum_terminate_rejected(self, world):
         n, f, authenticator, config, nodes = world
         node = nodes[0]
         msg = self._terminate_msg(authenticator, f, quorum=f)
-        assert node._handle_terminate(msg) is None
+        assert receive(node, msg) is None
 
     def test_terminate_with_wrong_bit_commits_rejected(self, world):
         n, f, authenticator, config, nodes = world
@@ -156,7 +157,7 @@ class TestTerminateHandling:
             for s in range(f + 1))
         msg = TerminateMsg(bit=1, iteration=1, commits=commits, sender=5,
                            auth=authenticator.attempt(5, ("Terminate", 1)))
-        assert node._handle_terminate(msg) is None
+        assert receive(node, msg) is None
 
     def test_adopting_node_can_relay(self, world):
         """After adopting a Terminate, the node's own Terminate carries

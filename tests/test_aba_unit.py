@@ -18,6 +18,7 @@ from repro.protocols.certificates import certificate_from_votes
 from repro.protocols.messages import ProposeMsg, VoteMsg
 from repro.sim.leader import RoundRobinLeaderOracle
 from repro.sim.node import RoundContext
+from tests.conftest import receive
 
 
 class TestSchedule:
@@ -66,7 +67,7 @@ class TestVoteValidation:
     def test_valid_first_iteration_vote_recorded(self, aba_world):
         n, f, registry, authenticator, config, nodes = aba_world
         node = nodes[0]
-        node._handle_vote(_vote(authenticator, 3, 1, 1))
+        receive(node, _vote(authenticator, 3, 1, 1))
         assert 3 in node.votes_seen[(1, 1)]
 
     def test_bad_signature_dropped(self, aba_world):
@@ -74,14 +75,14 @@ class TestVoteValidation:
         node = nodes[0]
         vote = VoteMsg(iteration=1, bit=1, sender=3, auth="garbage",
                        proposal=None)
-        node._handle_vote(vote)
+        receive(node, vote)
         assert (1, 1) not in node.votes_seen
 
     def test_vote_beyond_iteration_one_needs_proposal(self, aba_world):
         """Footnote 11: later votes attach the justifying proposal."""
         n, f, registry, authenticator, config, nodes = aba_world
         node = nodes[0]
-        node._handle_vote(_vote(authenticator, 3, 2, 1, proposal=None))
+        receive(node, _vote(authenticator, 3, 2, 1, proposal=None))
         assert (2, 1) not in node.votes_seen
 
     def test_vote_with_valid_proposal_accepted(self, aba_world):
@@ -91,7 +92,7 @@ class TestVoteValidation:
         proposal = ProposeMsg(
             iteration=2, bit=1, certificate=None, sender=leader,
             auth=authenticator.attempt(leader, ("Propose", 2, 1)))
-        node._handle_vote(_vote(authenticator, 3, 2, 1, proposal=proposal))
+        receive(node, _vote(authenticator, 3, 2, 1, proposal=proposal))
         assert 3 in node.votes_seen[(2, 1)]
 
     def test_vote_with_foreign_leader_proposal_rejected(self, aba_world):
@@ -101,7 +102,7 @@ class TestVoteValidation:
         proposal = ProposeMsg(
             iteration=2, bit=1, certificate=None, sender=impostor,
             auth=authenticator.attempt(impostor, ("Propose", 2, 1)))
-        node._handle_vote(_vote(authenticator, 3, 2, 1, proposal=proposal))
+        receive(node, _vote(authenticator, 3, 2, 1, proposal=proposal))
         assert (2, 1) not in node.votes_seen
 
     def test_proposal_bit_must_match_vote_bit(self, aba_world):
@@ -111,14 +112,14 @@ class TestVoteValidation:
         proposal = ProposeMsg(
             iteration=2, bit=0, certificate=None, sender=leader,
             auth=authenticator.attempt(leader, ("Propose", 2, 0)))
-        node._handle_vote(_vote(authenticator, 3, 2, 1, proposal=proposal))
+        receive(node, _vote(authenticator, 3, 2, 1, proposal=proposal))
         assert (2, 1) not in node.votes_seen
 
     def test_quorum_of_votes_becomes_certificate(self, aba_world):
         n, f, registry, authenticator, config, nodes = aba_world
         node = nodes[0]
         for voter in range(f + 1):
-            node._handle_vote(_vote(authenticator, voter, 1, 1))
+            receive(node, _vote(authenticator, voter, 1, 1))
         assert node.best_cert[1] is not None
         assert node.best_cert[1].iteration == 1
 
@@ -141,7 +142,7 @@ class TestVoteChoice:
         proposal = ProposeMsg(
             iteration=2, bit=1, certificate=cert1, sender=leader,
             auth=authenticator.attempt(leader, ("Propose", 2, 1)))
-        node._handle_propose(proposal)
+        receive(node, proposal)
         vote = node._choose_vote(2)
         assert vote is not None and vote.bit == 1
 
@@ -164,7 +165,7 @@ class TestVoteChoice:
         proposal = ProposeMsg(
             iteration=3, bit=1, certificate=cert1, sender=leader3,
             auth=authenticator.attempt(leader3, ("Propose", 3, 1)))
-        node._handle_propose(proposal)
+        receive(node, proposal)
         assert node._choose_vote(3) is None
 
     def test_first_iteration_votes_input_bit(self, aba_world):

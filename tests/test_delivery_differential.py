@@ -4,7 +4,7 @@ The batched delivery path (``SynchronousNetwork.deliver`` returning lazy
 :class:`~repro.sim.network.RoundInboxes`) replaced the historical eager
 O(n²) per-recipient expansion.  These tests run whole protocol executions
 on both paths — the eager path reconstructed by routing ``deliver()``
-through the :func:`~repro.sim.network.legacy_deliver` test helper — and
+through the :func:`legacy_deliver` reference below — and
 assert the executions are *identical*: same transcripts, same metrics,
 same decisions, same decision rounds.  Identity (not mere consistency) is
 the repo's established bar for hot-path rewrites.
@@ -20,7 +20,22 @@ import pytest
 from repro.harness.runner import run_instance
 from repro.protocols.phase_king import build_phase_king
 from repro.protocols.quadratic_ba import build_quadratic_ba
-from repro.sim.network import SynchronousNetwork, legacy_deliver
+from repro.sim.network import SynchronousNetwork
+
+
+def legacy_deliver(network):
+    """Reference implementation of delivery: eager per-recipient expansion.
+
+    What :meth:`SynchronousNetwork.deliver` did before batching — a plain
+    dict with one list per node — consuming the staging window through the
+    same :meth:`~SynchronousNetwork._drain_staged` per-copy contract the
+    conditioned network uses.
+    """
+    inboxes = {node: [] for node in range(network.n)}
+    network._drain_staged(
+        lambda envelope, recipient, delivery: inboxes[recipient].append(delivery))
+    network._delivered_round += 1
+    return inboxes
 
 
 def _snapshot(result):

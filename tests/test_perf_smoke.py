@@ -1,7 +1,8 @@
-"""Perf smoke guard: verification work must stay bounded as n grows.
+"""Perf smoke guards: verification and absorption work must stay bounded
+as n grows.
 
-Counts ``authenticator.check`` invocations — not wall time, so CI
-hardware variance cannot flake it.  Before the content-addressed
+Counts calls — ``authenticator.check`` invocations, per-message handler
+steps — not wall time, so CI hardware variance cannot flake it.  Before the content-addressed
 verification caches, the n = 96 quadratic-BA run below performed ~921k
 checks; with them it performs a few hundred.  The budget is deliberately
 generous (50 per node) so legitimate protocol changes don't trip it, while
@@ -9,7 +10,10 @@ any regression to per-copy re-verification (which is Θ(n² · threshold))
 overshoots it by orders of magnitude.
 """
 
-from repro.harness.profiling import profile_check_calls
+from repro.harness.profiling import (
+    profile_check_calls,
+    profile_handler_calls,
+)
 from repro.protocols.quadratic_ba import build_quadratic_ba
 
 
@@ -26,3 +30,21 @@ def test_quadratic_ba_n96_check_call_budget():
     assert profile.check_calls <= budget, (
         f"authenticator.check called {profile.check_calls} times, "
         f"budget {budget}: verification memoization has regressed")
+
+
+def test_quadratic_ba_n96_handler_call_budget():
+    """A benign run is all plain multicasts, so every round is absorbed
+    from one shared digest: one step per *message* (≈ n per round), not
+    one per delivery (≈ n² per round).  Measured: 385 steps over 7 rounds
+    at n = 96; the per-message fold takes 36 575."""
+    n, f = 96, 47
+    instance = build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=1)
+    profile = profile_handler_calls(instance, f, seed=1)
+
+    assert profile.result.consistent()
+    assert profile.result.all_decided()
+    budget = 3 * n * profile.result.rounds_executed
+    assert profile.handler_calls <= budget, (
+        f"{profile.handler_calls} per-message handler steps, budget "
+        f"{budget}: rounds are being folded delivery by delivery instead "
+        f"of absorbed from the shared round digest")
