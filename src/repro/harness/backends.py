@@ -112,6 +112,11 @@ class StoreBackend:
     def close(self) -> None:
         """Release backend resources (connections); safe to call twice."""
 
+    def release_thread(self) -> None:
+        """Release whatever the backend holds for the *calling* thread.
+        Short-lived threads (one per HTTP request) call this as their
+        last act; long-lived ones never need to."""
+
 
 class JsonTreeBackend(StoreBackend):
     """The original human-readable layout: one JSON file per record.
@@ -237,7 +242,10 @@ class SQLiteBackend(StoreBackend):
     - **connections** are per-thread (a :class:`threading.local`), so
       one backend object is safe to share across the service's worker
       threads; separate processes open their own connections against
-      the same file.
+      the same file.  A connection lives until :meth:`close`, or until
+      its thread hands it back with :meth:`release_thread` (the HTTP
+      server's per-request threads do, so a long-running service holds
+      one connection per *live* thread, not one per request served).
     - **WAL** journal mode lets any number of readers proceed while a
       writer commits; ``busy_timeout`` makes competing writers queue
       instead of erroring.
@@ -368,6 +376,16 @@ class SQLiteBackend(StoreBackend):
         rows = self._connection().execute(
             "SELECT id FROM jobs ORDER BY id").fetchall()
         return [row[0] for row in rows]
+
+    def release_thread(self) -> None:
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            return
+        del self._local.connection
+        with self._connections_lock:
+            if connection in self._connections:  # else close() took it
+                self._connections.remove(connection)
+        connection.close()
 
     def close(self) -> None:
         with self._connections_lock:

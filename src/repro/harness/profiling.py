@@ -115,10 +115,10 @@ class PhaseBudget:
       and lands in *protocol*.
     - **scheduler** — the conditioned network's event-queue machinery
       (``ConditionedNetwork.advance_to``: staging-window drain into the
-      timestamp heap, latency/drop coin draws, due-event pops).  Zero
-      for unconditioned executions; under the lock-step synchronizer it
-      additionally absorbs the per-tick no-op churn the event engine
-      skips.
+      calendar queue, latency/drop coin draws, due-bucket delivery into
+      the step buffers).  Zero for unconditioned executions; under the
+      lock-step synchronizer it additionally absorbs the per-tick no-op
+      churn the event engine skips.
     - **verify** — ``authenticator.check`` (the cryptographic predicate,
       wherever invoked: node handlers, sandboxed corrupt nodes, the
       memoization layer on a miss).
@@ -194,9 +194,9 @@ def profile_phase_budget(instance: ProtocolInstance, f: int, seed=0,
         state["deliver"] += perf_counter() - start
         return out
 
-    def timed_advance(self, round_index):
+    def timed_advance(self, *args):
         start = perf_counter()
-        out = orig_advance(self, round_index)
+        out = orig_advance(self, *args)
         state["scheduler"] += perf_counter() - start
         return out
 

@@ -82,6 +82,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
 
+    def finish(self) -> None:
+        # The server runs one thread per connection and this is its last
+        # act: hand back what the store opened for it (a SQLite
+        # connection), or every request served leaves one behind.
+        try:
+            super().finish()
+        finally:
+            self.service.store.backend.release_thread()
+
     # -- plumbing -----------------------------------------------------------
     def _send(self, status: int, body: bytes, content_type: str) -> None:
         self.send_response(status)

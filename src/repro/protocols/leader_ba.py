@@ -331,6 +331,10 @@ class LeaderBaNode(Node):
         self.height_decisions: Dict[int, Tuple[int, Bit]] = {}
         self._final_msg: Optional[LeaderDecideMsg] = None
         self._verification = config.verification
+        # The leader oracle is a pure function of the view; every
+        # delivered NewView asks, so answers are kept per view.
+        self._oracle = getattr(config.proposer, "oracle", None)
+        self._leads: Dict[int, bool] = {}
         # Per-node identity front for prevote-QCs (same contract as
         # AbaNode._cert_cache: each received object resolved once, and —
         # unlike the shared cache — negative results may be kept).
@@ -376,9 +380,12 @@ class LeaderBaNode(Node):
             self.locked = qc
 
     def _is_leader(self, view: int) -> bool:
-        proposer = self.config.proposer
-        oracle = getattr(proposer, "oracle", None)
-        return oracle is not None and oracle.leader(view) == self.node_id
+        leads = self._leads.get(view)
+        if leads is None:
+            leads = self._leads[view] = (
+                self._oracle is not None
+                and self._oracle.leader(view) == self.node_id)
+        return leads
 
     # -- inbox processing ----------------------------------------------------
     def _process_inbox(self, ctx: RoundContext) -> None:
@@ -504,6 +511,10 @@ class LeaderBaNode(Node):
             if len(senders) < self.config.threshold:
                 return
             self._verification.mark_valid(msg)
+        if self.config.height_of_view(msg.view) in self.height_decisions:
+            # Settled (and its own Decide already built from the tally):
+            # _maybe_decide never reads this height's precommits again.
+            return
         # Adoption flows through the ordinary precommit tally: recording
         # the carried quorum makes _maybe_decide fire on it.
         recorded = self.precommits_seen.setdefault((msg.view, msg.bit), {})

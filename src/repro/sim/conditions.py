@@ -46,10 +46,9 @@ Semantics (see ``docs/NETWORK.md`` for the full model):
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.rng import Seed, derive_rng
@@ -420,22 +419,6 @@ class NetworkConditions:
             parts.append(f"topology={self.topology.describe()}")
         return " ".join(parts)
 
-    def draw_latency(self, rng: random.Random) -> int:
-        """One base-delay draw from the (validated) latency spec."""
-        head = self.latency[0]
-        if head == "fixed":
-            return self.latency[1]
-        if head == "uniform":
-            return rng.randint(self.latency[1], self.latency[2])
-        # geometric(p): number of Bernoulli(p) trials up to first success
-        # (tail-capped so p close to 0 cannot spin; the GST clamps bound
-        # the effective delay anyway).
-        p = self.latency[1]
-        delay = 1
-        while rng.random() >= p and delay < 64:
-            delay += 1
-        return delay
-
 
 #: Named, n-independent condition presets usable as ``network`` bindings
 #: in scenario sweeps and as ``--network`` CLI values.  Rounds in the
@@ -483,8 +466,8 @@ class NetworkStats:
     #: wall-clock win is proportional to.
     skipped_ticks: int = 0
     #: Delivery-queue events processed: one per copy entering the
-    #: timestamp-ordered queue (initial schedules, pre-GST duplicates,
-    #: and partition re-queues at heal time).  Engine-invariant for the
+    #: calendar queue (initial schedules, pre-GST duplicates, and
+    #: partition re-queues at heal time).  Engine-invariant for the
     #: same reason as ``skipped_ticks``.
     events_processed: int = 0
 
@@ -512,14 +495,13 @@ class NetworkStats:
         self.events_processed += other.events_processed
 
 
-@dataclass
-class _PendingCopy:
-    """One scheduled message copy awaiting its delivery round."""
+class PendingCopy(NamedTuple):
+    """One in-flight copy as :meth:`ConditionedNetwork.pending_copies`
+    reports it (the calendar itself stores bare tuples)."""
 
-    envelope: Envelope
-    recipient: NodeId
-    sent_round: Round
     due_round: Round
+    sent_round: Round
+    recipient: NodeId
     delivery: Delivery
 
 
@@ -533,17 +515,18 @@ class ConditionedNetwork(SynchronousNetwork):
     to the GST/Δ clamps, pre-GST drops and duplication, scheduled
     partitions, and any adversarial delays registered this round.
 
-    Scheduled copies live in one timestamp-ordered priority queue whose
-    entries sort by ``(due_round, seq, recipient)`` — ``seq`` is a
-    monotone insertion counter, so ties at the same round pop in exactly
-    the order copies entered the queue (staging order with recipients
-    ascending, partition re-queues after them).  That is precisely the
-    per-round list order the historical dict-of-rounds kept, which is
-    what makes the event engine's executions result-identical to the
-    Δ-lockstep synchronizer's.  Deferred copies carry their heal round
-    as their new timestamp and re-enter the queue in O(log n); nothing
-    re-scans the schedule per tick, and :meth:`next_due_round` exposes
-    the queue head so the event engine can skip idle ticks entirely.
+    Scheduled copies live in a **calendar queue**: one bucket (a list in
+    scheduling order) per due round, plus a heap of the *distinct* due
+    rounds.  Buckets pop in due order and are read front to back —
+    staging order with recipients ascending inside a window, partition
+    re-queues behind whatever is already due at the heal round — which
+    is exactly the order a per-copy heap keyed ``(due_round, insertion
+    counter)`` pops in (the counter is unique, so nothing else ever
+    decides).  That order is what keeps the event engine result-identical
+    to the Δ-lockstep synchronizer and to the per-copy reference kept in
+    ``tests/test_conditioned_schedule_differential.py``.  The heap is
+    touched once per distinct due round, and :meth:`next_due_round`
+    exposes its head so the event engine can skip idle ticks entirely.
     """
 
     def __init__(self, n: int, conditions: NetworkConditions,
@@ -554,10 +537,12 @@ class ConditionedNetwork(SynchronousNetwork):
         self.conditions = conditions
         self.stats = NetworkStats()
         self._rng = derive_rng(seed, "network-conditions")
-        #: The delivery event queue: a heap of
-        #: ``(due_round, seq, recipient, copy)`` entries.
-        self._queue: List[Tuple[Round, int, NodeId, _PendingCopy]] = []
-        self._seq = 0
+        #: The calendar: due round -> ``(recipient, delivery, sent_round)``
+        #: copies due then, in scheduling order.  Buckets are never empty.
+        self._buckets: Dict[Round, List[Tuple[NodeId, Delivery, Round]]] = {}
+        #: Min-heap of the calendar's keys (each due round pushed once).
+        self._due_rounds: List[Round] = []
+        self._in_flight = 0
         #: Extra rounds requested by the adversary for in-flight copies,
         #: keyed by (envelope_id, recipient) — recipient None = all.
         self._extra_delay: Dict[Tuple[int, Optional[NodeId]], int] = {}
@@ -581,93 +566,158 @@ class ConditionedNetwork(SynchronousNetwork):
         self._extra_delay[key] = self._extra_delay.get(key, 0) + rounds
 
     # -- scheduling ----------------------------------------------------------
-    def _copy_delay(self, envelope: Envelope, recipient: NodeId,
-                    sent_round: Round) -> int:
-        conditions = self.conditions
-        cap = (conditions.delta if sent_round >= conditions.gst
-               else conditions.effective_pre_gst_cap)
-        base = conditions.draw_latency(self._rng)
-        if conditions.topology is not None:
-            # The per-link surcharge is a pure function of the pair (no
-            # coins), so the RNG stream — and with it every drop and
-            # jitter draw — is identical with and without a topology.
-            base += conditions.topology.link_extra(
-                envelope.sender, recipient, self.n)
-        base = min(base, cap)
-        extra = (self._extra_delay.get((envelope.envelope_id, recipient), 0)
-                 + self._extra_delay.get((envelope.envelope_id, None), 0))
-        if not extra:
-            return base
-        total = min(base + extra, cap)
-        if total > base:
-            # Count only *effective* delays: a request the Δ (or pre-GST)
-            # clamp nullified never changed this copy's delivery round.
-            self.stats.adversary_delayed_copies += 1
-        return total
+    def _bucket(self, due_round: Round) -> list:
+        bucket = self._buckets.get(due_round)
+        if bucket is None:
+            bucket = self._buckets[due_round] = []
+            heappush(self._due_rounds, due_round)
+        return bucket
 
-    def _schedule_copy(self, envelope: Envelope, recipient: NodeId,
-                       sent_round: Round, delivery: Delivery) -> None:
+    def _schedule_window(self, sent_round: Round) -> None:
+        """Drain the staging window into the calendar — the one loop every
+        copy passes through.
+
+        What cannot change inside a window is read once (pre-/post-GST,
+        hence the cap and whether the loss coins are live; the latency
+        family; whether a topology or any adversarial delay exists), so a
+        plain post-GST window pays one draw and one list append per copy
+        and the other regimes are flag checks in the same loop.  Coins
+        come from the one labelled stream in a fixed order per copy —
+        drop, duplicate, then a latency draw per scheduled copy; link
+        surcharges and adversarial delays draw nothing.  The uniform draw
+        is ``Random.randint`` unrolled (``randrange`` → ``_randbelow``:
+        ``getrandbits(width.bit_length())`` until below the width): the
+        same stream, bit for bit, minus three wrapper frames per copy.
+        """
         conditions = self.conditions
-        stats = self.stats
         pre_gst = sent_round < conditions.gst
-        if pre_gst and conditions.drop_rate \
-                and self._rng.random() < conditions.drop_rate:
-            stats.dropped_copies += 1
-            return
-        copies = 1
-        if pre_gst and conditions.duplicate_rate \
-                and self._rng.random() < conditions.duplicate_rate:
-            copies = 2
-            stats.duplicated_copies += 1
-        for _ in range(copies):
-            due = sent_round + self._copy_delay(envelope, recipient,
-                                                sent_round)
-            self._enqueue(due, _PendingCopy(
-                envelope=envelope, recipient=recipient,
-                sent_round=sent_round, due_round=due, delivery=delivery))
+        cap = conditions.effective_pre_gst_cap if pre_gst else conditions.delta
+        drop_rate = conditions.drop_rate if pre_gst else 0.0
+        duplicate_rate = conditions.duplicate_rate if pre_gst else 0.0
+        lossy = bool(drop_rate or duplicate_rate)
+        topology = conditions.topology
+        extra_delay = self._extra_delay
+        family, low = conditions.latency[:2]
+        width = conditions.latency[2] - low + 1 if family == "uniform" else 0
+        bits = width.bit_length()
+        getrandbits = self._rng.getrandbits
+        coin = self._rng.random
+        n = self.n
+        everyone = range(n)
+        slots = [None] * (cap + 1)
+        dropped = duplicated = delayed = scheduled = 0
+        for envelope, delivery, blocked in self._surviving_entries():
+            sender = envelope.sender
+            recipients = (everyone if envelope.recipient is None
+                          else (envelope.recipient,))
+            if extra_delay:
+                envelope_id = envelope.envelope_id
+                extra_all = extra_delay.get((envelope_id, None), 0)
+            for recipient in recipients:
+                if recipient == sender or (blocked and recipient in blocked):
+                    continue
+                copies = 1
+                if lossy:
+                    if drop_rate and coin() < drop_rate:
+                        dropped += 1
+                        continue
+                    if duplicate_rate and coin() < duplicate_rate:
+                        copies = 2
+                        duplicated += 1
+                while copies:
+                    copies -= 1
+                    if width:
+                        delay = getrandbits(bits)
+                        while delay >= width:
+                            delay = getrandbits(bits)
+                        delay += low
+                    elif family == "fixed":
+                        delay = low
+                    else:
+                        # geometric(p): trials up to the first success
+                        # (tail-capped so p close to 0 cannot spin).
+                        delay = 1
+                        while coin() >= low and delay < 64:
+                            delay += 1
+                    if topology is not None:
+                        delay += topology.link_extra(sender, recipient, n)
+                    if delay > cap:
+                        delay = cap
+                    if extra_delay:
+                        extra = extra_all + extra_delay.get(
+                            (envelope_id, recipient), 0)
+                        if extra and delay < cap:
+                            # Only *effective* delays count: one the
+                            # clamp nullified moved nothing.
+                            delay = min(delay + extra, cap)
+                            delayed += 1
+                    bucket = slots[delay]
+                    if bucket is None:
+                        bucket = slots[delay] = self._bucket(
+                            sent_round + delay)
+                    bucket.append((recipient, delivery, sent_round))
+                    scheduled += 1
+        self._reset_window()
+        self._extra_delay = {}
+        self._in_flight += scheduled
+        stats = self.stats
+        stats.dropped_copies += dropped
+        stats.duplicated_copies += duplicated
+        stats.adversary_delayed_copies += delayed
+        stats.events_processed += scheduled
 
-    def _enqueue(self, due_round: Round, copy: _PendingCopy) -> None:
-        heappush(self._queue, (due_round, self._seq, copy.recipient, copy))
-        self._seq += 1
-        self.stats.events_processed += 1
-
-    def _defer(self, copy: _PendingCopy, heal_round: Round) -> None:
-        # The deferred copy carries its heal round as its timestamp and
-        # re-enters the queue behind everything already due then.
-        copy.due_round = heal_round
-        self._enqueue(heal_round, copy)
-        self.stats.deferred_copies += 1
-
-    def _blocking_partition(self, copy: _PendingCopy,
-                            round_index: Round) -> Optional[Partition]:
-        for partition in self.conditions.partitions:
-            if partition.active_at(round_index) and partition.separates(
-                    copy.envelope.sender, copy.recipient, self.n):
-                return partition
-        return None
+    def _defer_blocked(self, bucket: list, round_index: Round) -> list:
+        """The copies of a due bucket deliverable now; one crossing an
+        active partition (the first, in declaration order) moves to the
+        back of that partition's heal-round bucket instead."""
+        active = [partition for partition in self.conditions.partitions
+                  if partition.active_at(round_index)]
+        if not active:
+            return bucket
+        n = self.n
+        passing = []
+        for copy in bucket:
+            for partition in active:
+                if partition.separates(copy[1].sender, copy[0], n):
+                    self._bucket(partition.end).append(copy)
+                    break
+            else:
+                passing.append(copy)
+        requeued = len(bucket) - len(passing)
+        self.stats.deferred_copies += requeued
+        self.stats.events_processed += requeued
+        return passing
 
     def has_pending(self) -> bool:
         """Whether any scheduled copy is still awaiting delivery."""
-        return bool(self._queue)
+        return bool(self._due_rounds)
 
     def next_due_round(self) -> Optional[Round]:
-        """Timestamp of the earliest queued delivery event (``None`` when
-        the queue is empty) — the event engine's skip-ahead horizon."""
-        return self._queue[0][0] if self._queue else None
+        """The earliest round with a scheduled delivery (``None`` when
+        nothing is in flight) — the event engine's skip-ahead horizon."""
+        return self._due_rounds[0] if self._due_rounds else None
 
-    def advance_to(self, round_index: Round) -> List[_PendingCopy]:
+    def pending_copies(self) -> List[PendingCopy]:
+        """Every scheduled-but-undelivered copy, in the order the calendar
+        would deliver them (a snapshot for tests and diagnostics)."""
+        return [PendingCopy(due_round, sent_round, recipient, delivery)
+                for due_round in sorted(self._buckets)
+                for recipient, delivery, sent_round
+                in self._buckets[due_round]]
+
+    def advance_to(self, round_index: Round,
+                   inboxes: Mapping[NodeId, List[Delivery]]) -> None:
         """Jump the network clock straight to ``round_index`` and execute
-        that round: drain the staging window into the event queue, then
-        pop every copy due now, returning the surviving ones in queue
-        order (partition-blocked copies re-enter at their heal round).
+        that round: drain the staging window into the calendar, then
+        append every copy due now to ``inboxes[recipient]``, in calendar
+        order (partition-blocked copies move to their heal round).
 
         The skipped ticks are exactly the rounds the Δ-lockstep
-        synchronizer would have executed as no-ops — no staged window to
-        drain, no due event to pop, no coin to draw — so jumping over
-        them leaves the RNG stream, the schedule, and every
-        :class:`NetworkStats` field identical; they are accounted in
-        ``stats.skipped_ticks`` just as the lock-step path counts its
-        idle rounds.
+        synchronizer would have executed as no-ops — nothing staged,
+        nothing due, no coin to draw — so jumping over them leaves the
+        RNG stream, the schedule, and every :class:`NetworkStats` field
+        identical; ``stats.skipped_ticks`` accounts them just as the
+        lock-step path counts its idle rounds.
         """
         jumped = round_index - self._delivered_round - 1
         if jumped < 0:
@@ -677,35 +727,31 @@ class ConditionedNetwork(SynchronousNetwork):
         stats = self.stats
         stats.skipped_ticks += jumped
 
-        sent_round = max(self._delivered_round, 0)  # senders' round
         worked = bool(self._staged)
-
-        def schedule(envelope: Envelope, recipient: NodeId,
-                     delivery: Delivery) -> None:
-            self._schedule_copy(envelope, recipient, sent_round, delivery)
-
-        self._drain_staged(schedule)
-        self._extra_delay = {}
+        if worked:
+            self._schedule_window(max(self._delivered_round, 0))
         self._delivered_round = round_index
 
         stats.network_rounds = round_index + 1
-        stats.max_in_flight = max(stats.max_in_flight, len(self._queue))
+        if self._in_flight > stats.max_in_flight:
+            stats.max_in_flight = self._in_flight
 
-        queue = self._queue
-        delivered: List[_PendingCopy] = []
-        while queue and queue[0][0] <= round_index:
-            copy = heappop(queue)[3]
+        due_rounds = self._due_rounds
+        partitions = self.conditions.partitions
+        while due_rounds and due_rounds[0] <= round_index:
             worked = True
-            partition = self._blocking_partition(copy, round_index)
-            if partition is not None:
-                self._defer(copy, partition.end)
-                continue
-            delivered.append(copy)
-            stats.delivered_copies += 1
-            stats.latency_total += round_index - copy.sent_round
+            bucket = self._buckets.pop(heappop(due_rounds))
+            if partitions:
+                bucket = self._defer_blocked(bucket, round_index)
+            sent_total = 0
+            for recipient, delivery, sent_round in bucket:
+                inboxes[recipient].append(delivery)
+                sent_total += sent_round
+            self._in_flight -= len(bucket)
+            stats.delivered_copies += len(bucket)
+            stats.latency_total += round_index * len(bucket) - sent_total
         if not worked:
             stats.skipped_ticks += 1
-        return delivered
 
     def finish_clock(self, network_rounds: Round) -> None:
         """Account the idle tail between the last executed tick and the
@@ -719,20 +765,14 @@ class ConditionedNetwork(SynchronousNetwork):
             self._delivered_round = network_rounds - 1
 
     def deliver(self) -> Dict[NodeId, List[Delivery]]:
-        """Advance one network round: schedule this round's staged
-        envelopes, then deliver every copy due now.
-
-        Determinism: envelopes are scheduled in staging (= id) order with
-        recipients ascending, all coins come from one labelled RNG stream
-        derived from the trial seed, and due copies are delivered in
-        queue order — so identical seeds and conditions replay
-        byte-identically.  This is the Δ-lockstep synchronizer's per-tick
-        entry point; the event engine calls :meth:`advance_to` directly
-        and skips the idle ticks this method would spend returning empty
-        inboxes.
+        """Advance one network round — the Δ-lockstep synchronizer's
+        per-tick entry point (the event engine calls :meth:`advance_to`
+        directly and skips the ticks this would return empty inboxes
+        for).  Scheduling order, the single seeded coin stream and
+        calendar-order delivery make identical seeds and conditions
+        replay byte-identically.
         """
         inboxes: Dict[NodeId, List[Delivery]] = {
             node: [] for node in range(self.n)}
-        for copy in self.advance_to(self._delivered_round + 1):
-            inboxes[copy.recipient].append(copy.delivery)
+        self.advance_to(self._delivered_round + 1, inboxes)
         return inboxes

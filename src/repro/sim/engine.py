@@ -19,9 +19,9 @@ to their protocol's default, as in the Theorem 4 termination convention).
 
 Conditioned executions (``conditions=``) are driven by an **event
 scheduler** by default: instead of ticking the network once per Δ
-network round, the engine pops the conditioned network's
-timestamp-ordered delivery queue and jumps the clock straight to the
-next tick that has any work — a staging window to drain, a due
+network round, the engine reads the head of the conditioned network's
+calendar queue and jumps the clock straight to the next tick that has
+any work — a staging window to drain, a due
 delivery, or a protocol step.  Idle Δ-ticks in between are skipped
 outright (``NetworkStats.skipped_ticks`` counts them), which is where
 sparse-latency WAN topologies win their wall clock.  The historical
@@ -209,10 +209,10 @@ class Simulation:
         protocol step per Δ network rounds, so every Δ-bounded delivery
         lands before the step that needs it — but the clock only visits
         ticks that have work: the tick after a step (its staging window
-        must drain into the event queue, in staging order, so the RNG
-        stream is untouched), every tick with a due delivery event
-        (popped from the queue in ``(time, seq, recipient)`` order), and
-        every step tick.  Idle ticks in between are jumped over; the
+        must drain into the calendar queue, in staging order, so the RNG
+        stream is untouched), every tick with a due delivery (its bucket
+        is appended to the step buffers in scheduling order), and every
+        step tick.  Idle ticks in between are jumped over; the
         conditioned network accounts them in ``stats.skipped_ticks``
         exactly as the lock-step path counts its no-op rounds, keeping
         NetworkStats engine-invariant.
@@ -225,8 +225,7 @@ class Simulation:
         rounds_executed = 0
         network_round = 0
         while network_round < limit:
-            for copy in network.advance_to(network_round):
-                buffered[copy.recipient].append(copy.delivery)
+            network.advance_to(network_round, buffered)
             if network_round % stretch == 0:
                 round_index = network_round // stretch
                 self.current_round = round_index

@@ -29,9 +29,9 @@ suppression leaves it ``None``.
 
 The recipient-set contract (multicast fan-out to everyone but the
 sender, sender self-skip on unicasts, per-``(envelope, recipient)``
-suppression) lives in exactly one place, :meth:`_surviving_entries`;
-both :meth:`deliver` and :meth:`_drain_staged` (the per-copy expansion
-the conditioned network schedules from) consume it.
+suppression) is stated once, in :meth:`_surviving_entries`; both
+:meth:`deliver` and the conditioned network's window scheduler (which
+fans each record out into per-recipient copies) consume it.
 """
 
 from __future__ import annotations
@@ -246,32 +246,6 @@ class SynchronousNetwork:
         self._staged = []
         self._staged_ids = set()
         self._suppressed = {}
-
-    def _drain_staged(self, per_copy) -> None:
-        """Expand the staging window into surviving per-recipient copies.
-
-        Calls ``per_copy(envelope, recipient, delivery)`` for every copy
-        that survives the contract (multicast recipients in ascending
-        order — the conditioned network's RNG draws depend on that), then
-        resets the window.  Used by ``deliver()`` overrides that schedule
-        each copy individually; the base :meth:`deliver` consumes the
-        same :meth:`_surviving_entries` records without per-copy fan-out.
-        """
-        n = self.n
-        for envelope, delivery, blocked in self._surviving_entries():
-            if envelope.recipient is not None:
-                per_copy(envelope, envelope.recipient, delivery)
-            elif blocked:
-                sender = envelope.sender
-                for recipient in range(n):
-                    if recipient != sender and recipient not in blocked:
-                        per_copy(envelope, recipient, delivery)
-            else:
-                sender = envelope.sender
-                for recipient in range(n):
-                    if recipient != sender:
-                        per_copy(envelope, recipient, delivery)
-        self._reset_window()
 
     def deliver(self) -> RoundInboxes:
         """Deliver all staged messages and start a new staging window.

@@ -23,16 +23,33 @@ from repro.protocols.quadratic_ba import build_quadratic_ba
 from repro.sim.network import SynchronousNetwork
 
 
+def drain_staged(network, per_copy):
+    """Expand the staging window into surviving per-recipient copies:
+    ``per_copy(envelope, recipient, delivery)`` for every copy that
+    survives the delivery contract, multicast recipients ascending, then
+    reset the window.  The per-copy fan-out both reference
+    implementations share (:func:`legacy_deliver` here, the per-copy heap
+    scheduler in ``test_conditioned_schedule_differential.py``)."""
+    for envelope, delivery, blocked in network._surviving_entries():
+        if envelope.recipient is not None:
+            per_copy(envelope, envelope.recipient, delivery)
+            continue
+        for recipient in range(network.n):
+            if recipient != envelope.sender and recipient not in blocked:
+                per_copy(envelope, recipient, delivery)
+    network._reset_window()
+
+
 def legacy_deliver(network):
     """Reference implementation of delivery: eager per-recipient expansion.
 
     What :meth:`SynchronousNetwork.deliver` did before batching — a plain
-    dict with one list per node — consuming the staging window through the
-    same :meth:`~SynchronousNetwork._drain_staged` per-copy contract the
-    conditioned network uses.
+    dict with one list per node — consuming the staging window one copy
+    at a time.
     """
     inboxes = {node: [] for node in range(network.n)}
-    network._drain_staged(
+    drain_staged(
+        network,
         lambda envelope, recipient, delivery: inboxes[recipient].append(delivery))
     network._delivered_round += 1
     return inboxes

@@ -39,6 +39,7 @@ from repro.sim.conditions import (
     LinkTopology,
     NetworkConditions,
     Partition,
+    PendingCopy,
 )
 
 #: 200 sampled engine-level configurations (the satellite's floor),
@@ -97,33 +98,80 @@ def random_conditions(rng: random.Random,
 # Scheduler-order invariants (unit level, event-engine access pattern)
 # ---------------------------------------------------------------------------
 
+def blocking_partition(conditions, copy, round_index, n):
+    """The partition (first in declaration order) that holds ``copy``
+    back at ``round_index``, if any."""
+    for partition in conditions.partitions:
+        if partition.active_at(round_index) and partition.separates(
+                copy.delivery.sender, copy.recipient, n):
+            return partition
+    return None
+
+
 def drive_event_pattern(network: ConditionedNetwork, rng: random.Random,
                         steps: int = 8):
     """Replicate the event engine's clock walk over a conditioned
     network, staging a random message batch at every step frontier.
-    Returns ``(delivered_round, copy)`` records in delivery order."""
-    delta = network.conditions.delta
+    Returns ``(delivered_round, copy)`` records in delivery order, each
+    ``copy`` a :class:`~repro.sim.conditions.PendingCopy`.
+
+    The network only hands back per-recipient lists, so the walk reads
+    the public :meth:`~ConditionedNetwork.pending_copies` snapshot around
+    every tick and checks the tick against it: what was already in the
+    calendar and due is delivered first, in calendar order, unless an
+    active partition moves it to its heal round; whatever else arrives
+    was scheduled by this very tick from the window staged before it."""
+    conditions = network.conditions
+    delta = conditions.delta
     limit = steps * delta
     n = network.n
     records = []
-    network_round = 0
+    staged = set()
+    previous = network_round = 0
     while network_round < limit:
-        for copy in network.advance_to(network_round):
-            records.append((network_round, copy))
+        before = network.pending_copies()
+        inboxes = {node: [] for node in range(n)}
+        network.advance_to(network_round, inboxes)
+        after = network.pending_copies()
+        # The skip-ahead walk never overshoots a timestamp, and no due
+        # copy outlives its tick except through a partition.
+        assert all(copy.due_round >= network_round for copy in before)
+        assert all(copy.due_round > network_round for copy in after)
+        released = []
+        for copy in before:
+            if copy.due_round > network_round:
+                continue
+            partition = blocking_partition(conditions, copy, network_round, n)
+            if partition is None:
+                released.append(copy)
+            else:
+                assert copy._replace(due_round=partition.end) in after
+        for node in range(n):
+            mine = [copy for copy in released if copy.recipient == node]
+            assert inboxes[node][:len(mine)] == [
+                copy.delivery for copy in mine]
+            records.extend((network_round, copy) for copy in mine)
+            for delivery in inboxes[node][len(mine):]:
+                assert delivery.payload in staged
+                records.append((network_round, PendingCopy(
+                    network_round, previous, node, delivery)))
+        staged = set()
         if network_round % delta == 0:
-            for _ in range(rng.randint(0, 3)):
+            for index in range(rng.randint(0, 3)):
                 sender = rng.randrange(n)
                 recipient = rng.choice((None, rng.randrange(n)))
+                staged.add(f"m{network_round}.{index}")
                 network.stage(sender, recipient,
-                              f"m{network_round}", network_round,
+                              f"m{network_round}.{index}", network_round,
                               honest_sender=True)
+        previous = network_round
         if network.has_staged():
             network_round += 1
             continue
         upcoming = network_round - network_round % delta + delta
-        due = network.next_due_round()
-        if due is not None and due < upcoming:
-            upcoming = due
+        due_next = network.next_due_round()
+        if due_next is not None and due_next < upcoming:
+            upcoming = due_next
         network_round = upcoming
     return records
 
@@ -147,11 +195,8 @@ class TestSchedulerOrderInvariants:
                     and copy.sent_round >= conditions.gst:
                 assert delivered_round - copy.sent_round <= conditions.delta
             # No copy ever crosses an active partition.
-            for partition in conditions.partitions:
-                assert not (
-                    partition.active_at(delivered_round)
-                    and partition.separates(copy.envelope.sender,
-                                            copy.recipient, n))
+            assert blocking_partition(
+                conditions, copy, delivered_round, n) is None
 
     @pytest.mark.parametrize("case", SCHEDULER_CASES)
     def test_stats_accounting_is_conserved(self, case):
@@ -165,9 +210,12 @@ class TestSchedulerOrderInvariants:
         records = drive_event_pattern(network, rng)
         stats = network.stats
         assert stats.delivered_copies == len(records)
+        assert stats.latency_total == sum(
+            delivered_round - copy.sent_round
+            for delivered_round, copy in records)
         assert stats.events_processed == (
             stats.delivered_copies + stats.deferred_copies
-            + len(network._queue))
+            + len(network.pending_copies()))
         assert stats.skipped_ticks + stats.delivered_copies > 0
         assert stats.skipped_ticks < stats.network_rounds
 
@@ -180,33 +228,36 @@ class TestSchedulerOrderInvariants:
         network = ConditionedNetwork(4, conditions, seed=0)
         # One cross-partition copy per round for rounds 0..3; each comes
         # due (and defers) one round later, in staging order.
+        inboxes = {node: [] for node in range(4)}
         for index in range(4):
-            network.advance_to(index)
+            network.advance_to(index, inboxes)
             network.stage(0, 3, f"cross-{index}", index, honest_sender=True)
-        delivered = {}
-        for round_index in range(4, 12):
-            for copy in network.advance_to(round_index):
-                delivered.setdefault(round_index, []).append(
-                    copy.delivery.payload)
-        assert delivered == {
-            9: ["cross-0", "cross-1", "cross-2", "cross-3"]}
+        for round_index in range(4, 9):
+            network.advance_to(round_index, inboxes)
+        assert not any(inboxes.values())
+        network.advance_to(9, inboxes)
+        assert [delivery.payload for delivery in inboxes.pop(3)] == [
+            "cross-0", "cross-1", "cross-2", "cross-3"]
+        assert not any(inboxes.values())
         assert network.stats.deferred_copies == 4
 
     def test_clock_cannot_move_backwards(self):
         network = ConditionedNetwork(
             3, NetworkConditions(delta=2, latency=("fixed", 1)), seed=0)
-        network.advance_to(5)
+        network.advance_to(5, {})
         with pytest.raises(SimulationError, match="backwards"):
-            network.advance_to(5)
+            network.advance_to(5, {})
 
     def test_next_due_round_tracks_the_queue_head(self):
         conditions = NetworkConditions(delta=4, latency=("fixed", 3))
         network = ConditionedNetwork(3, conditions, seed=0)
         assert network.next_due_round() is None
         network.stage(0, 1, "m", 0, honest_sender=True)
-        network.advance_to(0)  # drains the staging window: due at 3
-        assert network.next_due_round() == 3
-        assert network.advance_to(3)
+        inbox = []
+        network.advance_to(0, {1: inbox})  # drains the window: due at 3
+        assert network.next_due_round() == 3 and not inbox
+        network.advance_to(3, {1: inbox})
+        assert [delivery.payload for delivery in inbox] == ["m"]
         assert network.next_due_round() is None
 
 

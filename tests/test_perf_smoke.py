@@ -48,3 +48,44 @@ def test_quadratic_ba_n96_handler_call_budget():
         f"{profile.handler_calls} per-message handler steps, budget "
         f"{budget}: rounds are being folded delivery by delivery instead "
         f"of absorbed from the shared round digest")
+
+
+def test_post_gst_window_draws_bits_and_pushes_rounds(monkeypatch):
+    """The conditioned scheduler's per-copy cost on a plain post-GST
+    multicast window is a ``getrandbits`` draw and a list append: it
+    never climbs ``random.Random.randint``'s wrapper stack, and the heap
+    holds *due rounds* — one push per distinct round the window's copies
+    come due in, however many copies there are."""
+    import heapq
+    import random
+
+    from repro.sim import conditions as conditions_module
+    from repro.sim.conditions import NETWORKS, ConditionedNetwork
+
+    calls = {"randint": 0, "heappush": 0}
+
+    def counting_randint(self, low, high):
+        calls["randint"] += 1
+        return self.randrange(low, high + 1)
+
+    def counting_heappush(heap, item):
+        calls["heappush"] += 1
+        heapq.heappush(heap, item)
+
+    monkeypatch.setattr(random.Random, "randint", counting_randint)
+    monkeypatch.setattr(conditions_module, "heappush", counting_heappush)
+
+    n, senders = 64, 10
+    network = ConditionedNetwork(n, NETWORKS["wan"], seed=1)
+    network.advance_to(0, {})
+    for sender in range(senders):
+        network.stage(sender, None, "vote", 0, honest_sender=True)
+    network.advance_to(1, {node: [] for node in range(n)})
+
+    pending = network.pending_copies()
+    due_rounds = {copy.due_round for copy in pending}
+    copies = network.stats.events_processed
+    assert copies == senders * (n - 1)
+    assert len(pending) + network.stats.delivered_copies == copies
+    assert calls["randint"] == 0
+    assert calls["heappush"] <= len(due_rounds | {1}) <= NETWORKS["wan"].delta

@@ -5,6 +5,7 @@ byte-identity against a direct ``run_sweep``."""
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -194,6 +195,33 @@ class TestHttpEndToEnd:
         rows = client.sweep_rows("smoke")
         assert rows["complete"] is True and len(
             rows["rows"]) == SMOKE_CELLS
+
+    def test_request_threads_hand_back_their_connections(self, served):
+        """The server runs a thread per request and each opens its own
+        SQLite connection; N sequential jobs (dozens of requests) must
+        leave the backend holding only its long-lived ones — the
+        creating thread's and the workers' — not one per request."""
+        client, store = served
+        backend = store.backend
+        baseline_threads = threading.active_count()
+
+        def settled_connections():
+            # A handler thread may still be finishing after its response
+            # was read; give it a moment.
+            deadline = time.monotonic() + 5.0
+            while (threading.active_count() > baseline_threads
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            return len(backend._connections)
+
+        counts = []
+        for _ in range(6):
+            job_id = client.submit("smoke")
+            assert client.wait(job_id, max_wait=120)["state"] == JOB_DONE
+            assert client.artifact("smoke", "json")
+            counts.append(settled_connections())
+        assert counts[-1] == counts[0], counts
+        assert counts[-1] <= 3, counts  # creator + 2 workers
 
     def test_error_paths(self, served):
         client, _ = served
