@@ -79,6 +79,8 @@ from repro.harness import run_instance
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.scenarios import PROTOCOLS as PROTOCOL_REGISTRY
 from repro.errors import ConfigurationError
+from repro.protocols.adaptive_ba import adaptive_columns
+from repro.protocols.leader_ba import view_columns
 from repro.sim.conditions import NETWORKS, TOPOLOGIES
 from repro.sim.trace import summarize_transcript
 from repro.types import SecurityParameters
@@ -529,17 +531,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # The GST-aware builders gate their unanimity detectors (or view
         # timers) on the conditions' trusted-send round.
         kwargs.update(conditions=conditions)
-    instance = builder(**kwargs)
-    if args.adversary == "actual-faults":
-        adversary = ActualFaultsAdversary(actual=args.actual)
-    elif args.actual is not None:
+    if args.adversary != "actual-faults" and args.actual is not None:
         print("run: --actual only applies to --adversary actual-faults",
               file=sys.stderr)
         return 2
-    else:
-        adversary = ADVERSARIES[args.adversary](instance)
-    result = run_instance(instance, f, adversary, seed=args.seed,
-                          conditions=conditions)
+    try:
+        instance = builder(**kwargs)
+        if args.adversary == "actual-faults":
+            adversary = ActualFaultsAdversary(actual=args.actual)
+        else:
+            adversary = ADVERSARIES[args.adversary](instance)
+        # Adversaries reject a protocol they cannot target in their
+        # constructor or at setup, inside run_instance.
+        result = run_instance(instance, f, adversary, seed=args.seed,
+                              conditions=conditions)
+    except ConfigurationError as error:
+        print(f"run: {error}", file=sys.stderr)
+        return 2
     trace = summarize_transcript(result.require_transcript())
     print(f"protocol:            {instance.name}")
     print(f"n / f:               {n} / {f}  (adversary: {args.adversary})")
@@ -560,15 +568,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"rounds saved:        {result.rounds_saved} "
               f"(budget {result.rounds_budget})")
     if args.protocol in _VIEW_PROTOCOLS:
-        from repro.protocols.leader_ba import decision_view_of
-        settled = decision_view_of(result)
-        print(f"settled view:        {settled} "
-              f"({settled - 1} view change(s))")
+        columns = view_columns([result])
+        print(f"settled view:        {columns['mean_views_executed']:.0f} "
+              f"({columns['mean_view_changes']:.0f} view change(s))")
     if args.protocol in _ADAPTIVE_PROTOCOLS:
-        from repro.protocols.adaptive_ba import escalations_of, words_of
-        print(f"escalations:         {escalations_of(result)} "
-              f"(actual faults {result.corruptions_used}, "
-              f"{words_of(result)} words)")
+        columns = adaptive_columns([result])
+        print(f"escalations:         {columns['mean_escalations']:.0f} "
+              f"(actual faults {columns['mean_actual_faults']:.0f}, "
+              f"{columns['mean_words']:.0f} words)")
     print(f"corruptions used:    {result.corruptions_used}")
     print(f"honest multicasts:   "
           f"{result.metrics.multicast_complexity_messages}")

@@ -108,6 +108,8 @@ from repro.protocols import (
     build_static_committee,
     build_subquadratic_ba,
 )
+from repro.protocols.adaptive_ba import adaptive_columns
+from repro.protocols.leader_ba import view_columns
 from repro.types import SecurityParameters
 
 # ---------------------------------------------------------------------------
@@ -614,10 +616,7 @@ def _is_scalar(value: Any) -> bool:
     return value is None or isinstance(value, (bool, int, float, str))
 
 
-def _stats_metrics(stats: TrialStats,
-                   early_stopping: bool = False,
-                   view_based: bool = False,
-                   adaptive: bool = False) -> Dict[str, Any]:
+def _stats_metrics(stats: TrialStats, entry: ProtocolEntry) -> Dict[str, Any]:
     metrics = {
         "trials": stats.trials,
         "consistency_rate": stats.consistency_rate,
@@ -645,39 +644,18 @@ def _stats_metrics(stats: TrialStats,
         metrics["events_processed"] = stats.events_processed
     # Likewise the rounds-saved column appears only for the early-stop
     # protocol variants, whose whole point it measures.
-    if early_stopping:
+    if entry.early_stopping:
         metrics["mean_rounds_saved"] = stats.mean_rounds_saved
     # And the view-accounting columns only for the leader family (these
     # additions are what bumped STORE_SALT to v3).
-    if view_based:
-        from repro.protocols.leader_ba import decision_view_of
-        views = [decision_view_of(result) for result in stats.results]
-        trials = len(views)
-        metrics["mean_views_executed"] = (
-            sum(views) / trials if trials else 0.0)
-        metrics["mean_view_changes"] = (
-            sum(view - 1 for view in views) / trials if trials else 0.0)
+    if entry.view_based:
+        metrics.update(view_columns(stats.results))
     # And the words/fault-count accounting only for the adaptive family,
     # whose claim is words = O((f* + 1) n) (the v4 STORE_SALT bump).
     # ``mean_words`` is the classical word count (Definition 6) — the
     # fast path is built from unicasts the multicast columns do not see.
-    if adaptive:
-        from repro.protocols.adaptive_ba import (
-            actual_faults_of,
-            escalations_of,
-            words_of,
-        )
-        results = stats.results
-        trials = len(results)
-        metrics["mean_words"] = (
-            sum(words_of(result) for result in results) / trials
-            if trials else 0.0)
-        metrics["mean_actual_faults"] = (
-            sum(actual_faults_of(result) for result in results) / trials
-            if trials else 0.0)
-        metrics["mean_escalations"] = (
-            sum(escalations_of(result) for result in results) / trials
-            if trials else 0.0)
+    if entry.adaptive:
+        metrics.update(adaptive_columns(stats.results))
     return metrics
 
 
@@ -724,9 +702,7 @@ def _execute_trials(cell: Cell, workers: int,
         pool=pool,
         **_cell_trial_kwargs(cell, coin_cache),
     )
-    return stats, _stats_metrics(stats, early_stopping=entry.early_stopping,
-                                 view_based=entry.view_based,
-                                 adaptive=entry.adaptive)
+    return stats, _stats_metrics(stats, entry)
 
 
 def _execute_per_seed(cell: Cell, workers: int,
@@ -753,9 +729,7 @@ def _execute_per_seed(cell: Cell, workers: int,
                               conditions=cell.network)
         records.append((result, adversary))
         stats.add(result)
-    return records, _stats_metrics(stats, early_stopping=entry.early_stopping,
-                                   view_based=entry.view_based,
-                                   adaptive=entry.adaptive)
+    return records, _stats_metrics(stats, entry)
 
 
 def _attack_kwargs(cell: Cell) -> Dict[str, Any]:

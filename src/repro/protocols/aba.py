@@ -40,18 +40,17 @@ from repro.protocols.certificates import (
     certificate_from_votes,
     rank,
 )
-from repro.protocols.verification import CACHE_LIMIT, VerificationCache
+from repro.protocols.verification import VerificationCache, VerifyingNode
 from repro.protocols.messages import (
     CommitMsg,
     ProposeMsg,
-    SignedVote,
     StatusMsg,
     TerminateMsg,
     VoteMsg,
 )
 from repro.serialization import _intern_field_key, intern_by_key, intern_payload
 from repro.sim.network import Delivery
-from repro.sim.node import Node, RoundContext
+from repro.sim.node import RoundContext
 from repro.types import Bit, NodeId, Round, other_bit
 
 PHASE_STATUS = "Status"
@@ -234,14 +233,13 @@ class AbaConfig:
     trusted_send_round: Round = 0
 
 
-class AbaNode(Node):
+class AbaNode(VerifyingNode):
     """One party of the iterated BA protocol."""
 
     def __init__(self, node_id: NodeId, n: int, input_bit: Bit,
                  config: AbaConfig) -> None:
-        super().__init__(node_id, n)
+        super().__init__(node_id, n, config)
         self.input_bit = input_bit
-        self.config = config
         # Highest certificate observed per bit (None = iteration-0 rank).
         self.best_cert: Dict[Bit, Optional[Certificate]] = {0: None, 1: None}
         # (iteration, bit) -> voter -> auth, valid votes only.
@@ -256,43 +254,8 @@ class AbaNode(Node):
         self.last_vote: Optional[Bit] = None
         self.decision: Optional[Bit] = None
         self.decision_iteration: Optional[int] = None
-        # Verification of votes, certificates, and proposals is a public
-        # pure predicate, memoized by *content* and shared across the
-        # instance's nodes: every sender assembles its own content-equal
-        # certificate objects, and the historical per-node identity-keyed
-        # cache re-verified each copy from scratch.
-        self._verification = config.verification
-        # Per-node identity front for certificates: each received object
-        # is resolved at most once per node (entries pin the object, so
-        # ids cannot be recycled).  Unlike the shared cache this may hold
-        # negative results — the same "each object checked once" contract
-        # the original per-node cache had.
-        self._cert_cache: Dict[int, Tuple[Certificate, bool]] = {}
 
-    # -- validation helpers --------------------------------------------------
-    def _check_auth(self, node_id: NodeId, topic: Any, auth: Any) -> bool:
-        return self._verification.check_auth(
-            self.config.authenticator, node_id, topic, auth)
-
-    def _check_vote_auth(self, vote: SignedVote) -> bool:
-        return self._verification.check_vote(self.config.authenticator, vote)
-
-    def _check_certificate(self, certificate: Optional[Certificate],
-                           expected_bit: Optional[Bit] = None) -> bool:
-        if certificate is None:
-            return True  # the fictitious iteration-0 certificate
-        if expected_bit is not None and certificate.bit != expected_bit:
-            return False
-        entry = self._cert_cache.get(id(certificate))
-        if entry is not None and entry[0] is certificate:
-            return entry[1]
-        result = self._verification.check_certificate(
-            certificate, self.config.threshold, self._check_vote_auth)
-        if len(self._cert_cache) >= CACHE_LIMIT:
-            self._cert_cache.clear()
-        self._cert_cache[id(certificate)] = (certificate, result)
-        return result
-
+    # -- certificate tracking ------------------------------------------------
     def _absorb_certificate(self, certificate: Optional[Certificate]) -> None:
         """Track the highest-ranked certificate per bit (pre-validated)."""
         if certificate is None:

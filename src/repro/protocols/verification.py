@@ -31,8 +31,8 @@ signatures/VRFs are pure — but a ``False`` can legitimately become
 honest node mines that topic; once mined, the content-equal honest ticket
 is valid).  Negative results are therefore never shared across nodes;
 nodes that want the seed semantics of "each *object* checked once" keep a
-per-node identity front (see ``AbaNode._check_certificate``) whose
-entries pin their object, so a recycled ``id()`` can never alias.
+per-node identity front (:class:`VerifyingNode`) whose entries pin their
+object, so a recycled ``id()`` can never alias.
 
 Messages with unhashable ``auth`` objects fall back to direct
 verification (no caching), so cache entries can never go stale when
@@ -51,6 +51,7 @@ from repro.protocols.base import Authenticator, ProposerPolicy
 from repro.protocols.certificates import Certificate, verify_certificate
 from repro.protocols.messages import SignedVote
 from repro.serialization import type_tagged
+from repro.sim.node import Node
 from repro.types import Bit, NodeId
 
 #: Global kill-switch used by determinism tests; leave True in production.
@@ -243,3 +244,43 @@ class VerificationCache:
             _trim(self._proposals)
             self._proposals.add(key)
         return valid
+
+
+class VerifyingNode(Node):
+    """A protocol node verifying through its instance's shared cache.
+
+    ``config`` carries the instance's ``authenticator``, certificate
+    ``threshold`` and shared ``verification`` cache.  On top of the
+    shared cache each node keeps an identity front for certificates:
+    every received object is resolved at most once per node (entries pin
+    the object, so ids cannot be recycled), and — unlike the shared
+    cache — negative results may be kept.
+    """
+
+    def __init__(self, node_id: NodeId, n: int, config: Any) -> None:
+        super().__init__(node_id, n)
+        self.config = config
+        self._verification: VerificationCache = config.verification
+        self._cert_cache: Dict[int, Tuple[Certificate, bool]] = {}
+
+    def _check_auth(self, node_id: NodeId, topic: Any, auth: Any) -> bool:
+        return self._verification.check_auth(
+            self.config.authenticator, node_id, topic, auth)
+
+    def _check_vote_auth(self, vote: SignedVote) -> bool:
+        return self._verification.check_vote(self.config.authenticator, vote)
+
+    def _check_certificate(self, certificate: Optional[Certificate],
+                           expected_bit: Optional[Bit] = None) -> bool:
+        if certificate is None:
+            return True  # the fictitious rank-0 certificate
+        if expected_bit is not None and certificate.bit != expected_bit:
+            return False
+        entry = self._cert_cache.get(id(certificate))
+        if entry is not None and entry[0] is certificate:
+            return entry[1]
+        result = self._verification.check_certificate(
+            certificate, self.config.threshold, self._check_vote_auth)
+        _trim(self._cert_cache)
+        self._cert_cache[id(certificate)] = (certificate, result)
+        return result

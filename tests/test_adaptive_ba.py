@@ -24,6 +24,9 @@ from repro.protocols import build_adaptive_ba, build_quadratic_ba
 from repro.protocols.adaptive_ba import (
     EPOCH_ROUNDS,
     FAST_PATH_WORD_FACTOR,
+    AdaptiveAckMsg,
+    AdaptiveDecideMsg,
+    AdaptiveProposeMsg,
     actual_faults_of,
     collector_of,
     default_epochs,
@@ -33,6 +36,9 @@ from repro.protocols.adaptive_ba import (
     rounds_for_epochs,
     words_of,
 )
+from repro.protocols.certificates import certificate_from_votes
+from repro.protocols.messages import SignedVote
+from repro.sim.adversary import Adversary
 from repro.sim.conditions import NETWORKS, NetworkConditions
 
 
@@ -195,3 +201,78 @@ class TestBuilderValidation:
             instance = build_adaptive_ba(n, f, [0] * n)
             assert instance.services["threshold"] == n - f
             assert 2 * (n - f) - n > f  # quorum overlap beats doublers
+
+
+class _LoneDeciderCollector(Adversary):
+    """Corrupt {0, 1}.  Epoch-1 collector 0 forms the genuine ``n - f``
+    certificate for 0 (the honest reports of 2, 3, 4 plus two corrupt
+    votes), proposes it to {2, 3, 4} only, completes their three acks
+    with two corrupt ones and shows the Decide to node 2 alone; from
+    epoch 2 on the corrupt nodes report 1."""
+
+    CORRUPT = (0, 1)
+
+    def __init__(self, instance):
+        super().__init__()
+        self.sign = instance.services["authenticator"].attempt
+        self.threshold = instance.services["threshold"]
+        self.reports = {}
+        self.acks = {}
+
+    def on_setup(self):
+        for node_id in self.CORRUPT:
+            self.api.corrupt(node_id)
+
+    def observe_deliveries(self, round_index, inboxes):
+        for delivery in inboxes[0]:
+            msg = delivery.payload
+            if isinstance(msg, SignedVote) and (msg.iteration, msg.bit) == (1, 0):
+                self.reports[msg.voter] = msg.auth
+            elif isinstance(msg, AdaptiveAckMsg) and msg.epoch == 1:
+                self.acks[msg.sender] = msg
+
+    def react(self, round_index, staged):
+        epoch, phase = epoch_schedule(round_index)
+        if (epoch, phase) == (1, "Propose"):
+            votes = dict(self.reports)
+            for node_id in self.CORRUPT:
+                votes[node_id] = self.sign(node_id, ("Vote", 1, 0))
+            propose = AdaptiveProposeMsg(
+                epoch=1, bit=0, sender=0,
+                cert=certificate_from_votes(1, 0, votes, self.threshold),
+                auth=self.sign(0, ("Propose", 1, 0)))
+            for target in (2, 3, 4):
+                self.api.inject(0, target, propose)
+        elif (epoch, phase) == (1, "Decide"):
+            acks = dict(self.acks)
+            for node_id in self.CORRUPT:
+                acks[node_id] = AdaptiveAckMsg(
+                    epoch=1, bit=0, sender=node_id,
+                    auth=self.sign(node_id, ("Ack", 1, 0)))
+            self.api.inject(0, 2, AdaptiveDecideMsg(
+                epoch=1, bit=0, sender=0,
+                acks=tuple(acks[sender] for sender in sorted(acks)),
+                auth=self.sign(0, ("Decide", 1, 0))))
+        elif epoch > 1 and phase == "Report":
+            for node_id in self.CORRUPT:
+                self.api.inject(
+                    node_id, collector_of(epoch, self.api.n),
+                    SignedVote(iteration=epoch, bit=1, voter=node_id,
+                               auth=self.sign(node_id, ("Vote", epoch, 1))))
+
+
+class TestSilentHaltCounterexample:
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP 4a: a non-collector that adopts a Decide quorum sent in "
+        "a trusted round halts without relaying it, so a Byzantine "
+        "collector that shows the Decide to one node strands the nodes "
+        "it locked (the silent-halt policy, AdaptiveBaNode._settle)"))
+    def test_byzantine_collector_cannot_strand_its_lockers(self):
+        """Inside ``n > 3f``: node 2 decides 0 at round 4 and halts
+        silently; 3 and 4 stay locked on 0 and never decide, 5 and 6
+        finalize 1."""
+        instance = build_adaptive_ba(7, 2, [0, 0, 0, 0, 0, 1, 1], seed=3)
+        result = run_instance(instance, 2, _LoneDeciderCollector(instance),
+                              seed=3)
+        assert result.consistent()
+        assert result.all_decided()

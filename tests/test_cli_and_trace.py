@@ -74,6 +74,25 @@ class TestCli:
         assert code == 0
         assert "quadratic-ba" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--protocol", "adaptive-ba", "--adversary", "leader-killer"],
+         "leader-killer needs an announced leader oracle"),
+        (["--protocol", "adaptive-ba", "--adversary", "view-split"],
+         "view-split attack targets"),
+        (["--protocol", "leader-ba", "--adversary", "equivocate"],
+         "unsupported protocol family"),
+        (["--protocol", "leader-ba", "--adversary", "actual-faults",
+          "--actual", "9", "-f", "4"],
+         "exceeds the corruption budget"),
+    ])
+    def test_run_incompatible_adversary_exits_2(self, capsys, argv, message):
+        """An adversary rejecting its target — in its constructor or at
+        setup inside ``run_instance`` — is a usage error, not a crash."""
+        assert main(["run", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("run: ") and message in captured.err
+        assert captured.out == ""
+
     def test_experiment_command(self, capsys):
         code = main(["experiment", "E2"])
         out = capsys.readouterr().out

@@ -109,13 +109,13 @@ def instrument_locks(instance):
     for node in instance.nodes:
         history = []
         histories[node.node_id] = history
-        original = node._absorb_qc
+        original = node.absorb_lock
 
         def absorb(qc, node=node, history=history, original=original):
             original(qc)
             history.append(rank(node.locked))
 
-        node._absorb_qc = absorb
+        node.absorb_lock = absorb
     return histories
 
 
