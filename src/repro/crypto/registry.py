@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from typing import Any, Union
 
 from repro.crypto.groups import SchnorrGroup, TEST_GROUP
-from repro.crypto.hashing import hash_objects
+from repro.crypto.hashing import hash_bytes, hash_objects
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature
 from repro.crypto.schnorr import sign as schnorr_sign
 from repro.crypto.schnorr import verify as schnorr_verify
 from repro.errors import ConfigurationError, ForgeryAttempt
 from repro.rng import derive_rng
-from repro.serialization import type_tagged
+from repro.serialization import canonical_bytes, type_tagged
 from repro.types import NodeId
 
 IDEAL_MODE = "ideal"
@@ -87,6 +87,9 @@ class KeyRegistry:
         # it makes repeated verifications of the same signed statement
         # (every certificate is re-checked by every recipient) a dict hit.
         self._digest_cache: dict = {}
+        # canonical_bytes of a signed topic, per type_tagged(topic): every
+        # signer of ("Vote", r, b) digests the same encoding.
+        self._topic_bytes: dict = {}
         # Successful ideal-mode verifications, keyed by
         # (node_id, message, digest).  Only positive results are cached:
         # a True can never become False (digests are deterministic and
@@ -123,13 +126,18 @@ class KeyRegistry:
             # type_tagged so the cache is exactly as fine-grained as the
             # canonical encoding being digested (True == 1 as a dict key,
             # but they hash differently).
-            key = (type_tagged(node_id), type_tagged(message))
+            topic = type_tagged(message)
+            key = (type_tagged(node_id), topic)
             cached = self._digest_cache.get(key)
         except TypeError:
             # Unhashable message: compute without caching.
             return hash_objects("ideal-sig", node_id, message)
         if cached is None:
-            cached = hash_objects("ideal-sig", node_id, message)
+            encoded = self._topic_bytes.get(topic)
+            if encoded is None:
+                encoded = self._topic_bytes[topic] = canonical_bytes(message)
+            # hash_objects("ideal-sig", node_id, message), topic encoded once.
+            cached = hash_bytes("ideal-sig", canonical_bytes(node_id), encoded)
             self._digest_cache[key] = cached
         return cached
 

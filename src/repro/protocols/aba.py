@@ -48,7 +48,7 @@ from repro.protocols.messages import (
     TerminateMsg,
     VoteMsg,
 )
-from repro.serialization import _intern_field_key, intern_by_key, intern_payload
+from repro.serialization import intern_by_key, intern_payload
 from repro.sim.network import Delivery
 from repro.sim.node import RoundContext
 from repro.types import Bit, NodeId, Round, other_bit
@@ -545,18 +545,15 @@ class AbaNode(VerifyingNode):
             # the O(λ(log κ + log n)) message bound (see _valid_commit_ref).
             # Interned as a whole quorum: every terminating node strips the
             # same commits, so the content-equal stripped tuples collapse
-            # to one object — keyed by the chosen commits' identity (their
-            # sender/auth determine the stripped content; iteration and bit
-            # are fixed by the key head).  The arena entry keeps the chosen
-            # originals alive alongside the stripped tuple, pinning every
-            # id() the key references.
-            chosen = sorted(commits.values(),
-                            key=lambda c: c.sender)[:self.config.threshold]
+            # to one object — keyed by the chosen commits' identity (the
+            # stripped content is a function of theirs alone).  The arena
+            # entry keeps the chosen originals alive alongside the stripped
+            # tuple, pinning every id() the key references.
+            chosen = [commits[sender] for sender in
+                      sorted(commits)[:self.config.threshold]]
             stripped = intern_by_key(
-                (TerminateMsg, iteration, bit,
-                 tuple([(c.sender, _intern_field_key(c.auth))
-                        for c in chosen])),
-                lambda: (tuple(chosen), tuple(
+                (TerminateMsg, tuple(map(id, chosen))),
+                lambda: (chosen, tuple(
                     intern_payload(CommitMsg(
                         iteration=c.iteration, bit=c.bit, certificate=None,
                         sender=c.sender, auth=c.auth))

@@ -74,7 +74,11 @@ from repro.crypto.groups import SchnorrGroup, TEST_GROUP
 from repro.crypto.registry import IDEAL_MODE
 from repro.errors import ConfigurationError
 from repro.protocols.base import ProtocolInstance
-from repro.protocols.certificates import Certificate, certificate_from_votes
+from repro.protocols.certificates import (
+    Certificate,
+    certificate_from_votes,
+    signed_vote,
+)
 from repro.protocols.messages import SignedVote
 from repro.protocols.view_machine import (
     ViewConfig,
@@ -85,7 +89,6 @@ from repro.protocols.view_machine import (
     mean_columns,
 )
 from repro.rng import Seed
-from repro.serialization import intern_payload
 from repro.sim.conditions import NetworkConditions
 from repro.sim.node import RoundContext
 from repro.types import Bit, NodeId
@@ -320,8 +323,7 @@ class AdaptiveBaNode(ViewNode):
             self.votes_seen.setdefault((epoch, bit), {}).setdefault(
                 self.node_id, auth)
         else:
-            ctx.send(collector, intern_payload(SignedVote(
-                iteration=epoch, bit=bit, voter=self.node_id, auth=auth)))
+            ctx.send(collector, signed_vote(epoch, bit, self.node_id, auth))
 
     def _do_propose(self, ctx: RoundContext, epoch: int) -> None:
         if not self._is_collector(epoch):
@@ -350,10 +352,8 @@ class AdaptiveBaNode(ViewNode):
         bit, chosen = choice
         votes = intern_quorum(
             AdaptiveKingMsg, epoch, bit, chosen,
-            lambda: tuple(
-                intern_payload(SignedVote(iteration=epoch, bit=bit,
-                                          voter=voter, auth=auth))
-                for voter, auth in chosen))
+            lambda: tuple(signed_vote(epoch, bit, voter, auth)
+                          for voter, auth in chosen))
         auth = self._sign("King", epoch, bit)
         if auth is None:
             return

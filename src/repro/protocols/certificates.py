@@ -11,11 +11,11 @@ lowest rank; here that is represented by ``certificate=None`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from repro.protocols.messages import SignedVote
-from repro.serialization import _intern_field_key, intern_by_key, intern_payload
-from repro.types import Bit
+from repro.serialization import _intern_field_key, intern_by_key, interned
+from repro.types import Bit, NodeId
 
 #: Rank of the fictitious iteration-0 certificate (no certificate at all).
 GENESIS_RANK = 0
@@ -39,6 +39,27 @@ def rank(certificate: Optional[Certificate]) -> int:
     return GENESIS_RANK if certificate is None else certificate.rank
 
 
+def signed_vote(iteration: int, bit: Bit, voter: NodeId,
+                auth: Any) -> SignedVote:
+    """The one wrapped ``(Vote, iteration, bit)`` of ``voter`` under
+    ``auth`` — the only place ``src/`` constructs a :class:`SignedVote`.
+
+    Memoized in the intern arena: a node wrapping its report and every
+    certificate that includes it get one object, so identity-keyed memos
+    (size accounting, vote fronts) hit across all of them.  The scalars
+    are keyed with their class (``True == 1`` but encodes differently);
+    ``auth`` is keyed by identity, which the representative pins — an
+    equivocator's second auth is a second object and a second entry.
+    """
+    key = (SignedVote, iteration, iteration.__class__, bit, bit.__class__,
+           voter, voter.__class__, id(auth))
+    vote = interned(key)
+    if vote is None:
+        vote = intern_by_key(key, lambda: SignedVote(
+            iteration=iteration, bit=bit, voter=voter, auth=auth))
+    return vote
+
+
 def certificate_from_votes(iteration: int, bit: Bit,
                            votes: dict, threshold: int) -> Certificate:
     """Assemble a certificate from a voter → auth map (caller-validated).
@@ -47,29 +68,20 @@ def certificate_from_votes(iteration: int, bit: Bit,
     only ``threshold`` votes are included — the minimum needed — keeping
     the message size at the paper's O(λ(log κ + log n)).
 
-    Each wrapped vote is interned: every node wraps the same (shared)
-    auth objects into content-equal ``SignedVote`` copies, and the arena
-    collapses those to one object per vote, so identity-keyed memos
-    (size accounting, tag caches) hit across all assemblers.
+    Every honest node assembles the same certificate from the same
+    (shared) auth objects: each vote resolves through :func:`signed_vote`
+    and the certificate through the identity of its wrapped votes, which
+    it pins, so after the first build the others cost one arena lookup
+    per vote and construct nothing.
     """
-    chosen = sorted(votes.items())[:threshold]
-    # Assembly itself is interned: every honest node assembles this same
-    # certificate from the same quorum of (shared) auth objects, so after
-    # the first build the others resolve with one key construction and no
-    # SignedVote wrapping at all.  The key pins its auth ids through the
-    # representative's votes; vote wrapping inside the first build is
-    # interned too, so vote objects are shared even across certificates.
-    key = (Certificate, iteration, bit,
-           tuple([(voter, _intern_field_key(auth))
-                  for voter, auth in chosen]))
-    return intern_by_key(key, lambda: Certificate(
-        iteration=iteration,
-        bit=bit,
-        votes=tuple(
-            intern_payload(SignedVote(iteration=iteration, bit=bit,
-                                      voter=voter, auth=auth))
-            for voter, auth in chosen),
-    ))
+    wrapped = tuple([signed_vote(iteration, bit, voter, votes[voter])
+                     for voter in sorted(votes)[:threshold]])
+    # iteration and bit are in the key for the empty quorum only: any
+    # wrapped vote already fixes both.
+    return intern_by_key(
+        (Certificate, _intern_field_key(iteration), _intern_field_key(bit),
+         tuple(map(id, wrapped))),
+        lambda: Certificate(iteration=iteration, bit=bit, votes=wrapped))
 
 
 def verify_certificate(certificate: Certificate, threshold: int,

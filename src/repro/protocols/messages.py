@@ -68,8 +68,9 @@ class VoteMsg:
     proposal: Optional[ProposeMsg] = None
 
     def as_signed_vote(self) -> SignedVote:
-        return SignedVote(iteration=self.iteration, bit=self.bit,
-                          voter=self.sender, auth=self.auth)
+        # Imported here: certificates.py imports this module.
+        from repro.protocols.certificates import signed_vote
+        return signed_vote(self.iteration, self.bit, self.sender, self.auth)
 
 
 @dataclass(frozen=True)

@@ -328,6 +328,12 @@ def _intern_field_key(value: Any) -> Any:
     return (cls, id(value))
 
 
+#: Arena lookup alone, for loops that resolve many keys and build (via
+#: :func:`intern_by_key`) only on a miss; ``None`` when absent.  Bound
+#: once: the arena is only ever cleared in place, never rebound.
+interned = _INTERN_REPS.get
+
+
 def intern_by_key(key: Any, factory: Callable[[], Any]) -> Any:
     """Arena lookup under a caller-built key; build via ``factory`` on miss.
 

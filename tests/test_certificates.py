@@ -1,13 +1,30 @@
 """Tests for certificates and their ranking."""
 
+import gc
+import random
+import weakref
+
+import pytest
+
+from repro import serialization
+from repro.crypto.registry import IdealSignature
 from repro.protocols.certificates import (
     Certificate,
     GENESIS_RANK,
     certificate_from_votes,
     rank,
+    signed_vote,
     verify_certificate,
 )
-from repro.protocols.messages import SignedVote
+from repro.protocols.messages import SignedVote, VoteMsg
+from repro.serialization import clear_size_cache
+
+
+@pytest.fixture(autouse=True)
+def _fresh_arena():
+    clear_size_cache()
+    yield
+    clear_size_cache()
 
 
 def _votes(iteration, bit, voters):
@@ -101,3 +118,91 @@ class TestVerification:
             return vote.voter != 2
 
         assert not verify_certificate(certificate, 4, check)
+
+
+class TestAssemblyMemoSoundness:
+    """``signed_vote`` / ``certificate_from_votes`` resolve through
+    identity-keyed arena entries; these pin what the keys may and may not
+    conflate.  Seeded mutants: (A) wrap key without ``id(auth)`` — kills
+    (i), (ii), (iii); (B) wrap key without ``iteration`` — kills (iii),
+    (iv); (C) wrap memo in a dict ``clear_size_cache`` does not drop —
+    kills (ii)."""
+
+    @staticmethod
+    def _reference(iteration, bit, votes, threshold):
+        return Certificate(iteration=iteration, bit=bit, votes=tuple(
+            SignedVote(iteration=iteration, bit=bit, voter=voter, auth=auth)
+            for voter, auth in sorted(votes.items())[:threshold]))
+
+    def test_equal_but_distinct_auths_are_not_conflated(self):
+        """(i) An equivocator's two signatures on one topic are equal
+        tokens but two objects; each certificate carries its own."""
+        first = IdealSignature(signer=0, digest=b"d")
+        second = IdealSignature(signer=0, digest=b"d")
+        assert first == second and first is not second
+        shared = IdealSignature(signer=1, digest=b"e")
+        cert_first = certificate_from_votes(1, 0, {0: first, 1: shared}, 2)
+        cert_second = certificate_from_votes(1, 0, {0: second, 1: shared}, 2)
+        assert cert_first.votes[0].auth is first
+        assert cert_second.votes[0].auth is second
+        assert cert_first == cert_second and cert_first is not cert_second
+        assert cert_first.votes[1] is cert_second.votes[1]
+        assert signed_vote(1, 0, 0, second) is cert_second.votes[0]
+
+    def test_arena_pins_until_cleared_and_not_after(self):
+        """(ii) Every id a key names belongs to an object the entry keeps
+        alive — and ``clear_size_cache()`` lets all of it go."""
+        first = IdealSignature(signer=0, digest=b"d")
+        second = IdealSignature(signer=0, digest=b"d")
+        shared = IdealSignature(signer=1, digest=b"e")
+        certs = [certificate_from_votes(1, 0, {0: auth, 1: shared}, 2)
+                 for auth in (first, second)]
+        refs = [weakref.ref(obj) for obj in
+                (first, second, shared, *certs, *certs[0].votes,
+                 *certs[1].votes)]
+        del first, second, shared, certs
+        gc.collect()
+        assert all(ref() is not None for ref in refs)
+        clear_size_cache()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+    def test_random_quorums_across_arena_rollover(self, monkeypatch):
+        """(iii) The arena wiping itself mid-stream costs sharing, never
+        content: 200 random quorums over auths reused across iterations
+        and bits, two differing auths per voter."""
+        monkeypatch.setattr(serialization, "_SIZE_CACHE_LIMIT", 16)
+        rng = random.Random(7)
+        pool = {voter: [f"sig-{voter}-{copy}" for copy in "ab"]
+                for voter in range(10)}
+        wrapped = set()
+        for _ in range(200):
+            iteration, bit = rng.randint(1, 3), rng.randint(0, 1)
+            votes = {voter: rng.choice(pool[voter])
+                     for voter in rng.sample(range(10), rng.randint(1, 10))}
+            threshold = rng.randint(1, len(votes))
+            certificate = certificate_from_votes(
+                iteration, bit, votes, threshold)
+            assert certificate == self._reference(
+                iteration, bit, votes, threshold)
+            assert all(vote.auth is votes[vote.voter]
+                       for vote in certificate.votes)
+            wrapped.update((iteration, bit, vote.voter, id(vote.auth))
+                           for vote in certificate.votes)
+        assert len(wrapped) > 16  # the arena did roll over
+
+    def test_same_quorum_is_one_object_per_iteration(self):
+        """(iv) Reassembly is a lookup; the same auths under another
+        iteration or bit are another certificate, votes and all."""
+        votes = _votes(1, 0, range(4))
+        first = certificate_from_votes(1, 0, votes, 3)
+        assert certificate_from_votes(1, 0, dict(votes), 3) is first
+        for iteration, bit in ((2, 0), (1, 1)):
+            other = certificate_from_votes(iteration, bit, votes, 3)
+            assert other is not first
+            assert other == self._reference(iteration, bit, votes, 3)
+
+    def test_vote_msg_wraps_to_the_certificates_vote(self):
+        certificate = certificate_from_votes(2, 1, {3: "t", 4: "u"}, 2)
+        vote = VoteMsg(iteration=2, bit=1, sender=3, auth="t")
+        assert vote.as_signed_vote() is certificate.votes[0]

@@ -2,18 +2,20 @@
 as n grows.
 
 Counts calls — ``authenticator.check`` invocations, per-message handler
-steps — not wall time, so CI hardware variance cannot flake it.  Before the content-addressed
-verification caches, the n = 96 quadratic-BA run below performed ~921k
-checks; with them it performs a few hundred.  The budget is deliberately
-generous (50 per node) so legitimate protocol changes don't trip it, while
-any regression to per-copy re-verification (which is Θ(n² · threshold))
-overshoots it by orders of magnitude.
+steps, ``SignedVote`` constructions, topic encodings, keyed sorts — not
+wall time, so CI hardware variance cannot flake it.  Before the
+content-addressed verification caches, the n = 96 quadratic-BA run
+below performed ~921k checks; with them it performs a few hundred.  The
+budget is deliberately generous (50 per node) so legitimate protocol
+changes don't trip it, while any regression to per-copy re-verification
+(which is Θ(n² · threshold)) overshoots it by orders of magnitude.
 """
 
 from repro.harness.profiling import (
     profile_check_calls,
     profile_handler_calls,
 )
+from repro.harness.runner import run_instance
 from repro.protocols.quadratic_ba import build_quadratic_ba
 
 
@@ -89,3 +91,78 @@ def test_post_gst_window_draws_bits_and_pushes_rounds(monkeypatch):
     assert len(pending) + network.stats.delivered_copies == copies
     assert calls["randint"] == 0
     assert calls["heappush"] <= len(due_rounds | {1}) <= NETWORKS["wan"].delta
+
+
+def _run_n96():
+    n, f = 96, 47
+    instance = build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=1)
+    result = run_instance(instance, f, seed=1)
+    assert result.consistent() and result.all_decided()
+    return n
+
+
+def test_quadratic_ba_n96_wraps_each_vote_once(monkeypatch):
+    """Every node assembles certificates over the same ≈ 2n votes; the
+    wrap memo constructs each ``SignedVote`` once per execution, not
+    once per certificate that includes it (≈ n²/2 at the parent)."""
+    from repro.protocols import certificates as certificates_module
+    from repro.protocols.messages import SignedVote
+
+    built = []
+
+    def counting(iteration, bit, voter, auth):
+        built.append((iteration, bit, voter))
+        return SignedVote(iteration=iteration, bit=bit, voter=voter,
+                          auth=auth)
+
+    monkeypatch.setattr(certificates_module, "SignedVote", counting)
+    _run_n96()
+    assert built and len(built) <= len(set(built)) + 2, (
+        f"{len(built)} SignedVote constructions for {len(set(built))} "
+        f"distinct votes: the wrap memo is being missed")
+
+
+def test_quadratic_ba_n96_encodes_each_signed_topic_once(monkeypatch):
+    """All n signers of ``("Vote", r, b)`` digest one encoding of it:
+    topic encodings in the sign path track distinct topics, not
+    signatures (one per signer and topic at the parent)."""
+    from repro.crypto import registry as registry_module
+    from repro.crypto.hashing import hash_objects
+    from repro.serialization import canonical_bytes, type_tagged
+
+    encoded = []
+
+    def counting_bytes(obj):
+        if obj.__class__ is tuple:
+            encoded.append(type_tagged(obj))
+        return canonical_bytes(obj)
+
+    def counting_hash(domain, node_id, message):
+        encoded.append(type_tagged(message))
+        return hash_objects(domain, node_id, message)
+
+    monkeypatch.setattr(registry_module, "canonical_bytes", counting_bytes,
+                        raising=False)
+    monkeypatch.setattr(registry_module, "hash_objects", counting_hash)
+    n = _run_n96()
+    assert encoded and len(encoded) <= len(set(encoded)) + n, (
+        f"{len(encoded)} topic encodings for {len(set(encoded))} distinct "
+        f"signed topics: the registry re-encodes the topic per signer")
+
+
+def test_quadratic_ba_n96_terminate_sorts_sender_keys(monkeypatch):
+    """``_terminate`` picks its commit quorum by sorting sender keys in
+    C; a keyed sort calls back into Python n times per node."""
+    import builtins
+
+    from repro.protocols import aba as aba_module
+
+    sorts = {"plain": 0, "keyed": 0}
+
+    def counting(iterable, *, key=None, reverse=False):
+        sorts["plain" if key is None else "keyed"] += 1
+        return builtins.sorted(iterable, key=key, reverse=reverse)
+
+    monkeypatch.setattr(aba_module, "sorted", counting, raising=False)
+    _run_n96()
+    assert sorts["plain"] > 0 and sorts["keyed"] == 0, sorts
