@@ -27,8 +27,8 @@ for the same sweep, so trials that land in the same worker share coins
 while processes never share mutable state.  For that to matter the
 workers must outlive a single cell — which is why
 :func:`~repro.harness.scenarios.run_sweep` keeps **one process pool for
-the whole sweep** and lends it to every ``run_trials`` call: the
-per-worker caches then accumulate coins cell over cell.
+the whole sweep** and submits every cell's trials to it: the per-worker
+caches then accumulate coins cell over cell.
 """
 
 from __future__ import annotations

@@ -9,7 +9,8 @@ security predicates into a :class:`TrialStats`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from contextlib import ExitStack
+from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.protocols.base import ProtocolInstance
 from repro.sim.adversary import Adversary
@@ -212,23 +213,38 @@ def _run_one_trial(
     builder: Callable[..., ProtocolInstance],
     f: int,
     seed,
-    adversary_factory: Optional[AdversaryFactory],
-    model: AdversaryModel,
-    transcript_retention: str,
-    conditions: Optional[NetworkConditions],
-    builder_kwargs: dict,
+    adversary_factory: Optional[AdversaryFactory] = None,
+    model: AdversaryModel = AdversaryModel.ADAPTIVE,
+    transcript_retention: str = TRANSCRIPT_FULL,
+    conditions: Optional[NetworkConditions] = None,
     builder_takes_conditions: bool = False,
+    **builder_kwargs,
 ) -> ExecutionResult:
     """One seed's build-and-run; module-level so worker processes can
     receive it by pickle."""
     if builder_takes_conditions:
-        builder_kwargs = dict(builder_kwargs, conditions=conditions)
+        builder_kwargs["conditions"] = conditions
     instance = builder(f=f, seed=seed, **builder_kwargs)
     adversary = (adversary_factory(instance)
                  if adversary_factory is not None else None)
     return run_instance(instance, f, adversary, model, seed=seed,
                         transcript_retention=transcript_retention,
                         conditions=conditions)
+
+
+def submit_trials(pool, builder: Callable[..., ProtocolInstance], f: int,
+                  seeds: Sequence, **trial) -> List[Any]:
+    """Submit one trial per seed to ``pool`` (``trial``: the remaining
+    keyword arguments of :func:`run_trials`); the futures come back in
+    seed order, for :func:`gather_trials`."""
+    return [pool.submit(_run_one_trial, builder, f, seed, **trial)
+            for seed in seeds]
+
+
+def gather_trials(futures: Iterable[Any]) -> TrialStats:
+    """Fold trial futures into a :class:`TrialStats` in the order given
+    (seed order), whichever worker finished first."""
+    return TrialStats([future.result() for future in futures])
 
 
 def run_trials(
@@ -264,44 +280,26 @@ def run_trials(
     ``pool`` lends an already-running ``ProcessPoolExecutor`` instead:
     the caller keeps ownership (it is not shut down here), so worker
     processes — and any process-local state they carry, like the shared
-    eligibility-lottery caches — persist across consecutive calls.
-    :func:`~repro.harness.scenarios.run_sweep` uses this to share one
-    pool across a whole sweep.
+    eligibility-lottery caches and the ``REPRO_SCHEDULER`` environment —
+    persist across consecutive calls; even a single seed routes through
+    it rather than bypass that state in the parent.  With a pool this
+    is ``gather_trials(submit_trials(pool, ...))``;
+    :func:`~repro.harness.scenarios.run_sweep` calls the two halves
+    itself, to have every cell in flight before it awaits the first.
     """
-    stats = TrialStats()
     seeds = list(seeds)
-    if pool is None and workers > 1 and len(seeds) > 1:
-        from concurrent.futures import ProcessPoolExecutor
+    trial = dict(builder_kwargs, adversary_factory=adversary_factory,
+                 model=model, transcript_retention=transcript_retention,
+                 conditions=conditions,
+                 builder_takes_conditions=builder_takes_conditions)
+    with ExitStack() as owned:
+        if pool is None and workers > 1 and len(seeds) > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as owned:
-            futures = [
-                owned.submit(_run_one_trial, builder, f, seed,
-                             adversary_factory, model, transcript_retention,
-                             conditions, builder_kwargs,
-                             builder_takes_conditions)
-                for seed in seeds
-            ]
-            for future in futures:
-                stats.add(future.result())
-    elif pool is not None and seeds:
-        # Even a single seed routes through the lent pool: the pool's
-        # worker processes carry state the caller lent it to preserve
-        # (per-worker lottery caches, the REPRO_SCHEDULER environment),
-        # and running the lone seed in the parent would silently bypass
-        # both.  Results are pool-vs-inline identical either way (each
-        # trial is independently seeded; pinned by tests).
-        futures = [
-            pool.submit(_run_one_trial, builder, f, seed,
-                        adversary_factory, model, transcript_retention,
-                        conditions, builder_kwargs, builder_takes_conditions)
-            for seed in seeds
-        ]
-        for future in futures:
-            stats.add(future.result())
-    else:
-        for seed in seeds:
-            stats.add(_run_one_trial(builder, f, seed, adversary_factory,
-                                     model, transcript_retention,
-                                     conditions, builder_kwargs,
-                                     builder_takes_conditions))
-    return stats
+            pool = owned.enter_context(
+                ProcessPoolExecutor(max_workers=min(workers, len(seeds))))
+        if pool is not None:
+            return gather_trials(
+                submit_trials(pool, builder, f, seeds, **trial))
+        return TrialStats([_run_one_trial(builder, f, seed, **trial)
+                           for seed in seeds])

@@ -56,10 +56,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import gc
 import io
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import (
     Any,
@@ -84,7 +86,8 @@ from repro.adversaries import (
 )
 from repro.eligibility.lottery_cache import SharedLotteryCache, release_cache
 from repro.errors import ConfigurationError
-from repro.harness.runner import TrialStats, run_instance, run_trials
+from repro.harness.runner import (
+    TrialStats, gather_trials, run_trials, submit_trials)
 from repro.harness.tables import Table, rows_to_table, union_columns
 from repro.sim.conditions import (
     NETWORKS,
@@ -595,6 +598,9 @@ class Executor:
     """How a cell runs: the callable plus its binding requirements."""
 
     run: Callable[..., Tuple[Any, Dict[str, Any]]]
+    #: Pooled executors: ``submit(cell, cache, pool)`` starts the cell's
+    #: trials and returns the zero-argument gather (``run``'s result).
+    submit: Optional[Callable[..., Callable[[], Tuple[Any, Dict]]]] = None
     needs_protocol: bool = True
     needs_n: bool = True
     needs_f: bool = True
@@ -668,41 +674,42 @@ def _report_metrics(report: Any) -> Dict[str, Any]:
     return {}
 
 
-def _cell_trial_kwargs(cell: Cell,
-                       coin_cache: Optional[SharedLotteryCache],
-                       ) -> Dict[str, Any]:
+def _trials_call(cell: Cell, coin_cache: Optional[SharedLotteryCache],
+                 ) -> Dict[str, Any]:
+    """A cell as :func:`run_trials` / :func:`submit_trials` arguments."""
     entry = PROTOCOLS[cell.protocol]
     kwargs = cell.builder_kwargs()
     if (coin_cache is not None and entry.shares_lottery
             and kwargs.get("mode", "fmine") == "fmine"
             and "eligibility" not in kwargs):
         kwargs["coin_cache"] = coin_cache
-    return kwargs
+    factory = None
+    if cell.adversary is not None:
+        factory = AdversaryFactorySpec(cell.adversary, cell.adversary_kwargs)
+    return dict(
+        builder=entry.builder, f=cell.f, seeds=cell.seeds,
+        adversary_factory=factory, conditions=cell.network,
+        builder_takes_conditions=entry.early_stopping or entry.takes_conditions,
+        **kwargs)
 
 
-def _adversary_factory(cell: Cell) -> Optional[AdversaryFactorySpec]:
-    if cell.adversary is None:
-        return None
-    return AdversaryFactorySpec(cell.adversary, cell.adversary_kwargs)
+def _submit_trials(cell: Cell, coin_cache: Optional[SharedLotteryCache],
+                   pool) -> Callable[[], Tuple[TrialStats, Dict[str, Any]]]:
+    futures = submit_trials(pool, **_trials_call(cell, coin_cache))
+
+    def gather():
+        stats = gather_trials(futures)
+        return stats, _stats_metrics(stats, PROTOCOLS[cell.protocol])
+    return gather
 
 
 def _execute_trials(cell: Cell, workers: int,
                     coin_cache: Optional[SharedLotteryCache],
                     pool=None) -> Tuple[TrialStats, Dict[str, Any]]:
     """The default executor: :func:`run_trials` over the cell's seeds."""
-    entry = PROTOCOLS[cell.protocol]
-    stats = run_trials(
-        entry.builder,
-        f=cell.f,
-        seeds=cell.seeds,
-        adversary_factory=_adversary_factory(cell),
-        workers=workers,
-        conditions=cell.network,
-        builder_takes_conditions=entry.early_stopping or entry.takes_conditions,
-        pool=pool,
-        **_cell_trial_kwargs(cell, coin_cache),
-    )
-    return stats, _stats_metrics(stats, entry)
+    stats = run_trials(workers=workers, pool=pool,
+                       **_trials_call(cell, coin_cache))
+    return stats, _stats_metrics(stats, PROTOCOLS[cell.protocol])
 
 
 def _execute_per_seed(cell: Cell, workers: int,
@@ -715,21 +722,17 @@ def _execute_per_seed(cell: Cell, workers: int,
     counts, corruption schedules) that :class:`TrialStats` does not
     carry; always sequential so the adversary objects stay in-process.
     """
-    entry = PROTOCOLS[cell.protocol]
-    kwargs = _cell_trial_kwargs(cell, coin_cache)
-    if entry.early_stopping or entry.takes_conditions:
-        kwargs["conditions"] = cell.network
-    factory = _adversary_factory(cell)
-    records: List[Tuple[Any, Any]] = []
-    stats = TrialStats()
-    for seed in cell.seeds:
-        instance = entry.builder(f=cell.f, seed=seed, **kwargs)
-        adversary = factory(instance) if factory is not None else None
-        result = run_instance(instance, cell.f, adversary, seed=seed,
-                              conditions=cell.network)
-        records.append((result, adversary))
-        stats.add(result)
-    return records, _stats_metrics(stats, entry)
+    call = _trials_call(cell, coin_cache)
+    factory = call["adversary_factory"]
+    adversaries: List[Any] = []
+
+    def recording_factory(instance):
+        adversaries.append(factory(instance) if factory is not None else None)
+        return adversaries[-1]
+
+    stats = run_trials(**dict(call, adversary_factory=recording_factory))
+    return (list(zip(stats.results, adversaries)),
+            _stats_metrics(stats, PROTOCOLS[cell.protocol]))
 
 
 def _attack_kwargs(cell: Cell) -> Dict[str, Any]:
@@ -820,7 +823,8 @@ def _execute_committee_census(cell: Cell, workers: int,
 
 
 EXECUTORS: Dict[str, Executor] = {
-    "trials": Executor(_execute_trials, supports_network=True),
+    "trials": Executor(_execute_trials, submit=_submit_trials,
+                       supports_network=True),
     "per-seed": Executor(_execute_per_seed, supports_network=True),
     # The attack harnesses run their adversaries through run_instance,
     # which takes conditions — so partition/latency *studies* of the
@@ -982,46 +986,57 @@ class SweepResult:
 _SWEEP_IDS = itertools.count()
 
 
+def _replay(cell: Cell, store, share_lottery: bool,
+            ) -> Tuple[Optional[str], Optional[CellResult]]:
+    """The cell's one store lookup: its fingerprint (None without a
+    store) and its replayed result (None when not recorded)."""
+    if store is None:
+        return None, None
+    fingerprint = store.fingerprint(cell, share_lottery=share_lottery)
+    record = store.load_record(fingerprint)
+    # Replay: the stored metrics dict round-trips JSON exactly (scalars
+    # only, insertion order kept), so rows/tables/artifacts are
+    # byte-identical to the recorded fresh execution.  The row is
+    # recomposed from the *live* cell, so display metadata (scenario
+    # names, binding labels — outside the fingerprint) always tracks
+    # the current spec.
+    return fingerprint, None if record is None else CellResult(
+        cell=cell, payload=CachedCellPayload(fingerprint=fingerprint),
+        metrics=dict(record["metrics"]), fingerprint=fingerprint,
+        cached=True)
+
+
+def _settle(cell: Cell, fingerprint: Optional[str],
+            computed: Tuple[Any, Dict[str, Any]], store, sweep_name: str,
+            share_lottery: bool) -> CellResult:
+    """An executor's ``(payload, metrics)`` as the cell's result,
+    recorded in ``store`` (when given) before it is returned."""
+    result = CellResult(cell, *computed, fingerprint=fingerprint)
+    if store is not None:
+        store.save_result(fingerprint, sweep_name, result, share_lottery)
+    return result
+
+
 def execute_or_replay(cell: Cell, store=None, sweep_name: str = "",
                       share_lottery: bool = True, workers: int = 1,
                       coin_cache: Optional[SharedLotteryCache] = None,
                       pool=None) -> CellResult:
     """Execute one bound cell, replaying it from ``store`` if recorded.
 
-    The single cell-granularity entry point shared by :func:`run_sweep`
-    and the experiment service's worker pool: consult the store (when
-    given) for the cell's fingerprint, replay a recorded cell as a
-    :class:`CachedCellPayload` result carrying the stored metrics, or
-    execute it and record the fresh result durably before returning.
-    Cells are independent — each one's results are a pure function of
-    its bindings and seeds — so callers may execute cells in any order
-    or concurrently against one concurrency-safe store backend.
+    The cell-granularity entry point of the experiment service's
+    workers, over the same two helpers as :func:`run_sweep`: consult the
+    store (when given) for the cell's fingerprint, replay a recorded
+    cell as a :class:`CachedCellPayload` result carrying the stored
+    metrics, or execute it and record the fresh result durably before
+    returning.  Cells are independent — each one's results are a pure
+    function of its bindings and seeds — so callers may execute cells in
+    any order or concurrently against one concurrency-safe store backend.
     """
-    fingerprint = None
-    if store is not None:
-        fingerprint = store.fingerprint(cell, share_lottery=share_lottery)
-        record = store.load_record(fingerprint)
-        if record is not None:
-            # Replay: the stored metrics dict round-trips JSON exactly
-            # (scalars only, insertion order kept), so rows/tables/
-            # artifacts are byte-identical to the recorded fresh
-            # execution.  The row is recomposed from the *live* cell,
-            # so display metadata (scenario names, binding labels —
-            # outside the fingerprint) always tracks the current spec.
-            return CellResult(
-                cell=cell,
-                payload=CachedCellPayload(fingerprint=fingerprint),
-                metrics=dict(record["metrics"]),
-                fingerprint=fingerprint,
-                cached=True)
-    payload, metrics = EXECUTORS[cell.executor].run(
-        cell, workers, coin_cache, pool=pool)
-    result = CellResult(cell=cell, payload=payload,
-                        metrics=metrics, fingerprint=fingerprint)
-    if store is not None:
-        store.save_result(fingerprint, sweep_name, result,
-                          share_lottery=share_lottery)
-    return result
+    fingerprint, result = _replay(cell, store, share_lottery)
+    return result or _settle(
+        cell, fingerprint,
+        EXECUTORS[cell.executor].run(cell, workers, coin_cache, pool=pool),
+        store, sweep_name, share_lottery)
 
 
 def run_sweep(sweep: SweepSpec, workers: int = 1,
@@ -1032,17 +1047,21 @@ def run_sweep(sweep: SweepSpec, workers: int = 1,
               ) -> SweepResult:
     """Expand and execute every cell of ``sweep``.
 
-    ``workers > 1`` fans each cell's seeds across processes via
-    :func:`run_trials`; cells themselves run in order, so results are
-    deterministic for any worker count.  ``share_lottery`` installs a
-    per-sweep :class:`SharedLotteryCache` so ideal-world eligibility
-    coins are computed once per ``(seed, node, topic)`` across all cells
-    that share them (identical coins either way — the cache memoizes a
-    pure function).
+    Three passes over one expansion.  *Plan*: one store lookup per cell.
+    *Submit*: with ``workers > 1`` every ``trials`` cell left to compute
+    hands all its seeds to one sweep-wide process pool — no barrier
+    between cells.  *Gather*: cells settle in expansion order (a pooled
+    cell folds its futures in seed order; other executors run inline in
+    the parent meanwhile), so rows, records and ``on_cell`` events are
+    the same, in the same order, for any worker count.  ``share_lottery``
+    installs a per-sweep :class:`SharedLotteryCache` so ideal-world
+    eligibility coins are computed once per ``(seed, node, topic)``
+    across all cells that share them (identical coins either way — the
+    cache memoizes a pure function).
 
     ``store`` (a :class:`~repro.harness.store.ExperimentStore`) makes
     the sweep incremental: each cell's fingerprint is looked up before
-    execution, recorded cells are replayed byte-identically (as
+    anything executes, recorded cells are replayed byte-identically (as
     :class:`CachedCellPayload` cells carrying the stored metrics), and
     freshly computed cells are recorded.  Store-backed results report
     no lottery counters — replayed cells draw no coins, so the counters
@@ -1062,80 +1081,64 @@ def run_sweep(sweep: SweepSpec, workers: int = 1,
     streams these to polling clients; exceptions propagate (a callback
     that raises aborts the sweep).
     """
-    if shard is not None:
-        shard_index, shard_count = shard
-        if shard_count < 1 or not 1 <= shard_index <= shard_count:
-            raise ConfigurationError(
-                f"shard (k, m) needs 1 <= k <= m, got {shard!r}")
+    shard_index, shard_count = shard or (1, 1)
+    if shard_count < 1 or not 1 <= shard_index <= shard_count:
+        raise ConfigurationError(
+            f"shard (k, m) needs 1 <= k <= m, got {shard!r}")
     cache: Optional[SharedLotteryCache] = None
     if share_lottery:
         cache = SharedLotteryCache(
             token=f"sweep-{sweep.name}-{next(_SWEEP_IDS)}")
     pool = None
-    if workers > 1:
-        # One pool for the whole sweep: worker processes persist across
-        # cells, so the per-worker lottery caches (rebound from the
-        # pickled token) accumulate coins cell over cell instead of
-        # dying with a per-cell pool.
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        results = []
-        all_fingerprints: List[str] = []
-        all_rows: List[Optional[Dict[str, Any]]] = []
-        replayed = computed = skipped = 0
         cells = sweep.expand()
-
-        def _progress(index: int, cell: Cell, status: str,
-                      fingerprint: Optional[str]) -> None:
+        plan = [_replay(cell, store, share_lottery) for cell in cells]
+        if workers > 1:
+            # One pool for the whole sweep: workers persist across
+            # cells, so their lottery caches (rebound from the pickled
+            # token) accumulate coins cell over cell.  ``gc.freeze``
+            # runs in each forked worker only: the inherited heap moves
+            # to the permanent generation, so a worker's collections
+            # stop walking (and copy-on-write-faulting) the parent's.
+            from concurrent.futures import ProcessPoolExecutor
+            pool = ProcessPoolExecutor(max_workers=workers,
+                                       initializer=gc.freeze)
+        # Computed here: the store misses inside the shard, once per
+        # fingerprint (scenario names are outside it: a twin replays the
+        # record the first writes).  A pooled executor's trials all go in
+        # flight now, before any is awaited; the rest run during gather.
+        compute: Dict[int, Callable[[], Tuple[Any, Dict[str, Any]]]] = {}
+        claimed = set()
+        for index, (cell, (fingerprint, replayed)) in enumerate(
+                zip(cells, plan)):
+            if (replayed is None and fingerprint not in claimed
+                    and index % shard_count == shard_index - 1):
+                if store is not None:
+                    claimed.add(fingerprint)
+                executor = EXECUTORS[cell.executor]
+                compute[index] = (
+                    executor.submit(cell, cache, pool)
+                    if pool is not None and executor.submit is not None
+                    else partial(executor.run, cell, workers, cache,
+                                 pool=pool))
+        settled: List[Optional[CellResult]] = []
+        counts = {"replayed": 0, "computed": 0, "skipped": 0}
+        for index, (cell, (fingerprint, result)) in enumerate(
+                zip(cells, plan)):
+            if index in compute:
+                result = _settle(cell, fingerprint, compute.pop(index)(),
+                                 store, sweep.name, share_lottery)
+            elif result is None and fingerprint in claimed:
+                _, result = _replay(cell, store, share_lottery)
+            # An out-of-shard miss is skipped, never computed here.
+            status = ("skipped" if result is None
+                      else "replayed" if result.cached else "computed")
+            counts[status] += 1
+            settled.append(result)
             if on_cell is not None:
                 on_cell({"index": index, "total": len(cells),
                          "status": status, "scenario": cell.scenario,
-                         "label": cell.label(),
-                         "fingerprint": fingerprint})
-
-        for index, cell in enumerate(cells):
-            fingerprint = None
-            if store is not None:
-                fingerprint = store.fingerprint(
-                    cell, share_lottery=share_lottery)
-                all_fingerprints.append(fingerprint)
-            if (shard is not None
-                    and index % shard_count != shard_index - 1):
-                # Out-of-shard cells still replay when recorded (the
-                # helper below only executes on a store miss) — but a
-                # miss is *skipped*, never computed here.
-                result = None
-                if store is not None:
-                    record = store.load_record(fingerprint)
-                    if record is not None:
-                        result = CellResult(
-                            cell=cell,
-                            payload=CachedCellPayload(
-                                fingerprint=fingerprint),
-                            metrics=dict(record["metrics"]),
-                            fingerprint=fingerprint, cached=True)
-                if result is None:
-                    skipped += 1
-                    if store is not None:
-                        all_rows.append(None)
-                    _progress(index, cell, "skipped", fingerprint)
-                    continue
-            else:
-                result = execute_or_replay(
-                    cell, store=store, sweep_name=sweep.name,
-                    share_lottery=share_lottery, workers=workers,
-                    coin_cache=cache, pool=pool)
-            results.append(result)
-            if result.cached:
-                replayed += 1
-            else:
-                computed += 1
-            if store is not None:
-                all_rows.append(result.row())
-            _progress(index, cell,
-                      "replayed" if result.cached else "computed",
-                      fingerprint)
+                         "label": cell.label(), "fingerprint": fingerprint})
         lottery = None
         if cache is not None and store is None:
             # Counters are process-local: with a worker pool the coins
@@ -1150,27 +1153,26 @@ def run_sweep(sweep: SweepSpec, workers: int = 1,
                                 if pool is not None else "main process")
         store_stats = None
         if store is not None or shard is not None:
-            store_stats = {
-                "replayed": replayed,
-                "computed": computed,
-                "skipped": skipped,
-                "salt": store.salt if store is not None else None,
-                "shard": (f"{shard[0]}/{shard[1]}"
-                          if shard is not None else None),
-            }
+            store_stats = dict(
+                counts, salt=store.salt if store is not None else None,
+                shard=shard and f"{shard_index}/{shard_count}")
         if store is not None:
             # The record lists the *full* expansion (including any
             # shard-skipped cells, as row-less holes) so concurrent
             # shards write equivalent records and the book sections the
             # whole sweep once the cell records exist.
             store.record_sweep(
-                sweep.name, sweep.description, all_fingerprints,
-                complete=(skipped == 0), rows=all_rows)
+                sweep.name, sweep.description,
+                [fingerprint for fingerprint, _ in plan],
+                complete=(counts["skipped"] == 0),
+                rows=[result and result.row() for result in settled])
         return SweepResult(
-            name=sweep.name, cells=results, lottery=lottery,
-            store_stats=store_stats)
+            name=sweep.name, cells=[result for result in settled if result],
+            lottery=lottery, store_stats=store_stats)
     finally:
         if pool is not None:
-            pool.shutdown()
+            # Nothing is queued after a finished sweep; on an exception
+            # the later cells' trials are dropped, not waited for.
+            pool.shutdown(cancel_futures=True)
         if cache is not None:
             release_cache(cache.token)

@@ -2,7 +2,8 @@
 as n grows.
 
 Counts calls — ``authenticator.check`` invocations, per-message handler
-steps, ``SignedVote`` constructions, topic encodings, keyed sorts — not
+steps, ``SignedVote`` constructions, topic encodings, keyed sorts, pool
+submits before the first awaited result — not
 wall time, so CI hardware variance cannot flake it.  Before the
 content-addressed verification caches, the n = 96 quadratic-BA run
 below performed ~921k checks; with them it performs a few hundred.  The
@@ -10,6 +11,8 @@ budget is deliberately generous (50 per node) so legitimate protocol
 changes don't trip it, while any regression to per-copy re-verification
 (which is Θ(n² · threshold)) overshoots it by orders of magnitude.
 """
+
+import functools
 
 from repro.harness.profiling import (
     profile_check_calls,
@@ -166,3 +169,52 @@ def test_quadratic_ba_n96_terminate_sorts_sender_keys(monkeypatch):
     monkeypatch.setattr(aba_module, "sorted", counting, raising=False)
     _run_n96()
     assert sorts["plain"] > 0 and sorts["keyed"] == 0, sorts
+
+
+class _InThreadPool:
+    """Stands in for ``ProcessPoolExecutor``: logs every ``submit`` and
+    every awaited ``result()``, running the task in-thread on demand."""
+
+    log = []
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def submit(self, fn, *args, **kwargs):
+        self.log.append("submit")
+        return _InThreadFuture(self.log, functools.partial(fn, *args, **kwargs))
+
+    def shutdown(self, *args, **kwargs):
+        pass
+
+
+class _InThreadFuture:
+    def __init__(self, log, task):
+        self.log, self.task = log, task
+
+    def result(self):
+        self.log.append("result")
+        return self.task()
+
+
+def test_sweep_dispatch_has_no_per_cell_barrier(monkeypatch):
+    """A pooled sweep submits every seed of every ``trials`` cell before
+    it awaits the first result — a per-cell barrier (submit a cell,
+    await it, submit the next) interleaves the two and leaves a worker
+    idle at the end of every cell whose seeds do not divide evenly."""
+    import concurrent.futures
+
+    from repro.harness.scenarios import run_sweep
+    from repro.harness.sweep_library import SWEEPS
+
+    monkeypatch.setattr(_InThreadPool, "log", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        _InThreadPool)
+    sweep = SWEEPS["smoke"]
+    pooled = run_sweep(sweep, workers=2)
+    seeds = sum(len(cell.seeds) for cell in sweep.expand()
+                if cell.executor == "trials")
+    assert seeds == 4
+    assert _InThreadPool.log == ["submit"] * seeds + ["result"] * seeds
+    monkeypatch.undo()
+    assert pooled.rows() == run_sweep(sweep).rows()

@@ -12,6 +12,7 @@ from repro.eligibility.lottery_cache import SharedLotteryCache, shared_cache
 from repro.errors import ConfigurationError
 from repro.harness import run_instance, run_trials
 from repro.harness.scenarios import ScenarioSpec, SweepSpec, run_sweep
+from repro.harness.store import ExperimentStore
 from repro.harness.sweep_library import SWEEPS
 from repro.protocols import build_subquadratic_ba
 from repro.types import SecurityParameters
@@ -131,6 +132,41 @@ class TestDeterminism:
         assert shared.rows() == unshared.rows()
         assert unshared.lottery is None
         assert shared.lottery["misses"] > 0
+
+
+class _CountingStore(ExperimentStore):
+    """A store that counts its fingerprint and record lookups."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.calls = {"fingerprint": 0, "load_record": 0}
+
+    def fingerprint(self, *args, **kwargs):
+        self.calls["fingerprint"] += 1
+        return super().fingerprint(*args, **kwargs)
+
+    def load_record(self, *args, **kwargs):
+        self.calls["load_record"] += 1
+        return super().load_record(*args, **kwargs)
+
+
+class TestOneLookupPerCell:
+    @pytest.mark.parametrize("kwargs", [
+        {}, {"workers": 2}, {"shard": (1, 2)}, {"shard": (2, 2)}],
+        ids=["inline", "pooled", "shard-1-of-2", "shard-2-of-2"])
+    def test_fingerprint_and_load_record_once_per_cell(
+            self, kwargs, tmp_path):
+        cells = len(TINY.expand())
+        once = {"fingerprint": cells, "load_record": cells}
+        cold = _CountingStore(tmp_path)
+        run_sweep(TINY, store=cold, **kwargs)
+        assert cold.calls == once
+        # Warm (or, for a shard, half warm: in-shard cells replay,
+        # out-of-shard misses are skipped — still one lookup each).
+        warm = _CountingStore(tmp_path)
+        result = run_sweep(TINY, store=warm, **kwargs)
+        assert warm.calls == once
+        assert result.store_stats["computed"] == 0
 
 
 class TestLotteryCache:
