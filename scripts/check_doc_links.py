@@ -6,9 +6,10 @@ existing file or directory (anchors are stripped; external ``http(s)``,
 ``mailto`` and pure-anchor links are skipped).  Additionally enforces
 the documentation graph in :data:`REQUIRED_LINKS`: pages that must
 cross-link each other (e.g. the protocol reference ``docs/PROTOCOLS.md``
-must be reachable from the README and the architecture/network pages).
-Exits non-zero listing every broken or missing link — run by the CI
-docs and early-stop-smoke jobs.
+must be reachable from the README and the architecture/network pages),
+and the length cap on ``CHANGES.md`` entries (:data:`CHANGES_CAP`).
+Exits non-zero listing every broken or missing link and every oversized
+entry — run by the CI docs and early-stop-smoke jobs.
 
 Usage::
 
@@ -71,6 +72,27 @@ REQUIRED_LINKS = (
 )
 
 
+#: A CHANGES.md entry — a ``PR <n>...:`` line plus its continuation
+#: lines — may run to this many characters, from this PR on (earlier
+#: entries are grandfathered).  The next session reads the whole file.
+CHANGES_CAP = 600
+CHANGES_CAP_FROM_PR = 17
+ENTRY_RE = re.compile(r"^PR (\d+)\b", re.MULTILINE)
+
+
+def oversized_changes_entries(root: Path):
+    path = root / "CHANGES.md"
+    if not path.exists():
+        return
+    text = path.read_text(encoding="utf-8")
+    starts = list(ENTRY_RE.finditer(text))
+    ends = [match.start() for match in starts[1:]] + [len(text)]
+    for match, end in zip(starts, ends):
+        length = len(text[match.start():end].strip())
+        if int(match.group(1)) >= CHANGES_CAP_FROM_PR and length > CHANGES_CAP:
+            yield int(match.group(1)), length
+
+
 def iter_markdown(root: Path):
     for path in sorted(root.rglob("*.md")):
         if not SKIP_DIRS.intersection(part for part in path.parts):
@@ -121,10 +143,15 @@ def main() -> int:
     missing = list(missing_required_links(root))
     for source, target in missing:
         print(f"MISSING {source}: required link to {target}")
+    oversized = list(oversized_changes_entries(root))
+    for number, length in oversized:
+        print(f"OVERSIZED CHANGES.md: the PR {number} entry is {length} "
+              f"characters (cap {CHANGES_CAP})")
     checked = sum(1 for _ in iter_markdown(root))
-    if broken or missing:
+    if broken or missing or oversized:
         print(f"{len(broken)} broken and {len(missing)} missing required "
-              f"link(s) across {checked} markdown file(s)")
+              f"link(s) across {checked} markdown file(s); "
+              f"{len(oversized)} CHANGES.md entries over the cap")
         return 1
     print(f"all intra-repo links resolve across {checked} markdown file(s); "
           f"{len(REQUIRED_LINKS)} required cross-links present")

@@ -22,6 +22,7 @@ independent of call order.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -33,7 +34,7 @@ from repro.eligibility.base import (
 )
 from repro.eligibility.difficulty import DifficultySchedule
 from repro.eligibility.lottery_cache import SharedLotteryCache
-from repro.rng import Seed, derive_rng, derive_seed
+from repro.rng import SEPARATOR as _SEP, Seed, derive_seed
 from repro.types import NodeId
 
 
@@ -48,39 +49,41 @@ class FMine:
     def __init__(self, schedule: DifficultySchedule, seed: Seed,
                  coin_cache: Optional[SharedLotteryCache] = None) -> None:
         self.schedule = schedule
-        self._seed = seed
         self._coin_cache = coin_cache
+        # derive_seed(seed, "fmine", node, topic), up to the node label.
+        self._seed_prefix = derive_seed(seed, "fmine") + _SEP
+        # P(m) per topic, filled when the schedule first accepts it.
+        self._probabilities: Dict[Topic, float] = {}
+        # Coin[m, i]; insertion-ordered, so also the log of attempts.
         self._coins: Dict[Tuple[NodeId, Topic], bool] = {}
-        # Count attempts per node for the stochastic analyses (Lemma 11).
-        self.attempt_log: list[Tuple[NodeId, Topic]] = []
-
-    def _flip(self, node_id: NodeId, topic: Topic) -> bool:
-        """The Bernoulli(P(m)) coin, deterministic per (node, topic).
-
-        With a :class:`SharedLotteryCache` attached, the flip is served
-        from the sweep-wide memo; the key covers the fully derived seed
-        *and* the success probability, so a hit is exactly the coin this
-        instance would have computed itself.
-        """
-        probability = self.schedule.probability(topic)
-        if self._coin_cache is not None:
-            return self._coin_cache.coin(
-                (derive_seed(self._seed, "fmine", node_id, topic), probability),
-                lambda: self._compute_flip(node_id, topic, probability))
-        return self._compute_flip(node_id, topic, probability)
-
-    def _compute_flip(self, node_id: NodeId, topic: Topic,
-                      probability: float) -> bool:
-        rng = derive_rng(self._seed, "fmine", node_id, topic)
-        return rng.random() < probability
 
     def mine(self, node_id: NodeId, topic: Topic) -> bool:
-        """``Fmine.mine(m)`` from node i; memoized per Figure 1."""
+        """``Fmine.mine(m)`` from node i; memoized per Figure 1.
+
+        The coin is ``derive_rng(seed, "fmine", node, topic).random() <
+        P(topic)``, spelled out in one frame: a silent node's round costs
+        little else.  A :class:`SharedLotteryCache` serves it from the
+        sweep-wide memo; its key covers the fully derived seed *and* the
+        probability, so a hit is the coin this instance would compute.
+        """
         key = (node_id, topic)
-        if key not in self._coins:
-            self._coins[key] = self._flip(node_id, topic)
-            self.attempt_log.append(key)
-        return self._coins[key]
+        coin = self._coins.get(key)
+        if coin is None:
+            probability = self._probabilities.get(topic)
+            if probability is None:
+                probability = self.schedule.probability(topic)
+                self._probabilities[topic] = probability
+            # Always from this call's own reprs: ``True == 1`` as dict
+            # keys, but they are different labels of the stream.
+            derived = f"{self._seed_prefix}{node_id!r}{_SEP}{topic!r}"
+            if self._coin_cache is None:
+                coin = random.Random(derived).random() < probability
+            else:
+                coin = self._coin_cache.coin(
+                    (derived, probability),
+                    lambda: random.Random(derived).random() < probability)
+            self._coins[key] = coin
+        return coin
 
     def verify(self, node_id: NodeId, topic: Topic) -> bool:
         """``Fmine.verify(m, i)``: the recorded coin, else 0."""
@@ -101,9 +104,10 @@ class FMineEligibility(EligibilitySource):
 
     def _mine(self, capability: MiningCapability,
               topic: Topic) -> Optional[FMineTicket]:
-        self.check_capability(capability, self._capabilities[capability.node_id])
-        if self.fmine.mine(capability.node_id, topic):
-            return FMineTicket(node_id=capability.node_id, topic=topic)
+        node_id = capability.node_id
+        self.check_capability(capability, self._capabilities[node_id])
+        if self.fmine.mine(node_id, topic):
+            return FMineTicket(node_id=node_id, topic=topic)
         return None
 
     def verify(self, ticket: Ticket) -> bool:

@@ -1,7 +1,7 @@
 """Per-sweep shared eligibility-lottery cache.
 
 ``Fmine`` coins are a deterministic function of ``(seed, node, topic)``
-and the topic's success probability (:meth:`FMine._flip` derives a
+and the topic's success probability (:meth:`FMine.mine` seeds a
 dedicated RNG stream per ``(seed, "fmine", node, topic)``).  Two protocol
 instances built with the same master seed and difficulty schedule
 therefore draw *bit-identical* coins — yet each instance recomputes them

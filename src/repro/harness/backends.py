@@ -109,6 +109,13 @@ class StoreBackend:
     def job_ids(self) -> List[str]:
         raise NotImplementedError
 
+    def load_jobs(self) -> List[Dict[str, Any]]:
+        """Every readable job record, newest first (ids sort by their
+        timestamp prefix).  Reference form; backends answer in one pass."""
+        records = (self.load_job(job_id)
+                   for job_id in reversed(self.job_ids()))
+        return [record for record in records if record is not None]
+
     def close(self) -> None:
         """Release backend resources (connections); safe to call twice."""
 
@@ -158,8 +165,8 @@ class JsonTreeBackend(StoreBackend):
 
     @staticmethod
     def _read_json(path: Path) -> Optional[Dict[str, Any]]:
-        """Parse one record file; a truncated/corrupted/non-object file
-        reads as None — the same treat-as-miss philosophy as a schema
+        """Parse one record file; a missing/truncated/corrupted/non-object
+        file reads as None — the same treat-as-miss philosophy as a schema
         mismatch (re-record rather than crash a resume)."""
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
@@ -178,42 +185,28 @@ class JsonTreeBackend(StoreBackend):
 
     # -- cells --------------------------------------------------------------
     def load_cell(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        path = self._cell_path(fingerprint)
-        if not path.exists():
-            return None
-        return self._read_json(path)
+        return self._read_json(self._cell_path(fingerprint))
 
     def save_cell(self, fingerprint: str, record: Dict[str, Any]) -> None:
         self._write_json(self._cell_path(fingerprint), record)
 
     def cell_count(self) -> int:
-        root = self.root / "cells"
-        if not root.exists():
-            return 0
-        return sum(1 for _ in root.glob("*/*.json"))
+        return sum(1 for _ in (self.root / "cells").glob("*/*.json"))
 
     # -- sweeps -------------------------------------------------------------
     def load_sweep(self, name: str) -> Optional[Dict[str, Any]]:
-        path = self._sweep_path(name)
-        if not path.exists():
-            return None
-        return self._read_json(path)
+        return self._read_json(self._sweep_path(name))
 
     def save_sweep(self, name: str, record: Dict[str, Any]) -> None:
         self._write_json(self._sweep_path(name), record)
 
     def sweep_names(self) -> List[str]:
-        root = self.root / "sweeps"
-        if not root.exists():
-            return []
-        return sorted(path.stem for path in root.glob("*.json"))
+        return sorted(
+            path.stem for path in (self.root / "sweeps").glob("*.json"))
 
     # -- jobs ---------------------------------------------------------------
     def load_job(self, job_id: str) -> Optional[Dict[str, Any]]:
-        path = self._job_path(job_id)
-        if not path.exists():
-            return None
-        return self._read_json(path)
+        return self._read_json(self._job_path(job_id))
 
     def save_job(self, job_id: str, record: Dict[str, Any]) -> None:
         self._write_json(self._job_path(job_id), record)
@@ -228,10 +221,14 @@ class JsonTreeBackend(StoreBackend):
             return record
 
     def job_ids(self) -> List[str]:
-        root = self.root / "jobs"
-        if not root.exists():
-            return []
-        return sorted(path.stem for path in root.glob("*.json"))
+        return sorted(
+            path.stem for path in (self.root / "jobs").glob("*.json"))
+
+    def load_jobs(self) -> List[Dict[str, Any]]:
+        paths = sorted((self.root / "jobs").glob("*.json"),
+                       key=lambda path: path.stem, reverse=True)
+        records = map(self._read_json, paths)
+        return [record for record in records if record is not None]
 
 
 class SQLiteBackend(StoreBackend):
@@ -376,6 +373,12 @@ class SQLiteBackend(StoreBackend):
         rows = self._connection().execute(
             "SELECT id FROM jobs ORDER BY id").fetchall()
         return [row[0] for row in rows]
+
+    def load_jobs(self) -> List[Dict[str, Any]]:
+        rows = self._connection().execute(
+            "SELECT record FROM jobs ORDER BY id DESC").fetchall()
+        records = (self._decode(row[0]) for row in rows)
+        return [record for record in records if record is not None]
 
     def release_thread(self) -> None:
         connection = getattr(self._local, "connection", None)

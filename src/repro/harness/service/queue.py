@@ -180,9 +180,7 @@ class ExperimentService:
     def jobs(self) -> List[Dict[str, Any]]:
         """Every job record in the store, newest first (ids sort by
         their timestamp prefix)."""
-        records = (self.store.load_job(job_id)
-                   for job_id in reversed(self.store.job_ids()))
-        return [record for record in records if record is not None]
+        return self.store.load_jobs()
 
     def events(self, job_id: str, since: int = 0,
                timeout: Optional[float] = None) -> List[Dict[str, Any]]:

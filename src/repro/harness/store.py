@@ -426,3 +426,9 @@ class ExperimentStore:
 
     def job_ids(self) -> List[str]:
         return self.backend.job_ids()
+
+    def load_jobs(self) -> List[Dict[str, Any]]:
+        """Every job record of this schema, newest first, in one backend
+        pass (``GET /api/jobs`` polls this)."""
+        return [record for record in self.backend.load_jobs()
+                if record.get("schema") == self.SCHEMA]

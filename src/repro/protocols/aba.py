@@ -196,8 +196,7 @@ def _merge_first_wins(mine: dict, arrivals: dict) -> dict:
     arrival order.  Returns a copy of the prior entries."""
     prior = dict(mine)
     mine.update(arrivals)
-    if prior:
-        mine.update(prior)
+    mine.update(prior)
     return prior
 
 
@@ -484,10 +483,20 @@ class AbaNode(VerifyingNode):
         # iteration of their bit (seal), so they commute with the quorum
         # certificates assembled below.
         for certificate in digest.best.values():
-            self._absorb_certificate(certificate)
+            if certificate is not None:
+                self._absorb_certificate(certificate)
         for key, tally in digest.votes.items():
+            mine = votes_seen.get(key)
+            if not mine:
+                # Nothing recorded yet: fold order is arrival order, so
+                # the merged tally is a private copy of the round's own,
+                # and the quorum it crosses is the digest's prefix.
+                votes_seen[key] = dict(tally.votes)
+                if tally.quorum is not None:
+                    self._absorb_certificate(tally.quorum)
+                self._shared_tallies[key] = tally
+                continue
             iteration, bit = key
-            mine = votes_seen.setdefault(key, {})
             prior = _merge_first_wins(mine, tally.votes)
             if (len(prior) < threshold <= len(mine)
                     and rank(best_cert[bit]) < iteration):
@@ -510,8 +519,13 @@ class AbaNode(VerifyingNode):
         for iteration, arrivals in digest.proposals.items():
             self.proposals.setdefault(iteration, []).extend(
                 [msg for sender, msg in arrivals if sender != me])
+        commits_seen = self.commits_seen
         for key, commits in digest.commits.items():
-            _merge_first_wins(self.commits_seen.setdefault(key, {}), commits)
+            mine = commits_seen.get(key)
+            if mine:
+                _merge_first_wins(mine, commits)
+            else:
+                commits_seen[key] = dict(commits)
         return True
 
     def _process_inbox(self, ctx: RoundContext) -> Optional[Tuple[int, Bit]]:

@@ -140,13 +140,6 @@ class VerificationCache:
             slot = self._round_digest = (broadcast, build(broadcast))
         return slot[1]
 
-    def is_known_valid(self, payload: Any) -> bool:
-        """Has this exact payload object already passed full validation?"""
-        if not CACHING_ENABLED:
-            return False
-        entry = self.valid_payloads.get(id(payload))
-        return entry is not None and entry[0] is payload
-
     def mark_valid(self, payload: Any) -> None:
         """Record that this payload object passed full validation."""
         if not CACHING_ENABLED:

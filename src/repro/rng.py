@@ -14,11 +14,14 @@ from typing import Union
 
 Seed = Union[int, str]
 
+#: Joins the master seed and the label reprs of a derived seed.
+SEPARATOR = "\x1f"
+
 
 def derive_seed(seed: Seed, *labels: object) -> str:
     """A string seed combining the master seed and a label path."""
     parts = [str(seed)] + [repr(label) for label in labels]
-    return "\x1f".join(parts)
+    return SEPARATOR.join(parts)
 
 
 def derive_rng(seed: Seed, *labels: object) -> random.Random:

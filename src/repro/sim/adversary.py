@@ -142,7 +142,7 @@ class AdversaryApi:
         :meth:`inject` the messages it staged.
         """
         return RoundContext(node_id, self.round, inbox,
-                            self._sim.rng_for_node(node_id))
+                            self._sim.rng_for_node)
 
 
 class Adversary(abc.ABC):

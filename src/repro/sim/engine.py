@@ -183,20 +183,24 @@ class Simulation:
         # every node; handing it over (instead of n materialized inboxes)
         # lets a protocol absorb it once for all of them.
         broadcast = getattr(inboxes, "broadcast", None)
+        # Hoisted: none of these is rebound during a step (the corrupt
+        # set is only ever mutated in place).
+        corrupt = self.controller.corrupt_set
+        rng_for_node = self.rng_for_node
+        stage = self.network.stage
+        record = self.metrics.record
         for node in self.nodes:
             node_id = node.node_id
-            if self.controller.is_corrupt(node_id) or node.halted:
+            if node.halted or node_id in corrupt:
                 continue
             ctx = RoundContext(
                 node_id, round_index,
                 inboxes[node_id] if broadcast is None else None,
-                self.rng_for_node(node_id), broadcast)
+                rng_for_node, broadcast)
             node.on_round(ctx)
             for recipient, payload in ctx.staged:
-                envelope = self.network.stage(
-                    node_id, recipient, payload, round_index,
-                    honest_sender=True)
-                self.metrics.record(envelope)
+                record(stage(node_id, recipient, payload, round_index,
+                             honest_sender=True))
 
     def _all_honest_halted(self) -> bool:
         return all(node.halted or self.controller.is_corrupt(node.node_id)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import abc
 import random
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional, Union
 
 from repro.sim.network import Delivery, own_view
 from repro.types import Bit, NodeId, Round
@@ -29,18 +29,29 @@ class RoundContext:
     copies) and for sandboxed or re-wrapped contexts.  With a broadcast
     the engine passes ``inbox=None`` and the node's own view is built
     only if something reads :attr:`inbox`.
+    ``rng`` is the node's coin stream or a function from the node id to
+    it (``Simulation.rng_for_node``), called on first read of :attr:`rng`:
+    a protocol that never flips a local coin never seeds one.
     """
 
     def __init__(self, node_id: NodeId, round_index: Round,
-                 inbox: Optional[List[Delivery]], rng: random.Random,
+                 inbox: Optional[List[Delivery]],
+                 rng: Union[random.Random, Callable[[NodeId], random.Random]],
                  broadcast: Optional[List[Delivery]] = None) -> None:
         self.node_id = node_id
         self.round = round_index
         self._inbox = inbox
         self.broadcast = broadcast
-        self.rng = rng
+        self._rng = rng
         #: Messages staged this round: (recipient | None, payload).
         self.staged: List[tuple[Optional[NodeId], Any]] = []
+
+    @property
+    def rng(self) -> random.Random:
+        """This node's protocol coins, derived on first read."""
+        if callable(self._rng):
+            self._rng = self._rng(self.node_id)
+        return self._rng
 
     @property
     def inbox(self) -> List[Delivery]:

@@ -13,6 +13,7 @@ from repro.harness.backends import (
     SQLITE_SUFFIXES,
     JsonTreeBackend,
     SQLiteBackend,
+    StoreBackend,
     backend_for_path,
     is_sqlite_path,
 )
@@ -251,3 +252,59 @@ class TestSqliteJobStore:
             assert record["computed"] == 1, store.backend.kind
             assert store.job_ids() == ["job"], store.backend.kind
             store.close()
+
+
+def _corrupt_job(store, job_id):
+    """Overwrite one stored job with bytes that are not a JSON object."""
+    backend = store.backend
+    if isinstance(backend, JsonTreeBackend):
+        (backend.root / "jobs" / f"{job_id}.json").write_text(
+            '{"state": "que', encoding="utf-8")
+    else:
+        with sqlite3.connect(backend.root) as connection:
+            connection.execute(
+                "UPDATE jobs SET record = ? WHERE id = ?",
+                ('{"state": "que', job_id))
+
+
+class TestLoadJobs:
+    """``load_jobs`` is one backend pass standing in for ``job_ids`` +
+    one ``load_job`` per id (``StoreBackend.load_jobs``, the reference)."""
+
+    IDS = ["20260101T000000Z-0002", "20260101T000000Z-0001",
+           "20251231T235959Z-ffff", "a", "a-b"]
+
+    def _stores(self, tmp_path):
+        for root in (tmp_path / "tree", tmp_path / "corpus.sqlite"):
+            store = ExperimentStore(root)
+            assert store.load_jobs() == [], store.backend.kind
+            for position, job_id in enumerate(self.IDS):
+                store.save_job(job_id, {"id": job_id, "computed": position})
+            yield store
+            store.close()
+
+    def test_newest_first_and_equal_to_the_per_id_path(self, tmp_path):
+        for store in self._stores(tmp_path):
+            listed = store.load_jobs()
+            assert [record["id"] for record in listed] == sorted(
+                self.IDS, reverse=True), store.backend.kind
+            assert listed == [store.load_job(job_id) for job_id in
+                              reversed(store.job_ids())], store.backend.kind
+            assert (store.backend.load_jobs()
+                    == StoreBackend.load_jobs(store.backend))
+
+    def test_a_corrupt_record_reads_as_skipped(self, tmp_path):
+        for store in self._stores(tmp_path):
+            victim = self.IDS[1]
+            _corrupt_job(store, victim)
+            assert store.load_job(victim) is None, store.backend.kind
+            assert [record["id"] for record in store.load_jobs()] == sorted(
+                set(self.IDS) - {victim}, reverse=True), store.backend.kind
+
+    def test_a_record_of_another_schema_is_skipped(self, tmp_path):
+        for store in self._stores(tmp_path):
+            store.backend.save_job("zz-foreign", {"id": "zz-foreign",
+                                                  "schema": -1})
+            assert "zz-foreign" in store.job_ids()
+            assert "zz-foreign" not in [
+                record["id"] for record in store.load_jobs()]

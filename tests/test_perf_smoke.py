@@ -2,8 +2,9 @@
 as n grows.
 
 Counts calls — ``authenticator.check`` invocations, per-message handler
-steps, ``SignedVote`` constructions, topic encodings, keyed sorts, pool
-submits before the first awaited result — not
+steps, ``SignedVote`` constructions, topic encodings, keyed sorts,
+``random.Random`` seedings, pool submits before the first awaited
+result — not
 wall time, so CI hardware variance cannot flake it.  Before the
 content-addressed verification caches, the n = 96 quadratic-BA run
 below performed ~921k checks; with them it performs a few hundred.  The
@@ -169,6 +170,39 @@ def test_quadratic_ba_n96_terminate_sorts_sender_keys(monkeypatch):
     monkeypatch.setattr(aba_module, "sorted", counting, raising=False)
     _run_n96()
     assert sorts["plain"] > 0 and sorts["keyed"] == 0, sorts
+
+
+def test_subquadratic_n384_silent_node_pays_one_coin(monkeypatch):
+    """A node that loses the lottery costs its mining attempts and
+    nothing else: no protocol-coin stream is derived (nothing in this
+    protocol reads ``ctx.rng``), and the only ``random.Random`` objects
+    seeded are the coins'.  At the parent every stepping node seeded its
+    stream on top: 12 289 seedings for 9 216 attempts at n = 3072."""
+    import random
+
+    from repro.protocols.subquadratic_ba import build_subquadratic_ba
+
+    from tests.test_sparse_step import NodeStreamCounter
+
+    seedings = []
+
+    class CountingRandom(random.Random):
+        def __init__(self, *args):
+            seedings.append(1)
+            super().__init__(*args)
+
+    node_streams = NodeStreamCounter(monkeypatch).nodes
+    monkeypatch.setattr(random, "Random", CountingRandom)
+    n, f = 384, 150
+    instance = build_subquadratic_ba(n, f, [1] * n, seed=1)
+    result = run_instance(instance, f, seed=1)
+    assert result.consistent() and result.all_decided()
+    attempts = len(instance.services["eligibility"].fmine._coins)
+    assert attempts >= n * result.rounds_executed
+    assert node_streams == []
+    assert len(seedings) <= attempts + 4, (
+        f"{len(seedings)} random.Random seedings for {attempts} mining "
+        f"attempts: silent nodes are paying for more than their coin")
 
 
 class _InThreadPool:

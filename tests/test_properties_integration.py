@@ -6,11 +6,15 @@ input vectors, and adversary choices through full protocol executions and
 asserts consistency/validity every time.  Parameters are chosen inside the
 regimes where the concrete-λ failure bounds are tiny (see
 ``repro.analysis.parameters``), so a single counterexample is a bug, not
-statistical noise.
+statistical noise — except for the subquadratic family at λ = 30,
+ε = 0.1, where ε²λ = 0.3 gives the Chernoff bound no force: there the
+property is conditioned on the paper's good-committee event (see
+``_captured_topics``).  Examples are derandomized: what tier-1 checks is
+a function of the commit, not of a local ``.hypothesis/`` directory.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.adversaries import (
     AdaptiveSpeakerAdversary,
@@ -25,11 +29,12 @@ from repro.protocols import (
     build_quadratic_ba,
     build_subquadratic_ba,
 )
+from repro.protocols.aba import schedule
 from repro.types import SecurityParameters
 
 PARAMS = SecurityParameters(lam=30, epsilon=0.1)
 
-_slow = settings(max_examples=12, deadline=None,
+_slow = settings(max_examples=12, deadline=None, derandomize=True,
                  suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -86,8 +91,41 @@ def subquadratic_world(draw):
     return n, int(fraction * n), inputs, seed, adversary_kind
 
 
+def _captured_topics(instance, result):
+    """The ``Vote``/``Commit`` topics on which the corrupt nodes hold a
+    quorum of tickets by themselves.
+
+    Consistency and validity are proved on the good-committee event —
+    fewer than ``threshold`` corrupt tickets per topic (Lemma 11) — whose
+    complement has probability ``exp(-Ω(ε²λ))``.  At the λ these tests can
+    afford that is not small: a captured committee certifies whatever bit
+    the adversary likes.
+    """
+    fmine = instance.services["eligibility"].fmine
+    threshold = instance.services["threshold"]
+    last_iteration = schedule(max(result.rounds_executed - 1, 0))[0]
+    return [
+        (kind, iteration, bit)
+        for kind in ("Vote", "Commit")
+        for iteration in range(1, last_iteration + 1)
+        for bit in (0, 1)
+        if sum(fmine.verify(node, (kind, iteration, bit))
+               for node in result.corrupt_set) >= threshold]
+
+
+#: Unanimous inputs of 1 under ``equivocate``: the corrupt nodes hold 17
+#: resp. 15 tickets on one ``Vote`` topic for bit 0 against a threshold
+#: of 15, and the honest nodes agree on 0.
+CAPTURED_WORLDS = [
+    (180, 54, [1] * 180, 135, "equivocate"),
+    (240, 72, [1] * 240, 140, "equivocate"),
+]
+
+
 class TestSubquadraticBaProperties:
     @given(subquadratic_world())
+    @example(CAPTURED_WORLDS[0])
+    @example(CAPTURED_WORLDS[1])
     @_slow
     def test_consistency_and_validity(self, world):
         n, f, inputs, seed, adversary_kind = world
@@ -95,12 +133,33 @@ class TestSubquadraticBaProperties:
                                          params=PARAMS)
         adversary = _make_adversary(adversary_kind, instance)
         result = run_instance(instance, f, adversary, seed=seed)
-        assert result.consistent(), (
-            f"consistency broken: n={n} f={f} seed={seed} "
-            f"adversary={adversary_kind}")
-        assert result.agreement_valid(), (
-            f"validity broken: n={n} f={f} seed={seed} "
-            f"adversary={adversary_kind}")
+        where = f"n={n} f={f} seed={seed} adversary={adversary_kind}"
+        captured = _captured_topics(instance, result)
+        if captured:
+            # Off the good-committee event the theorem is silent; what
+            # must still hold is that every bit the honest nodes output
+            # against validity is one a captured committee voted for.
+            if not (result.consistent() and result.agreement_valid()):
+                forced = {bit for kind, _, bit in captured if kind == "Vote"}
+                outputs = set(result.honest_outputs)
+                assert outputs - set(inputs) <= forced, (
+                    f"violation not explained by {captured}: {where}")
+            return
+        assert result.consistent(), f"consistency broken: {where}"
+        assert result.agreement_valid(), f"validity broken: {where}"
+
+    @pytest.mark.parametrize("world", CAPTURED_WORLDS,
+                             ids=lambda world: f"n{world[0]}-seed{world[3]}")
+    def test_captured_committee_examples_take_the_capture_branch(self, world):
+        n, f, inputs, seed, adversary_kind = world
+        instance = build_subquadratic_ba(n, f, inputs, seed=seed,
+                                         params=PARAMS)
+        result = run_instance(instance, f,
+                              _make_adversary(adversary_kind, instance),
+                              seed=seed)
+        assert any(kind == "Vote" and bit == 0
+                   for kind, _, bit in _captured_topics(instance, result))
+        assert result.consistent() and not result.agreement_valid()
 
     @given(subquadratic_world())
     @_slow

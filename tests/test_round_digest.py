@@ -25,7 +25,7 @@ from repro.adversaries import (
     StaticEquivocationAdversary,
 )
 from repro.crypto.registry import KeyRegistry
-from repro.eligibility.fmine import FMineTicket
+from repro.eligibility.fmine import FMine, FMineTicket
 from repro.harness.runner import run_instance
 from repro.protocols import verification
 from repro.protocols.aba import (
@@ -696,10 +696,9 @@ class ForgeBeforeMined(Adversary):
         proposal, = [e.payload for e in staged
                      if isinstance(e.payload, ProposeMsg)]
         topic = ("Vote", 2, proposal.bit)
-        probability = self.fmine.schedule.probability(topic)
         self.owner = next(
             node for node in range(20, self.api.n - 1)
-            if self.fmine._compute_flip(node, topic, probability))
+            if self.fmine.mine(node, topic))
         self.forged = VoteMsg(
             iteration=2, bit=proposal.bit, sender=self.owner,
             auth=FMineTicket(node_id=self.owner, topic=topic),
@@ -717,7 +716,10 @@ def test_forged_then_mined_ticket_keeps_per_recipient_semantics(monkeypatch):
         instance = build_subquadratic_ba(
             n, f, [i % 2 for i in range(n)], seed=seed, params=PARAMS,
             max_iterations=3)
-        adversary = ForgeBeforeMined(instance.services["eligibility"].fmine)
+        # A twin functionality flips the execution's coins without
+        # recording an attempt in it.
+        adversary = ForgeBeforeMined(FMine(
+            instance.services["eligibility"].fmine.schedule, seed))
         result = run_instance(instance, f, adversary, seed=seed,
                               max_rounds=upto)
         return instance, adversary, result
