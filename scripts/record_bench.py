@@ -210,21 +210,18 @@ def profile_early_stop(n: int = 96, f: int = 31, seed: int = 1) -> dict:
 
 def profile_event_engine_wan(n: int = 8, f: int = 3,
                              deltas=(32, 128, 512), trials: int = 12) -> dict:
-    """The event engine pays for itself on sparse-latency topologies.
+    """The event engine stays flat on sparse-latency topologies.
 
     The responsiveness scenario (Momose–Ren): a conservatively large Δ
     bound over links that actually deliver in 1–3 ticks (fixed latency 1
     plus a clustered cross-pod surcharge), so almost every network tick
-    is idle.  The Δ-lockstep synchronizer executes those ticks as no-ops
-    — its wall clock grows linearly with Δ — while the event engine
-    jumps between due timestamps and stays flat.  Sweeps quadratic BA
-    across a Δ grid under both conditioned loops, asserting per-seed
-    result identity (outputs, rounds, transcripts, NetworkStats — the
-    differential-conformance contract) at every point and a >= 2x
-    wall-clock win at the sparsest point.  The sparsest point also
-    records both phase budgets: the lock-step run's ``scheduler`` bucket
-    is where the per-tick churn shows up, and it collapses under the
-    event engine.
+    is idle.  A loop that ticks once per network round grows linearly
+    with Δ; the event engine jumps between due timestamps.  Sweeps
+    quadratic BA across a Δ grid, recording the wall clock and the skip
+    density at every point, and the phase budget at the sparsest.
+    (That the skipping loop is *right* — execution-identical to the
+    Δ-lockstep reference — is tier-1's job:
+    ``tests/test_event_engine_differential.py``.)
     """
     from repro.harness import run_instance
     from repro.sim.conditions import LinkTopology, NetworkConditions
@@ -235,61 +232,36 @@ def profile_event_engine_wan(n: int = 8, f: int = 3,
         conditions = NetworkConditions(
             delta=delta, latency=("fixed", 1),
             topology=LinkTopology.clustered(clusters=4, extra=2))
-
-        def timed_sweep(scheduler):
-            start = time.perf_counter()
-            results = []
-            for seed in range(trials):
-                instance = build_quadratic_ba(n, f, inputs, seed=seed)
-                results.append(run_instance(
-                    instance, f, seed=seed, conditions=conditions,
-                    scheduler=scheduler))
-            return results, time.perf_counter() - start
-
-        event, event_wall = timed_sweep("event")
-        lockstep, lockstep_wall = timed_sweep("lockstep")
-        for ev, lk in zip(event, lockstep):
-            assert (ev.outputs == lk.outputs
-                    and ev.rounds_executed == lk.rounds_executed
-                    and ev.transcript == lk.transcript
-                    and ev.network_stats == lk.network_stats
-                    and ev.consistent() and ev.all_decided()), \
-                f"event engine diverged from lock-step at delta={delta}"
-        stats = event[0].network_stats
+        start = time.perf_counter()
+        results = [
+            run_instance(build_quadratic_ba(n, f, inputs, seed=seed), f,
+                         seed=seed, conditions=conditions)
+            for seed in range(trials)]
+        wall = time.perf_counter() - start
+        assert all(result.consistent() and result.all_decided()
+                   for result in results), f"violation at delta={delta}"
+        stats = results[0].network_stats
         points.append({
             "delta": delta,
-            "wall_seconds_lockstep": round(lockstep_wall, 4),
-            "wall_seconds_event": round(event_wall, 4),
-            "speedup": round(lockstep_wall / event_wall, 2),
+            "wall_seconds_event": round(wall, 4),
             "network_rounds": stats.network_rounds,
             "skipped_ticks": stats.skipped_ticks,
             "events_processed": stats.events_processed,
             "skip_density": round(
                 stats.skipped_ticks / stats.network_rounds, 3),
-            "results_identical": True,
         })
-    assert points[-1]["speedup"] >= 2.0, \
-        f"event engine win eroded: {points[-1]['speedup']}x at the " \
-        f"sparsest point (need >= 2x)"
 
-    sparsest = NetworkConditions(
-        delta=deltas[-1], latency=("fixed", 1),
-        topology=LinkTopology.clustered(clusters=4, extra=2))
-    budgets = {}
-    for scheduler in ("lockstep", "event"):
-        instance = build_quadratic_ba(n, f, inputs, seed=1)
-        budget = profile_phase_budget(instance, f, seed=1,
-                                      conditions=sparsest,
-                                      scheduler=scheduler)
-        budgets[scheduler] = budget.budget_dict()
+    # ``conditions`` is now the sparsest point's (the last, largest Δ).
+    budget = profile_phase_budget(
+        build_quadratic_ba(n, f, inputs, seed=1), f, seed=1,
+        conditions=conditions)
     return {
         "n": n,
         "f": f,
         "trials": trials,
         "latency": "fixed-1 + clustered(4,+2) surcharge",
         "points": points,
-        "budget_sparsest_lockstep": budgets["lockstep"],
-        "budget_sparsest_event": budgets["event"],
+        "budget_sparsest_event": budget.budget_dict(),
     }
 
 
@@ -484,12 +456,12 @@ def main() -> None:
                   f"flips served from cache")
         elif "points" in profile:
             curve = " ".join(
-                f"Δ={p['delta']}:{p['speedup']}x"
+                f"Δ={p['delta']}:{p['wall_seconds_event']}s"
                 for p in profile["points"])
             densest = profile["points"][-1]
-            print(f"  {name}: event vs lockstep {curve} "
+            print(f"  {name}: event engine {curve} "
                   f"(skip density {densest['skip_density']} at "
-                  f"Δ={densest['delta']}; all points result-identical)")
+                  f"Δ={densest['delta']})")
         elif "adaptive_points" in profile:
             curve = " ".join(
                 f"f*={p['actual_faults']}:{p['adaptive_words']}w"

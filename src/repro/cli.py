@@ -62,22 +62,20 @@ records::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.adversaries import (
-    ActualFaultsAdversary,
-    AdaptiveSpeakerAdversary,
-    CrashAdversary,
-    LeaderKillerAdversary,
-    StaticEquivocationAdversary,
-    ViewSplitAdversary,
-)
 from repro.analysis import choose_lambda
 from repro.analysis.parameters import protocol_failure_probability
 from repro.harness import run_instance
 from repro.harness.experiments import ALL_EXPERIMENTS
-from repro.harness.scenarios import PROTOCOLS as PROTOCOL_REGISTRY
+from repro.harness.scenarios import (
+    ADVERSARIES,
+    INPUTS,
+    PROTOCOLS as PROTOCOL_REGISTRY,
+    rounds_saved_columns,
+)
 from repro.errors import ConfigurationError
 from repro.protocols.adaptive_ba import adaptive_columns
 from repro.protocols.leader_ba import view_columns
@@ -86,53 +84,12 @@ from repro.sim.trace import summarize_transcript
 from repro.types import SecurityParameters
 
 #: ``run``-able protocols, derived from the scenario layer's registry
-#: rather than hand-maintained: every per-node builder registered there
-#: is automatically runnable here (sender-style broadcast builders need
-#: a ``sender_input`` binding and stay sweep-only).
+#: rather than hand-maintained: every entry whose builder takes per-node
+#: ``inputs`` is automatically runnable here (sender-style broadcast
+#: builders need a ``sender_input`` binding and stay sweep-only).
 PROTOCOLS = {
-    key: entry.builder for key, entry in PROTOCOL_REGISTRY.items()
-    if entry.input_style == "per-node"
-}
-
-#: GST-aware variants whose builders take the execution's conditions
-#: (to derive the trusted-round gate) and whose runs report the saving —
-#: read off the registry's ``early_stopping`` flag.
-EARLY_STOP_PROTOCOLS = frozenset(
-    key for key, entry in PROTOCOL_REGISTRY.items() if entry.early_stopping)
-
-#: Protocols whose builders take ``params=SecurityParameters(...)``.
-_PARAMS_PROTOCOLS = frozenset(
-    key for key, entry in PROTOCOL_REGISTRY.items() if entry.accepts_params)
-
-#: Protocols whose builders take ``mode="fmine"|"vrf"`` — read off the
-#: registry's ``takes_mode`` flag so an explicit ``--mode`` is never
-#: silently dropped for a registry protocol that accepts it.
-_MODE_PROTOCOLS = frozenset(
-    key for key, entry in PROTOCOL_REGISTRY.items() if entry.takes_mode)
-
-#: Builders that accept ``conditions=`` — the early-stop variants plus
-#: the view-based leader family (whose view timers derive from Δ/GST).
-_CONDITIONS_PROTOCOLS = EARLY_STOP_PROTOCOLS | frozenset(
-    key for key, entry in PROTOCOL_REGISTRY.items() if entry.takes_conditions)
-
-#: View-based leader protocols: ``run`` reports the settled view and the
-#: view changes burned getting there.
-_VIEW_PROTOCOLS = frozenset(
-    key for key, entry in PROTOCOL_REGISTRY.items() if entry.view_based)
-
-#: Adaptive protocols (words scale with the actual fault count): ``run``
-#: reports the escalation epochs and the classical word count.
-_ADAPTIVE_PROTOCOLS = frozenset(
-    key for key, entry in PROTOCOL_REGISTRY.items() if entry.adaptive)
-
-ADVERSARIES = {
-    "none": lambda instance: None,
-    "actual-faults": lambda instance: ActualFaultsAdversary(),
-    "crash": lambda instance: CrashAdversary(),
-    "equivocate": StaticEquivocationAdversary,
-    "speaker": AdaptiveSpeakerAdversary,
-    "leader-killer": LeaderKillerAdversary,
-    "view-split": ViewSplitAdversary,
+    key: entry for key, entry in PROTOCOL_REGISTRY.items()
+    if entry.takes("inputs")
 }
 
 
@@ -156,6 +113,24 @@ def _epilog() -> str:
         "params (λ selection)")
 
 
+def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
+    """What ``sweep`` and ``submit`` both take: how the named sweep is
+    resolved (:func:`~repro.harness.sweep_library.resolve_sweep`) and
+    keyed."""
+    parser.add_argument("--no-shared-lottery", action="store_true",
+                        help="disable the per-sweep eligibility-lottery "
+                             "cache (results are identical either way)")
+    parser.add_argument("--network", choices=sorted(NETWORKS), default=None,
+                        help="force these network conditions onto every "
+                             "scenario of the sweep (overrides any "
+                             "network bindings; see docs/NETWORK.md)")
+    parser.add_argument("--topology", choices=sorted(TOPOLOGIES),
+                        default=None,
+                        help="force this per-link latency topology onto "
+                             "every scenario (needs conditions with "
+                             "delta > 1; see docs/NETWORK.md)")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -176,21 +151,10 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="list the available sweeps and exit")
     sweep.add_argument("--workers", type=int, default=1,
                        help="fan each cell's trials across N processes")
-    sweep.add_argument("--no-shared-lottery", action="store_true",
-                       help="disable the per-sweep eligibility-lottery "
-                            "cache (results are identical either way)")
     sweep.add_argument("--out-dir", default=None,
                        help="write <name>.csv and <name>.json artifacts "
                             "into this directory")
-    sweep.add_argument("--network", choices=sorted(NETWORKS), default=None,
-                       help="force these network conditions onto every "
-                            "scenario of the sweep (overrides any "
-                            "network bindings; see docs/NETWORK.md)")
-    sweep.add_argument("--topology", choices=sorted(TOPOLOGIES),
-                       default=None,
-                       help="force this per-link latency topology onto "
-                            "every scenario (needs conditions with "
-                            "delta > 1; see docs/NETWORK.md)")
+    _add_sweep_options(sweep)
     sweep.add_argument("--store", default=None, metavar="DIR",
                        help="record/replay cells through a persistent "
                             "experiment store at DIR: recorded cells "
@@ -243,18 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     submit.add_argument("name", help="sweep name (see sweep --list)")
     submit.add_argument("--url", default="http://127.0.0.1:8765",
                         help="service base URL")
-    submit.add_argument("--network", choices=sorted(NETWORKS),
-                        default=None,
-                        help="force these network conditions onto every "
-                             "scenario (as sweep --network)")
-    submit.add_argument("--topology", choices=sorted(TOPOLOGIES),
-                        default=None,
-                        help="force this latency topology onto every "
-                             "scenario (as sweep --topology)")
-    submit.add_argument("--no-shared-lottery", action="store_true",
-                        help="key the cells as if the shared lottery "
-                             "cache were disabled (as sweep "
-                             "--no-shared-lottery)")
+    _add_sweep_options(submit)
     submit.add_argument("--no-wait", action="store_true",
                         help="print the job id and return immediately "
                              "instead of streaming progress to "
@@ -282,12 +235,14 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--actual", type=int, default=None,
                      help="actual fault count k for the actual-faults "
                           "adversary (default: the whole budget f)")
-    run.add_argument("--input", choices=["zeros", "ones", "mixed"],
-                     default="mixed")
-    run.add_argument("--lam", type=int, default=30,
-                     help="expected committee size λ")
+    run.add_argument("--input", choices=sorted(INPUTS), default="mixed")
+    run.add_argument("--lam", type=int, default=None,
+                     help="expected committee size λ (default: 30; only "
+                          "for protocols whose builder takes params)")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--mode", choices=["fmine", "vrf"], default="fmine")
+    run.add_argument("--mode", choices=["fmine", "vrf"], default=None,
+                     help="eligibility world (default: fmine; only for "
+                          "protocols whose builder takes a mode)")
     run.add_argument("--network", choices=sorted(NETWORKS), default="perfect",
                      help="named network conditions for the execution "
                           "(see docs/NETWORK.md)")
@@ -304,14 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="target failure probability")
     par.add_argument("--iterations", type=int, default=40)
     return parser
-
-
-def _inputs_for(kind: str, n: int) -> List[int]:
-    if kind == "zeros":
-        return [0] * n
-    if kind == "ones":
-        return [1] * n
-    return [i % 2 for i in range(n)]
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
@@ -511,38 +458,40 @@ def _cmd_status(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     n = args.n
     f = args.f if args.f is not None else int(0.25 * n)
-    params = SecurityParameters(lam=args.lam, epsilon=0.1)
-    builder = PROTOCOLS[args.protocol]
-    conditions = NETWORKS[args.network]
-    if args.topology is not None:
-        import dataclasses as _dataclasses
-        try:
-            conditions = _dataclasses.replace(
-                conditions, topology=TOPOLOGIES[args.topology])
-        except ConfigurationError as error:
-            print(f"run: {error}", file=sys.stderr)
+    entry = PROTOCOLS[args.protocol]
+    # An explicit flag is never silently dropped: it reaches the builder
+    # (or the adversary), or it is a usage error.
+    for flag, value, applies, where in (
+            ("--lam", args.lam, entry.takes("params"),
+             "protocols whose builder takes params"),
+            ("--mode", args.mode, entry.takes("mode"),
+             "protocols whose builder takes a mode"),
+            ("--actual", args.actual, args.adversary == "actual-faults",
+             "--adversary actual-faults")):
+        if value is not None and not applies:
+            print(f"run: {flag} only applies to {where}", file=sys.stderr)
             return 2
-    kwargs = dict(n=n, f=f, inputs=_inputs_for(args.input, n), seed=args.seed)
-    if args.protocol in _PARAMS_PROTOCOLS:
-        kwargs.update(params=params)
-    if args.protocol in _MODE_PROTOCOLS:
-        kwargs.update(mode=args.mode)
-    if args.protocol in _CONDITIONS_PROTOCOLS:
-        # The GST-aware builders gate their unanimity detectors (or view
-        # timers) on the conditions' trusted-send round.
-        kwargs.update(conditions=conditions)
-    if args.adversary != "actual-faults" and args.actual is not None:
-        print("run: --actual only applies to --adversary actual-faults",
-              file=sys.stderr)
-        return 2
+    adversary_kwargs = {} if args.actual is None else {"actual": args.actual}
     try:
-        instance = builder(**kwargs)
-        if args.adversary == "actual-faults":
-            adversary = ActualFaultsAdversary(actual=args.actual)
-        else:
-            adversary = ADVERSARIES[args.adversary](instance)
-        # Adversaries reject a protocol they cannot target in their
-        # constructor or at setup, inside run_instance.
+        # Everything below validates its arguments: topology × Δ, λ, and
+        # an adversary rejecting a protocol it cannot target (in its
+        # constructor or at setup, inside run_instance).
+        conditions = NETWORKS[args.network]
+        if args.topology is not None:
+            conditions = dataclasses.replace(
+                conditions, topology=TOPOLOGIES[args.topology])
+        kwargs = dict(n=n, f=f, inputs=INPUTS[args.input](n), seed=args.seed)
+        if entry.takes("params"):
+            kwargs.update(params=SecurityParameters(
+                lam=30 if args.lam is None else args.lam, epsilon=0.1))
+        if entry.takes("mode"):
+            kwargs.update(mode=args.mode or "fmine")
+        if entry.takes("conditions"):
+            # The GST-aware builders gate their unanimity detectors (or
+            # view timers) on the conditions' trusted-send round.
+            kwargs.update(conditions=conditions)
+        instance = entry.builder(**kwargs)
+        adversary = ADVERSARIES[args.adversary](instance, **adversary_kwargs)
         result = run_instance(instance, f, adversary, seed=args.seed,
                               conditions=conditions)
     except ConfigurationError as error:
@@ -564,14 +513,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"valid:               {result.agreement_valid()}")
     print(f"all decided:         {result.all_decided()}")
     print(f"rounds:              {result.rounds_executed}")
-    if args.protocol in EARLY_STOP_PROTOCOLS:
+    if rounds_saved_columns in entry.columns:
         print(f"rounds saved:        {result.rounds_saved} "
               f"(budget {result.rounds_budget})")
-    if args.protocol in _VIEW_PROTOCOLS:
+    if view_columns in entry.columns:
         columns = view_columns([result])
         print(f"settled view:        {columns['mean_views_executed']:.0f} "
               f"({columns['mean_view_changes']:.0f} view change(s))")
-    if args.protocol in _ADAPTIVE_PROTOCOLS:
+    if adaptive_columns in entry.columns:
         columns = adaptive_columns([result])
         print(f"escalations:         {columns['mean_escalations']:.0f} "
               f"(actual faults {columns['mean_actual_faults']:.0f}, "
@@ -600,25 +549,21 @@ def _cmd_params(args: argparse.Namespace) -> int:
     return 0
 
 
+_COMMANDS = {
+    "experiment": _cmd_experiment,
+    "sweep": _cmd_sweep,
+    "report": _cmd_report,
+    "serve": _cmd_serve,
+    "submit": _cmd_submit,
+    "status": _cmd_status,
+    "run": _cmd_run,
+    "params": _cmd_params,
+}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "sweep":
-        return _cmd_sweep(args)
-    if args.command == "report":
-        return _cmd_report(args)
-    if args.command == "serve":
-        return _cmd_serve(args)
-    if args.command == "submit":
-        return _cmd_submit(args)
-    if args.command == "status":
-        return _cmd_status(args)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "params":
-        return _cmd_params(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return _COMMANDS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

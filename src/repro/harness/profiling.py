@@ -116,9 +116,7 @@ class PhaseBudget:
     - **scheduler** — the conditioned network's event-queue machinery
       (``ConditionedNetwork.advance_to``: staging-window drain into the
       calendar queue, latency/drop coin draws, due-bucket delivery into
-      the step buffers).  Zero for unconditioned executions; under the
-      lock-step synchronizer it additionally absorbs the per-tick no-op
-      churn the event engine skips.
+      the step buffers).  Zero for unconditioned executions.
     - **verify** — ``authenticator.check`` (the cryptographic predicate,
       wherever invoked: node handlers, sandboxed corrupt nodes, the
       memoization layer on a miss).
@@ -155,27 +153,24 @@ class PhaseBudget:
 
 def profile_phase_budget(instance: ProtocolInstance, f: int, seed=0,
                          conditions: Optional[NetworkConditions] = None,
-                         scheduler: Optional[str] = None) -> PhaseBudget:
+                         ) -> PhaseBudget:
     """Run ``instance`` attributing wall time to deliver / scheduler /
     protocol-step / verify / sizing.
 
-    ``conditions``/``scheduler`` run the execution under network
-    conditions with an explicit conditioned loop (``"event"`` /
-    ``"lockstep"``) — the A/B axis of the event-engine benchmark.
+    ``conditions`` runs the execution under network conditions.
 
     Instrumentation wraps the five seams the phases flow through:
     ``SynchronousNetwork.deliver`` (class-level — the network is built
     inside the engine), ``ConditionedNetwork.advance_to`` (class-level —
-    the event-queue turnover both conditioned loops funnel through),
+    the event-queue turnover of the conditioned loop),
     ``Simulation._honest_step`` (class-level), the metrics module's
     ``encoded_size_bits`` binding, and the instance's
     ``authenticator.check``.  All wrappers are restored on exit; the
     function is not reentrant (profile one execution at a time).
     Verify/sizing time inside the honest step is subtracted from the
     *protocol* bucket so the buckets stay disjoint; ``ConditionedNetwork``
-    overrides ``deliver`` (so conditioned turnover never lands in the
-    *deliver* bucket) and the lock-step wrapper's own ``advance_to``
-    calls land in *scheduler*, keeping those two disjoint as well.
+    overrides ``deliver``, so conditioned turnover never lands in the
+    *deliver* bucket.
     """
     state = {"deliver": 0.0, "scheduler": 0.0, "step": 0.0, "verify": 0.0,
              "sizing": 0.0, "nested": 0.0, "in_step": False, "checks": 0}
@@ -236,7 +231,7 @@ def profile_phase_budget(instance: ProtocolInstance, f: int, seed=0,
     try:
         start = perf_counter()
         result = run_instance(instance, f, seed=seed,
-                              conditions=conditions, scheduler=scheduler)
+                              conditions=conditions)
         wall = perf_counter() - start
     finally:
         SynchronousNetwork.deliver = orig_deliver

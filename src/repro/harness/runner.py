@@ -4,12 +4,17 @@
 into a :class:`~repro.sim.engine.Simulation` against an (optionally
 instance-aware) adversary; ``run_trials`` repeats a builder across seeds —
 optionally fanning the seeds across worker processes — and aggregates the
-security predicates into a :class:`TrialStats`.
+security predicates into a :class:`TrialStats`.  What a builder accepts
+is read off its signature (:func:`named_parameters`), never declared a
+second time: a builder that names ``conditions`` is handed the
+conditions its execution runs under.
 """
 
 from __future__ import annotations
 
+import inspect
 from contextlib import ExitStack
+from functools import lru_cache
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.protocols.base import ProtocolInstance
@@ -32,16 +37,8 @@ def run_instance(
     max_rounds: Optional[int] = None,
     transcript_retention: str = TRANSCRIPT_FULL,
     conditions: Optional[NetworkConditions] = None,
-    scheduler: Optional[str] = None,
 ) -> ExecutionResult:
-    """Execute one protocol instance against one adversary.
-
-    ``scheduler`` selects the conditioned-execution loop (``"event"`` /
-    ``"lockstep"``; ``None`` = the engine default, overridable via
-    ``REPRO_SCHEDULER``) — the two are result-identical by the
-    conformance suite, so this knob only matters for A/B timing and the
-    differential tests themselves.
-    """
+    """Execute one protocol instance against one adversary."""
     simulation = Simulation(
         nodes=instance.nodes,
         corruption_budget=f,
@@ -54,7 +51,6 @@ def run_instance(
         mining_capabilities=instance.mining_capabilities,
         transcript_retention=transcript_retention,
         conditions=conditions,
-        scheduler=scheduler,
     )
     return simulation.run()
 
@@ -209,6 +205,19 @@ class TrialStats:
         return rounds
 
 
+@lru_cache(maxsize=256)
+def named_parameters(builder: Callable[..., Any]) -> frozenset:
+    """The parameters ``builder`` names in its signature, resolved once
+    per builder per process (bounded: the cache pins the builders it has
+    seen).  A ``**kwargs`` catch-all names nothing: only a parameter a
+    builder spells out is one it is known to use."""
+    return frozenset(
+        name
+        for name, parameter in inspect.signature(builder).parameters.items()
+        if parameter.kind in (parameter.POSITIONAL_OR_KEYWORD,
+                              parameter.KEYWORD_ONLY))
+
+
 def _run_one_trial(
     builder: Callable[..., ProtocolInstance],
     f: int,
@@ -217,12 +226,11 @@ def _run_one_trial(
     model: AdversaryModel = AdversaryModel.ADAPTIVE,
     transcript_retention: str = TRANSCRIPT_FULL,
     conditions: Optional[NetworkConditions] = None,
-    builder_takes_conditions: bool = False,
     **builder_kwargs,
 ) -> ExecutionResult:
     """One seed's build-and-run; module-level so worker processes can
     receive it by pickle."""
-    if builder_takes_conditions:
+    if "conditions" in named_parameters(builder):
         builder_kwargs["conditions"] = conditions
     instance = builder(f=f, seed=seed, **builder_kwargs)
     adversary = (adversary_factory(instance)
@@ -256,7 +264,6 @@ def run_trials(
     workers: int = 1,
     transcript_retention: str = TRANSCRIPT_FULL,
     conditions: Optional[NetworkConditions] = None,
-    builder_takes_conditions: bool = False,
     pool=None,
     **builder_kwargs,
 ) -> TrialStats:
@@ -264,11 +271,11 @@ def run_trials(
 
     The builder receives ``seed=<seed>`` plus ``builder_kwargs``; the
     adversary factory (if any) is invoked on each fresh instance, so
-    attacks can read the instance's services.
-    ``builder_takes_conditions`` forwards ``conditions`` to the builder
-    as well — for the GST-aware early-stopping builders, which derive
-    their trusted-round gate from the same conditions the engine runs
-    under.
+    attacks can read the instance's services.  A builder that names a
+    ``conditions`` parameter receives ``conditions`` as well — the
+    GST-aware early-stopping builders and the view families derive their
+    trusted-round gate and view timers from the same conditions the
+    engine runs under.
 
     ``workers > 1`` fans the seeds across a ``ProcessPoolExecutor``.
     Results are aggregated in seed order regardless of which worker
@@ -280,18 +287,17 @@ def run_trials(
     ``pool`` lends an already-running ``ProcessPoolExecutor`` instead:
     the caller keeps ownership (it is not shut down here), so worker
     processes — and any process-local state they carry, like the shared
-    eligibility-lottery caches and the ``REPRO_SCHEDULER`` environment —
-    persist across consecutive calls; even a single seed routes through
-    it rather than bypass that state in the parent.  With a pool this
-    is ``gather_trials(submit_trials(pool, ...))``;
+    eligibility-lottery caches — persist across consecutive calls; even
+    a single seed routes through it rather than bypass that state in
+    the parent.  With a pool this is
+    ``gather_trials(submit_trials(pool, ...))``;
     :func:`~repro.harness.scenarios.run_sweep` calls the two halves
     itself, to have every cell in flight before it awaits the first.
     """
     seeds = list(seeds)
     trial = dict(builder_kwargs, adversary_factory=adversary_factory,
                  model=model, transcript_retention=transcript_retention,
-                 conditions=conditions,
-                 builder_takes_conditions=builder_takes_conditions)
+                 conditions=conditions)
     with ExitStack() as owned:
         if pool is None and workers > 1 and len(seeds) > 1:
             from concurrent.futures import ProcessPoolExecutor

@@ -62,6 +62,8 @@ import itertools
 import json
 from dataclasses import dataclass, field
 from functools import partial
+from importlib import import_module
+from operator import attrgetter
 from pathlib import Path
 from typing import (
     Any,
@@ -87,7 +89,7 @@ from repro.adversaries import (
 from repro.eligibility.lottery_cache import SharedLotteryCache, release_cache
 from repro.errors import ConfigurationError
 from repro.harness.runner import (
-    TrialStats, gather_trials, run_trials, submit_trials)
+    TrialStats, gather_trials, named_parameters, run_trials, submit_trials)
 from repro.harness.tables import Table, rows_to_table, union_columns
 from repro.sim.conditions import (
     NETWORKS,
@@ -113,6 +115,7 @@ from repro.protocols import (
 )
 from repro.protocols.adaptive_ba import adaptive_columns
 from repro.protocols.leader_ba import view_columns
+from repro.protocols.view_machine import mean_columns
 from repro.types import SecurityParameters
 
 # ---------------------------------------------------------------------------
@@ -120,96 +123,73 @@ from repro.types import SecurityParameters
 # ---------------------------------------------------------------------------
 
 
+def rounds_saved_columns(results: Sequence[Any]) -> Dict[str, float]:
+    """The early-stopping variants' artifact column over a cell's trials."""
+    return mean_columns(results,
+                        {"mean_rounds_saved": attrgetter("rounds_saved")})
+
+
 @dataclass(frozen=True)
 class ProtocolEntry:
-    """Registry metadata the binding layer needs about one builder."""
+    """One registry protocol: its builder, and the extractors of the
+    extra columns its artifact rows report.
+
+    Everything else the binding layer, the CLI and the runner ask —
+    per-node ``inputs`` or a ``sender_input``, ``params`` (``lam`` and
+    ``epsilon`` axes fold into one), ``mode``, ``coin_cache`` (the shared
+    lottery), ``conditions`` — is the builder's signature: :meth:`takes`.
+    """
 
     builder: Callable[..., Any]
-    #: "per-node" (builder takes ``inputs=[bit]*n``) or "sender"
-    #: (builder takes ``sender_input=bit`` from the bindings).
-    input_style: str = "per-node"
-    #: Whether the builder accepts ``params=SecurityParameters(...)``
-    #: (so ``lam``/``epsilon`` axes can be folded into one).
-    accepts_params: bool = False
-    #: Whether the builder accepts ``coin_cache=`` for the shared
-    #: eligibility lottery (fmine mode only).
-    shares_lottery: bool = False
-    #: Whether the builder accepts ``mode="fmine"|"vrf"`` (the
-    #: eligibility worlds) — consulted by the CLI so an explicit
-    #: ``--mode`` is never silently dropped.
-    takes_mode: bool = False
-    #: GST-aware early-stopping variants: the builder accepts
-    #: ``conditions=`` (to derive its trusted-round gate from the cell's
-    #: network conditions) and the cell's artifact row gains a
-    #: ``mean_rounds_saved`` column.
-    early_stopping: bool = False
-    #: The builder accepts ``conditions=`` without being an
-    #: early-stopping variant (the leader family derives its view-timer
-    #: budget and decide-announcement drain gate from Δ/GST).
-    takes_conditions: bool = False
-    #: View-based leader protocols: the cell's artifact row gains
-    #: ``mean_views_executed`` / ``mean_view_changes`` columns derived
-    #: from the per-trial settled view (see STORE_SALT in store.py —
-    #: bumped when these columns landed).
-    view_based: bool = False
-    #: Adaptive protocols (words scale with the actual fault count):
-    #: the cell's artifact row gains ``mean_words`` /
-    #: ``mean_actual_faults`` / ``mean_escalations`` columns (the v4
-    #: STORE_SALT bump).
-    adaptive: bool = False
+    #: ``results -> {column: value}`` over a cell's trials, appended to
+    #: the common columns in order.  Changing what a protocol reports
+    #: here changes recorded rows: bump ``STORE_SALT`` in store.py
+    #: (``tests/test_store.py`` pins the schema beside the salt).
+    columns: Tuple[Callable[[Sequence[Any]], Dict[str, Any]], ...] = ()
+
+    def takes(self, name: str) -> bool:
+        """Whether the builder names a parameter ``name`` (``**kwargs``
+        names none); its signature is resolved once per builder."""
+        return name in named_parameters(self.builder)
 
 
 PROTOCOLS: Dict[str, ProtocolEntry] = {
-    "subquadratic": ProtocolEntry(
-        build_subquadratic_ba, accepts_params=True, shares_lottery=True,
-        takes_mode=True),
+    "subquadratic": ProtocolEntry(build_subquadratic_ba),
     "quadratic": ProtocolEntry(build_quadratic_ba),
     "quadratic-early-stop": ProtocolEntry(
-        build_quadratic_ba_early_stop, early_stopping=True),
-    "leader-ba": ProtocolEntry(
-        build_leader_ba, takes_conditions=True, view_based=True),
-    "leader-chain": ProtocolEntry(
-        build_leader_chain, takes_conditions=True, view_based=True),
+        build_quadratic_ba_early_stop, columns=(rounds_saved_columns,)),
+    "leader-ba": ProtocolEntry(build_leader_ba, columns=(view_columns,)),
+    "leader-chain": ProtocolEntry(build_leader_chain, columns=(view_columns,)),
+    # ``mean_words`` is the classical word count (Definition 6) — the
+    # adaptive fast path is built from unicasts the multicast columns
+    # do not see.
     "adaptive-ba": ProtocolEntry(
-        build_adaptive_ba, takes_conditions=True, adaptive=True),
+        build_adaptive_ba, columns=(adaptive_columns,)),
     "phase-king": ProtocolEntry(build_phase_king),
     "phase-king-early-stop": ProtocolEntry(
-        build_phase_king_early_stop, early_stopping=True),
-    "phase-king-subquadratic": ProtocolEntry(
-        build_phase_king_subquadratic, accepts_params=True,
-        shares_lottery=True, takes_mode=True),
+        build_phase_king_early_stop, columns=(rounds_saved_columns,)),
+    "phase-king-subquadratic": ProtocolEntry(build_phase_king_subquadratic),
     "static-committee": ProtocolEntry(build_static_committee),
-    "round-eligibility": ProtocolEntry(
-        build_round_eligibility, accepts_params=True, takes_mode=True),
-    "dolev-strong": ProtocolEntry(build_dolev_strong, input_style="sender"),
-    "naive-broadcast": ProtocolEntry(
-        build_naive_broadcast, input_style="sender"),
-    "broadcast-from-ba": ProtocolEntry(
-        build_broadcast_from_ba, input_style="sender"),
+    "round-eligibility": ProtocolEntry(build_round_eligibility),
+    "dolev-strong": ProtocolEntry(build_dolev_strong),
+    "naive-broadcast": ProtocolEntry(build_naive_broadcast),
+    "broadcast-from-ba": ProtocolEntry(build_broadcast_from_ba),
 }
 
 
-def _no_adversary(instance, **kwargs):
-    return None
+def _instance_blind(adversary: Callable[..., Any]) -> Callable[..., Any]:
+    """A factory ``(instance, **kwargs)`` over an adversary that is built
+    from its keyword arguments alone."""
+    return lambda instance, **kwargs: adversary(**kwargs)
 
 
-def _crash_adversary(instance, **kwargs):
-    return CrashAdversary(**kwargs)
-
-
-def _delay_adversary(instance, **kwargs):
-    return DelayAdversary(**kwargs)
-
-
-def _actual_faults_adversary(instance, **kwargs):
-    return ActualFaultsAdversary(**kwargs)
-
-
+#: Factories ``(instance, **kwargs) -> adversary``; workers look them up
+#: by name (:class:`AdversaryFactorySpec`), so they are never pickled.
 ADVERSARIES: Dict[str, Callable[..., Any]] = {
-    "none": _no_adversary,
-    "actual-faults": _actual_faults_adversary,
-    "crash": _crash_adversary,
-    "delay": _delay_adversary,
+    "none": lambda instance, **kwargs: None,
+    "actual-faults": _instance_blind(ActualFaultsAdversary),
+    "crash": _instance_blind(CrashAdversary),
+    "delay": _instance_blind(DelayAdversary),
     "equivocate": StaticEquivocationAdversary,
     "ack-equivocate": AckEquivocationAdversary,
     "speaker": AdaptiveSpeakerAdversary,
@@ -301,19 +281,14 @@ class ScenarioSpec:
 
     def cells(self) -> List["Cell"]:
         """Expand the grid cross-product into bound cells."""
-        if self.executor not in EXECUTORS:
-            raise ConfigurationError(
-                f"unknown executor {self.executor!r} "
-                f"(have {sorted(EXECUTORS)})")
+        _known(EXECUTORS, self.executor, "executor")
         axes = list(self.grid.items())
         for axis, values in axes:
             if not isinstance(values, Sequence) or isinstance(values, str):
                 raise ConfigurationError(
                     f"grid axis {axis!r} must be a sequence of values")
-        points = itertools.product(*(values for _, values in axes)) \
-            if axes else [()]
         cells = []
-        for point in points:
+        for point in itertools.product(*(values for _, values in axes)):
             bindings = dict(self.fixed)
             bindings.update(zip((axis for axis, _ in axes), point))
             cells.append(_bind_cell(self, bindings))
@@ -329,10 +304,8 @@ class SweepSpec:
     description: str = ""
 
     def expand(self) -> List["Cell"]:
-        cells: List[Cell] = []
-        for scenario in self.scenarios:
-            cells.extend(scenario.cells())
-        return cells
+        return [cell for scenario in self.scenarios
+                for cell in scenario.cells()]
 
 
 @dataclass(frozen=True)
@@ -368,6 +341,14 @@ class Cell:
         return dict(self.kwargs)
 
 
+def _known(registry: Mapping[str, Any], key: str, noun: str) -> Any:
+    """``registry[key]``, or a configuration error naming the known keys."""
+    if key not in registry:
+        raise ConfigurationError(
+            f"unknown {noun} {key!r} (have {sorted(registry)})")
+    return registry[key]
+
+
 def _resolve_f(raw: Mapping[str, Any], n: Optional[int]) -> Optional[int]:
     f = raw.get("f")
     if callable(f):
@@ -384,25 +365,36 @@ def _resolve_f(raw: Mapping[str, Any], n: Optional[int]) -> Optional[int]:
     return None
 
 
+def _preset_or_value(binding: Any, key: str, presets: Mapping[str, Any],
+                     registry: str, kind: type, noun: str,
+                     ) -> Tuple[Any, Optional[str]]:
+    """A reserved binding given as a preset name or as a ``kind`` value:
+    the resolved value and its artifact-row label (both None unbound)."""
+    if binding is None:
+        return None, None
+    if isinstance(binding, str):
+        return _known(presets, binding, noun), binding
+    if isinstance(binding, kind):
+        return binding, binding.describe()
+    raise ConfigurationError(
+        f"{key} binding must be a {registry} name or a "
+        f"{kind.__name__}, got {binding!r}")
+
+
 def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
     """Resolve one grid point's reserved bindings into a :class:`Cell`."""
     executor = EXECUTORS[spec.executor]
     entry: Optional[ProtocolEntry] = None
     if spec.protocol is not None:
-        if spec.protocol not in PROTOCOLS:
-            raise ConfigurationError(
-                f"unknown protocol {spec.protocol!r} "
-                f"(have {sorted(PROTOCOLS)})")
-        entry = PROTOCOLS[spec.protocol]
+        entry = _known(PROTOCOLS, spec.protocol, "protocol")
     elif executor.needs_protocol:
         raise ConfigurationError(
             f"scenario {spec.name!r}: executor {spec.executor!r} "
             "requires a protocol")
 
     adversary = raw.pop("adversary", spec.adversary)
-    if adversary is not None and adversary not in ADVERSARIES:
-        raise ConfigurationError(
-            f"unknown adversary {adversary!r} (have {sorted(ADVERSARIES)})")
+    if adversary is not None:
+        _known(ADVERSARIES, adversary, "adversary")
     # ``adversary_<kw>``-prefixed bindings are grid-able adversary
     # keyword arguments: ``adversary_actual`` on a grid axis becomes
     # ``actual=...`` to the cell's adversary factory (over any value in
@@ -421,44 +413,14 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
             f"({sorted(key for key, _ in adversary_axes)}) require an "
             "adversary binding to apply to")
     inputs_key = raw.pop("inputs", spec.inputs)
-    if inputs_key is not None and inputs_key not in INPUTS:
-        raise ConfigurationError(
-            f"unknown input distribution {inputs_key!r} "
-            f"(have {sorted(INPUTS)})")
-    network_binding = raw.pop("network", None)
-    network: Optional[NetworkConditions] = None
-    network_label: Optional[str] = None
-    if isinstance(network_binding, str):
-        if network_binding not in NETWORKS:
-            raise ConfigurationError(
-                f"unknown network conditions {network_binding!r} "
-                f"(have {sorted(NETWORKS)})")
-        network = NETWORKS[network_binding]
-        network_label = network_binding
-    elif isinstance(network_binding, NetworkConditions):
-        network = network_binding
-        network_label = network.describe()
-    elif network_binding is not None:
-        raise ConfigurationError(
-            f"network binding must be a NETWORKS name or a "
-            f"NetworkConditions, got {network_binding!r}")
-    topology_binding = raw.pop("topology", None)
-    topology: Optional[LinkTopology] = None
-    topology_label: Optional[str] = None
-    if isinstance(topology_binding, str):
-        if topology_binding not in TOPOLOGIES:
-            raise ConfigurationError(
-                f"unknown topology {topology_binding!r} "
-                f"(have {sorted(TOPOLOGIES)})")
-        topology = TOPOLOGIES[topology_binding]
-        topology_label = topology_binding
-    elif isinstance(topology_binding, LinkTopology):
-        topology = topology_binding
-        topology_label = topology.describe()
-    elif topology_binding is not None:
-        raise ConfigurationError(
-            f"topology binding must be a TOPOLOGIES name or a "
-            f"LinkTopology, got {topology_binding!r}")
+    if inputs_key is not None:
+        _known(INPUTS, inputs_key, "input distribution")
+    network, network_label = _preset_or_value(
+        raw.pop("network", None), "network", NETWORKS, "NETWORKS",
+        NetworkConditions, "network conditions")
+    topology, topology_label = _preset_or_value(
+        raw.pop("topology", None), "topology", TOPOLOGIES, "TOPOLOGIES",
+        LinkTopology, "topology")
     if topology is not None:
         # The binding wins over any topology baked into an inline
         # NetworkConditions value — a 'uniform' axis point *strips* a
@@ -510,7 +472,8 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
     kwargs = {key: value for key, value in raw.items()
               if key not in reserved}
     if isinstance(kwargs.get("ba_builder"), str):
-        kwargs["ba_builder"] = PROTOCOLS[kwargs["ba_builder"]].builder
+        kwargs["ba_builder"] = _known(
+            PROTOCOLS, kwargs["ba_builder"], "ba_builder").builder
     if n is not None:
         kwargs["n"] = n
     # Fold lam/epsilon axes into SecurityParameters for builders that
@@ -526,7 +489,7 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
                 f"scenario {spec.name!r}: both a pre-built params binding "
                 "and lam/epsilon given — the latter would be ignored")
         if (lam is not None and entry is not None
-                and not entry.accepts_params):
+                and not entry.takes("params")):
             raise ConfigurationError(
                 f"scenario {spec.name!r}: protocol {spec.protocol!r} does "
                 "not accept params; the lam binding would be ignored")
@@ -534,23 +497,16 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
             raise ConfigurationError(
                 f"scenario {spec.name!r}: epsilon requires a lam binding "
                 "to fold into SecurityParameters")
-        if lam is not None and (entry is None or entry.accepts_params):
+        if lam is not None:
             params_kwargs: Dict[str, Any] = {"lam": lam}
             if epsilon is not None:
                 params_kwargs["epsilon"] = epsilon
             kwargs["params"] = SecurityParameters(**params_kwargs)
-    if entry is not None and entry.input_style == "per-node":
-        if "inputs" not in kwargs:
-            kwargs["inputs"] = INPUTS[inputs_key or "mixed"](n)
+    if entry is not None and entry.takes("inputs") and "inputs" not in kwargs:
+        kwargs["inputs"] = INPUTS[inputs_key or "mixed"](n)
 
-    seen = set()
-    bindings: List[Tuple[str, Any]] = []
-
-    def _record(key: str, value: Any) -> None:
-        if key not in seen:
-            seen.add(key)
-            bindings.append((key, value))
-
+    bindings: Dict[str, Any] = {}
+    _record = bindings.setdefault  # the first binding of a name wins
     for key in ("n", "f", "f_fraction", "lam", "epsilon"):
         if key == "f":
             if f is not None:
@@ -565,12 +521,10 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
         _record("adversary", adversary)
     for key, value in adversary_axes:
         _record(key, value)
-    if inputs_key is not None:
-        _record("inputs", inputs_key)
-    if network_label is not None:
-        _record("network", network_label)
-    if topology_label is not None:
-        _record("topology", topology_label)
+    for key, value in (("inputs", inputs_key), ("network", network_label),
+                       ("topology", topology_label)):
+        if value is not None:
+            _record(key, value)
 
     return Cell(
         scenario=spec.name,
@@ -584,7 +538,7 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
         f=f,
         seeds=tuple(spec.seeds),
         kwargs=tuple(kwargs.items()),
-        bindings=tuple(bindings),
+        bindings=tuple(bindings.items()),
     )
 
 
@@ -642,26 +596,15 @@ def _stats_metrics(stats: TrialStats, entry: ProtocolEntry) -> Dict[str, Any]:
         metrics["max_in_flight"] = stats.max_in_flight
         metrics["dropped_copies"] = stats.dropped_copies
         # Scheduler accounting.  Both columns are engine-invariant (the
-        # lock-step synchronizer executes the idle ticks the event
-        # engine skips, and counts the same number), so artifacts stay
-        # byte-identical across schedulers — the CI event-engine-smoke
-        # job cmp's them directly.
+        # lock-step reference in tests/engines.py executes the idle
+        # ticks the event engine skips, and counts the same number):
+        # tests/test_event_engine_differential.py compares whole sweep
+        # artifacts across the two.
         metrics["skipped_ticks"] = stats.skipped_ticks
         metrics["events_processed"] = stats.events_processed
-    # Likewise the rounds-saved column appears only for the early-stop
-    # protocol variants, whose whole point it measures.
-    if entry.early_stopping:
-        metrics["mean_rounds_saved"] = stats.mean_rounds_saved
-    # And the view-accounting columns only for the leader family (these
-    # additions are what bumped STORE_SALT to v3).
-    if entry.view_based:
-        metrics.update(view_columns(stats.results))
-    # And the words/fault-count accounting only for the adaptive family,
-    # whose claim is words = O((f* + 1) n) (the v4 STORE_SALT bump).
-    # ``mean_words`` is the classical word count (Definition 6) — the
-    # fast path is built from unicasts the multicast columns do not see.
-    if entry.adaptive:
-        metrics.update(adaptive_columns(stats.results))
+    # Likewise each protocol's own columns: only in its own rows.
+    for columns in entry.columns:
+        metrics.update(columns(stats.results))
     return metrics
 
 
@@ -679,7 +622,7 @@ def _trials_call(cell: Cell, coin_cache: Optional[SharedLotteryCache],
     """A cell as :func:`run_trials` / :func:`submit_trials` arguments."""
     entry = PROTOCOLS[cell.protocol]
     kwargs = cell.builder_kwargs()
-    if (coin_cache is not None and entry.shares_lottery
+    if (coin_cache is not None and entry.takes("coin_cache")
             and kwargs.get("mode", "fmine") == "fmine"
             and "eligibility" not in kwargs):
         kwargs["coin_cache"] = coin_cache
@@ -688,9 +631,7 @@ def _trials_call(cell: Cell, coin_cache: Optional[SharedLotteryCache],
         factory = AdversaryFactorySpec(cell.adversary, cell.adversary_kwargs)
     return dict(
         builder=entry.builder, f=cell.f, seeds=cell.seeds,
-        adversary_factory=factory, conditions=cell.network,
-        builder_takes_conditions=entry.early_stopping or entry.takes_conditions,
-        **kwargs)
+        adversary_factory=factory, conditions=cell.network, **kwargs)
 
 
 def _submit_trials(cell: Cell, coin_cache: Optional[SharedLotteryCache],
@@ -735,49 +676,28 @@ def _execute_per_seed(cell: Cell, workers: int,
             _stats_metrics(stats, PROTOCOLS[cell.protocol]))
 
 
-def _attack_kwargs(cell: Cell) -> Dict[str, Any]:
-    kwargs = cell.builder_kwargs()
-    kwargs.pop("n", None)  # passed positionally by the attack runners
-    return kwargs
+def _attack_executor(runner: str):
+    """An executor over the :mod:`repro.lowerbounds` harness ``runner``
+    (looked up on first use: that package itself imports this one).
+    What the harness receives follows the executor's own requirements:
+    one ``seed`` or all ``seeds``, and — when it attacks a registry
+    protocol — that builder with the cell's corruption budget and
+    network conditions."""
 
-
-def _execute_theorem4(cell: Cell, workers: int,
-                      coin_cache: Optional[SharedLotteryCache],
-                      pool=None):
-    from repro.lowerbounds import run_theorem4_attack
-    report = run_theorem4_attack(
-        PROTOCOLS[cell.protocol].builder, n=cell.n, f=cell.f,
-        seeds=cell.seeds, conditions=cell.network, **_attack_kwargs(cell))
-    return report, _report_metrics(report)
-
-
-def _execute_theorem4_census(cell: Cell, workers: int,
-                             coin_cache: Optional[SharedLotteryCache],
-                             pool=None):
-    from repro.lowerbounds.theorem4 import run_theorem4_census
-    census = run_theorem4_census(
-        PROTOCOLS[cell.protocol].builder, n=cell.n, f=cell.f,
-        seeds=cell.seeds, conditions=cell.network, **_attack_kwargs(cell))
-    return census, _report_metrics(census)
-
-
-def _execute_dolev_reischuk(cell: Cell, workers: int,
-                            coin_cache: Optional[SharedLotteryCache],
-                            pool=None):
-    from repro.lowerbounds import run_dolev_reischuk_attack
-    report = run_dolev_reischuk_attack(
-        PROTOCOLS[cell.protocol].builder, n=cell.n, f=cell.f,
-        seed=cell.seeds[0], conditions=cell.network, **_attack_kwargs(cell))
-    return report, _report_metrics(report)
-
-
-def _execute_hypothetical(cell: Cell, workers: int,
-                          coin_cache: Optional[SharedLotteryCache],
-                          pool=None):
-    from repro.lowerbounds import run_hypothetical_experiment
-    report = run_hypothetical_experiment(
-        seed=cell.seeds[0], **cell.builder_kwargs())
-    return report, _report_metrics(report)
+    def execute(cell: Cell, workers: int,
+                coin_cache: Optional[SharedLotteryCache], pool=None):
+        requires = EXECUTORS[cell.executor]
+        kwargs = cell.builder_kwargs()
+        if requires.single_seed:
+            kwargs["seed"] = cell.seeds[0]
+        else:
+            kwargs["seeds"] = cell.seeds
+        if requires.needs_protocol:
+            kwargs.update(builder=PROTOCOLS[cell.protocol].builder,
+                          f=cell.f, conditions=cell.network)
+        report = getattr(import_module("repro.lowerbounds"), runner)(**kwargs)
+        return report, _report_metrics(report)
+    return execute
 
 
 def _execute_committee_census(cell: Cell, workers: int,
@@ -831,15 +751,16 @@ EXECUTORS: Dict[str, Executor] = {
     # lower-bound attacks are a network binding away (the proofs'
     # view-identity arguments assume lock-step; under conditions the
     # reports are empirical, see docs/NETWORK.md).
-    "theorem4": Executor(_execute_theorem4, folds_params=False,
-                         supports_network=True),
-    "theorem4-census": Executor(_execute_theorem4_census,
+    "theorem4": Executor(_attack_executor("run_theorem4_attack"),
+                         folds_params=False, supports_network=True),
+    "theorem4-census": Executor(_attack_executor("run_theorem4_census"),
                                 folds_params=False, supports_network=True),
-    "dolev-reischuk": Executor(_execute_dolev_reischuk, folds_params=False,
-                               single_seed=True, supports_network=True),
+    "dolev-reischuk": Executor(
+        _attack_executor("run_dolev_reischuk_attack"),
+        folds_params=False, single_seed=True, supports_network=True),
     "hypothetical": Executor(
-        _execute_hypothetical, needs_protocol=False, needs_f=False,
-        single_seed=True),
+        _attack_executor("run_hypothetical_experiment"),
+        needs_protocol=False, needs_f=False, single_seed=True),
     "committee-census": Executor(_execute_committee_census,
                                  needs_protocol=False),
 }

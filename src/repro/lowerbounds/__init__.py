@@ -14,7 +14,11 @@ from repro.lowerbounds.dolev_reischuk import (
     DolevReischukReport,
     run_dolev_reischuk_attack,
 )
-from repro.lowerbounds.theorem4 import Theorem4Report, run_theorem4_attack
+from repro.lowerbounds.theorem4 import (
+    Theorem4Report,
+    run_theorem4_attack,
+    run_theorem4_census,
+)
 from repro.lowerbounds.no_pki import HypotheticalReport, run_hypothetical_experiment
 
 __all__ = [
@@ -22,6 +26,7 @@ __all__ = [
     "run_dolev_reischuk_attack",
     "Theorem4Report",
     "run_theorem4_attack",
+    "run_theorem4_census",
     "HypotheticalReport",
     "run_hypothetical_experiment",
 ]

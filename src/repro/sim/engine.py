@@ -18,23 +18,22 @@ is reached, after which outputs are finalized (undecided nodes fall back
 to their protocol's default, as in the Theorem 4 termination convention).
 
 Conditioned executions (``conditions=``) are driven by an **event
-scheduler** by default: instead of ticking the network once per Δ
-network round, the engine reads the head of the conditioned network's
-calendar queue and jumps the clock straight to the next tick that has
-any work — a staging window to drain, a due
-delivery, or a protocol step.  Idle Δ-ticks in between are skipped
-outright (``NetworkStats.skipped_ticks`` counts them), which is where
-sparse-latency WAN topologies win their wall clock.  The historical
-Δ-lockstep synchronizer is retained as :func:`legacy_synchronize`
-(selectable via ``scheduler="lockstep"`` or ``REPRO_SCHEDULER``), and
-the differential conformance suite asserts the two produce *identical*
-executions — same decisions, rounds, transcripts, NetworkStats, and RNG
-draw order.  See ``docs/NETWORK.md`` ("Event engine").
+scheduler**: instead of ticking the network once per Δ network round,
+the engine reads the head of the conditioned network's calendar queue
+and jumps the clock straight to the next tick that has any work — a
+staging window to drain, a due delivery, or a protocol step.  Idle
+Δ-ticks in between are skipped outright (``NetworkStats.skipped_ticks``
+counts them), which is where sparse-latency WAN topologies win their
+wall clock.  The historical Δ-lockstep synchronizer lives on as the
+differential reference in ``tests/engines.py`` (a :class:`Simulation`
+subclass overriding :meth:`Simulation._run_conditioned`), and the
+conformance suite asserts the two produce *identical* executions — same
+decisions, rounds, transcripts, NetworkStats, and RNG draw order.  See
+``docs/NETWORK.md`` ("Event engine").
 """
 
 from __future__ import annotations
 
-import os
 import random
 from typing import Dict, Optional, Sequence
 
@@ -58,31 +57,6 @@ TRANSCRIPT_METRICS_ONLY = "metrics-only"
 
 _RETENTION_POLICIES = (TRANSCRIPT_FULL, TRANSCRIPT_METRICS_ONLY)
 
-#: Conditioned executions pop the delivery event queue and skip idle
-#: Δ-ticks (the default).
-SCHEDULER_EVENT = "event"
-#: Conditioned executions tick the network once per Δ network round —
-#: the historical synchronizer, kept as the conformance reference.
-SCHEDULER_LOCKSTEP = "lockstep"
-
-_SCHEDULERS = (SCHEDULER_EVENT, SCHEDULER_LOCKSTEP)
-
-#: Environment override for the default scheduler; lets whole sweeps
-#: (worker processes inherit the environment) run under the lock-step
-#: reference for artifact-level A/B comparison, as the CI
-#: event-engine-smoke job does.
-SCHEDULER_ENV_VAR = "REPRO_SCHEDULER"
-
-
-def default_scheduler() -> str:
-    """The scheduler conditioned executions use when none is passed."""
-    choice = os.environ.get(SCHEDULER_ENV_VAR, SCHEDULER_EVENT)
-    if choice not in _SCHEDULERS:
-        raise SimulationError(
-            f"unknown scheduler {choice!r} in ${SCHEDULER_ENV_VAR}; "
-            f"expected one of {_SCHEDULERS}")
-    return choice
-
 
 class Simulation:
     """A single protocol execution against one adversary."""
@@ -100,7 +74,6 @@ class Simulation:
         mining_capabilities: Optional[Sequence] = None,
         transcript_retention: str = TRANSCRIPT_FULL,
         conditions: Optional[NetworkConditions] = None,
-        scheduler: Optional[str] = None,
     ) -> None:
         if not nodes:
             raise SimulationError("need at least one node")
@@ -108,13 +81,6 @@ class Simulation:
             raise SimulationError(
                 f"unknown transcript retention {transcript_retention!r}; "
                 f"expected one of {_RETENTION_POLICIES}")
-        if scheduler is None:
-            scheduler = default_scheduler()
-        elif scheduler not in _SCHEDULERS:
-            raise SimulationError(
-                f"unknown scheduler {scheduler!r}; "
-                f"expected one of {_SCHEDULERS}")
-        self.scheduler = scheduler
         self.nodes = list(nodes)
         self.n = len(nodes)
         self.transcript_retention = transcript_retention
@@ -206,13 +172,12 @@ class Simulation:
         return all(node.halted or self.controller.is_corrupt(node.node_id)
                    for node in self.nodes)
 
-    def _run_event(self) -> int:
+    def _run_conditioned(self) -> int:
         """The event-driven partial-synchrony loop.
 
-        Same synchronizer argument as :func:`legacy_synchronize` — one
-        protocol step per Δ network rounds, so every Δ-bounded delivery
-        lands before the step that needs it — but the clock only visits
-        ticks that have work: the tick after a step (its staging window
+        The synchronizer argument — one protocol step per Δ network
+        rounds, so every Δ-bounded delivery lands before the step that
+        needs it — with a clock that only visits ticks that have work: the tick after a step (its staging window
         must drain into the calendar queue, in staging order, so the RNG
         stream is untouched), every tick with a due delivery (its bucket
         is appended to the step buffers in scheduling order), and every
@@ -268,10 +233,7 @@ class Simulation:
 
         rounds_executed = 0
         if self.conditions is not None:
-            if self.scheduler == SCHEDULER_LOCKSTEP:
-                rounds_executed = legacy_synchronize(self)
-            else:
-                rounds_executed = self._run_event()
+            rounds_executed = self._run_conditioned()
         else:
             for round_index in range(self.max_rounds):
                 self.current_round = round_index
@@ -308,50 +270,3 @@ class Simulation:
             network_stats=getattr(self.network, "stats", None),
             rounds_budget=self.max_rounds,
         )
-
-
-def legacy_synchronize(simulation: Simulation) -> int:
-    """Reference implementation of the conditioned loop: the Δ-lockstep
-    synchronizer, ticking the network once per network round.
-
-    The synchronizer argument: with every copy delivered within Δ
-    network rounds of sending (post-GST), stepping the protocol only
-    every Δ rounds guarantees each step sees everything the previous
-    step sent — so a lock-step protocol runs unchanged under any
-    Δ-bounded delivery schedule.  ``current_round`` (and everything
-    the adversary and the nodes see) stays in *protocol* rounds; the
-    network keeps its own network-round clock for scheduling.
-    Deliveries landing between steps accumulate into per-node
-    buffers handed over at the next step.
-
-    Kept as the conformance reference for the event scheduler (as
-    ``legacy_deliver`` in ``tests/test_delivery_differential.py`` is for
-    batched delivery): the differential
-    suite (``tests/test_event_engine_differential.py``) runs whole
-    executions through both paths and asserts identity of decisions,
-    rounds, transcripts, NetworkStats, and RNG draw order.  Selectable
-    per execution via ``Simulation(scheduler="lockstep")`` or globally
-    via ``REPRO_SCHEDULER=lockstep``.
-    """
-    stretch = simulation.conditions.delta
-    n = simulation.n
-    buffered: Dict[NodeId, list] = {node: [] for node in range(n)}
-    rounds_executed = 0
-    for network_round in range(simulation.max_rounds * stretch):
-        inboxes = simulation.network.deliver()
-        for node, deliveries in inboxes.items():
-            if deliveries:
-                buffered[node].extend(deliveries)
-        if network_round % stretch:
-            continue
-        round_index = network_round // stretch
-        simulation.current_round = round_index
-        simulation.adversary.observe_deliveries(round_index, buffered)
-        simulation._honest_step(round_index, buffered)
-        buffered = {node: [] for node in range(n)}
-        simulation.adversary.react(round_index,
-                                   simulation.network.in_flight())
-        rounds_executed = round_index + 1
-        if simulation._all_honest_halted():
-            break
-    return rounds_executed

@@ -11,11 +11,10 @@ import dataclasses
 import pytest
 
 from repro.adversaries import ActualFaultsAdversary, CrashAdversary
-from repro.harness.runner import run_instance
 from repro.protocols import build_adaptive_ba
 from repro.sim.conditions import NETWORKS
-from repro.sim.engine import SCHEDULER_EVENT, SCHEDULER_LOCKSTEP, Simulation
-from tests.engines import both_engines
+from tests import engines
+from tests.engines import EVENT, LOCKSTEP, SIMULATIONS, both_engines
 
 
 def _snapshot(result):
@@ -62,21 +61,21 @@ GRID = [(network, adversary)
 ]
 
 
-def _execute(network, adversary, scheduler, **kwargs):
+def _execute(network, adversary, engine, **kwargs):
     conditions = NETWORKS[network]
     instance = build_adaptive_ba(10, 3, _inputs(10), seed=7,
                                  conditions=conditions)
-    return run_instance(instance, 3, ADVERSARIES[adversary](),
-                        seed=7, conditions=conditions, scheduler=scheduler,
-                        **kwargs)
+    return engines.run(instance, 3, ADVERSARIES[adversary](),
+                       seed=7, conditions=conditions, engine=engine,
+                       **kwargs)
 
 
 class TestBothEnginesIdentity:
     @pytest.mark.parametrize("network,adversary", GRID,
                              ids=[f"{n}-{a}" for n, a in GRID])
     def test_event_engine_matches_lockstep(self, network, adversary):
-        event = _execute(network, adversary, SCHEDULER_EVENT)
-        lockstep = _execute(network, adversary, SCHEDULER_LOCKSTEP)
+        event = _execute(network, adversary, EVENT)
+        lockstep = _execute(network, adversary, LOCKSTEP)
         assert _snapshot(event) == _snapshot(lockstep)
         # Real conditioned executions, not fast-path ones — and the
         # guarantees hold while the engines agree.
@@ -94,17 +93,16 @@ class TestBothEnginesIdentity:
         same state under both loops."""
         conditions = NETWORKS["lossy"]
 
-        def final_rng_state(scheduler):
+        def final_rng_state(engine):
             instance = build_adaptive_ba(10, 3, _inputs(10), seed=13,
                                          conditions=conditions)
-            simulation = Simulation(
+            simulation = SIMULATIONS[engine](
                 nodes=instance.nodes, corruption_budget=3, seed=13,
                 max_rounds=instance.max_rounds, inputs=instance.inputs,
                 signing_capabilities=instance.signing_capabilities,
                 mining_capabilities=instance.mining_capabilities,
-                conditions=conditions, scheduler=scheduler)
+                conditions=conditions)
             simulation.run()
             return simulation.network._rng.getstate()
 
-        assert final_rng_state(SCHEDULER_EVENT) == \
-            final_rng_state(SCHEDULER_LOCKSTEP)
+        assert final_rng_state(EVENT) == final_rng_state(LOCKSTEP)

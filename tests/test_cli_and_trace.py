@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import main
 from repro.harness import run_instance
+from repro.harness.scenarios import PROTOCOLS as REGISTRY
 from repro.protocols import build_quadratic_ba, build_subquadratic_ba
 from repro.sim.trace import (
     committee_per_topic,
@@ -141,27 +142,71 @@ class TestRegistryParity:
         assert [line.split()[0] for line in lines] == sorted(SWEEPS)
 
     def test_run_protocols_derived_from_scenario_registry(self):
-        from repro.cli import EARLY_STOP_PROTOCOLS, PROTOCOLS
-        from repro.harness.scenarios import PROTOCOLS as REGISTRY
+        from repro.cli import PROTOCOLS
 
-        assert set(PROTOCOLS) == {
-            key for key, entry in REGISTRY.items()
-            if entry.input_style == "per-node"}
-        for key, builder in PROTOCOLS.items():
-            assert builder is REGISTRY[key].builder
-        assert EARLY_STOP_PROTOCOLS == {
-            key for key, entry in REGISTRY.items() if entry.early_stopping}
+        assert PROTOCOLS == {
+            key: entry for key, entry in REGISTRY.items()
+            if entry.takes("inputs")}
+        # What stays sweep-only is exactly the sender-style builders.
+        assert set(REGISTRY) - set(PROTOCOLS) == {
+            "dolev-strong", "naive-broadcast", "broadcast-from-ba"}
+        assert all(REGISTRY[key].takes("sender_input")
+                   for key in set(REGISTRY) - set(PROTOCOLS))
 
-    def test_mode_flag_reaches_every_mode_taking_protocol(self):
-        # --mode must never be silently dropped: the CLI forwards it to
-        # exactly the registry protocols flagged takes_mode (including
-        # round-eligibility, which takes mode but shares no lottery).
-        from repro.cli import _MODE_PROTOCOLS
-        from repro.harness.scenarios import PROTOCOLS as REGISTRY
+    @pytest.mark.parametrize("key", sorted(
+        key for key, entry in REGISTRY.items() if entry.takes("inputs")))
+    def test_mode_flag_reaches_every_mode_taking_protocol(
+            self, key, capsys, monkeypatch):
+        # --mode must never be silently dropped: it reaches the builder
+        # of every runnable protocol that names a ``mode`` parameter
+        # (including round-eligibility, which takes mode but shares no
+        # lottery) and is a usage error on every other one.
+        import functools
 
-        assert _MODE_PROTOCOLS == {
-            key for key, entry in REGISTRY.items() if entry.takes_mode}
-        assert "round-eligibility" in _MODE_PROTOCOLS
+        from repro import cli
+        from repro.harness.scenarios import ProtocolEntry
+
+        entry = REGISTRY[key]
+        received = {}
+
+        @functools.wraps(entry.builder)
+        def spy(**kwargs):
+            received.update(kwargs)
+            return entry.builder(**kwargs)
+
+        monkeypatch.setitem(cli.PROTOCOLS, key,
+                            ProtocolEntry(spy, entry.columns))
+        argv = ["run", "--protocol", key, "-n", "13", "-f", "2",
+                "--mode", "vrf"]
+        if entry.takes("params"):
+            argv += ["--lam", "8"]
+        code = main(argv)
+        captured = capsys.readouterr()
+        if entry.takes("mode"):
+            assert code == 0 and received["mode"] == "vrf"
+            assert received["params"].lam == 8
+        else:
+            assert code == 2 and not received
+            assert captured.err.startswith("run: --mode only applies")
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("flag, value, protocol", [
+        ("--lam", "8", "quadratic"),
+        ("--lam", "30", "leader-ba"),       # even the default, spelled out
+        ("--mode", "fmine", "phase-king"),  # likewise
+        ("--mode", "vrf", "adaptive-ba"),
+    ])
+    def test_run_flag_the_builder_does_not_take_exits_2(
+            self, capsys, flag, value, protocol):
+        """An explicit ``--lam`` / ``--mode`` on a builder that takes no
+        ``params`` / ``mode`` is a usage error, not silently dropped."""
+        assert main(["run", "--protocol", protocol, "-n", "9",
+                     flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"run: {flag} only applies to")
+        assert captured.out == ""
+        # Left unsaid, the defaults resolve quietly.
+        assert main(["run", "--protocol", protocol, "-n", "9"]) == 0
 
     def test_run_round_eligibility_vrf_mode(self, capsys):
         code = main(["run", "--protocol", "round-eligibility", "-n", "13",

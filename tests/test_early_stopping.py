@@ -28,6 +28,7 @@ from repro.protocols.messages import AckMsg
 from repro.protocols.phase_king import phase_king_rounds
 from repro.sim.adversary import Adversary
 from repro.sim.conditions import NETWORKS, NetworkConditions
+from tests import engines
 from tests.engines import both_engines
 
 
@@ -107,8 +108,7 @@ class TestPhaseKingEarlyStop:
         stats = run_trials(
             build_phase_king_early_stop, f=f, seeds=range(3),
             adversary_factory=lambda instance: CrashAdversary(),
-            conditions=NETWORKS["perfect"], builder_takes_conditions=True,
-            n=n, inputs=[1] * n)
+            conditions=NETWORKS["perfect"], n=n, inputs=[1] * n)
         assert stats.consistency_rate == 1.0
         assert stats.validity_rate == 1.0
         assert stats.mean_rounds_saved == 0.0
@@ -173,8 +173,8 @@ class TestPhaseKingEarlyStop:
         for seed in range(5):
             instance = build_phase_king_early_stop(
                 n, f, [1] * n, seed=seed, conditions=conditions)
-            result = run_instance(instance, f, seed=seed,
-                                  conditions=conditions, scheduler=engine)
+            result = engines.run(instance, f, seed=seed,
+                                 conditions=conditions, engine=engine)
             assert result.consistent() and result.agreement_valid()
             assert min(result.decision_rounds()) > trusted
 
@@ -195,8 +195,8 @@ class TestPhaseKingEarlyStop:
             instance = build_phase_king_early_stop(
                 n, f, [i % 2 for i in range(n)], seed=seed,
                 conditions=conditions)
-            result = run_instance(instance, f, seed=seed,
-                                  conditions=conditions, scheduler=engine)
+            result = engines.run(instance, f, seed=seed,
+                                 conditions=conditions, engine=engine)
             assert result.consistent(), (trial, delta, gst, drop, seed)
             assert result.agreement_valid(), (trial, delta, gst, drop, seed)
             assert result.all_decided(), (trial, delta, gst, drop, seed)
@@ -255,8 +255,8 @@ class TestQuadraticEarlyStop:
             instance = build_quadratic_ba_early_stop(
                 n, f, [i % 2 for i in range(n)], seed=seed,
                 conditions=conditions)
-            result = run_instance(instance, f, adversary, seed=seed,
-                                  conditions=conditions, scheduler=engine)
+            result = engines.run(instance, f, adversary, seed=seed,
+                                 conditions=conditions, engine=engine)
             assert result.consistent(), (trial, delta, gst, seed)
             assert result.agreement_valid(), (trial, delta, gst, seed)
 

@@ -288,7 +288,7 @@ class TestAgreementAcrossSampledConfigurations:
                     fraction=rng.choice((0.5, 1.0)), seed=seed)
             instance = build_quadratic_ba(n, f, inputs, seed=seed)
             result = run_instance(instance, f, adversary, seed=seed,
-                                  conditions=conditions, scheduler="event")
+                                  conditions=conditions)
             context = f"case {case}: {conditions.describe()}"
             assert result.consistent(), f"agreement broken ({context})"
             assert result.agreement_valid(), f"validity broken ({context})"

@@ -36,8 +36,8 @@ from repro.protocols import (
 )
 from repro.protocols.leader_ba import decision_view_of
 from repro.sim.conditions import NETWORKS, NetworkConditions
-from repro.sim.engine import SCHEDULER_EVENT, SCHEDULER_LOCKSTEP, Simulation
-from tests.engines import both_engines
+from tests import engines
+from tests.engines import EVENT, LOCKSTEP, SIMULATIONS, both_engines
 
 
 def _snapshot(result):
@@ -95,12 +95,12 @@ def _build(builder, conditions):
                            conditions=conditions)
 
 
-def _execute(builder, network, adversary, scheduler, **kwargs):
+def _execute(builder, network, adversary, engine, **kwargs):
     conditions = NETWORKS[network]
     instance = _build(builder, conditions)
-    return run_instance(instance, 3, ADVERSARIES[adversary](instance),
-                        seed=7, conditions=conditions, scheduler=scheduler,
-                        **kwargs)
+    return engines.run(instance, 3, ADVERSARIES[adversary](instance),
+                       seed=7, conditions=conditions, engine=engine,
+                       **kwargs)
 
 
 class TestBothEnginesIdentity:
@@ -108,9 +108,8 @@ class TestBothEnginesIdentity:
                              ids=[f"{b}-{n}-{a}" for b, n, a in GRID])
     def test_event_engine_matches_lockstep(self, builder, network,
                                            adversary):
-        event = _execute(builder, network, adversary, SCHEDULER_EVENT)
-        lockstep = _execute(builder, network, adversary,
-                            SCHEDULER_LOCKSTEP)
+        event = _execute(builder, network, adversary, EVENT)
+        lockstep = _execute(builder, network, adversary, LOCKSTEP)
         assert _snapshot(event) == _snapshot(lockstep)
         # Real conditioned executions, not fast-path ones — and the
         # guarantees hold while the engines agree.
@@ -128,20 +127,19 @@ class TestBothEnginesIdentity:
         same state under both loops."""
         conditions = NETWORKS["lossy"]
 
-        def final_rng_state(scheduler):
+        def final_rng_state(engine):
             instance = build_leader_ba(10, 3, _inputs(10), seed=13,
                                        conditions=conditions)
-            simulation = Simulation(
+            simulation = SIMULATIONS[engine](
                 nodes=instance.nodes, corruption_budget=3, seed=13,
                 max_rounds=instance.max_rounds, inputs=instance.inputs,
                 signing_capabilities=instance.signing_capabilities,
                 mining_capabilities=instance.mining_capabilities,
-                conditions=conditions, scheduler=scheduler)
+                conditions=conditions)
             simulation.run()
             return simulation.network._rng.getstate()
 
-        assert final_rng_state(SCHEDULER_EVENT) == \
-            final_rng_state(SCHEDULER_LOCKSTEP)
+        assert final_rng_state(EVENT) == final_rng_state(LOCKSTEP)
 
 
 class TestQuorumThreshold:
@@ -175,8 +173,7 @@ class TestQuorumThreshold:
                                        conditions=conditions)
             adversary = ViewSplitAdversary(instance)
             result = run_instance(instance, f, adversary, seed=seed,
-                                  conditions=conditions,
-                                  scheduler=SCHEDULER_EVENT)
+                                  conditions=conditions)
             assert result.consistent(), f"n={n} f={f} seed {seed}"
             assert result.agreement_valid(), f"n={n} f={f} seed {seed}"
 
@@ -194,8 +191,7 @@ class TestLeaderKillerRegressions:
                                        conditions=conditions)
             adversary = LeaderKillerAdversary(instance)
             result = run_instance(instance, 3, adversary, seed=seed,
-                                  conditions=conditions,
-                                  scheduler=SCHEDULER_EVENT)
+                                  conditions=conditions)
             assert result.all_decided(), f"seed {seed}"
             assert result.consistent() and result.agreement_valid()
             # The budget is spent on announced leaders, nobody else.

@@ -38,6 +38,7 @@ from repro.protocols.leader_ba import (
     default_views_per_height,
 )
 from repro.sim.conditions import LinkTopology, NetworkConditions, Partition
+from tests import engines
 
 #: 120 sampled adversarial configurations (above the satellite's 100
 #: floor), split into chunks so a failing sample names a small replay
@@ -138,7 +139,7 @@ class TestLeaderBaProperties:
             inputs, expected = random_inputs(rng, n)
             seed = rng.randint(0, 2**16)
             kind = rng.choice(ADVERSARY_KINDS)
-            scheduler = rng.choice(("lockstep", "event"))
+            engine = rng.choice(("lockstep", "event"))
             budget = default_views_per_height(f, conditions)
 
             instance = build_leader_ba(n, f, inputs, seed=seed,
@@ -146,11 +147,10 @@ class TestLeaderBaProperties:
                                        conditions=conditions)
             histories = instrument_locks(instance)
             adversary = make_adversary(kind, instance, seed)
-            result = run_instance(instance, f, adversary, seed=seed,
-                                  conditions=conditions,
-                                  scheduler=scheduler)
+            result = engines.run(instance, f, adversary, seed=seed,
+                                 conditions=conditions, engine=engine)
             context = (f"case {case}: n={n} f={f} heights={heights} "
-                       f"adversary={kind} {scheduler} "
+                       f"adversary={kind} {engine} "
                        f"{conditions.describe()}")
 
             # Safety: agreement and validity are never violated.
@@ -196,8 +196,7 @@ class TestLeaderBaTargeted:
                                            conditions=conditions)
                 adversary = ViewSplitAdversary(instance)
                 result = run_instance(instance, 2, adversary, seed=seed,
-                                      conditions=conditions,
-                                      scheduler="event")
+                                      conditions=conditions)
                 assert result.consistent() and result.all_decided()
                 assert set(result.honest_outputs) == {bit}
 

@@ -14,6 +14,7 @@ from repro.sim.conditions import (
     Partition,
 )
 from repro.sim.network import SynchronousNetwork
+from tests import engines
 from tests.engines import both_engines
 
 
@@ -268,8 +269,8 @@ class TestPartitions:
         conditions = NETWORKS["split-heal"]
         n, f = 12, 2
         instance = build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=4)
-        result = run_instance(instance, f, seed=4, conditions=conditions,
-                              scheduler=engine)
+        result = engines.run(instance, f, seed=4, conditions=conditions,
+                             engine=engine)
         assert result.consistent()
         assert result.all_decided()
         assert result.network_stats.deferred_copies > 0
@@ -306,17 +307,17 @@ class TestEngineIntegration:
         n, f = 10, 2
         plain = run_instance(
             build_quadratic_ba(n, f, [1] * n, seed=1), f, seed=1)
-        conditioned = run_instance(
+        conditioned = engines.run(
             build_quadratic_ba(n, f, [1] * n, seed=1), f, seed=1,
-            conditions=NETWORKS["wan"], scheduler=engine)
+            conditions=NETWORKS["wan"], engine=engine)
         assert conditioned.rounds_executed == plain.rounds_executed
 
     @both_engines
     def test_network_stats_accounting(self, engine):
         n, f = 10, 2
-        result = run_instance(
+        result = engines.run(
             build_quadratic_ba(n, f, [1] * n, seed=2), f, seed=2,
-            conditions=NETWORKS["wan"], scheduler=engine)
+            conditions=NETWORKS["wan"], engine=engine)
         stats = result.network_stats
         assert stats.delivered_copies > 0
         assert 1.0 <= stats.mean_delivery_latency <= 4.0
@@ -329,6 +330,6 @@ class TestEngineIntegration:
     def test_passive_adversary_and_conditions_compose(self, engine):
         n, f = 8, 2
         instance = build_quadratic_ba(n, f, [0] * n, seed=3)
-        result = run_instance(instance, f, PassiveAdversary(), seed=3,
-                              conditions=NETWORKS["lan"], scheduler=engine)
+        result = engines.run(instance, f, PassiveAdversary(), seed=3,
+                             conditions=NETWORKS["lan"], engine=engine)
         assert result.consistent() and result.agreement_valid()

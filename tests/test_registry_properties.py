@@ -14,10 +14,10 @@ registry key, so a silently filtered entry fails loudly:
   byte-identical results/stats — previously only the leader family and
   the differential five had this.
 
-Build configurations are derived from the registry flags (input style,
-``accepts_params``, conditions support) and the builder signature — not
-from per-protocol knowledge — so registering a protocol is all it takes
-to be covered.
+Build configurations are derived from the builder signature
+(``entry.takes``: per-node inputs or a sender input, ``params``,
+``conditions``) — not from per-protocol knowledge — so registering a
+protocol is all it takes to be covered.
 """
 
 import dataclasses
@@ -26,12 +26,11 @@ import inspect
 import pytest
 
 from repro.adversaries import CrashAdversary
-from repro.harness.runner import run_instance
 from repro.harness.scenarios import PROTOCOLS
 from repro.sim.conditions import NETWORKS
-from repro.sim.engine import SCHEDULER_EVENT, SCHEDULER_LOCKSTEP
 from repro.types import SecurityParameters
-from tests.engines import ENGINES
+from tests import engines
+from tests.engines import ENGINES, EVENT, LOCKSTEP
 
 #: The broadcast sender every sender-style builder defaults to.
 SENDER = 0
@@ -42,19 +41,19 @@ REGISTRY_KEYS = tuple(sorted(PROTOCOLS))
 def _build_config(key):
     """Derive ``(n, f, builder_kwargs)`` from the registry entry alone.
 
-    Committee-sampling protocols (``accepts_params``) need a larger
+    Committee-sampling protocols (they take ``params``) need a larger
     system for their Chernoff-bounded committees to be honest-majority
     at the test seeds; everything else runs at the smallest
     ``n > 3f`` system with headroom.
     """
     entry = PROTOCOLS[key]
     kwargs = {}
-    if entry.accepts_params:
+    if entry.takes("params"):
         n, f = 32, 8
         kwargs["params"] = SecurityParameters(lam=12)
     else:
         n, f = 10, 3
-    if entry.input_style == "sender":
+    if entry.takes("sender_input"):
         kwargs["sender_input"] = 1
     else:
         kwargs["inputs"] = [i % 2 for i in range(n)]
@@ -67,18 +66,14 @@ def _build_config(key):
     return n, f, kwargs
 
 
-def _execute(key, seed, adversary=None, conditions=None, scheduler=None):
+def _execute(key, seed, adversary=None, conditions=None, engine=EVENT):
     entry = PROTOCOLS[key]
     n, f, kwargs = _build_config(key)
-    if conditions is not None and (entry.early_stopping
-                                   or entry.takes_conditions):
+    if conditions is not None and entry.takes("conditions"):
         kwargs["conditions"] = conditions
     instance = entry.builder(n=n, f=f, seed=seed, **kwargs)
-    run_kwargs = {}
-    if scheduler is not None:
-        run_kwargs["scheduler"] = scheduler
-    return run_instance(instance, f, adversary, seed=seed,
-                        conditions=conditions, **run_kwargs)
+    return engines.run(instance, f, adversary, seed=seed,
+                       conditions=conditions, engine=engine)
 
 
 class TestRegistryProperties:
@@ -97,7 +92,7 @@ class TestRegistryProperties:
         assert result.consistent(), key
         assert result.agreement_valid(), key
         assert result.rounds_executed <= result.rounds_budget, key
-        if entry.input_style == "sender":
+        if entry.takes("sender_input"):
             # Honest-sender validity: everyone outputs the broadcast.
             assert result.broadcast_valid(SENDER, 1), key
 
@@ -138,12 +133,11 @@ class TestRegistrySchedulerConformance:
     def test_event_engine_matches_lockstep(self, key):
         """One seeded conditioned execution per registry entry, replayed
         under both schedulers: byte-identical observable results."""
-        assert set(ENGINES) == {SCHEDULER_EVENT, SCHEDULER_LOCKSTEP}
+        assert set(ENGINES) == {EVENT, LOCKSTEP}
         conditions = NETWORKS["lan"]
-        event = _execute(key, seed=3, conditions=conditions,
-                         scheduler=SCHEDULER_EVENT)
+        event = _execute(key, seed=3, conditions=conditions, engine=EVENT)
         lockstep = _execute(key, seed=3, conditions=conditions,
-                            scheduler=SCHEDULER_LOCKSTEP)
+                            engine=LOCKSTEP)
         assert self._snapshot(event) == self._snapshot(lockstep), key
         # Real conditioned executions, not fast-path ones.
         assert event.network_stats is not None

@@ -11,10 +11,19 @@ from repro.eligibility import DifficultySchedule, FMineEligibility
 from repro.eligibility.lottery_cache import SharedLotteryCache, shared_cache
 from repro.errors import ConfigurationError
 from repro.harness import run_instance, run_trials
-from repro.harness.scenarios import ScenarioSpec, SweepSpec, run_sweep
+from repro.harness.scenarios import (
+    PROTOCOLS,
+    ProtocolEntry,
+    ScenarioSpec,
+    SweepSpec,
+    rounds_saved_columns,
+    run_sweep,
+)
 from repro.harness.store import ExperimentStore
 from repro.harness.sweep_library import SWEEPS
 from repro.protocols import build_subquadratic_ba
+from repro.protocols.adaptive_ba import adaptive_columns
+from repro.protocols.leader_ba import view_columns
 from repro.types import SecurityParameters
 
 SMOKE = SWEEPS["smoke"]
@@ -116,6 +125,106 @@ class TestGridExpansion:
         with pytest.raises(ConfigurationError, match="unknown executor"):
             ScenarioSpec(name="s", protocol="quadratic", executor="nope",
                          fixed={"n": 8, "f": 2}, seeds=(0,)).cells()
+
+
+    def test_unknown_ba_builder_raises(self, capsys, monkeypatch):
+        """A ``ba_builder`` given by name resolves through the registry
+        like every other name here: an unknown one is a configuration
+        error naming the known keys, not a ``KeyError``."""
+        scenario = ScenarioSpec(
+            name="s", protocol="broadcast-from-ba",
+            fixed={"n": 8, "f": 2, "sender_input": 1, "ba_builder": "nope"},
+            seeds=(0,))
+        with pytest.raises(ConfigurationError,
+                           match=r"unknown ba_builder 'nope' \(have \["):
+            scenario.cells()
+        # ... which `repro sweep` reports as a usage error.
+        from repro.cli import main
+
+        monkeypatch.setitem(SWEEPS, "bad-ba-builder",
+                            SweepSpec(name="bad-ba-builder",
+                                      scenarios=(scenario,)))
+        assert main(["sweep", "bad-ba-builder"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("sweep: unknown ba_builder 'nope'")
+        assert captured.out == ""
+
+
+#: What the registry *declared* before capabilities were read off the
+#: builder signatures — the seven hand-set ``ProtocolEntry`` flags, one
+#: row per protocol, in registry order: (takes per-node inputs [else a
+#: sender input], params, coin_cache, mode, conditions, extra columns).
+#: Literal on purpose: discovery is checked against what was declared,
+#: not against itself.
+DECLARED = {
+    "subquadratic": (True, True, True, True, False, ()),
+    "quadratic": (True, False, False, False, False, ()),
+    "quadratic-early-stop":
+        (True, False, False, False, True, (rounds_saved_columns,)),
+    "leader-ba": (True, False, False, False, True, (view_columns,)),
+    "leader-chain": (True, False, False, False, True, (view_columns,)),
+    "adaptive-ba": (True, False, False, False, True, (adaptive_columns,)),
+    "phase-king": (True, False, False, False, False, ()),
+    "phase-king-early-stop":
+        (True, False, False, False, True, (rounds_saved_columns,)),
+    "phase-king-subquadratic": (True, True, True, True, False, ()),
+    "static-committee": (True, False, False, False, False, ()),
+    "round-eligibility": (True, True, False, True, False, ()),
+    "dolev-strong": (False, False, False, False, False, ()),
+    "naive-broadcast": (False, False, False, False, False, ()),
+    "broadcast-from-ba": (False, False, False, False, False, ()),
+}
+
+
+class TestRegistryContract:
+    def test_signatures_report_what_the_flags_declared(self):
+        discovered = {
+            key: (entry.takes("inputs"), entry.takes("params"),
+                  entry.takes("coin_cache"), entry.takes("mode"),
+                  entry.takes("conditions"), entry.columns)
+            for key, entry in PROTOCOLS.items()}
+        assert discovered == DECLARED
+        assert list(discovered) == list(DECLARED)  # registry order too
+        for key, entry in PROTOCOLS.items():
+            assert entry.takes("sender_input") != entry.takes("inputs"), key
+
+    def test_entry_is_builder_and_columns_only(self):
+        import dataclasses
+
+        assert [field.name for field in dataclasses.fields(ProtocolEntry)] \
+            == ["builder", "columns"]
+
+    def test_catch_all_kwargs_take_nothing_by_name(self):
+        def build(n, f, *inputs, seed=0, **kwargs):
+            raise AssertionError("never built")
+
+        entry = ProtocolEntry(build)
+        assert entry.takes("n") and entry.takes("f") and entry.takes("seed")
+        # Neither the ``*inputs`` splat nor ``**kwargs`` names anything.
+        assert not entry.takes("inputs") and not entry.takes("kwargs")
+        assert not entry.takes("conditions") and not entry.takes("params")
+        # The compiled broadcast forwards **kwargs to its inner builder:
+        # what reaches that builder is the spec's business, not ours.
+        assert not PROTOCOLS["broadcast-from-ba"].takes("conditions")
+
+    def test_signature_resolved_once_per_builder(self, monkeypatch):
+        import inspect
+
+        from repro.harness import runner
+
+        def build(n, f, inputs, seed=0, conditions=None):
+            raise AssertionError("never built")
+
+        resolved = []
+        signature = inspect.signature
+        monkeypatch.setattr(
+            runner.inspect, "signature",
+            lambda builder: resolved.append(builder) or signature(builder))
+        entry = ProtocolEntry(build)
+        for _ in range(3):
+            assert entry.takes("conditions") and not entry.takes("mode")
+        assert ProtocolEntry(build).takes("inputs")
+        assert resolved == [build]
 
 
 class TestDeterminism:

@@ -3,6 +3,7 @@ fingerprint scheme and invalidation, record round-trips, warm replay
 byte-identity, interrupted-sweep resume, and shard-union equality."""
 
 import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.harness.scenarios import (
     EXECUTORS,
+    PROTOCOLS,
     CachedCellPayload,
     ScenarioSpec,
     SweepSpec,
@@ -135,6 +137,57 @@ class TestFingerprint:
         assert key["kwargs"]["ba_builder"]["__callable__"].endswith(
             "build_quadratic_ba")
         assert key["f"] == 3  # callable f resolved before fingerprinting
+
+
+#: The row schema — SHA-256 over the sorted artifact-row columns of every
+#: registry protocol, perfect synchrony and ``wan`` — pinned beside the
+#: salt it was recorded under.  ``STORE_SALT`` cannot be derived from the
+#: schema (engine-semantics changes need a bump too), so the test below
+#: is what keeps a column change from forgetting it.
+ROW_SCHEMA_PIN = (
+    "ba-repro-store-v4",
+    "1547a85b79865acab250d5b2fe5a704c3abf68d51b48b59850abc45e9597b5d7")
+
+
+def _row_schema():
+    """``{protocol: {network: sorted row columns}}`` for the registry."""
+    schema = {}
+    for key, entry in PROTOCOLS.items():
+        fixed = ({"n": 32, "f": 8, "lam": 12} if entry.takes("params")
+                 else {"n": 10, "f": 3})
+        if entry.takes("sender_input"):
+            fixed["sender_input"] = 1
+        if entry.takes("ba_builder"):
+            fixed["ba_builder"] = "quadratic"
+        rows = run_sweep(SweepSpec(name="schema", scenarios=(ScenarioSpec(
+            name=key, protocol=key, fixed=fixed,
+            grid={"network": ("perfect", "wan")}, seeds=(0,)),))).rows()
+        schema[key] = {row["network"]: sorted(row) for row in rows}
+    return schema
+
+
+def test_row_schema_is_pinned_beside_the_store_salt():
+    pinned_salt, pinned_digest = ROW_SCHEMA_PIN
+    schema = _row_schema()
+    digest = hashlib.sha256(
+        json.dumps(schema, sort_keys=True).encode()).hexdigest()
+    if digest != pinned_digest:
+        assert STORE_SALT != pinned_salt, (
+            "artifact row columns changed but the salt did not: bump "
+            "STORE_SALT in harness/store.py (records under the old salt "
+            "would replay into the new row shape), then re-pin "
+            f"ROW_SCHEMA_PIN to ({STORE_SALT!r}, {digest!r})")
+        pytest.fail(f"STORE_SALT was bumped for a column change: re-pin "
+                    f"ROW_SCHEMA_PIN to ({STORE_SALT!r}, {digest!r})")
+    assert STORE_SALT == pinned_salt, (
+        "STORE_SALT changed with the row schema intact (an "
+        "engine-semantics bump): re-pin ROW_SCHEMA_PIN's salt to "
+        f"{STORE_SALT!r}")
+    # The pin covers what it says: every protocol, both column shapes.
+    assert set(schema) == set(PROTOCOLS)
+    for key, shapes in schema.items():
+        assert set(shapes["wan"]) - set(shapes["perfect"]) >= {
+            "skipped_ticks", "events_processed"}, key
 
 
 class TestStoreRoundTrip:
