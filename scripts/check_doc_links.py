@@ -9,7 +9,7 @@ cross-link each other (e.g. the protocol reference ``docs/PROTOCOLS.md``
 must be reachable from the README and the architecture/network pages),
 and the length cap on ``CHANGES.md`` entries (:data:`CHANGES_CAP`).
 Exits non-zero listing every broken or missing link and every oversized
-entry — run by the CI docs and early-stop-smoke jobs.
+entry — run once in CI, by the docs job.
 
 Usage::
 

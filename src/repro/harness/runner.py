@@ -7,15 +7,20 @@ optionally fanning the seeds across worker processes — and aggregates the
 security predicates into a :class:`TrialStats`.  What a builder accepts
 is read off its signature (:func:`named_parameters`), never declared a
 second time: a builder that names ``conditions`` is handed the
-conditions its execution runs under.
+conditions its execution runs under.  Trials take one path for any
+worker count: :func:`submit_trials` to a :func:`trial_submitter`, then
+:func:`gather_trials`.
 """
 
 from __future__ import annotations
 
+import gc
 import inspect
-from contextlib import ExitStack
-from functools import lru_cache
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from functools import lru_cache, partial
+from types import MappingProxyType, SimpleNamespace
+from typing import (
+    Any, Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple)
 
 from repro.protocols.base import ProtocolInstance
 from repro.sim.adversary import Adversary
@@ -206,16 +211,17 @@ class TrialStats:
 
 
 @lru_cache(maxsize=256)
-def named_parameters(builder: Callable[..., Any]) -> frozenset:
-    """The parameters ``builder`` names in its signature, resolved once
-    per builder per process (bounded: the cache pins the builders it has
-    seen).  A ``**kwargs`` catch-all names nothing: only a parameter a
-    builder spells out is one it is known to use."""
-    return frozenset(
-        name
+def named_parameters(builder: Callable[..., Any]) -> Mapping[str, bool]:
+    """The parameters ``builder`` names in its signature, each mapped to
+    whether it is required (has no default), in signature order; resolved
+    once per callable per process (bounded: the cache pins the callables
+    it has seen).  A ``**kwargs`` catch-all names nothing: only a
+    parameter a callable spells out is one it is known to use."""
+    return MappingProxyType({
+        name: parameter.default is parameter.empty
         for name, parameter in inspect.signature(builder).parameters.items()
         if parameter.kind in (parameter.POSITIONAL_OR_KEYWORD,
-                              parameter.KEYWORD_ONLY))
+                              parameter.KEYWORD_ONLY)})
 
 
 def _run_one_trial(
@@ -240,12 +246,51 @@ def _run_one_trial(
                         conditions=conditions)
 
 
-def submit_trials(pool, builder: Callable[..., ProtocolInstance], f: int,
+class InlineSubmitter:
+    """A process pool's ``submit`` for a single process: the call is made
+    when the future's ``result()`` is read — at gather, not at submit —
+    so a one-process sweep still finishes (and records) one cell before
+    it computes the next."""
+
+    @staticmethod
+    def submit(fn: Callable[..., Any], *args, **kwargs) -> Any:
+        return SimpleNamespace(result=partial(fn, *args, **kwargs))
+
+
+@contextmanager
+def trial_submitter(workers: int = 1, pool=None) -> Iterator[Any]:
+    """Where a block's trials are submitted: the ``pool`` a caller lends
+    (and keeps: it is not shut down here), else a ``ProcessPoolExecutor``
+    of ``workers`` owned by the block, else an :class:`InlineSubmitter`.
+
+    An owned pool's workers persist across the block's cells, so their
+    lottery caches (rebound from the pickled token) accumulate coins
+    cell over cell.  ``gc.freeze`` runs in each forked worker only: the
+    inherited heap moves to the permanent generation, so a worker's
+    collections stop walking (and copy-on-write-faulting) the parent's.
+    Trials nobody gathered — the block raised — are dropped, not awaited.
+    """
+    if pool is not None:
+        yield pool
+    elif workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        owned = ProcessPoolExecutor(max_workers=workers,
+                                    initializer=gc.freeze)
+        try:
+            yield owned
+        finally:
+            owned.shutdown(cancel_futures=True)
+    else:
+        yield InlineSubmitter()
+
+
+def submit_trials(submitter, builder: Callable[..., ProtocolInstance], f: int,
                   seeds: Sequence, **trial) -> List[Any]:
-    """Submit one trial per seed to ``pool`` (``trial``: the remaining
-    keyword arguments of :func:`run_trials`); the futures come back in
-    seed order, for :func:`gather_trials`."""
-    return [pool.submit(_run_one_trial, builder, f, seed, **trial)
+    """Submit one trial per seed to ``submitter`` (``trial``: the
+    remaining keyword arguments of :func:`run_trials`); the futures come
+    back in seed order, for :func:`gather_trials`."""
+    return [submitter.submit(_run_one_trial, builder, f, seed, **trial)
             for seed in seeds]
 
 
@@ -284,28 +329,16 @@ def run_trials(
     adversary factory, and the execution results must be picklable —
     true for all module-level builders in this repo.
 
-    ``pool`` lends an already-running ``ProcessPoolExecutor`` instead:
-    the caller keeps ownership (it is not shut down here), so worker
-    processes — and any process-local state they carry, like the shared
-    eligibility-lottery caches — persist across consecutive calls; even
-    a single seed routes through it rather than bypass that state in
-    the parent.  With a pool this is
-    ``gather_trials(submit_trials(pool, ...))``;
+    ``pool`` lends an already-running ``ProcessPoolExecutor`` instead
+    (:func:`trial_submitter`); even a single seed routes through it
+    rather than bypass its workers' state in the parent.  Either way
+    this is ``gather_trials(submit_trials(…))``;
     :func:`~repro.harness.scenarios.run_sweep` calls the two halves
     itself, to have every cell in flight before it awaits the first.
     """
     seeds = list(seeds)
-    trial = dict(builder_kwargs, adversary_factory=adversary_factory,
-                 model=model, transcript_retention=transcript_retention,
-                 conditions=conditions)
-    with ExitStack() as owned:
-        if pool is None and workers > 1 and len(seeds) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = owned.enter_context(
-                ProcessPoolExecutor(max_workers=min(workers, len(seeds))))
-        if pool is not None:
-            return gather_trials(
-                submit_trials(pool, builder, f, seeds, **trial))
-        return TrialStats([_run_one_trial(builder, f, seed, **trial)
-                           for seed in seeds])
+    with trial_submitter(min(workers, len(seeds)), pool) as submitter:
+        return gather_trials(submit_trials(
+            submitter, builder, f, seeds, adversary_factory=adversary_factory,
+            model=model, transcript_retention=transcript_retention,
+            conditions=conditions, **builder_kwargs))

@@ -10,9 +10,10 @@ function; here the grid is **data**:
   ``fixed`` bindings, plus the seeds to repeat each cell over;
 - :class:`SweepSpec` groups scenarios under one name;
 - :func:`run_sweep` expands the cross-product into :class:`Cell`\\ s and
-  executes each one — through :func:`~repro.harness.runner.run_trials`
-  (``workers=N`` fans seeds over processes) for ordinary protocol cells,
-  or through a registered *executor* for the lower-bound attack harnesses
+  executes each one through its registered *executor* — a function
+  called with the resolved arguments its signature names: seeded trials
+  (``workers=N`` fans them over processes) for ordinary protocol cells,
+  the lower-bound attack harnesses as themselves
   — aggregating per-cell O(1)-counter metrics into a
   :class:`SweepResult` that renders as a :class:`Table` and exports
   CSV/JSON artifacts.
@@ -56,12 +57,12 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import gc
 import io
 import itertools
 import json
+from contextlib import ExitStack
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from importlib import import_module
 from operator import attrgetter
 from pathlib import Path
@@ -89,7 +90,8 @@ from repro.adversaries import (
 from repro.eligibility.lottery_cache import SharedLotteryCache, release_cache
 from repro.errors import ConfigurationError
 from repro.harness.runner import (
-    TrialStats, gather_trials, named_parameters, run_trials, submit_trials)
+    InlineSubmitter, TrialStats, gather_trials, named_parameters,
+    submit_trials, trial_submitter)
 from repro.harness.tables import Table, rows_to_table, union_columns
 from repro.sim.conditions import (
     NETWORKS,
@@ -382,15 +384,16 @@ def _preset_or_value(binding: Any, key: str, presets: Mapping[str, Any],
 
 
 def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
-    """Resolve one grid point's reserved bindings into a :class:`Cell`."""
-    executor = EXECUTORS[spec.executor]
+    """Resolve one grid point's reserved bindings into a :class:`Cell`.
+
+    What the executor requires and what it can use is its signature: a
+    parameter without a default must be bindable, ``seed`` (not
+    ``seeds``) runs exactly one, ``conditions`` honors a network binding,
+    and a binding nothing would receive is refused, not dropped."""
+    names = named_parameters(_executor(spec.executor))
     entry: Optional[ProtocolEntry] = None
     if spec.protocol is not None:
         entry = _known(PROTOCOLS, spec.protocol, "protocol")
-    elif executor.needs_protocol:
-        raise ConfigurationError(
-            f"scenario {spec.name!r}: executor {spec.executor!r} "
-            "requires a protocol")
 
     adversary = raw.pop("adversary", spec.adversary)
     if adversary is not None:
@@ -415,6 +418,15 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
     inputs_key = raw.pop("inputs", spec.inputs)
     if inputs_key is not None:
         _known(INPUTS, inputs_key, "input distribution")
+    takes_inputs = entry is not None and entry.takes("inputs")
+    for binding, value, usable in (
+            ("protocol", spec.protocol, "builder" in names),
+            ("adversary", adversary, "adversary_factory" in names),
+            ("inputs", inputs_key, takes_inputs)):
+        if value is not None and not usable:
+            raise ConfigurationError(
+                f"scenario {spec.name!r}: executor {spec.executor!r} cannot "
+                f"use the {binding} binding {value!r}; it would be ignored")
     network, network_label = _preset_or_value(
         raw.pop("network", None), "network", NETWORKS, "NETWORKS",
         NetworkConditions, "network conditions")
@@ -444,31 +456,28 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
         # can span grids that include perfect cells.
     if network is not None and network.is_perfect:
         network = None  # the engine's fast path; keep the label for rows
-    if network is not None and not executor.supports_network:
+    # The attack harnesses run their adversaries through run_instance,
+    # which takes conditions — so partition/latency *studies* of the
+    # lower-bound attacks are a network binding away (the proofs'
+    # view-identity arguments assume lock-step; under conditions the
+    # reports are empirical, see docs/NETWORK.md).  Executors that never
+    # run a protocol name no ``conditions`` and reject one.
+    if network is not None and "conditions" not in names:
         raise ConfigurationError(
             f"scenario {spec.name!r}: executor {spec.executor!r} does not "
             "support network conditions")
-
-    n = raw.get("n")
-    f = _resolve_f(raw, n)
-    if executor.needs_n and n is None:
-        raise ConfigurationError(
-            f"scenario {spec.name!r}: executor {spec.executor!r} "
-            "requires an n binding")
-    if executor.needs_f and f is None:
-        raise ConfigurationError(
-            f"scenario {spec.name!r}: executor {spec.executor!r} "
-            "requires an f or f_fraction binding")
-    if executor.single_seed and len(spec.seeds) != 1:
+    if "seed" in names and len(spec.seeds) != 1:
+        # Rejected rather than silently truncated to ``seeds[0]``.
         raise ConfigurationError(
             f"scenario {spec.name!r}: executor {spec.executor!r} runs "
             f"exactly one seed, got {len(spec.seeds)}")
 
-    # Attack executors have their own ``epsilon`` (a message-budget
-    # factor, not the resilience slack), so lam/epsilon fold into
-    # SecurityParameters only for the protocol executors.
-    reserved = (RESERVED_BINDINGS if executor.folds_params
-                else RESERVED_BINDINGS - {"lam", "epsilon"})
+    n = raw.get("n")
+    f = _resolve_f(raw, n)
+    # An executor that names ``epsilon`` means its own (the attack
+    # harnesses' message-budget factor, not the resilience slack): it
+    # passes through verbatim.
+    reserved = RESERVED_BINDINGS - ({"epsilon"} & names.keys())
     kwargs = {key: value for key, value in raw.items()
               if key not in reserved}
     if isinstance(kwargs.get("ba_builder"), str):
@@ -476,34 +485,43 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
             PROTOCOLS, kwargs["ba_builder"], "ba_builder").builder
     if n is not None:
         kwargs["n"] = n
-    # Fold lam/epsilon axes into SecurityParameters for builders that
-    # take them.  Refuse combinations that would silently drop a binding
-    # the artifact rows would still report (a pre-built ``params`` with
-    # lam/epsilon alongside, lam on a protocol without params, epsilon
-    # with nothing to fold it into).
+    # lam/epsilon axes fold into a SecurityParameters when the final
+    # recipient of the kwargs — the protocol builder, or the executor
+    # itself when it runs none — names ``params``.  Refuse combinations
+    # that would silently drop a binding the artifact rows would still
+    # report (a pre-built ``params`` with lam/epsilon alongside, lam
+    # with nothing that takes params, epsilon with nothing to fold it
+    # into).
     lam = raw.get("lam")
-    epsilon = raw.get("epsilon")
-    if executor.folds_params:
-        if "params" in kwargs and (lam is not None or epsilon is not None):
+    epsilon = raw.get("epsilon") if "epsilon" in reserved else None
+    if "params" in kwargs and (lam is not None or epsilon is not None):
+        raise ConfigurationError(
+            f"scenario {spec.name!r}: both a pre-built params binding "
+            "and lam/epsilon given — the latter would be ignored")
+    if lam is None and epsilon is not None:
+        raise ConfigurationError(
+            f"scenario {spec.name!r}: epsilon requires a lam binding "
+            "to fold into SecurityParameters")
+    if lam is not None:
+        if not ("params" in names if entry is None
+                else entry.takes("params")):
             raise ConfigurationError(
-                f"scenario {spec.name!r}: both a pre-built params binding "
-                "and lam/epsilon given — the latter would be ignored")
-        if (lam is not None and entry is not None
-                and not entry.takes("params")):
-            raise ConfigurationError(
-                f"scenario {spec.name!r}: protocol {spec.protocol!r} does "
-                "not accept params; the lam binding would be ignored")
-        if lam is None and epsilon is not None:
-            raise ConfigurationError(
-                f"scenario {spec.name!r}: epsilon requires a lam binding "
-                "to fold into SecurityParameters")
-        if lam is not None:
-            params_kwargs: Dict[str, Any] = {"lam": lam}
-            if epsilon is not None:
-                params_kwargs["epsilon"] = epsilon
-            kwargs["params"] = SecurityParameters(**params_kwargs)
-    if entry is not None and entry.takes("inputs") and "inputs" not in kwargs:
+                f"scenario {spec.name!r}: {spec.protocol or spec.executor!r} "
+                "does not accept params; the lam binding would be ignored")
+        params_kwargs: Dict[str, Any] = {"lam": lam}
+        if epsilon is not None:
+            params_kwargs["epsilon"] = epsilon
+        kwargs["params"] = SecurityParameters(**params_kwargs)
+    if takes_inputs and "inputs" not in kwargs:
         kwargs["inputs"] = INPUTS[inputs_key or "mixed"](n)
+    bound = dict(kwargs, builder=entry, f=f)
+    for name, required in names.items():
+        if required and bound.get(name, _OFFERS.get(name)) is None:
+            binding = {"builder": "protocol",
+                       "f": "f or f_fraction"}.get(name, name)
+            raise ConfigurationError(
+                f"scenario {spec.name!r}: executor {spec.executor!r} "
+                f"is missing its {binding} binding")
 
     bindings: Dict[str, Any] = {}
     _record = bindings.setdefault  # the first binding of a name wins
@@ -547,31 +565,6 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Executor:
-    """How a cell runs: the callable plus its binding requirements."""
-
-    run: Callable[..., Tuple[Any, Dict[str, Any]]]
-    #: Pooled executors: ``submit(cell, cache, pool)`` starts the cell's
-    #: trials and returns the zero-argument gather (``run``'s result).
-    submit: Optional[Callable[..., Callable[[], Tuple[Any, Dict]]]] = None
-    needs_protocol: bool = True
-    needs_n: bool = True
-    needs_f: bool = True
-    #: Whether ``lam``/``epsilon`` bindings fold into SecurityParameters
-    #: (protocol executors) or pass through verbatim (attack executors,
-    #: whose ``epsilon`` is the lower-bound message-budget factor).
-    folds_params: bool = True
-    #: Executors that run exactly one seed; multi-seed specs are
-    #: rejected rather than silently truncated to ``seeds[0]``.
-    single_seed: bool = False
-    #: Whether the executor honors a ``network`` binding (the protocol
-    #: executors and the attack harnesses do; executors that never run a
-    #: protocol — ``hypothetical``, ``committee-census`` — reject one
-    #: rather than silently ignoring it).
-    supports_network: bool = False
-
-
 def _is_scalar(value: Any) -> bool:
     return value is None or isinstance(value, (bool, int, float, str))
 
@@ -608,130 +601,70 @@ def _stats_metrics(stats: TrialStats, entry: ProtocolEntry) -> Dict[str, Any]:
     return metrics
 
 
-def _report_metrics(report: Any) -> Dict[str, Any]:
-    """Scalar fields of an attack-report dataclass, for artifact rows."""
-    if dataclasses.is_dataclass(report):
-        return {field.name: getattr(report, field.name)
-                for field in dataclasses.fields(report)
-                if _is_scalar(getattr(report, field.name))}
-    return {}
+def _cell_trials(builder, n, f, seeds, conditions, adversary_factory,
+                 coin_cache, submitter, **builder_kwargs):
+    """The default executor: one trial per seed, submitted to
+    ``submitter`` before this returns; the returned gather folds them, in
+    seed order, into the cell's :class:`TrialStats`."""
+    if (coin_cache is not None and "coin_cache" in named_parameters(builder)
+            and builder_kwargs.get("mode", "fmine") == "fmine"
+            and "eligibility" not in builder_kwargs):
+        builder_kwargs["coin_cache"] = coin_cache
+    return partial(gather_trials, submit_trials(
+        submitter, builder, f, seeds, n=n, adversary_factory=adversary_factory,
+        conditions=conditions, **builder_kwargs))
 
 
-def _trials_call(cell: Cell, coin_cache: Optional[SharedLotteryCache],
-                 ) -> Dict[str, Any]:
-    """A cell as :func:`run_trials` / :func:`submit_trials` arguments."""
-    entry = PROTOCOLS[cell.protocol]
-    kwargs = cell.builder_kwargs()
-    if (coin_cache is not None and entry.takes("coin_cache")
-            and kwargs.get("mode", "fmine") == "fmine"
-            and "eligibility" not in kwargs):
-        kwargs["coin_cache"] = coin_cache
-    factory = None
-    if cell.adversary is not None:
-        factory = AdversaryFactorySpec(cell.adversary, cell.adversary_kwargs)
-    return dict(
-        builder=entry.builder, f=cell.f, seeds=cell.seeds,
-        adversary_factory=factory, conditions=cell.network, **kwargs)
-
-
-def _submit_trials(cell: Cell, coin_cache: Optional[SharedLotteryCache],
-                   pool) -> Callable[[], Tuple[TrialStats, Dict[str, Any]]]:
-    futures = submit_trials(pool, **_trials_call(cell, coin_cache))
-
-    def gather():
-        stats = gather_trials(futures)
-        return stats, _stats_metrics(stats, PROTOCOLS[cell.protocol])
-    return gather
-
-
-def _execute_trials(cell: Cell, workers: int,
-                    coin_cache: Optional[SharedLotteryCache],
-                    pool=None) -> Tuple[TrialStats, Dict[str, Any]]:
-    """The default executor: :func:`run_trials` over the cell's seeds."""
-    stats = run_trials(workers=workers, pool=pool,
-                       **_trials_call(cell, coin_cache))
-    return stats, _stats_metrics(stats, PROTOCOLS[cell.protocol])
-
-
-def _execute_per_seed(cell: Cell, workers: int,
-                      coin_cache: Optional[SharedLotteryCache],
-                      pool=None,
-                      ) -> Tuple[List[Tuple[Any, Any]], Dict[str, Any]]:
+def _cell_per_seed(builder, n, f, seeds, conditions, adversary_factory,
+                   coin_cache, **builder_kwargs):
     """Sequential per-seed runner that keeps the adversary objects.
 
     Used when the table needs adversary-side statistics (forged ACK
     counts, corruption schedules) that :class:`TrialStats` does not
     carry; always sequential so the adversary objects stay in-process.
     """
-    call = _trials_call(cell, coin_cache)
-    factory = call["adversary_factory"]
     adversaries: List[Any] = []
 
     def recording_factory(instance):
-        adversaries.append(factory(instance) if factory is not None else None)
+        adversaries.append(adversary_factory(instance)
+                           if adversary_factory is not None else None)
         return adversaries[-1]
 
-    stats = run_trials(**dict(call, adversary_factory=recording_factory))
-    return (list(zip(stats.results, adversaries)),
-            _stats_metrics(stats, PROTOCOLS[cell.protocol]))
+    stats = _cell_trials(builder, n, f, seeds, conditions, recording_factory,
+                         coin_cache, InlineSubmitter(), **builder_kwargs)()
+    return list(zip(stats.results, adversaries)), stats
 
 
-def _attack_executor(runner: str):
-    """An executor over the :mod:`repro.lowerbounds` harness ``runner``
-    (looked up on first use: that package itself imports this one).
-    What the harness receives follows the executor's own requirements:
-    one ``seed`` or all ``seeds``, and — when it attacks a registry
-    protocol — that builder with the cell's corruption budget and
-    network conditions."""
-
-    def execute(cell: Cell, workers: int,
-                coin_cache: Optional[SharedLotteryCache], pool=None):
-        requires = EXECUTORS[cell.executor]
-        kwargs = cell.builder_kwargs()
-        if requires.single_seed:
-            kwargs["seed"] = cell.seeds[0]
-        else:
-            kwargs["seeds"] = cell.seeds
-        if requires.needs_protocol:
-            kwargs.update(builder=PROTOCOLS[cell.protocol].builder,
-                          f=cell.f, conditions=cell.network)
-        report = getattr(import_module("repro.lowerbounds"), runner)(**kwargs)
-        return report, _report_metrics(report)
-    return execute
-
-
-def _execute_committee_census(cell: Cell, workers: int,
-                              coin_cache: Optional[SharedLotteryCache],
-                              pool=None):
+def _cell_committee_census(n, f, seeds, params, topic=("Vote", 1, 1),
+                           threshold=None):
     """Monte-Carlo committee statistics (Lemmas 10–11).
 
     Samples the eligibility lottery itself — no protocol execution — one
     fresh :class:`FMineEligibility` per seed, recording the committee
-    size and its corrupt membership for the cell's ``topic``.
+    size and its corrupt membership for ``topic``.
     """
     from repro.eligibility import DifficultySchedule, FMineEligibility
-    kwargs = cell.builder_kwargs()
-    params = kwargs["params"]
-    topic = tuple(kwargs.get("topic", ("Vote", 1, 1)))
-    schedule = DifficultySchedule.for_parameters(params, cell.n)
-    threshold = kwargs.get("threshold", (params.lam + 1) // 2)
+    topic = tuple(topic)
+    schedule = DifficultySchedule.for_parameters(params, n)
+    if threshold is None:
+        threshold = (params.lam + 1) // 2
     samples: List[Tuple[int, int]] = []
     corrupt_hits = 0
     honest_misses = 0
-    for seed in cell.seeds:
+    for seed in seeds:
         # Deliberately no coin_cache: every census sample has a unique
         # seed, so the sweep-wide cache could never hit — it would only
         # accumulate n × samples dead entries.  Within one sample the
         # per-instance FMine memo already deduplicates.
-        source = FMineEligibility(cell.n, schedule, seed=seed)
-        eligible = [node for node in range(cell.n)
+        source = FMineEligibility(n, schedule, seed=seed)
+        eligible = [node for node in range(n)
                     if source.capability_for(node).try_mine(topic) is not None]
-        corrupt = sum(1 for node in eligible if node < cell.f)
+        corrupt = sum(1 for node in eligible if node < f)
         samples.append((len(eligible), corrupt))
         corrupt_hits += corrupt >= threshold
         honest_misses += (len(eligible) - corrupt) < threshold
     count = len(samples)
-    metrics = {
+    return samples, {
         "samples": count,
         "mean_committee_size":
             sum(size for size, _ in samples) / count if count else 0.0,
@@ -739,31 +672,64 @@ def _execute_committee_census(cell: Cell, workers: int,
         "honest_miss_rate": honest_misses / count if count else 0.0,
         "threshold": threshold,
     }
-    return samples, metrics
 
 
-EXECUTORS: Dict[str, Executor] = {
-    "trials": Executor(_execute_trials, submit=_submit_trials,
-                       supports_network=True),
-    "per-seed": Executor(_execute_per_seed, supports_network=True),
-    # The attack harnesses run their adversaries through run_instance,
-    # which takes conditions — so partition/latency *studies* of the
-    # lower-bound attacks are a network binding away (the proofs'
-    # view-identity arguments assume lock-step; under conditions the
-    # reports are empirical, see docs/NETWORK.md).
-    "theorem4": Executor(_attack_executor("run_theorem4_attack"),
-                         folds_params=False, supports_network=True),
-    "theorem4-census": Executor(_attack_executor("run_theorem4_census"),
-                                folds_params=False, supports_network=True),
-    "dolev-reischuk": Executor(
-        _attack_executor("run_dolev_reischuk_attack"),
-        folds_params=False, single_seed=True, supports_network=True),
-    "hypothetical": Executor(
-        _attack_executor("run_hypothetical_experiment"),
-        needs_protocol=False, needs_f=False, single_seed=True),
-    "committee-census": Executor(_execute_committee_census,
-                                 needs_protocol=False),
+#: How a cell runs: a function, called with the arguments its signature
+#: names — the cell's own bindings plus :data:`_OFFERS` — which is all
+#: its contract (:func:`_bind_cell`).  It returns its payload, a
+#: :class:`TrialStats` or a report dataclass, or a ``(payload,
+#: measured)`` pair when the row's metrics come from something else; one
+#: that names ``submitter`` returns the gather that does.  A dotted name
+#: is imported on first use: :mod:`repro.lowerbounds` imports this package.
+EXECUTORS: Dict[str, Any] = {
+    "trials": _cell_trials,
+    "per-seed": _cell_per_seed,
+    "theorem4": "repro.lowerbounds.run_theorem4_attack",
+    "theorem4-census": "repro.lowerbounds.run_theorem4_census",
+    "dolev-reischuk": "repro.lowerbounds.run_dolev_reischuk_attack",
+    "hypothetical": "repro.lowerbounds.run_hypothetical_experiment",
+    "committee-census": _cell_committee_census,
 }
+
+#: What a cell offers its executor beyond its own bindings, under the
+#: name the executor's signature asks for it by.
+_OFFERS: Dict[str, Callable[[Cell, Any, Any], Any]] = {
+    "builder": lambda cell, *_: PROTOCOLS[cell.protocol].builder,
+    "f": lambda cell, *_: cell.f,
+    "seed": lambda cell, *_: cell.seeds[0],
+    "seeds": lambda cell, *_: cell.seeds,
+    "conditions": lambda cell, *_: cell.network,
+    "adversary_factory": lambda cell, *_: cell.adversary and (
+        AdversaryFactorySpec(cell.adversary, cell.adversary_kwargs)),
+    "coin_cache": lambda cell, coin_cache, _: coin_cache,
+    "submitter": lambda cell, _, submitter: submitter,
+}
+
+
+@lru_cache(maxsize=None)
+def _imported(path: str) -> Callable[..., Any]:
+    module, _, name = path.rpartition(".")
+    return getattr(import_module(module), name)
+
+
+def _executor(key: str) -> Callable[..., Any]:
+    target = EXECUTORS[key]
+    return _imported(target) if isinstance(target, str) else target
+
+
+def _start(cell: Cell, coin_cache: Optional[SharedLotteryCache],
+           submitter) -> Callable[[], Any]:
+    """Begin ``cell``: the zero-argument call that finishes it.  An
+    executor that names ``submitter`` is called now — its trials are in
+    flight (in one process: deferred) when this returns — and hands back
+    its gather; any other runs whole when the returned call is made."""
+    call = _executor(cell.executor)
+    names = named_parameters(call)
+    arguments = dict(cell.kwargs)
+    arguments.update((name, offer(cell, coin_cache, submitter))
+                     for name, offer in _OFFERS.items() if name in names)
+    run = partial(call, **arguments)
+    return run() if "submitter" in names else run
 
 
 # ---------------------------------------------------------------------------
@@ -927,12 +893,21 @@ def _replay(cell: Cell, store, share_lottery: bool,
         cached=True)
 
 
-def _settle(cell: Cell, fingerprint: Optional[str],
-            computed: Tuple[Any, Dict[str, Any]], store, sweep_name: str,
-            share_lottery: bool) -> CellResult:
-    """An executor's ``(payload, metrics)`` as the cell's result,
-    recorded in ``store`` (when given) before it is returned."""
-    result = CellResult(cell, *computed, fingerprint=fingerprint)
+def _settle(cell: Cell, fingerprint: Optional[str], returned: Any, store,
+            sweep_name: str, share_lottery: bool) -> CellResult:
+    """What an executor returned as the cell's result — its metrics the
+    trial aggregates, the scalar fields of a report dataclass, or a
+    ready dict — recorded in ``store`` (when given) before it is
+    returned."""
+    payload, metrics = (returned if isinstance(returned, tuple)
+                        else (returned, returned))
+    if isinstance(metrics, TrialStats):
+        metrics = _stats_metrics(metrics, PROTOCOLS[cell.protocol])
+    elif dataclasses.is_dataclass(metrics):
+        metrics = {field.name: getattr(metrics, field.name)
+                   for field in dataclasses.fields(metrics)
+                   if _is_scalar(getattr(metrics, field.name))}
+    result = CellResult(cell, payload, metrics, fingerprint=fingerprint)
     if store is not None:
         store.save_result(fingerprint, sweep_name, result, share_lottery)
     return result
@@ -945,7 +920,7 @@ def execute_or_replay(cell: Cell, store=None, sweep_name: str = "",
     """Execute one bound cell, replaying it from ``store`` if recorded.
 
     The cell-granularity entry point of the experiment service's
-    workers, over the same two helpers as :func:`run_sweep`: consult the
+    workers, over the same helpers as :func:`run_sweep`: consult the
     store (when given) for the cell's fingerprint, replay a recorded
     cell as a :class:`CachedCellPayload` result carrying the stored
     metrics, or execute it and record the fresh result durably before
@@ -954,10 +929,13 @@ def execute_or_replay(cell: Cell, store=None, sweep_name: str = "",
     any order or concurrently against one concurrency-safe store backend.
     """
     fingerprint, result = _replay(cell, store, share_lottery)
-    return result or _settle(
-        cell, fingerprint,
-        EXECUTORS[cell.executor].run(cell, workers, coin_cache, pool=pool),
-        store, sweep_name, share_lottery)
+    if result is None:
+        with trial_submitter(min(workers, len(cell.seeds)),
+                             pool) as submitter:
+            result = _settle(cell, fingerprint,
+                             _start(cell, coin_cache, submitter)(),
+                             store, sweep_name, share_lottery)
+    return result
 
 
 def run_sweep(sweep: SweepSpec, workers: int = 1,
@@ -969,12 +947,13 @@ def run_sweep(sweep: SweepSpec, workers: int = 1,
     """Expand and execute every cell of ``sweep``.
 
     Three passes over one expansion.  *Plan*: one store lookup per cell.
-    *Submit*: with ``workers > 1`` every ``trials`` cell left to compute
-    hands all its seeds to one sweep-wide process pool — no barrier
-    between cells.  *Gather*: cells settle in expansion order (a pooled
-    cell folds its futures in seed order; other executors run inline in
-    the parent meanwhile), so rows, records and ``on_cell`` events are
-    the same, in the same order, for any worker count.  ``share_lottery``
+    *Submit*: every ``trials`` cell left to compute hands all its seeds
+    to the sweep's one submitter (a process pool when ``workers > 1``) —
+    no barrier between cells.  *Gather*: cells settle in expansion order
+    (a ``trials`` cell folds its futures in seed order; the rest run in
+    the parent as their turn comes), so rows, records and ``on_cell``
+    events are the same, in the same order, for any worker count.
+    ``share_lottery``
     installs a per-sweep :class:`SharedLotteryCache` so ideal-world
     eligibility coins are computed once per ``(seed, node, topic)``
     across all cells that share them (identical coins either way — the
@@ -1007,28 +986,21 @@ def run_sweep(sweep: SweepSpec, workers: int = 1,
         raise ConfigurationError(
             f"shard (k, m) needs 1 <= k <= m, got {shard!r}")
     cache: Optional[SharedLotteryCache] = None
-    if share_lottery:
-        cache = SharedLotteryCache(
-            token=f"sweep-{sweep.name}-{next(_SWEEP_IDS)}")
-    pool = None
-    try:
+    with ExitStack() as stack:
+        if share_lottery:
+            cache = SharedLotteryCache(
+                token=f"sweep-{sweep.name}-{next(_SWEEP_IDS)}")
+            stack.callback(release_cache, cache.token)
+        # On an exception the later cells' trials are dropped with the
+        # submitter, not waited for.
+        submitter = stack.enter_context(trial_submitter(workers))
         cells = sweep.expand()
         plan = [_replay(cell, store, share_lottery) for cell in cells]
-        if workers > 1:
-            # One pool for the whole sweep: workers persist across
-            # cells, so their lottery caches (rebound from the pickled
-            # token) accumulate coins cell over cell.  ``gc.freeze``
-            # runs in each forked worker only: the inherited heap moves
-            # to the permanent generation, so a worker's collections
-            # stop walking (and copy-on-write-faulting) the parent's.
-            from concurrent.futures import ProcessPoolExecutor
-            pool = ProcessPoolExecutor(max_workers=workers,
-                                       initializer=gc.freeze)
-        # Computed here: the store misses inside the shard, once per
+        # Started here: the store misses inside the shard, once per
         # fingerprint (scenario names are outside it: a twin replays the
-        # record the first writes).  A pooled executor's trials all go in
-        # flight now, before any is awaited; the rest run during gather.
-        compute: Dict[int, Callable[[], Tuple[Any, Dict[str, Any]]]] = {}
+        # record the first writes).  Every trial is submitted now, before
+        # any is awaited; in one process it runs when it is.
+        started: Dict[int, Callable[[], Any]] = {}
         claimed = set()
         for index, (cell, (fingerprint, replayed)) in enumerate(
                 zip(cells, plan)):
@@ -1036,18 +1008,13 @@ def run_sweep(sweep: SweepSpec, workers: int = 1,
                     and index % shard_count == shard_index - 1):
                 if store is not None:
                     claimed.add(fingerprint)
-                executor = EXECUTORS[cell.executor]
-                compute[index] = (
-                    executor.submit(cell, cache, pool)
-                    if pool is not None and executor.submit is not None
-                    else partial(executor.run, cell, workers, cache,
-                                 pool=pool))
+                started[index] = _start(cell, cache, submitter)
         settled: List[Optional[CellResult]] = []
         counts = {"replayed": 0, "computed": 0, "skipped": 0}
         for index, (cell, (fingerprint, result)) in enumerate(
                 zip(cells, plan)):
-            if index in compute:
-                result = _settle(cell, fingerprint, compute.pop(index)(),
+            if index in started:
+                result = _settle(cell, fingerprint, started.pop(index)(),
                                  store, sweep.name, share_lottery)
             elif result is None and fingerprint in claimed:
                 _, result = _replay(cell, store, share_lottery)
@@ -1071,7 +1038,7 @@ def run_sweep(sweep: SweepSpec, workers: int = 1,
             lottery = dict(cache.stats())
             lottery["scope"] = ("main-process counters only; coins were "
                                 "drawn in worker processes"
-                                if pool is not None else "main process")
+                                if workers > 1 else "main process")
         store_stats = None
         if store is not None or shard is not None:
             store_stats = dict(
@@ -1090,10 +1057,3 @@ def run_sweep(sweep: SweepSpec, workers: int = 1,
         return SweepResult(
             name=sweep.name, cells=[result for result in settled if result],
             lottery=lottery, store_stats=store_stats)
-    finally:
-        if pool is not None:
-            # Nothing is queued after a finished sweep; on an exception
-            # the later cells' trials are dropped, not waited for.
-            pool.shutdown(cancel_futures=True)
-        if cache is not None:
-            release_cache(cache.token)

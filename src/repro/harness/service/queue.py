@@ -138,7 +138,7 @@ class ExperimentService:
             overrides["network"] = network
         if topology is not None:
             overrides["topology"] = topology
-        self.store.save_job(job_id, {
+        record = {
             "id": job_id,
             "sweep": spec.name,
             "state": JOB_QUEUED,
@@ -152,12 +152,17 @@ class ExperimentService:
             "submitted_at": _now(),
             "started_at": None,
             "finished_at": None,
-        })
+        }
         active = _ActiveJob(job_id, spec, cells, fingerprints,
                             share_lottery)
         with self._condition:
+            # Refused before anything is recorded: a job persisted as
+            # queued by a service that is shut down stays queued forever
+            # (no worker will take it).  The lock spans the write, so a
+            # concurrent shutdown() cannot slip between check and record.
             if self._closed:
                 raise ConfigurationError("service is shut down")
+            self.store.save_job(job_id, record)
             self._active[job_id] = active
         for index, cell in enumerate(cells):
             self._tasks.put((job_id, index))

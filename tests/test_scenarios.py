@@ -3,6 +3,7 @@ grid expansion, worker/cache determinism, lottery-cache soundness, and
 artifact round-trips."""
 
 import csv
+import dataclasses
 import json
 
 import pytest
@@ -11,7 +12,9 @@ from repro.eligibility import DifficultySchedule, FMineEligibility
 from repro.eligibility.lottery_cache import SharedLotteryCache, shared_cache
 from repro.errors import ConfigurationError
 from repro.harness import run_instance, run_trials
+from repro.harness.runner import named_parameters
 from repro.harness.scenarios import (
+    EXECUTORS,
     PROTOCOLS,
     ProtocolEntry,
     ScenarioSpec,
@@ -19,6 +22,7 @@ from repro.harness.scenarios import (
     rounds_saved_columns,
     run_sweep,
 )
+from repro.harness import scenarios
 from repro.harness.store import ExperimentStore
 from repro.harness.sweep_library import SWEEPS
 from repro.protocols import build_subquadratic_ba
@@ -225,6 +229,129 @@ class TestRegistryContract:
             assert entry.takes("conditions") and not entry.takes("mode")
         assert ProtocolEntry(build).takes("inputs")
         assert resolved == [build]
+
+
+#: What ``Executor`` *declared*, one hand-set flag row per executor,
+#: before requirements were read off the functions' signatures:
+#: (needs a protocol, an n, an f; runs exactly one seed; ``lam`` /
+#: ``epsilon`` fold into ``params``; honors a network binding).
+#: Literal on purpose, like ``DECLARED`` above — an innocent signature
+#: edit in ``lowerbounds/`` fails here, by name.
+DECLARED_EXECUTORS = {
+    "trials": (True, True, True, False, True, True),
+    "per-seed": (True, True, True, False, True, True),
+    "theorem4": (True, True, True, False, False, True),
+    "theorem4-census": (True, True, True, False, False, True),
+    "dolev-reischuk": (True, True, True, True, False, True),
+    "hypothetical": (False, True, False, True, True, False),
+    "committee-census": (False, True, True, False, True, False),
+}
+
+
+def _derived_contract(key):
+    """The ``DECLARED_EXECUTORS`` row of executor ``key``, read off
+    signatures alone."""
+    names = named_parameters(scenarios._executor(key))
+    required = {name for name, is_required in names.items() if is_required}
+    # lam/epsilon fold when the final recipient of the cell's kwargs
+    # names ``params``: the executor itself, or — it names ``builder`` —
+    # a protocol it can run: the broadcast builders for an executor that
+    # feeds one its ``sender_input``, else those that take ``inputs``.
+    recipients = [names] if "builder" not in names else [
+        named_parameters(entry.builder) for entry in PROTOCOLS.values()
+        if entry.takes("sender_input") == ("sender_input" in required)]
+    return ("builder" in required, "n" in required, "f" in required,
+            "seed" in names and "seeds" not in names,
+            any("params" in recipient for recipient in recipients),
+            "conditions" in names)
+
+
+class TestExecutorContract:
+    def test_signatures_report_what_the_flags_declared(self):
+        assert {key: _derived_contract(key) for key in EXECUTORS} \
+            == DECLARED_EXECUTORS
+        assert list(EXECUTORS) == list(DECLARED_EXECUTORS)
+        # An executor that names ``epsilon`` means its own: it is the one
+        # reserved binding that reaches an executor verbatim.
+        assert {key for key in EXECUTORS
+                if "epsilon" in named_parameters(scenarios._executor(key))} \
+            == {"theorem4", "theorem4-census"}
+
+    def test_a_bare_function_is_an_executor(self, monkeypatch):
+        """The eighth executor costs its registry line: the function's
+        signature is what it requires, what it is called with, and what
+        it refuses."""
+        @dataclasses.dataclass
+        class Report:
+            n: int
+            f: int
+            seed: object
+            scaled: int
+
+        def run_eighth(n, f, seed, factor=2):
+            return Report(n, f, seed, factor * n)
+
+        def spec(seeds=(7,), **fixed):
+            return ScenarioSpec(name="s", executor="eighth", fixed=fixed,
+                                seeds=seeds)
+
+        monkeypatch.setitem(EXECUTORS, "eighth", run_eighth)
+        (cell,) = spec(n=5, f_fraction=0.4).cells()
+        assert (cell.executor, cell.n, cell.f) == ("eighth", 5, 2)
+        with pytest.raises(ConfigurationError, match="missing its f or f_fraction binding"):
+            spec(n=5).cells()
+        with pytest.raises(ConfigurationError, match="exactly one seed"):
+            spec(n=5, f=2, seeds=(1, 2)).cells()
+        with pytest.raises(ConfigurationError, match="network conditions"):
+            spec(n=5, f=2, network="lan").cells()
+        result = run_sweep(SweepSpec(
+            name="eighth", scenarios=(spec(n=5, f=2, factor=3),)))
+        assert result.cells[0].payload == Report(5, 2, 7, 15)
+        assert result.rows()[0]["scaled"] == 15
+
+    @pytest.mark.parametrize("binding, spec", [
+        ("protocol", dict(executor="hypothetical", protocol="quadratic",
+                          fixed={"n": 8, "lam": 8}, seeds=(0,))),
+        ("protocol", dict(executor="committee-census", protocol="quadratic",
+                          fixed={"n": 8, "f": 2, "lam": 8})),
+        ("adversary", dict(executor="theorem4", protocol="naive-broadcast",
+                           adversary="crash",
+                           fixed={"n": 8, "f": 2, "sender_input": 0})),
+        ("adversary", dict(executor="committee-census",
+                           fixed={"n": 8, "f": 2, "lam": 8,
+                                  "adversary": "none"})),
+        ("inputs", dict(executor="dolev-reischuk",
+                        protocol="naive-broadcast", inputs="ones",
+                        fixed={"n": 8, "f": 2, "sender_input": 0},
+                        seeds=(0,))),
+        ("inputs", dict(executor="hypothetical", seeds=(0,),
+                        fixed={"n": 8, "lam": 8, "inputs": "zeros"})),
+    ])
+    def test_a_binding_nothing_would_receive_is_refused(self, binding, spec):
+        with pytest.raises(
+                ConfigurationError,
+                match=f"scenario 's': executor {spec['executor']!r} cannot "
+                      f"use the {binding} binding"):
+            ScenarioSpec(name="s", **spec).cells()
+        # ... and without it the same spec binds.
+        spec["fixed"] = {key: value for key, value in spec["fixed"].items()
+                         if key != binding}
+        spec.pop(binding, None)
+        assert ScenarioSpec(name="s", **spec).cells()
+
+    def test_a_required_parameter_the_cell_cannot_bind_is_named(self):
+        with pytest.raises(ConfigurationError, match="missing its protocol binding"):
+            ScenarioSpec(name="s", fixed={"n": 8, "f": 2}).cells()
+        with pytest.raises(ConfigurationError, match="missing its n binding"):
+            ScenarioSpec(name="s", executor="hypothetical",
+                         seeds=(0,)).cells()
+        # Not only the layer's own names: the harness's ``sender_input``
+        # used to surface as a TypeError mid-sweep.
+        with pytest.raises(ConfigurationError,
+                           match="missing its sender_input binding"):
+            ScenarioSpec(name="s", executor="theorem4",
+                         protocol="naive-broadcast",
+                         fixed={"n": 8, "f": 2}).cells()
 
 
 class TestDeterminism:

@@ -100,11 +100,17 @@ class TestServiceQueue:
         assert record["state"] == JOB_DONE
         assert record["computed"] == SMOKE_CELLS
 
-    def test_submit_after_shutdown_refused(self, sqlite_store):
-        service = ExperimentService(sqlite_store, workers=1)
-        service.shutdown()
-        with pytest.raises(ConfigurationError):
-            service.submit("smoke")
+    def test_submit_after_shutdown_refused(self, sqlite_store, tmp_path):
+        for store in (sqlite_store, ExperimentStore(tmp_path / "tree")):
+            with ExperimentService(store, workers=1) as service:
+                service.wait(service.submit("smoke"), timeout=120)
+            before = store.load_jobs()
+            assert [job["state"] for job in before] == [JOB_DONE]
+            with pytest.raises(ConfigurationError, match="shut down"):
+                service.submit("smoke")
+            # Refused before it was recorded: a job persisted as queued
+            # now would stay queued forever — no worker will take it.
+            assert store.load_jobs() == before
 
     def test_job_record_is_durable_across_services(self, sqlite_store):
         with ExperimentService(sqlite_store, workers=2) as service:

@@ -3,6 +3,7 @@ fingerprint scheme and invalidation, record round-trips, warm replay
 byte-identity, interrupted-sweep resume, and shard-union equality."""
 
 import dataclasses
+import functools
 import hashlib
 import json
 
@@ -190,6 +191,30 @@ def test_row_schema_is_pinned_beside_the_store_salt():
             "skipped_ticks", "events_processed"}, key
 
 
+#: The store keys — SHA-256 over the newline-joined fingerprint of every
+#: library cell, in registration then expansion order — as they were
+#: before executors were bound by signature (97 cells, 96 distinct).  A
+#: binding-layer change that moves it re-keys every warm store: bump
+#: ``STORE_SALT`` if that is intended, never by accident.
+STORE_KEYS_PIN = (
+    "ba-repro-store-v4",
+    "2bdfdb72ac22f6fee4ef0e2550c02669fc473f64a48f6fc318abbecf7bfcda9b")
+
+
+def test_library_store_keys_are_pinned_beside_the_store_salt():
+    from repro.harness.sweep_library import SWEEPS
+
+    prints = [cell_fingerprint(cell) for sweep in SWEEPS.values()
+              for cell in sweep.expand()]
+    assert (len(prints), len(set(prints))) == (97, 96)
+    digest = hashlib.sha256("\n".join(prints).encode()).hexdigest()
+    assert (STORE_SALT, digest) == STORE_KEYS_PIN, (
+        "the library's cell fingerprints moved: recorded cells no longer "
+        "replay.  If a sweep was added or edited, or the salt bumped, "
+        f"re-pin STORE_KEYS_PIN to ({STORE_SALT!r}, {digest!r}); if only "
+        "the binding layer changed, it re-keyed every warm store")
+
+
 class TestStoreRoundTrip:
     def test_record_round_trip_preserves_metric_types(self, tmp_path):
         store = ExperimentStore(tmp_path)
@@ -324,20 +349,27 @@ class TestResumeAndGrowth:
         store = ExperimentStore(tmp_path)
         sweep = tiny_sweep()
         real = EXECUTORS["trials"]
-        calls = []
+        gathered = []
 
-        def explode_on_second(cell, workers, coin_cache, pool=None):
-            calls.append(cell)
-            if len(calls) > 1:
-                raise RuntimeError("simulated crash mid-sweep")
-            return real.run(cell, workers, coin_cache, pool=pool)
+        @functools.wraps(real)  # the signature is the executor's contract
+        def explode_on_second(**arguments):
+            gather = real(**arguments)
 
-        monkeypatch.setitem(
-            EXECUTORS, "trials",
-            dataclasses.replace(real, run=explode_on_second))
+            def exploding_gather():
+                gathered.append(arguments["n"])
+                if len(gathered) > 1:
+                    raise RuntimeError("simulated crash mid-sweep")
+                return gather()
+            return exploding_gather
+
+        monkeypatch.setitem(EXECUTORS, "trials", explode_on_second)
         with pytest.raises(RuntimeError, match="simulated crash"):
             run_sweep(sweep, store=store)
         monkeypatch.setitem(EXECUTORS, "trials", real)
+        # Both cells were started before the first was gathered, yet the
+        # first finished (and was recorded) before the second computed.
+        assert gathered == [24, 32]
+        assert store.cell_count() == 1
 
         # The completed cell was durably recorded before the crash.
         resumed = run_sweep(sweep, store=store)
