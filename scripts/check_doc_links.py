@@ -7,9 +7,10 @@ existing file or directory (anchors are stripped; external ``http(s)``,
 the documentation graph in :data:`REQUIRED_LINKS`: pages that must
 cross-link each other (e.g. the protocol reference ``docs/PROTOCOLS.md``
 must be reachable from the README and the architecture/network pages),
-and the length cap on ``CHANGES.md`` entries (:data:`CHANGES_CAP`).
-Exits non-zero listing every broken or missing link and every oversized
-entry — run once in CI, by the docs job.
+the length cap on ``CHANGES.md`` entries (:data:`CHANGES_CAP`) and the
+ceiling on the line count of ``src/`` (:data:`SRC_LINE_CEILING`).
+Exits non-zero listing every broken or missing link, every oversized
+entry and a ``src/`` over its ceiling — run once in CI, by the docs job.
 
 Usage::
 
@@ -80,6 +81,19 @@ CHANGES_CAP_FROM_PR = 17
 ENTRY_RE = re.compile(r"^PR (\d+)\b", re.MULTILINE)
 
 
+#: ``src/**/*.py`` may hold this many lines (code, comments and
+#: docstrings alike): the count the tree stood at when PR 20 ended.  The
+#: ROADMAP tracks it as a metric that should fall; a PR that must raise
+#: it raises the ceiling in the same change and says why in CHANGES.md.
+#: Lower it whenever a PR ends below.
+SRC_LINE_CEILING = 17671
+
+
+def src_line_count(root: Path) -> int:
+    return sum(len(path.read_text(encoding="utf-8").splitlines())
+               for path in (root / "src").rglob("*.py"))
+
+
 def oversized_changes_entries(root: Path):
     path = root / "CHANGES.md"
     if not path.exists():
@@ -147,14 +161,22 @@ def main() -> int:
     for number, length in oversized:
         print(f"OVERSIZED CHANGES.md: the PR {number} entry is {length} "
               f"characters (cap {CHANGES_CAP})")
+    src_lines = src_line_count(root)
+    over_ceiling = src_lines > SRC_LINE_CEILING
+    if over_ceiling:
+        print(f"OVER CEILING src/: {src_lines} lines of *.py against "
+              f"SRC_LINE_CEILING = {SRC_LINE_CEILING}; delete as much as "
+              f"was added, or raise the ceiling and say why in CHANGES.md")
     checked = sum(1 for _ in iter_markdown(root))
-    if broken or missing or oversized:
+    if broken or missing or oversized or over_ceiling:
         print(f"{len(broken)} broken and {len(missing)} missing required "
               f"link(s) across {checked} markdown file(s); "
-              f"{len(oversized)} CHANGES.md entries over the cap")
+              f"{len(oversized)} CHANGES.md entries over the cap; "
+              f"src/ at {src_lines} of {SRC_LINE_CEILING} lines")
         return 1
     print(f"all intra-repo links resolve across {checked} markdown file(s); "
-          f"{len(REQUIRED_LINKS)} required cross-links present")
+          f"{len(REQUIRED_LINKS)} required cross-links present; "
+          f"src/ at {src_lines} of {SRC_LINE_CEILING} lines")
     return 0
 
 

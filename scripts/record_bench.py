@@ -18,7 +18,7 @@ import platform
 import time
 from pathlib import Path
 
-from repro.harness.profiling import profile_check_calls, profile_phase_budget
+from repro.harness.profiling import profile_phase_budget
 from repro.protocols.quadratic_ba import build_quadratic_ba
 from repro.protocols.subquadratic_ba import build_subquadratic_ba
 
@@ -41,7 +41,7 @@ SEED_BASELINE = {
 
 def profile_quadratic(n: int, f: int, seed: int = 1) -> dict:
     instance = build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=seed)
-    profile = profile_check_calls(instance, f, seed=seed)
+    profile = profile_phase_budget(instance, f, seed=seed)
     result, wall = profile.result, profile.wall_seconds
 
     envelopes = len(result.transcript)

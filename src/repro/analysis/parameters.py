@@ -90,6 +90,8 @@ def choose_lambda(n: int, corrupt_fraction: float, target_error: float,
     This is the concrete counterpart of "λ = ω(log κ)": doubling search
     then binary refinement over :func:`protocol_failure_probability`.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if not 0 <= corrupt_fraction < 0.5:
         raise ValueError("corrupt fraction must lie in [0, 1/2)")
     if not 0 < target_error < 1:

@@ -131,6 +131,13 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
                              "delta > 1; see docs/NETWORK.md)")
 
 
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer of at least 1, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -149,7 +156,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sweep name (omit with --list to enumerate)")
     sweep.add_argument("--list", action="store_true", dest="list_sweeps",
                        help="list the available sweeps and exit")
-    sweep.add_argument("--workers", type=int, default=1,
+    sweep.add_argument("--workers", type=_positive_int, default=1,
                        help="fan each cell's trials across N processes")
     sweep.add_argument("--out-dir", default=None,
                        help="write <name>.csv and <name>.json artifacts "
@@ -197,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "is unauthenticated — do not expose it)")
     serve.add_argument("--port", type=int, default=8765,
                        help="bind port (0 = ephemeral)")
-    serve.add_argument("--workers", type=int, default=2,
+    serve.add_argument("--workers", type=_positive_int, default=2,
                        help="persistent worker threads draining cells")
     serve.add_argument("--quiet", action="store_true",
                        help="suppress per-request access logging")
@@ -536,8 +543,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_params(args: argparse.Namespace) -> int:
-    lam = choose_lambda(args.n, args.corrupt, args.target,
-                        iterations=args.iterations)
+    try:
+        lam = choose_lambda(args.n, args.corrupt, args.target,
+                            iterations=args.iterations)
+    except ValueError as error:
+        print(f"params: {error}", file=sys.stderr)
+        return 2
     failure = protocol_failure_probability(
         args.n, int(args.corrupt * args.n), lam, args.iterations)
     print(f"n:                  {args.n}")

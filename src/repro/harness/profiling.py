@@ -3,7 +3,10 @@
 Both the CI perf-smoke budget (tests/test_perf_smoke.py) and the recorded
 benchmark snapshot (scripts/record_bench.py) must count the *same*
 quantity, or a change to how verification work is measured would silently
-let them drift apart — so the counting harness lives here, once.
+let them drift apart — so the counting harness lives here, once:
+:func:`profile_phase_budget` counts ``authenticator.check`` calls (every
+verification path — node handlers, proposer policies, the memoization
+layer — funnels through it) while it attributes the wall clock.
 """
 
 from __future__ import annotations
@@ -20,44 +23,6 @@ from repro.sim.conditions import ConditionedNetwork, NetworkConditions
 from repro.sim.network import SynchronousNetwork
 from repro.sim.result import ExecutionResult
 from typing import Optional
-
-
-@dataclass
-class CheckCallProfile:
-    """One instrumented execution: its result, wall time, and how many
-    times ``authenticator.check`` ran."""
-
-    result: ExecutionResult
-    wall_seconds: float
-    check_calls: int
-
-
-def profile_check_calls(instance: ProtocolInstance, f: int,
-                        seed=0) -> CheckCallProfile:
-    """Run ``instance`` counting ``authenticator.check`` invocations.
-
-    The instance's authenticator (from ``services['authenticator']``) is
-    wrapped in place; every verification path — node handlers, proposer
-    policies, the memoization layer — funnels through it, so the count is
-    the execution's total cryptographic verification work.
-    """
-    authenticator = instance.services["authenticator"]
-    calls = [0]
-    original = authenticator.check
-
-    def counting(node_id, topic, auth):
-        calls[0] += 1
-        return original(node_id, topic, auth)
-
-    authenticator.check = counting
-    try:
-        start = time.perf_counter()
-        result = run_instance(instance, f, seed=seed)
-        wall = time.perf_counter() - start
-    finally:
-        del authenticator.check  # restore the bound method
-    return CheckCallProfile(result=result, wall_seconds=wall,
-                            check_calls=calls[0])
 
 
 @dataclass

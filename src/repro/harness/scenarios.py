@@ -977,9 +977,8 @@ def run_sweep(sweep: SweepSpec, workers: int = 1,
     ``on_cell`` is a per-cell progress callback, invoked after each
     cell settles with a dict event: ``{"index", "total", "status"
     ("computed" | "replayed" | "skipped"), "scenario", "label",
-    "fingerprint" (None without a store)}``.  The experiment service
-    streams these to polling clients; exceptions propagate (a callback
-    that raises aborts the sweep).
+    "fingerprint" (None without a store)}``.  Exceptions propagate (a
+    callback that raises aborts the sweep).
     """
     shard_index, shard_count = shard or (1, 1)
     if shard_count < 1 or not 1 <= shard_index <= shard_count:

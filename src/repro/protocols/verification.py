@@ -1,40 +1,43 @@
-"""Content-addressed verification memoization shared by protocol nodes.
+"""Verification memoization shared by the nodes of a protocol instance.
 
-The simulation passes message objects by reference, but every node
-assembles its *own* certificate objects from the votes it saw — so two
-structurally-equal certificates almost never share an ``id()``.  Keying
-verification caches by object identity (the historical approach) therefore
-re-verified the same bytes once per content-equal copy: at n = 192 a
-single quadratic-BA run performed ~4.9M redundant signature checks.
+Verification of votes, certificates and proposals is a *public*
+predicate — authenticators and eligibility lotteries are deterministic
+functions any party can evaluate, and the result does not depend on
+which node performs the check — so one :class:`VerificationCache` is
+shared by every node of a protocol instance (via its config).  What a
+table is keyed by follows how its objects come to exist:
 
-This module keys by **content**.  Verification of votes, certificates, and
-proposals is a *public* predicate — authenticators and eligibility
-lotteries are deterministic functions any party can evaluate, and the
-result does not depend on which node performs the check — so one
-:class:`VerificationCache` is shared by every node of a protocol instance
-(via its config).  Soundness rests on two invariants:
+- **Auths are issued**, one object per signing, and content-equal
+  copies of a vote arrive by different routes (inside a certificate, as
+  a ``VoteMsg``): vote, topic and proposal checks are keyed by
+  **content**.
+- **Certificates are interned at construction**
+  (:func:`~repro.protocols.certificates.certificate_from_votes`) and
+  the simulation hands every recipient of a message the same payload:
+  both are keyed by **identity**, and a content-equal copy that is not
+  the identical object is simply verified again.
 
-**Keys cover everything the verifier reads.**  A vote entry is keyed by
-``(voter, iteration, bit, auth)`` — the ``auth`` term is load-bearing:
-without it, a tampered vote carrying a forged auth would collide with a
-previously-verified honest vote and poison the cache.  Certificates are
-keyed by their full structural content (iteration, bit, and the exact
-vote tuple including every ``auth``); proposals by
-``(sender, iteration, bit, auth)``.  Keys are
+Soundness rests on three invariants:
+
+**Content keys cover everything the verifier reads.**  A vote entry is
+keyed by ``(voter, iteration, bit, auth)`` — the ``auth`` term is
+load-bearing: without it, a tampered vote carrying a forged auth would
+collide with a previously-verified honest vote and poison the cache;
+proposals by ``(sender, iteration, bit, auth)``.  Keys are
 :func:`~repro.serialization.type_tagged` because dict equality is coarser
 than canonical-bytes equality (``True == 1``, but they sign differently).
 
-**Only positive results are shared.**  A ``True`` is permanent — ideal
+**Only positive results are kept.**  A ``True`` is permanent — ideal
 signatures stay issued, ``Fmine`` coins stay recorded, real
 signatures/VRFs are pure — but a ``False`` can legitimately become
 ``True`` later (e.g. an adversary circulates a forged ticket *before* the
 honest node mines that topic; once mined, the content-equal honest ticket
-is valid).  Negative results are therefore never shared across nodes;
-nodes that want the seed semantics of "each *object* checked once" keep a
-per-node identity front (:class:`VerifyingNode`) whose entries pin their
-object, so a recycled ``id()`` can never alias.
+is valid).  No table, shared or per node, remembers a ``False``: a
+refused object is checked again on every sight, so the answer is always
+the predicate's current value.
 
-Messages with unhashable ``auth`` objects fall back to direct
+**Identity entries pin their object**, so a recycled ``id()`` can never
+alias.  Messages with unhashable ``auth`` objects fall back to direct
 verification (no caching), so cache entries can never go stale when
 payload objects are garbage-collected (e.g. under the engine's
 ``metrics-only`` transcript retention).
@@ -60,8 +63,7 @@ CACHING_ENABLED = True
 #: Per-table entry cap.  The identity fronts pin their objects, so an
 #: unbounded execution (the metrics-only retention use case) would grow
 #: resident memory O(total messages); clearing a table is always sound —
-#: entries are positive memos or recomputable keys — and only costs
-#: re-verification.
+#: entries are positive memos — and only costs re-verification.
 CACHE_LIMIT = 1 << 20
 
 
@@ -79,40 +81,26 @@ class VerificationCache:
     successful verification serves every other node.
     """
 
-    __slots__ = ("_auth", "_auth_keys", "_certs", "_cert_keys",
-                 "_cert_true_by_id", "_proposals", "valid_payloads",
-                 "_round_digest")
+    __slots__ = ("_auth", "_proposals", "_cert_true_by_id",
+                 "valid_payloads", "_round_digest")
 
     def __init__(self) -> None:
         # type_tagged (node_id, topic, auth) of verified checks; covers
         # votes, status, commit, terminate, and commit-reference checks.
         self._auth: set = set()
-        # id(auth) -> (pinned auth, its type_tagged form): the same auth
-        # object is checked by every recipient of its message, so its
-        # (recursive) tag is built once; the pin keeps the id from being
-        # recycled.
-        self._auth_keys: Dict[int, Tuple[Any, Any]] = {}
-        # type_tagged structural content of certificates that verified.
-        self._certs: set = set()
-        # id(certificate) -> (pinned certificate, its type_tagged key).
-        self._cert_keys: Dict[int, Tuple[Certificate, Any]] = {}
-        # Positive-only identity front: certificate objects known to have
-        # verified, so the n - 1 later recipients of the same object skip
-        # even the O(threshold) content-key hash.  Negative results are
-        # deliberately NOT stored here (see module docstring).
-        self._cert_true_by_id: Dict[int, Tuple[Certificate]] = {}
         # type_tagged (sender, iteration, bit, auth) of verified proposals.
         self._proposals: set = set()
-        # Positive-only identity front over whole message payloads: the
-        # simulation hands every recipient the *same* frozen payload
-        # object, and a message's validation (auth checks, certificate
-        # checks, structural checks — everything except the recipient's
-        # own state updates) is a pure public predicate, so once any node
+        # Identity front: certificate objects known to have verified.
+        # Construction interns certificates, so the later recipients and
+        # re-assemblers of a quorum hold the same object.
+        self._cert_true_by_id: Dict[int, Tuple[Certificate]] = {}
+        # Identity front over whole message payloads: the simulation
+        # hands every recipient the *same* frozen payload object, and a
+        # message's validation (auth checks, certificate checks,
+        # structural checks — everything except the recipient's own
+        # state updates) is a pure public predicate, so once any node
         # validated an object, the other n - 1 recipients skip straight
-        # to their state updates.  Entries pin the object (no id
-        # recycling) and only successes are stored — a failed validation
-        # is re-attempted per recipient, because a ``False`` can become
-        # ``True`` later (see module docstring).
+        # to their state updates.
         self.valid_payloads: Dict[int, Tuple[Any, ...]] = {}
         # (delivery list, its digest) of the current round only — see
         # :meth:`round_digest`.
@@ -147,15 +135,6 @@ class VerificationCache:
         _trim(self.valid_payloads)
         self.valid_payloads[id(payload)] = (payload,)
 
-    def _auth_key_of(self, auth: Any) -> Any:
-        entry = self._auth_keys.get(id(auth))
-        if entry is not None and entry[0] is auth:
-            return entry[1]
-        key = type_tagged(auth)
-        _trim(self._auth_keys)
-        self._auth_keys[id(auth)] = (auth, key)
-        return key
-
     def check_auth(self, authenticator: Authenticator, node_id: NodeId,
                    topic: Any, auth: Any) -> bool:
         """Memoized ``authenticator.check`` (content-keyed, auth included)."""
@@ -163,7 +142,7 @@ class VerificationCache:
             return authenticator.check(node_id, topic, auth)
         try:
             key = (type_tagged(node_id), type_tagged(topic),
-                   self._auth_key_of(auth))
+                   type_tagged(auth))
             if key in self._auth:
                 return True
         except TypeError:  # unhashable auth: verify directly, never cache
@@ -185,36 +164,16 @@ class VerificationCache:
         return self.check_auth(authenticator, vote.voter,
                                ("Vote", vote.iteration, vote.bit), vote.auth)
 
-    def _certificate_key(self, certificate: Certificate) -> Any:
-        entry = self._cert_keys.get(id(certificate))
-        if entry is not None and entry[0] is certificate:
-            return entry[1]
-        key = type_tagged(
-            (certificate.iteration, certificate.bit, certificate.votes))
-        _trim(self._cert_keys)
-        self._cert_keys[id(certificate)] = (certificate, key)
-        return key
-
     def check_certificate(self, certificate: Certificate, threshold: int,
                           check_vote: Callable[[SignedVote], bool]) -> bool:
-        """Memoized ``verify_certificate``, keyed by structural content."""
+        """Memoized ``verify_certificate``, keyed by object identity."""
         if not CACHING_ENABLED:
             return verify_certificate(certificate, threshold, check_vote)
         entry = self._cert_true_by_id.get(id(certificate))
         if entry is not None and entry[0] is certificate:
             return True
-        key = self._certificate_key(certificate)
-        try:
-            if key in self._certs:
-                _trim(self._cert_true_by_id)
-                self._cert_true_by_id[id(certificate)] = (certificate,)
-                return True
-        except TypeError:  # unhashable vote auth somewhere inside
-            return verify_certificate(certificate, threshold, check_vote)
         valid = verify_certificate(certificate, threshold, check_vote)
         if valid:
-            _trim(self._certs)
-            self._certs.add(key)
             _trim(self._cert_true_by_id)
             self._cert_true_by_id[id(certificate)] = (certificate,)
         return valid
@@ -227,7 +186,7 @@ class VerificationCache:
             return proposer.check(sender, iteration, bit, auth)
         try:
             key = (type_tagged(sender), type_tagged(iteration),
-                   type_tagged(bit), self._auth_key_of(auth))
+                   type_tagged(bit), type_tagged(auth))
             if key in self._proposals:
                 return True
         except TypeError:
@@ -243,18 +202,13 @@ class VerifyingNode(Node):
     """A protocol node verifying through its instance's shared cache.
 
     ``config`` carries the instance's ``authenticator``, certificate
-    ``threshold`` and shared ``verification`` cache.  On top of the
-    shared cache each node keeps an identity front for certificates:
-    every received object is resolved at most once per node (entries pin
-    the object, so ids cannot be recycled), and — unlike the shared
-    cache — negative results may be kept.
+    ``threshold`` and shared ``verification`` cache.
     """
 
     def __init__(self, node_id: NodeId, n: int, config: Any) -> None:
         super().__init__(node_id, n)
         self.config = config
         self._verification: VerificationCache = config.verification
-        self._cert_cache: Dict[int, Tuple[Certificate, bool]] = {}
 
     def _check_auth(self, node_id: NodeId, topic: Any, auth: Any) -> bool:
         return self._verification.check_auth(
@@ -269,11 +223,5 @@ class VerifyingNode(Node):
             return True  # the fictitious rank-0 certificate
         if expected_bit is not None and certificate.bit != expected_bit:
             return False
-        entry = self._cert_cache.get(id(certificate))
-        if entry is not None and entry[0] is certificate:
-            return entry[1]
-        result = self._verification.check_certificate(
+        return self._verification.check_certificate(
             certificate, self.config.threshold, self._check_vote_auth)
-        _trim(self._cert_cache)
-        self._cert_cache[id(certificate)] = (certificate, result)
-        return result

@@ -34,8 +34,8 @@ machine", has the table of per-family differences):
 - **Carried-quorum Decide** (:meth:`ViewNode.valid_quorum_decide`,
   :meth:`ViewNode.quorum_decide_msg`): each attached member is
   authenticated individually, never through the certificate cache (whose
-  content keys do not record *which* predicate verified — a decide
-  quorum must not be replayable as a vote certificate).
+  keys do not record *which* predicate verified — a decide quorum must
+  not be replayable as a vote certificate).
 - **Drain gate** (:meth:`ViewNode.on_round`): a node whose announcement
   was sent before the conditions' ``trusted_send_round`` keeps
   re-announcing at each unit boundary until a trusted round passes, so

@@ -51,32 +51,27 @@ _TAG_BITS = 32
 # recycled id can never alias; deliberately NOT content-keyed, because
 # dataclass equality is coarser than the size model (a bool field
 # compares equal to an int field but encodes 8 bits, not 64).
-#
-# Eviction is *generational*: when the young table fills, it becomes the
-# old generation (dropping the previous one) and a fresh young table
-# starts.  Lookups consult young then old, promoting old hits — so
-# hitting the limit mid-trial retires only entries that went a full
-# generation unused, instead of wiping the whole memo and triggering a
-# thundering recompute of every live message object.
 _SIZE_BY_ID: dict = {}
-_SIZE_BY_ID_OLD: dict = {}
+
+#: Entry cap of each serialization-layer memo (sizes, tags, the intern
+#: arena).  A table that reaches it is cleared: every entry is pure and
+#: recomputable, and the engine clears all three per execution anyway,
+#: so the cap only bounds one unusually long execution.
 _SIZE_CACHE_LIMIT = 1 << 20
 
 
 def clear_size_cache() -> None:
     """Release every object pinned by the serialization-layer memos.
 
-    Covers the size memo (both generations), the type-tag memo, and the
-    payload intern arena.  All three are pure caches, so clearing only
-    costs recomputation.  The engine calls this when an execution
+    Covers the size memo, the type-tag memo, and the payload intern
+    arena.  All three are pure caches, so clearing only costs
+    recomputation.  The engine calls this when an execution
     finishes: message objects never recur across executions, so keeping
     them pinned would grow resident memory with every run in a
     long-lived process.
     """
     _SIZE_BY_ID.clear()
-    _SIZE_BY_ID_OLD.clear()
     _TAG_BY_ID.clear()
-    _TAG_BY_ID_OLD.clear()
     _INTERN_REPS.clear()
 
 
@@ -129,27 +124,14 @@ def _size_delegated(obj: Any) -> int:
     return obj.encoded_size_bits()
 
 
-def _remember_size(obj: Any, size: int) -> None:
-    """Insert into the young generation, rotating generations when full."""
-    global _SIZE_BY_ID, _SIZE_BY_ID_OLD
-    if len(_SIZE_BY_ID) >= _SIZE_CACHE_LIMIT:
-        _SIZE_BY_ID_OLD = _SIZE_BY_ID
-        _SIZE_BY_ID = {}
-    _SIZE_BY_ID[id(obj)] = (obj, size)
-
-
 def _make_dataclass_sizer(cls: type) -> Callable[[Any], int]:
     """A sizer closure over the class's field names: tag + field sizes,
-    memoized by object identity through the generational tables."""
+    memoized by object identity."""
     names = tuple(field.name for field in dataclasses.fields(cls))
 
     def sizer(obj: Any) -> int:
         key = id(obj)
         entry = _SIZE_BY_ID.get(key)
-        if entry is None:
-            entry = _SIZE_BY_ID_OLD.get(key)
-            if entry is not None and entry[0] is obj:
-                _SIZE_BY_ID[key] = entry  # promote: still hot
         if entry is not None and entry[0] is obj:
             return entry[1]
         sizers = _SIZERS
@@ -159,7 +141,9 @@ def _make_dataclass_sizer(cls: type) -> Callable[[Any], int]:
             child = sizers.get(value.__class__)
             size += child(value) if child is not None \
                 else encoded_size_bits(value)
-        _remember_size(obj, size)
+        if len(_SIZE_BY_ID) >= _SIZE_CACHE_LIMIT:
+            _SIZE_BY_ID.clear()
+        _SIZE_BY_ID[key] = (obj, size)
         return size
 
     return sizer
@@ -220,14 +204,12 @@ _TYPE_TAG_FIELDS: dict = {}
 # Leaf classes tagged inline (one tuple, no recursive call) on hot paths.
 _SCALAR_TAG_CLASSES = frozenset({int, bool, float, str, bytes, type(None)})
 
-# Identity-keyed memo for *frozen* dataclass tags: the same auth or
-# certificate object is tagged by every recipient of its message, and a
-# frozen dataclass's tag cannot change, so it is built once.  Entries pin
-# their object (no id aliasing); generational eviction as for sizes.
-# Mutable dataclasses are never memoized — their content can change
-# between calls.
+# Identity-keyed memo for *frozen* dataclass tags: the same auth object
+# is tagged by every recipient of its message, and a frozen dataclass's
+# tag cannot change, so it is built once.  Entries pin their object (no
+# id aliasing).  Mutable dataclasses are never memoized — their content
+# can change between calls.
 _TAG_BY_ID: dict = {}
-_TAG_BY_ID_OLD: dict = {}
 
 # Classes whose instances may be tag-memoized (frozen dataclasses).
 _TAG_MEMO_CLASSES: set = set()
@@ -271,27 +253,17 @@ def type_tagged(value: Any) -> Any:
         if cls in _TAG_MEMO_CLASSES:
             key = id(value)
             entry = _TAG_BY_ID.get(key)
-            if entry is None:
-                entry = _TAG_BY_ID_OLD.get(key)
-                if entry is not None and entry[0] is value:
-                    _TAG_BY_ID[key] = entry
             if entry is not None and entry[0] is value:
                 return entry[1]
             tag = (cls,) + tuple([
                 type_tagged(getattr(value, name)) for name in names])
-            _remember_tag(value, tag)
+            if len(_TAG_BY_ID) >= _SIZE_CACHE_LIMIT:
+                _TAG_BY_ID.clear()
+            _TAG_BY_ID[key] = (value, tag)
             return tag
         return (cls,) + tuple([
             type_tagged(getattr(value, name)) for name in names])
     return (value, cls)
-
-
-def _remember_tag(obj: Any, tag: Any) -> None:
-    global _TAG_BY_ID, _TAG_BY_ID_OLD
-    if len(_TAG_BY_ID) >= _SIZE_CACHE_LIMIT:
-        _TAG_BY_ID_OLD = _TAG_BY_ID
-        _TAG_BY_ID = {}
-    _TAG_BY_ID[id(obj)] = (obj, tag)
 
 
 # -- payload interning --------------------------------------------------------
@@ -362,8 +334,7 @@ def intern_payload(obj: Any) -> Any:
     terminating node re-strips the same commit quorum — O(n) content-equal
     copies of O(n)-sized structures.  Interning collapses them to one
     representative object, so every identity-keyed memo downstream (size
-    accounting, verification fronts, per-node certificate caches) hits
-    for all of them.
+    accounting, verification fronts) hits for all of them.
 
     Only frozen dataclasses are interned, and a representative is only
     substituted when the candidate's fields are scalar-equal or

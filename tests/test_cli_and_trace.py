@@ -107,6 +107,32 @@ class TestCli:
         assert code == 0
         assert "chosen λ:" in out
 
+    @pytest.mark.parametrize("argv, message", [
+        (["params", "-n", "100", "--corrupt", "0.6"],
+         "params: corrupt fraction must lie in [0, 1/2)"),
+        (["params", "-n", "100", "--target", "0"],
+         "params: target error must lie in (0, 1)"),
+        (["params", "-n", "0"], "params: n must be at least 1"),
+        (["sweep", "smoke", "--workers", "0"],
+         "argument --workers: expected an integer of at least 1, got '0'"),
+        (["sweep", "smoke", "--workers", "-2"],
+         "argument --workers: expected an integer of at least 1, got '-2'"),
+        (["serve", "--workers", "0"],
+         "argument --workers: expected an integer of at least 1, got '0'"),
+    ])
+    def test_out_of_range_input_exits_2(self, capsys, argv, message):
+        """Out-of-range numbers are usage errors — one line on stderr,
+        exit 2 — whether the parser or the command refuses them; none is
+        a traceback, and ``--workers 0`` is not silently run inline."""
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # argparse's own refusal
+            code = exit_.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "E99"])

@@ -16,8 +16,8 @@ changes don't trip it, while any regression to per-copy re-verification
 import functools
 
 from repro.harness.profiling import (
-    profile_check_calls,
     profile_handler_calls,
+    profile_phase_budget,
 )
 from repro.harness.runner import run_instance
 from repro.protocols.quadratic_ba import build_quadratic_ba
@@ -26,7 +26,7 @@ from repro.protocols.quadratic_ba import build_quadratic_ba
 def test_quadratic_ba_n96_check_call_budget():
     n, f = 96, 47
     instance = build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=1)
-    profile = profile_check_calls(instance, f, seed=1)
+    profile = profile_phase_budget(instance, f, seed=1)
 
     # The run must still be a correct agreement...
     assert profile.result.consistent()
