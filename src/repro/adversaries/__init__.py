@@ -4,8 +4,12 @@ Every lower bound and every security claim in the paper corresponds to an
 executable adversary here:
 
 - :mod:`repro.adversaries.crash` — corrupt-and-silence (liveness floor).
+- :mod:`repro.adversaries.menu` — not an attack but the vocabulary: what
+  a corrupt node can say per quorum family; the next two are policies on it.
 - :mod:`repro.adversaries.static_byzantine` — static equivocation: corrupt
   nodes vote/ACK both bits every round (the Lemma 11 stress test).
+- :mod:`repro.adversaries.view_split` — the same menu, unicast: bit ``b``
+  only to the honest nodes of parity ``b`` (divergent certificate views).
 - :mod:`repro.adversaries.adaptive_speaker` — corrupts nodes the moment
   they are observed multicasting (the "corrupt whoever speaks" strategy
   that bit-specific eligibility is designed to survive).

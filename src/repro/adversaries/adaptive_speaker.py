@@ -33,7 +33,6 @@ class AdaptiveSpeakerAdversary(Adversary):
     def __init__(self, instance: ProtocolInstance,
                  spare_budget: int = 0) -> None:
         super().__init__()
-        self.instance = instance
         services = instance.services
         if "authenticator" not in services:
             raise ConfigurationError(

@@ -19,76 +19,43 @@ the protocol decides — the regression tests pin exactly that.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
+from repro.adversaries.menu import family_of
 from repro.errors import ConfigurationError
-from repro.protocols.aba import AbaConfig, PHASE_PROPOSE, schedule
 from repro.protocols.base import ProtocolInstance
-from repro.protocols.leader_ba import LeaderBaConfig, proposing_view
-from repro.protocols.phase_king import PhaseKingConfig
 from repro.sim.adversary import Adversary
 from repro.sim.leader import LeaderOracle
 from repro.sim.network import Delivery, Envelope
 from repro.types import NodeId, Round
-
-#: Protocol families with a public leader schedule this adversary can
-#: strike, keyed by the shared-config class their builders install.
-_FAMILIES = {
-    "aba": AbaConfig,
-    "phase-king": PhaseKingConfig,
-    "leader-ba": LeaderBaConfig,
-}
 
 
 class LeaderKillerAdversary(Adversary):
     """Corrupts (and silences) each oracle-announced leader."""
 
     name = "leader-killer"
+    #: Every family with a public leader schedule (``menu.FAMILIES``).
+    admits = ("aba", "phase-king", "leader-ba")
 
-    def __init__(self, instance: ProtocolInstance,
-                 family: Optional[str] = None) -> None:
+    def __init__(self, instance: ProtocolInstance) -> None:
         super().__init__()
         oracle = instance.services.get("oracle")
         if not isinstance(oracle, LeaderOracle):
             raise ConfigurationError(
                 "leader-killer needs an announced leader oracle")
         self.oracle = oracle
-        config = instance.services.get("config")
-        if family is None:
-            # Sniff the family from the instance's shared config, so the
-            # registry entry works unparameterized across every target.
-            for name, config_cls in _FAMILIES.items():
-                if isinstance(config, config_cls):
-                    family = name
-                    break
-            else:
-                raise ConfigurationError(
-                    f"leader-killer cannot target {instance.name!r}: not an "
-                    f"oracle-led protocol family (one of "
-                    f"{', '.join(sorted(_FAMILIES))})")
-        elif family not in _FAMILIES:
-            raise ConfigurationError(f"unknown family {family!r}")
-        self.family = family
+        self._family = family_of(instance, self.name, self.admits)
+        self.family = self._family.name
         self.killed: List[NodeId] = []
-
-    def _epoch_starting_at(self, round_index: Round) -> Optional[int]:
-        """The epoch whose proposal happens in this round, if any (an
-        iteration for the paper protocols, a view for the leader family —
-        either way the oracle's epoch key)."""
-        if self.family == "phase-king":
-            epoch, is_ack_round = divmod(round_index, 2)
-            return epoch if not is_ack_round else None
-        if self.family == "leader-ba":
-            return proposing_view(round_index)
-        iteration, phase = schedule(round_index)
-        return iteration if phase == PHASE_PROPOSE else None
 
     def observe_deliveries(self, round_index: Round,
                            inboxes: Dict[NodeId, List[Delivery]]) -> None:
-        # Strike before the honest step: the leader of an iteration whose
-        # proposal round begins now is corrupted before it can speak.
-        epoch = self._epoch_starting_at(round_index)
-        if epoch is None:
+        # Strike before the honest step: the leader of the epoch (an
+        # iteration for the paper protocols, a view for the leader family
+        # — either way the oracle's epoch key) whose proposal round
+        # begins now is corrupted before it can speak.
+        epoch, phase = self._family.schedule(round_index)
+        if phase != self._family.propose_phase:
             return
         api = self.api
         leader = self.oracle.leader(epoch)

@@ -8,142 +8,48 @@ whatever the authenticator (signatures or the bit-specific lottery)
 grants them.  Against the quadratic protocol this blocks early commits;
 against the subquadratic protocols it exercises the quorum-intersection
 bound at its worst case.
+
+What a corrupt node can say is :mod:`repro.adversaries.menu`; this class
+is the policy "the last ``f`` nodes say all of it", and :meth:`targets`
+— who receives each bit — is the one thing its subclasses change.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.errors import ConfigurationError
-from repro.protocols.aba import (
-    AbaNode,
-    PHASE_PROPOSE,
-    PHASE_VOTE,
-    schedule,
-)
+from repro.adversaries.menu import ByzantineMenu
 from repro.protocols.base import ProtocolInstance
-from repro.protocols.broadcast import BroadcastNode
-from repro.protocols.messages import (
-    AckMsg,
-    PhaseKingProposeMsg,
-    ProposeMsg,
-    VoteMsg,
-)
-from repro.protocols.phase_king import PhaseKingNode
 from repro.sim.adversary import Adversary
 from repro.sim.network import Envelope
 from repro.types import Bit, NodeId, Round
-
-
-def _unwrap(node):
-    return node.inner if isinstance(node, BroadcastNode) else node
 
 
 class StaticEquivocationAdversary(Adversary):
     """Corrupts a fixed set at setup and equivocates relentlessly."""
 
     name = "static-equivocation"
+    #: The families (``menu.FAMILIES`` names) this policy may be bound to.
+    admits = ("aba", "phase-king")
 
-    def __init__(self, instance: ProtocolInstance,
-                 victims: Optional[Sequence[NodeId]] = None) -> None:
+    def __init__(self, instance: ProtocolInstance) -> None:
         super().__init__()
-        self.instance = instance
-        self.victims = list(victims) if victims is not None else None
-        services = instance.services
-        if "config" not in services:
-            raise ConfigurationError(
-                "equivocation attack needs the protocol config in services")
-        self.config = services["config"]
-        sample = _unwrap(instance.nodes[0])
-        if isinstance(sample, PhaseKingNode):
-            self.family = "phase-king"
-        elif isinstance(sample, AbaNode):
-            self.family = "aba"
-        else:
-            raise ConfigurationError(
-                f"unsupported protocol family: {type(sample).__name__}")
-        self.round_offset = 1 if isinstance(instance.nodes[0], BroadcastNode) else 0
+        self.menu = ByzantineMenu(instance, self.name, self.admits)
+        self.family = self.menu.family.name
         self.corrupted: List[NodeId] = []
-        # iteration -> bit -> a valid proposal usable to justify votes.
-        self._proposals: Dict[int, Dict[Bit, ProposeMsg]] = {}
 
-    # -- setup ------------------------------------------------------------
     def on_setup(self) -> None:
         api = self.api
-        victims = (self.victims if self.victims is not None
-                   else list(range(api.n - api.corruption_budget, api.n)))
-        for node_id in victims[:api.corruption_budget]:
+        for node_id in range(api.n - api.corruption_budget, api.n):
             api.corrupt(node_id)
             self.corrupted.append(node_id)
 
-    # -- helpers -------------------------------------------------------------
-    def _protocol_round(self, round_index: Round) -> Round:
-        return round_index - self.round_offset
+    def targets(self, bit: Bit) -> Sequence[Optional[NodeId]]:
+        """Recipients of a ``bit`` message, ascending (None = multicast)."""
+        return (None,)
 
-    def _note_proposals(self, staged: List[Envelope]) -> None:
-        for envelope in staged:
-            payload = envelope.payload
-            if isinstance(payload, ProposeMsg):
-                self._proposals.setdefault(
-                    payload.iteration, {}).setdefault(payload.bit, payload)
-
-    # -- attack ------------------------------------------------------------------
     def react(self, round_index: Round, staged: List[Envelope]) -> None:
-        protocol_round = self._protocol_round(round_index)
-        if protocol_round < 0:
-            return
-        self._note_proposals(staged)
-        if self.family == "aba":
-            self._attack_aba(protocol_round)
-        else:
-            self._attack_phase_king(protocol_round)
-
-    def _attack_aba(self, protocol_round: Round) -> None:
-        iteration, phase = schedule(protocol_round)
-        authenticator = self.config.authenticator
-        if phase == PHASE_PROPOSE:
-            for node_id in self.corrupted:
-                for bit in (0, 1):
-                    auth = self.config.proposer.attempt(node_id, iteration, bit)
-                    if auth is None:
-                        continue
-                    proposal = ProposeMsg(iteration=iteration, bit=bit,
-                                          certificate=None,
-                                          sender=node_id, auth=auth)
-                    self.api.inject(node_id, None, proposal)
-                    self._proposals.setdefault(
-                        iteration, {}).setdefault(bit, proposal)
-        elif phase == PHASE_VOTE:
-            for node_id in self.corrupted:
-                for bit in (0, 1):
-                    proposal = self._proposals.get(iteration, {}).get(bit)
-                    if iteration > 1 and proposal is None:
-                        continue  # no justification available for this bit
-                    auth = authenticator.attempt(
-                        node_id, ("Vote", iteration, bit))
-                    if auth is None:
-                        continue
-                    self.api.inject(node_id, None, VoteMsg(
-                        iteration=iteration, bit=bit, sender=node_id,
-                        auth=auth,
-                        proposal=proposal if iteration > 1 else None))
-
-    def _attack_phase_king(self, protocol_round: Round) -> None:
-        epoch, is_ack_round = divmod(protocol_round, 2)
-        if epoch >= self.config.epochs:
-            return
-        if not is_ack_round:
-            for node_id in self.corrupted:
-                for bit in (0, 1):
-                    auth = self.config.proposer.attempt(node_id, epoch, bit)
-                    if auth is not None:
-                        self.api.inject(node_id, None, PhaseKingProposeMsg(
-                            epoch=epoch, bit=bit, sender=node_id, auth=auth))
-        else:
-            for node_id in self.corrupted:
-                for bit in (0, 1):
-                    auth = self.config.authenticator.attempt(
-                        node_id, ("ACK", epoch, bit))
-                    if auth is not None:
-                        self.api.inject(node_id, None, AckMsg(
-                            epoch=epoch, bit=bit, sender=node_id, auth=auth))
+        for node_id, bit, payload in self.menu.offers(
+                round_index, staged, self.corrupted):
+            for target in self.targets(bit):
+                self.api.inject(node_id, target, payload)

@@ -1,6 +1,6 @@
 """View-splitting attack: conflicting messages to different halves.
 
-The subtlest adversary in the zoo.  Where
+The subtlest adversary in the zoo.  Where its parent
 :class:`~repro.adversaries.static_byzantine.StaticEquivocationAdversary`
 multicasts its equivocations (so every honest node sees the same mess),
 this one *unicasts* different proposals and votes to different halves of
@@ -29,183 +29,20 @@ exactly that.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
-from repro.errors import ConfigurationError
-from repro.protocols import leader_ba
-from repro.protocols.aba import PHASE_PROPOSE, PHASE_VOTE, schedule
-from repro.protocols.base import ProtocolInstance
-from repro.protocols.broadcast import BroadcastNode
-from repro.protocols.leader_ba import LeaderBaConfig, NewViewMsg
-from repro.protocols.messages import ProposeMsg, VoteMsg
-from repro.sim.adversary import Adversary
-from repro.sim.network import Envelope
-from repro.types import Bit, NodeId, Round
+from repro.adversaries.static_byzantine import StaticEquivocationAdversary
+from repro.types import Bit, NodeId
 
 
-class ViewSplitAdversary(Adversary):
+class ViewSplitAdversary(StaticEquivocationAdversary):
     """Static corruption; per-half conflicting proposals and votes."""
 
     name = "view-split"
+    admits = ("aba", "leader-ba")
 
-    def __init__(self, instance: ProtocolInstance,
-                 victims: Optional[Sequence[NodeId]] = None) -> None:
-        super().__init__()
-        services = instance.services
-        if "config" not in services:
-            raise ConfigurationError(
-                "view-split attack needs the protocol config in services")
-        self.config = services["config"]
-        if not hasattr(self.config, "proposer"):
-            raise ConfigurationError(
-                "view-split attack targets the iterated-BA family")
-        self.round_offset = (
-            1 if isinstance(instance.nodes[0], BroadcastNode) else 0)
-        self.family = ("leader-ba" if isinstance(self.config, LeaderBaConfig)
-                       else "aba")
-        self.victims = list(victims) if victims is not None else None
-        self.corrupted: List[NodeId] = []
-        # iteration -> bit -> proposal usable to justify votes.
-        self._proposals: Dict[int, Dict[Bit, ProposeMsg]] = {}
-        # Leader family: (view, bit) -> sender -> QC-stripped NewView
-        # attestation, harvested from staged honest traffic and corrupt
-        # signatures — the justification pool for split proposals.
-        self._attestations: Dict[Tuple[int, Bit],
-                                 Dict[NodeId, NewViewMsg]] = {}
-
-    def on_setup(self) -> None:
-        api = self.api
-        victims = (self.victims if self.victims is not None
-                   else list(range(api.n - api.corruption_budget, api.n)))
-        for node_id in victims[:api.corruption_budget]:
-            api.corrupt(node_id)
-            self.corrupted.append(node_id)
-
-    def _half(self, bit: Bit) -> List[NodeId]:
+    def targets(self, bit: Bit) -> List[NodeId]:
         """The half of the (non-corrupt) network that is fed ``bit``."""
         api = self.api
         return [node for node in range(api.n)
                 if node % 2 == bit and not api.is_corrupt(node)]
-
-    def _note_honest_proposals(self, staged: List[Envelope]) -> None:
-        for envelope in staged:
-            payload = envelope.payload
-            if isinstance(payload, ProposeMsg):
-                self._proposals.setdefault(
-                    payload.iteration, {}).setdefault(payload.bit, payload)
-
-    def react(self, round_index: Round, staged: List[Envelope]) -> None:
-        protocol_round = round_index - self.round_offset
-        if protocol_round < 0:
-            return
-        if self.family == "leader-ba":
-            self._react_leader(protocol_round, staged)
-            return
-        self._note_honest_proposals(staged)
-        iteration, phase = schedule(protocol_round)
-        if phase == PHASE_PROPOSE:
-            self._split_proposals(iteration)
-        elif phase == PHASE_VOTE:
-            self._split_votes(iteration)
-
-    # -- leader-family branch ------------------------------------------------
-    def _react_leader(self, protocol_round: Round,
-                      staged: List[Envelope]) -> None:
-        view, phase = leader_ba.schedule(protocol_round)
-        if phase == leader_ba.PHASE_NEW_VIEW:
-            self._note_honest_attestations(staged)
-            self._split_attestations(view)
-        elif phase == leader_ba.PHASE_PROPOSE:
-            self._split_leader_proposals(view)
-        elif phase == leader_ba.PHASE_PREVOTE:
-            self._split_prevotes(view)
-
-    def _note_honest_attestations(self, staged: List[Envelope]) -> None:
-        for envelope in staged:
-            payload = envelope.payload
-            if isinstance(payload, NewViewMsg):
-                # Strip the carried QC: the attestation auth covers only
-                # ("NewView", view, bit), so the bare message stays valid
-                # as fresh-value justification material.
-                self._attestations.setdefault(
-                    (payload.view, payload.bit), {}).setdefault(
-                        payload.sender,
-                        NewViewMsg(view=payload.view, bit=payload.bit,
-                                   qc=None, sender=payload.sender,
-                                   auth=payload.auth))
-
-    def _split_attestations(self, view: int) -> None:
-        authenticator = self.config.authenticator
-        for node_id in self.corrupted:
-            for bit in (0, 1):
-                auth = authenticator.attempt(node_id,
-                                             ("NewView", view, bit))
-                if auth is None:
-                    continue
-                attestation = NewViewMsg(view=view, bit=bit, qc=None,
-                                         sender=node_id, auth=auth)
-                self._attestations.setdefault(
-                    (view, bit), {}).setdefault(node_id, attestation)
-                for target in self._half(bit):
-                    self.api.inject(node_id, target, attestation)
-
-    def _split_leader_proposals(self, view: int) -> None:
-        quorum = self.config.fallback_quorum
-        for node_id in self.corrupted:
-            for bit in (0, 1):
-                pool = self._attestations.get((view, bit), {})
-                if len(pool) < quorum:
-                    continue  # cannot justify: validity holds regardless
-                auth = self.config.proposer.attempt(node_id, view, bit)
-                if auth is None:
-                    continue  # not this view's leader
-                chosen = tuple(attestation for _, attestation
-                               in sorted(pool.items())[:quorum])
-                proposal = leader_ba.LeaderProposeMsg(
-                    view=view, bit=bit, qc=None, attestations=chosen,
-                    sender=node_id, auth=auth)
-                for target in self._half(bit):
-                    self.api.inject(node_id, target, proposal)
-
-    def _split_prevotes(self, view: int) -> None:
-        authenticator = self.config.authenticator
-        for node_id in self.corrupted:
-            for bit in (0, 1):
-                auth = authenticator.attempt(node_id, ("Vote", view, bit))
-                if auth is None:
-                    continue
-                prevote = leader_ba.PrevoteMsg(view=view, bit=bit,
-                                               sender=node_id, auth=auth)
-                for target in self._half(bit):
-                    self.api.inject(node_id, target, prevote)
-
-    def _split_proposals(self, iteration: int) -> None:
-        for node_id in self.corrupted:
-            for bit in (0, 1):
-                auth = self.config.proposer.attempt(node_id, iteration, bit)
-                if auth is None:
-                    continue
-                proposal = ProposeMsg(iteration=iteration, bit=bit,
-                                      certificate=None, sender=node_id,
-                                      auth=auth)
-                self._proposals.setdefault(
-                    iteration, {}).setdefault(bit, proposal)
-                for target in self._half(bit):
-                    self.api.inject(node_id, target, proposal)
-
-    def _split_votes(self, iteration: int) -> None:
-        authenticator = self.config.authenticator
-        for node_id in self.corrupted:
-            for bit in (0, 1):
-                proposal = self._proposals.get(iteration, {}).get(bit)
-                if iteration > 1 and proposal is None:
-                    continue
-                auth = authenticator.attempt(node_id,
-                                             ("Vote", iteration, bit))
-                if auth is None:
-                    continue
-                vote = VoteMsg(iteration=iteration, bit=bit,
-                               sender=node_id, auth=auth,
-                               proposal=proposal if iteration > 1 else None)
-                for target in self._half(bit):
-                    self.api.inject(node_id, target, vote)

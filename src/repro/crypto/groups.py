@@ -87,9 +87,6 @@ class SchnorrGroup:
         """Uniform scalar in ``[1, q)`` (nonzero to avoid degenerate keys)."""
         return rng.randrange(1, self.q)
 
-    def scalar_from_bytes(self, data: bytes) -> int:
-        return int.from_bytes(data, "big") % self.q
-
     # -- group operations ------------------------------------------------
     def exp(self, base: int, exponent: int) -> int:
         return pow(base, exponent % self.q, self.p)

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.crypto.groups import SchnorrGroup
-from repro.errors import SignatureError
 
 
 @dataclass(frozen=True)
@@ -62,9 +61,3 @@ def verify(group: SchnorrGroup, public: int, message: Any,
     )
     expected = group.challenge_scalar("schnorr-sig", public, commitment, message)
     return expected == signature.challenge
-
-
-def verify_or_raise(group: SchnorrGroup, public: int, message: Any,
-                    signature: SchnorrSignature) -> None:
-    if not verify(group, public, message, signature):
-        raise SignatureError("Schnorr signature verification failed")

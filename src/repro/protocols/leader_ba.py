@@ -81,7 +81,7 @@ from repro.serialization import intern_payload
 from repro.sim.conditions import NetworkConditions
 from repro.sim.leader import LeaderOracle, RoundRobinLeaderOracle
 from repro.sim.node import RoundContext
-from repro.types import Bit, NodeId, Round
+from repro.types import Bit, NodeId
 
 #: Protocol rounds per view, in phase order.
 PHASE_NEW_VIEW = "NewView"
@@ -107,17 +107,6 @@ rounds_for_views = SCHEDULE.rounds_for
 #: columns report this minus one — the views that ended without settling
 #: the execution.
 decision_view_of = SCHEDULE.settled_unit
-
-
-def proposing_view(round_index: Round) -> Optional[int]:
-    """The view whose leader proposes in this round, if any.
-
-    The leader-killer adversary uses this to strike each view's leader
-    before it can speak; the view number doubles as the leader oracle's
-    epoch (global across chain heights).
-    """
-    view, phase = schedule(round_index)
-    return view if phase == PHASE_PROPOSE else None
 
 
 def default_views_per_height(f: int,

@@ -43,9 +43,19 @@ from repro.protocols.verification import VerificationCache
 from repro.rng import Seed
 from repro.sim.leader import LeaderOracle, RoundRobinLeaderOracle
 from repro.sim.node import Node, RoundContext
-from repro.types import Bit, NodeId
+from repro.types import Bit, NodeId, Round
 
 DEFAULT_EPOCHS = 20
+
+PHASE_PROPOSE = "Propose"
+PHASE_ACK = "ACK"
+
+
+def schedule(round_index: Round) -> Tuple[int, str]:
+    """Map a global round to ``(epoch, phase)``: epochs are 0-based, two
+    rounds each (epoch ``config.epochs`` is the final tally round)."""
+    epoch, is_ack_round = divmod(round_index, 2)
+    return epoch, PHASE_ACK if is_ack_round else PHASE_PROPOSE
 
 
 @dataclass
@@ -197,14 +207,14 @@ class PhaseKingNode(Node):
             epoch, bit = self._adopted_decision
             self._early_decide(ctx, epoch, bit, certificate=None)
             return
-        epoch, is_ack_round = divmod(ctx.round, 2)
+        epoch, phase = schedule(ctx.round)
         if epoch >= self.config.epochs:
             # Final tally round: absorb the last epoch's ACKs and stop.
             self._tally(self.config.epochs - 1)
             self.decide(self.finalize(), ctx.round)
             self.halted = True
             return
-        if not is_ack_round:
+        if phase == PHASE_PROPOSE:
             if epoch > 0:
                 self._tally(epoch - 1)
                 if self.config.early_stop_unanimity:

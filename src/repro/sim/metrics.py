@@ -23,11 +23,6 @@ from repro.serialization import encoded_size_bits
 from repro.sim.network import Envelope
 from repro.types import Round
 
-try:  # vectorized per-round aggregation; pure-python fallback without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is part of the toolchain
-    _np = None
-
 
 @dataclass
 class CommunicationMetrics:
@@ -41,7 +36,7 @@ class CommunicationMetrics:
     max_message_bits: int = 0
     per_round_honest_multicasts: Dict[Round, int] = field(default_factory=dict)
     #: Raw (round, bits) event log of honest multicasts, aggregated
-    #: lazily (and vectorized) by :meth:`per_round_multicast_bits`.
+    #: lazily by :meth:`per_round_multicast_bits`.
     #: Excluded from equality/repr: it is derived bookkeeping — two
     #: metric states with equal counters are equal regardless of how the
     #: event log happens to be chunked.
@@ -72,21 +67,12 @@ class CommunicationMetrics:
     def per_round_multicast_bits(self) -> Dict[Round, int]:
         """Bits multicast by honest nodes, per round sent.
 
-        Aggregated from the raw event log on demand — one numpy
-        ``bincount`` over the whole execution instead of a per-envelope
-        dict update on the staging hot path (the pure-python fallback
-        only runs where numpy is unavailable).
+        Aggregated from the raw event log on demand, in exact integer
+        arithmetic, instead of a per-envelope dict update on the staging
+        hot path.
         """
-        events = self._multicast_bit_events
-        if not events:
-            return {}
-        if _np is not None:
-            arr = _np.asarray(events, dtype=_np.int64)
-            totals = _np.bincount(arr[:, 0], weights=arr[:, 1])
-            return {round_index: int(total)
-                    for round_index, total in enumerate(totals) if total}
         totals_by_round: Dict[Round, int] = {}
-        for round_index, bits in events:
+        for round_index, bits in self._multicast_bit_events:
             totals_by_round[round_index] = (
                 totals_by_round.get(round_index, 0) + bits)
         return totals_by_round

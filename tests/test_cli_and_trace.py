@@ -79,9 +79,16 @@ class TestCli:
         (["--protocol", "adaptive-ba", "--adversary", "leader-killer"],
          "leader-killer needs an announced leader oracle"),
         (["--protocol", "adaptive-ba", "--adversary", "view-split"],
-         "view-split attack targets"),
+         "view-split cannot target 'adaptive-ba': it admits the aba, "
+         "leader-ba families"),
         (["--protocol", "leader-ba", "--adversary", "equivocate"],
-         "unsupported protocol family"),
+         "static-equivocation cannot target 'leader-ba': it admits the "
+         "aba, phase-king families"),
+        # Recognized by config class, not by "has a proposer": the aba
+        # schedule against PhaseKingNodes used to run (and exit 0).
+        (["--protocol", "phase-king", "--adversary", "view-split"],
+         "view-split cannot target 'phase-king': it admits the aba, "
+         "leader-ba families"),
         (["--protocol", "leader-ba", "--adversary", "actual-faults",
           "--actual", "9", "-f", "4"],
          "exceeds the corruption budget"),

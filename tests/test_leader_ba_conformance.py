@@ -227,6 +227,3 @@ class TestLeaderKillerRegressions:
         with pytest.raises(ConfigurationError,
                            match="needs an announced leader oracle"):
             LeaderKillerAdversary(build_dolev_strong(5, 1, sender_input=1))
-        with pytest.raises(ConfigurationError, match="unknown family"):
-            LeaderKillerAdversary(build_quadratic_ba(8, 3, _inputs(8)),
-                                  family="hotstuff")

@@ -30,7 +30,6 @@ from repro.harness.runner import run_instance
 from repro.protocols import verification
 from repro.protocols.aba import (
     PHASE_PROPOSE,
-    PHASE_VOTE,
     AbaConfig,
     AbaNode,
     RoundDigest,
@@ -119,30 +118,13 @@ class DigestSpy:
 
 
 class SplitEquivocationAdversary(StaticEquivocationAdversary):
-    """Equivocation proper: each corrupt node votes both bits, but shows
-    bit ``b`` only to the recipients of parity ``b`` (unicasts)."""
+    """Equivocation proper: each corrupt node says both bits, but shows
+    bit ``b`` only to the recipients of parity ``b`` (unicasts, corrupt
+    recipients included) — a target policy over the menu."""
 
-    def _attack_aba(self, protocol_round):
-        iteration, phase = schedule(protocol_round)
-        if phase == PHASE_PROPOSE:
-            super()._attack_aba(protocol_round)
-        if phase != PHASE_VOTE:
-            return
-        for node_id in self.corrupted:
-            for bit in (0, 1):
-                proposal = self._proposals.get(iteration, {}).get(bit)
-                if iteration > 1 and proposal is None:
-                    continue
-                auth = self.config.authenticator.attempt(
-                    node_id, ("Vote", iteration, bit))
-                if auth is None:
-                    continue
-                vote = VoteMsg(iteration=iteration, bit=bit, sender=node_id,
-                               auth=auth,
-                               proposal=proposal if iteration > 1 else None)
-                for recipient in range(self.api.n):
-                    if recipient % 2 == bit:
-                        self.api.inject(node_id, recipient, vote)
+    def targets(self, bit):
+        return [recipient for recipient in range(self.api.n)
+                if recipient % 2 == bit]
 
 
 BUILDERS = {
