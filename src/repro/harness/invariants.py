@@ -35,21 +35,14 @@ from repro.sim.result import ExecutionResult
 from repro.types import Bit, NodeId
 
 
-def _require_transcript(result: ExecutionResult) -> None:
-    """Transcript checkers are meaningless on a discarded transcript: an
-    empty list would make every invariant vacuously pass."""
-    result.require_transcript()
-
-
-def _certificates_in_transcript(result: ExecutionResult) -> List[Certificate]:
+def _certificates_in_transcript(transcript) -> List[Certificate]:
     """Every certificate attached to any message on the wire."""
     certificates: List[Certificate] = []
-    for envelope in result.transcript:
+    for envelope in transcript:
         payload = envelope.payload
-        for attribute in ("certificate",):
-            certificate = getattr(payload, attribute, None)
-            if isinstance(certificate, Certificate):
-                certificates.append(certificate)
+        certificate = getattr(payload, "certificate", None)
+        if isinstance(certificate, Certificate):
+            certificates.append(certificate)
         if isinstance(payload, VoteMsg) and payload.proposal is not None:
             certificate = payload.proposal.certificate
             if isinstance(certificate, Certificate):
@@ -79,11 +72,11 @@ def no_conflicting_certificates_after_decision(
         result: ExecutionResult, nodes) -> Optional[str]:
     """Lemma 13, checked on the wire.  Returns a violation description or
     None if the invariant holds."""
-    _require_transcript(result)
+    transcript = result.require_transcript()
     decisions = decision_points(result, nodes)
     if not decisions:
         return None
-    certificates = _certificates_in_transcript(result)
+    certificates = _certificates_in_transcript(transcript)
     for node_id, iteration, bit in decisions:
         for certificate in certificates:
             if (certificate.bit == 1 - bit
@@ -98,9 +91,8 @@ def no_conflicting_certificates_after_decision(
 def honest_votes_unique_per_iteration(result: ExecutionResult
                                       ) -> Optional[str]:
     """So-far-honest nodes vote for at most one bit per iteration."""
-    _require_transcript(result)
     seen: Dict[Tuple[NodeId, int], Set[Bit]] = {}
-    for envelope in result.transcript:
+    for envelope in result.require_transcript():
         payload = envelope.payload
         if not isinstance(payload, VoteMsg):
             continue
@@ -118,8 +110,7 @@ def commits_carry_valid_certificates(result: ExecutionResult,
                                      threshold: int) -> Optional[str]:
     """Every honest commit's certificate matches its (iteration, bit) and
     carries a quorum of distinct voters."""
-    _require_transcript(result)
-    for envelope in result.transcript:
+    for envelope in result.require_transcript():
         payload = envelope.payload
         if not isinstance(payload, CommitMsg) or not envelope.honest_sender:
             continue
@@ -141,9 +132,8 @@ def commits_carry_valid_certificates(result: ExecutionResult,
 def quorum_intersection_on_acks(result: ExecutionResult,
                                 threshold: int) -> Optional[str]:
     """Phase-king §3.1: no epoch has ample ACK sets for both bits."""
-    _require_transcript(result)
     acks: Dict[Tuple[int, Bit], Set[NodeId]] = {}
-    for envelope in result.transcript:
+    for envelope in result.require_transcript():
         payload = envelope.payload
         if isinstance(payload, AckMsg):
             acks.setdefault((payload.epoch, payload.bit), set()).add(

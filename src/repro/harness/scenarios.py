@@ -99,6 +99,7 @@ from repro.sim.conditions import (
     LinkTopology,
     NetworkConditions,
 )
+from repro.sim.engine import TRANSCRIPT_METRICS_ONLY
 from repro.protocols import (
     build_adaptive_ba,
     build_broadcast_from_ba,
@@ -605,14 +606,16 @@ def _cell_trials(builder, n, f, seeds, conditions, adversary_factory,
                  coin_cache, submitter, **builder_kwargs):
     """The default executor: one trial per seed, submitted to
     ``submitter`` before this returns; the returned gather folds them, in
-    seed order, into the cell's :class:`TrialStats`."""
+    seed order, into the cell's :class:`TrialStats`.  A row reads scalars
+    of each result, so no trial builds (or pickles back) a transcript."""
     if (coin_cache is not None and "coin_cache" in named_parameters(builder)
             and builder_kwargs.get("mode", "fmine") == "fmine"
             and "eligibility" not in builder_kwargs):
         builder_kwargs["coin_cache"] = coin_cache
     return partial(gather_trials, submit_trials(
         submitter, builder, f, seeds, n=n, adversary_factory=adversary_factory,
-        conditions=conditions, **builder_kwargs))
+        conditions=conditions, transcript_retention=TRANSCRIPT_METRICS_ONLY,
+        **builder_kwargs))
 
 
 def _cell_per_seed(builder, n, f, seeds, conditions, adversary_factory,
@@ -741,11 +744,11 @@ def _start(cell: Cell, coin_cache: Optional[SharedLotteryCache],
 class CachedCellPayload:
     """Placeholder payload for a cell replayed from an experiment store.
 
-    Store records keep metrics only — transcripts, per-trial results,
-    and :class:`TrialStats` are never persisted — so a replayed cell
-    refuses payload access the same way a metrics-only transcript
-    (``transcript_retained=False``) refuses replay and invariant checks:
-    loudly, instead of handing back fabricated data.
+    Store records keep metrics only — per-trial results and
+    :class:`TrialStats` are never persisted — so a replayed cell refuses
+    payload access the same way a computed cell's trials, which keep no
+    transcript (``transcript_retained=False``), refuse replay and
+    invariant checks: loudly, instead of handing back fabricated data.
     """
 
     fingerprint: str
@@ -780,7 +783,9 @@ class CellResult:
                 f"experiment store (fingerprint "
                 f"{self.payload.fingerprint[:12]}); stored records keep "
                 "metrics only — re-run without the store, or bump the "
-                "store salt, for TrialStats/transcript access")
+                "store salt, for TrialStats; no sweep cell keeps "
+                "transcripts: run_trials(...), run_instance(...) and "
+                "`repro run` do, by default")
         if not isinstance(self.payload, TrialStats):
             raise TypeError(
                 f"cell {self.cell.label()!r} ran executor "

@@ -54,9 +54,9 @@ participates in every fingerprint and so invalidates the entire store at
 once.  See ``docs/RESULTS.md`` for the full rules.
 
 Stored records keep **metrics only** (the scalar row a sweep artifact
-serializes); transcripts and :class:`~repro.harness.runner.TrialStats`
-payloads are not retained, and replayed cells refuse payload access the
-same way metrics-only transcripts refuse replay (see
+serializes); :class:`~repro.harness.runner.TrialStats` payloads are not
+retained, and replayed cells refuse payload access the same way a sweep
+trial's discarded transcript refuses replay (see
 :class:`~repro.harness.scenarios.CachedCellPayload`).
 
 Backends

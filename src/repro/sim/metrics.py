@@ -17,7 +17,7 @@ of the message) does not retroactively un-count it, matching the paper's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict
 
 from repro.serialization import encoded_size_bits
 from repro.sim.network import Envelope
@@ -35,13 +35,8 @@ class CommunicationMetrics:
     corrupt_unicast_count: int = 0
     max_message_bits: int = 0
     per_round_honest_multicasts: Dict[Round, int] = field(default_factory=dict)
-    #: Raw (round, bits) event log of honest multicasts, aggregated
-    #: lazily by :meth:`per_round_multicast_bits`.
-    #: Excluded from equality/repr: it is derived bookkeeping — two
-    #: metric states with equal counters are equal regardless of how the
-    #: event log happens to be chunked.
-    _multicast_bit_events: List[Tuple[Round, int]] = field(
-        default_factory=list, compare=False, repr=False)
+    _per_round_multicast_bits: Dict[Round, int] = field(
+        default_factory=dict, repr=False)
 
     def record(self, envelope: Envelope) -> None:
         bits = encoded_size_bits(envelope.payload)
@@ -50,11 +45,11 @@ class CommunicationMetrics:
             if envelope.is_multicast:
                 self.honest_multicast_count += 1
                 self.honest_multicast_bits += bits
-                per_round = self.per_round_honest_multicasts
-                per_round[envelope.round_sent] = (
-                    per_round.get(envelope.round_sent, 0) + 1)
-                self._multicast_bit_events.append(
-                    (envelope.round_sent, bits))
+                round_sent = envelope.round_sent
+                counts = self.per_round_honest_multicasts
+                counts[round_sent] = counts.get(round_sent, 0) + 1
+                totals = self._per_round_multicast_bits
+                totals[round_sent] = totals.get(round_sent, 0) + bits
             else:
                 self.honest_unicast_count += 1
                 self.honest_unicast_bits += bits
@@ -65,17 +60,8 @@ class CommunicationMetrics:
                 self.corrupt_unicast_count += 1
 
     def per_round_multicast_bits(self) -> Dict[Round, int]:
-        """Bits multicast by honest nodes, per round sent.
-
-        Aggregated from the raw event log on demand, in exact integer
-        arithmetic, instead of a per-envelope dict update on the staging
-        hot path.
-        """
-        totals_by_round: Dict[Round, int] = {}
-        for round_index, bits in self._multicast_bit_events:
-            totals_by_round[round_index] = (
-                totals_by_round.get(round_index, 0) + bits)
-        return totals_by_round
+        """Bits multicast by honest nodes, per round sent (exact integers)."""
+        return self._per_round_multicast_bits
 
     # -- Definition 7 ----------------------------------------------------
     @property

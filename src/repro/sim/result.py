@@ -34,10 +34,8 @@ class ExecutionResult:
     inputs: Dict[NodeId, Bit] = field(default_factory=dict)
     #: Every envelope ever staged, for trace analysis (repro.sim.trace).
     transcript: List[Envelope] = field(default_factory=list)
-    #: False when the execution ran under ``metrics-only`` retention:
-    #: ``transcript`` is then empty because it was *discarded*, not
-    #: because nothing was sent — transcript-based analyses must refuse
-    #: rather than vacuously pass.
+    #: False under ``metrics-only`` retention: ``transcript`` is empty
+    #: because it was *discarded* (:meth:`require_transcript` refuses).
     transcript_retained: bool = True
     #: Delivery-latency / drop / in-flight accounting when the execution
     #: ran under nontrivial :class:`~repro.sim.conditions.NetworkConditions`
@@ -65,13 +63,15 @@ class ExecutionResult:
 
         Transcript-based analyses (invariants, replay, trace summaries)
         must call this rather than read ``transcript`` directly: an
-        execution run under ``metrics-only`` retention has an *empty*
-        transcript that would make every scan vacuously report "nothing
-        was sent"."""
+        execution run under ``metrics-only`` retention — every trial of
+        a sweep cell — has an *empty* transcript that would make every
+        scan vacuously report "nothing was sent"."""
         if not self.transcript_retained:
             raise ValueError(
-                "execution ran with metrics-only transcript retention; "
-                "transcript analyses need transcript_retention='full'")
+                "execution kept no transcript (metrics-only retention, "
+                "which every sweep cell runs under); a transcript comes "
+                "from run_trials(...), run_instance(...) or `repro run`, "
+                "whose default retention is full")
         return self.transcript
 
     @property
