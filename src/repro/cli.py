@@ -408,24 +408,24 @@ def _job_line(record: dict) -> str:
 def _cmd_submit(args: argparse.Namespace) -> int:
     from repro.harness.service.client import ServiceClient, ServiceError
 
-    client = ServiceClient(args.url)
-    try:
-        job_id = client.submit(
-            args.name, share_lottery=not args.no_shared_lottery,
-            network=args.network, topology=args.topology)
-        print(f"submitted job {job_id}")
-        if args.no_wait:
-            return 0
+    with ServiceClient(args.url) as client:
+        try:
+            job_id = client.submit(
+                args.name, share_lottery=not args.no_shared_lottery,
+                network=args.network, topology=args.topology)
+            print(f"submitted job {job_id}")
+            if args.no_wait:
+                return 0
 
-        def show(event: dict) -> None:
-            print(f"  [{event['index'] + 1:3d}] {event['status']:9s} "
-                  f"{event['label']}")
+            def show(event: dict) -> None:
+                print(f"  [{event['index'] + 1:3d}] {event['status']:9s} "
+                      f"{event['label']}")
 
-        record = client.wait(job_id, on_event=show,
-                             max_wait=args.timeout)
-    except ServiceError as error:
-        print(f"submit: {error}", file=sys.stderr)
-        return 2
+            record = client.wait(job_id, on_event=show,
+                                 max_wait=args.timeout)
+        except ServiceError as error:
+            print(f"submit: {error}", file=sys.stderr)
+            return 2
     print(_job_line(record))
     if record["state"] == "failed":
         if record.get("error"):
@@ -437,20 +437,20 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 def _cmd_status(args: argparse.Namespace) -> int:
     from repro.harness.service.client import ServiceClient, ServiceError
 
-    client = ServiceClient(args.url)
-    try:
-        if args.job is None:
-            records = client.jobs()
-            if not records:
-                print("no jobs recorded")
+    with ServiceClient(args.url) as client:
+        try:
+            if args.job is None:
+                records = client.jobs()
+                if not records:
+                    print("no jobs recorded")
+                    return 0
+                for record in records:
+                    print(_job_line(record))
                 return 0
-            for record in records:
-                print(_job_line(record))
-            return 0
-        record = client.job(args.job)
-    except ServiceError as error:
-        print(f"status: {error}", file=sys.stderr)
-        return 2
+            record = client.job(args.job)
+        except ServiceError as error:
+            print(f"status: {error}", file=sys.stderr)
+            return 2
     print(_job_line(record))
     for key in ("submitted_at", "started_at", "finished_at"):
         if record.get(key):

@@ -275,22 +275,22 @@ class SQLiteBackend(StoreBackend):
         self._local = threading.local()
         self._connections: List[sqlite3.Connection] = []
         self._connections_lock = threading.Lock()
-        # Create the schema eagerly so concurrent first users (and
-        # read-only consumers like `repro report`) never race DDL.
-        self._connection()
+        # What the file remembers is set once, here and eagerly, so that
+        # concurrent first users (and read-only consumers like `repro
+        # report`) never race DDL and a later connection pays for none.
+        self.root.parent.mkdir(parents=True, exist_ok=True)
+        connection = self._connection()
+        connection.execute("PRAGMA journal_mode=WAL")
+        for statement in self._SCHEMA_SQL:
+            connection.execute(statement)
+        connection.commit()
 
     def _connection(self) -> sqlite3.Connection:
         connection = getattr(self._local, "connection", None)
         if connection is None:
-            self.root.parent.mkdir(parents=True, exist_ok=True)
+            # `timeout` is the busy time-out: competing writers queue.
             connection = sqlite3.connect(self.root, timeout=self.timeout)
-            connection.execute("PRAGMA journal_mode=WAL")
             connection.execute("PRAGMA synchronous=NORMAL")
-            connection.execute(
-                f"PRAGMA busy_timeout={int(self.timeout * 1000)}")
-            for statement in self._SCHEMA_SQL:
-                connection.execute(statement)
-            connection.commit()
             self._local.connection = connection
             with self._connections_lock:
                 self._connections.append(connection)

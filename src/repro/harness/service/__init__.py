@@ -4,15 +4,15 @@ Three pieces over one concurrency-safe
 :class:`~repro.harness.store.ExperimentStore`:
 
 - :mod:`repro.harness.service.queue` — a durable job queue and a
-  persistent worker pool: submitted sweeps expand to cells, cells fan
-  out to workers, results record to the store as each cell finishes,
-  and per-job progress counters live in the store's ``jobs`` namespace;
+  persistent worker pool: a job's plan replays its recorded cells in one
+  batch, the rest fan out to workers and record to the store as each
+  finishes, and per-job progress counters live in the ``jobs`` namespace;
 - :mod:`repro.harness.service.app` — the stdlib-only HTTP API
   (``python -m repro serve``): submit sweeps, poll job status, stream
   progress, fetch sweep rows and byte-identical artifacts, and read the
   results book as live HTML;
-- :mod:`repro.harness.service.client` — the small urllib client behind
-  ``python -m repro submit`` / ``python -m repro status``.
+- :mod:`repro.harness.service.client` — the small keep-alive client
+  behind ``python -m repro submit`` / ``python -m repro status``.
 
 See ``docs/RESULTS.md`` ("The experiment service") for the full tour.
 """

@@ -1,18 +1,23 @@
-"""A small urllib client for the experiment service's HTTP API.
+"""A small ``http.client`` client for the experiment service's HTTP API.
 
 Backs ``python -m repro submit`` / ``python -m repro status`` and the
 test/CI harnesses; no third-party dependencies.  Every method maps to
 one route of :mod:`repro.harness.service.app`; errors surface as
 :class:`ServiceError` carrying the HTTP status and the server's JSON
-``error`` message.
+``error`` message.  A connection lives from a thread's first request
+until :meth:`ServiceClient.close`; one the server dropped in between
+(it gives up an idle one) is reopened once for a ``GET``, while a
+``POST`` that may have arrived is an error and never a second job.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
+import time
 from typing import Any, Callable, Dict, List, Optional
-from urllib import error as urllib_error
-from urllib import request as urllib_request
+from urllib.parse import urlsplit
 
 #: States in which a job will never change again.
 TERMINAL_STATES = ("done", "failed")
@@ -27,40 +32,94 @@ class ServiceError(RuntimeError):
 
 
 class ServiceClient:
-    """Client for one experiment service base URL."""
+    """Client for one experiment service base URL.
+
+    Each thread that calls it keeps one connection open from its first
+    request on, so one client is safe to share across threads;
+    :meth:`close` (or leaving the ``with`` block) closes them all."""
 
     def __init__(self, base_url: str = "http://127.0.0.1:8765",
                  timeout: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
+        self._connections: Dict[threading.Thread,
+                                http.client.HTTPConnection] = {}
+        self._lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close every thread's connection; a later call reopens one."""
+        with self._lock:
+            connections = list(self._connections.values())
+            self._connections.clear()
+        for connection in connections:
+            connection.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- plumbing -----------------------------------------------------------
+    def _connection(self, url) -> http.client.HTTPConnection:
+        """The calling thread's connection, opened on first use."""
+        me = threading.current_thread()
+        connection = self._connections.get(me)
+        if connection is None:
+            connection = (http.client.HTTPSConnection
+                          if url.scheme == "https"
+                          else http.client.HTTPConnection)(url.netloc)
+            with self._lock:
+                # A thread that has ended left its connection behind.
+                for thread in [thread for thread in self._connections
+                               if not thread.is_alive()]:
+                    self._connections.pop(thread).close()
+                self._connections[me] = connection
+        return connection
+
     def _request(self, path: str, payload: Optional[Dict[str, Any]] = None,
                  timeout: Optional[float] = None) -> Any:
-        url = self.base_url + path
-        data = None
-        headers = {"Accept": "application/json"}
+        url = urlsplit(self.base_url + path)
+        method, data, headers = "GET", None, {"Accept": "application/json"}
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            method, data = "POST", json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        req = urllib_request.Request(url, data=data, headers=headers)
+        connection = self._connection(url)
+        reused = connection.sock is not None
+
+        def exchange():
+            connection.timeout = timeout or self.timeout
+            if connection.sock is not None:
+                connection.sock.settimeout(connection.timeout)
+            connection.request(
+                method, url.path + (url.query and "?" + url.query),
+                body=data, headers=headers)
+            response = connection.getresponse()
+            return response.status, response.read()
+
         try:
-            with urllib_request.urlopen(
-                    req, timeout=timeout or self.timeout) as response:
-                body = response.read()
-        except urllib_error.HTTPError as error:
+            try:
+                status, body = exchange()
+            except ConnectionError:
+                # A kept connection the server has since dropped is
+                # reopened, once, for a request that is safe to repeat;
+                # a POST that may have arrived is never sent again.
+                connection.close()
+                if not reused or method != "GET":
+                    raise
+                status, body = exchange()
+        except (http.client.HTTPException, OSError) as error:
+            connection.close()
+            raise ServiceError(f"{url.geturl()}: {error}") from None
+        if status >= 400:
             detail = ""
             try:
-                detail = json.loads(error.read().decode("utf-8")
-                                    ).get("error", "")
+                detail = json.loads(body.decode("utf-8")).get("error", "")
             except (ValueError, AttributeError, UnicodeDecodeError):
                 pass
             raise ServiceError(
-                f"{url}: HTTP {error.code}"
-                + (f" — {detail}" if detail else ""),
-                status=error.code) from None
-        except (urllib_error.URLError, OSError) as error:
-            raise ServiceError(f"{url}: {error}") from None
+                f"{url.geturl()}: HTTP {status}"
+                + (f" — {detail}" if detail else ""), status=status)
         return body
 
     def _request_json(self, path: str,
@@ -122,7 +181,6 @@ class ServiceClient:
         ``max_wait`` bounds the total wait (raises :class:`ServiceError`
         on expiry — the job keeps running server-side).
         """
-        import time
         deadline = None if max_wait is None else time.monotonic() + max_wait
         seen = 0
         while True:

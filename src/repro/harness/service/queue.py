@@ -1,14 +1,17 @@
 """Job queue and persistent worker pool for the experiment service.
 
-A submitted sweep becomes a **job**: the sweep expands to cells
-immediately (so the job's total is known at submit time), every cell is
-enqueued on one shared work queue, and a fixed pool of worker threads
-drains the queue — many jobs' cells interleave, so a short job is not
-stuck behind a long one.  Each cell settles through
-:func:`~repro.harness.scenarios.execute_or_replay`: recorded cells
-replay from the store, fresh cells execute and record **durably as they
-finish** (a crashed service loses at most the in-flight cells; a
-resubmitted job replays everything already recorded).
+A submitted sweep becomes a **job**: the sweep expands to cells and
+their fingerprints immediately (so the job's total is known at submit
+time) and one **plan** task goes on the shared work queue.  The plan —
+a job's first task — looks every cell up once under those fingerprints
+(:func:`~repro.harness.scenarios._replay`, the lookup of ``run_sweep``'s
+own plan), settles all the recorded cells as one batch and queues one
+task per miss; a fixed pool of worker threads drains the queue — many
+jobs' tasks interleave, so a short job is not stuck behind a long one.
+A miss settles through
+:func:`~repro.harness.scenarios.execute_or_replay`: it executes and
+records **durably as it finishes** (a crashed service loses at most the
+in-flight cells; a resubmitted job replays everything already recorded).
 
 Job state is itself durable — one record per job in the store's
 ``jobs`` namespace (the ``jobs`` table of a SQLite store)::
@@ -18,7 +21,9 @@ Job state is itself durable — one record per job in the store's
      "share_lottery", "overrides", "submitted_at", "started_at",
      "finished_at"}
 
-Progress counters update through the backend's atomic read-modify-write
+Progress counters become durable once per settled batch — the replayed
+cells of a job are one write, each computed cell one more — through the
+backend's atomic read-modify-write
 (:meth:`~repro.harness.store.ExperimentStore.update_job`), so counts
 from many workers never lose increments.  In-memory, each job also
 keeps an ordered event log (one entry per settled cell) that the HTTP
@@ -43,19 +48,17 @@ import time
 import traceback
 import uuid
 from collections import OrderedDict
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
-from repro.harness.scenarios import Cell, execute_or_replay
+from repro.harness.scenarios import Cell, _replay, execute_or_replay
 from repro.harness.sweep_library import SWEEPS, resolve_sweep
 
 JOB_QUEUED = "queued"
 JOB_RUNNING = "running"
 JOB_DONE = "done"
 JOB_FAILED = "failed"
-
-#: Every state a job record can carry, in lifecycle order.
-JOB_STATES = (JOB_QUEUED, JOB_RUNNING, JOB_DONE, JOB_FAILED)
 
 
 def _now() -> str:
@@ -65,7 +68,8 @@ def _now() -> str:
 class _ActiveJob:
     """In-memory bookkeeping for one submitted job (the durable record
     lives in the store; this holds what finalization needs: the spec,
-    ordered fingerprints/rows, and the event log)."""
+    ordered fingerprints/rows, and the event log).  Changed only under
+    the service's condition."""
 
     def __init__(self, job_id: str, spec, cells: List[Cell],
                  fingerprints: List[str], share_lottery: bool) -> None:
@@ -78,18 +82,17 @@ class _ActiveJob:
         self.remaining = len(cells)
         self.failed = False
         self.events: List[Dict[str, Any]] = []
-        self.lock = threading.Lock()
 
 
 class ExperimentService:
     """A persistent worker pool draining sweep jobs against one store.
 
-    ``workers`` threads execute cells; submission never blocks on
+    ``workers`` threads execute tasks; submission never blocks on
     execution.  The service is safe to drive from many HTTP threads at
-    once (submission, status reads, and event waits all synchronize on
-    one condition), and the store backend underneath is safe for
-    concurrent writers — pair it with a SQLite store when several
-    service processes or external sweep runs share one corpus.
+    once (submission, settling, status reads, and event waits all
+    synchronize on one condition), and the store backend underneath is
+    safe for concurrent writers — pair it with a SQLite store when
+    several service processes or external sweep runs share one corpus.
     """
 
     def __init__(self, store, workers: int = 2) -> None:
@@ -98,7 +101,9 @@ class ExperimentService:
                 f"service needs at least one worker, got {workers}")
         self.store = store
         self.workers = workers
-        self._tasks: "queue.Queue[Optional[tuple]]" = queue.Queue()
+        #: Plans and cell tasks, bound; ``None`` stops one worker.
+        self._tasks: "queue.Queue[Optional[Callable[[], None]]]" = \
+            queue.Queue()
         self._active: Dict[str, _ActiveJob] = {}
         #: Event logs of settled jobs, kept so pollers can read the tail
         #: after completion; bounded (oldest evicted) — the durable job
@@ -120,9 +125,16 @@ class ExperimentService:
     def submit(self, sweep_name: str, share_lottery: bool = True,
                network: Optional[str] = None,
                topology: Optional[str] = None) -> str:
+        """:meth:`submit_job`, for a caller that wants only the id."""
+        return self.submit_job(sweep_name, share_lottery, network,
+                               topology)["id"]
+
+    def submit_job(self, sweep_name: str, share_lottery: bool = True,
+                   network: Optional[str] = None,
+                   topology: Optional[str] = None) -> Dict[str, Any]:
         """Expand ``sweep_name`` (with optional forced network/topology
-        overrides), persist a queued job record, and enqueue every cell.
-        Returns the job id.  Raises
+        overrides), persist a queued job record, and enqueue the job's
+        plan.  Returns the record as written.  Raises
         :class:`~repro.errors.ConfigurationError` for an unknown sweep
         or override — before anything is enqueued or recorded."""
         spec = resolve_sweep(sweep_name, network=network, topology=topology)
@@ -133,11 +145,6 @@ class ExperimentService:
         ]
         job_id = f"{time.strftime('%Y%m%dT%H%M%SZ', time.gmtime())}-" \
                  f"{uuid.uuid4().hex[:8]}"
-        overrides = {}
-        if network is not None:
-            overrides["network"] = network
-        if topology is not None:
-            overrides["topology"] = topology
         record = {
             "id": job_id,
             "sweep": spec.name,
@@ -148,29 +155,27 @@ class ExperimentService:
             "failed_cells": 0,
             "error": None,
             "share_lottery": bool(share_lottery),
-            "overrides": overrides,
+            "overrides": {key: value for key, value in (
+                ("network", network), ("topology", topology))
+                if value is not None},
             "submitted_at": _now(),
             "started_at": None,
             "finished_at": None,
+            "schema": self.store.SCHEMA,
         }
         active = _ActiveJob(job_id, spec, cells, fingerprints,
                             share_lottery)
         with self._condition:
             # Refused before anything is recorded: a job persisted as
             # queued by a service that is shut down stays queued forever
-            # (no worker will take it).  The lock spans the write, so a
-            # concurrent shutdown() cannot slip between check and record.
+            # (no worker will take it).  The lock spans the write and the
+            # hand-off, so a concurrent shutdown() cannot slip in between.
             if self._closed:
                 raise ConfigurationError("service is shut down")
             self.store.save_job(job_id, record)
             self._active[job_id] = active
-        for index, cell in enumerate(cells):
-            self._tasks.put((job_id, index))
-        if not cells:
-            # A sweep that expands to zero cells completes immediately
-            # (nothing will ever decrement its remaining counter).
-            self._finalize(active)
-        return job_id
+            self._tasks.put(partial(self._plan, active))
+        return record
 
     @staticmethod
     def available_sweeps() -> Dict[str, str]:
@@ -202,129 +207,130 @@ class ExperimentService:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._condition:
             while True:
+                # A settled (or unknown/pre-restart) job answers with
+                # whatever log survives: there will never be a new event.
                 active = self._active.get(job_id)
-                if active is None:
-                    # Settled (or unknown/pre-restart) job: whatever log
-                    # survives, without waiting — there will never be a
-                    # new event.
-                    return list(self._finished_events.get(job_id,
-                                                          [])[since:])
-                with active.lock:
-                    fresh = list(active.events[since:])
-                if fresh or deadline is None:
+                fresh = list((self._finished_events.get(job_id, ())
+                              if active is None else active.events)[since:])
+                if (fresh or active is None or deadline is None
+                        or not self._condition.wait(
+                            deadline - time.monotonic())):
                     return fresh
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._condition.wait(remaining):
-                    active = self._active.get(job_id)
-                    if active is None:
-                        return list(self._finished_events.get(
-                            job_id, [])[since:])
-                    with active.lock:
-                        return list(active.events[since:])
 
     def wait(self, job_id: str, timeout: Optional[float] = None,
              ) -> Optional[Dict[str, Any]]:
         """Block until the job settles (done/failed) or ``timeout``
-        elapses; returns the final (or latest) job record."""
-        deadline = None if timeout is None else time.monotonic() + timeout
+        elapses; returns the final (or latest) job record.  A job this
+        service does not hold — unknown, settled, or left by an earlier
+        process — will not change, and is answered at once."""
         with self._condition:
-            while True:
-                record = self.store.load_job(job_id)
-                if record is None or record["state"] in (JOB_DONE,
-                                                         JOB_FAILED):
-                    return record
-                remaining = (None if deadline is None
-                             else deadline - time.monotonic())
-                if remaining is not None and remaining <= 0:
-                    return record
-                self._condition.wait(0.5 if remaining is None
-                                     else min(0.5, remaining))
+            self._condition.wait_for(lambda: job_id not in self._active,
+                                     timeout)
+        return self.store.load_job(job_id)
 
     # -- worker pool --------------------------------------------------------
     def _worker_loop(self) -> None:
         while True:
-            item = self._tasks.get()
-            if item is None:
-                return
-            job_id, index = item
-            with self._condition:
-                active = self._active.get(job_id)
-            if active is None:
-                continue
-            self._run_cell(active, index)
+            task = self._tasks.get()
+            try:
+                if task is None:
+                    return
+                task()
+            finally:
+                self._tasks.task_done()
+
+    def _plan(self, active: _ActiveJob) -> None:
+        """A job's first task: one store lookup per cell, under the
+        fingerprints ``submit_job`` computed.  Each miss becomes a cell
+        task; the recorded cells settle as one batch."""
+        replayed = []
+        for index, cell in enumerate(active.cells):
+            try:
+                result = _replay(cell, self.store, active.share_lottery,
+                                 active.fingerprints[index])[1]
+            except Exception:  # its cell task fails it, with a traceback
+                result = None
+            if result is None:
+                self._tasks.put(partial(self._run_cell, active, index))
+            else:
+                replayed.append((index, result, None))
+        self._settle(active, replayed)
 
     def _run_cell(self, active: _ActiveJob, index: int) -> None:
-        cell = active.cells[index]
-        error_text: Optional[str] = None
-        result = None
+        error_text = None
         try:
             result = execute_or_replay(
-                cell, store=self.store, sweep_name=active.spec.name,
+                active.cells[index], store=self.store,
+                sweep_name=active.spec.name,
                 share_lottery=active.share_lottery)
         except Exception:
-            error_text = traceback.format_exc(limit=8)
-        status = ("failed" if result is None
-                  else "replayed" if result.cached else "computed")
+            result, error_text = None, traceback.format_exc(limit=8)
+        self._settle(active, [(index, result, error_text)])
+
+    def _settle(self, active: _ActiveJob, batch: List[tuple]) -> None:
+        """Count a batch of ``(index, result or None, error text)``
+        cells in the job record — one atomic write — and log an event
+        for each.  The batch that leaves nothing to run closes the job
+        out *before* pollers are woken, so that one poll reads the whole
+        log and a terminal record."""
+        statuses = ["failed" if result is None
+                    else "replayed" if result.cached else "computed"
+                    for _, result, _ in batch]
 
         def _mutate(record: Dict[str, Any]) -> Dict[str, Any]:
             if record["state"] == JOB_QUEUED:
                 record["state"] = JOB_RUNNING
                 record["started_at"] = _now()
-            if status == "failed":
+            for (index, _, error_text), status in zip(batch, statuses):
+                if status != "failed":
+                    record[status] += 1
+                    continue
                 record["failed_cells"] += 1
                 # Keep the first failure's traceback; later ones only
                 # bump the counter.
                 if record.get("error") is None:
-                    record["error"] = (f"cell {index} "
-                                       f"({cell.label()}): {error_text}")
-            else:
-                record[status] += 1
+                    record["error"] = (
+                        f"cell {index} "
+                        f"({active.cells[index].label()}): {error_text}")
             return record
 
         self.store.update_job(active.id, _mutate)
-        with active.lock:
-            if result is not None:
-                active.rows[index] = result.row()
-            else:
-                active.failed = True
-            active.events.append({
-                "seq": len(active.events),
-                "index": index,
-                "status": status,
-                "scenario": cell.scenario,
-                "label": cell.label(),
-                "fingerprint": active.fingerprints[index],
-            })
-            active.remaining -= 1
-            settled = active.remaining == 0
         with self._condition:
-            self._condition.notify_all()
-        if settled:
-            self._finalize(active)
+            for (index, result, _), status in zip(batch, statuses):
+                if result is None:
+                    active.failed = True
+                else:
+                    active.rows[index] = result.row()
+                active.events.append({
+                    "seq": len(active.events),
+                    "index": index,
+                    "status": status,
+                    "scenario": active.cells[index].scenario,
+                    "label": active.cells[index].label(),
+                    "fingerprint": active.fingerprints[index],
+                })
+            active.remaining -= len(batch)
+            if active.remaining:
+                self._condition.notify_all()
+                return
+        self._finalize(active)
 
     def _finalize(self, active: _ActiveJob) -> None:
         """Last cell settled: write the sweep record (full expansion,
         rows in order, failed cells as holes) and close the job out."""
-        with active.lock:
-            rows = list(active.rows)
-            failed = active.failed
         self.store.record_sweep(
-            active.spec.name, active.spec.description,
-            list(active.fingerprints),
-            complete=not failed, rows=rows)
+            active.spec.name, active.spec.description, active.fingerprints,
+            complete=not active.failed, rows=active.rows)
 
         def _mutate(record: Dict[str, Any]) -> Dict[str, Any]:
-            record["state"] = JOB_FAILED if failed else JOB_DONE
+            record["state"] = JOB_FAILED if active.failed else JOB_DONE
             record["finished_at"] = _now()
-            if record.get("started_at") is None:
-                record["started_at"] = record["finished_at"]
             return record
 
         self.store.update_job(active.id, _mutate)
         with self._condition:
-            self._active.pop(active.id, None)
-            with active.lock:
-                self._finished_events[active.id] = list(active.events)
+            del self._active[active.id]
+            self._finished_events[active.id] = active.events
             while len(self._finished_events) > self._finished_cap:
                 self._finished_events.popitem(last=False)
             self._condition.notify_all()
@@ -332,28 +338,28 @@ class ExperimentService:
     # -- lifecycle ----------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting jobs and stop the workers.  ``wait=True``
-        drains already-queued cells first (every accepted job still
-        settles); ``wait=False`` abandons the queue — unfinished jobs
-        stay ``running`` in the store with their cells' partial results
-        recorded, and a resubmission replays the finished cells."""
+        drains the queue first, the cell tasks a plan has yet to add
+        included (every accepted job still settles); ``wait=False``
+        abandons the queue — unfinished jobs stay ``queued``/``running``
+        in the store with their cells' partial results recorded, and a
+        resubmission replays the finished cells."""
         with self._condition:
             if self._closed:
                 return
             self._closed = True
         if wait:
-            for _ in self._threads:
-                self._tasks.put(None)
-            for thread in self._threads:
-                thread.join()
+            self._tasks.join()
         else:
-            # Drain whatever is queued, then poison.
             try:
                 while True:
                     self._tasks.get_nowait()
             except queue.Empty:
                 pass
-            for _ in self._threads:
-                self._tasks.put(None)
+        for _ in self._threads:
+            self._tasks.put(None)
+        if wait:
+            for thread in self._threads:
+                thread.join()
 
     def __enter__(self) -> "ExperimentService":
         return self

@@ -1,11 +1,16 @@
 """Tests for the experiment service (harness/service/): the job queue
 and worker pool, the HTTP API end to end, concurrent overlapping
-submissions, warm-store replay through the API, and artifact
-byte-identity against a direct ``run_sweep``."""
+submissions, warm-store replay through the API, artifact byte-identity
+against a direct ``run_sweep``, what a malformed request is answered,
+and what a kept connection does when the server goes away."""
 
+import gc
+import http.client
 import json
+import socket
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -32,17 +37,53 @@ def sqlite_store(tmp_path):
     store.close()
 
 
+class Served:
+    """A live HTTP server over ``store`` that remembers the sockets it
+    accepted, so that stopping it takes its connections down with it —
+    what the death of a real ``repro serve`` process does."""
+
+    def __init__(self, store, port=0):
+        self.server, self.service = make_server(store, port=port, workers=2)
+        self.accepted = []
+        accept = self.server.get_request
+
+        def get_request():
+            request = accept()
+            self.accepted.append(request[0])
+            return request
+
+        self.server.get_request = get_request
+        self.port = self.server.server_address[1]
+        self.url = f"http://127.0.0.1:{self.port}"
+        threading.Thread(target=self.server.serve_forever,
+                         daemon=True).start()
+
+    def drop_connections(self):
+        for accepted in self.accepted:
+            try:
+                accepted.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # its handler has already closed it
+
+    def stop(self):
+        self.server.shutdown()
+        self.server.server_close()
+        self.service.shutdown()
+        self.drop_connections()
+
+
 @pytest.fixture()
-def served(sqlite_store):
+def running(sqlite_store):
+    served = Served(sqlite_store)
+    yield served
+    served.stop()
+
+
+@pytest.fixture()
+def served(running):
     """A live HTTP server on an ephemeral port, with its client."""
-    server, service = make_server(sqlite_store, port=0, workers=2)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    client = ServiceClient(f"http://127.0.0.1:{server.server_address[1]}")
-    yield client, sqlite_store
-    server.shutdown()
-    server.server_close()
-    service.shutdown()
+    with ServiceClient(running.url) as client:
+        yield client, running.service.store
 
 
 class TestServiceQueue:
@@ -203,19 +244,21 @@ class TestHttpEndToEnd:
             rows["rows"]) == SMOKE_CELLS
 
     def test_request_threads_hand_back_their_connections(self, served):
-        """The server runs a thread per request and each opens its own
-        SQLite connection; N sequential jobs (dozens of requests) must
-        leave the backend holding only its long-lived ones — the
-        creating thread's and the workers' — not one per request."""
+        """A handler thread and its SQLite connection serve one client
+        connection for as long as it lives: N sequential jobs (dozens of
+        requests) leave the backend holding its long-lived ones — the
+        creating thread's and the workers' — plus one per *live* client
+        connection, and closing the client gives that one back."""
         client, store = served
         backend = store.backend
+        client.close()
         baseline_threads = threading.active_count()
 
-        def settled_connections():
-            # A handler thread may still be finishing after its response
-            # was read; give it a moment.
+        def settled_connections(live):
+            # A handler thread may still be finishing after its client
+            # closed; give it a moment.
             deadline = time.monotonic() + 5.0
-            while (threading.active_count() > baseline_threads
+            while (threading.active_count() > baseline_threads + live
                    and time.monotonic() < deadline):
                 time.sleep(0.01)
             return len(backend._connections)
@@ -225,9 +268,11 @@ class TestHttpEndToEnd:
             job_id = client.submit("smoke")
             assert client.wait(job_id, max_wait=120)["state"] == JOB_DONE
             assert client.artifact("smoke", "json")
-            counts.append(settled_connections())
+            counts.append(settled_connections(live=1))
         assert counts[-1] == counts[0], counts
-        assert counts[-1] <= 3, counts  # creator + 2 workers
+        assert counts[-1] <= 4, counts  # creator + 2 workers + 1 client
+        client.close()
+        assert settled_connections(live=0) <= 3
 
     def test_error_paths(self, served):
         client, _ = served
@@ -279,3 +324,176 @@ class TestHttpEndToEnd:
         markdown = client.book("md")
         assert b"smoke" in markdown
         assert b"http-equiv" not in markdown
+
+
+def _raw(port, request):
+    """Send raw bytes on one fresh socket; the first response's status
+    and decoded JSON body."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        response = http.client.HTTPResponse(sock)
+        response.begin()
+        return response.status, json.loads(response.read())
+
+
+def _post(body, length=None):
+    body = body.encode("utf-8")
+    return (b"POST /api/sweeps HTTP/1.1\r\nHost: x\r\nContent-Length: "
+            + str(len(body) if length is None else length).encode("ascii")
+            + b"\r\n\r\n" + body)
+
+
+class TestHttpErrors:
+    """Every malformed request is answered 4xx/5xx with a JSON ``error``
+    body, never a traceback or the stdlib's HTML page, and the server
+    answers the next client."""
+
+    @pytest.mark.parametrize("request_bytes, status", [
+        (_post('{"sweep": "smoke", "network": ["wan"]}'), 400),
+        (_post('{"sweep": "smoke", "topology": 3}'), 400),
+        (_post('{"sweep": "smoke", "share_lottery": "no"}'), 400),
+        (_post('{"sweep": 7}'), 400),
+        (_post('["smoke"]'), 400),
+        (_post('{"sweep": '), 400),
+        (_post('{"sweep": "no-such-sweep"}'), 400),
+        (_post('{"sweep": "smoke", "network": "no-such-network"}'), 400),
+        (_post("", length=-5), 400),
+        (_post("", length="ten"), 400),
+        (_post("", length=100000000000), 413),
+        (b"POST /api/nowhere HTTP/1.1\r\nHost: x\r\n"
+         b"Content-Length: 2\r\n\r\n{}", 404),
+        (b"GET /api/jobs/none/events?since=-2 HTTP/1.1\r\nHost: x\r\n\r\n",
+         400),
+        (b"GET /api/jobs/none/events?since=x HTTP/1.1\r\nHost: x\r\n\r\n",
+         400),
+        (b"GET /api/jobs/none/events HTTP/1.1\r\nHost: x\r\n\r\n", 404),
+        (b"PUT /api/sweeps HTTP/1.1\r\nHost: x\r\n"
+         b"Content-Length: 2\r\n\r\n{}", 501),
+        (b"DELETE /api/jobs/none HTTP/1.1\r\nHost: x\r\n\r\n", 501),
+        (b"GET /healthz HTTP/1.1\r\nHost: " + b"x" * 70000 + b"\r\n\r\n",
+         431),
+    ])
+    def test_refused_with_a_json_error(self, running, request_bytes, status):
+        answered, body = _raw(running.port, request_bytes)
+        assert answered == status
+        assert isinstance(body["error"], str) and body["error"]
+        assert "Traceback" not in body["error"]
+        assert running.service.jobs() == []
+        with ServiceClient(running.url) as client:
+            assert client.health()
+
+    def test_unread_body_does_not_become_the_next_request(self, running):
+        """Two requests on one socket: the first is refused without its
+        body being read, so the connection must close rather than parse
+        the second request out of the first one's body."""
+        body = b'{"x": "' + b"GET /healthz HTTP/1.1 " * 8 + b'"}'
+        with socket.create_connection(("127.0.0.1", running.port),
+                                      timeout=10) as sock:
+            sock.sendall(b"POST /api/nowhere HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+                         + b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")
+            first = http.client.HTTPResponse(sock)
+            first.begin()
+            assert first.status == 404
+            assert first.getheader("Connection") == "close"
+            assert "error" in json.loads(first.read())
+            # Nothing follows: no 400 page for a request line made of
+            # the body's bytes, and no answer to a request never parsed
+            # (closing over unread bytes may reset instead of ending).
+            try:
+                assert sock.recv(4096) == b""
+            except ConnectionResetError:
+                pass
+
+    def test_a_read_body_keeps_the_connection(self, running):
+        with socket.create_connection(("127.0.0.1", running.port),
+                                      timeout=10) as sock:
+            for request, status in (
+                    (_post('{"sweep": 7}'), 400),
+                    (b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", 200)):
+                sock.sendall(request)
+                response = http.client.HTTPResponse(sock)
+                response.begin()
+                assert response.status == status
+                response.read()
+        assert len(running.accepted) == 1
+
+
+class TestKeptConnection:
+    """``ServiceClient`` keeps one connection per thread; when the
+    server behind it goes away a ``GET`` reopens it once and a ``POST``
+    is never sent twice."""
+
+    def test_get_reopens_once_after_a_restart(self, sqlite_store):
+        first = Served(sqlite_store)
+        with ServiceClient(first.url) as client:
+            assert client.health() and client.health()
+            assert len(first.accepted) == 1
+            first.stop()
+            second = Served(sqlite_store, port=first.port)
+            try:
+                assert client.health() and client.health()
+                assert len(second.accepted) == 1
+            finally:
+                second.stop()
+            with pytest.raises(ServiceError):
+                client.health()
+
+    def test_post_is_an_error_after_a_restart(self, sqlite_store):
+        first = Served(sqlite_store)
+        with ServiceClient(first.url) as client:
+            assert client.health()
+            first.stop()
+            second = Served(sqlite_store, port=first.port)
+            try:
+                with pytest.raises(ServiceError):
+                    client.submit("smoke")
+                assert second.service.jobs() == []
+                # Said once, out loud; the caller's own retry goes through.
+                job_id = client.submit("smoke")
+                assert [job["id"] for job in client.jobs()] == [job_id]
+            finally:
+                second.stop()
+
+    def test_post_that_arrived_is_not_sent_again(self, running,
+                                                 monkeypatch):
+        submit_job = running.service.submit_job
+
+        def accept_then_drop(*args):
+            record = submit_job(*args)
+            running.drop_connections()
+            return record
+
+        monkeypatch.setattr(running.service, "submit_job",
+                            accept_then_drop)
+        with ServiceClient(running.url) as client:
+            assert client.health()
+            with pytest.raises(ServiceError):
+                client.submit("smoke")
+            assert len(client.jobs()) == 1
+
+
+def test_traced_memory_does_not_grow_with_jobs(served):
+    """ROADMAP 5(iii): bench/workloads.py says the service's "memory
+    grows with every job".  With a handler thread and a store connection
+    per client connection rather than per request, 200 further warm jobs
+    may add less than 256 KB of traced Python memory (what is left is
+    the bounded log of the last 64 jobs' events filling up)."""
+    client, _ = served
+
+    def jobs(count):
+        for _ in range(count):
+            record = client.wait(client.submit("smoke"), max_wait=120)
+            assert record["state"] == JOB_DONE
+            assert client.artifact("smoke", "json")
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0]
+
+    jobs(1)
+    tracemalloc.start()
+    try:
+        after_50 = jobs(50)
+        after_250 = jobs(200)
+    finally:
+        tracemalloc.stop()
+    assert after_250 - after_50 < 256 * 1024, (after_50, after_250)
