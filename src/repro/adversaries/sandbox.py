@@ -11,14 +11,16 @@ Several of the paper's adversaries corrupt nodes but keep them running the
 :class:`SandboxRunner` provides exactly that: it adopts corruption grants
 and, each round, steps every adopted node with an adversary-filtered inbox,
 then re-injects the node's staged messages through an adversary-controlled
-send filter.
+send filter.  :class:`SandboxAdversary` is the base of the adversaries that
+own one; :class:`Deaf` is the ignore-the-first-f/2 inbox filter ``A`` and
+``A'`` share.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.sim.adversary import AdversaryApi
+from repro.sim.adversary import Adversary, AdversaryApi
 from repro.sim.corruption import CorruptionGrant
 from repro.sim.network import Delivery, Envelope
 from repro.types import NodeId
@@ -71,3 +73,29 @@ class SandboxRunner:
                 if send_filter is None or send_filter(node_id, recipient, payload):
                     injected.append(self.api.inject(node_id, recipient, payload))
         return injected
+
+
+class SandboxAdversary(Adversary):
+    """An adversary whose corrupted nodes keep running in a sandbox."""
+
+    sandbox: SandboxRunner
+
+    def bind(self, api: AdversaryApi) -> None:
+        # The sandbox must exist before on_setup() runs inside bind().
+        self.sandbox = SandboxRunner(api)
+        super().bind(api)
+
+
+class Deaf:
+    """Inbox filter: each of ``members`` ignores the first ``count``
+    messages delivered to it; every other node hears everything."""
+
+    def __init__(self, members: Iterable[NodeId], count: int) -> None:
+        self.count = count
+        self.ignored: Dict[NodeId, int] = dict.fromkeys(members, 0)
+
+    def __call__(self, node_id: NodeId, delivery: Delivery) -> bool:
+        if self.ignored.get(node_id, self.count) < self.count:
+            self.ignored[node_id] += 1
+            return False
+        return True

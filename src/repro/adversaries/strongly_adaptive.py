@@ -19,15 +19,14 @@ adversary.  Against the quadratic protocol every node speaks, the budget
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from repro.adversaries.sandbox import SandboxRunner
-from repro.sim.adversary import Adversary
+from repro.adversaries.sandbox import SandboxAdversary
 from repro.sim.network import Delivery, Envelope
 from repro.types import NodeId, Round
 
 
-class IsolationAdversary(Adversary):
+class IsolationAdversary(SandboxAdversary):
     """Silences every channel into one victim via after-the-fact removal."""
 
     name = "isolation"
@@ -35,15 +34,9 @@ class IsolationAdversary(Adversary):
     def __init__(self, victim: NodeId) -> None:
         super().__init__()
         self.victim = victim
-        self.sandbox: Optional[SandboxRunner] = None
         #: True once the corruption budget could not cover a new speaker.
         self.budget_exhausted = False
         self.removed_copies = 0
-
-    def bind(self, api) -> None:
-        # The sandbox must exist before on_setup() runs inside bind().
-        self.sandbox = SandboxRunner(api)
-        super().bind(api)
 
     def observe_deliveries(self, round_index: Round,
                            inboxes: Dict[NodeId, List[Delivery]]) -> None:

@@ -45,11 +45,3 @@ class EligibilityError(ReproError):
 
 class SimulationError(ReproError):
     """The simulation engine reached an inconsistent internal state."""
-
-
-class ProtocolViolation(ReproError):
-    """An honest node observed input it can prove malformed.
-
-    Honest nodes normally *discard* invalid messages (as the paper
-    prescribes); this error is reserved for harness-level assertions.
-    """

@@ -54,64 +54,101 @@ def _dumps(record: Dict[str, Any]) -> str:
     return json.dumps(record, indent=2) + "\n"
 
 
+#: The record namespaces and what each one's key is called: the SQLite
+#: tables with their key columns, and the JSON tree's directories.
+NAMESPACES = {"cells": "fingerprint", "sweeps": "name", "jobs": "id"}
+
+
+def _decode(text: Optional[str]) -> Optional[Dict[str, Any]]:
+    """Parse one stored record; missing, truncated, corrupted or
+    non-object text reads as None — the same treat-as-miss philosophy as
+    a schema mismatch (re-record rather than crash a resume)."""
+    if text is None:
+        return None
+    try:
+        payload = json.loads(text)
+    except ValueError:
+        return None
+    return payload if isinstance(payload, dict) else None
+
+
 class StoreBackend:
     """Abstract record storage: three namespaces of JSON documents.
 
-    ``cells`` are keyed by fingerprint, ``sweeps`` and ``jobs`` by name.
-    Implementations must make single-record writes atomic (a reader
-    never observes a half-written record) and tolerate concurrent
-    writers racing on one key (last complete write wins; for cell
-    records the racers carry identical bytes, so either order is fine).
+    ``cells`` are keyed by fingerprint, ``sweeps`` and ``jobs`` by name
+    (:data:`NAMESPACES`).  A backend is four primitives — ``get``,
+    ``put``, ``keys``, ``update`` — which must make single-record writes
+    atomic (a reader never observes a half-written record) and tolerate
+    concurrent writers racing on one key (last complete write wins; for
+    cell records the racers carry identical bytes, so either order is
+    fine).  The store calls the per-namespace names below, never the
+    primitives, so a wrapper that overrides those ten is a whole backend.
     """
 
     #: Human-readable backend name (provenance lines, CLI output).
     kind: str = "abstract"
 
-    # -- cells --------------------------------------------------------------
-    def load_cell(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+    # -- primitives ---------------------------------------------------------
+    def get(self, namespace: str, key: str) -> Optional[Dict[str, Any]]:
         raise NotImplementedError
 
-    def save_cell(self, fingerprint: str, record: Dict[str, Any]) -> None:
+    def put(self, namespace: str, key: str, record: Dict[str, Any]) -> None:
         raise NotImplementedError
 
-    def cell_count(self) -> int:
+    def keys(self, namespace: str) -> List[str]:
+        """Every key of ``namespace``, sorted."""
         raise NotImplementedError
 
-    # -- sweeps -------------------------------------------------------------
-    def load_sweep(self, name: str) -> Optional[Dict[str, Any]]:
-        raise NotImplementedError
-
-    def save_sweep(self, name: str, record: Dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def sweep_names(self) -> List[str]:
-        raise NotImplementedError
-
-    # -- jobs ---------------------------------------------------------------
-    def load_job(self, job_id: str) -> Optional[Dict[str, Any]]:
-        raise NotImplementedError
-
-    def save_job(self, job_id: str, record: Dict[str, Any]) -> None:
-        raise NotImplementedError
-
-    def update_job(self, job_id: str,
-                   mutate: Callable[[Dict[str, Any]], Dict[str, Any]],
-                   ) -> Optional[Dict[str, Any]]:
-        """Atomic read-modify-write of one job record.
+    def update(self, namespace: str, key: str,
+               mutate: Callable[[Dict[str, Any]], Dict[str, Any]],
+               ) -> Optional[Dict[str, Any]]:
+        """Atomic read-modify-write of one record.
 
         ``mutate`` receives the current record (never None — a missing
-        job returns None without calling it) and returns the replacement;
+        key returns None without calling it) and returns the replacement;
         concurrent updaters serialize, so counter increments from many
         workers never lose updates.  Returns the stored result.
         """
         raise NotImplementedError
 
+    # -- cells --------------------------------------------------------------
+    def load_cell(self, fingerprint: str) -> Optional[Dict[str, Any]]:
+        return self.get("cells", fingerprint)
+
+    def save_cell(self, fingerprint: str, record: Dict[str, Any]) -> None:
+        self.put("cells", fingerprint, record)
+
+    def cell_count(self) -> int:
+        return len(self.keys("cells"))
+
+    # -- sweeps -------------------------------------------------------------
+    def load_sweep(self, name: str) -> Optional[Dict[str, Any]]:
+        return self.get("sweeps", name)
+
+    def save_sweep(self, name: str, record: Dict[str, Any]) -> None:
+        self.put("sweeps", name, record)
+
+    def sweep_names(self) -> List[str]:
+        return self.keys("sweeps")
+
+    # -- jobs ---------------------------------------------------------------
+    def load_job(self, job_id: str) -> Optional[Dict[str, Any]]:
+        return self.get("jobs", job_id)
+
+    def save_job(self, job_id: str, record: Dict[str, Any]) -> None:
+        self.put("jobs", job_id, record)
+
+    def update_job(self, job_id: str,
+                   mutate: Callable[[Dict[str, Any]], Dict[str, Any]],
+                   ) -> Optional[Dict[str, Any]]:
+        return self.update("jobs", job_id, mutate)
+
     def job_ids(self) -> List[str]:
-        raise NotImplementedError
+        return self.keys("jobs")
 
     def load_jobs(self) -> List[Dict[str, Any]]:
         """Every readable job record, newest first (ids sort by their
-        timestamp prefix).  Reference form; backends answer in one pass."""
+        timestamp prefix).  Reference form; SQLite answers in one pass."""
         records = (self.load_job(job_id)
                    for job_id in reversed(self.job_ids()))
         return [record for record in records if record is not None]
@@ -130,7 +167,7 @@ class JsonTreeBackend(StoreBackend):
 
     Atomicity comes from a same-directory ``mkstemp`` + ``os.replace``
     (a unique temp name, so two concurrent writers of one key cannot
-    replace each other's just-renamed file away).  ``update_job`` is
+    replace each other's just-renamed file away).  ``update`` is
     serialized by an in-process lock only — good for the single-process
     service and CLI; cross-process job mutation is the SQLite backend's
     job.
@@ -140,11 +177,22 @@ class JsonTreeBackend(StoreBackend):
 
     def __init__(self, root) -> None:
         self.root = Path(root)
-        self._job_lock = threading.Lock()
+        self._update_lock = threading.Lock()
 
-    # -- shared file plumbing ----------------------------------------------
-    @staticmethod
-    def _write_json(path: Path, record: Dict[str, Any]) -> None:
+    def path(self, namespace: str, key: str) -> Path:
+        """The file of one record; cells fan out over ``<fp[:2]>/``."""
+        shard = key[:2] if namespace == "cells" else ""
+        return self.root / namespace / shard / f"{key}.json"
+
+    def get(self, namespace, key):
+        try:
+            text = self.path(namespace, key).read_text(encoding="utf-8")
+        except (OSError, ValueError):  # no such file, or not UTF-8
+            return None
+        return _decode(text)
+
+    def put(self, namespace, key, record):
+        path = self.path(namespace, key)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent,
                                    prefix=path.name + ".", suffix=".tmp")
@@ -163,72 +211,18 @@ class JsonTreeBackend(StoreBackend):
                 except OSError:
                     pass
 
-    @staticmethod
-    def _read_json(path: Path) -> Optional[Dict[str, Any]]:
-        """Parse one record file; a missing/truncated/corrupted/non-object
-        file reads as None — the same treat-as-miss philosophy as a schema
-        mismatch (re-record rather than crash a resume)."""
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return None
-        return payload if isinstance(payload, dict) else None
-
-    def _cell_path(self, fingerprint: str) -> Path:
-        return self.root / "cells" / fingerprint[:2] / f"{fingerprint}.json"
-
-    def _sweep_path(self, name: str) -> Path:
-        return self.root / "sweeps" / f"{name}.json"
-
-    def _job_path(self, job_id: str) -> Path:
-        return self.root / "jobs" / f"{job_id}.json"
-
-    # -- cells --------------------------------------------------------------
-    def load_cell(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        return self._read_json(self._cell_path(fingerprint))
-
-    def save_cell(self, fingerprint: str, record: Dict[str, Any]) -> None:
-        self._write_json(self._cell_path(fingerprint), record)
-
-    def cell_count(self) -> int:
-        return sum(1 for _ in (self.root / "cells").glob("*/*.json"))
-
-    # -- sweeps -------------------------------------------------------------
-    def load_sweep(self, name: str) -> Optional[Dict[str, Any]]:
-        return self._read_json(self._sweep_path(name))
-
-    def save_sweep(self, name: str, record: Dict[str, Any]) -> None:
-        self._write_json(self._sweep_path(name), record)
-
-    def sweep_names(self) -> List[str]:
+    def keys(self, namespace):
+        pattern = "*/*.json" if namespace == "cells" else "*.json"
         return sorted(
-            path.stem for path in (self.root / "sweeps").glob("*.json"))
+            path.stem for path in (self.root / namespace).glob(pattern))
 
-    # -- jobs ---------------------------------------------------------------
-    def load_job(self, job_id: str) -> Optional[Dict[str, Any]]:
-        return self._read_json(self._job_path(job_id))
-
-    def save_job(self, job_id: str, record: Dict[str, Any]) -> None:
-        self._write_json(self._job_path(job_id), record)
-
-    def update_job(self, job_id, mutate):
-        with self._job_lock:
-            record = self.load_job(job_id)
-            if record is None:
-                return None
-            record = mutate(record)
-            self.save_job(job_id, record)
+    def update(self, namespace, key, mutate):
+        with self._update_lock:
+            record = self.get(namespace, key)
+            if record is not None:
+                record = mutate(record)
+                self.put(namespace, key, record)
             return record
-
-    def job_ids(self) -> List[str]:
-        return sorted(
-            path.stem for path in (self.root / "jobs").glob("*.json"))
-
-    def load_jobs(self) -> List[Dict[str, Any]]:
-        paths = sorted((self.root / "jobs").glob("*.json"),
-                       key=lambda path: path.stem, reverse=True)
-        records = map(self._read_json, paths)
-        return [record for record in records if record is not None]
 
 
 class SQLiteBackend(StoreBackend):
@@ -249,7 +243,7 @@ class SQLiteBackend(StoreBackend):
     - **writes** are one ``INSERT OR REPLACE`` per record inside an
       implicit transaction — a reader sees the old record or the new
       one, never a torn one.
-    - **job updates** run read-modify-write inside ``BEGIN IMMEDIATE``,
+    - **updates** run read-modify-write inside ``BEGIN IMMEDIATE``,
       taking the write lock before the read so concurrent counter
       increments from many workers serialize losslessly.
 
@@ -259,15 +253,6 @@ class SQLiteBackend(StoreBackend):
     """
 
     kind = "sqlite"
-
-    _SCHEMA_SQL = (
-        "CREATE TABLE IF NOT EXISTS cells ("
-        " fingerprint TEXT PRIMARY KEY, record TEXT NOT NULL)",
-        "CREATE TABLE IF NOT EXISTS sweeps ("
-        " name TEXT PRIMARY KEY, record TEXT NOT NULL)",
-        "CREATE TABLE IF NOT EXISTS jobs ("
-        " id TEXT PRIMARY KEY, record TEXT NOT NULL)",
-    )
 
     def __init__(self, path, timeout: float = 30.0) -> None:
         self.root = Path(path)
@@ -281,8 +266,10 @@ class SQLiteBackend(StoreBackend):
         self.root.parent.mkdir(parents=True, exist_ok=True)
         connection = self._connection()
         connection.execute("PRAGMA journal_mode=WAL")
-        for statement in self._SCHEMA_SQL:
-            connection.execute(statement)
+        for table, column in NAMESPACES.items():
+            connection.execute(
+                f"CREATE TABLE IF NOT EXISTS {table} ("
+                f" {column} TEXT PRIMARY KEY, record TEXT NOT NULL)")
         connection.commit()
 
     def _connection(self) -> sqlite3.Connection:
@@ -296,88 +283,45 @@ class SQLiteBackend(StoreBackend):
                 self._connections.append(connection)
         return connection
 
-    @staticmethod
-    def _decode(text: Optional[str]) -> Optional[Dict[str, Any]]:
-        if text is None:
-            return None
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            return None
-        return payload if isinstance(payload, dict) else None
-
-    def _get(self, table: str, key_column: str, key: str) -> Optional[str]:
+    def get(self, namespace, key):
         row = self._connection().execute(
-            f"SELECT record FROM {table} WHERE {key_column} = ?",
-            (key,)).fetchone()
-        return row[0] if row is not None else None
+            f"SELECT record FROM {namespace} "
+            f"WHERE {NAMESPACES[namespace]} = ?", (key,)).fetchone()
+        return _decode(row[0]) if row is not None else None
 
-    def _put(self, table: str, key_column: str, key: str,
-             record: Dict[str, Any]) -> None:
-        connection = self._connection()
-        with connection:
-            connection.execute(
-                f"INSERT OR REPLACE INTO {table} ({key_column}, record) "
-                "VALUES (?, ?)", (key, _dumps(record)))
+    def _insert(self, namespace, key, record) -> None:
+        self._connection().execute(
+            f"INSERT OR REPLACE INTO {namespace} "
+            f"({NAMESPACES[namespace]}, record) VALUES (?, ?)",
+            (key, _dumps(record)))
 
-    # -- cells --------------------------------------------------------------
-    def load_cell(self, fingerprint: str) -> Optional[Dict[str, Any]]:
-        return self._decode(self._get("cells", "fingerprint", fingerprint))
+    def put(self, namespace, key, record):
+        with self._connection():
+            self._insert(namespace, key, record)
 
-    def save_cell(self, fingerprint: str, record: Dict[str, Any]) -> None:
-        self._put("cells", "fingerprint", fingerprint, record)
-
-    def cell_count(self) -> int:
-        row = self._connection().execute(
-            "SELECT COUNT(*) FROM cells").fetchone()
-        return int(row[0])
-
-    # -- sweeps -------------------------------------------------------------
-    def load_sweep(self, name: str) -> Optional[Dict[str, Any]]:
-        return self._decode(self._get("sweeps", "name", name))
-
-    def save_sweep(self, name: str, record: Dict[str, Any]) -> None:
-        self._put("sweeps", "name", name, record)
-
-    def sweep_names(self) -> List[str]:
+    def keys(self, namespace):
+        column = NAMESPACES[namespace]
         rows = self._connection().execute(
-            "SELECT name FROM sweeps ORDER BY name").fetchall()
+            f"SELECT {column} FROM {namespace} ORDER BY {column}").fetchall()
         return [row[0] for row in rows]
 
-    # -- jobs ---------------------------------------------------------------
-    def load_job(self, job_id: str) -> Optional[Dict[str, Any]]:
-        return self._decode(self._get("jobs", "id", job_id))
-
-    def save_job(self, job_id: str, record: Dict[str, Any]) -> None:
-        self._put("jobs", "id", job_id, record)
-
-    def update_job(self, job_id, mutate):
+    def update(self, namespace, key, mutate):
         connection = self._connection()
         with connection:
             # BEGIN IMMEDIATE takes the write lock *before* the read, so
             # two workers incrementing one job's counters serialize
             # rather than both reading the same snapshot.
             connection.execute("BEGIN IMMEDIATE")
-            row = connection.execute(
-                "SELECT record FROM jobs WHERE id = ?", (job_id,)).fetchone()
-            record = self._decode(row[0]) if row is not None else None
-            if record is None:
-                return None
-            record = mutate(record)
-            connection.execute(
-                "INSERT OR REPLACE INTO jobs (id, record) VALUES (?, ?)",
-                (job_id, _dumps(record)))
+            record = self.get(namespace, key)
+            if record is not None:
+                record = mutate(record)
+                self._insert(namespace, key, record)
             return record
-
-    def job_ids(self) -> List[str]:
-        rows = self._connection().execute(
-            "SELECT id FROM jobs ORDER BY id").fetchall()
-        return [row[0] for row in rows]
 
     def load_jobs(self) -> List[Dict[str, Any]]:
         rows = self._connection().execute(
             "SELECT record FROM jobs ORDER BY id DESC").fetchall()
-        records = (self._decode(row[0]) for row in rows)
+        records = (_decode(row[0]) for row in rows)
         return [record for record in records if record is not None]
 
     def release_thread(self) -> None:

@@ -1,30 +1,31 @@
 """Experiments E1–E12: the executable version of the paper's evaluation.
 
 Each ``experiment_e*`` function runs real protocol executions under real
-adversaries and returns an :class:`ExperimentResult` carrying a rendered
-table (what the paper's tables/claims look like in this reproduction) and
-the raw data dictionary (what the tests and EXPERIMENTS.md assertions are
-written against).  DESIGN.md §3 maps each experiment to the paper claim it
-reproduces.
+adversaries and returns an :class:`ExperimentResult`: the rendered
+tables (what the paper's tables/claims look like in this reproduction)
+and the sweep's artifact rows (what the tests and ``benchmarks/`` assert
+on).  DESIGN.md §3 maps each experiment to the paper claim it reproduces.
 
-Since the scenario-matrix refactor, each experiment is a **thin
-declarative spec**: the protocol × adversary × parameter grid lives in a
+An experiment is a **declarative spec and a view of its rows**: the
+protocol × adversary × parameter grid is a
 :class:`~repro.harness.scenarios.SweepSpec` built by an ``_e*_sweep``
-function, execution goes through
-:func:`~repro.harness.scenarios.run_sweep` (which shares one
-eligibility-lottery cache across the sweep's cells), and the experiment
-function itself only formats the per-cell results into the paper-shaped
-tables.  Outputs are byte-identical to the pre-refactor imperative loops
-for the same seeds.  E12's ablations sweep *internal* design parameters
-(custom difficulty schedules per seed) that the declarative layer
-deliberately does not model, so it stays imperative.
+function and run by :func:`~repro.harness.scenarios.run_sweep`, and the
+tables in :data:`VIEWS` are :class:`~repro.harness.tables.View`\\ s —
+a title and an ordered ``{header: row key | row -> value}`` projection
+of ``SweepResult.rows()`` — so such a table holds no number the artifact
+does not.  What no row carries (E4's per-trial rounds, E6's forged-ACK
+counts, E7's output sets, E8's proposer lottery) is read from the
+executor's payload, into the table only.  E12's ablations sweep
+*internal* design parameters (custom difficulty schedules per seed) that
+the declarative layer deliberately does not model, so it stays
+imperative.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.analysis import (
     corrupt_quorum_probability,
@@ -43,7 +44,7 @@ from repro.harness.scenarios import (
     inputs_mixed as _mixed_inputs,
     run_sweep,
 )
-from repro.harness.tables import Table
+from repro.harness.tables import Table, View, project
 from repro.rng import derive_rng
 from repro.types import SecurityParameters
 
@@ -52,158 +53,178 @@ from repro.types import SecurityParameters
 class ExperimentResult:
     name: str
     tables: List[Table]
-    data: Dict[str, Any] = field(default_factory=dict)
+    #: The sweep's artifact rows (``SweepResult.rows()``); E12 has none.
+    rows: List[Dict[str, Any]] = field(default_factory=list)
 
     def render(self) -> str:
         return "\n\n".join(table.render() for table in self.tables)
 
 
+#: experiment -> the tables that are views of its sweep's rows.
+VIEWS: Dict[str, Tuple[View, ...]] = {}
+
+
 def _one(result: SweepResult, scenario: str):
     """The single cell of a one-cell scenario."""
-    cells = result.scenario(scenario)
-    assert len(cells) == 1, f"{scenario}: expected one cell, got {len(cells)}"
-    return cells[0]
+    cell, = result.scenario(scenario)
+    return cell
 
 
-def _binding(cell_result, key: str):
-    return dict(cell_result.cell.bindings)[key]
+def _viewed(name: str, sweep: SweepSpec) -> ExperimentResult:
+    """Run ``sweep`` and show its rows through ``VIEWS[name]``."""
+    rows = run_sweep(sweep).rows()
+    return ExperimentResult(
+        name, [view.table(rows) for view in VIEWS[name]], rows)
 
 
-# ---------------------------------------------------------------------------
-# E1 — Theorem 1/4: after-the-fact removal breaks subquadratic BB.
-# ---------------------------------------------------------------------------
+def _rounded(key: str, digits=None, per: int = 1) -> Callable[[dict], Any]:
+    """row -> ``round(row[key] / per, digits)``."""
+    return lambda row: round(row[key] / per, digits)
+
+
+def _scenarios(*names: str) -> Callable[[Sequence[dict]], List[dict]]:
+    """rows -> those of the named scenarios, in sweep order."""
+    return lambda rows: [row for row in rows if row["scenario"] in names]
+
+
+def _labelled(labels: Dict[str, Any], index=None) -> Callable[[dict], Any]:
+    """row -> what ``labels`` calls its scenario (item ``index`` of that)."""
+    return lambda row: (labels[row["scenario"]] if index is None
+                        else labels[row["scenario"]][index])
+
+
+# -- E1 — Theorem 1/4: after-the-fact removal breaks subquadratic BB.
 
 def _e1_sweep(trials: int) -> SweepSpec:
     params = SecurityParameters(lam=20, epsilon=0.1)
-    return SweepSpec(
-        name="e1-theorem4",
-        scenarios=(
-            ScenarioSpec(
-                name="subquadratic", protocol="broadcast-from-ba",
-                executor="theorem4",
-                fixed=dict(n=900, f=400, sender_input=1,
-                           epsilon=2 * params.epsilon,
-                           ba_builder="subquadratic", params=params,
-                           max_iterations=12),
-                seeds=range(trials)),
-            ScenarioSpec(
-                name="quadratic", protocol="broadcast-from-ba",
-                executor="theorem4",
-                fixed=dict(n=41, f=19, sender_input=1,
-                           epsilon=2 * params.epsilon,
-                           ba_builder="quadratic", max_iterations=12),
-                seeds=range(trials)),
-            ScenarioSpec(
-                name="census", protocol="broadcast-from-ba",
-                executor="theorem4-census",
-                fixed=dict(n=1600, f=720, sender_input=1, epsilon=0.25,
-                           ba_builder="subquadratic",
-                           params=SecurityParameters(lam=12, epsilon=0.1),
-                           max_iterations=8),
-                seeds=range(trials)),
-        ),
-    )
+    return SweepSpec(name="e1-theorem4", scenarios=(
+        ScenarioSpec(
+            name="subquadratic", protocol="broadcast-from-ba",
+            executor="theorem4",
+            fixed=dict(n=900, f=400, sender_input=1,
+                       epsilon=2 * params.epsilon,
+                       ba_builder="subquadratic", params=params,
+                       max_iterations=12),
+            seeds=range(trials)),
+        ScenarioSpec(
+            name="quadratic", protocol="broadcast-from-ba",
+            executor="theorem4",
+            fixed=dict(n=41, f=19, sender_input=1,
+                       epsilon=2 * params.epsilon,
+                       ba_builder="quadratic", max_iterations=12),
+            seeds=range(trials)),
+        ScenarioSpec(
+            name="census", protocol="broadcast-from-ba",
+            executor="theorem4-census",
+            fixed=dict(n=1600, f=720, sender_input=1, epsilon=0.25,
+                       ba_builder="subquadratic",
+                       params=SecurityParameters(lam=12, epsilon=0.1),
+                       max_iterations=8),
+            seeds=range(trials)),
+    ))
+
+
+#: E1b reads down, not across: one line per quantity of the census row —
+#: the events X and Y of the Theorem 4 argument, measured live in the
+#: subquadratic regime.
+_E1B_QUANTITIES = {
+    "E[z] (messages into V)": _rounded("mean_z"),
+    "Markov budget ε(f/2)²": _rounded("markov_budget"),
+    "P[X: z under budget]": "event_x_rate",
+    "P[Y: random p starved]": "event_y_rate",
+    "P[X ∩ Y]": "event_xy_rate",
+    "theorem bound 1-2ε": "theorem_bound",
+}
+
+
+def _e1b_lines(rows: Sequence[dict]) -> List[dict]:
+    census, = _scenarios("census")(rows)
+    return [{"quantity": quantity, "value": value} for quantity, value
+            in project(census, _E1B_QUANTITIES).items()]
+
+
+VIEWS["E1"] = (
+    View("E1 (Theorem 1/4) — strongly adaptive isolation attack",
+         {"protocol": "protocol", "n": "n", "f": "f",
+          "honest msgs": _rounded("mean_honest_messages"),
+          "bound (εf/2)²": _rounded("message_bound"),
+          "corruptions": _rounded("mean_corruptions", 1),
+          "budget dead": "budget_exhausted_rate",
+          "violation rate": "violation_rate"},
+         select=_scenarios("subquadratic", "quadratic")),
+    View("E1b — the Theorem 4 proof events, measured (adversary A)",
+         select=_e1b_lines),
+)
 
 
 def experiment_e1(trials: int = 3) -> ExperimentResult:
     """Isolation attack: subquadratic BB falls, quadratic BB survives."""
-    sweep = run_sweep(_e1_sweep(trials))
-    table = Table(
-        "E1 (Theorem 1/4) — strongly adaptive isolation attack",
-        ["protocol", "n", "f", "honest msgs", "bound (εf/2)²",
-         "corruptions", "budget dead", "violation rate"],
-    )
-    subq = _one(sweep, "subquadratic").payload
-    quad = _one(sweep, "quadratic").payload
-    for report in (subq, quad):
-        table.add_row(report.protocol, report.n, report.f,
-                      round(report.mean_honest_messages),
-                      round(report.message_bound),
-                      round(report.mean_corruptions, 1),
-                      report.budget_exhausted_rate,
-                      report.violation_rate)
-    # The proof-structure census: the events X and Y of the Theorem 4
-    # argument, measured live in the subquadratic regime.
-    census = _one(sweep, "census").payload
-    census_table = Table(
-        "E1b — the Theorem 4 proof events, measured (adversary A)",
-        ["quantity", "value"],
-    )
-    census_table.add_row("E[z] (messages into V)", round(census.mean_z))
-    census_table.add_row("Markov budget ε(f/2)²",
-                         round(census.markov_budget))
-    census_table.add_row("P[X: z under budget]", census.event_x_rate)
-    census_table.add_row("P[Y: random p starved]", census.event_y_rate)
-    census_table.add_row("P[X ∩ Y]", census.event_xy_rate)
-    census_table.add_row("theorem bound 1-2ε", census.theorem_bound)
-    return ExperimentResult(
-        name="E1", tables=[table, census_table],
-        data={"subquadratic": subq, "quadratic": quad, "census": census})
+    return _viewed("E1", _e1_sweep(trials))
 
 
-# ---------------------------------------------------------------------------
-# E2 — the Dolev–Reischuk warmup.
-# ---------------------------------------------------------------------------
+# -- E2 — the Dolev–Reischuk warmup.
 
-_E2_SWEEP = SweepSpec(
-    name="e2-dolev-reischuk",
-    scenarios=(
-        ScenarioSpec(
-            name="naive", protocol="naive-broadcast",
-            executor="dolev-reischuk",
-            fixed=dict(n=40, f=16, sender_input=0), seeds=(1,)),
-        ScenarioSpec(
-            name="dolev-strong", protocol="dolev-strong",
-            executor="dolev-reischuk",
-            fixed=dict(n=24, f=10, sender_input=0), seeds=(1,)),
-    ),
+_E2_SWEEP = SweepSpec(name="e2-dolev-reischuk", scenarios=(
+    ScenarioSpec(
+        name="naive", protocol="naive-broadcast",
+        executor="dolev-reischuk",
+        fixed=dict(n=40, f=16, sender_input=0), seeds=(1,)),
+    ScenarioSpec(
+        name="dolev-strong", protocol="dolev-strong",
+        executor="dolev-reischuk",
+        fixed=dict(n=24, f=10, sender_input=0), seeds=(1,)),
+))
+
+
+VIEWS["E2"] = (
+    View("E2 (Section 2 warmup) — Dolev–Reischuk attack",
+         {"protocol": "protocol", "n": "n", "f": "f",
+          "msgs into V": "messages_into_v",
+          "budget (f/2)²": "message_budget",
+          "starved p found": "attack_feasible",
+          "violation": "consistency_violated"}),
 )
 
 
 def experiment_e2() -> ExperimentResult:
     """A/A' attack: cheap deterministic BB falls, Dolev–Strong resists."""
-    sweep = run_sweep(_E2_SWEEP)
-    table = Table(
-        "E2 (Section 2 warmup) — Dolev–Reischuk attack",
-        ["protocol", "n", "f", "msgs into V", "budget (f/2)²",
-         "starved p found", "violation"],
-    )
-    naive = _one(sweep, "naive").payload
-    strong = _one(sweep, "dolev-strong").payload
-    for report in (naive, strong):
-        table.add_row(report.protocol, report.n, report.f,
-                      report.messages_into_v, report.message_budget,
-                      report.attack_feasible, report.consistency_violated)
-    return ExperimentResult(
-        name="E2", tables=[table], data={"naive": naive, "dolev_strong": strong})
+    return _viewed("E2", _E2_SWEEP)
 
 
-# ---------------------------------------------------------------------------
-# E3 — Theorem 2/17: multicast complexity independent of n.
-# ---------------------------------------------------------------------------
+# -- E3 — Theorem 2/17: multicast complexity independent of n.
 
 def _e3_sweep(trials: int, sizes: Sequence[int],
               quad_sizes: Sequence[int]) -> SweepSpec:
-    return SweepSpec(
-        name="e3-multicast-vs-n",
-        scenarios=(
-            ScenarioSpec(
-                name="subquadratic", protocol="subquadratic",
-                grid={"n": tuple(sizes)},
-                fixed={"f_fraction": 0.3, "lam": 24, "epsilon": 0.15},
-                inputs="ones", adversary="crash", seeds=range(trials)),
-            ScenarioSpec(
-                name="quadratic", protocol="quadratic",
-                grid={"n": tuple(quad_sizes)},
-                fixed={"f": f_half_minus_one},
-                inputs="ones", adversary="crash", seeds=range(trials)),
-            ScenarioSpec(
-                name="dolev-strong", protocol="dolev-strong",
-                grid={"n": tuple(quad_sizes)},
-                fixed={"f": f_half_minus_one, "sender_input": 1},
-                seeds=range(trials)),
-        ),
-    )
+    return SweepSpec(name="e3-multicast-vs-n", scenarios=(
+        ScenarioSpec(
+            name="subquadratic", protocol="subquadratic",
+            grid={"n": tuple(sizes)},
+            fixed={"f_fraction": 0.3, "lam": 24, "epsilon": 0.15},
+            inputs="ones", adversary="crash", seeds=range(trials)),
+        ScenarioSpec(
+            name="quadratic", protocol="quadratic",
+            grid={"n": tuple(quad_sizes)},
+            fixed={"f": f_half_minus_one},
+            inputs="ones", adversary="crash", seeds=range(trials)),
+        ScenarioSpec(
+            name="dolev-strong", protocol="dolev-strong",
+            grid={"n": tuple(quad_sizes)},
+            fixed={"f": f_half_minus_one, "sender_input": 1},
+            seeds=range(trials)),
+    ))
+
+
+VIEWS["E3"] = (
+    View("E3 (Theorem 2) — multicast complexity vs n (unanimous inputs)",
+         {"protocol": _labelled({"subquadratic": "subquadratic-ba",
+                                 "quadratic": "quadratic-ba",
+                                 "dolev-strong": "dolev-strong"}),
+          "n": "n", "f": "f",
+          "multicasts": _rounded("mean_multicasts", 1),
+          "multicast kbits": _rounded("mean_multicast_bits", 1, per=1000),
+          "classical msgs": lambda row: round(
+              row["mean_multicasts"] * (row["n"] - 1))}),
+)
 
 
 def experiment_e3(trials: int = 3,
@@ -211,55 +232,26 @@ def experiment_e3(trials: int = 3,
                   quad_sizes: Sequence[int] = (16, 32, 64, 128),
                   ) -> ExperimentResult:
     """Honest multicasts vs n: flat for subquadratic, linear for quadratic."""
-    sweep = run_sweep(_e3_sweep(trials, sizes, quad_sizes))
-    table = Table(
-        "E3 (Theorem 2) — multicast complexity vs n (unanimous inputs)",
-        ["protocol", "n", "f", "multicasts", "multicast kbits",
-         "classical msgs"],
-    )
-    counts: Dict[str, Dict[int, float]] = {}
-    for scenario, label in (("subquadratic", "subquadratic-ba"),
-                            ("quadratic", "quadratic-ba"),
-                            ("dolev-strong", "dolev-strong")):
-        counts[scenario] = {}
-        for cell in sweep.scenario(scenario):
-            stats = cell.stats
-            n = cell.cell.n
-            counts[scenario][n] = stats.mean_multicasts
-            table.add_row(label, n, cell.cell.f,
-                          round(stats.mean_multicasts, 1),
-                          round(stats.mean_multicast_bits / 1000, 1),
-                          round(stats.mean_multicasts * (n - 1)))
-    return ExperimentResult(
-        name="E3", tables=[table],
-        data={"subquadratic": counts["subquadratic"],
-              "quadratic": counts["quadratic"],
-              "dolev_strong": counts["dolev-strong"],
-              "lam": _binding(sweep.scenario("subquadratic")[0], "lam")})
+    return _viewed("E3", _e3_sweep(trials, sizes, quad_sizes))
 
 
-# ---------------------------------------------------------------------------
-# E4 — expected constant rounds (Corollary 16 / Lemma 12).
-# ---------------------------------------------------------------------------
+# -- E4 — expected constant rounds (Corollary 16 / Lemma 12).
 
 def _e4_sweep(trials: int) -> SweepSpec:
-    return SweepSpec(
-        name="e4-round-complexity",
-        scenarios=(
-            ScenarioSpec(
-                name="subquadratic", protocol="subquadratic",
-                grid={"n": (100, 200, 400)},
-                fixed={"f_fraction": 0.25, "lam": 30, "epsilon": 0.1},
-                inputs="mixed", adversary="crash", seeds=range(trials)),
-            # Phase-king runs a fixed R = ω(log κ) epochs, no early exit.
-            ScenarioSpec(
-                name="phase-king", protocol="phase-king-subquadratic",
-                fixed={"n": 150, "f": 20, "lam": 30, "epsilon": 0.1,
-                       "epochs": 12},
-                inputs="mixed", adversary="crash",
-                seeds=range(max(4, trials // 2))),
-        ),
-    )
+    return SweepSpec(name="e4-round-complexity", scenarios=(
+        ScenarioSpec(
+            name="subquadratic", protocol="subquadratic",
+            grid={"n": (100, 200, 400)},
+            fixed={"f_fraction": 0.25, "lam": 30, "epsilon": 0.1},
+            inputs="mixed", adversary="crash", seeds=range(trials)),
+        # Phase-king runs a fixed R = ω(log κ) epochs, no early exit.
+        ScenarioSpec(
+            name="phase-king", protocol="phase-king-subquadratic",
+            fixed={"n": 150, "f": 20, "lam": 30, "epsilon": 0.1,
+                   "epochs": 12},
+            inputs="mixed", adversary="crash",
+            seeds=range(max(4, trials // 2))),
+    ))
 
 
 def experiment_e4(trials: int = 20) -> ExperimentResult:
@@ -270,41 +262,50 @@ def experiment_e4(trials: int = 20) -> ExperimentResult:
         ["protocol", "n", "mean rounds", "p90 rounds",
          "good-iter prob (Lemma 12)", "termination rate"],
     )
-    data: Dict[str, Any] = {}
+
+    def line(label: str, cell, lemma12) -> None:
+        # The p90 is over per-trial rounds, which no row carries.
+        rounds = [float(r.rounds_executed) for r in cell.stats.results]
+        table.add_row(label, cell.cell.n, round(mean(rounds), 1),
+                      percentile(rounds, 90), lemma12,
+                      cell.stats.termination_rate)
+
     for cell in sweep.scenario("subquadratic"):
-        stats = cell.stats
-        n = cell.cell.n
-        rounds = [float(r.rounds_executed) for r in stats.results]
-        table.add_row("subquadratic-ba", n, round(mean(rounds), 1),
-                      percentile(rounds, 90),
-                      round(good_iteration_probability(n), 4),
-                      stats.termination_rate)
-        data[f"subq_rounds_n{n}"] = rounds
-        data[f"subq_termination_n{n}"] = stats.termination_rate
-    king = _one(sweep, "phase-king")
-    rounds = [float(r.rounds_executed) for r in king.stats.results]
-    table.add_row("phase-king-subq (fixed R)", king.cell.n,
-                  round(mean(rounds), 1),
-                  percentile(rounds, 90), "-", king.stats.termination_rate)
-    data["phase_king_rounds"] = rounds
-    return ExperimentResult(name="E4", tables=[table], data=data)
+        line("subquadratic-ba", cell,
+             round(good_iteration_probability(cell.cell.n), 4))
+    line("phase-king-subq (fixed R)", _one(sweep, "phase-king"), "-")
+    return ExperimentResult("E4", [table], sweep.rows())
 
 
-# ---------------------------------------------------------------------------
-# E5 — resilience sweep up to (1/2 - ε) n (Theorem 17).
-# ---------------------------------------------------------------------------
+# -- E5 — resilience sweep up to (1/2 - ε) n (Theorem 17).
 
 def _e5_sweep(trials: int, fractions: Sequence[float]) -> SweepSpec:
-    return SweepSpec(
-        name="e5-resilience",
-        scenarios=(
-            ScenarioSpec(
-                name="subquadratic", protocol="subquadratic",
-                grid={"f_fraction": tuple(fractions)},
-                fixed={"n": 200, "lam": 40, "epsilon": 0.1},
-                inputs="ones", adversary="equivocate", seeds=range(trials)),
-        ),
-    )
+    return SweepSpec(name="e5-resilience", scenarios=(
+        ScenarioSpec(
+            name="subquadratic", protocol="subquadratic",
+            grid={"f_fraction": tuple(fractions)},
+            fixed={"n": 200, "lam": 40, "epsilon": 0.1},
+            inputs="ones", adversary="equivocate", seeds=range(trials)),
+    ))
+
+
+def _per_topic_failure(row: dict) -> float:
+    """The analytical envelope: the probability that a single topic's
+    committee goes bad (Lemma 11).  The measured rates should track this
+    prediction — near-perfect at small f/n, degrading as f/n approaches
+    1/2 for a concrete (non-asymptotic) λ."""
+    n, f, lam = row["n"], row["f"], row["lam"]
+    return round(corrupt_quorum_probability(n, f, lam)
+                 + honest_quorum_failure_probability(n, f, lam), 4)
+
+
+VIEWS["E5"] = (
+    View("E5 (Theorem 17) — resilience sweep, static equivocation adversary",
+         {"f/n": "f_fraction", "f": "f", "consistency": "consistency_rate",
+          "validity": "validity_rate", "termination": "termination_rate",
+          "mean rounds": _rounded("mean_rounds", 1),
+          "per-topic failure (pred.)": _per_topic_failure}),
+)
 
 
 def experiment_e5(trials: int = 6,
@@ -312,63 +313,29 @@ def experiment_e5(trials: int = 6,
                   ) -> ExperimentResult:
     """Consistency/validity under the equivocation stress, by corruption
     fraction."""
-    sweep = run_sweep(_e5_sweep(trials, fractions))
-    table = Table(
-        "E5 (Theorem 17) — resilience sweep, static equivocation adversary",
-        ["f/n", "f", "consistency", "validity", "termination",
-         "mean rounds", "per-topic failure (pred.)"],
-    )
-    data: Dict[str, Any] = {}
-    for cell in sweep.scenario("subquadratic"):
-        stats = cell.stats
-        n, f = cell.cell.n, cell.cell.f
-        lam = _binding(cell, "lam")
-        fraction = _binding(cell, "f_fraction")
-        # The analytical envelope: the probability that a single topic's
-        # committee goes bad (Lemma 11).  The measured rates should track
-        # this prediction — near-perfect at small f/n, degrading as f/n
-        # approaches 1/2 for a concrete (non-asymptotic) λ.
-        predicted = (corrupt_quorum_probability(n, f, lam)
-                     + honest_quorum_failure_probability(n, f, lam))
-        table.add_row(fraction, f, stats.consistency_rate,
-                      stats.validity_rate, stats.termination_rate,
-                      round(stats.mean_rounds, 1), round(predicted, 4))
-        data[f"fraction_{fraction}"] = {
-            "consistency": stats.consistency_rate,
-            "validity": stats.validity_rate,
-            "termination": stats.termination_rate,
-            "predicted_per_topic_failure": predicted,
-        }
-    return ExperimentResult(name="E5", tables=[table], data=data)
+    return _viewed("E5", _e5_sweep(trials, fractions))
 
 
-# ---------------------------------------------------------------------------
-# E6 — bit-specific vs round-specific eligibility (Remark 3.3).
-# ---------------------------------------------------------------------------
+# -- E6 — bit-specific vs round-specific eligibility (Remark 3.3).
 
 def _e6_sweep(trials: int) -> SweepSpec:
     base = {"n": 150, "f": 45, "lam": 30, "epsilon": 0.1, "epochs": 6}
-    return SweepSpec(
-        name="e6-eligibility-design",
-        scenarios=(
-            ScenarioSpec(
-                name="round-no-erasure", protocol="round-eligibility",
-                executor="per-seed",
-                fixed={**base, "memory_erasure": False}, inputs="ones",
-                adversary="ack-equivocate", adversary_kwargs={"reserve": 60},
-                seeds=range(trials)),
-            ScenarioSpec(
-                name="round-erasure", protocol="round-eligibility",
-                executor="per-seed",
-                fixed={**base, "memory_erasure": True}, inputs="ones",
-                adversary="ack-equivocate", adversary_kwargs={"reserve": 60},
-                seeds=range(trials)),
-            ScenarioSpec(
-                name="bit-specific", protocol="phase-king-subquadratic",
-                executor="per-seed", fixed=base, inputs="ones",
-                adversary="speaker", seeds=range(trials)),
-        ),
-    )
+
+    def round_specific(name: str, erasure: bool) -> ScenarioSpec:
+        return ScenarioSpec(
+            name=name, protocol="round-eligibility", executor="per-seed",
+            fixed={**base, "memory_erasure": erasure}, inputs="ones",
+            adversary="ack-equivocate", adversary_kwargs={"reserve": 60},
+            seeds=range(trials))
+
+    return SweepSpec(name="e6-eligibility-design", scenarios=(
+        round_specific("round-no-erasure", False),
+        round_specific("round-erasure", True),
+        ScenarioSpec(
+            name="bit-specific", protocol="phase-king-subquadratic",
+            executor="per-seed", fixed=base, inputs="ones",
+            adversary="speaker", seeds=range(trials)),
+    ))
 
 
 def experiment_e6(trials: int = 5) -> ExperimentResult:
@@ -378,44 +345,32 @@ def experiment_e6(trials: int = 5) -> ExperimentResult:
         "E6 (Remark 3.3) — eligibility design vs same-round equivocation",
         ["design", "erasure", "consistency rate", "forged ACKs/run"],
     )
-    data: Dict[str, Any] = {}
-
-    def rates(scenario: str):
+    # Forged ACKs are counted on the adversary objects the per-seed
+    # executor keeps; no row carries them.
+    for scenario, design, erasure in (
+            ("round-no-erasure", "round-specific", False),
+            ("round-erasure", "round-specific", True),
+            ("bit-specific", "bit-specific (paper)", False)):
         records = _one(sweep, scenario).payload
         rate = sum(result.consistent() for result, _ in records) / trials
-        return rate, records
-
-    rate, records = rates("round-no-erasure")
-    forged = mean([float(adversary.forged) for _, adversary in records])
-    table.add_row("round-specific", False, rate, round(forged, 1))
-    data["round_no_erasure"] = rate
-    rate, records = rates("round-erasure")
-    forged = mean([float(adversary.forged) for _, adversary in records])
-    table.add_row("round-specific", True, rate, round(forged, 1))
-    data["round_erasure"] = rate
-    rate, _records = rates("bit-specific")
-    table.add_row("bit-specific (paper)", False, rate, 0)
-    data["bit_specific"] = rate
-    return ExperimentResult(name="E6", tables=[table], data=data)
+        forged = 0 if scenario == "bit-specific" else round(mean(
+            [float(adversary.forged) for _, adversary in records]), 1)
+        table.add_row(design, erasure, rate, forged)
+    return ExperimentResult("E6", [table], sweep.rows())
 
 
-# ---------------------------------------------------------------------------
-# E7 — Theorem 3: setup assumptions are necessary.
-# ---------------------------------------------------------------------------
+# -- E7 — Theorem 3: setup assumptions are necessary.
 
-_E7_SWEEP = SweepSpec(
-    name="e7-no-pki",
-    scenarios=(
-        ScenarioSpec(
-            name="shared-ro", executor="hypothetical",
-            fixed=dict(n=60, lam=24, epochs=6, setup="shared-ro"),
-            seeds=(2,)),
-        ScenarioSpec(
-            name="pki", executor="hypothetical",
-            fixed=dict(n=24, lam=12, epochs=4, setup="pki"),
-            seeds=(2,)),
-    ),
-)
+_E7_SWEEP = SweepSpec(name="e7-no-pki", scenarios=(
+    ScenarioSpec(
+        name="shared-ro", executor="hypothetical",
+        fixed=dict(n=60, lam=24, epochs=6, setup="shared-ro"),
+        seeds=(2,)),
+    ScenarioSpec(
+        name="pki", executor="hypothetical",
+        fixed=dict(n=24, lam=12, epochs=4, setup="pki"),
+        seeds=(2,)),
+))
 
 
 def experiment_e7() -> ExperimentResult:
@@ -426,45 +381,38 @@ def experiment_e7() -> ExperimentResult:
         ["setup", "n", "Q outputs", "Q' outputs", "bridge", "contradiction",
          "Q' speakers (corruptions)", "bridge rejections"],
     )
-    shared = _one(sweep, "shared-ro").payload
-    pki = _one(sweep, "pki").payload
-    for report in (shared, pki):
+    # The two output *sets* are not scalars, so no row carries them.
+    for scenario in ("shared-ro", "pki"):
+        report = _one(sweep, scenario).payload
         table.add_row(report.setup, report.n,
                       sorted(report.left_outputs),
                       sorted(report.right_outputs),
                       report.bridge_output, report.contradiction,
                       report.right_speakers, report.bridge_rejections)
-    return ExperimentResult(
-        name="E7", tables=[table], data={"shared": shared, "pki": pki})
+    return ExperimentResult("E7", [table], sweep.rows())
 
 
-# ---------------------------------------------------------------------------
-# E8 — the stochastic lemmas (10, 11, 12) vs measurement.
-# ---------------------------------------------------------------------------
+# -- E8 — the stochastic lemmas (10, 11, 12) vs measurement.
 
 def _e8_sweep(samples: int) -> SweepSpec:
-    return SweepSpec(
-        name="e8-committee-census",
-        scenarios=(
-            ScenarioSpec(
-                name="committee", executor="committee-census",
-                fixed={"n": 300, "f": 120, "lam": 30, "epsilon": 0.1,
-                       "topic": ("Vote", 1, 1)},
-                seeds=tuple(("e8", sample) for sample in range(samples))),
-        ),
-    )
+    return SweepSpec(name="e8-committee-census", scenarios=(
+        ScenarioSpec(
+            name="committee", executor="committee-census",
+            fixed={"n": 300, "f": 120, "lam": 30, "epsilon": 0.1,
+                   "topic": ("Vote", 1, 1)},
+            seeds=tuple(("e8", sample) for sample in range(samples))),
+    ))
 
 
 def experiment_e8(samples: int = 400) -> ExperimentResult:
     """Monte-Carlo committee statistics vs the exact/Chernoff predictions."""
-    n, f, lam = 300, 120, 30
-    census = _one(run_sweep(_e8_sweep(samples)), "committee")
-    committee_sizes = [float(size) for size, _corrupt in census.payload]
-    corrupt_rate = census.metrics["corrupt_quorum_rate"]
-    honest_miss_rate = census.metrics["honest_miss_rate"]
+    rows = run_sweep(_e8_sweep(samples)).rows()
+    census, = rows
+    n, f, lam = census["n"], census["f"], census["lam"]
 
     # The proposer lottery is cheap to sample, so use a larger pool for a
-    # tighter Monte-Carlo estimate of Lemma 12's probability.
+    # tighter Monte-Carlo estimate of Lemma 12's probability.  It runs no
+    # cell, so no row carries it.
     proposer_samples = 4 * samples
     good_iterations = 0
     rng = derive_rng("e8-proposer", proposer_samples)
@@ -477,159 +425,134 @@ def experiment_e8(samples: int = 400) -> ExperimentResult:
         "E8 (Lemmas 10-12) — measured vs predicted committee statistics",
         ["quantity", "measured", "predicted"],
     )
-    table.add_row("mean committee size", round(mean(committee_sizes), 2), lam)
-    table.add_row("P[corrupt quorum ≥ λ/2]", corrupt_rate,
+    table.add_row("mean committee size",
+                  round(census["mean_committee_size"], 2), lam)
+    table.add_row("P[corrupt quorum ≥ λ/2]", census["corrupt_quorum_rate"],
                   round(corrupt_quorum_probability(n, f, lam), 5))
-    table.add_row("P[honest quorum < λ/2]", honest_miss_rate,
+    table.add_row("P[honest quorum < λ/2]", census["honest_miss_rate"],
                   round(honest_quorum_failure_probability(n, f, lam), 5))
     table.add_row("P[good iteration]", good_iterations / proposer_samples,
                   round(good_iteration_probability(n), 4))
     table.add_row("P[Terminate propagation fails | εn/2 done]",
                   "-", terminate_propagation_failure(n, lam, int(0.05 * n)))
-    return ExperimentResult(
-        name="E8", tables=[table],
-        data={
-            "mean_committee": mean(committee_sizes),
-            "corrupt_quorum_rate": corrupt_rate,
-            "corrupt_quorum_pred": corrupt_quorum_probability(n, f, lam),
-            "honest_miss_rate": honest_miss_rate,
-            "honest_miss_pred": honest_quorum_failure_probability(n, f, lam),
-            "good_iteration_rate": good_iterations / proposer_samples,
-            "good_iteration_pred": good_iteration_probability(n),
-        })
+    return ExperimentResult("E8", [table], rows)
 
 
-# ---------------------------------------------------------------------------
-# E9 — the Section 1 comparison table.
-# ---------------------------------------------------------------------------
+# -- E9 — the Section 1 comparison table.
 
-#: (scenario, display name, tolerates, adaptive-safe, assumptions) — the
-#: qualitative columns of the Section 1 comparison, in table order.
-_E9_ROWS = (
-    ("dolev-strong", "dolev-strong (BB)", "f<n", "yes (quadratic)", "PKI"),
-    ("quadratic", "quadratic-ba", "f<n/2", "yes (quadratic)", "PKI"),
-    ("static-committee", "static-committee", "static only",
-     "NO (E1-style takeover)", "CRS+PKI"),
-    ("round-eligibility", "round-eligibility", "f<n/3",
-     "only with erasure", "PKI+RO+erasure"),
-    ("phase-king-subq", "phase-king-subq (§3.2)", "f<(1/3-ε)n", "yes", "PKI"),
-    ("subquadratic", "subquadratic-ba (§C.2)", "f<(1/2-ε)n", "yes", "PKI"),
-)
+#: scenario -> (display name, tolerates, adaptive-safe, assumptions): the
+#: qualitative columns of the Section 1 comparison.
+_E9_QUALITATIVE = {
+    "dolev-strong": ("dolev-strong (BB)", "f<n", "yes (quadratic)", "PKI"),
+    "quadratic": ("quadratic-ba", "f<n/2", "yes (quadratic)", "PKI"),
+    "static-committee": ("static-committee", "static only",
+                         "NO (E1-style takeover)", "CRS+PKI"),
+    "round-eligibility": ("round-eligibility", "f<n/3",
+                          "only with erasure", "PKI+RO+erasure"),
+    "phase-king-subq": ("phase-king-subq (§3.2)", "f<(1/3-ε)n", "yes", "PKI"),
+    "subquadratic": ("subquadratic-ba (§C.2)", "f<(1/2-ε)n", "yes", "PKI"),
+}
 
 
 def _e9_sweep(trials: int) -> SweepSpec:
     n = 150
     seeds = range(trials)
     params = {"lam": 30, "epsilon": 0.1}
-    return SweepSpec(
-        name="e9-comparison",
-        scenarios=(
-            ScenarioSpec(
-                name="dolev-strong", protocol="dolev-strong",
-                fixed={"n": n, "f": 30, "sender_input": 1}, seeds=seeds),
-            ScenarioSpec(
-                name="quadratic", protocol="quadratic",
-                fixed={"n": n, "f": f_half_minus_one},
-                inputs="mixed", seeds=seeds),
-            ScenarioSpec(
-                name="static-committee", protocol="static-committee",
-                fixed={"n": n, "f": 40}, inputs="ones", seeds=seeds),
-            ScenarioSpec(
-                name="round-eligibility", protocol="round-eligibility",
-                fixed={"n": n, "f": 30, "epochs": 8, **params},
-                inputs="ones", seeds=seeds),
-            ScenarioSpec(
-                name="phase-king-subq", protocol="phase-king-subquadratic",
-                fixed={"n": n, "f": 30, "epochs": 8, **params},
-                inputs="ones", seeds=seeds),
-            ScenarioSpec(
-                name="subquadratic", protocol="subquadratic",
-                fixed={"n": n, "f": 60, **params},
-                inputs="mixed", seeds=seeds),
-        ),
-    )
+    return SweepSpec(name="e9-comparison", scenarios=(
+        ScenarioSpec(
+            name="dolev-strong", protocol="dolev-strong",
+            fixed={"n": n, "f": 30, "sender_input": 1}, seeds=seeds),
+        ScenarioSpec(
+            name="quadratic", protocol="quadratic",
+            fixed={"n": n, "f": f_half_minus_one},
+            inputs="mixed", seeds=seeds),
+        ScenarioSpec(
+            name="static-committee", protocol="static-committee",
+            fixed={"n": n, "f": 40}, inputs="ones", seeds=seeds),
+        ScenarioSpec(
+            name="round-eligibility", protocol="round-eligibility",
+            fixed={"n": n, "f": 30, "epochs": 8, **params},
+            inputs="ones", seeds=seeds),
+        ScenarioSpec(
+            name="phase-king-subq", protocol="phase-king-subquadratic",
+            fixed={"n": n, "f": 30, "epochs": 8, **params},
+            inputs="ones", seeds=seeds),
+        ScenarioSpec(
+            name="subquadratic", protocol="subquadratic",
+            fixed={"n": n, "f": 60, **params},
+            inputs="mixed", seeds=seeds),
+    ))
+
+
+VIEWS["E9"] = (
+    View("E9 (Section 1) — protocol comparison (honest executions, "
+         "mixed inputs)",
+         {"protocol": _labelled(_E9_QUALITATIVE, 0),
+          "tolerates": _labelled(_E9_QUALITATIVE, 1),
+          "adaptive-safe": _labelled(_E9_QUALITATIVE, 2),
+          "rounds": _rounded("mean_rounds", 1),
+          "multicasts": _rounded("mean_multicasts", 1),
+          "assumptions": _labelled(_E9_QUALITATIVE, 3)}),
+)
 
 
 def experiment_e9(trials: int = 3) -> ExperimentResult:
     """All protocols, one table: resilience / rounds / multicasts."""
-    sweep = run_sweep(_e9_sweep(trials))
-    table = Table(
-        "E9 (Section 1) — protocol comparison (honest executions, mixed inputs)",
-        ["protocol", "tolerates", "adaptive-safe", "rounds",
-         "multicasts", "assumptions"],
-    )
-    data: Dict[str, Any] = {}
-    for scenario, name, tolerates, adaptive_safe, assumptions in _E9_ROWS:
-        stats = _one(sweep, scenario).stats
-        table.add_row(name, tolerates, adaptive_safe,
-                      round(stats.mean_rounds, 1),
-                      round(stats.mean_multicasts, 1), assumptions)
-        data[name] = {"rounds": stats.mean_rounds,
-                      "multicasts": stats.mean_multicasts}
-    return ExperimentResult(name="E9", tables=[table], data=data)
+    return _viewed("E9", _e9_sweep(trials))
 
 
-# ---------------------------------------------------------------------------
-# E10 — message size O(λ (log κ + log n)) (Theorem 17).
-# ---------------------------------------------------------------------------
+# -- E10 — message size O(λ (log κ + log n)) (Theorem 17).
 
 def _e10_sweep(trials: int) -> SweepSpec:
-    return SweepSpec(
-        name="e10-message-size",
-        scenarios=(
-            ScenarioSpec(
-                name="fmine", protocol="subquadratic",
-                grid={"lam": (20, 40), "n": (128, 512)},
-                fixed={"epsilon": 0.1, "f_fraction": 0.3},
-                inputs="ones", seeds=range(trials)),
-            ScenarioSpec(
-                name="vrf", protocol="subquadratic",
-                fixed={"n": 32, "lam": 12, "epsilon": 0.1,
-                       "f_fraction": 0.3, "mode": "vrf"},
-                inputs="ones", seeds=range(1)),
-        ),
-    )
+    return SweepSpec(name="e10-message-size", scenarios=(
+        ScenarioSpec(
+            name="fmine", protocol="subquadratic",
+            grid={"lam": (20, 40), "n": (128, 512)},
+            fixed={"epsilon": 0.1, "f_fraction": 0.3},
+            inputs="ones", seeds=range(trials)),
+        ScenarioSpec(
+            name="vrf", protocol="subquadratic",
+            fixed={"n": 32, "lam": 12, "epsilon": 0.1,
+                   "f_fraction": 0.3, "mode": "vrf"},
+            inputs="ones", seeds=range(1)),
+    ))
+
+
+VIEWS["E10"] = (
+    View("E10 (Theorem 17) — maximum message size",
+         {"mode": _labelled({"fmine": "fmine", "vrf": "vrf (real crypto)"}),
+          "n": "n", "λ": "lam",
+          "max message kbits": _rounded("max_message_bits", 2, per=1000),
+          "multicast kbits total":
+              _rounded("mean_multicast_bits", 1, per=1000)}),
+)
 
 
 def experiment_e10(trials: int = 2) -> ExperimentResult:
     """Max message size vs λ and n, ideal and real-crypto modes."""
-    sweep = run_sweep(_e10_sweep(trials))
-    table = Table(
-        "E10 (Theorem 17) — maximum message size",
-        ["mode", "n", "λ", "max message kbits", "multicast kbits total"],
-    )
-    data: Dict[str, Any] = {}
-    for cell in sweep.scenario("fmine"):
-        n, lam = cell.cell.n, _binding(cell, "lam")
-        max_bits = cell.stats.max_message_bits
-        table.add_row("fmine", n, lam, round(max_bits / 1000, 2),
-                      round(cell.stats.mean_multicast_bits / 1000, 1))
-        data[f"fmine_n{n}_lam{lam}"] = max_bits
-    vrf = _one(sweep, "vrf")
-    max_bits = vrf.stats.max_message_bits
-    table.add_row("vrf (real crypto)", vrf.cell.n, _binding(vrf, "lam"),
-                  round(max_bits / 1000, 2),
-                  round(vrf.stats.mean_multicast_bits / 1000, 1))
-    data["vrf_max_bits"] = max_bits
-    return ExperimentResult(name="E10", tables=[table], data=data)
+    return _viewed("E10", _e10_sweep(trials))
 
 
-# ---------------------------------------------------------------------------
-# E11 — Appendix D/E: the compiled world matches the hybrid world.
-# ---------------------------------------------------------------------------
+# -- E11 — Appendix D/E: the compiled world matches the hybrid world.
 
 def _e11_sweep(trials: int) -> SweepSpec:
-    return SweepSpec(
-        name="e11-worlds",
-        scenarios=(
-            ScenarioSpec(
-                name="worlds", protocol="subquadratic",
-                grid={"mode": ("fmine", "vrf")},
-                fixed={"n": 36, "f": 10, "lam": 12, "epsilon": 0.1},
-                inputs="mixed", adversary="equivocate",
-                seeds=range(trials)),
-        ),
-    )
+    return SweepSpec(name="e11-worlds", scenarios=(
+        ScenarioSpec(
+            name="worlds", protocol="subquadratic",
+            grid={"mode": ("fmine", "vrf")},
+            fixed={"n": 36, "f": 10, "lam": 12, "epsilon": 0.1},
+            inputs="mixed", adversary="equivocate",
+            seeds=range(trials)),
+    ))
+
+
+VIEWS["E11"] = (
+    View("E11 (Appendices D/E) — Fmine-hybrid world vs compiled world",
+         {"world": "mode", "consistency": "consistency_rate",
+          "validity": "validity_rate", "termination": "termination_rate",
+          "mean multicasts": _rounded("mean_multicasts", 1),
+          "mean rounds": _rounded("mean_rounds", 1)}),
+)
 
 
 def experiment_e11(trials: int = 3) -> ExperimentResult:
@@ -642,32 +565,10 @@ def experiment_e11(trials: int = 3) -> ExperimentResult:
     shape must match (the exact coins differ — the compiled lottery is the
     VRF's, not Fmine's).
     """
-    sweep = run_sweep(_e11_sweep(trials))
-    table = Table(
-        "E11 (Appendices D/E) — Fmine-hybrid world vs compiled world",
-        ["world", "consistency", "validity", "termination",
-         "mean multicasts", "mean rounds"],
-    )
-    data: Dict[str, Any] = {}
-    for cell in sweep.scenario("worlds"):
-        stats = cell.stats
-        mode = _binding(cell, "mode")
-        table.add_row(mode, stats.consistency_rate, stats.validity_rate,
-                      stats.termination_rate,
-                      round(stats.mean_multicasts, 1),
-                      round(stats.mean_rounds, 1))
-        data[mode] = {
-            "consistency": stats.consistency_rate,
-            "validity": stats.validity_rate,
-            "termination": stats.termination_rate,
-            "multicasts": stats.mean_multicasts,
-        }
-    return ExperimentResult(name="E11", tables=[table], data=data)
+    return _viewed("E11", _e11_sweep(trials))
 
 
-# ---------------------------------------------------------------------------
-# E12 — ablations of the paper's design choices.
-# ---------------------------------------------------------------------------
+# -- E12 — ablations of the paper's design choices.
 
 def experiment_e12(trials: int = 4) -> ExperimentResult:
     """Three ablations of C.2 design choices.
@@ -685,20 +586,17 @@ def experiment_e12(trials: int = 4) -> ExperimentResult:
     the scenario layer's builder registry deliberately does not model.
     """
     from repro.adversaries import StaticEquivocationAdversary
+    from repro.analysis.chernoff import binomial_tail_ge, binomial_tail_le
+    from repro.eligibility.difficulty import DifficultySchedule
+    from repro.eligibility.fmine import FMineEligibility
     from repro.protocols import build_quadratic_ba, build_subquadratic_ba
 
-    data: Dict[str, Any] = {}
-
     # (a) Leader-difficulty sweep.
-    n, f = 200, 50
-    lam = 30
+    n, f, lam = 200, 50, 30
     leader_table = Table(
         "E12a — leader difficulty ablation (paper: 1/2n)",
         ["leader probability", "mean rounds", "termination rate"],
     )
-    from repro.eligibility.difficulty import DifficultySchedule
-    from repro.eligibility.fmine import FMineEligibility
-
     for factor, label in ((0.25, "1/4n"), (0.5, "1/2n (paper)"),
                           (1.0, "1/n"), (2.0, "2/n")):
         rounds: List[float] = []
@@ -722,7 +620,6 @@ def experiment_e12(trials: int = 4) -> ExperimentResult:
             terminated += result.all_decided()
         leader_table.add_row(label, round(mean(rounds), 1),
                              terminated / trials)
-        data[f"leader_{label}"] = mean(rounds)
 
     # (b) Degenerate difficulty p = 1 recovers the quadratic warmup.
     recover_table = Table(
@@ -745,43 +642,27 @@ def experiment_e12(trials: int = 4) -> ExperimentResult:
     recover_table.add_row("quadratic warmup", n_small,
                           round(quad_stats.mean_multicasts, 1),
                           quad_stats.consistency_rate == 1.0)
-    data["p1_multicasts"] = result.metrics.multicast_complexity_messages
-    data["p1_consistent"] = result.consistent()
-    data["warmup_multicasts"] = quad_stats.mean_multicasts
 
     # (c) The λ/2 threshold's two-sided failure envelope.
     threshold_table = Table(
         "E12c — quorum threshold ablation (analytical, n=300 f=90 λ=40)",
         ["threshold", "P[corrupt quorum]", "P[honest shortfall]"],
     )
-    from repro.analysis.chernoff import binomial_tail_ge, binomial_tail_le
     n_c, f_c, lam_c = 300, 90, 40
     for fraction, label in ((0.35, "0.35λ"), (0.5, "0.50λ (paper)"),
                             (0.65, "0.65λ")):
         threshold = math.ceil(fraction * lam_c)
-        corrupt_quorum = binomial_tail_ge(threshold, f_c, lam_c / n_c)
-        honest_short = binomial_tail_le(threshold - 1, n_c - f_c,
-                                        lam_c / n_c)
-        threshold_table.add_row(label, corrupt_quorum, honest_short)
-        data[f"threshold_{label}"] = (corrupt_quorum, honest_short)
+        threshold_table.add_row(
+            label, binomial_tail_ge(threshold, f_c, lam_c / n_c),
+            binomial_tail_le(threshold - 1, n_c - f_c, lam_c / n_c))
 
     return ExperimentResult(
-        name="E12",
-        tables=[leader_table, recover_table, threshold_table],
-        data=data)
+        "E12", [leader_table, recover_table, threshold_table])
 
 
 ALL_EXPERIMENTS = {
-    "E1": experiment_e1,
-    "E2": experiment_e2,
-    "E3": experiment_e3,
-    "E4": experiment_e4,
-    "E5": experiment_e5,
-    "E6": experiment_e6,
-    "E7": experiment_e7,
-    "E8": experiment_e8,
-    "E9": experiment_e9,
-    "E10": experiment_e10,
-    "E11": experiment_e11,
-    "E12": experiment_e12,
+    "E1": experiment_e1, "E2": experiment_e2, "E3": experiment_e3,
+    "E4": experiment_e4, "E5": experiment_e5, "E6": experiment_e6,
+    "E7": experiment_e7, "E8": experiment_e8, "E9": experiment_e9,
+    "E10": experiment_e10, "E11": experiment_e11, "E12": experiment_e12,
 }

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.harness.store import ExperimentStore
-from repro.harness.tables import rows_to_table
+from repro.harness.tables import View, rows_to_table
 
 
 def git_describe(root) -> str:
@@ -207,6 +207,25 @@ def _adaptive_comparison_rows(
     return digest
 
 
+#: The paper-shaped digests printed under a recorded sweep's own table,
+#: by sweep name: views whose ``select`` folds the sweep's rows.
+DIGESTS: Dict[str, Tuple[View, ...]] = {
+    "leader-vs-quadratic": (View(
+        "words-vs-n vs the Dolev-Reischuk line",
+        select=_leader_comparison_rows,
+        lead="Words per decision versus n — the leader family's happy "
+             "path against quadratic BA, with the Dolev-Reischuk counting "
+             "attack's Ω(f²) message floor at the same sizes:"),),
+    "words-vs-actual-f": (View(
+        "words-vs-actual-f vs the baselines",
+        select=_adaptive_comparison_rows,
+        lead="Total words versus the actual fault count f* — the adaptive "
+             "family's O((f*+1)n) escalation curve against the "
+             "non-adaptive baselines at the same (n, f), over the "
+             "Dolev-Reischuk counting attack's Ω(f²) message floor:"),),
+}
+
+
 def render_book(store: ExperimentStore,
                 baseline: Optional[Dict[str, Any]] = None,
                 fmt: str = "md",
@@ -294,42 +313,14 @@ def render_book(store: ExperimentStore,
                              "overdue salt bump:**")
                 for fingerprint in delta["changed"]:
                     lines.append(f"  - `{fingerprint}`")
-        lines.append("")
         rows = [row for row in entry["rows"] if row is not None]
-        table = rows_to_table(f"sweep {name}", rows)
-        lines.append("```text")
-        lines.append(table.render())
-        lines.append("```")
-        if name == "leader-vs-quadratic":
-            comparison = _leader_comparison_rows(rows)
-            if comparison:
-                lines.append("")
-                lines.append("Words per decision versus n — the leader "
-                             "family's happy path against quadratic BA, "
-                             "with the Dolev-Reischuk counting attack's "
-                             "Ω(f²) message floor at the same sizes:")
-                lines.append("")
-                lines.append("```text")
-                lines.append(rows_to_table(
-                    "words-vs-n vs the Dolev-Reischuk line",
-                    comparison).render())
-                lines.append("```")
-        if name == "words-vs-actual-f":
-            comparison = _adaptive_comparison_rows(rows)
-            if comparison:
-                lines.append("")
-                lines.append("Total words versus the actual fault count "
-                             "f* — the adaptive family's O((f*+1)n) "
-                             "escalation curve against the non-adaptive "
-                             "baselines at the same (n, f), over the "
-                             "Dolev-Reischuk counting attack's Ω(f²) "
-                             "message floor:")
-                lines.append("")
-                lines.append("```text")
-                lines.append(rows_to_table(
-                    "words-vs-actual-f vs the baselines",
-                    comparison).render())
-                lines.append("```")
+        lines += ["", "```text",
+                  rows_to_table(f"sweep {name}", rows).render(), "```"]
+        for digest in DIGESTS.get(name, ()):
+            table = digest.table(rows)
+            if table.rows:
+                lines += ["", digest.lead, "",
+                          "```text", table.render(), "```"]
 
     if baseline is not None:
         vanished = sorted(set(baseline.get("sweeps", {}))

@@ -8,7 +8,7 @@ Three pieces over one concurrency-safe
   batch, the rest fan out to workers and record to the store as each
   finishes, and per-job progress counters live in the ``jobs`` namespace;
 - :mod:`repro.harness.service.app` — the stdlib-only HTTP API
-  (``python -m repro serve``): submit sweeps, poll job status, stream
+  (``python -m repro serve``): submit sweeps, poll job status, long-poll
   progress, fetch sweep rows and byte-identical artifacts, and read the
   results book as live HTML;
 - :mod:`repro.harness.service.client` — the small keep-alive client

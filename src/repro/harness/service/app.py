@@ -24,9 +24,6 @@ closes it or leaves it idle for :data:`IDLE_SECONDS`.  Start it with
 ``GET  /api/jobs/<id>/events``               per-cell progress; ``?since=N``
                                              offsets, ``?timeout=S`` long-
                                              polls until a new event
-``GET  /api/jobs/<id>/stream``               chunked NDJSON progress stream:
-                                             one event per line until the
-                                             job settles
 ``GET  /``, ``GET /book``                    the results book as live HTML
                                              (re-rendered per request,
                                              auto-refreshing)
@@ -54,17 +51,12 @@ from urllib.parse import parse_qs, urlsplit
 from repro.errors import ConfigurationError
 from repro.harness.report import render_book
 from repro.harness.scenarios import sweep_csv_text, sweep_json_text
-from repro.harness.service.queue import (
-    JOB_DONE,
-    JOB_FAILED,
-    ExperimentService,
-)
+from repro.harness.service.queue import ExperimentService
 
 #: Book HTML auto-refresh period, seconds (the "live" in live HTML).
 BOOK_REFRESH_SECONDS = 5
 
-_JOB_ROUTE = re.compile(r"^/api/jobs/(?P<job>[^/]+)"
-                        r"(?P<tail>/events|/stream)?$")
+_JOB_ROUTE = re.compile(r"^/api/jobs/(?P<job>[^/]+)(?P<tail>/events)?$")
 _SWEEP_ROUTE = re.compile(r"^/api/sweeps/(?P<name>[^/]+)"
                           r"(?P<tail>/rows|/artifact\.json|/artifact\.csv)$")
 
@@ -198,12 +190,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return self._send_json(200, {"jobs": self.service.jobs()})
         match = _JOB_ROUTE.match(path)
         if match is not None:
-            job_id, tail = match.group("job"), match.group("tail")
-            if tail == "/events":
-                return self._get_events(job_id)
-            if tail == "/stream":
-                return self._stream_events(job_id)
-            return self._get_job(job_id)
+            if match.group("tail"):
+                return self._get_events(match.group("job"))
+            return self._get_job(match.group("job"))
         match = _SWEEP_ROUTE.match(path)
         if match is not None:
             return self._get_sweep_data(match.group("name"),
@@ -265,37 +254,6 @@ class ServiceHandler(BaseHTTPRequestHandler):
             return self._error(404, f"unknown job {job_id!r}")
         self._send_json(200, {"job": record, "events": events,
                               "next": since + len(events)})
-
-    def _stream_events(self, job_id: str) -> None:
-        """Chunked NDJSON: one progress event per line, then a final
-        ``{"job": <record>}`` line once the job settles."""
-        record = self.service.job(job_id)
-        if record is None:
-            return self._error(404, f"unknown job {job_id!r}")
-        self.send_response(200)
-        self.send_header("Content-Type", "application/x-ndjson")
-        self.send_header("Transfer-Encoding", "chunked")
-        self.end_headers()
-
-        def chunk(line: str) -> None:
-            data = (line + "\n").encode("utf-8")
-            self.wfile.write(f"{len(data):x}\r\n".encode("ascii"))
-            self.wfile.write(data + b"\r\n")
-            self.wfile.flush()
-
-        seen = 0
-        while True:
-            events = self.service.events(job_id, since=seen, timeout=5.0)
-            for event in events:
-                chunk(json.dumps(event, sort_keys=True))
-            seen += len(events)
-            record = self.service.job(job_id)
-            if record is None or record["state"] in (JOB_DONE, JOB_FAILED):
-                if not events:  # drain any tail written after settle
-                    break
-        chunk(json.dumps({"job": record}, sort_keys=True))
-        self.wfile.write(b"0\r\n\r\n")
-        self.wfile.flush()
 
     def _get_sweep_data(self, name: str, tail: str) -> None:
         store = self.service.store

@@ -27,7 +27,7 @@ backend's atomic read-modify-write
 (:meth:`~repro.harness.store.ExperimentStore.update_job`), so counts
 from many workers never lose increments.  In-memory, each job also
 keeps an ordered event log (one entry per settled cell) that the HTTP
-layer long-polls/streams; events are ephemeral — status survives a
+layer long-polls; events are ephemeral — status survives a
 restart, the fine-grained log does not.
 
 Determinism: cells are executed with ``workers=1`` and no shared

@@ -25,17 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set
 
-from repro.adversaries.sandbox import SandboxRunner
+from repro.adversaries.sandbox import Deaf, SandboxAdversary
 from repro.errors import ConfigurationError
 from repro.harness.runner import run_instance
 from repro.protocols.base import ProtocolInstance
-from repro.sim.adversary import Adversary
 from repro.sim.conditions import NetworkConditions
 from repro.sim.network import Delivery, Envelope
 from repro.types import AdversaryModel, Bit, NodeId, Round
 
 
-class _IgnoringSetAdversary(Adversary):
+class _IgnoringSetAdversary(SandboxAdversary):
     """Adversary A: V behaves honestly, deaf for f/2 messages, mute to V."""
 
     name = "dolev-reischuk-A"
@@ -43,29 +42,16 @@ class _IgnoringSetAdversary(Adversary):
     def __init__(self, corrupt_set: Sequence[NodeId], ignore_first: int) -> None:
         super().__init__()
         self.corrupt_set = list(corrupt_set)
-        self.ignore_first = ignore_first
-        self._ignored: Dict[NodeId, int] = {node: 0 for node in corrupt_set}
+        self._inbox_filter = Deaf(corrupt_set, ignore_first)
         #: messages (from so-far-honest nodes) addressed into V, per member.
         self.received_by: Dict[NodeId, int] = {node: 0 for node in corrupt_set}
         #: distinct honest senders observed attempting to reach each member.
         self.senders_to: Dict[NodeId, Set[NodeId]] = {
             node: set() for node in corrupt_set}
-        self.sandbox: Optional[SandboxRunner] = None
-
-    def bind(self, api) -> None:
-        # The sandbox must exist before on_setup() runs inside bind().
-        self.sandbox = SandboxRunner(api)
-        super().bind(api)
 
     def on_setup(self) -> None:
         for node_id in self.corrupt_set:
             self.sandbox.adopt(self.api.corrupt(node_id))
-
-    def _inbox_filter(self, node_id: NodeId, delivery: Delivery) -> bool:
-        if self._ignored[node_id] < self.ignore_first:
-            self._ignored[node_id] += 1
-            return False
-        return True
 
     def _send_filter(self, node_id: NodeId, recipient: Optional[NodeId],
                      payload) -> bool:
@@ -94,7 +80,7 @@ class _IgnoringSetAdversary(Adversary):
                 self.senders_to[recipient].add(envelope.sender)
 
 
-class _PrimeAdversary(Adversary):
+class _PrimeAdversary(SandboxAdversary):
     """Adversary A': "almost identical to A" (Section 2).
 
     Keeps corrupting ``V \\ {p}`` with A's deaf/mute behaviour, leaves the
@@ -112,14 +98,7 @@ class _PrimeAdversary(Adversary):
         self.v_set = set(corrupt_set)  # including p: V stays mute towards p
         self.victim = victim
         self.senders = [node for node in senders if node not in self.v_set]
-        self.ignore_first = ignore_first
-        self._ignored: Dict[NodeId, int] = {node: 0 for node in self.v_members}
-        self.sandbox: Optional[SandboxRunner] = None
-
-    def bind(self, api) -> None:
-        # The sandbox must exist before on_setup() runs inside bind().
-        self.sandbox = SandboxRunner(api)
-        super().bind(api)
+        self._inbox_filter = Deaf(self.v_members, ignore_first)
 
     def on_setup(self) -> None:
         for node_id in self.v_members:
@@ -127,15 +106,9 @@ class _PrimeAdversary(Adversary):
         for node_id in self.senders:
             self.sandbox.adopt(self.api.corrupt(node_id))
 
-    def _inbox_filter(self, node_id: NodeId, delivery: Delivery) -> bool:
-        if node_id in self._ignored and self._ignored[node_id] < self.ignore_first:
-            self._ignored[node_id] += 1
-            return False
-        return True
-
     def _send_filter(self, node_id: NodeId, recipient: Optional[NodeId],
                      payload) -> bool:
-        if node_id in self._ignored:
+        if node_id in self.v_set:
             # V members: mute towards V (including p), as under A.
             return recipient is None or recipient not in self.v_set
         # S(p) members: honest except towards the victim.

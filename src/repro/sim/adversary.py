@@ -64,10 +64,6 @@ class AdversaryApi:
     def corruptions_remaining(self) -> int:
         return self._sim.controller.corruptions_remaining
 
-    @property
-    def corrupt_nodes(self) -> frozenset:
-        return frozenset(self._sim.controller.corrupt_set)
-
     def is_corrupt(self, node_id: NodeId) -> bool:
         return self._sim.controller.is_corrupt(node_id)
 

@@ -1,7 +1,10 @@
 """Tests for the store backend layer (harness/backends.py): backend
-selection, JSON-vs-SQLite byte-identity, and SQLite safety under
-concurrent threads and processes sharing one database file."""
+selection, the four-primitive contract on every backend × namespace,
+JSON-vs-SQLite byte-identity, SQLite safety under concurrent threads and
+processes sharing one database file, and that a wrapper forwarding only
+the ten public names (``bench/proxies.TracedBackend``) stays a backend."""
 
+import collections
 import json
 import sqlite3
 import subprocess
@@ -9,7 +12,10 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 from repro.harness.backends import (
+    NAMESPACES,
     SQLITE_SUFFIXES,
     JsonTreeBackend,
     SQLiteBackend,
@@ -78,7 +84,7 @@ class TestJsonSqliteDifferential:
         result = run_sweep(sweep, store=json_store)
         run_sweep(sweep, store=sqlite_store)
         for cell in result.cells:
-            file_text = (json_store.backend._cell_path(cell.fingerprint)
+            file_text = (json_store.backend.path("cells", cell.fingerprint)
                          .read_text())
             with sqlite3.connect(tmp_path / "corpus.sqlite") as conn:
                 (db_text,) = conn.execute(
@@ -159,28 +165,6 @@ class TestSqliteThreadConcurrency:
             assert backend.load_cell(fingerprint) == _record(fingerprint)
         backend.close()
 
-    def test_job_counter_updates_are_atomic(self, tmp_path):
-        # update_job is the read-modify-write under the service's
-        # progress counters; concurrent increments must never lose one.
-        backend = SQLiteBackend(tmp_path / "corpus.sqlite")
-        backend.save_job("job", {"computed": 0})
-
-        def bump(record):
-            record["computed"] += 1
-            return record
-
-        def worker():
-            for _ in range(50):
-                backend.update_job("job", bump)
-
-        threads = [threading.Thread(target=worker) for _ in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert backend.load_job("job")["computed"] == 6 * 50
-        backend.close()
-
 
 _PROCESS_WRITER = """
 import json, sys
@@ -223,48 +207,154 @@ class TestSqliteProcessConcurrency:
         check.close()
 
 
-class TestSqliteJobStore:
-    def test_job_round_trip_and_listing(self, tmp_path):
-        store = ExperimentStore(tmp_path / "corpus.sqlite")
-        store.save_job("b-job", {"state": "queued"})
-        store.save_job("a-job", {"state": "queued"})
-        assert store.job_ids() == ["a-job", "b-job"]
-        assert store.load_job("a-job")["state"] == "queued"
-        assert store.load_job("missing") is None
-        store.update_job("a-job", lambda record: dict(record,
-                                                      state="done"))
-        assert store.load_job("a-job")["state"] == "done"
-        store.close()
-
-    def test_update_job_missing_returns_none(self, tmp_path):
-        store = ExperimentStore(tmp_path / "corpus.sqlite")
-        assert store.update_job("ghost", lambda record: record) is None
-        store.close()
-
-    def test_json_backend_jobs_match_sqlite_semantics(self, tmp_path):
-        for root in (tmp_path / "tree", tmp_path / "corpus.sqlite"):
-            store = ExperimentStore(root)
-            store.save_job("job", {"state": "queued", "computed": 0})
-            store.update_job(
-                "job", lambda record: dict(record,
-                                           computed=record["computed"] + 1))
-            record = store.load_job("job")
-            assert record["computed"] == 1, store.backend.kind
-            assert store.job_ids() == ["job"], store.backend.kind
-            store.close()
-
-
-def _corrupt_job(store, job_id):
-    """Overwrite one stored job with bytes that are not a JSON object."""
-    backend = store.backend
+def _corrupt(backend, namespace, key):
+    """Overwrite one stored record with bytes that are not a JSON object."""
     if isinstance(backend, JsonTreeBackend):
-        (backend.root / "jobs" / f"{job_id}.json").write_text(
-            '{"state": "que', encoding="utf-8")
+        backend.path(namespace, key).write_text('{"state": "que',
+                                                encoding="utf-8")
     else:
         with sqlite3.connect(backend.root) as connection:
             connection.execute(
-                "UPDATE jobs SET record = ? WHERE id = ?",
-                ('{"state": "que', job_id))
+                f"UPDATE {namespace} SET record = ? "
+                f"WHERE {NAMESPACES[namespace]} = ?", ('{"state": "que', key))
+
+
+@pytest.fixture(params=["tree", "corpus.sqlite"])
+def backend(request, tmp_path):
+    backend = backend_for_path(tmp_path / request.param)
+    yield backend
+    backend.close()
+
+
+@pytest.mark.parametrize("namespace", list(NAMESPACES))
+class TestBackendContract:
+    """The four primitives, on every backend and namespace alike."""
+
+    KEYS = ["20260101T000000Z-0002", "ab-cd", "a", "20251231T235959Z-ffff"]
+
+    def test_a_miss_reads_none(self, backend, namespace):
+        assert backend.get(namespace, "absent") is None
+        assert backend.keys(namespace) == []
+        assert backend.update(namespace, "absent", lambda record: 1 / 0) \
+            is None
+
+    def test_round_trip_is_byte_identical(self, backend, namespace):
+        record = {"schema": 1, "tag": "ü", "metrics": {"x": 1.5, "n": None},
+                  "rows": [1, "two", {"three": 3.0}]}
+        backend.put(namespace, "key", record)
+        assert backend.get(namespace, "key") == record
+        if isinstance(backend, JsonTreeBackend):
+            text = backend.path(namespace, "key").read_text(encoding="utf-8")
+        else:
+            with sqlite3.connect(backend.root) as connection:
+                (text,) = connection.execute(
+                    f"SELECT record FROM {namespace}").fetchone()
+        assert text == json.dumps(record, indent=2) + "\n"
+        backend.put(namespace, "key", {"replaced": True})
+        assert backend.get(namespace, "key") == {"replaced": True}
+
+    def test_keys_are_sorted(self, backend, namespace):
+        for key in self.KEYS:
+            backend.put(namespace, key, _record(key))
+        assert backend.keys(namespace) == sorted(self.KEYS)
+        others = set(NAMESPACES) - {namespace}
+        assert all(backend.keys(other) == [] for other in others)
+
+    def test_a_corrupt_record_reads_as_a_miss(self, backend, namespace):
+        backend.put(namespace, "key", _record("key"))
+        backend.put(namespace, "list", _record("list"))
+        _corrupt(backend, namespace, "key")
+        assert backend.get(namespace, "key") is None
+        assert backend.update(namespace, "key", lambda record: 1 / 0) is None
+        assert "key" in backend.keys(namespace)
+        backend.put(namespace, "key", _record("again"))
+        assert backend.get(namespace, "key") == _record("again")
+
+    def test_update_is_atomic(self, backend, namespace):
+        # The read-modify-write under the service's progress counters:
+        # concurrent increments must never lose one.
+        backend.put(namespace, "counter", {"computed": 0})
+
+        def bump(record):
+            record["computed"] += 1
+            return record
+
+        def worker():
+            for _ in range(40):
+                assert backend.update(namespace, "counter", bump)
+            backend.release_thread()
+
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert backend.get(namespace, "counter") == {"computed": 6 * 40}
+
+
+#: The names the store calls a backend by — all a delegating wrapper
+#: (``bench/proxies.TracedBackend``) overrides.
+PUBLIC_NAMES = ("load_cell", "save_cell", "cell_count", "load_sweep",
+                "save_sweep", "sweep_names", "load_job", "save_job",
+                "update_job", "job_ids")
+
+
+class _Delegating(StoreBackend):
+    """``TracedBackend``'s shape: no primitive of its own, the ten public
+    names forwarded (and counted) one by one."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.kind = inner.kind
+        self.root = inner.root
+        self.calls = collections.Counter()
+
+    def close(self):
+        self.inner.close()
+
+
+def _forwarded(name):
+    def method(self, *args, **kwargs):
+        self.calls[name] += 1
+        return getattr(self.inner, name)(*args, **kwargs)
+    return method
+
+
+for _name in PUBLIC_NAMES:
+    setattr(_Delegating, _name, _forwarded(_name))
+
+
+class TestDelegatingWrapper:
+    """A wrapper that overrides only the public names is a whole
+    backend: nothing in ``src/`` reaches past them to a primitive (which
+    on the wrapper raises ``NotImplementedError``)."""
+
+    @pytest.mark.parametrize("kind", ["tree", "corpus.sqlite"])
+    def test_serves_a_sweep_and_a_job_cycle(self, tmp_path, kind):
+        from repro.harness.report import render_book
+        from repro.harness.service import JOB_DONE, ExperimentService
+
+        wrapper = _Delegating(backend_for_path(tmp_path / kind))
+        store = ExperimentStore(tmp_path / kind, backend=wrapper)
+        plain = run_sweep(tiny_sweep())
+        cold = run_sweep(tiny_sweep(), store=store)
+        warm = run_sweep(tiny_sweep(), store=store)
+        assert warm.store_stats["replayed"] == len(warm.cells)
+        assert plain.rows() == cold.rows() == warm.rows()
+        assert store.cell_count() == len({cell.fingerprint
+                                          for cell in cold.cells})
+        with ExperimentService(store, workers=2) as service:
+            first = service.wait(service.submit("smoke"), timeout=120)
+            again = service.wait(service.submit("smoke"), timeout=120)
+            listed = service.jobs()
+        assert first["state"] == again["state"] == JOB_DONE
+        assert again["replayed"] == again["total"] and first["computed"]
+        assert [record["id"] for record in listed] == sorted(
+            store.job_ids(), reverse=True)
+        document, _ = render_book(store)
+        assert "sweep `smoke`" in document and "sweep `tiny`" in document
+        assert set(wrapper.calls) == set(PUBLIC_NAMES)
+        store.close()
 
 
 class TestLoadJobs:
@@ -296,7 +386,7 @@ class TestLoadJobs:
     def test_a_corrupt_record_reads_as_skipped(self, tmp_path):
         for store in self._stores(tmp_path):
             victim = self.IDS[1]
-            _corrupt_job(store, victim)
+            _corrupt(store.backend, "jobs", victim)
             assert store.load_job(victim) is None, store.backend.kind
             assert [record["id"] for record in store.load_jobs()] == sorted(
                 set(self.IDS) - {victim}, reverse=True), store.backend.kind

@@ -137,7 +137,7 @@ class TestSnapshotDeltas:
         # different content — exactly the nondeterminism / overdue-salt
         # situation the book must call out.
         assert result.cells  # sweep ran
-        path = store.backend._sweep_path("tiny")
+        path = store.backend.path("sweeps", "tiny")
         record = json.loads(path.read_text())
         record["rows"][0]["mean_rounds"] = -1.0
         path.write_text(json.dumps(record))
@@ -216,7 +216,7 @@ class TestSnapshotDeltas:
         # cell *and* carries its display row, so the book stays complete
         # and the delta must not count the cell as removed (only future
         # replays recompute it).
-        store.backend._cell_path(result.cells[0].fingerprint).unlink()
+        store.backend.path("cells", result.cells[0].fingerprint).unlink()
         book, snapshot = render_book(store, baseline=baseline)
         assert "0 added, 0 removed, 0 changed" in book
         assert snapshot["sweeps"]["tiny"]["complete"] is True

@@ -300,20 +300,6 @@ class TestHttpEndToEnd:
         tail = client.events(job_id, since=first["next"], poll_timeout=0)
         assert tail["events"] == []
 
-    def test_stream_emits_ndjson_until_settled(self, served):
-        client, _ = served
-        job_id = client.submit("smoke")
-        body = client._request(f"/api/jobs/{job_id}/stream",
-                               timeout=180).decode("utf-8")
-        lines = [json.loads(line) for line in body.splitlines() if line]
-        assert lines, "stream produced no events"
-        final = lines[-1]
-        assert final["job"]["state"] == JOB_DONE
-        progress = lines[:-1]
-        assert len(progress) == SMOKE_CELLS
-        assert {event["index"] for event in progress} == set(
-            range(SMOKE_CELLS))
-
     def test_live_book_served(self, served):
         client, _ = served
         client.wait(client.submit("smoke"), max_wait=120)

@@ -252,7 +252,7 @@ class TestStoreRoundTrip:
     def test_schema_mismatch_is_a_miss(self, tmp_path):
         store = ExperimentStore(tmp_path)
         result = run_sweep(tiny_sweep(), store=store).cells[0]
-        path = store.backend._cell_path(result.fingerprint)
+        path = store.backend.path("cells", result.fingerprint)
         record = json.loads(path.read_text())
         record["schema"] = 999
         path.write_text(json.dumps(record))
@@ -265,7 +265,7 @@ class TestStoreRoundTrip:
         # re-records it — never crash the run.
         store = ExperimentStore(tmp_path)
         result = run_sweep(tiny_sweep(), store=store)
-        path = store.backend._cell_path(result.cells[0].fingerprint)
+        path = store.backend.path("cells", result.cells[0].fingerprint)
         path.write_text('{"schema": 1, "metr')  # truncated mid-write
         assert store.load_record(result.cells[0].fingerprint) is None
         rerun = run_sweep(tiny_sweep(), store=store)
@@ -276,7 +276,7 @@ class TestStoreRoundTrip:
         # record (the book simply omits the sweep until re-recorded).
         path.write_text('{"schema": 1, "metrics": "oops"}')
         assert store.load_record(result.cells[0].fingerprint) is None
-        store.backend._sweep_path("tiny").write_text("garbage")
+        store.backend.path("sweeps", "tiny").write_text("garbage")
         assert store.load_sweep("tiny") is None
 
     def test_sweep_record_lists_cells_in_order(self, tmp_path):
