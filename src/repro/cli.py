@@ -131,11 +131,13 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
                              "delta > 1; see docs/NETWORK.md)")
 
 
-def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer of at least 1, got {text!r}")
-    return int(text)
+def _int_at_least(minimum: int):
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {minimum}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -156,7 +158,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sweep name (omit with --list to enumerate)")
     sweep.add_argument("--list", action="store_true", dest="list_sweeps",
                        help="list the available sweeps and exit")
-    sweep.add_argument("--workers", type=_positive_int, default=1,
+    sweep.add_argument("--workers", type=_int_at_least(1), default=1,
                        help="fan each cell's trials across N processes")
     sweep.add_argument("--out-dir", default=None,
                        help="write <name>.csv and <name>.json artifacts "
@@ -204,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "is unauthenticated — do not expose it)")
     serve.add_argument("--port", type=int, default=8765,
                        help="bind port (0 = ephemeral)")
-    serve.add_argument("--workers", type=_positive_int, default=2,
+    serve.add_argument("--workers", type=_int_at_least(1), default=2,
                        help="persistent worker threads draining cells")
     serve.add_argument("--quiet", action="store_true",
                        help="suppress per-request access logging")
@@ -235,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--protocol", choices=sorted(PROTOCOLS),
                      default="subquadratic")
     run.add_argument("-n", type=int, default=200, help="number of nodes")
-    run.add_argument("-f", type=int, default=None,
+    run.add_argument("-f", type=_int_at_least(0), default=None,
                      help="corruption budget (default: 0.25n)")
     run.add_argument("--adversary", choices=sorted(ADVERSARIES),
                      default="none")
@@ -243,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="actual fault count k for the actual-faults "
                           "adversary (default: the whole budget f)")
     run.add_argument("--input", choices=sorted(INPUTS), default="mixed")
-    run.add_argument("--lam", type=int, default=None,
+    run.add_argument("--lam", type=_int_at_least(1), default=None,
                      help="expected committee size λ (default: 30; only "
                           "for protocols whose builder takes params)")
     run.add_argument("--seed", type=int, default=0)
@@ -264,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="corrupt fraction (0..0.5)")
     par.add_argument("--target", type=float, default=1e-9,
                      help="target failure probability")
-    par.add_argument("--iterations", type=int, default=40)
+    par.add_argument("--iterations", type=_int_at_least(1), default=40)
     return parser
 
 

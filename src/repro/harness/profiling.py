@@ -1,9 +1,10 @@
-"""Shared instrumentation for the perf trajectory.
+"""Shared instrumentation for one execution's work and wall clock.
 
-Both the CI perf-smoke budget (tests/test_perf_smoke.py) and the recorded
-benchmark snapshot (scripts/record_bench.py) must count the *same*
-quantity, or a change to how verification work is measured would silently
-let them drift apart — so the counting harness lives here, once:
+The bench's per-layer spans (``bench/proxies.profiled_run``), the call
+budgets of tests/test_perf_smoke.py and tests/test_scale_smoke.py, and
+the pinned counts of tests/test_golden_counts.py must measure the *same*
+quantity, or a change to how verification work is counted would let them
+drift apart silently — so the harness lives here, once:
 :func:`profile_phase_budget` counts ``authenticator.check`` calls (every
 verification path — node handlers, proposer policies, the memoization
 layer — funnels through it) while it attributes the wall clock.
@@ -101,19 +102,6 @@ class PhaseBudget:
     sizing_seconds: float
     other_seconds: float
     check_calls: int
-
-    def budget_dict(self) -> dict:
-        """The attribution as a plain dict (for JSON snapshots)."""
-        return {
-            "wall_seconds": round(self.wall_seconds, 4),
-            "deliver_seconds": round(self.deliver_seconds, 4),
-            "scheduler_seconds": round(self.scheduler_seconds, 4),
-            "protocol_seconds": round(self.protocol_seconds, 4),
-            "verify_seconds": round(self.verify_seconds, 4),
-            "sizing_seconds": round(self.sizing_seconds, 4),
-            "other_seconds": round(self.other_seconds, 4),
-            "check_calls": self.check_calls,
-        }
 
 
 def profile_phase_budget(instance: ProtocolInstance, f: int, seed=0,

@@ -126,6 +126,14 @@ class TestCli:
          "argument --workers: expected an integer of at least 1, got '-2'"),
         (["serve", "--workers", "0"],
          "argument --workers: expected an integer of at least 1, got '0'"),
+        (["run", "--protocol", "quadratic", "-n", "4", "-f", "-1"],
+         "argument -f: expected an integer of at least 0, got '-1'"),
+        (["run", "-n", "40", "-f", "5", "--lam", "0"],
+         "argument --lam: expected an integer of at least 1, got '0'"),
+        (["run", "-n", "40", "-f", "5", "--lam", "-3"],
+         "argument --lam: expected an integer of at least 1, got '-3'"),
+        (["params", "-n", "100", "--iterations", "0"],
+         "argument --iterations: expected an integer of at least 1, got '0'"),
     ])
     def test_out_of_range_input_exits_2(self, capsys, argv, message):
         """Out-of-range numbers are usage errors — one line on stderr,
