@@ -288,8 +288,7 @@ class AdaptiveBaNode(ViewNode):
             self.belief = msg.bit
 
     def _absorb_ack(self, msg: AdaptiveAckMsg) -> None:
-        self.members_seen.setdefault(
-            (msg.epoch, msg.bit), {}).setdefault(msg.sender, msg)
+        self.record_member(msg.epoch, msg.bit, msg)
 
     def _absorb_decide(self, msg: AdaptiveDecideMsg) -> None:
         self.absorb_quorum(msg.epoch, msg.bit, msg.acks)

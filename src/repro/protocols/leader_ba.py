@@ -46,9 +46,9 @@ for a decision to land after GST under every supported adversary.
 **Chain workload**: ``heights > 1`` runs repeated BA instances through
 the same view machinery — height ``h`` owns a fixed window of views,
 locks carry forward (an undecided height's locked value becomes the
-node's belief, a decided height's decision does), and view/leader
-numbering runs globally so auth topics never repeat across heights.
-This is the repo's heavy-traffic scenario axis (``leader-chain``).
+node's belief, a decided height's decision does; its window is slept
+out), and view/leader numbering runs globally so auth topics never
+repeat across heights.  The heavy-traffic axis (``leader-chain``).
 """
 
 from __future__ import annotations
@@ -294,7 +294,8 @@ class LeaderBaNode(ViewNode):
 
     # -- absorb steps (validated messages only) ------------------------------
     def _absorb_new_view(self, msg: NewViewMsg) -> None:
-        self.absorb_lock(msg.qc)
+        if msg.qc is not None:
+            self.absorb_lock(msg.qc)
         if self._is_leader(msg.view):
             self.new_views.setdefault(msg.view, {}).setdefault(
                 msg.bit, {}).setdefault(msg.sender, msg)
@@ -319,8 +320,7 @@ class LeaderBaNode(ViewNode):
                 view, bit, votes, self.config.threshold))
 
     def _absorb_precommit(self, msg: PrecommitMsg) -> None:
-        self.members_seen.setdefault(
-            (msg.view, msg.bit), {}).setdefault(msg.sender, msg)
+        self.record_member(msg.view, msg.bit, msg)
 
     def _absorb_decide(self, msg: LeaderDecideMsg) -> None:
         # A settled height has already built its own Decide from the
@@ -345,11 +345,11 @@ class LeaderBaNode(ViewNode):
             return True
         if message is not None:
             ctx.multicast(message)
+        # Sleep out the height's window: no honest precommit exists for a
+        # later view, so mail meanwhile settles only an earlier height.
+        self.asleep_until = max(self.asleep_until, SCHEDULE.round_of(
+            height * self.config.views_per_height + 1, PHASE_NEW_VIEW))
         return False
-
-    def _idle(self, view: int) -> bool:
-        # A settled height idles out the rest of its window.
-        return self.config.height_of_view(view) in self.height_decisions
 
     # -- phase actions -------------------------------------------------------
     def _do_new_view(self, ctx: RoundContext, view: int) -> None:
@@ -411,12 +411,11 @@ class LeaderBaNode(ViewNode):
         self._record_prevote(view, chosen.bit, self.node_id, auth)
 
     def _do_precommit(self, ctx: RoundContext, view: int) -> None:
+        """Precommit the view's prevote quorum (locked as it formed)."""
         for bit in (0, 1):
-            votes = self.votes_seen.get((view, bit), {})
+            votes = self.votes_seen.get((view, bit), ())
             if len(votes) < self.config.threshold:
                 continue
-            self.absorb_lock(certificate_from_votes(
-                view, bit, votes, self.config.threshold))
             auth = self._sign("Precommit", view, bit)
             if auth is not None:
                 message = PrecommitMsg(view=view, bit=bit,

@@ -11,10 +11,10 @@ table is keyed by follows how its objects come to exist:
   copies of a vote arrive by different routes (inside a certificate, as
   a ``VoteMsg``): vote, topic and proposal checks are keyed by
   **content**.
-- **Certificates are interned at construction**
-  (:func:`~repro.protocols.certificates.certificate_from_votes`) and
-  the simulation hands every recipient of a message the same payload:
-  both are keyed by **identity**, and a content-equal copy that is not
+- **Certificates and decide quorums are interned at construction**
+  (``certificate_from_votes``, ``view_machine.intern_quorum``) and the
+  simulation hands every recipient of a message the same payload: all
+  three are keyed by **identity**, and a content-equal copy that is not
   the identical object is simply verified again.
 
 Soundness rests on three invariants:
@@ -82,7 +82,7 @@ class VerificationCache:
     """
 
     __slots__ = ("_auth", "_proposals", "_cert_true_by_id",
-                 "valid_payloads", "_round_digest")
+                 "_quorum_true_by_id", "valid_payloads", "_round_digest")
 
     def __init__(self) -> None:
         # type_tagged (node_id, topic, auth) of verified checks; covers
@@ -94,6 +94,8 @@ class VerificationCache:
         # Construction interns certificates, so the later recipients and
         # re-assemblers of a quorum hold the same object.
         self._cert_true_by_id: Dict[int, Tuple[Certificate]] = {}
+        # Identity front: interned member tuples known to form a quorum.
+        self._quorum_true_by_id: Dict[int, Tuple[tuple, tuple]] = {}
         # Identity front over whole message payloads: the simulation
         # hands every recipient the *same* frozen payload object, and a
         # message's validation (auth checks, certificate checks,
@@ -128,12 +130,13 @@ class VerificationCache:
             slot = self._round_digest = (broadcast, build(broadcast))
         return slot[1]
 
-    def mark_valid(self, payload: Any) -> None:
-        """Record that this payload object passed full validation."""
+    def mark_valid(self, payload: Any,
+                   absorb: Optional[Callable] = None) -> None:
+        """Mark a payload as validated, with its ``absorb`` step if any."""
         if not CACHING_ENABLED:
             return
         _trim(self.valid_payloads)
-        self.valid_payloads[id(payload)] = (payload,)
+        self.valid_payloads[id(payload)] = (payload, absorb)
 
     def check_auth(self, authenticator: Authenticator, node_id: NodeId,
                    topic: Any, auth: Any) -> bool:
@@ -176,6 +179,18 @@ class VerificationCache:
         if valid:
             _trim(self._cert_true_by_id)
             self._cert_true_by_id[id(certificate)] = (certificate,)
+        return valid
+
+    def check_quorum(self, predicate: Callable[..., bool], members: tuple,
+                     args: tuple) -> bool:
+        """Memo of ``predicate(members, *args)`` by tuple identity and args."""
+        entry = self._quorum_true_by_id.get(id(members))
+        if entry is not None and entry[0] is members and entry[1] == args:
+            return True
+        valid = predicate(members, *args)
+        if valid and CACHING_ENABLED and members.__class__ is tuple:
+            _trim(self._quorum_true_by_id)
+            self._quorum_true_by_id[id(members)] = (members, args)
         return valid
 
     def check_proposal(self, proposer: ProposerPolicy, sender: NodeId,

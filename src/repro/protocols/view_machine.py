@@ -35,7 +35,7 @@ machine", has the table of per-family differences):
   :meth:`ViewNode.quorum_decide_msg`): each attached member is
   authenticated individually, never through the certificate cache (whose
   keys do not record *which* predicate verified — a decide quorum must
-  not be replayable as a vote certificate).
+  not be replayable as a vote certificate), once per interned tuple.
 - **Drain gate** (:meth:`ViewNode.on_round`): a node whose announcement
   was sent before the conditions' ``trusted_send_round`` keeps
   re-announcing at each unit boundary until a trusted round passes, so
@@ -199,6 +199,7 @@ class ViewNode(VerifyingNode):
         self.votes_seen: Dict[Tuple[int, Bit], Dict[NodeId, Any]] = {}
         # (unit, bit) -> sender -> decide-quorum member, valid ones only.
         self.members_seen: Dict[Tuple[int, Bit], Dict[NodeId, Any]] = {}
+        self._quorum_formed = False  # see record_member
         self._decided_bit: Optional[Bit] = None
         self._final_msg: Optional[Any] = None
 
@@ -231,19 +232,28 @@ class ViewNode(VerifyingNode):
     def valid_quorum_decide(self, msg: Any, unit_field: str,
                             members: Sequence[Any]) -> bool:
         """A Decide signed by its sender and carrying ``n - f`` distinct
-        members of its own unit and bit."""
+        members of its own unit and bit, checked once per interned tuple."""
         unit = getattr(msg, unit_field)
-        return self._signed(msg, "Decide", unit) and self._quorum_of(
-            members, unit_field, unit, msg.bit, self.MEMBER_TOPIC,
-            self.config.threshold)
+        return self._signed(msg, "Decide", unit) and \
+            self._verification.check_quorum(self._quorum_of, members, (
+                unit_field, unit, msg.bit, self.MEMBER_TOPIC,
+                self.config.threshold))
+
+    def record_member(self, unit: int, bit: Bit, member: Any) -> None:
+        """Tally a valid decide-quorum member, first per sender; a tally
+        reaching the threshold is a new quorum for :meth:`_maybe_decide`."""
+        recorded = self.members_seen.setdefault((unit, bit), {})
+        if member.sender not in recorded:
+            recorded[member.sender] = member
+            if len(recorded) == self.config.threshold:
+                self._quorum_formed = True
 
     def absorb_quorum(self, unit: int, bit: Bit,
                       members: Sequence[Any]) -> None:
         """Adopt a carried quorum through the ordinary member tally, so
         :meth:`_maybe_decide` fires on it."""
-        recorded = self.members_seen.setdefault((unit, bit), {})
         for member in members:
-            recorded.setdefault(member.sender, member)
+            self.record_member(unit, bit, member)
 
     def absorb_lock(self, certificate: Optional[Certificate]) -> None:
         """Adopt a (pre-validated) certificate as the lock if it outranks
@@ -273,8 +283,8 @@ class ViewNode(VerifyingNode):
     # -- inbox ---------------------------------------------------------------
     def _process_inbox(self, ctx: RoundContext) -> None:
         # The simulation hands every recipient the same payload object,
-        # so the first successful validation marks it and the other
-        # n - 1 recipients go straight to their absorb step.  The front
+        # so the first successful validation marks it with its absorb
+        # step, which the other n - 1 recipients call straight.  The front
         # is read directly (this loop is the protocol step's hot path)
         # and stays empty when caching is off; failures are never
         # remembered — a ``False`` can become ``True`` later.
@@ -282,15 +292,14 @@ class ViewNode(VerifyingNode):
         handlers = self._HANDLERS
         for delivery in ctx.inbox:
             msg = delivery.payload
-            handler = handlers.get(msg.__class__)
-            if handler is None:
-                continue  # a foreign payload
             entry = front.get(id(msg))
-            if entry is None or entry[0] is not msg:
-                if not handler[0](self, msg):
-                    continue
-                self._verification.mark_valid(msg)
-            handler[1](self, msg)
+            if entry is not None and entry[0] is msg:
+                entry[1](self, msg)
+                continue
+            handler = handlers.get(msg.__class__)
+            if handler is not None and handler[0](self, msg):
+                self._verification.mark_valid(msg, handler[1])
+                handler[1](self, msg)
 
     # -- decision ------------------------------------------------------------
     def quorum_decide_msg(self, unit: int, bit: Bit) -> Optional[Any]:
@@ -332,7 +341,11 @@ class ViewNode(VerifyingNode):
             self.halted = True
 
     def _maybe_decide(self, ctx: RoundContext) -> bool:
-        """Settle the quorums on hand; True once the node is done acting."""
+        """Settle the quorums on hand; True once the node is done acting.
+        Scans only after a new quorum formed (see :meth:`_settle`)."""
+        if not self._quorum_formed:
+            return False
+        self._quorum_formed = False
         ready = sorted(
             key for key, quorum in self.members_seen.items()
             if len(quorum) >= self.config.threshold)
@@ -343,12 +356,9 @@ class ViewNode(VerifyingNode):
 
     def _settle(self, ctx: RoundContext, unit: int, bit: Bit) -> bool:
         """The family's policy for a decide quorum on ``(unit, bit)``;
-        returns True when it settled the whole execution."""
+        returns True when it settled the whole execution.  A key it
+        answered ``False`` must need no further call."""
         raise NotImplementedError
-
-    def _idle(self, unit: int) -> bool:
-        """Whether the node sits out this unit's phases (default: never)."""
-        return False
 
     # -- main entry point ----------------------------------------------------
     def on_round(self, ctx: RoundContext) -> None:
@@ -358,8 +368,9 @@ class ViewNode(VerifyingNode):
             if self.SCHEDULE.at_boundary(ctx.round):
                 self._announce(ctx, self._final_msg)
             return
-        self._process_inbox(ctx)
-        if self._maybe_decide(ctx):
+        if ctx.inbox:
+            self._process_inbox(ctx)
+        if self._maybe_decide(ctx) or ctx.round < self.asleep_until:
             return
         unit, phase = self.SCHEDULE.schedule(ctx.round)
         if unit > self.config.units:
@@ -367,7 +378,7 @@ class ViewNode(VerifyingNode):
             self.halted = True
             return
         action = self._ACTIONS.get(phase)
-        if action is not None and not self._idle(unit):
+        if action is not None:
             action(self, ctx, unit)
 
     def output(self) -> Optional[Bit]:

@@ -157,7 +157,8 @@ class Simulation:
         record = self.metrics.record
         for node in self.nodes:
             node_id = node.node_id
-            if node.halted or node_id in corrupt:
+            if node.halted or node_id in corrupt or (
+                    node.asleep_until > round_index and not inboxes[node_id]):
                 continue
             ctx = RoundContext(
                 node_id, round_index,

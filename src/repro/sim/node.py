@@ -73,10 +73,15 @@ class RoundContext:
 class Node(abc.ABC):
     """Base class for all protocol nodes.
 
-    Subclasses implement :meth:`on_round`; the engine calls it exactly once
-    per round while the node is honest and not halted.  ``halted`` nodes
-    stop participating (used by protocols with early termination).
+    Subclasses implement :meth:`on_round`; the engine calls it once per
+    round while the node is honest, not halted and not asleep.  ``halted``
+    nodes stop participating (used by protocols with early termination).
     """
+
+    #: A node's promise: before this round, an :meth:`on_round` call with
+    #: an empty inbox is a no-op (it stages nothing, changes no state and
+    #: reads no coin), so the engine skips it.  Mail still gets its call.
+    asleep_until: Round = 0
 
     def __init__(self, node_id: NodeId, n: int) -> None:
         self.node_id = node_id

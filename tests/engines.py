@@ -16,6 +16,11 @@ the other.  Decorate with :data:`both_engines` and pass the ``engine``
 argument to :func:`run` (``run_instance`` on that engine), or wrap
 anything that reaches ``run_instance`` in-process — ``run_trials``,
 ``run_sweep`` at ``workers=1`` — in :func:`running_on`.
+
+:class:`WakefulSimulation` (:data:`WAKEFUL`) is the reference for the
+honest step's one shortcut, skipping a node that sleeps
+(``Node.asleep_until``) and has no mail; ``test_view_step_differential.py``
+holds the view machines to it.
 """
 
 from contextlib import contextmanager
@@ -26,10 +31,12 @@ import pytest
 
 from repro.harness import runner
 from repro.sim.engine import Simulation
+from repro.sim.node import RoundContext
 from repro.types import NodeId
 
 EVENT = "event"
 LOCKSTEP = "lockstep"
+WAKEFUL = "wakeful"
 
 #: Every conditioned-execution loop, lock-step reference first.
 ENGINES = (LOCKSTEP, EVENT)
@@ -80,8 +87,35 @@ class LockstepSimulation(Simulation):
         return rounds_executed
 
 
-#: The ``Simulation`` class behind each engine name.
-SIMULATIONS = {LOCKSTEP: LockstepSimulation, EVENT: Simulation}
+class WakefulSimulation(Simulation):
+    """Reference for the engine's sleep skip: the honest step calls
+    every non-halted honest node every round, ignoring
+    ``Node.asleep_until``.  A node's promise (a call before that round
+    with an empty inbox is a no-op) makes the skip invisible, so an
+    execution here must equal the event engine's in every byte."""
+
+    def _honest_step(self, round_index, inboxes):
+        broadcast = getattr(inboxes, "broadcast", None)
+        for node in self.nodes:
+            node_id = node.node_id
+            if node.halted or self.controller.is_corrupt(node_id):
+                continue
+            ctx = RoundContext(
+                node_id, round_index,
+                inboxes[node_id] if broadcast is None else None,
+                self.rng_for_node, broadcast)
+            node.on_round(ctx)
+            for recipient, payload in ctx.staged:
+                self.metrics.record(self.network.stage(
+                    node_id, recipient, payload, round_index,
+                    honest_sender=True))
+
+
+#: The ``Simulation`` class behind each engine name; :data:`WAKEFUL` is
+#: the event engine without the sleep skip, a reference for the honest
+#: step rather than a scheduler, so it is not on the :data:`ENGINES` axis.
+SIMULATIONS = {LOCKSTEP: LockstepSimulation, EVENT: Simulation,
+               WAKEFUL: WakefulSimulation}
 
 
 @contextmanager

@@ -19,6 +19,9 @@ reproduces from the case number alone):
   point, so the invariant is checked at every event, not just at exit).
 - Per-height decisions of the chain workload agree bit-for-bit across
   honest nodes.
+- **A Decide shown to one node before the trusted round** (the mirror of
+  adaptive-ba's silent halt) ends in agreement through the decide-drain,
+  pinned execution by execution.
 """
 
 import random
@@ -33,10 +36,17 @@ from repro.adversaries import (
 from repro.harness import run_instance
 from repro.protocols.certificates import rank
 from repro.protocols.leader_ba import (
+    LeaderDecideMsg,
+    LeaderProposeMsg,
+    NewViewMsg,
+    PrecommitMsg,
+    PrevoteMsg,
     build_leader_ba,
     decision_view_of,
     default_views_per_height,
+    schedule,
 )
+from repro.sim.adversary import Adversary
 from repro.sim.conditions import LinkTopology, NetworkConditions, Partition
 from tests import engines
 
@@ -215,3 +225,116 @@ class TestLeaderBaTargeted:
         assert (default_views_per_height(2, late)
                 > default_views_per_height(2, early)
                 >= default_views_per_height(2, None))
+
+
+class _LoneDeciderLeader(Adversary):
+    """The leader-family mirror of adaptive-ba's silent-halt attack.
+    Corrupt {0, 1}; node 1 leads view 1.  It proposes 0 to {2, 3, 4}
+    only, justified by their own NewView attestations; the corrupt nodes
+    prevote 0 to {2, 3, 4} alone, completing the ``n - f`` prevote QC
+    there, and precommit to nobody; node 1 then wraps the honest
+    precommits of 2, 3, 4 and two corrupt ones into a Decide that it
+    shows to node 2 alone — a round before ``trusted_send_round``."""
+
+    CORRUPT = (0, 1)
+    LOCKERS = (2, 3, 4)
+
+    def __init__(self, instance):
+        super().__init__()
+        config = instance.services["config"]
+        self.sign = config.authenticator.attempt
+        self.propose_auth = config.proposer.attempt
+        self.quorum = config.fallback_quorum
+        self.seen = {NewViewMsg: {}, PrecommitMsg: {}}
+
+    def on_setup(self):
+        for node_id in self.CORRUPT:
+            self.api.corrupt(node_id)
+
+    def react(self, round_index, staged):
+        view, phase = schedule(round_index)
+        if view != 1:
+            return
+        for envelope in staged:  # rushing: this round's honest sends
+            msg = envelope.payload
+            if msg.__class__ in self.seen and msg.bit == 0:
+                self.seen[msg.__class__][msg.sender] = msg
+        if phase == "Propose":
+            chosen = sorted(self.seen[NewViewMsg].items())[:self.quorum]
+            propose = LeaderProposeMsg(
+                view=1, bit=0, qc=None,
+                attestations=tuple(msg for _, msg in chosen), sender=1,
+                auth=self.propose_auth(1, 1, 0))
+            for target in self.LOCKERS:
+                self.api.inject(1, target, propose)
+        elif phase == "Prevote":
+            for node_id in self.CORRUPT:
+                prevote = PrevoteMsg(view=1, bit=0, sender=node_id,
+                                     auth=self.sign(node_id, ("Vote", 1, 0)))
+                for target in self.LOCKERS:
+                    self.api.inject(node_id, target, prevote)
+        elif phase == "Precommit":
+            members = dict(self.seen[PrecommitMsg])
+            for node_id in self.CORRUPT:
+                members[node_id] = PrecommitMsg(
+                    view=1, bit=0, sender=node_id,
+                    auth=self.sign(node_id, ("Precommit", 1, 0)))
+            self.api.inject(1, 2, LeaderDecideMsg(
+                view=1, bit=0, sender=1,
+                precommits=tuple(members[node] for node in sorted(members)),
+                auth=self.sign(1, ("Decide", 1, 0))))
+
+
+class TestLoneDecideMirror:
+    """What adaptive-ba's silent halt (``test_adaptive_ba.py``'s strict
+    xfail) does to the leader family, pinned at n = 7, f = 2 with a
+    prelude of ``trusted_send_round`` 16: agreement, by the decide-drain.
+    Every leader-family decider announces its quorum, and a decider
+    whose send was untrusted re-announces at each view boundary until a
+    trusted round — so the one node the corrupt leader showed its Decide
+    to relays it, and so does everyone who adopts it."""
+
+    INPUTS = [0, 0, 0, 0, 0, 1, 1]
+
+    def _run(self, drop_rate, heights):
+        conditions = NetworkConditions(delta=1, gst=16, latency=("fixed", 1),
+                                       drop_rate=drop_rate)
+        instance = build_leader_ba(7, 2, self.INPUTS, seed=0, heights=heights,
+                                   conditions=conditions)
+        result = run_instance(instance, 2, _LoneDeciderLeader(instance),
+                              seed=0, conditions=conditions)
+        assert conditions.trusted_send_round == 16
+        assert result.consistent() and result.all_decided()
+        assert set(result.honest_outputs) == {0}
+        announced = [envelope.round_sent for envelope in result.transcript
+                     if envelope.sender == 2
+                     and isinstance(envelope.payload, LeaderDecideMsg)]
+        return instance, result, announced
+
+    @pytest.mark.parametrize("drop_rate, decided", [
+        # Lossless prelude: node 2 decides from the lone Decide and its
+        # relay decides the other four a round later.
+        (0.0, {2: 4, 3: 5, 4: 5, 5: 5, 6: 5}),
+        # Lossy prelude: node 2's relay to node 3 is dropped; node 3
+        # decides a round later from the relays of those who adopted it.
+        (0.05, {2: 4, 3: 6, 4: 5, 5: 5, 6: 5}),
+    ], ids=["lossless", "lossy"])
+    def test_the_lone_decider_drains_its_quorum(self, drop_rate, decided):
+        _, result, announced = self._run(drop_rate, heights=1)
+        assert result.decided_rounds == decided
+        # Re-announced at each view boundary; halted at the trusted round.
+        assert announced == [4, 8, 12, 16]
+        assert result.rounds_executed == 17
+
+    def test_a_chain_height_settled_this_way_is_slept_out(self):
+        """On a two-height chain the attacked height is not the last: its
+        deciders relay once, settle height 1 on view 1's bit and sleep
+        out the height's nine-view window (rounds 4 … 35); height 2
+        decides in its first view."""
+        instance, result, announced = self._run(0.05, heights=2)
+        honest = instance.nodes[2:]
+        assert {node.node_id: node.height_decisions[1] for node in honest} \
+            == {node: (1, 0) for node in range(2, 7)}
+        assert [node.asleep_until for node in honest] == [36] * 5
+        assert announced == [4, 40]
+        assert set(result.decided_rounds.values()) == {40}

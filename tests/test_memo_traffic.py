@@ -45,16 +45,21 @@ class CountingDict(dict):
 
 def _workloads():
     """The `smoke` sweep (subquadratic, Fmine), a dense quadratic run on
-    split inputs, and a view machine under loss and a view-splitting
-    adversary — in process, so the wrapped tables see the traffic."""
+    split inputs, a view machine under loss and a view-splitting
+    adversary, and a three-height chain on wan (its deciders' Decides
+    share one interned precommit tuple per height) — in process, so the
+    wrapped tables see the traffic."""
     run_sweep(SWEEPS["smoke"])
     n, f = 24, 11
     run_instance(build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=1),
                  f, seed=1)
-    run_sweep(SweepSpec(name="view-split", scenarios=(ScenarioSpec(
-        name="view-split", protocol="leader-ba", adversary="view-split",
-        fixed={"n": 13, "f": 4, "network": "lossy"}, inputs="mixed",
-        seeds=(1,)),)))
+    for name, protocol, adversary, network in (
+            ("view-split", "leader-ba", "view-split", "lossy"),
+            ("leader-chain", "leader-chain", None, "wan")):
+        run_sweep(SweepSpec(name=name, scenarios=(ScenarioSpec(
+            name=name, protocol=protocol, adversary=adversary,
+            fixed={"n": 13, "f": 4, "network": network}, inputs="mixed",
+            seeds=(1,)),)))
 
 
 @pytest.fixture(scope="module")
@@ -97,8 +102,9 @@ def hits():
 def test_every_table_serves_hits(hits, slot):
     assert hits[slot] >= 1, (
         f"VerificationCache.{slot} served no hit over the smoke sweep, "
-        f"quadratic n=24 and leader-ba n=13 lossy/view-split: a memo "
-        f"tier without traffic should be deleted, not kept")
+        f"quadratic n=24, leader-ba n=13 lossy/view-split and "
+        f"leader-chain n=13 wan: a memo tier without traffic should be "
+        f"deleted, not kept")
 
 
 def test_refused_certificate_is_accepted_once_its_tickets_are_mined():

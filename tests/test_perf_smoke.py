@@ -4,7 +4,7 @@ as n grows.
 Counts calls — ``authenticator.check`` invocations, per-message handler
 steps, ``SignedVote`` constructions, topic encodings, keyed sorts,
 ``random.Random`` seedings, pool submits before the first awaited
-result — not
+result, view-machine steps, tally scans and decide-quorum checks — not
 wall time, so CI hardware variance cannot flake it.  Before the
 content-addressed verification caches, the n = 96 quadratic-BA run
 below performed ~921k checks; with them it performs a few hundred.  The
@@ -203,6 +203,93 @@ def test_subquadratic_n384_silent_node_pays_one_coin(monkeypatch):
     assert len(seedings) <= attempts + 4, (
         f"{len(seedings)} random.Random seedings for {attempts} mining "
         f"attempts: silent nodes are paying for more than their coin")
+
+
+def _run_chain13():
+    """A three-height leader chain at n = 13 on wan, seed 1."""
+    from repro.protocols.leader_ba import build_leader_chain
+    from repro.sim.conditions import NETWORKS
+
+    n, f = 13, 4
+    wan = NETWORKS["wan"]
+    instance = build_leader_chain(n, f, [i % 2 for i in range(n)], seed=1,
+                                  conditions=wan)
+    result = run_instance(instance, f, seed=1, conditions=wan)
+    assert result.consistent() and result.all_decided()
+
+
+def _count_chain13_calls(monkeypatch, cls, name):
+    """How often ``cls.name`` runs in :func:`_run_chain13`."""
+    calls = []
+    method = getattr(cls, name)
+
+    def counting(self, *args):
+        calls.append(1)
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, counting)
+    _run_chain13()
+    return len(calls)
+
+
+def test_leader_chain_settled_heights_sleep(monkeypatch):
+    """A node holding a settled height sleeps out its window and the
+    engine skips it while it has no mail: measured 221 ``on_round``
+    calls; 793 when every node was stepped every round."""
+    from repro.protocols.view_machine import ViewNode
+
+    calls = _count_chain13_calls(monkeypatch, ViewNode, "on_round")
+    assert 0 < calls <= 250, (
+        f"{calls} ViewNode.on_round calls: settled nodes are being "
+        f"stepped through rounds in which they do nothing")
+
+
+def test_leader_chain_scans_the_tally_after_a_quorum_forms(monkeypatch):
+    """The member tally is rescanned only after a new quorum formed:
+    measured 78 ``_settle`` calls; 1 131 when every step rescanned it,
+    and 273 when a scan forgets to clear its flag."""
+    from repro.protocols.leader_ba import LeaderBaNode
+
+    calls = _count_chain13_calls(monkeypatch, LeaderBaNode, "_settle")
+    assert 0 < calls <= 120, (
+        f"{calls} LeaderBaNode._settle calls: the tally is rescanned "
+        f"in rounds in which no quorum formed")
+
+
+def test_leader_chain_checks_each_decide_quorum_once(monkeypatch):
+    """Every decider multicasts its own Decide, but all carry one
+    interned precommit tuple: each member of it is ``check_auth``ed once
+    per tuple, not once per Decide (≈ n times at the parent)."""
+    import collections
+
+    from repro.protocols.verification import VerificationCache
+    from repro.protocols.view_machine import ViewNode
+
+    checks = collections.Counter()
+    verifying = []  # the decide tuple being checked, pinned for its id
+    quorum_of, check_auth = ViewNode._quorum_of, VerificationCache.check_auth
+
+    def counting_quorum_of(self, members, unit_field, unit, bit, topic,
+                           size):
+        verifying.append(members if topic == self.MEMBER_TOPIC else None)
+        try:
+            return quorum_of(self, members, unit_field, unit, bit, topic,
+                             size)
+        finally:
+            verifying.pop()
+
+    def counting_check_auth(self, authenticator, node_id, topic, auth):
+        if verifying and verifying[-1] is not None:
+            checks[id(verifying[-1]), node_id] += 1
+        return check_auth(self, authenticator, node_id, topic, auth)
+
+    monkeypatch.setattr(ViewNode, "_quorum_of", counting_quorum_of)
+    monkeypatch.setattr(VerificationCache, "check_auth", counting_check_auth)
+    _run_chain13()
+    assert checks, "no decide quorum was verified"
+    assert max(checks.values()) == 1, (
+        f"a decide-quorum member was check_auth'ed "
+        f"{max(checks.values())} times for one interned tuple")
 
 
 class _InThreadPool:

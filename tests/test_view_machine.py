@@ -2,7 +2,9 @@
 
 ``ViewSchedule`` arithmetic on its own, and the one lock hook both
 families absorb through: instrumented at :meth:`ViewNode.absorb_lock`,
-every absorption on every node of both families is rank-monotone.
+every absorption on every node of both families is rank-monotone.  The
+decide-quorum identity front never lends a verified tuple to a Decide
+of other arguments.
 """
 
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from repro.adversaries import ActualFaultsAdversary, ViewSplitAdversary
 from repro.harness import run_instance
 from repro.protocols import build_adaptive_ba, build_leader_ba
+from repro.protocols.leader_ba import LeaderDecideMsg, build_leader_chain
 from repro.protocols.view_machine import ViewNode, ViewSchedule
 from repro.sim.conditions import NETWORKS, NetworkConditions
 
@@ -106,3 +109,30 @@ class TestLocksNeverRegress:
             assert_locks_monotone(histories, f"{network} seed {seed}")
             absorbed += sum(map(len, histories.values()))
         assert absorbed  # the hook is the one the protocols call
+
+
+class TestDecideQuorumFront:
+    def test_a_verified_tuple_vouches_only_for_its_own_arguments(self):
+        """The identity front over decide quorums answers for the
+        arguments it verified under: the same interned precommit tuple
+        carried by a Decide for another view or the other bit — each
+        genuinely signed by its sender — is checked anew and refused."""
+        n, f = 7, 2
+        wan = NETWORKS["wan"]
+        instance = build_leader_chain(n, f, [1] * n, seed=1, conditions=wan)
+        assert run_instance(instance, f, seed=1,
+                            conditions=wan).all_decided()
+        front = instance.services["config"].verification._quorum_true_by_id
+        assert front, "no Decide was received and verified"
+        members, (_, view, bit, _, _) = next(iter(front.values()))
+        node = instance.nodes[0]
+        sign = instance.services["authenticator"].attempt
+
+        def decide(view, bit):
+            return LeaderDecideMsg(view, bit, members, 1,
+                                   sign(1, ("Decide", view, bit)))
+
+        assert node._valid_decide(decide(view, bit))
+        for other in (decide(view + 1, bit), decide(view, 1 - bit)):
+            assert node._signed(other, "Decide", other.view)
+            assert not node._valid_decide(other)
