@@ -83,19 +83,15 @@ class KeyRegistry:
         rng = derive_rng(seed, "key-registry")
         self._capabilities = [SigningCapability(self, node) for node in range(n)]
         self._issued: set[tuple[NodeId, bytes]] = set()
-        # The expected digest of (node, message) is deterministic; caching
-        # it makes repeated verifications of the same signed statement
-        # (every certificate is re-checked by every recipient) a dict hit.
-        self._digest_cache: dict = {}
         # canonical_bytes of a signed topic, per type_tagged(topic): every
         # signer of ("Vote", r, b) digests the same encoding.
         self._topic_bytes: dict = {}
-        # Successful ideal-mode verifications, keyed by
-        # (node_id, message, digest).  Only positive results are cached:
-        # a True can never become False (digests are deterministic and
-        # ``_issued`` only grows), whereas a not-yet-issued signature
-        # could legitimately verify later.
-        self._verified: set = set()
+        # id(signature) -> (signature, type-tagged (node, message)) per
+        # ideal signature issued on a hashable message: the object a node
+        # signs is the one its recipients verify, by identity and tag, with
+        # no digest.  An entry pins its signature (no recycled id aliases);
+        # the tag is as fine as the digest's encoding (True == 1 is not).
+        self._ledger: dict = {}
         self._rng = rng
         if mode == REAL_MODE:
             self._keypairs = [SchnorrKeyPair.generate(group, rng) for _ in range(n)]
@@ -117,29 +113,27 @@ class KeyRegistry:
         node_id = capability.node_id
         if self.mode == REAL_MODE:
             return schnorr_sign(self._keypairs[node_id], message, self._rng)
-        digest = self._expected_digest(node_id, message)
+        digest, tag = self._expected_digest(node_id, message)
         self._issued.add((node_id, digest))
-        return IdealSignature(signer=node_id, digest=digest)
+        signature = IdealSignature(signer=node_id, digest=digest)
+        if tag is not None:
+            self._ledger[id(signature)] = (signature, tag)
+        return signature
 
-    def _expected_digest(self, node_id: NodeId, message: Any) -> bytes:
+    def _expected_digest(self, node_id: NodeId, message: Any,
+                         tag: Any = None) -> tuple:
+        """``hash_objects("ideal-sig", node_id, message)`` with the topic
+        encoded once per ``type_tagged`` form, and the ``(node, message)``
+        tag, or ``None`` for an unhashable (so mutable) message."""
         try:
-            # type_tagged so the cache is exactly as fine-grained as the
-            # canonical encoding being digested (True == 1 as a dict key,
-            # but they hash differently).
-            topic = type_tagged(message)
-            key = (type_tagged(node_id), topic)
-            cached = self._digest_cache.get(key)
+            if tag is None:
+                tag = (type_tagged(node_id), type_tagged(message))
+            encoded = self._topic_bytes.get(tag[1])
         except TypeError:
-            # Unhashable message: compute without caching.
-            return hash_objects("ideal-sig", node_id, message)
-        if cached is None:
-            encoded = self._topic_bytes.get(topic)
-            if encoded is None:
-                encoded = self._topic_bytes[topic] = canonical_bytes(message)
-            # hash_objects("ideal-sig", node_id, message), topic encoded once.
-            cached = hash_bytes("ideal-sig", canonical_bytes(node_id), encoded)
-            self._digest_cache[key] = cached
-        return cached
+            return hash_objects("ideal-sig", node_id, message), None
+        if encoded is None:
+            encoded = self._topic_bytes[tag[1]] = canonical_bytes(message)
+        return hash_bytes("ideal-sig", canonical_bytes(node_id), encoded), tag
 
     # -- verification ------------------------------------------------------
     def verify(self, node_id: NodeId, message: Any, signature: Signature) -> bool:
@@ -153,24 +147,20 @@ class KeyRegistry:
                                   message, signature)
         if not isinstance(signature, IdealSignature):
             return False
+        try:
+            tag = (type_tagged(node_id), type_tagged(message))
+        except TypeError:
+            tag = None  # an element's tag is unhashable: no ledger entry
+        entry = self._ledger.get(id(signature))
+        if entry is not None and entry[0] is signature and entry[1] == tag:
+            return True
+        # Any other object — a copy, a token never issued — is checked
+        # against its recomputed digest.
         if signature.signer != node_id:
             return False
-        try:
-            # type_tagged because dict equality is coarser than the
-            # canonical encoding the digest is computed over (True == 1,
-            # but they hash differently).
-            key = (type_tagged(node_id), type_tagged(message),
-                   signature.digest)
-            if key in self._verified:
-                return True
-        except TypeError:
-            key = None  # unhashable message: verify without memoization
-        expected = self._expected_digest(node_id, message)
-        valid = (signature.digest == expected
-                 and (node_id, signature.digest) in self._issued)
-        if valid and key is not None:
-            self._verified.add(key)
-        return valid
+        expected = self._expected_digest(node_id, message, tag)[0]
+        return (signature.digest == expected
+                and (node_id, signature.digest) in self._issued)
 
     def signature_bits(self) -> int:
         """Nominal size of one signature for accounting purposes."""

@@ -503,14 +503,16 @@ class AbaNode(VerifyingNode):
                 # The fold crosses the quorum at the first ``threshold``
                 # entries of the merged tally: the digest's own prefix
                 # whenever the prior entries lie inside it, else e.g.
-                # {first f arrivals, own late vote}.
+                # {first f arrivals, own late vote}, whose votes the
+                # prefix's certificate has mostly wrapped already.
                 if tally.quorum is not None and _same_entries(
                         prior, tally.prefix):
                     certificate = tally.quorum
                 else:
                     certificate = certificate_from_votes(
                         iteration, bit,
-                        dict(islice(mine.items(), threshold)), threshold)
+                        dict(islice(mine.items(), threshold)), threshold,
+                        base=tally.quorum)
                 self._absorb_certificate(certificate)
             if len(mine) == len(tally.votes) and _same_entries(
                     prior, tally.votes):

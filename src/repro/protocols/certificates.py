@@ -60,8 +60,9 @@ def signed_vote(iteration: int, bit: Bit, voter: NodeId,
     return vote
 
 
-def certificate_from_votes(iteration: int, bit: Bit,
-                           votes: dict, threshold: int) -> Certificate:
+def certificate_from_votes(iteration: int, bit: Bit, votes: dict,
+                           threshold: int,
+                           base: Optional[Certificate] = None) -> Certificate:
     """Assemble a certificate from a voter → auth map (caller-validated).
 
     Votes are ordered by voter id so the certificate bytes are canonical;
@@ -72,10 +73,17 @@ def certificate_from_votes(iteration: int, bit: Bit,
     (shared) auth objects: each vote resolves through :func:`signed_vote`
     and the certificate through the identity of its wrapped votes, which
     it pins, so after the first build the others cost one arena lookup
-    per vote and construct nothing.
+    per vote and construct nothing.  ``base``, a certificate for the same
+    ``iteration`` and ``bit`` (a round's quorum), lends its wrapped vote
+    wherever both the voter and the auth *object* match, which spares
+    even that lookup; an equivocator's other auth is wrapped afresh.
     """
-    wrapped = tuple([signed_vote(iteration, bit, voter, votes[voter])
-                     for voter in sorted(votes)[:threshold]])
+    lent = {} if base is None else {
+        vote.voter: vote for vote in base.votes
+        if votes.get(vote.voter) is vote.auth}
+    wrapped = tuple([
+        lent.get(voter) or signed_vote(iteration, bit, voter, votes[voter])
+        for voter in sorted(votes)[:threshold]])
     # iteration and bit are in the key for the empty quorum only: any
     # wrapped vote already fixes both.
     return intern_by_key(

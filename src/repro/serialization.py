@@ -44,13 +44,13 @@ _WORD_BITS = 64
 _LEN_PREFIX_BITS = 32
 _TAG_BITS = 32
 
-# Identity-keyed memo for dataclass sizes: the same (immutable) message
-# object is re-measured many times — one certificate object rides along
-# in every envelope that attaches it — and sizing is pure, so each
+# Identity-keyed memo for dataclass and tuple sizes: the same (immutable)
+# message object is re-measured many times — one certificate object rides
+# along in every envelope that attaches it — and sizing is pure, so each
 # object's size is computed once.  Entries pin their object, so a
 # recycled id can never alias; deliberately NOT content-keyed, because
-# dataclass equality is coarser than the size model (a bool field
-# compares equal to an int field but encodes 8 bits, not 64).
+# equality is coarser than the size model (``(True,) == (1,)``, but a
+# bool encodes 8 bits and an int 64).
 _SIZE_BY_ID: dict = {}
 
 #: Entry cap of each serialization-layer memo (sizes, tags, the intern
@@ -113,6 +113,31 @@ def _size_sequence(obj: Any) -> int:
     return total
 
 
+#: Classes whose content can change under a live tuple that holds them.
+_MUTABLE_ITEMS = (list, dict, set, bytearray)
+
+
+def _memo_size(obj: Any, size: int) -> int:
+    if len(_SIZE_BY_ID) >= _SIZE_CACHE_LIMIT:
+        _SIZE_BY_ID.clear()
+    _SIZE_BY_ID[id(obj)] = (obj, size)
+    return size
+
+
+def _size_tuple(obj: Any) -> int:
+    """Sequence size, memoized by identity like a dataclass's: every
+    terminating node attaches the one interned commit quorum.  A tuple
+    directly holding a mutable item is re-walked on every call."""
+    entry = _SIZE_BY_ID.get(id(obj))
+    if entry is not None and entry[0] is obj:
+        return entry[1]
+    size = _size_sequence(obj)
+    for item in obj:
+        if isinstance(item, _MUTABLE_ITEMS):
+            return size
+    return _memo_size(obj, size)
+
+
 def _size_dict(obj: Any) -> int:
     total = _LEN_PREFIX_BITS
     for key, value in obj.items():
@@ -130,8 +155,7 @@ def _make_dataclass_sizer(cls: type) -> Callable[[Any], int]:
     names = tuple(field.name for field in dataclasses.fields(cls))
 
     def sizer(obj: Any) -> int:
-        key = id(obj)
-        entry = _SIZE_BY_ID.get(key)
+        entry = _SIZE_BY_ID.get(id(obj))
         if entry is not None and entry[0] is obj:
             return entry[1]
         sizers = _SIZERS
@@ -141,10 +165,7 @@ def _make_dataclass_sizer(cls: type) -> Callable[[Any], int]:
             child = sizers.get(value.__class__)
             size += child(value) if child is not None \
                 else encoded_size_bits(value)
-        if len(_SIZE_BY_ID) >= _SIZE_CACHE_LIMIT:
-            _SIZE_BY_ID.clear()
-        _SIZE_BY_ID[key] = (obj, size)
-        return size
+        return _memo_size(obj, size)
 
     return sizer
 
@@ -170,6 +191,8 @@ def _resolve_sizer(cls: type) -> Callable[[Any], int]:
         sizer = _size_delegated
     elif dataclasses.is_dataclass(cls):
         sizer = _make_dataclass_sizer(cls)
+    elif cls is tuple:
+        sizer = _size_tuple
     elif issubclass(cls, (tuple, list, set, frozenset)):
         sizer = _size_sequence
     elif issubclass(cls, dict):

@@ -126,7 +126,8 @@ class TestAssemblyMemoSoundness:
     conflate.  Seeded mutants: (A) wrap key without ``id(auth)`` — kills
     (i), (ii), (iii); (B) wrap key without ``iteration`` — kills (iii),
     (iv); (C) wrap memo in a dict ``clear_size_cache`` does not drop —
-    kills (ii)."""
+    kills (ii); (D) ``base`` lends a vote by voter alone — kills (v),
+    (vi)."""
 
     @staticmethod
     def _reference(iteration, bit, votes, threshold):
@@ -201,6 +202,59 @@ class TestAssemblyMemoSoundness:
             other = certificate_from_votes(iteration, bit, votes, 3)
             assert other is not first
             assert other == self._reference(iteration, bit, votes, 3)
+
+    def test_base_lends_only_votes_with_the_same_auth_object(self):
+        """(v) A node whose prior tally holds an equivocator's second
+        auth for a voter of the round's quorum wraps that auth, not the
+        quorum's vote; every other vote is the quorum's own object."""
+        first = IdealSignature(signer=0, digest=b"d")
+        second = IdealSignature(signer=0, digest=b"d")
+        shared = IdealSignature(signer=1, digest=b"e")
+        base = certificate_from_votes(1, 0, {0: first, 1: shared}, 2)
+        mine = certificate_from_votes(
+            1, 0, {0: second, 1: shared, 2: "late"}, 2, base=base)
+        assert mine.votes[0].auth is second
+        assert mine.votes[1] is base.votes[1]
+        assert mine == self._reference(1, 0, {0: second, 1: shared}, 2)
+        assert mine is not base
+
+    def test_random_quorums_with_and_without_base(self, monkeypatch):
+        """(vi) 200 random quorums, each assembled plain and against a
+        random base of the same iteration and bit (two differing auths
+        per voter, arena rolling over), equal the plain reference."""
+        monkeypatch.setattr(serialization, "_SIZE_CACHE_LIMIT", 16)
+        rng = random.Random(11)
+        pool = {voter: [f"sig-{voter}-{copy}" for copy in "ab"]
+                for voter in range(10)}
+
+        def draw():
+            return {voter: rng.choice(pool[voter])
+                    for voter in rng.sample(range(10), rng.randint(1, 10))}
+
+        lent = 0
+        for _ in range(200):
+            iteration, bit = rng.randint(1, 3), rng.randint(0, 1)
+            votes, other = draw(), draw()
+            threshold = rng.randint(1, len(votes))
+            base = certificate_from_votes(
+                iteration, bit, other, rng.randint(1, len(other)))
+            reference = self._reference(iteration, bit, votes, threshold)
+            for certificate in (
+                    certificate_from_votes(iteration, bit, votes, threshold),
+                    certificate_from_votes(iteration, bit, votes, threshold,
+                                           base=base)):
+                assert certificate == reference
+                assert all(vote.auth is votes[vote.voter]
+                           for vote in certificate.votes)
+            # The last one built is the base's: it holds the base's own
+            # object for every vote whose auth the base wrapped.
+            by_voter = {vote.voter: vote for vote in base.votes}
+            for vote in certificate.votes:
+                own = by_voter.get(vote.voter)
+                if own is not None and own.auth is vote.auth:
+                    assert own is vote
+                    lent += 1
+        assert lent > 0
 
     def test_vote_msg_wraps_to_the_certificates_vote(self):
         certificate = certificate_from_votes(2, 1, {3: "t", 4: "u"}, 2)

@@ -7,13 +7,16 @@ key per miss and served 0 hits once construction interned certificates).
 The traffic test wraps every table ``VerificationCache`` declares — read
 off ``__slots__``, so a table added later is held to the same bar — with
 a counting subclass from the test side and requires a hit on each over a
-small fixed set of executions.  The semantics test pins what removing the
-per-node certificate memo narrowed: a node's answer about a certificate
-is always the predicate's current value.
+small fixed set of executions; the registry's signature ledger and the
+size memo's tuple entries are held to the same bar.  The semantics test
+pins what removing the per-node certificate memo narrowed: a node's
+answer about a certificate is always the predicate's current value.
 """
 
 import pytest
 
+from repro import serialization
+from repro.crypto.registry import KeyRegistry
 from repro.eligibility.fmine import FMineTicket
 from repro.harness.runner import run_instance
 from repro.harness.scenarios import ScenarioSpec, SweepSpec, run_sweep
@@ -43,6 +46,17 @@ class CountingDict(dict):
         return entry
 
 
+class TupleCountingDict(dict):
+    """The size memo, counting only hits on tuple entries."""
+
+    hits = 0
+
+    def get(self, key, default=None):
+        entry = super().get(key, default)
+        self.hits += entry is not None and entry[0].__class__ is tuple
+        return entry
+
+
 def _workloads():
     """The `smoke` sweep (subquadratic, Fmine), a dense quadratic run on
     split inputs, a view machine under loss and a view-splitting
@@ -62,11 +76,17 @@ def _workloads():
             seeds=(1,)),)))
 
 
+#: The identity memos below the verification cache, held to the same bar.
+LEDGER = "KeyRegistry._ledger"
+TUPLE_SIZES = "serialization._SIZE_BY_ID[tuple]"
+TABLES = VerificationCache.__slots__ + (LEDGER, TUPLE_SIZES)
+
+
 @pytest.fixture(scope="module")
 def hits():
-    """Hits per ``VerificationCache`` slot, summed over every cache the
-    workloads construct."""
-    totals = dict.fromkeys(VerificationCache.__slots__, 0)
+    """Hits per table of ``TABLES``, summed over every cache and registry
+    the workloads construct."""
+    totals = dict.fromkeys(TABLES, 0)
     tables = []
     wrappers = {set: CountingSet, dict: CountingDict}
     original_init = VerificationCache.__init__
@@ -89,19 +109,30 @@ def hits():
         totals["_round_digest"] += digest is not None and not built
         return digest
 
+    original_registry_init = KeyRegistry.__init__
+
+    def counting_registry_init(self, *args, **kwargs):
+        original_registry_init(self, *args, **kwargs)
+        self._ledger = CountingDict()
+        tables.append((LEDGER, self._ledger))
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(VerificationCache, "__init__", counting_init)
         patch.setattr(VerificationCache, "round_digest", counting_digest)
+        patch.setattr(KeyRegistry, "__init__", counting_registry_init)
+        sizes = TupleCountingDict()
+        patch.setattr(serialization, "_SIZE_BY_ID", sizes)
         _workloads()
+    tables.append((TUPLE_SIZES, sizes))
     for slot, table in tables:
         totals[slot] += table.hits
     return totals
 
 
-@pytest.mark.parametrize("slot", VerificationCache.__slots__)
+@pytest.mark.parametrize("slot", TABLES)
 def test_every_table_serves_hits(hits, slot):
     assert hits[slot] >= 1, (
-        f"VerificationCache.{slot} served no hit over the smoke sweep, "
+        f"{slot} served no hit over the smoke sweep, "
         f"quadratic n=24, leader-ba n=13 lossy/view-split and "
         f"leader-chain n=13 wan: a memo tier without traffic should be "
         f"deleted, not kept")

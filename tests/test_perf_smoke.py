@@ -2,7 +2,8 @@
 as n grows.
 
 Counts calls — ``authenticator.check`` invocations, per-message handler
-steps, ``SignedVote`` constructions, topic encodings, keyed sorts,
+steps, ``SignedVote`` constructions and ``signed_vote`` calls, sequence
+sizings, digests per issued-signature check, topic encodings, keyed sorts,
 ``random.Random`` seedings, pool submits before the first awaited
 result, view-machine steps, tally scans and decide-quorum checks — not
 wall time, so CI hardware variance cannot flake it.  Before the
@@ -152,6 +153,71 @@ def test_quadratic_ba_n96_encodes_each_signed_topic_once(monkeypatch):
     assert encoded and len(encoded) <= len(set(encoded)) + n, (
         f"{len(encoded)} topic encodings for {len(set(encoded))} distinct "
         f"signed topics: the registry re-encodes the topic per signer")
+
+
+def test_quadratic_ba_n96_sizes_each_shared_tuple_once(monkeypatch):
+    """Every terminating node attaches the one interned stripped commit
+    quorum; the size memo walks it once, not once per Terminate.
+    Measured: 4 sequence sizings (192 items); 99 (4 752) at the parent."""
+    from repro import serialization
+
+    walks = []
+    walk = serialization._size_sequence
+
+    def counting(obj):
+        walks.append(len(obj))
+        return walk(obj)
+
+    monkeypatch.setattr(serialization, "_size_sequence", counting)
+    for cls, sizer in list(serialization._SIZERS.items()):
+        if sizer is walk:
+            monkeypatch.setitem(serialization._SIZERS, cls, counting)
+    _run_n96()
+    assert 0 < len(walks) <= 8, (
+        f"{len(walks)} sequence sizings ({sum(walks)} items): a shared "
+        f"tuple is re-walked for every envelope that carries it")
+
+
+def test_quadratic_ba_n96_lends_wrapped_votes(monkeypatch):
+    """A node whose own vote lies outside the round's quorum prefix
+    assembles its certificate from the votes that quorum already wrapped:
+    measured 240 ``signed_vote`` calls; 2 496 at the parent."""
+    from repro.protocols import certificates as certificates_module
+
+    calls = []
+    wrap = certificates_module.signed_vote
+
+    def counting(*args):
+        calls.append(1)
+        return wrap(*args)
+
+    monkeypatch.setattr(certificates_module, "signed_vote", counting)
+    _run_n96()
+    assert 0 < len(calls) <= 300, (
+        f"{len(calls)} signed_vote calls: certificates re-wrap votes "
+        f"their round's quorum certificate already holds")
+
+
+def test_issued_signature_verifies_without_a_digest(monkeypatch):
+    """``KeyRegistry.verify`` recognizes a signature it issued by
+    identity: no SHA-256 and two ``type_tagged`` walks (node, message),
+    where the parent walked four and looked the digest up."""
+    from repro.crypto import registry as registry_module
+    from repro.crypto.registry import KeyRegistry
+
+    registry = KeyRegistry(8)
+    signature = registry.capability_for(3).sign(("Vote", 2, 1))
+    calls = {"hash_bytes": 0, "type_tagged": 0}
+    for name in calls:
+        original = getattr(registry_module, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(registry_module, name, counting)
+    assert registry.verify(3, ("Vote", 2, 1), signature)
+    assert calls == {"hash_bytes": 0, "type_tagged": 2}, calls
 
 
 def test_quadratic_ba_n96_terminate_sorts_sender_keys(monkeypatch):

@@ -1,12 +1,17 @@
 """Tests for canonical encoding and size accounting."""
 
+import collections
+import gc
+import weakref
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro import serialization
 from repro.serialization import (
     canonical_bytes,
+    clear_size_cache,
     encoded_size_bits,
     type_tagged,
 )
@@ -131,3 +136,64 @@ class TestGenerationalSizeMemo:
                     == expected[::-1]
         finally:
             ser.clear_size_cache()
+
+
+class _Leaf:
+    """A weakref-able item whose own size is never memoized (tuples
+    themselves cannot be weakly referenced)."""
+
+    def encoded_size_bits(self):
+        return 8
+
+
+class TestTupleSizeMemo:
+    """An exact tuple is sized once per object, like a dataclass.  Seeded
+    mutant: memoize regardless of items — kills the list test."""
+
+    @pytest.fixture(autouse=True)
+    def _fresh_memo(self):
+        clear_size_cache()
+        yield
+        clear_size_cache()
+
+    def test_memoized_size_survives_a_clear(self):
+        quorum = (Point(1, 2), "ab", 7)
+        size = encoded_size_bits(quorum)
+        assert size == 32 + (32 + 64 + 64) + (32 + 16) + 64
+        assert serialization._SIZE_BY_ID[id(quorum)] == (quorum, size)
+        clear_size_cache()
+        assert id(quorum) not in serialization._SIZE_BY_ID
+        assert encoded_size_bits(quorum) == size
+
+    def test_memo_pins_the_tuple_until_cleared(self):
+        quorum = (_Leaf(), 1)
+        ref = weakref.ref(quorum[0])
+        assert encoded_size_bits(quorum) == 32 + 8 + 64
+        del quorum
+        gc.collect()
+        assert ref() is not None
+        clear_size_cache()
+        gc.collect()
+        assert ref() is None
+
+    def test_bool_and_int_items_size_apart(self):
+        assert encoded_size_bits((True,)) == 32 + 8
+        assert encoded_size_bits((1,)) == 32 + 64
+        assert encoded_size_bits((True,)) == 32 + 8
+
+    def test_tuple_holding_a_mutable_item_is_resized(self):
+        for grows, grow in (([1], lambda item: item.append(2)),
+                            ({1: 2}, lambda item: item.update({3: 4})),
+                            ({1}, lambda item: item.add(3)),
+                            (bytearray(b"a"), lambda item: item.extend(b"b"))):
+            holder = (grows, 5)
+            before = encoded_size_bits(holder)
+            grow(grows)
+            assert encoded_size_bits(holder) > before
+            assert id(holder) not in serialization._SIZE_BY_ID
+
+    def test_tuple_subclass_and_list_are_not_memoized(self):
+        Pair = collections.namedtuple("Pair", "a b")
+        for sequence in (Pair(1, 2), [1, 2]):
+            assert encoded_size_bits(sequence) == 32 + 64 + 64
+            assert id(sequence) not in serialization._SIZE_BY_ID
