@@ -22,6 +22,7 @@ point: ``python -m repro report`` (see ``docs/RESULTS.md``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import html as html_module
 import json
@@ -35,9 +36,10 @@ from repro.harness.store import ExperimentStore
 from repro.harness.tables import View, rows_to_table
 
 
+@functools.lru_cache(maxsize=None)
 def git_describe(root) -> str:
-    """Best-effort ``git describe`` of the working tree (provenance
-    only; "unknown" outside a repo or without git)."""
+    """Best-effort ``git describe`` of the working tree, once per root per
+    process (provenance only; "unknown" outside a repo or without git)."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],

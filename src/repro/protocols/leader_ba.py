@@ -300,6 +300,13 @@ class LeaderBaNode(ViewNode):
             self.new_views.setdefault(msg.view, {}).setdefault(
                 msg.bit, {}).setdefault(msg.sender, msg)
 
+    def _new_view_audience(self, msg: NewViewMsg) -> Optional[NodeId]:
+        """Every node for a NewView carrying a QC, else only the view's
+        leader (-1, nobody, without an oracle)."""
+        if msg.qc is not None:
+            return None
+        return -1 if self._oracle is None else self._oracle.leader(msg.view)
+
     def _absorb_propose(self, msg: LeaderProposeMsg) -> None:
         self.absorb_lock(msg.qc)
         self.proposals.setdefault(msg.view, []).append(msg)
@@ -439,6 +446,7 @@ LeaderBaNode._HANDLERS = {
                    LeaderBaNode._absorb_precommit),
     LeaderDecideMsg: (LeaderBaNode._valid_decide, LeaderBaNode._absorb_decide),
 }
+LeaderBaNode._AUDIENCE = {NewViewMsg: LeaderBaNode._new_view_audience}
 LeaderBaNode._ACTIONS = {
     PHASE_NEW_VIEW: LeaderBaNode._do_new_view,
     PHASE_PROPOSE: LeaderBaNode._do_propose,

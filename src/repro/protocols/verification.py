@@ -130,13 +130,14 @@ class VerificationCache:
             slot = self._round_digest = (broadcast, build(broadcast))
         return slot[1]
 
-    def mark_valid(self, payload: Any,
-                   absorb: Optional[Callable] = None) -> None:
-        """Mark a payload as validated, with its ``absorb`` step if any."""
+    def mark_valid(self, payload: Any, absorb: Optional[Callable] = None,
+                   audience: Optional[NodeId] = None) -> None:
+        """Mark a payload as validated, with its ``absorb`` step if any
+        and the one node that step can change (``None``: every node)."""
         if not CACHING_ENABLED:
             return
         _trim(self.valid_payloads)
-        self.valid_payloads[id(payload)] = (payload, absorb)
+        self.valid_payloads[id(payload)] = (payload, absorb, audience)
 
     def check_auth(self, authenticator: Authenticator, node_id: NodeId,
                    topic: Any, auth: Any) -> bool:

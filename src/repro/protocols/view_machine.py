@@ -179,6 +179,9 @@ class ViewNode(VerifyingNode):
     #: is recipient-independent and runs once per payload object per
     #: execution; the absorb step is the recipient's own state update.
     _HANDLERS: Dict[type, Tuple[Callable, Callable]]
+    #: Payload class → ``(node, msg) ->`` the one node its absorb step can
+    #: change (``None``: every node); absent classes reach every node.
+    _AUDIENCE: Dict[type, Callable] = {}
     #: Phase → action ``(node, ctx, unit)``; a phase without a send of
     #: its own has no entry.
     _ACTIONS: Dict[str, Callable]
@@ -284,21 +287,24 @@ class ViewNode(VerifyingNode):
     def _process_inbox(self, ctx: RoundContext) -> None:
         # The simulation hands every recipient the same payload object,
         # so the first successful validation marks it with its absorb
-        # step, which the other n - 1 recipients call straight.  The front
-        # is read directly (this loop is the protocol step's hot path)
-        # and stays empty when caching is off; failures are never
-        # remembered — a ``False`` can become ``True`` later.
+        # step and audience, which the other n - 1 recipients call
+        # straight or skip.  The front is read directly (this loop is the
+        # protocol step's hot path) and stays empty when caching is off;
+        # failures are never remembered — a ``False`` can become ``True``.
         front = self._verification.valid_payloads
         handlers = self._HANDLERS
         for delivery in ctx.inbox:
             msg = delivery.payload
             entry = front.get(id(msg))
             if entry is not None and entry[0] is msg:
-                entry[1](self, msg)
+                if entry[2] is None or entry[2] == self.node_id:
+                    entry[1](self, msg)
                 continue
             handler = handlers.get(msg.__class__)
             if handler is not None and handler[0](self, msg):
-                self._verification.mark_valid(msg, handler[1])
+                audience = self._AUDIENCE.get(msg.__class__)
+                self._verification.mark_valid(
+                    msg, handler[1], audience and audience(self, msg))
                 handler[1](self, msg)
 
     # -- decision ------------------------------------------------------------

@@ -497,7 +497,7 @@ class NetworkStats:
 
 class PendingCopy(NamedTuple):
     """One in-flight copy as :meth:`ConditionedNetwork.pending_copies`
-    reports it (the calendar itself stores bare tuples)."""
+    reports it (the calendar itself stores window groups)."""
 
     due_round: Round
     sent_round: Round
@@ -515,15 +515,15 @@ class ConditionedNetwork(SynchronousNetwork):
     to the GST/Δ clamps, pre-GST drops and duplication, scheduled
     partitions, and any adversarial delays registered this round.
 
-    Scheduled copies live in a **calendar queue**: one bucket (a list in
-    scheduling order) per due round, plus a heap of the *distinct* due
-    rounds.  Buckets pop in due order and are read front to back —
-    staging order with recipients ascending inside a window, partition
-    re-queues behind whatever is already due at the heal round — which
-    is exactly the order a per-copy heap keyed ``(due_round, insertion
-    counter)`` pops in (the counter is unique, so nothing else ever
-    decides).  That order is what keeps the event engine result-identical
-    to the Δ-lockstep synchronizer and to the per-copy reference kept in
+    Scheduled copies live in a **calendar queue**: a heap of the
+    *distinct* due rounds and, per due round, a bucket of window groups
+    ``[sent_round, {recipient: [deliveries]}, count]``, one per staging
+    window or partition re-queue that fed it.  Groups are read front to
+    back, so each recipient gets its copies in the order a per-copy heap
+    keyed ``(due_round, insertion counter)`` pops them (staging order,
+    then re-queues); only the cross-recipient interleaving, which nothing
+    observes, differs.  That keeps the event engine result-identical to
+    the Δ-lockstep synchronizer and to the per-copy reference kept in
     ``tests/test_conditioned_schedule_differential.py``.  The heap is
     touched once per distinct due round, and :meth:`next_due_round`
     exposes its head so the event engine can skip idle ticks entirely.
@@ -537,9 +537,9 @@ class ConditionedNetwork(SynchronousNetwork):
         self.conditions = conditions
         self.stats = NetworkStats()
         self._rng = derive_rng(seed, "network-conditions")
-        #: The calendar: due round -> ``(recipient, delivery, sent_round)``
-        #: copies due then, in scheduling order.  Buckets are never empty.
-        self._buckets: Dict[Round, List[Tuple[NodeId, Delivery, Round]]] = {}
+        #: The calendar: due round -> its window groups, in scheduling
+        #: order (see the class docstring).  Buckets are never empty.
+        self._buckets: Dict[Round, List[list]] = {}
         #: Min-heap of the calendar's keys (each due round pushed once).
         self._due_rounds: List[Round] = []
         self._in_flight = 0
@@ -604,7 +604,7 @@ class ConditionedNetwork(SynchronousNetwork):
         coin = self._rng.random
         n = self.n
         everyone = range(n)
-        slots = [None] * (cap + 1)
+        slots = [None] * (cap + 1)  # delay -> this window's group due then
         dropped = duplicated = delayed = scheduled = 0
         for envelope, delivery, blocked in self._surviving_entries():
             sender = envelope.sender
@@ -651,12 +651,14 @@ class ConditionedNetwork(SynchronousNetwork):
                             # clamp nullified moved nothing.
                             delay = min(delay + extra, cap)
                             delayed += 1
-                    bucket = slots[delay]
-                    if bucket is None:
-                        bucket = slots[delay] = self._bucket(
-                            sent_round + delay)
-                    bucket.append((recipient, delivery, sent_round))
+                    group = slots[delay]
+                    if group is None:
+                        group = slots[delay] = [sent_round, {}, 0]
+                        self._bucket(sent_round + delay).append(group)
+                    group[1].setdefault(recipient, []).append(delivery)
                     scheduled += 1
+        for group in filter(None, slots):
+            group[2] = sum(map(len, group[1].values()))
         self._reset_window()
         self._extra_delay = {}
         self._in_flight += scheduled
@@ -667,23 +669,30 @@ class ConditionedNetwork(SynchronousNetwork):
         stats.events_processed += scheduled
 
     def _defer_blocked(self, bucket: list, round_index: Round) -> list:
-        """The copies of a due bucket deliverable now; one crossing an
-        active partition (the first, in declaration order) moves to the
-        back of that partition's heal-round bucket instead."""
+        """The groups of a due bucket cut to the copies deliverable now; a
+        copy crossing an active partition (the first, in declaration order)
+        moves to a new group at the back of that heal round's bucket."""
         active = [partition for partition in self.conditions.partitions
                   if partition.active_at(round_index)]
         if not active:
             return bucket
         n = self.n
         passing = []
-        for copy in bucket:
-            for partition in active:
-                if partition.separates(copy[1].sender, copy[0], n):
-                    self._bucket(partition.end).append(copy)
-                    break
-            else:
-                passing.append(copy)
-        requeued = len(bucket) - len(passing)
+        for sent_round, targets, _ in bucket:
+            regrouped: Dict[Round, Dict[NodeId, List[Delivery]]] = {}
+            for recipient, deliveries in targets.items():
+                for delivery in deliveries:
+                    due = next((partition.end for partition in active
+                                if partition.separates(
+                                    delivery.sender, recipient, n)),
+                               round_index)
+                    regrouped.setdefault(due, {}).setdefault(
+                        recipient, []).append(delivery)
+            for due, kept in regrouped.items():
+                group = [sent_round, kept, sum(map(len, kept.values()))]
+                where = passing if due == round_index else self._bucket(due)
+                where.append(group)
+        requeued = sum(g[2] for g in bucket) - sum(g[2] for g in passing)
         self.stats.deferred_copies += requeued
         self.stats.events_processed += requeued
         return passing
@@ -698,19 +707,20 @@ class ConditionedNetwork(SynchronousNetwork):
         return self._due_rounds[0] if self._due_rounds else None
 
     def pending_copies(self) -> List[PendingCopy]:
-        """Every scheduled-but-undelivered copy, in the order the calendar
-        would deliver them (a snapshot for tests and diagnostics)."""
+        """Every in-flight copy by due round, group, recipient and
+        scheduling order (a snapshot for tests and diagnostics)."""
         return [PendingCopy(due_round, sent_round, recipient, delivery)
                 for due_round in sorted(self._buckets)
-                for recipient, delivery, sent_round
-                in self._buckets[due_round]]
+                for sent_round, targets, _ in self._buckets[due_round]
+                for recipient, deliveries in targets.items()
+                for delivery in deliveries]
 
     def advance_to(self, round_index: Round,
                    inboxes: Mapping[NodeId, List[Delivery]]) -> None:
         """Jump the network clock straight to ``round_index`` and execute
         that round: drain the staging window into the calendar, then
-        append every copy due now to ``inboxes[recipient]``, in calendar
-        order (partition-blocked copies move to their heal round).
+        extend ``inboxes[recipient]`` by every due group's list for it
+        (partition-blocked copies move to their heal round).
 
         The skipped ticks are exactly the rounds the Δ-lockstep
         synchronizer would have executed as no-ops — nothing staged,
@@ -743,13 +753,12 @@ class ConditionedNetwork(SynchronousNetwork):
             bucket = self._buckets.pop(heappop(due_rounds))
             if partitions:
                 bucket = self._defer_blocked(bucket, round_index)
-            sent_total = 0
-            for recipient, delivery, sent_round in bucket:
-                inboxes[recipient].append(delivery)
-                sent_total += sent_round
-            self._in_flight -= len(bucket)
-            stats.delivered_copies += len(bucket)
-            stats.latency_total += round_index * len(bucket) - sent_total
+            for sent_round, targets, count in bucket:
+                for recipient, deliveries in targets.items():
+                    inboxes[recipient].extend(deliveries)
+                self._in_flight -= count
+                stats.delivered_copies += count
+                stats.latency_total += (round_index - sent_round) * count
         if not worked:
             stats.skipped_ticks += 1
 

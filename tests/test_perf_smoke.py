@@ -5,8 +5,8 @@ Counts calls — ``authenticator.check`` invocations, per-message handler
 steps, ``SignedVote`` constructions and ``signed_vote`` calls, sequence
 sizings, digests per issued-signature check, topic encodings, keyed sorts,
 ``random.Random`` seedings, pool submits before the first awaited
-result, view-machine steps, tally scans and decide-quorum checks — not
-wall time, so CI hardware variance cannot flake it.  Before the
+result, view-machine steps, tally scans, decide-quorum checks, NewView
+absorb steps and calendar bucket lengths — not wall time, so CI hardware variance cannot flake it.  Before the
 content-addressed verification caches, the n = 96 quadratic-BA run
 below performed ~921k checks; with them it performs a few hundred.  The
 budget is deliberately generous (50 per node) so legitimate protocol
@@ -356,6 +356,66 @@ def test_leader_chain_checks_each_decide_quorum_once(monkeypatch):
     assert max(checks.values()) == 1, (
         f"a decide-quorum member was check_auth'ed "
         f"{max(checks.values())} times for one interned tuple")
+
+
+def test_leader_killer_n25_files_and_absorbs_per_recipient(monkeypatch):
+    """A NewView without a QC can change only its view's leader, so the
+    other recipients skip its absorb step; and the calendar files copies
+    under their recipient, so a due round's bucket holds one group per
+    window that fed it.  At the parent every copy of every NewView was
+    absorbed (≈ n - 1 per message) and a bucket held one entry per copy."""
+    from repro.adversaries import LeaderKillerAdversary
+    from repro.protocols.leader_ba import (
+        LeaderBaNode,
+        NewViewMsg,
+        build_leader_ba,
+    )
+    from repro.sim.conditions import NETWORKS, ConditionedNetwork
+
+    n, f = 25, 8
+    wan = NETWORKS["wan"]
+    absorbed = []
+    absorb = LeaderBaNode._absorb_new_view
+
+    def counting_absorb(self, msg):
+        absorbed.append(1)
+        return absorb(self, msg)
+
+    monkeypatch.setattr(LeaderBaNode, "_absorb_new_view", counting_absorb)
+    monkeypatch.setitem(LeaderBaNode._HANDLERS, NewViewMsg,
+                        (LeaderBaNode._valid_new_view, counting_absorb))
+
+    windows, oversized = [], []
+    schedule = ConditionedNetwork._schedule_window
+
+    def recording_schedule(self, sent_round):
+        schedule(self, sent_round)
+        windows.append(sent_round)
+        for due, bucket in self._buckets.items():
+            fed = sum(1 for sent in windows if due - wan.delta <= sent < due)
+            if len(bucket) > fed:
+                oversized.append((due, len(bucket), fed))
+
+    monkeypatch.setattr(ConditionedNetwork, "_schedule_window",
+                        recording_schedule)
+    instance = build_leader_ba(n, f, [i % 2 for i in range(n)], seed=1,
+                               conditions=wan)
+    leader = instance.services["oracle"].leader
+    result = run_instance(instance, f, LeaderKillerAdversary(instance),
+                          seed=1, conditions=wan)
+    assert result.consistent() and result.all_decided()
+    new_views = [envelope.payload for envelope in result.transcript
+                 if isinstance(envelope.payload, NewViewMsg)]
+    leader_copies = sum(leader(msg.view) != msg.sender for msg in new_views)
+    qc_copies = sum(n - 1 for msg in new_views if msg.qc is not None)
+    # Slack: the sender's own absorb and the first validator's call.
+    budget = leader_copies + qc_copies + 2 * len(new_views)
+    assert 0 < len(absorbed) <= budget, (
+        f"{len(absorbed)} NewView absorb calls, budget {budget}: copies "
+        f"outside a QC-less NewView's audience are being absorbed")
+    assert windows and not oversized, (
+        f"(due, bucket length, windows) {oversized[:3]}: the calendar "
+        f"holds an entry per copy, not a group per window")
 
 
 class _InThreadPool:

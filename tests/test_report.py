@@ -38,6 +38,31 @@ class TestBook:
         assert snapshot["salt"] == store.salt
         assert list(snapshot["sweeps"]) == ["tiny"]
 
+    def test_code_version_is_described_once_per_process(self, tmp_path,
+                                                        monkeypatch):
+        """``git describe`` runs once per root, not once per book: the
+        live page re-renders on every meta-refresh."""
+        import subprocess
+
+        from repro.harness import report
+
+        started = []
+        run = subprocess.run
+
+        def counting(*args, **kwargs):
+            started.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(report.subprocess, "run", counting)
+        report.git_describe.cache_clear()
+        store = ExperimentStore(tmp_path)
+        first, _ = render_book(store)
+        second, _ = render_book(store)
+        assert len(started) <= 1
+        version = [line for line in first.splitlines()
+                   if "code version:" in line]
+        assert version and version[0] in second
+
     def test_empty_store_renders_a_note(self, tmp_path):
         book, snapshot = render_book(ExperimentStore(tmp_path))
         assert "empty store" in book

@@ -23,6 +23,12 @@ mail.  Each runs with verification caching on and off
 identity front to the uncached predicate.  Every honest node's end
 state includes its vote and member tallies, so a step that skipped mail
 shows even where the execution's result does not move.
+
+A third shortcut is the NewView audience: a cached NewView without a QC
+runs its absorb step only on its view's leader.  Uncached, every
+recipient runs it, so :func:`test_new_view_audience_skip_matches_uncached`
+compares the two on leader-ba under ``leader-killer`` and ``view-split``
+at n = 13 and 25.
 """
 
 import pytest
@@ -31,11 +37,13 @@ from repro.adversaries import LeaderKillerAdversary, ViewSplitAdversary
 from repro.adversaries.actual_faults import ActualFaultsAdversary
 from repro.protocols import verification
 from repro.protocols.adaptive_ba import AdaptiveBaNode, build_adaptive_ba
+from repro.harness.runner import run_instance
 from repro.protocols.certificates import rank
 from repro.protocols.leader_ba import (
     LeaderBaNode,
     build_leader_ba,
     build_leader_chain,
+    decision_view_of,
 )
 from repro.sim.conditions import NETWORKS
 from tests.engines import EVENT, SIMULATIONS, WAKEFUL
@@ -180,6 +188,67 @@ def test_round_step_matches_the_reference(monkeypatch, shape, network):
         assert observed == expected, f"(caching, reference) = {key}"
     assert result.network_stats is not None  # a conditioned execution
     assert result.consistent() and result.agreement_valid()
+
+
+AUDIENCE_GRID = [(adversary, network, n)
+                 for adversary in ("leader-killer", "view-split")
+                 for network in ("wan", "lossy") for n in (13, 25)]
+ADVERSARIES = {"leader-killer": LeaderKillerAdversary,
+               "view-split": ViewSplitAdversary}
+
+
+def _lock_of(node):
+    return rank(node.locked), node.locked is not None and node.locked.bit
+
+
+def _audience_run(monkeypatch, adversary, network, n):
+    """One leader-ba execution: its result snapshot, every node's lock
+    after each of its steps, every honest node's end lock, belief and
+    NewView material, the settled view and the words."""
+    f = (n - 1) // 3
+    conditions = NETWORKS[network]
+    locks = []
+    step = LeaderBaNode.on_round
+
+    def recording(self, ctx):
+        step(self, ctx)
+        locks.append((ctx.round, self.node_id, _lock_of(self)))
+
+    monkeypatch.setattr(LeaderBaNode, "on_round", recording)
+    instance = build_leader_ba(n, f, _mixed(n), seed=1, conditions=conditions)
+    result = run_instance(instance, f, ADVERSARIES[adversary](instance),
+                          seed=1, conditions=conditions)
+    monkeypatch.setattr(LeaderBaNode, "on_round", step)
+    nodes = [(node.node_id, _lock_of(node), node.belief,
+              {view: {bit: sorted(senders) for bit, senders in tally.items()}
+               for view, tally in node.new_views.items()})
+             for node in instance.nodes
+             if node.node_id not in result.corrupt_set]
+    return (_snapshot(result), locks, nodes, decision_view_of(result),
+            result.metrics.classical_message_count)
+
+
+@pytest.mark.parametrize("adversary,network,n", AUDIENCE_GRID,
+                         ids=[f"{a}-{w}-n{n}" for a, w, n in AUDIENCE_GRID])
+def test_new_view_audience_skip_matches_uncached(monkeypatch, adversary,
+                                                 network, n):
+    """A cached NewView without a QC runs its absorb step only on its
+    view's leader (``LeaderBaNode._AUDIENCE``); uncached, every recipient
+    runs it.  Decisions, every node's lock after each of its steps,
+    beliefs, the leaders' NewView material, views, words and transcripts
+    must not move.
+
+    Mutants that fail this case (checked by hand on a copy): the audience
+    is the leader also for a NewView that carries a QC (a node adopts a
+    carried lock a round late, at the proposal), and the leader itself
+    skips the step (it proposes from the attestations it validated
+    first, or none)."""
+    runs = []
+    for caching in (True, False):
+        monkeypatch.setattr(verification, "CACHING_ENABLED", caching)
+        runs.append(_audience_run(monkeypatch, adversary, network, n))
+    assert runs[0] == runs[1]
+    assert runs[0][0]["outputs"] and runs[0][1] and runs[0][3] >= 1
 
 
 def test_the_chain_really_sleeps():
