@@ -27,11 +27,12 @@ from an experiment store (see ``docs/RESULTS.md``)::
     python -m repro report --store .repro-store
     python -m repro report --format html --baseline old/book.json
 
-``run`` — execute one protocol instance and print its result summary,
-optionally under named partial-synchrony network conditions and a
-per-link latency topology (see ``docs/NETWORK.md``); the GST-aware
-early-stopping variants (see ``docs/PROTOCOLS.md``) additionally
-report the rounds saved against their budget::
+``run`` — execute one seed of a one-cell scenario (bound, and refused,
+exactly as a sweep cell is) and print its result summary, optionally
+under named partial-synchrony network conditions and a per-link latency
+topology (see ``docs/NETWORK.md``); a protocol with artifact columns of
+its own (the early-stopping variants' ``mean_rounds_saved``, see
+``docs/PROTOCOLS.md``) prints them under the row's column names::
 
     python -m repro run --protocol subquadratic -n 300 -f 90 \\
         --adversary crash --input mixed --seed 7 --network wan
@@ -62,26 +63,23 @@ records::
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import Optional, Sequence
 
 from repro.analysis import choose_lambda
 from repro.analysis.parameters import protocol_failure_probability
-from repro.harness import run_instance
+from repro.harness import run_trials
 from repro.harness.experiments import ALL_EXPERIMENTS
 from repro.harness.scenarios import (
     ADVERSARIES,
     INPUTS,
     PROTOCOLS as PROTOCOL_REGISTRY,
-    rounds_saved_columns,
+    AdversaryFactorySpec,
+    ScenarioSpec,
 )
 from repro.errors import ConfigurationError
-from repro.protocols.adaptive_ba import adaptive_columns
-from repro.protocols.leader_ba import view_columns
 from repro.sim.conditions import NETWORKS, TOPOLOGIES
 from repro.sim.trace import summarize_transcript
-from repro.types import SecurityParameters
 
 #: ``run``-able protocols, derived from the scenario layer's registry
 #: rather than hand-maintained: every entry whose builder takes per-node
@@ -115,11 +113,7 @@ def _epilog() -> str:
 
 def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
     """What ``sweep`` and ``submit`` both take: how the named sweep is
-    resolved (:func:`~repro.harness.sweep_library.resolve_sweep`) and
-    keyed."""
-    parser.add_argument("--no-shared-lottery", action="store_true",
-                        help="disable the per-sweep eligibility-lottery "
-                             "cache (results are identical either way)")
+    resolved (:func:`~repro.harness.sweep_library.resolve_sweep`)."""
     parser.add_argument("--network", choices=sorted(NETWORKS), default=None,
                         help="force these network conditions onto every "
                              "scenario of the sweep (overrides any "
@@ -163,6 +157,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out-dir", default=None,
                        help="write <name>.csv and <name>.json artifacts "
                             "into this directory")
+    sweep.add_argument("--no-shared-lottery", action="store_true",
+                       help="disable the per-sweep eligibility-lottery "
+                            "cache (results are identical either way)")
     _add_sweep_options(sweep)
     sweep.add_argument("--store", default=None, metavar="DIR",
                        help="record/replay cells through a persistent "
@@ -412,9 +409,8 @@ def _cmd_submit(args: argparse.Namespace) -> int:
 
     with ServiceClient(args.url) as client:
         try:
-            job_id = client.submit(
-                args.name, share_lottery=not args.no_shared_lottery,
-                network=args.network, topology=args.topology)
+            job_id = client.submit(args.name, network=args.network,
+                                   topology=args.topology)
             print(f"submitted job {job_id}")
             if args.no_wait:
                 return 0
@@ -465,75 +461,60 @@ def _cmd_status(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    n = args.n
-    f = args.f if args.f is not None else int(0.25 * n)
-    entry = PROTOCOLS[args.protocol]
-    # An explicit flag is never silently dropped: it reaches the builder
-    # (or the adversary), or it is a usage error.
-    for flag, value, applies, where in (
-            ("--lam", args.lam, entry.takes("params"),
-             "protocols whose builder takes params"),
-            ("--mode", args.mode, entry.takes("mode"),
-             "protocols whose builder takes a mode"),
-            ("--actual", args.actual, args.adversary == "actual-faults",
-             "--adversary actual-faults")):
-        if value is not None and not applies:
-            print(f"run: {flag} only applies to {where}", file=sys.stderr)
-            return 2
-    adversary_kwargs = {} if args.actual is None else {"actual": args.actual}
+    entry = PROTOCOL_REGISTRY[args.protocol]
+    # One seed of a one-cell scenario, bound like any sweep cell: a flag
+    # its receiver does not name (--lam or --mode on a builder without
+    # params or a mode, --actual on an adversary without a count) and a
+    # topology without a Δ > 1 network are refused, never dropped.
+    # Perfect synchrony is no network binding at all.
+    fixed = {key: value for key, value in (
+        ("n", args.n),
+        ("f", int(0.25 * args.n) if args.f is None else args.f),
+        ("lam", args.lam or (30 if entry.takes("params") else None)),
+        ("mode", args.mode), ("adversary_actual", args.actual),
+        ("topology", args.topology),
+        ("network", None if args.network == "perfect" else args.network),
+    ) if value is not None}
+    spec = ScenarioSpec(name="run", protocol=args.protocol, fixed=fixed,
+                        adversary=args.adversary, inputs=args.input,
+                        seeds=(args.seed,))
+    instances = []
     try:
-        # Everything below validates its arguments: topology × Δ, λ, and
-        # an adversary rejecting a protocol it cannot target (in its
-        # constructor or at setup, inside run_instance).
-        conditions = NETWORKS[args.network]
-        if args.topology is not None:
-            conditions = dataclasses.replace(
-                conditions, topology=TOPOLOGIES[args.topology])
-        kwargs = dict(n=n, f=f, inputs=INPUTS[args.input](n), seed=args.seed)
-        if entry.takes("params"):
-            kwargs.update(params=SecurityParameters(
-                lam=30 if args.lam is None else args.lam, epsilon=0.1))
-        if entry.takes("mode"):
-            kwargs.update(mode=args.mode or "fmine")
-        if entry.takes("conditions"):
-            # The GST-aware builders gate their unanimity detectors (or
-            # view timers) on the conditions' trusted-send round.
-            kwargs.update(conditions=conditions)
-        instance = entry.builder(**kwargs)
-        adversary = ADVERSARIES[args.adversary](instance, **adversary_kwargs)
-        result = run_instance(instance, f, adversary, seed=args.seed,
-                              conditions=conditions)
+        (cell,) = spec.cells()
+        factory = AdversaryFactorySpec(cell.adversary, cell.adversary_kwargs)
+
+        def adversary(instance):
+            instances.append(instance)
+            return factory(instance)
+
+        # An adversary rejecting its target raises in its constructor or
+        # at setup, inside the trial.
+        stats = run_trials(entry.builder, cell.f, cell.seeds, adversary,
+                           conditions=cell.network, **cell.builder_kwargs())
     except ConfigurationError as error:
         print(f"run: {error}", file=sys.stderr)
         return 2
+    (result,) = stats.results
     trace = summarize_transcript(result.require_transcript())
-    print(f"protocol:            {instance.name}")
-    print(f"n / f:               {n} / {f}  (adversary: {args.adversary})")
+    print(f"protocol:            {instances[0].name}")
+    print(f"n / f:               {cell.n} / {cell.f}  "
+          f"(adversary: {args.adversary})")
     if result.network_stats is not None:
-        stats = result.network_stats
+        network = result.network_stats
         print(f"network:             {args.network} "
-              f"({conditions.describe()})")
+              f"({cell.network.describe()})")
         print(f"mean copy latency:   "
-              f"{stats.mean_delivery_latency:.2f} network rounds")
-        print(f"peak in flight:      {stats.max_in_flight} copies")
-        if stats.dropped_copies:
-            print(f"dropped copies:      {stats.dropped_copies}")
+              f"{network.mean_delivery_latency:.2f} network rounds")
+        print(f"peak in flight:      {network.max_in_flight} copies")
+        if network.dropped_copies:
+            print(f"dropped copies:      {network.dropped_copies}")
     print(f"consistent:          {result.consistent()}")
     print(f"valid:               {result.agreement_valid()}")
     print(f"all decided:         {result.all_decided()}")
     print(f"rounds:              {result.rounds_executed}")
-    if rounds_saved_columns in entry.columns:
-        print(f"rounds saved:        {result.rounds_saved} "
-              f"(budget {result.rounds_budget})")
-    if view_columns in entry.columns:
-        columns = view_columns([result])
-        print(f"settled view:        {columns['mean_views_executed']:.0f} "
-              f"({columns['mean_view_changes']:.0f} view change(s))")
-    if adaptive_columns in entry.columns:
-        columns = adaptive_columns([result])
-        print(f"escalations:         {columns['mean_escalations']:.0f} "
-              f"(actual faults {columns['mean_actual_faults']:.0f}, "
-              f"{columns['mean_words']:.0f} words)")
+    for columns in entry.columns:
+        for name, value in columns(stats.results).items():
+            print(f"{name + ':':20s} {value}")
     print(f"corruptions used:    {result.corruptions_used}")
     print(f"honest multicasts:   "
           f"{result.metrics.multicast_complexity_messages}")

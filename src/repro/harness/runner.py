@@ -80,7 +80,6 @@ class TrialStats:
         self._multicast_bits = 0
         self._rounds = 0
         self._corruptions = 0
-        self._rounds_saved = 0
         self._max_message_bits = 0
         self._network_trials = 0
         self._network = NetworkStats()
@@ -104,7 +103,6 @@ class TrialStats:
         self._multicast_bits += result.metrics.multicast_complexity_bits
         self._rounds += result.rounds_executed
         self._corruptions += result.corruptions_used
-        self._rounds_saved += result.rounds_saved
         self._max_message_bits = max(self._max_message_bits,
                                      result.metrics.max_message_bits)
         network = result.network_stats
@@ -149,13 +147,6 @@ class TrialStats:
         return self._corruptions / self.trials if self._results else 0.0
 
     @property
-    def mean_rounds_saved(self) -> float:
-        """Mean protocol rounds finished under the round budget — the
-        payoff axis of the early-stopping variants (0.0 for protocols
-        that always run their full budget)."""
-        return self._rounds_saved / self.trials if self._results else 0.0
-
-    @property
     def max_message_bits(self) -> int:
         """Largest single message seen across all trials."""
         return self._max_message_bits
@@ -171,37 +162,6 @@ class TrialStats:
         """All conditioned trials folded into one :class:`NetworkStats`
         (sums; peak for ``max_in_flight``)."""
         return self._network
-
-    @property
-    def mean_delivery_latency(self) -> float:
-        """Effective round latency: mean copy delay in network rounds,
-        across every delivered copy of every conditioned trial."""
-        return self._network.mean_delivery_latency
-
-    @property
-    def max_in_flight(self) -> int:
-        """Peak scheduled-but-undelivered copies across conditioned trials."""
-        return self._network.max_in_flight
-
-    @property
-    def dropped_copies(self) -> int:
-        """Total pre-GST copy drops across conditioned trials."""
-        return self._network.dropped_copies
-
-    @property
-    def skipped_ticks(self) -> int:
-        """Total idle network ticks across conditioned trials — the
-        rounds the event engine skips outright (and the lock-step
-        synchronizer executes as no-ops; the count is engine-invariant).
-        Their share of ``network.network_rounds`` is the empty-round
-        density the event engine's wall-clock win tracks."""
-        return self._network.skipped_ticks
-
-    @property
-    def events_processed(self) -> int:
-        """Total delivery-queue events across conditioned trials
-        (schedules, pre-GST duplicates, partition re-queues)."""
-        return self._network.events_processed
 
     def decision_rounds(self) -> List[int]:
         rounds: List[int] = []

@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
 import io
 import itertools
 import json
@@ -99,6 +100,7 @@ from repro.sim.conditions import (
     LinkTopology,
     NetworkConditions,
 )
+from repro.sim.adversary import PassiveAdversary
 from repro.sim.engine import TRANSCRIPT_METRICS_ONLY
 from repro.protocols import (
     build_adaptive_ba,
@@ -180,19 +182,14 @@ PROTOCOLS: Dict[str, ProtocolEntry] = {
 }
 
 
-def _instance_blind(adversary: Callable[..., Any]) -> Callable[..., Any]:
-    """A factory ``(instance, **kwargs)`` over an adversary that is built
-    from its keyword arguments alone."""
-    return lambda instance, **kwargs: adversary(**kwargs)
-
-
-#: Factories ``(instance, **kwargs) -> adversary``; workers look them up
+#: Adversary classes by name.  One whose signature names ``instance`` is
+#: built over the cell's fresh protocol instance; workers look them up
 #: by name (:class:`AdversaryFactorySpec`), so they are never pickled.
-ADVERSARIES: Dict[str, Callable[..., Any]] = {
-    "none": lambda instance, **kwargs: None,
-    "actual-faults": _instance_blind(ActualFaultsAdversary),
-    "crash": _instance_blind(CrashAdversary),
-    "delay": _instance_blind(DelayAdversary),
+ADVERSARIES: Dict[str, type] = {
+    "none": PassiveAdversary,
+    "actual-faults": ActualFaultsAdversary,
+    "crash": CrashAdversary,
+    "delay": DelayAdversary,
     "equivocate": StaticEquivocationAdversary,
     "ack-equivocate": AckEquivocationAdversary,
     "speaker": AdaptiveSpeakerAdversary,
@@ -245,7 +242,10 @@ class AdversaryFactorySpec:
     kwargs: Tuple[Tuple[str, Any], ...] = ()
 
     def __call__(self, instance):
-        return ADVERSARIES[self.name](instance, **dict(self.kwargs))
+        adversary = ADVERSARIES[self.name]
+        if "instance" in named_parameters(adversary):
+            return adversary(instance, **dict(self.kwargs))
+        return adversary(**dict(self.kwargs))
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +267,8 @@ class ScenarioSpec:
     overridden by grid axes of the same name.  Bindings not in
     :data:`RESERVED_BINDINGS` pass through to the protocol builder
     verbatim (``epochs``, ``mode``, ``max_iterations``, ``sender_input``,
-    a pre-built ``params`` object, ...).  A ``ba_builder`` binding given
+    a pre-built ``params`` object, ...); :meth:`cells` refuses one the
+    receiving signature does not name.  A ``ba_builder`` binding given
     as a string resolves through :data:`PROTOCOLS` (for the
     broadcast-from-BA reduction).
     """
@@ -384,6 +385,25 @@ def _preset_or_value(binding: Any, key: str, presets: Mapping[str, Any],
         f"{kind.__name__}, got {binding!r}")
 
 
+@lru_cache(maxsize=256)
+def _takes_any(call: Callable[..., Any]) -> bool:
+    """Whether ``call`` has a ``**kwargs`` catch-all, which names
+    nothing (:func:`named_parameters`) and takes anything."""
+    return any(parameter.kind is parameter.VAR_KEYWORD
+               for parameter in inspect.signature(call).parameters.values())
+
+
+def _refuse_unnamed(spec: ScenarioSpec, receiver: Callable[..., Any],
+                    label: str, bindings: Mapping[str, str]) -> None:
+    """Refuse each parameter of ``bindings`` (mapped to the binding that
+    supplies it) that ``receiver``'s signature does not name."""
+    for name, binding in bindings.items():
+        if not (name in named_parameters(receiver) or _takes_any(receiver)):
+            raise ConfigurationError(
+                f"scenario {spec.name!r}: {label} names no {name!r} "
+                f"parameter for the {binding} binding")
+
+
 def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
     """Resolve one grid point's reserved bindings into a :class:`Cell`.
 
@@ -391,7 +411,8 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
     parameter without a default must be bindable, ``seed`` (not
     ``seeds``) runs exactly one, ``conditions`` honors a network binding,
     and a binding nothing would receive is refused, not dropped."""
-    names = named_parameters(_executor(spec.executor))
+    executor = _executor(spec.executor)
+    names = named_parameters(executor)
     entry: Optional[ProtocolEntry] = None
     if spec.protocol is not None:
         entry = _known(PROTOCOLS, spec.protocol, "protocol")
@@ -486,13 +507,11 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
             PROTOCOLS, kwargs["ba_builder"], "ba_builder").builder
     if n is not None:
         kwargs["n"] = n
-    # lam/epsilon axes fold into a SecurityParameters when the final
-    # recipient of the kwargs — the protocol builder, or the executor
-    # itself when it runs none — names ``params``.  Refuse combinations
-    # that would silently drop a binding the artifact rows would still
-    # report (a pre-built ``params`` with lam/epsilon alongside, lam
-    # with nothing that takes params, epsilon with nothing to fold it
-    # into).
+    # lam/epsilon axes fold into a SecurityParameters, which the check
+    # below refuses where nothing names ``params``.  Refuse the other
+    # combinations that would silently drop a binding the artifact rows
+    # would still report (a pre-built ``params`` with lam/epsilon
+    # alongside, epsilon with nothing to fold it into).
     lam = raw.get("lam")
     epsilon = raw.get("epsilon") if "epsilon" in reserved else None
     if "params" in kwargs and (lam is not None or epsilon is not None):
@@ -504,11 +523,6 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
             f"scenario {spec.name!r}: epsilon requires a lam binding "
             "to fold into SecurityParameters")
     if lam is not None:
-        if not ("params" in names if entry is None
-                else entry.takes("params")):
-            raise ConfigurationError(
-                f"scenario {spec.name!r}: {spec.protocol or spec.executor!r} "
-                "does not accept params; the lam binding would be ignored")
         params_kwargs: Dict[str, Any] = {"lam": lam}
         if epsilon is not None:
             params_kwargs["epsilon"] = epsilon
@@ -523,6 +537,20 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
             raise ConfigurationError(
                 f"scenario {spec.name!r}: executor {spec.executor!r} "
                 f"is missing its {binding} binding")
+    # A pass-through binding lands in the executor's signature or, behind
+    # a ``**kwargs`` executor, in the builder's; an adversary keyword in
+    # the adversary's.  One its receiver does not name would be dropped
+    # or raise mid-trial, so it is refused here.
+    receiver, label = executor, f"executor {spec.executor!r}"
+    if entry is not None and _takes_any(executor):
+        receiver, label = entry.builder, f"protocol {spec.protocol!r}"
+    _refuse_unnamed(spec, receiver, label, {
+        key: "lam" if key == "params" and lam is not None else key
+        for key in kwargs if key not in names})
+    if adversary is not None:
+        _refuse_unnamed(spec, ADVERSARIES[adversary],
+                        f"adversary {adversary!r}",
+                        {key: f"adversary_{key}" for key in adversary_kwargs})
 
     bindings: Dict[str, Any] = {}
     _record = bindings.setdefault  # the first binding of a name wins
@@ -570,32 +598,28 @@ def _is_scalar(value: Any) -> bool:
     return value is None or isinstance(value, (bool, int, float, str))
 
 
+#: A ``trials`` row's common columns, read off its :class:`TrialStats`.
+STATS_COLUMNS = (
+    "trials", "consistency_rate", "validity_rate", "termination_rate",
+    "violation_rate", "mean_rounds", "mean_multicasts",
+    "mean_multicast_bits", "mean_corruptions", "max_message_bits")
+
+#: A conditioned row's network columns, read off ``stats.network``.  The
+#: scheduler's two (``skipped_ticks``, ``events_processed``) are
+#: engine-invariant: tests/test_event_engine_differential.py compares
+#: whole sweep artifacts across the event and lock-step engines.
+NETWORK_COLUMNS = (
+    "mean_delivery_latency", "max_in_flight", "dropped_copies",
+    "skipped_ticks", "events_processed")
+
+
 def _stats_metrics(stats: TrialStats, entry: ProtocolEntry) -> Dict[str, Any]:
-    metrics = {
-        "trials": stats.trials,
-        "consistency_rate": stats.consistency_rate,
-        "validity_rate": stats.validity_rate,
-        "termination_rate": stats.termination_rate,
-        "violation_rate": stats.violation_rate,
-        "mean_rounds": stats.mean_rounds,
-        "mean_multicasts": stats.mean_multicasts,
-        "mean_multicast_bits": stats.mean_multicast_bits,
-        "mean_corruptions": stats.mean_corruptions,
-        "max_message_bits": stats.max_message_bits,
-    }
+    metrics = {name: getattr(stats, name) for name in STATS_COLUMNS}
     # Network-axis columns only for conditioned cells, so sweeps that
     # never leave perfect synchrony keep byte-identical artifacts.
     if stats.has_network_stats:
-        metrics["mean_delivery_latency"] = stats.mean_delivery_latency
-        metrics["max_in_flight"] = stats.max_in_flight
-        metrics["dropped_copies"] = stats.dropped_copies
-        # Scheduler accounting.  Both columns are engine-invariant (the
-        # lock-step reference in tests/engines.py executes the idle
-        # ticks the event engine skips, and counts the same number):
-        # tests/test_event_engine_differential.py compares whole sweep
-        # artifacts across the two.
-        metrics["skipped_ticks"] = stats.skipped_ticks
-        metrics["events_processed"] = stats.events_processed
+        metrics.update((name, getattr(stats.network, name))
+                       for name in NETWORK_COLUMNS)
     # Likewise each protocol's own columns: only in its own rows.
     for columns in entry.columns:
         metrics.update(columns(stats.results))
@@ -878,7 +902,7 @@ class SweepResult:
 _SWEEP_IDS = itertools.count()
 
 
-def _replay(cell: Cell, store, share_lottery: bool,
+def _replay(cell: Cell, store, share_lottery: bool = True,
             fingerprint: Optional[str] = None,
             ) -> Tuple[Optional[str], Optional[CellResult]]:
     """The cell's one store lookup: its fingerprint (None without a

@@ -10,8 +10,9 @@ closes it or leaves it idle for :data:`IDLE_SECONDS`.  Start it with
 ===========================================  ================================
 ``POST /api/sweeps``                         submit a sweep: JSON body
                                              ``{"sweep": name,
-                                             "share_lottery"?, "network"?,
-                                             "topology"?}`` → 202 + job
+                                             "network"?, "topology"?}``
+                                             (any other key is a 400)
+                                             → 202 + job
 ``GET  /api/sweeps``                         submittable sweeps + recorded
                                              sweep names
 ``GET  /api/sweeps/<name>/rows``             recorded rows of one sweep
@@ -205,18 +206,18 @@ class ServiceHandler(BaseHTTPRequestHandler):
         payload = self._read_body()
         if payload is None:
             return
-        share_lottery = payload.get("share_lottery", True)
+        unknown = sorted(set(payload) - {"sweep", "network", "topology"})
+        if unknown:
+            return self._error(400, f"unknown body key(s) {unknown}")
         overrides = [payload.get(key) for key in ("network", "topology")]
         if not (isinstance(payload.get("sweep"), str)
-                and isinstance(share_lottery, bool)
                 and all(value is None or isinstance(value, str)
                         for value in overrides)):
             return self._error(
-                400, 'body must be {"sweep": name, "share_lottery"?: '
-                     'bool, "network"?: name, "topology"?: name}')
+                400, 'body must be {"sweep": name, "network"?: name, '
+                     '"topology"?: name}')
         try:
-            record = self.service.submit_job(
-                payload["sweep"], share_lottery, *overrides)
+            record = self.service.submit_job(payload["sweep"], *overrides)
         except ConfigurationError as error:
             return self._error(400, str(error))
         self._send_json(202, {"job": record["id"], "record": record})

@@ -144,17 +144,11 @@ class ServiceClient:
         """``{"available": {name: description}, "recorded": [names]}``."""
         return self._request_json("/api/sweeps")
 
-    def submit(self, sweep: str, share_lottery: bool = True,
-               network: Optional[str] = None,
+    def submit(self, sweep: str, network: Optional[str] = None,
                topology: Optional[str] = None) -> str:
         """Submit a sweep; returns the new job id."""
-        payload: Dict[str, Any] = {"sweep": sweep,
-                                   "share_lottery": share_lottery}
-        if network is not None:
-            payload["network"] = network
-        if topology is not None:
-            payload["topology"] = topology
-        return self._request_json("/api/sweeps", payload=payload)["job"]
+        return self._request_json("/api/sweeps", payload={
+            "sweep": sweep, "network": network, "topology": topology})["job"]
 
     def job(self, job_id: str) -> Dict[str, Any]:
         return self._request_json(f"/api/jobs/{job_id}")

@@ -18,8 +18,7 @@ Job state is itself durable — one record per job in the store's
 
     {"id", "sweep", "state": queued|running|done|failed,
      "total", "replayed", "computed", "failed_cells", "error",
-     "share_lottery", "overrides", "submitted_at", "started_at",
-     "finished_at"}
+     "overrides", "submitted_at", "started_at", "finished_at"}
 
 Progress counters become durable once per settled batch — the replayed
 cells of a job are one write, each computed cell one more — through the
@@ -72,12 +71,11 @@ class _ActiveJob:
     the service's condition."""
 
     def __init__(self, job_id: str, spec, cells: List[Cell],
-                 fingerprints: List[str], share_lottery: bool) -> None:
+                 fingerprints: List[str]) -> None:
         self.id = job_id
         self.spec = spec
         self.cells = cells
         self.fingerprints = fingerprints
-        self.share_lottery = share_lottery
         self.rows: List[Optional[Dict[str, Any]]] = [None] * len(cells)
         self.remaining = len(cells)
         self.failed = False
@@ -122,27 +120,22 @@ class ExperimentService:
             thread.start()
 
     # -- submission ---------------------------------------------------------
-    def submit(self, sweep_name: str, share_lottery: bool = True,
-               network: Optional[str] = None,
+    def submit(self, sweep_name: str, network: Optional[str] = None,
                topology: Optional[str] = None) -> str:
         """:meth:`submit_job`, for a caller that wants only the id."""
-        return self.submit_job(sweep_name, share_lottery, network,
-                               topology)["id"]
+        return self.submit_job(sweep_name, network, topology)["id"]
 
-    def submit_job(self, sweep_name: str, share_lottery: bool = True,
-                   network: Optional[str] = None,
+    def submit_job(self, sweep_name: str, network: Optional[str] = None,
                    topology: Optional[str] = None) -> Dict[str, Any]:
         """Expand ``sweep_name`` (with optional forced network/topology
         overrides), persist a queued job record, and enqueue the job's
         plan.  Returns the record as written.  Raises
         :class:`~repro.errors.ConfigurationError` for an unknown sweep
-        or override — before anything is enqueued or recorded."""
+        or override — before anything is enqueued or recorded.  Cells
+        are keyed in the fingerprint family ``repro sweep`` writes."""
         spec = resolve_sweep(sweep_name, network=network, topology=topology)
         cells = spec.expand()
-        fingerprints = [
-            self.store.fingerprint(cell, share_lottery=share_lottery)
-            for cell in cells
-        ]
+        fingerprints = [self.store.fingerprint(cell) for cell in cells]
         job_id = f"{time.strftime('%Y%m%dT%H%M%SZ', time.gmtime())}-" \
                  f"{uuid.uuid4().hex[:8]}"
         record = {
@@ -154,7 +147,6 @@ class ExperimentService:
             "computed": 0,
             "failed_cells": 0,
             "error": None,
-            "share_lottery": bool(share_lottery),
             "overrides": {key: value for key, value in (
                 ("network", network), ("topology", topology))
                 if value is not None},
@@ -163,8 +155,7 @@ class ExperimentService:
             "finished_at": None,
             "schema": self.store.SCHEMA,
         }
-        active = _ActiveJob(job_id, spec, cells, fingerprints,
-                            share_lottery)
+        active = _ActiveJob(job_id, spec, cells, fingerprints)
         with self._condition:
             # Refused before anything is recorded: a job persisted as
             # queued by a service that is shut down stays queued forever
@@ -246,8 +237,8 @@ class ExperimentService:
         replayed = []
         for index, cell in enumerate(active.cells):
             try:
-                result = _replay(cell, self.store, active.share_lottery,
-                                 active.fingerprints[index])[1]
+                result = _replay(cell, self.store,
+                                 fingerprint=active.fingerprints[index])[1]
             except Exception:  # its cell task fails it, with a traceback
                 result = None
             if result is None:
@@ -261,8 +252,7 @@ class ExperimentService:
         try:
             result = execute_or_replay(
                 active.cells[index], store=self.store,
-                sweep_name=active.spec.name,
-                share_lottery=active.share_lottery)
+                sweep_name=active.spec.name)
         except Exception:
             result, error_text = None, traceback.format_exc(limit=8)
         self._settle(active, [(index, result, error_text)])

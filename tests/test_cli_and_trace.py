@@ -148,6 +148,24 @@ class TestCli:
         assert message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--topology", "clustered"], "needs a network binding with delta"),
+        (["--topology", "clustered", "--network", "perfect"],
+         "needs a network binding with delta"),
+        (["--actual", "1"], "adversary 'none' names no 'actual' parameter"),
+        (["--adversary", "crash", "--actual", "1"],
+         "adversary 'crash' names no 'actual' parameter"),
+        (["--mode", "vrf"], "protocol 'quadratic' names no 'mode' parameter"),
+        (["--lam", "8"], "protocol 'quadratic' names no 'params' parameter"),
+        (["-f", "5"], "requires honest majority"),
+    ])
+    def test_run_refusals_exit_2(self, capsys, argv, message):
+        assert main(["run", "--protocol", "quadratic", "-n", "10",
+                     "-f", "2", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("run: ") and message in captured.err
+        assert captured.out == ""
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "E99"])
@@ -155,6 +173,71 @@ class TestCli:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+def _printed(out):
+    """``repro run``'s summary as ``{label: value text}``."""
+    return dict((label, value.strip()) for label, value in (
+        line.split(":", 1) for line in out.splitlines()))
+
+
+#: ``repro run`` argv beside the one-seed scenario it is.
+RUN_CASES = [
+    (["--protocol", "leader-chain", "-n", "13", "-f", "4",
+      "--network", "lossy", "--adversary", "view-split"],
+     dict(protocol="leader-chain", adversary="view-split",
+          fixed={"n": 13, "f": 4, "network": "lossy"})),
+    (["--protocol", "adaptive-ba", "-n", "13", "-f", "4",
+      "--adversary", "actual-faults", "--actual", "2"],
+     dict(protocol="adaptive-ba", adversary="actual-faults",
+          fixed={"n": 13, "f": 4, "adversary_actual": 2})),
+    (["--protocol", "quadratic-early-stop", "-n", "16", "-f", "5",
+      "--network", "lan", "--seed", "3"],
+     dict(protocol="quadratic-early-stop", seeds=(3,),
+          fixed={"n": 16, "f": 5, "network": "lan"})),
+    (["--protocol", "subquadratic", "-n", "40", "-f", "8", "--lam", "12",
+      "--mode", "vrf"],
+     dict(protocol="subquadratic",
+          fixed={"n": 40, "f": 8, "lam": 12, "mode": "vrf"})),
+]
+
+
+class TestRunIsAOneCellScenario:
+    @pytest.mark.parametrize("argv", [argv for argv, _ in RUN_CASES[:2]])
+    def test_the_same_argv_prints_the_same_bytes(self, capsys, argv):
+        outputs = []
+        for _ in range(2):
+            assert main(["run", *argv]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("argv, spec", RUN_CASES)
+    def test_numbers_equal_the_one_seed_sweep_row(self, capsys, argv, spec):
+        from repro.harness.scenarios import ScenarioSpec, SweepSpec, run_sweep
+
+        assert main(["run", *argv]) == 0
+        printed = _printed(capsys.readouterr().out)
+        (row,) = run_sweep(SweepSpec(name="run", scenarios=(ScenarioSpec(
+            name="run", inputs="mixed", **dict(dict(seeds=(0,)), **spec)),
+        ))).rows()
+        for label, column in (("rounds", "mean_rounds"),
+                              ("honest multicasts", "mean_multicasts"),
+                              ("multicast bits", "mean_multicast_bits"),
+                              ("corruptions used", "mean_corruptions")):
+            assert float(printed[label]) == row[column], label
+        assert (printed["consistent"] == "True") \
+            == (row["consistency_rate"] == 1.0)
+        if "network" in spec["fixed"]:
+            assert float(printed["mean copy latency"].split()[0]) \
+                == round(row["mean_delivery_latency"], 2)
+            assert int(printed["peak in flight"].split()[0]) \
+                == row["max_in_flight"]
+        # A family's own columns, under the row's names.
+        family = [name for columns in REGISTRY[spec["protocol"]].columns
+                  for name in columns([])]
+        assert [name for name in printed if name in family] == family
+        for name in family:
+            assert float(printed[name]) == row[name], name
 
 
 class TestRegistryParity:
@@ -201,10 +284,11 @@ class TestRegistryParity:
         # --mode must never be silently dropped: it reaches the builder
         # of every runnable protocol that names a ``mode`` parameter
         # (including round-eligibility, which takes mode but shares no
-        # lottery) and is a usage error on every other one.
+        # lottery) and is a usage error on every other one — refused by
+        # the binding layer, which resolves the builder from the
+        # scenario registry.
         import functools
 
-        from repro import cli
         from repro.harness.scenarios import ProtocolEntry
 
         entry = REGISTRY[key]
@@ -215,8 +299,7 @@ class TestRegistryParity:
             received.update(kwargs)
             return entry.builder(**kwargs)
 
-        monkeypatch.setitem(cli.PROTOCOLS, key,
-                            ProtocolEntry(spy, entry.columns))
+        monkeypatch.setitem(REGISTRY, key, ProtocolEntry(spy, entry.columns))
         argv = ["run", "--protocol", key, "-n", "13", "-f", "2",
                 "--mode", "vrf"]
         if entry.takes("params"):
@@ -228,23 +311,28 @@ class TestRegistryParity:
             assert received["params"].lam == 8
         else:
             assert code == 2 and not received
-            assert captured.err.startswith("run: --mode only applies")
+            assert captured.err == (
+                f"run: scenario 'run': protocol {key!r} names no 'mode' "
+                "parameter for the mode binding\n")
             assert captured.out == ""
 
-    @pytest.mark.parametrize("flag, value, protocol", [
-        ("--lam", "8", "quadratic"),
-        ("--lam", "30", "leader-ba"),       # even the default, spelled out
-        ("--mode", "fmine", "phase-king"),  # likewise
-        ("--mode", "vrf", "adaptive-ba"),
+    @pytest.mark.parametrize("flag, value, protocol, parameter", [
+        ("--lam", "8", "quadratic", "'params' parameter for the lam"),
+        # even the default, spelled out
+        ("--lam", "30", "leader-ba", "'params' parameter for the lam"),
+        ("--mode", "fmine", "phase-king", "'mode' parameter for the mode"),
+        ("--mode", "vrf", "adaptive-ba", "'mode' parameter for the mode"),
     ])
     def test_run_flag_the_builder_does_not_take_exits_2(
-            self, capsys, flag, value, protocol):
+            self, capsys, flag, value, protocol, parameter):
         """An explicit ``--lam`` / ``--mode`` on a builder that takes no
         ``params`` / ``mode`` is a usage error, not silently dropped."""
         assert main(["run", "--protocol", protocol, "-n", "9",
                      flag, value]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"run: {flag} only applies to")
+        assert captured.err == (
+            f"run: scenario 'run': protocol {protocol!r} names no "
+            f"{parameter} binding\n")
         assert captured.out == ""
         # Left unsaid, the defaults resolve quietly.
         assert main(["run", "--protocol", protocol, "-n", "9"]) == 0

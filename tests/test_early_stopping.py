@@ -16,7 +16,8 @@ import pytest
 
 from repro.adversaries import CrashAdversary, DelayAdversary
 from repro.harness.runner import run_instance, run_trials
-from repro.harness.scenarios import ScenarioSpec, SweepSpec, run_sweep
+from repro.harness.scenarios import (
+    ScenarioSpec, SweepSpec, rounds_saved_columns, run_sweep)
 from repro.harness.sweep_library import SWEEPS
 from repro.protocols import (
     build_phase_king,
@@ -111,7 +112,8 @@ class TestPhaseKingEarlyStop:
             conditions=NETWORKS["perfect"], n=n, inputs=[1] * n)
         assert stats.consistency_rate == 1.0
         assert stats.validity_rate == 1.0
-        assert stats.mean_rounds_saved == 0.0
+        assert rounds_saved_columns(stats.results) == {
+            "mean_rounds_saved": 0.0}
         assert stats.mean_rounds == phase_king_rounds(20)
 
     def test_half_unanimity_staggers_stops_but_agreement_holds(self):

@@ -5,6 +5,7 @@ artifact round-trips."""
 import csv
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -129,6 +130,63 @@ class TestGridExpansion:
         with pytest.raises(ConfigurationError, match="unknown executor"):
             ScenarioSpec(name="s", protocol="quadratic", executor="nope",
                          fixed={"n": 8, "f": 2}, seeds=(0,)).cells()
+
+    @pytest.mark.parametrize("spec, message", [
+        (dict(protocol="quadratic", fixed={"n": 8, "f": 2, "mode": "vrf"}),
+         "protocol 'quadratic' names no 'mode' parameter for the mode "
+         "binding"),
+        (dict(protocol="quadratic", adversary="crash",
+              fixed={"n": 8, "f": 2, "adversary_actual": 1}),
+         "adversary 'crash' names no 'actual' parameter for the "
+         "adversary_actual binding"),
+        (dict(protocol="quadratic", adversary="crash",
+              adversary_kwargs={"actual": 1}, fixed={"n": 8, "f": 2}),
+         "adversary 'crash' names no 'actual' parameter"),
+        # An executor without **kwargs is the receiver itself ...
+        (dict(executor="hypothetical", seeds=(0,),
+              fixed={"n": 8, "lam": 8, "heights": 2}),
+         "executor 'hypothetical' names no 'heights' parameter"),
+        # ... and behind one that has them, the builder is.
+        (dict(executor="theorem4", protocol="naive-broadcast",
+              fixed={"n": 8, "f": 2, "sender_input": 0, "lam": 8}),
+         "protocol 'naive-broadcast' names no 'params' parameter for the "
+         "lam binding"),
+    ])
+    def test_a_binding_its_receiver_does_not_name_is_refused(
+            self, spec, message):
+        """Refused when the grid expands, not as a ``TypeError`` inside
+        a trial (under ``workers=2``, inside a pool worker)."""
+        with pytest.raises(ConfigurationError,
+                           match="scenario 's': " + re.escape(message)):
+            ScenarioSpec(name="s", **spec).cells()
+
+    def test_a_kwargs_builder_receives_any_binding(self):
+        # broadcast-from-ba hands **kwargs to its inner BA builder.
+        (cell,) = ScenarioSpec(
+            name="s", protocol="broadcast-from-ba", seeds=(0,),
+            fixed={"n": 8, "f": 2, "sender_input": 1, "lam": 8,
+                   "ba_builder": "subquadratic", "mode": "vrf"}).cells()
+        assert cell.builder_kwargs()["params"] == SecurityParameters(lam=8)
+        assert cell.builder_kwargs()["mode"] == "vrf"
+
+    @pytest.mark.parametrize("name", sorted(SWEEPS))
+    def test_every_library_sweep_binds(self, name):
+        assert SWEEPS[name].expand()
+
+    @pytest.mark.parametrize("name", [f"E{index}" for index in range(1, 12)])
+    def test_every_experiment_sweep_binds(self, name, monkeypatch):
+        from repro.harness import experiments
+
+        class Captured(Exception):
+            pass
+
+        def capture(sweep, **kwargs):
+            raise Captured(sweep)
+
+        monkeypatch.setattr(experiments, "run_sweep", capture)
+        with pytest.raises(Captured) as captured:
+            experiments.ALL_EXPERIMENTS[name]()
+        assert captured.value.args[0].expand()
 
 
     def test_unknown_ba_builder_raises(self, capsys, monkeypatch):

@@ -368,6 +368,16 @@ class TestHttpErrors:
         with ServiceClient(running.url) as client:
             assert client.health()
 
+    @pytest.mark.parametrize("body, named", [
+        ('{"sweep": "smoke", "netwrok": "lan"}', "['netwrok']"),
+        ('{"sweep": "smoke", "share_lottery": false}', "['share_lottery']"),
+    ])
+    def test_an_unknown_body_key_is_named(self, running, body, named):
+        """A misspelt override is refused, not run without it."""
+        answered, answer = _raw(running.port, _post(body))
+        assert answered == 400 and named in answer["error"]
+        assert running.service.jobs() == []
+
     def test_unread_body_does_not_become_the_next_request(self, running):
         """Two requests on one socket: the first is refused without its
         body being read, so the connection must close rather than parse

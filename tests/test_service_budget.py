@@ -90,8 +90,8 @@ def assert_record(record, state="done", **counters):
         <= record["finished_at"]
     assert set(record) == {
         "id", "sweep", "state", "total", "replayed", "computed",
-        "failed_cells", "error", "share_lottery", "overrides",
-        "submitted_at", "started_at", "finished_at", "schema"}
+        "failed_cells", "error", "overrides", "submitted_at",
+        "started_at", "finished_at", "schema"}
 
 
 class TestStoreCallsPerJob:

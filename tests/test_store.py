@@ -56,6 +56,17 @@ def spec_cell(**overrides):
     return spec.cells()[0]
 
 
+def exotic_cell(**fixed):
+    """A cell carrying arbitrary extra bindings: ``broadcast-from-ba``'s
+    builder takes ``**kwargs`` (for its inner BA), so the binding layer
+    lets any name through to it."""
+    return ScenarioSpec(
+        name="cell", protocol="broadcast-from-ba",
+        fixed={"n": 8, "f": 2, "sender_input": 1, "ba_builder": "quadratic",
+               **fixed},
+        seeds=(0,)).cells()[0]
+
+
 class TestFingerprint:
     def test_stable_across_expansions(self):
         assert cell_fingerprint(spec_cell()) == cell_fingerprint(spec_cell())
@@ -118,14 +129,13 @@ class TestFingerprint:
                 return k
             return inner
 
-        cell = spec_cell(fixed={"weird_binding": factory(1)})
+        cell = exotic_cell(weird_binding=factory(1))
         with pytest.raises(ConfigurationError,
                            match="non-module-level callable"):
             cell_fingerprint(cell)
         with pytest.raises(ConfigurationError,
                            match="non-module-level callable"):
-            cell_fingerprint(spec_cell(fixed={"weird_binding":
-                                              lambda n: n}))
+            cell_fingerprint(exotic_cell(weird_binding=lambda n: n))
 
     def test_callable_bindings_canonicalize_by_qualname(self):
         from repro.harness.scenarios import f_half_minus_one
@@ -450,10 +460,10 @@ class TestCanonExoticBindings:
     def test_mixed_type_set_fingerprints(self):
         # Regression: frozenset({1, "a"}) crashed _canon with a raw
         # TypeError before sets were ordered by canonical JSON encoding.
-        a = spec_cell(fixed={"tags": frozenset([1, "a"])})
-        b = spec_cell(fixed={"tags": frozenset(["a", 1])})
+        a = exotic_cell(tags=frozenset([1, "a"]))
+        b = exotic_cell(tags=frozenset(["a", 1]))
         assert cell_fingerprint(a) == cell_fingerprint(b)
-        c = spec_cell(fixed={"tags": frozenset(["a", 2])})
+        c = exotic_cell(tags=frozenset(["a", 2]))
         assert cell_fingerprint(a) != cell_fingerprint(c)
 
     def test_set_of_frozen_dataclasses_fingerprints(self):
@@ -464,11 +474,11 @@ class TestCanonExoticBindings:
 
         knobs = frozenset({Knob("alpha", 1), Knob("beta", 2)})
         same = frozenset({Knob("beta", 2), Knob("alpha", 1)})
-        assert (cell_fingerprint(spec_cell(fixed={"knobs": knobs}))
-                == cell_fingerprint(spec_cell(fixed={"knobs": same})))
+        assert (cell_fingerprint(exotic_cell(knobs=knobs))
+                == cell_fingerprint(exotic_cell(knobs=same)))
         other = frozenset({Knob("beta", 3), Knob("alpha", 1)})
-        assert (cell_fingerprint(spec_cell(fixed={"knobs": knobs}))
-                != cell_fingerprint(spec_cell(fixed={"knobs": other})))
+        assert (cell_fingerprint(exotic_cell(knobs=knobs))
+                != cell_fingerprint(exotic_cell(knobs=other)))
 
     def test_unorderable_set_raises_configuration_error(self, monkeypatch):
         # Everything _canon emits today JSON-encodes, so force the
@@ -489,11 +499,11 @@ class TestCanonExoticBindings:
             store_module._canon(frozenset([1, "a"]))
 
     def test_bytes_round_trip(self):
-        a = spec_cell(fixed={"beacon": b"\x00\xffseed"})
-        b = spec_cell(fixed={"beacon": b"\x00\xffseed"})
+        a = exotic_cell(beacon=b"\x00\xffseed")
+        b = exotic_cell(beacon=b"\x00\xffseed")
         assert cell_fingerprint(a) == cell_fingerprint(b)
         assert (cell_fingerprint(a)
-                != cell_fingerprint(spec_cell(fixed={"beacon": b"other"})))
+                != cell_fingerprint(exotic_cell(beacon=b"other")))
         # The canonical key document itself must survive a JSON
         # round-trip unchanged — that is what the store hashes and what
         # record files embed.
@@ -516,9 +526,9 @@ class TestCanonExoticBindings:
                       frozenset({"x", 3}))
         same = Outer("outer", Inner((1, 2.5), b"\x01\x02"),
                      frozenset({3, "x"}))
-        assert (cell_fingerprint(spec_cell(fixed={"cfg": value}))
-                == cell_fingerprint(spec_cell(fixed={"cfg": same})))
-        key = canonical_cell_key(spec_cell(fixed={"cfg": value}))
+        assert (cell_fingerprint(exotic_cell(cfg=value))
+                == cell_fingerprint(exotic_cell(cfg=same)))
+        key = canonical_cell_key(exotic_cell(cfg=value))
         assert json.loads(json.dumps(key, sort_keys=True)) == key
 
 
