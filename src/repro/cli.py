@@ -204,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8765,
                        help="bind port (0 = ephemeral)")
     serve.add_argument("--workers", type=_int_at_least(1), default=2,
-                       help="persistent worker threads draining cells")
+                       help="jobs run at once, one worker thread each")
     serve.add_argument("--quiet", action="store_true",
                        help="suppress per-request access logging")
 

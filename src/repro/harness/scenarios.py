@@ -903,15 +903,12 @@ _SWEEP_IDS = itertools.count()
 
 
 def _replay(cell: Cell, store, share_lottery: bool = True,
-            fingerprint: Optional[str] = None,
             ) -> Tuple[Optional[str], Optional[CellResult]]:
     """The cell's one store lookup: its fingerprint (None without a
-    store; computed here unless the caller already holds it) and its
-    replayed result (None when not recorded)."""
+    store) and its replayed result (None when not recorded)."""
     if store is None:
         return None, None
-    fingerprint = fingerprint or store.fingerprint(
-        cell, share_lottery=share_lottery)
+    fingerprint = store.fingerprint(cell, share_lottery=share_lottery)
     record = store.load_record(fingerprint)
     # Replay: the stored metrics dict round-trips JSON exactly (scalars
     # only, insertion order kept), so rows/tables/artifacts are

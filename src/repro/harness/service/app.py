@@ -24,7 +24,9 @@ closes it or leaves it idle for :data:`IDLE_SECONDS`.  Start it with
 ``GET  /api/jobs/<id>``                      one job record
 ``GET  /api/jobs/<id>/events``               per-cell progress; ``?since=N``
                                              offsets, ``?timeout=S`` long-
-                                             polls until a new event
+                                             polls until a new event; 409
+                                             for an unsettled job no
+                                             worker here holds
 ``GET  /``, ``GET /book``                    the results book as live HTML
                                              (re-rendered per request,
                                              auto-refreshing)
@@ -52,7 +54,11 @@ from urllib.parse import parse_qs, urlsplit
 from repro.errors import ConfigurationError
 from repro.harness.report import render_book
 from repro.harness.scenarios import sweep_csv_text, sweep_json_text
-from repro.harness.service.queue import ExperimentService
+from repro.harness.service.queue import (
+    JOB_QUEUED,
+    JOB_RUNNING,
+    ExperimentService,
+)
 
 #: Book HTML auto-refresh period, seconds (the "live" in live HTML).
 BOOK_REFRESH_SECONDS = 5
@@ -248,11 +254,18 @@ class ServiceHandler(BaseHTTPRequestHandler):
                 400, "since/timeout must be numbers, since not negative")
         # An unknown job has no log to wait on, so the read after the
         # wait is the only one: the record is never older than the log.
+        # A job is let go only after its terminal write, so one not held
+        # before the read and not terminal in it will never settle.
         events = self.service.events(
             job_id, since=since, timeout=timeout if timeout > 0 else None)
+        held = self.service.holds(job_id)
         record = self.service.job(job_id)
         if record is None:
             return self._error(404, f"unknown job {job_id!r}")
+        if not held and record["state"] in (JOB_QUEUED, JOB_RUNNING):
+            return self._error(
+                409, f"job {job_id!r} is {record['state']} but no worker "
+                     f"here holds it; resubmit (recorded cells replay)")
         self._send_json(200, {"job": record, "events": events,
                               "next": since + len(events)})
 

@@ -173,7 +173,8 @@ class ServiceClient:
 
         ``on_event`` sees each per-cell progress event as it arrives.
         ``max_wait`` bounds the total wait (raises :class:`ServiceError`
-        on expiry — the job keeps running server-side).
+        on expiry — the job keeps running server-side).  A job no worker
+        will settle raises at once, with ``status`` 409.
         """
         deadline = None if max_wait is None else time.monotonic() + max_wait
         seen = 0

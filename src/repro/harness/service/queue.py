@@ -1,17 +1,17 @@
 """Job queue and persistent worker pool for the experiment service.
 
-A submitted sweep becomes a **job**: the sweep expands to cells and
-their fingerprints immediately (so the job's total is known at submit
-time) and one **plan** task goes on the shared work queue.  The plan —
-a job's first task — looks every cell up once under those fingerprints
-(:func:`~repro.harness.scenarios._replay`, the lookup of ``run_sweep``'s
-own plan), settles all the recorded cells as one batch and queues one
-task per miss; a fixed pool of worker threads drains the queue — many
-jobs' tasks interleave, so a short job is not stuck behind a long one.
-A miss settles through
-:func:`~repro.harness.scenarios.execute_or_replay`: it executes and
-records **durably as it finishes** (a crashed service loses at most the
-in-flight cells; a resubmitted job replays everything already recorded).
+A submitted sweep becomes a **job**: it expands to cells at once (the
+total is known, and a bad override is refused before anything is
+recorded) and goes on the work queue as one task.  Each worker thread
+runs one job at a time, so a job waits for a free worker, never behind
+another job's cells.  The task plans as
+:func:`~repro.harness.scenarios.run_sweep` does — one store lookup per
+cell — counts the recorded cells as one batch, and computes each miss
+in expansion order through
+:func:`~repro.harness.scenarios.execute_or_replay`, which records it
+**durably as it finishes** (a crashed service loses at most the
+in-flight cell; a resubmitted job replays the rest).  A failing cell is
+a hole in the sweep record; the others still compute.
 
 Job state is itself durable — one record per job in the store's
 ``jobs`` namespace (the ``jobs`` table of a SQLite store)::
@@ -20,20 +20,20 @@ Job state is itself durable — one record per job in the store's
      "total", "replayed", "computed", "failed_cells", "error",
      "overrides", "submitted_at", "started_at", "finished_at"}
 
-Progress counters become durable once per settled batch — the replayed
-cells of a job are one write, each computed cell one more — through the
-backend's atomic read-modify-write
-(:meth:`~repro.harness.store.ExperimentStore.update_job`), so counts
-from many workers never lose increments.  In-memory, each job also
-keeps an ordered event log (one entry per settled cell) that the HTTP
-layer long-polls; events are ephemeral — status survives a
-restart, the fine-grained log does not.
+A job's record is written when there is news, through the backend's
+atomic read-modify-write
+(:meth:`~repro.harness.store.ExperimentStore.update_job`): a job with
+cells to compute is marked ``running``, its replayed cells counted,
+before its first computation; each computed cell is one more write, and
+the last write also closes the job out, after the sweep record.  A warm
+job is one write, a cold one ``cells + 1``.  In-memory, each job this
+service holds also keeps an ordered event log (one entry per settled
+cell) that the HTTP layer long-polls; events are ephemeral — status
+survives a restart, the fine-grained log does not.
 
 Determinism: cells are executed with ``workers=1`` and no shared
-lottery cache inside whichever worker thread picks them up — a cell's
-results are a pure function of its bindings and seeds, so execution
-order across threads cannot affect the recorded rows, and the sweep
-record written at job completion lists rows in expansion order.  The
+lottery cache — a cell's results are a pure function of its bindings
+and seeds — and the sweep record lists rows in expansion order, so the
 recorded rows are byte-identical to a direct
 :func:`~repro.harness.scenarios.run_sweep` against any backend (pinned
 by tests and the CI ``service-smoke`` differential).
@@ -47,8 +47,7 @@ import time
 import traceback
 import uuid
 from collections import OrderedDict
-from functools import partial
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.harness.scenarios import Cell, _replay, execute_or_replay
@@ -64,32 +63,14 @@ def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-class _ActiveJob:
-    """In-memory bookkeeping for one submitted job (the durable record
-    lives in the store; this holds what finalization needs: the spec,
-    ordered fingerprints/rows, and the event log).  Changed only under
-    the service's condition."""
-
-    def __init__(self, job_id: str, spec, cells: List[Cell],
-                 fingerprints: List[str]) -> None:
-        self.id = job_id
-        self.spec = spec
-        self.cells = cells
-        self.fingerprints = fingerprints
-        self.rows: List[Optional[Dict[str, Any]]] = [None] * len(cells)
-        self.remaining = len(cells)
-        self.failed = False
-        self.events: List[Dict[str, Any]] = []
-
-
 class ExperimentService:
     """A persistent worker pool draining sweep jobs against one store.
 
-    ``workers`` threads execute tasks; submission never blocks on
-    execution.  The service is safe to drive from many HTTP threads at
-    once (submission, settling, status reads, and event waits all
-    synchronize on one condition), and the store backend underneath is
-    safe for concurrent writers — pair it with a SQLite store when
+    ``workers`` threads each run one job at a time; submission never
+    blocks on execution.  The service is safe to drive from many HTTP
+    threads at once (submission, settling, status reads, and event waits
+    all synchronize on one condition), and the store backend underneath
+    is safe for concurrent writers — pair it with a SQLite store when
     several service processes or external sweep runs share one corpus.
     """
 
@@ -99,10 +80,10 @@ class ExperimentService:
                 f"service needs at least one worker, got {workers}")
         self.store = store
         self.workers = workers
-        #: Plans and cell tasks, bound; ``None`` stops one worker.
-        self._tasks: "queue.Queue[Optional[Callable[[], None]]]" = \
-            queue.Queue()
-        self._active: Dict[str, _ActiveJob] = {}
+        #: Jobs as ``(id, spec, cells)``; ``None`` stops one worker.
+        self._tasks: "queue.Queue[Optional[tuple]]" = queue.Queue()
+        #: The event log of each job queued or running here.
+        self._active: Dict[str, List[Dict[str, Any]]] = {}
         #: Event logs of settled jobs, kept so pollers can read the tail
         #: after completion; bounded (oldest evicted) — the durable job
         #: record, not this log, is the source of truth.
@@ -128,14 +109,13 @@ class ExperimentService:
     def submit_job(self, sweep_name: str, network: Optional[str] = None,
                    topology: Optional[str] = None) -> Dict[str, Any]:
         """Expand ``sweep_name`` (with optional forced network/topology
-        overrides), persist a queued job record, and enqueue the job's
-        plan.  Returns the record as written.  Raises
+        overrides), persist a queued job record, and enqueue the job.
+        Returns the record as written.  Raises
         :class:`~repro.errors.ConfigurationError` for an unknown sweep
         or override — before anything is enqueued or recorded.  Cells
         are keyed in the fingerprint family ``repro sweep`` writes."""
         spec = resolve_sweep(sweep_name, network=network, topology=topology)
         cells = spec.expand()
-        fingerprints = [self.store.fingerprint(cell) for cell in cells]
         job_id = f"{time.strftime('%Y%m%dT%H%M%SZ', time.gmtime())}-" \
                  f"{uuid.uuid4().hex[:8]}"
         record = {
@@ -155,7 +135,6 @@ class ExperimentService:
             "finished_at": None,
             "schema": self.store.SCHEMA,
         }
-        active = _ActiveJob(job_id, spec, cells, fingerprints)
         with self._condition:
             # Refused before anything is recorded: a job persisted as
             # queued by a service that is shut down stays queued forever
@@ -164,8 +143,8 @@ class ExperimentService:
             if self._closed:
                 raise ConfigurationError("service is shut down")
             self.store.save_job(job_id, record)
-            self._active[job_id] = active
-            self._tasks.put(partial(self._plan, active))
+            self._active[job_id] = []
+            self._tasks.put((job_id, spec, cells))
         return record
 
     @staticmethod
@@ -182,6 +161,13 @@ class ExperimentService:
         """Every job record in the store, newest first (ids sort by
         their timestamp prefix)."""
         return self.store.load_jobs()
+
+    def holds(self, job_id: str) -> bool:
+        """Whether a worker of this service will settle the job.  A job
+        that is neither held nor terminal never changes again: an
+        earlier service left it, or another process holds it."""
+        with self._condition:
+            return job_id in self._active
 
     def events(self, job_id: str, since: int = 0,
                timeout: Optional[float] = None) -> List[Dict[str, Any]]:
@@ -202,7 +188,7 @@ class ExperimentService:
                 # whatever log survives: there will never be a new event.
                 active = self._active.get(job_id)
                 fresh = list((self._finished_events.get(job_id, ())
-                              if active is None else active.events)[since:])
+                              if active is None else active)[since:])
                 if (fresh or active is None or deadline is None
                         or not self._condition.wait(
                             deadline - time.monotonic())):
@@ -222,117 +208,111 @@ class ExperimentService:
     # -- worker pool --------------------------------------------------------
     def _worker_loop(self) -> None:
         while True:
-            task = self._tasks.get()
+            job = self._tasks.get()
             try:
-                if task is None:
+                if job is None:
                     return
-                task()
+                self._run_job(*job)
+            except Exception:
+                # The store failed under the job: it is let go where its
+                # record stands, and the worker takes the next one.
+                traceback.print_exc()
+                with self._condition:
+                    self._release(job[0])
             finally:
                 self._tasks.task_done()
 
-    def _plan(self, active: _ActiveJob) -> None:
-        """A job's first task: one store lookup per cell, under the
-        fingerprints ``submit_job`` computed.  Each miss becomes a cell
-        task; the recorded cells settle as one batch."""
-        replayed = []
-        for index, cell in enumerate(active.cells):
+    def _run_job(self, job_id: str, spec, cells: List[Cell]) -> None:
+        """One job, start to finish: ``run_sweep``'s plan, then each miss
+        computed in expansion order.  A batch — the replayed cells, then
+        each computed one — is written when the next computation starts,
+        so the last one carries the close-out: the sweep record (full
+        expansion, rows in order, failed cells as holes), then the
+        terminal state."""
+        plan = [_replay(cell, self.store) for cell in cells]
+        fingerprints = [fingerprint for fingerprint, _ in plan]
+        rows = [result and result.row() for _, result in plan]
+        batch = [(index, result, None)
+                 for index, (_, result) in enumerate(plan) if result]
+        for index, (_, replayed) in enumerate(plan):
+            if replayed is not None:
+                continue
+            self._settle(job_id, cells, fingerprints, batch)
             try:
-                result = _replay(cell, self.store,
-                                 fingerprint=active.fingerprints[index])[1]
-            except Exception:  # its cell task fails it, with a traceback
-                result = None
-            if result is None:
-                self._tasks.put(partial(self._run_cell, active, index))
-            else:
-                replayed.append((index, result, None))
-        self._settle(active, replayed)
+                result, error_text = execute_or_replay(
+                    cells[index], store=self.store,
+                    sweep_name=spec.name), None
+            except Exception:
+                result, error_text = None, traceback.format_exc(limit=8)
+            rows[index] = result and result.row()
+            batch = [(index, result, error_text)]
+        complete = None not in rows
+        self.store.record_sweep(spec.name, spec.description, fingerprints,
+                                complete=complete, rows=rows)
+        self._settle(job_id, cells, fingerprints, batch,
+                     JOB_DONE if complete else JOB_FAILED)
 
-    def _run_cell(self, active: _ActiveJob, index: int) -> None:
-        error_text = None
-        try:
-            result = execute_or_replay(
-                active.cells[index], store=self.store,
-                sweep_name=active.spec.name)
-        except Exception:
-            result, error_text = None, traceback.format_exc(limit=8)
-        self._settle(active, [(index, result, error_text)])
-
-    def _settle(self, active: _ActiveJob, batch: List[tuple]) -> None:
+    def _settle(self, job_id: str, cells: List[Cell],
+                fingerprints: List[str], batch: List[tuple],
+                state: str = JOB_RUNNING) -> None:
         """Count a batch of ``(index, result or None, error text)``
-        cells in the job record — one atomic write — and log an event
-        for each.  The batch that leaves nothing to run closes the job
-        out *before* pollers are woken, so that one poll reads the whole
-        log and a terminal record."""
+        cells in the job record, moved to ``state`` — one atomic write —
+        and log an event for each.  A terminal ``state`` lets the job go
+        *before* pollers are woken, so that one poll reads the whole log
+        and a terminal record."""
         statuses = ["failed" if result is None
                     else "replayed" if result.cached else "computed"
                     for _, result, _ in batch]
 
         def _mutate(record: Dict[str, Any]) -> Dict[str, Any]:
             if record["state"] == JOB_QUEUED:
-                record["state"] = JOB_RUNNING
                 record["started_at"] = _now()
+            if state != JOB_RUNNING:
+                record["finished_at"] = _now()
+            record["state"] = state
             for (index, _, error_text), status in zip(batch, statuses):
-                if status != "failed":
-                    record[status] += 1
-                    continue
-                record["failed_cells"] += 1
+                record["failed_cells" if status == "failed" else status] += 1
                 # Keep the first failure's traceback; later ones only
                 # bump the counter.
-                if record.get("error") is None:
-                    record["error"] = (
-                        f"cell {index} "
-                        f"({active.cells[index].label()}): {error_text}")
+                if status == "failed" and record.get("error") is None:
+                    record["error"] = (f"cell {index} "
+                                       f"({cells[index].label()}): "
+                                       f"{error_text}")
             return record
 
-        self.store.update_job(active.id, _mutate)
+        self.store.update_job(job_id, _mutate)
         with self._condition:
-            for (index, result, _), status in zip(batch, statuses):
-                if result is None:
-                    active.failed = True
-                else:
-                    active.rows[index] = result.row()
-                active.events.append({
-                    "seq": len(active.events),
+            log = self._active[job_id]
+            for (index, _, _), status in zip(batch, statuses):
+                log.append({
+                    "seq": len(log),
                     "index": index,
                     "status": status,
-                    "scenario": active.cells[index].scenario,
-                    "label": active.cells[index].label(),
-                    "fingerprint": active.fingerprints[index],
+                    "scenario": cells[index].scenario,
+                    "label": cells[index].label(),
+                    "fingerprint": fingerprints[index],
                 })
-            active.remaining -= len(batch)
-            if active.remaining:
+            if state == JOB_RUNNING:
                 self._condition.notify_all()
-                return
-        self._finalize(active)
+            else:
+                self._release(job_id)
 
-    def _finalize(self, active: _ActiveJob) -> None:
-        """Last cell settled: write the sweep record (full expansion,
-        rows in order, failed cells as holes) and close the job out."""
-        self.store.record_sweep(
-            active.spec.name, active.spec.description, active.fingerprints,
-            complete=not active.failed, rows=active.rows)
-
-        def _mutate(record: Dict[str, Any]) -> Dict[str, Any]:
-            record["state"] = JOB_FAILED if active.failed else JOB_DONE
-            record["finished_at"] = _now()
-            return record
-
-        self.store.update_job(active.id, _mutate)
-        with self._condition:
-            del self._active[active.id]
-            self._finished_events[active.id] = active.events
-            while len(self._finished_events) > self._finished_cap:
-                self._finished_events.popitem(last=False)
-            self._condition.notify_all()
+    def _release(self, job_id: str) -> None:
+        """Let a job go (the caller holds the condition): its log moves
+        to the bounded tail kept for late pollers, and waiters wake."""
+        self._finished_events[job_id] = self._active.pop(job_id)
+        while len(self._finished_events) > self._finished_cap:
+            self._finished_events.popitem(last=False)
+        self._condition.notify_all()
 
     # -- lifecycle ----------------------------------------------------------
     def shutdown(self, wait: bool = True) -> None:
         """Stop accepting jobs and stop the workers.  ``wait=True``
-        drains the queue first, the cell tasks a plan has yet to add
-        included (every accepted job still settles); ``wait=False``
-        abandons the queue — unfinished jobs stay ``queued``/``running``
-        in the store with their cells' partial results recorded, and a
-        resubmission replays the finished cells."""
+        drains the queue first (every accepted job still settles);
+        ``wait=False`` abandons the queue — unfinished jobs stay
+        ``queued``/``running`` in the store with their cells' partial
+        results recorded, and a resubmission replays the finished
+        cells."""
         with self._condition:
             if self._closed:
                 return

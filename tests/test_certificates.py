@@ -1,4 +1,8 @@
-"""Tests for certificates and their ranking."""
+"""Tests for certificates and their ranking.
+
+Beside them, quorum assembly: one wrap per vote and one encoding per
+signed topic, and the memo-soundness cases (equivocator auths, pinned
+entries, arena rollover) that say the memos conflate nothing."""
 
 import gc
 import random

@@ -11,7 +11,11 @@ content-addressed verification caches, the n = 96 quadratic-BA run
 below performed ~921k checks; with them it performs a few hundred.  The
 budget is deliberately generous (50 per node) so legitimate protocol
 changes don't trip it, while any regression to per-copy re-verification
-(which is Θ(n² · threshold)) overshoots it by orders of magnitude.
+(which is Θ(n² · threshold)), or a silent fall-back from the shared
+round digest to the n² per-message fold, overshoots it by orders of
+magnitude.  The budgets say a fast path is taken; the differential
+suites beside them (``tests/test_round_digest.py`` and the like) say it
+is right.
 """
 
 import functools

@@ -1,4 +1,8 @@
-"""Tests for the PKI registry and ideal signatures."""
+"""Tests for the PKI registry and ideal signatures.
+
+An issued signature verifies by ledger identity and tag, an identity
+memo a dense round leans on; the ledger tests below say when that
+shortcut may vouch for a signature and when it must not."""
 
 import pytest
 

@@ -17,8 +17,7 @@ budgets:
   delivery by delivery), loose enough for slow CI hardware but far
   below the pre-optimization cost of the same trial (~1 minute).
 
-CI runs this as the dedicated ``scale-smoke`` job so a hot-path
-regression fails fast and by name, separately from the functional suite.
+The tier-1 suite runs it, so a hot-path regression fails by name.
 """
 
 from repro.harness.profiling import profile_phase_budget

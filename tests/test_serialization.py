@@ -1,4 +1,8 @@
-"""Tests for canonical encoding and size accounting."""
+"""Tests for canonical encoding and size accounting.
+
+Among them the identity memos a dense round leans on: an exact tuple is
+sized once per object, and the memos stay bounded.  Needs
+``hypothesis``."""
 
 import collections
 import gc

@@ -243,14 +243,31 @@ class TestHttpEndToEnd:
         assert rows["complete"] is True and len(
             rows["rows"]) == SMOKE_CELLS
 
-    def test_request_threads_hand_back_their_connections(self, served):
+    def test_request_threads_hand_back_their_connections(self, served,
+                                                         running,
+                                                         monkeypatch):
         """A handler thread and its SQLite connection serve one client
         connection for as long as it lives: N sequential jobs (dozens of
         requests) leave the backend holding its long-lived ones — the
         creating thread's and the workers' — plus one per *live* client
-        connection, and closing the client gives that one back."""
+        connection, and closing the client gives that one back.  A worker
+        opens its connection on its first job, so the baseline is taken
+        once two jobs, held until both workers have one, have run."""
         client, store = served
         backend = store.backend
+        both = threading.Barrier(2)
+        run_job = running.service._run_job
+
+        def met(*job):
+            both.wait(30)
+            run_job(*job)
+
+        with monkeypatch.context() as patched:
+            patched.setattr(running.service, "_run_job", met)
+            for job_id in [running.service.submit("smoke")
+                           for _ in range(2)]:
+                assert running.service.wait(job_id, timeout=120)["state"] \
+                    == JOB_DONE
         client.close()
         baseline_threads = threading.active_count()
 

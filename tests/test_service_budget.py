@@ -4,19 +4,26 @@
 job takes; a clock cannot gate a merge on a shared runner, so the same
 facts are pinned here as numbers that repeat exactly: store calls per
 job, TCP connections per client, long-polls per settled job.  Beside
-them, what the plan task must not change: the job record's final fields,
+them, what the job task must not change: the job record's final fields,
 the sweep record and the event log of warm, cold, mixed, failing-cell
-and zero-cell jobs.
+and zero-cell jobs.  A job is one task, so a warm job does not wait
+behind a cold job's cells.
 """
 
+import sqlite3
 import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
 
-from repro.harness.scenarios import SweepSpec
-from repro.harness.service import ExperimentService, ServiceClient
+from repro.harness.scenarios import ScenarioSpec, SweepSpec
+from repro.harness.service import (
+    ExperimentService,
+    ServiceClient,
+    ServiceError,
+)
 from repro.harness.service import queue as service_queue
 from repro.harness.store import ExperimentStore
 from repro.harness.sweep_library import SWEEPS
@@ -101,19 +108,20 @@ class TestStoreCallsPerJob:
         assert_record(record, computed=len(CELLS))
         assert_log(store, events, ["computed"] * len(CELLS))
         assert calls["save_cell"] == len(CELLS)
-        # The plan's (empty) batch and the close-out, plus one per cell.
-        assert calls["update_job"] == len(CELLS) + 2
+        # The running mark (nothing replayed), then one per cell: the
+        # last one closes the job out.
+        assert calls["update_job"] == len(CELLS) + 1
         assert calls["save_sweep"] == 1
 
-    def test_warm_job_is_one_lookup_per_cell_and_two_writes(self, store,
-                                                            calls):
+    def test_warm_job_is_one_lookup_per_cell_and_one_write(self, store,
+                                                           calls):
         with ExperimentService(store, workers=2) as service:
             run_job(service)
             calls.clear()
             record, events = run_job(service)
         assert_record(record, replayed=len(CELLS))
         assert_log(store, events, ["replayed"] * len(CELLS))
-        assert calls == {"load_cell": len(CELLS), "update_job": 2,
+        assert calls == {"load_cell": len(CELLS), "update_job": 1,
                          "save_sweep": 1}
         assert store.load_sweep("smoke")["complete"] is True
 
@@ -129,7 +137,9 @@ class TestStoreCallsPerJob:
         assert_record(record, computed=1, replayed=len(CELLS) - 1)
         assert_log(store, events, statuses)
         assert calls["save_cell"] == 1
-        assert calls["update_job"] == 3  # the batch, the miss, the close
+        # The running mark with the replayed batch, then the miss and
+        # the close-out in one write.
+        assert calls["update_job"] == 2
         after = store.load_sweep("smoke")
         assert {key: after[key] for key in after if key != "recorded_at"} \
             == {key: before[key] for key in before if key != "recorded_at"}
@@ -145,8 +155,19 @@ class TestStoreCallsPerJob:
 
         monkeypatch.setattr(service_queue, "execute_or_replay",
                             fail_the_first)
+        # The sweep record is written while the job is still running, so
+        # a client that reads a terminal state can fetch the artifact.
+        states = []
+        save_sweep = store.backend.save_sweep
+
+        def noting_the_state(*args):
+            states.append(store.load_jobs()[0]["state"])
+            return save_sweep(*args)
+
+        monkeypatch.setattr(store.backend, "save_sweep", noting_the_state)
         with ExperimentService(store, workers=2) as service:
             record, events = run_job(service)
+        assert states == ["running"]
         assert_record(record, state="failed", failed_cells=1,
                       computed=len(CELLS) - 1)
         assert record["error"].startswith(f"cell 0 ({CELLS[0].label()}): ")
@@ -168,9 +189,9 @@ class TestStoreCallsPerJob:
         assert record["started_at"] and record["finished_at"]
         assert store.load_sweep("empty")["cells"] == []
 
-    def test_wait_drains_cell_tasks_a_plan_adds_late(self, store):
-        """``shutdown(wait=True)`` right behind ``submit``: the plan has
-        not run, so its cell tasks do not exist yet — and still settle."""
+    def test_wait_drains_a_job_not_yet_started(self, store):
+        """``shutdown(wait=True)`` right behind ``submit``: the job has
+        not started, and still settles."""
         service = ExperimentService(store, workers=2)
         job_id = service.submit("smoke")
         service.shutdown(wait=True)
@@ -209,6 +230,50 @@ def test_concurrent_jobs_lose_no_count_and_no_event(store):
         sys.setswitchinterval(interval)
 
 
+def test_a_store_failure_lets_the_job_go_and_keeps_the_worker(store,
+                                                              monkeypatch):
+    """A job whose store reads fail is let go where its record stands —
+    no worker holds it, so pollers are told to resubmit — and the one
+    worker goes on to the next job."""
+    load_cell = store.backend.load_cell
+
+    def locked(fingerprint):
+        raise sqlite3.OperationalError("database is locked")
+
+    with ExperimentService(store, workers=1) as service:
+        monkeypatch.setattr(store.backend, "load_cell", locked)
+        job_id = service.submit("smoke")
+        assert service.wait(job_id, timeout=30)["state"] == "queued"
+        assert not service.holds(job_id)
+        monkeypatch.setattr(store.backend, "load_cell", load_cell)
+        record, _ = run_job(service)
+    assert_record(record, computed=len(CELLS))
+
+
+def test_a_warm_job_does_not_wait_behind_a_cold_jobs_cells(store,
+                                                           monkeypatch):
+    """Two workers, ``smoke`` recorded: a cold eight-cell sweep submitted
+    first holds one worker, and ``smoke`` settles on the other while the
+    cold job has computed fewer than half its cells.  With one queue task
+    per cell, ``smoke`` would queue behind every cold cell."""
+    cold = SweepSpec("cold", (ScenarioSpec(
+        name="quadratic", protocol="quadratic",
+        grid={"n": tuple(range(40, 48))}, fixed={"f_fraction": 0.25},
+        inputs="mixed", seeds=range(3)),), "eight cells to compute")
+    monkeypatch.setitem(SWEEPS, "cold", cold)
+    with ExperimentService(store, workers=2) as service:
+        run_job(service)
+        cold_id = service.submit("cold")
+        deadline = time.monotonic() + 30
+        while (store.load_job(cold_id)["state"] == "queued"
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+        record, _ = run_job(service)
+        assert record["replayed"] == len(CELLS)
+        assert store.load_job(cold_id)["computed"] < len(cold.expand()) / 2
+        assert service.wait(cold_id, timeout=120)["state"] == "done"
+
+
 class TestRequestsPerJob:
     @pytest.fixture()
     def served(self, store):
@@ -237,20 +302,44 @@ class TestRequestsPerJob:
 
     def test_a_poll_that_waited_reads_the_whole_replayed_log(self, served,
                                                              monkeypatch):
-        """The poll arrives *before* the plan runs: it is woken once,
-        after the close-out, with every event and a terminal record."""
+        """The poll arrives *before* the job task runs: it is woken
+        once, after the close-out, with every event and a terminal
+        record."""
         client, service, _ = served
         client.wait(client.submit("smoke"), max_wait=120)
         release = threading.Event()
-        plan = service._plan
+        run_job = service._run_job
 
-        def held_plan(active):
+        def held_job(*job):
             release.wait(30)
-            plan(active)
+            run_job(*job)
 
-        monkeypatch.setattr(service, "_plan", held_plan)
+        monkeypatch.setattr(service, "_run_job", held_job)
         job_id = client.submit("smoke")
         threading.Timer(0.2, release.set).start()
         batch = client.events(job_id, since=0, poll_timeout=25)
         assert batch["job"]["state"] == "done"
         assert len(batch["events"]) == len(CELLS)
+
+    def test_an_orphaned_job_answers_409_at_once(self, served, store,
+                                                 monkeypatch):
+        """A job left ``running`` by a stopped service will never settle:
+        the first poll says so, instead of ``wait`` re-polling until
+        ``max_wait`` runs out."""
+        client, _, _ = served
+        store.save_job("orphan", {"id": "orphan", "sweep": "smoke",
+                                  "state": "running"})
+        requests = []
+        request = client._request
+
+        def counted(*args, **kwargs):
+            requests.append(args[0])
+            return request(*args, **kwargs)
+
+        monkeypatch.setattr(client, "_request", counted)
+        with pytest.raises(ServiceError) as excinfo:
+            client.wait("orphan", max_wait=2)
+        assert excinfo.value.status == 409
+        assert "running" in str(excinfo.value)
+        assert "resubmit" in str(excinfo.value)
+        assert len(requests) <= 2
