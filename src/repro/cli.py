@@ -125,11 +125,14 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
                              "delta > 1; see docs/NETWORK.md)")
 
 
-def _int_at_least(minimum: int):
+def _int_at_least(minimum: int, maximum: Optional[int] = None):
     def parse(text: str) -> int:
-        if not text.isdecimal() or int(text) < minimum:
+        if (not text.isdecimal() or int(text) < minimum
+                or maximum is not None and int(text) > maximum):
+            bound = "" if maximum is None else f" and at most {maximum}"
             raise argparse.ArgumentTypeError(
-                f"expected an integer of at least {minimum}, got {text!r}")
+                f"expected an integer of at least {minimum}{bound}, "
+                f"got {text!r}")
         return int(text)
     return parse
 
@@ -201,7 +204,8 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1",
                        help="bind address (default: 127.0.0.1; the API "
                             "is unauthenticated — do not expose it)")
-    serve.add_argument("--port", type=int, default=8765,
+    serve.add_argument("--port", type=_int_at_least(0, maximum=65535),
+                       default=8765,
                        help="bind port (0 = ephemeral)")
     serve.add_argument("--workers", type=_int_at_least(1), default=2,
                        help="jobs run at once, one worker thread each")

@@ -3,10 +3,11 @@
 Three pieces over one concurrency-safe
 :class:`~repro.harness.store.ExperimentStore`:
 
-- :mod:`repro.harness.service.queue` — a durable job queue and a
-  persistent worker pool: a job is one task that replays its recorded
-  cells in one batch and records the rest to the store as each finishes,
-  and per-job progress counters live in the ``jobs`` namespace;
+- :mod:`repro.harness.service.queue` — a job queue and a persistent
+  worker pool over the store: a job is one task that replays its
+  recorded cells in one batch and records the rest as each finishes; its
+  record in the ``jobs`` namespace holds its counters and event log, and
+  a service that starts runs every unsettled job it finds;
 - :mod:`repro.harness.service.app` — the stdlib-only HTTP API
   (``python -m repro serve``): submit sweeps, poll job status, long-poll
   progress, fetch sweep rows and byte-identical artifacts, and read the

@@ -21,7 +21,8 @@ closes it or leaves it idle for :data:`IDLE_SECONDS`.  Start it with
                                              ``run_sweep(store=...)`` export
 ``GET  /api/sweeps/<name>/artifact.csv``     likewise, CSV
 ``GET  /api/jobs``                           all job records, newest first
-``GET  /api/jobs/<id>``                      one job record
+``GET  /api/jobs/<id>``                      one job record, without the
+                                             event log ``/events`` pages
 ``GET  /api/jobs/<id>/events``               per-cell progress; ``?since=N``
                                              offsets, ``?timeout=S`` long-
                                              polls until a new event; 409
@@ -36,9 +37,10 @@ closes it or leaves it idle for :data:`IDLE_SECONDS`.  Start it with
 
 Errors are JSON: ``{"error": message}`` with a 4xx/5xx status, the
 stdlib's own refusals included; one sent without reading the body the
-request declared also closes the connection.  The server binds to 127.0.0.1 by default — it trusts its callers (any
-client that can reach it may submit compute); put it behind real
-authentication before exposing it further.
+request declared also closes the connection.  The server binds to
+127.0.0.1 by default — it trusts its callers (any client that can reach
+it may submit compute); put it behind real authentication before
+exposing it further.
 """
 
 from __future__ import annotations
@@ -77,6 +79,12 @@ IDLE_SECONDS = 30.0
 
 #: Largest request body read; a longer one is refused unread (413).
 MAX_BODY_BYTES = 64 * 1024
+
+
+def _without_log(record: Dict[str, Any]) -> Dict[str, Any]:
+    """A job record as served: its event log is paged by ``/events``."""
+    record.pop("events", None)
+    return record
 
 
 class ServiceHandler(BaseHTTPRequestHandler):
@@ -194,7 +202,9 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if path == "/api/sweeps":
             return self._get_sweeps()
         if path == "/api/jobs":
-            return self._send_json(200, {"jobs": self.service.jobs()})
+            return self._send_json(200, {"jobs": [
+                _without_log(record)
+                for record in self.service.store.load_jobs()]})
         match = _JOB_ROUTE.match(path)
         if match is not None:
             if match.group("tail"):
@@ -236,10 +246,10 @@ class ServiceHandler(BaseHTTPRequestHandler):
         })
 
     def _get_job(self, job_id: str) -> None:
-        record = self.service.job(job_id)
+        record = self.service.store.load_job(job_id)
         if record is None:
             return self._error(404, f"unknown job {job_id!r}")
-        self._send_json(200, record)
+        self._send_json(200, _without_log(record))
 
     def _get_events(self, job_id: str) -> None:
         query = self._query()
@@ -252,20 +262,15 @@ class ServiceHandler(BaseHTTPRequestHandler):
         if since < 0:
             return self._error(
                 400, "since/timeout must be numbers, since not negative")
-        # An unknown job has no log to wait on, so the read after the
-        # wait is the only one: the record is never older than the log.
-        # A job is let go only after its terminal write, so one not held
-        # before the read and not terminal in it will never settle.
-        events = self.service.events(
+        record, held = self.service.poll(
             job_id, since=since, timeout=timeout if timeout > 0 else None)
-        held = self.service.holds(job_id)
-        record = self.service.job(job_id)
         if record is None:
             return self._error(404, f"unknown job {job_id!r}")
         if not held and record["state"] in (JOB_QUEUED, JOB_RUNNING):
             return self._error(
                 409, f"job {job_id!r} is {record['state']} but no worker "
                      f"here holds it; resubmit (recorded cells replay)")
+        events = record.pop("events", [])[since:]
         self._send_json(200, {"job": record, "events": events,
                               "next": since + len(events)})
 
@@ -315,14 +320,18 @@ def make_server(store, host: str = "127.0.0.1", port: int = 8765,
     callers (the CLI, tests) drive ``serve_forever`` themselves and must
     ``service.shutdown()`` after ``server.shutdown()``.  ``port=0``
     binds an ephemeral port (read it back from
-    ``server.server_address``).
+    ``server.server_address``).  The port is bound first, so a server
+    that cannot bind never re-queues the store's unsettled jobs.
     """
-    service = ExperimentService(store, workers=workers)
-    handler = type("BoundServiceHandler", (ServiceHandler,),
-                   {"service": service})
+    handler = type("BoundServiceHandler", (ServiceHandler,), {})
     server = _Server((host, port), handler)
+    try:
+        handler.service = ExperimentService(store, workers=workers)
+    except BaseException:
+        server.server_close()
+        raise
     server.verbose = verbose
-    return server, service
+    return server, handler.service
 
 
 def serve(store, host: str = "127.0.0.1", port: int = 8765,

@@ -171,10 +171,11 @@ class ServiceClient:
              max_wait: Optional[float] = None) -> Dict[str, Any]:
         """Long-poll until the job settles; returns the final record.
 
-        ``on_event`` sees each per-cell progress event as it arrives.
+        ``on_event`` sees each per-cell progress event as it arrives
+        (the log is durable: a restarted service's job shows it all).
         ``max_wait`` bounds the total wait (raises :class:`ServiceError`
         on expiry — the job keeps running server-side).  A job no worker
-        will settle raises at once, with ``status`` 409.
+        holds (a store failure let it go) raises at once, status 409.
         """
         deadline = None if max_wait is None else time.monotonic() + max_wait
         seen = 0

@@ -346,7 +346,7 @@ class TestDelegatingWrapper:
         with ExperimentService(store, workers=2) as service:
             first = service.wait(service.submit("smoke"), timeout=120)
             again = service.wait(service.submit("smoke"), timeout=120)
-            listed = service.jobs()
+            listed = store.load_jobs()
         assert first["state"] == again["state"] == JOB_DONE
         assert again["replayed"] == again["total"] and first["computed"]
         assert [record["id"] for record in listed] == sorted(

@@ -126,6 +126,12 @@ class TestCli:
          "argument --workers: expected an integer of at least 1, got '-2'"),
         (["serve", "--workers", "0"],
          "argument --workers: expected an integer of at least 1, got '0'"),
+        (["serve", "--port", "-1"],
+         "argument --port: expected an integer of at least 0 and at most "
+         "65535, got '-1'"),
+        (["serve", "--port", "65536"],
+         "argument --port: expected an integer of at least 0 and at most "
+         "65535, got '65536'"),
         (["run", "--protocol", "quadratic", "-n", "4", "-f", "-1"],
          "argument -f: expected an integer of at least 0, got '-1'"),
         (["run", "-n", "40", "-f", "5", "--lam", "0"],

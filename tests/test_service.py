@@ -113,13 +113,12 @@ class TestServiceQueue:
         with ExperimentService(sqlite_store, workers=1) as service:
             with pytest.raises(ConfigurationError):
                 service.submit("no-such-sweep")
-            assert service.jobs() == []
+            assert sqlite_store.load_jobs() == []
 
     def test_events_survive_job_completion(self, sqlite_store):
         with ExperimentService(sqlite_store, workers=2) as service:
             job_id = service.submit("smoke")
-            service.wait(job_id, timeout=120)
-            events = service.events(job_id)
+            events = service.wait(job_id, timeout=120)["events"]
         assert len(events) == SMOKE_CELLS
         assert [event["seq"] for event in events] == list(
             range(SMOKE_CELLS))
@@ -156,16 +155,47 @@ class TestServiceQueue:
     def test_job_record_is_durable_across_services(self, sqlite_store):
         with ExperimentService(sqlite_store, workers=2) as service:
             job_id = service.submit("smoke")
-            service.wait(job_id, timeout=120)
+            settled = service.wait(job_id, timeout=120)
         revived = ExperimentService(sqlite_store, workers=1)
         try:
-            record = revived.job(job_id)
+            record, held = revived.poll(job_id)
+            assert record == settled and not held
             assert record["state"] == JOB_DONE
             assert record["computed"] == SMOKE_CELLS
-            # The fine-grained event log is process-local, gone now.
-            assert revived.events(job_id) == []
+            # The event log is part of the record, so it survives too.
+            assert [event["index"] for event in record["events"]] \
+                == list(range(SMOKE_CELLS))
         finally:
             revived.shutdown()
+
+    def test_a_job_left_queued_settles_in_the_next_service(self,
+                                                           sqlite_store):
+        """``shutdown(wait=False)`` lets a queued job go; the next service
+        on the same store finds it and settles it under its own id."""
+        service = ExperimentService(sqlite_store, workers=1)
+        release = threading.Event()
+        run_job = service._run_job
+
+        def held_job(*job):
+            release.wait(30)
+            run_job(*job)
+
+        service._run_job = held_job
+        first, second = service.submit("smoke"), service.submit("smoke")
+        service.shutdown(wait=False)
+        assert not service.poll(second)[1]
+        release.set()
+        for thread in service._threads:
+            thread.join(30)
+            assert not thread.is_alive()
+        assert sqlite_store.load_job(first)["state"] == JOB_DONE
+        assert sqlite_store.load_job(second)["state"] == JOB_QUEUED
+        with ExperimentService(sqlite_store, workers=1) as revived:
+            record = revived.wait(second, timeout=120)
+        assert record["state"] == JOB_DONE
+        assert record["replayed"] == SMOKE_CELLS
+        assert [event["seq"] for event in record["events"]] \
+            == list(range(SMOKE_CELLS))
 
 
 class TestHttpEndToEnd:
@@ -381,7 +411,7 @@ class TestHttpErrors:
         assert answered == status
         assert isinstance(body["error"], str) and body["error"]
         assert "Traceback" not in body["error"]
-        assert running.service.jobs() == []
+        assert running.service.store.load_jobs() == []
         with ServiceClient(running.url) as client:
             assert client.health()
 
@@ -393,7 +423,7 @@ class TestHttpErrors:
         """A misspelt override is refused, not run without it."""
         answered, answer = _raw(running.port, _post(body))
         assert answered == 400 and named in answer["error"]
-        assert running.service.jobs() == []
+        assert running.service.store.load_jobs() == []
 
     def test_unread_body_does_not_become_the_next_request(self, running):
         """Two requests on one socket: the first is refused without its
@@ -461,7 +491,7 @@ class TestKeptConnection:
             try:
                 with pytest.raises(ServiceError):
                     client.submit("smoke")
-                assert second.service.jobs() == []
+                assert second.service.store.load_jobs() == []
                 # Said once, out loud; the caller's own retry goes through.
                 job_id = client.submit("smoke")
                 assert [job["id"] for job in client.jobs()] == [job_id]
@@ -490,8 +520,8 @@ def test_traced_memory_does_not_grow_with_jobs(served):
     """ROADMAP 5(iii): bench/workloads.py says the service's "memory
     grows with every job".  With a handler thread and a store connection
     per client connection rather than per request, 200 further warm jobs
-    may add less than 256 KB of traced Python memory (what is left is
-    the bounded log of the last 64 jobs' events filling up)."""
+    may add less than 256 KB of traced Python memory (a job's event log
+    lives in its stored record, not in the service)."""
     client, _ = served
 
     def jobs(count):

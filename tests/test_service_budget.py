@@ -59,8 +59,8 @@ def calls(store, monkeypatch):
 
 
 def run_job(service, name="smoke"):
-    job_id = service.submit(name)
-    return service.wait(job_id, timeout=120), service.events(job_id)
+    record = service.wait(service.submit(name), timeout=120)
+    return record, record["events"]
 
 
 def forget_cell(store, index):
@@ -98,7 +98,9 @@ def assert_record(record, state="done", **counters):
     assert set(record) == {
         "id", "sweep", "state", "total", "replayed", "computed",
         "failed_cells", "error", "overrides", "submitted_at",
-        "started_at", "finished_at", "schema"}
+        "started_at", "finished_at", "schema", "events"}
+    assert len(record["events"]) == record["replayed"] \
+        + record["computed"] + record["failed_cells"]
 
 
 class TestStoreCallsPerJob:
@@ -182,10 +184,9 @@ class TestStoreCallsPerJob:
         monkeypatch.setitem(SWEEPS, "empty",
                             SweepSpec("empty", (), "nothing to run"))
         with ExperimentService(store, workers=1) as service:
-            job_id = service.submit("empty")
-            record = service.wait(job_id, timeout=30)
-            assert service.events(job_id) == []
+            record = service.wait(service.submit("empty"), timeout=30)
         assert (record["state"], record["total"]) == ("done", 0)
+        assert record["events"] == []
         assert record["started_at"] and record["finished_at"]
         assert store.load_sweep("empty")["cells"] == []
 
@@ -221,7 +222,7 @@ def test_concurrent_jobs_lose_no_count_and_no_event(store):
                 record = service.wait(job_id, timeout=120)
                 assert record["state"] == "done"
                 assert record["replayed"] + record["computed"] == len(CELLS)
-                events = service.events(job_id)
+                events = record["events"]
                 assert [event["seq"] for event in events] \
                     == list(range(len(CELLS)))
                 assert sorted(event["index"] for event in events) \
@@ -244,7 +245,7 @@ def test_a_store_failure_lets_the_job_go_and_keeps_the_worker(store,
         monkeypatch.setattr(store.backend, "load_cell", locked)
         job_id = service.submit("smoke")
         assert service.wait(job_id, timeout=30)["state"] == "queued"
-        assert not service.holds(job_id)
+        assert not service.poll(job_id)[1]
         monkeypatch.setattr(store.backend, "load_cell", load_cell)
         record, _ = run_job(service)
     assert_record(record, computed=len(CELLS))
