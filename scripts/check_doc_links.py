@@ -7,10 +7,13 @@ existing file or directory (anchors are stripped; external ``http(s)``,
 the documentation graph in :data:`REQUIRED_LINKS`: pages that must
 cross-link each other (e.g. the protocol reference ``docs/PROTOCOLS.md``
 must be reachable from the README and the architecture/network pages),
-the length cap on ``CHANGES.md`` entries (:data:`CHANGES_CAP`) and the
-ceiling on the line count of ``src/`` (:data:`SRC_LINE_CEILING`).
-Exits non-zero listing every broken or missing link, every oversized
-entry and a ``src/`` over its ceiling — run once in CI, by the docs job.
+that every ``*.md`` name a ``src/`` docstring or comment cites is a
+markdown file of the repo (:func:`dead_citations`), the length cap on
+``CHANGES.md`` entries (:data:`CHANGES_CAP`) and the ceiling on the
+line count of ``src/`` (:data:`SRC_LINE_CEILING`).  Exits non-zero
+listing every broken or missing link, every dead citation, every
+oversized entry and a ``src/`` over its ceiling — run once in CI, by
+the docs job.
 
 Usage::
 
@@ -26,6 +29,10 @@ from pathlib import Path
 #: Inline markdown links; deliberately simple — no reference-style links
 #: or images are used in this repo's docs.
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+
+#: A ``*.md`` name cited in ``src/``, such as ``docs/RESULTS.md``; an
+#: HTTP route such as ``/book.md`` is not one.
+CITATION_RE = re.compile(r"(?<![\w/.-])([A-Za-z][\w./-]*\.md)\b")
 
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
 SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules"}
@@ -86,7 +93,7 @@ ENTRY_RE = re.compile(r"^PR (\d+)\b", re.MULTILINE)
 #: ROADMAP tracks it as a metric that should fall; a PR that must raise
 #: it raises the ceiling in the same change and says why in CHANGES.md.
 #: Lower it whenever a PR ends below.
-SRC_LINE_CEILING = 17486
+SRC_LINE_CEILING = 17455
 
 
 def src_line_count(root: Path) -> int:
@@ -128,6 +135,21 @@ def broken_links(root: Path):
                 yield md_file.relative_to(root), target
 
 
+def dead_citations(root: Path):
+    """``(file:line, name)`` for each ``*.md`` name cited in ``src/``
+    that no markdown file answers to, by its repo path or that path's
+    tail (``PROTOCOLS.md`` names ``docs/PROTOCOLS.md``)."""
+    known = [path.relative_to(root).as_posix()
+             for path in iter_markdown(root)]
+    for path in sorted((root / "src").rglob("*.py")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for number, line in enumerate(lines, 1):
+            for name in CITATION_RE.findall(line):
+                if not any(markdown == name or markdown.endswith("/" + name)
+                           for markdown in known):
+                    yield f"{path.relative_to(root)}:{number}", name
+
+
 def missing_required_links(root: Path):
     for source, target in REQUIRED_LINKS:
         source_path = root / source
@@ -157,6 +179,9 @@ def main() -> int:
     missing = list(missing_required_links(root))
     for source, target in missing:
         print(f"MISSING {source}: required link to {target}")
+    dead = list(dead_citations(root))
+    for where, name in dead:
+        print(f"DEAD CITATION {where}: {name}")
     oversized = list(oversized_changes_entries(root))
     for number, length in oversized:
         print(f"OVERSIZED CHANGES.md: the PR {number} entry is {length} "
@@ -168,9 +193,10 @@ def main() -> int:
               f"SRC_LINE_CEILING = {SRC_LINE_CEILING}; delete as much as "
               f"was added, or raise the ceiling and say why in CHANGES.md")
     checked = sum(1 for _ in iter_markdown(root))
-    if broken or missing or oversized or over_ceiling:
+    if broken or missing or dead or oversized or over_ceiling:
         print(f"{len(broken)} broken and {len(missing)} missing required "
               f"link(s) across {checked} markdown file(s); "
+              f"{len(dead)} dead citation(s) in src/; "
               f"{len(oversized)} CHANGES.md entries over the cap; "
               f"src/ at {src_lines} of {SRC_LINE_CEILING} lines")
         return 1

@@ -15,9 +15,9 @@ Execution:
 
 Adversaries (see :mod:`repro.adversaries`), lower-bound harnesses
 (:mod:`repro.lowerbounds`), analysis (:mod:`repro.analysis`), and the
-experiment suite E1..E10 (:mod:`repro.harness.experiments`).
+experiment suite E1–E12 (:mod:`repro.harness.experiments`).
 
-See README.md for a tour and DESIGN.md for the paper-to-module map.
+See README.md for a tour and docs/ARCHITECTURE.md for the module map.
 """
 
 from repro.types import (

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 import math
 
-from repro.analysis.parameters import good_iteration_probability
-
 
 def expected_subquadratic_multicasts(lam: int, iterations: float,
                                      honest_fraction: float = 1.0) -> float:
@@ -47,12 +45,6 @@ def expected_dolev_strong_multicasts(n: int, f: int,
     """Each honest node relays each extracted bit once (plus the sender)."""
     honest = n - f
     return honest * extracted_bits
-
-
-def expected_iterations_subquadratic(n: int,
-                                     honest_fraction: float = 0.5) -> float:
-    """Geometric upper-bound model from Lemma 12's good-iteration rate."""
-    return 1.0 / good_iteration_probability(n, honest_fraction)
 
 
 def message_size_bound_bits(lam: int, n: int, kappa: int,

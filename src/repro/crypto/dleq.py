@@ -12,8 +12,9 @@ standard two-witness sigma protocol (:func:`prove_committed_key`,
 :func:`verify_committed_key`).  The classic single-witness Chaum–Pedersen
 DLEQ proof is also provided.
 
-Both proofs are Fiat–Shamir compiled (random-oracle model); DESIGN.md §2
-documents this substitution for the paper's bilinear-group NIZK.
+Both proofs are Fiat–Shamir compiled (random-oracle model);
+docs/ARCHITECTURE.md (``crypto/``) documents this substitution for the
+paper's bilinear-group NIZK.
 """
 
 from __future__ import annotations

@@ -2,8 +2,8 @@
 
 Appendix D instantiates the paper's VRF from "standard bilinear group
 assumptions" via the Groth–Ostrovsky–Sahai NIZK.  Bilinear pairings are
-out of reach offline, so (as documented in DESIGN.md §2) we instantiate the
-same compiler over an ordinary DDH-hard group: a prime-order-q subgroup of
+out of reach offline, so (as docs/ARCHITECTURE.md documents) we instantiate
+the same compiler over an ordinary DDH-hard group: a prime-order-q subgroup of
 ``Z_p^*`` with ``p = 2q + 1`` a safe prime.  Everything the protocols
 exercise — commitments to PRF keys, per-message evaluation proofs, public
 verifiability — carries over unchanged.
@@ -139,7 +139,7 @@ class SchnorrGroup:
         return hash_to_int(domain, canonical_bytes(tuple(objects))) % self.q
 
 
-# 129-bit safe prime generated once and fixed (see DESIGN.md): fast, NOT secure.
+# 129-bit safe prime generated once and fixed: fast, NOT secure.
 _TEST_Q = 0x9DE9EA6670D3DA1FC735DF5EF76986FD
 TEST_GROUP = SchnorrGroup(
     name="test-129",

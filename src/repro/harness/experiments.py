@@ -4,7 +4,8 @@ Each ``experiment_e*`` function runs real protocol executions under real
 adversaries and returns an :class:`ExperimentResult`: the rendered
 tables (what the paper's tables/claims look like in this reproduction)
 and the sweep's artifact rows (what the tests and ``benchmarks/`` assert
-on).  DESIGN.md §3 maps each experiment to the paper claim it reproduces.
+on).  The checks in ``benchmarks/bench_experiments.py`` state the paper
+claim each experiment reproduces.
 
 An experiment is a **declarative spec and a view of its rows**: the
 protocol × adversary × parameter grid is a

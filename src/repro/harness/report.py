@@ -33,6 +33,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.harness.store import ExperimentStore
+from repro.harness.sweep_library import SWEEPS
 from repro.harness.tables import View, rows_to_table
 
 
@@ -59,9 +60,7 @@ def _sweep_digest(fingerprints: List[str]) -> str:
 def _presentation_order(names: List[str]) -> List[str]:
     """Known library sweeps in registration order (headline sweeps
     first), then anything else alphabetically."""
-    from repro.harness.sweep_library import SWEEP_ORDER
-
-    rank = {name: index for index, name in enumerate(SWEEP_ORDER)}
+    rank = {name: index for index, name in enumerate(SWEEPS)}
     return sorted(names, key=lambda name: (rank.get(name, len(rank)), name))
 
 

@@ -1,8 +1,8 @@
 """Convenience runners used by tests, examples, and benchmarks.
 
-``run_instance`` wires a :class:`~repro.protocols.base.ProtocolInstance`
-into a :class:`~repro.sim.engine.Simulation` against an (optionally
-instance-aware) adversary; ``run_trials`` repeats a builder across seeds —
+``run_instance`` (:mod:`repro.sim.engine`'s, exported here) runs one
+protocol instance against an (optionally instance-aware) adversary;
+``run_trials`` repeats a builder across seeds —
 optionally fanning the seeds across worker processes — and aggregates the
 security predicates into a :class:`TrialStats`.  What a builder accepts
 is read off its signature (:func:`named_parameters`), never declared a
@@ -25,39 +25,12 @@ from typing import (
 from repro.protocols.base import ProtocolInstance
 from repro.sim.adversary import Adversary
 from repro.sim.conditions import NetworkConditions, NetworkStats
-from repro.sim.engine import TRANSCRIPT_FULL, Simulation
+from repro.sim.engine import TRANSCRIPT_FULL, run_instance
 from repro.sim.result import ExecutionResult
 from repro.types import AdversaryModel
 
 #: Builds an adversary for a freshly constructed protocol instance.
 AdversaryFactory = Callable[[ProtocolInstance], Adversary]
-
-
-def run_instance(
-    instance: ProtocolInstance,
-    f: int,
-    adversary: Optional[Adversary] = None,
-    model: AdversaryModel = AdversaryModel.ADAPTIVE,
-    seed=0,
-    max_rounds: Optional[int] = None,
-    transcript_retention: str = TRANSCRIPT_FULL,
-    conditions: Optional[NetworkConditions] = None,
-) -> ExecutionResult:
-    """Execute one protocol instance against one adversary."""
-    simulation = Simulation(
-        nodes=instance.nodes,
-        corruption_budget=f,
-        model=model,
-        adversary=adversary,
-        max_rounds=max_rounds if max_rounds is not None else instance.max_rounds,
-        seed=seed,
-        inputs=instance.inputs,
-        signing_capabilities=instance.signing_capabilities,
-        mining_capabilities=instance.mining_capabilities,
-        transcript_retention=transcript_retention,
-        conditions=conditions,
-    )
-    return simulation.run()
 
 
 class TrialStats:

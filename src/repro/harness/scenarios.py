@@ -10,11 +10,8 @@ function; here the grid is **data**:
   ``fixed`` bindings, plus the seeds to repeat each cell over;
 - :class:`SweepSpec` groups scenarios under one name;
 - :func:`run_sweep` expands the cross-product into :class:`Cell`\\ s and
-  executes each one through its registered *executor* — a function
-  called with the resolved arguments its signature names: seeded trials
-  (``workers=N`` fans them over processes) for ordinary protocol cells,
-  the lower-bound attack harnesses as themselves
-  — aggregating per-cell O(1)-counter metrics into a
+  settles each through its *executor*, the function :data:`EXECUTORS`
+  names (seeded trials, a lower-bound attack harness, a census), into a
   :class:`SweepResult` that renders as a :class:`Table` and exports
   CSV/JSON artifacts.
 
@@ -64,13 +61,13 @@ import json
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from importlib import import_module
 from operator import attrgetter
 from pathlib import Path
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -88,12 +85,16 @@ from repro.adversaries import (
     StaticEquivocationAdversary,
     ViewSplitAdversary,
 )
+from repro.eligibility import DifficultySchedule, FMineEligibility
 from repro.eligibility.lottery_cache import SharedLotteryCache, release_cache
 from repro.errors import ConfigurationError
 from repro.harness.runner import (
     InlineSubmitter, TrialStats, gather_trials, named_parameters,
     submit_trials, trial_submitter)
 from repro.harness.tables import Table, rows_to_table, union_columns
+from repro.lowerbounds import (
+    run_dolev_reischuk_attack, run_hypothetical_experiment,
+    run_theorem4_attack, run_theorem4_census)
 from repro.sim.conditions import (
     NETWORKS,
     TOPOLOGIES,
@@ -411,7 +412,7 @@ def _bind_cell(spec: ScenarioSpec, raw: Dict[str, Any]) -> Cell:
     parameter without a default must be bindable, ``seed`` (not
     ``seeds``) runs exactly one, ``conditions`` honors a network binding,
     and a binding nothing would receive is refused, not dropped."""
-    executor = _executor(spec.executor)
+    executor = EXECUTORS[spec.executor]
     names = named_parameters(executor)
     entry: Optional[ProtocolEntry] = None
     if spec.protocol is not None:
@@ -628,13 +629,11 @@ def _stats_metrics(stats: TrialStats, entry: ProtocolEntry) -> Dict[str, Any]:
 
 def _cell_trials(builder, n, f, seeds, conditions, adversary_factory,
                  coin_cache, submitter, **builder_kwargs):
-    """The default executor: one trial per seed, submitted to
-    ``submitter`` before this returns; the returned gather folds them, in
-    seed order, into the cell's :class:`TrialStats`.  A row reads scalars
-    of each result, so no trial builds (or pickles back) a transcript."""
-    if (coin_cache is not None and "coin_cache" in named_parameters(builder)
-            and builder_kwargs.get("mode", "fmine") == "fmine"
-            and "eligibility" not in builder_kwargs):
+    """The default executor: one trial per seed, submitted before this
+    returns; the gather it returns folds them, in seed order, into a
+    :class:`TrialStats`.  No trial keeps a transcript (a row reads
+    scalars), and the builder decides if the shared lottery applies."""
+    if coin_cache is not None and "coin_cache" in named_parameters(builder):
         builder_kwargs["coin_cache"] = coin_cache
     return partial(gather_trials, submit_trials(
         submitter, builder, f, seeds, n=n, adversary_factory=adversary_factory,
@@ -670,7 +669,6 @@ def _cell_committee_census(n, f, seeds, params, topic=("Vote", 1, 1),
     fresh :class:`FMineEligibility` per seed, recording the committee
     size and its corrupt membership for ``topic``.
     """
-    from repro.eligibility import DifficultySchedule, FMineEligibility
     topic = tuple(topic)
     schedule = DifficultySchedule.for_parameters(params, n)
     if threshold is None:
@@ -706,15 +704,14 @@ def _cell_committee_census(n, f, seeds, params, topic=("Vote", 1, 1),
 #: its contract (:func:`_bind_cell`).  It returns its payload, a
 #: :class:`TrialStats` or a report dataclass, or a ``(payload,
 #: measured)`` pair when the row's metrics come from something else; one
-#: that names ``submitter`` returns the gather that does.  A dotted name
-#: is imported on first use: :mod:`repro.lowerbounds` imports this package.
-EXECUTORS: Dict[str, Any] = {
+#: that names ``submitter`` returns the gather that does.
+EXECUTORS: Dict[str, Callable[..., Any]] = {
     "trials": _cell_trials,
     "per-seed": _cell_per_seed,
-    "theorem4": "repro.lowerbounds.run_theorem4_attack",
-    "theorem4-census": "repro.lowerbounds.run_theorem4_census",
-    "dolev-reischuk": "repro.lowerbounds.run_dolev_reischuk_attack",
-    "hypothetical": "repro.lowerbounds.run_hypothetical_experiment",
+    "theorem4": run_theorem4_attack,
+    "theorem4-census": run_theorem4_census,
+    "dolev-reischuk": run_dolev_reischuk_attack,
+    "hypothetical": run_hypothetical_experiment,
     "committee-census": _cell_committee_census,
 }
 
@@ -733,24 +730,12 @@ _OFFERS: Dict[str, Callable[[Cell, Any, Any], Any]] = {
 }
 
 
-@lru_cache(maxsize=None)
-def _imported(path: str) -> Callable[..., Any]:
-    module, _, name = path.rpartition(".")
-    return getattr(import_module(module), name)
-
-
-def _executor(key: str) -> Callable[..., Any]:
-    target = EXECUTORS[key]
-    return _imported(target) if isinstance(target, str) else target
-
-
 def _start(cell: Cell, coin_cache: Optional[SharedLotteryCache],
            submitter) -> Callable[[], Any]:
     """Begin ``cell``: the zero-argument call that finishes it.  An
-    executor that names ``submitter`` is called now — its trials are in
-    flight (in one process: deferred) when this returns — and hands back
-    its gather; any other runs whole when the returned call is made."""
-    call = _executor(cell.executor)
+    executor that names ``submitter`` is called now (its trials are in
+    flight) and hands back its gather; any other runs in that call."""
+    call = EXECUTORS[cell.executor]
     names = named_parameters(call)
     arguments = dict(cell.kwargs)
     arguments.update((name, offer(cell, coin_cache, submitter))
@@ -922,12 +907,13 @@ def _replay(cell: Cell, store, share_lottery: bool = True,
         cached=True)
 
 
-def _settle(cell: Cell, fingerprint: Optional[str], returned: Any, store,
-            sweep_name: str, share_lottery: bool) -> CellResult:
-    """What an executor returned as the cell's result — its metrics the
-    trial aggregates, the scalar fields of a report dataclass, or a
-    ready dict — recorded in ``store`` (when given) before it is
-    returned."""
+def _settle(cell: Cell, fingerprint: Optional[str],
+            finish: Callable[[], Any], store, sweep_name: str,
+            share_lottery: bool) -> CellResult:
+    """The cell's result from what its started executor's ``finish``
+    returns (a trial aggregate, a report dataclass, a ready dict),
+    recorded in ``store`` (when given) before it is returned."""
+    returned = finish()
     payload, metrics = (returned if isinstance(returned, tuple)
                         else (returned, returned))
     if isinstance(metrics, TrialStats):
@@ -942,29 +928,75 @@ def _settle(cell: Cell, fingerprint: Optional[str], returned: Any, store,
     return result
 
 
+def settle_cells(cells: Sequence[Cell], submitter, store=None,
+                 sweep_name: str = "", share_lottery: bool = True,
+                 coin_cache: Optional[SharedLotteryCache] = None,
+                 shard: Tuple[int, int] = (1, 1)) -> Iterator[tuple]:
+    """The one path from a bound cell to its record, for
+    :func:`run_sweep`, :func:`execute_or_replay` and a service job.
+
+    Before the first yield: one store lookup per cell (*plan*), then
+    each miss in ``shard`` (see :func:`run_sweep`) started on
+    ``submitter`` once per fingerprint (*submit*) — scenario names are
+    outside it, so a twin replays its first copy's record.  Then, in
+    expansion order (*gather*), ``(index, cell, fingerprint, computes,
+    settle)``: ``settle()`` computes and records the cell
+    (``computes``), returns its replayed result, looks a twin up again,
+    or returns None for a miss outside the shard.  What a raising
+    ``settle`` means is the caller's policy."""
+    def replay_twin(cell: Cell) -> Optional[CellResult]:
+        return _replay(cell, store, share_lottery)[1]
+
+    shard_index, shard_count = shard
+    plan = [_replay(cell, store, share_lottery) for cell in cells]
+    started: Dict[int, Callable[[], Any]] = {}
+    claimed = set()
+    for index, (cell, (fingerprint, replayed)) in enumerate(
+            zip(cells, plan)):
+        if (replayed is None and fingerprint not in claimed
+                and index % shard_count == shard_index - 1):
+            if store is not None:
+                claimed.add(fingerprint)
+            started[index] = _start(cell, coin_cache, submitter)
+    for index, (cell, (fingerprint, replayed)) in enumerate(
+            zip(cells, plan)):
+        finish = started.pop(index, None)
+        if finish is not None:
+            settle = partial(_settle, cell, fingerprint, finish, store,
+                             sweep_name, share_lottery)
+        elif replayed is None and fingerprint in claimed:
+            settle = partial(replay_twin, cell)
+        else:
+            settle = partial(_given, replayed)
+        yield index, cell, fingerprint, finish is not None, settle
+
+
+def _given(result: Optional[CellResult]) -> Optional[CellResult]:
+    return result
+
+
+def cell_event(index: int, cell: Cell, fingerprint: Optional[str],
+               result: Optional[CellResult], missing: str,
+               **position: int) -> Dict[str, Any]:
+    """A settled cell as ``run_sweep``'s ``on_cell`` event (``total=``)
+    or a job's log entry (``seq=``); one without a result is ``missing``."""
+    status = (missing if result is None
+              else "replayed" if result.cached else "computed")
+    return dict(position, index=index, status=status,
+                scenario=cell.scenario, label=cell.label(),
+                fingerprint=fingerprint)
+
+
 def execute_or_replay(cell: Cell, store=None, sweep_name: str = "",
                       share_lottery: bool = True, workers: int = 1,
                       coin_cache: Optional[SharedLotteryCache] = None,
                       pool=None) -> CellResult:
-    """Execute one bound cell, replaying it from ``store`` if recorded.
-
-    The cell-granularity entry point of the experiment service's
-    workers, over the same helpers as :func:`run_sweep`: consult the
-    store (when given) for the cell's fingerprint, replay a recorded
-    cell as a :class:`CachedCellPayload` result carrying the stored
-    metrics, or execute it and record the fresh result durably before
-    returning.  Cells are independent — each one's results are a pure
-    function of its bindings and seeds — so callers may execute cells in
-    any order or concurrently against one concurrency-safe store backend.
-    """
-    fingerprint, result = _replay(cell, store, share_lottery)
-    if result is None:
-        with trial_submitter(min(workers, len(cell.seeds)),
-                             pool) as submitter:
-            result = _settle(cell, fingerprint,
-                             _start(cell, coin_cache, submitter)(),
-                             store, sweep_name, share_lottery)
-    return result
+    """:func:`settle_cells` over one cell, its trials on ``pool`` (or
+    ``workers`` processes): the benchmark's one-cell entry point."""
+    with trial_submitter(min(workers, len(cell.seeds)), pool) as submitter:
+        [(*_, settle)] = settle_cells([cell], submitter, store, sweep_name,
+                                      share_lottery, coin_cache)
+        return settle()
 
 
 def run_sweep(sweep: SweepSpec, workers: int = 1,
@@ -973,41 +1005,28 @@ def run_sweep(sweep: SweepSpec, workers: int = 1,
               shard: Optional[Tuple[int, int]] = None,
               on_cell: Optional[Callable[[Dict[str, Any]], None]] = None,
               ) -> SweepResult:
-    """Expand and execute every cell of ``sweep``.
+    """Expand and execute every cell of ``sweep`` through
+    :func:`settle_cells`, settling each as it comes; the first exception
+    propagates.  Every missing ``trials`` cell's seeds go to the sweep's
+    one submitter (a process pool when ``workers > 1``) before any is
+    awaited, and cells settle in expansion order, so rows, records and
+    ``on_cell`` events are the same, in the same order, for any worker
+    count.  ``share_lottery`` installs a per-sweep
+    :class:`SharedLotteryCache`: ideal-world coins are drawn once per
+    ``(seed, node, topic)`` across the cells that share them.
 
-    Three passes over one expansion.  *Plan*: one store lookup per cell.
-    *Submit*: every ``trials`` cell left to compute hands all its seeds
-    to the sweep's one submitter (a process pool when ``workers > 1``) —
-    no barrier between cells.  *Gather*: cells settle in expansion order
-    (a ``trials`` cell folds its futures in seed order; the rest run in
-    the parent as their turn comes), so rows, records and ``on_cell``
-    events are the same, in the same order, for any worker count.
-    ``share_lottery``
-    installs a per-sweep :class:`SharedLotteryCache` so ideal-world
-    eligibility coins are computed once per ``(seed, node, topic)``
-    across all cells that share them (identical coins either way — the
-    cache memoizes a pure function).
-
-    ``store`` (a :class:`~repro.harness.store.ExperimentStore`) makes
-    the sweep incremental: each cell's fingerprint is looked up before
-    anything executes, recorded cells are replayed byte-identically (as
-    :class:`CachedCellPayload` cells carrying the stored metrics), and
-    freshly computed cells are recorded.  Store-backed results report
-    no lottery counters — replayed cells draw no coins, so the counters
-    would vary between cold and warm runs while the artifacts must not.
-
-    ``shard=(k, m)`` (1-based) restricts *computation* to cells whose
-    expansion index ``i`` satisfies ``i % m == k - 1``; other cells are
-    still replayed when the store has them, and silently skipped (and
-    counted in ``store_stats["skipped"]``) when it does not — so M
-    shard invocations against one shared store union into the full
-    sweep, and the last one returns (and records) the complete result.
-
-    ``on_cell`` is a per-cell progress callback, invoked after each
-    cell settles with a dict event: ``{"index", "total", "status"
-    ("computed" | "replayed" | "skipped"), "scenario", "label",
-    "fingerprint" (None without a store)}``.  Exceptions propagate (a
-    callback that raises aborts the sweep).
+    ``store`` (an :class:`~repro.harness.store.ExperimentStore`) makes
+    the sweep incremental: recorded cells replay byte-identically (as
+    :class:`CachedCellPayload` cells), fresh ones are recorded, and no
+    lottery counters are reported (a warm replay draws no coins, and
+    its artifacts must equal the cold run's).  ``shard=(k, m)``
+    (1-based) computes only cells whose expansion index ``i`` has
+    ``i % m == k - 1``; the others replay when recorded and are skipped
+    (``store_stats["skipped"]``) when not, so M shards against one store
+    union into the full sweep.  ``on_cell`` gets each settled cell's
+    :func:`cell_event` (``total``, ``index``, ``status`` — computed,
+    replayed or skipped —, ``scenario``, ``label``, ``fingerprint``);
+    one that raises aborts the sweep.
     """
     shard_index, shard_count = shard or (1, 1)
     if shard_count < 1 or not 1 <= shard_index <= shard_count:
@@ -1023,38 +1042,20 @@ def run_sweep(sweep: SweepSpec, workers: int = 1,
         # submitter, not waited for.
         submitter = stack.enter_context(trial_submitter(workers))
         cells = sweep.expand()
-        plan = [_replay(cell, store, share_lottery) for cell in cells]
-        # Started here: the store misses inside the shard, once per
-        # fingerprint (scenario names are outside it: a twin replays the
-        # record the first writes).  Every trial is submitted now, before
-        # any is awaited; in one process it runs when it is.
-        started: Dict[int, Callable[[], Any]] = {}
-        claimed = set()
-        for index, (cell, (fingerprint, replayed)) in enumerate(
-                zip(cells, plan)):
-            if (replayed is None and fingerprint not in claimed
-                    and index % shard_count == shard_index - 1):
-                if store is not None:
-                    claimed.add(fingerprint)
-                started[index] = _start(cell, cache, submitter)
-        settled: List[Optional[CellResult]] = []
+        fingerprints, settled = [], []
         counts = {"replayed": 0, "computed": 0, "skipped": 0}
-        for index, (cell, (fingerprint, result)) in enumerate(
-                zip(cells, plan)):
-            if index in started:
-                result = _settle(cell, fingerprint, started.pop(index)(),
-                                 store, sweep.name, share_lottery)
-            elif result is None and fingerprint in claimed:
-                _, result = _replay(cell, store, share_lottery)
+        for index, cell, fingerprint, _, settle in settle_cells(
+                cells, submitter, store, sweep.name, share_lottery, cache,
+                (shard_index, shard_count)):
+            result = settle()
             # An out-of-shard miss is skipped, never computed here.
-            status = ("skipped" if result is None
-                      else "replayed" if result.cached else "computed")
-            counts[status] += 1
+            event = cell_event(index, cell, fingerprint, result, "skipped",
+                               total=len(cells))
+            counts[event["status"]] += 1
+            fingerprints.append(fingerprint)
             settled.append(result)
             if on_cell is not None:
-                on_cell({"index": index, "total": len(cells),
-                         "status": status, "scenario": cell.scenario,
-                         "label": cell.label(), "fingerprint": fingerprint})
+                on_cell(event)
         lottery = None
         if cache is not None and store is None:
             # Counters are process-local: with a worker pool the coins
@@ -1078,8 +1079,7 @@ def run_sweep(sweep: SweepSpec, workers: int = 1,
             # shards write equivalent records and the book sections the
             # whole sweep once the cell records exist.
             store.record_sweep(
-                sweep.name, sweep.description,
-                [fingerprint for fingerprint, _ in plan],
+                sweep.name, sweep.description, fingerprints,
                 complete=(counts["skipped"] == 0),
                 rows=[result and result.row() for result in settled])
         return SweepResult(

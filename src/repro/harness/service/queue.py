@@ -4,13 +4,11 @@ A submitted sweep becomes a **job**: it expands to cells at once (the
 total is known, and a bad override is refused before anything is
 recorded) and goes on the work queue as one task.  Each worker thread
 runs one job at a time, so a job waits for a free worker, never behind
-another job's cells.  The task plans as
-:func:`~repro.harness.scenarios.run_sweep` does — one store lookup per
-cell — counts the recorded cells as one batch, and computes each miss
-in expansion order through
-:func:`~repro.harness.scenarios.execute_or_replay`, which records it
-**durably as it finishes**.  A failing cell is a hole in the sweep
-record; the others still compute.
+another job's cells.  The task settles the cells through
+:func:`~repro.harness.scenarios.settle_cells`, the loop
+:func:`~repro.harness.scenarios.run_sweep` runs, so each is recorded
+**durably as it finishes**; a failing cell is a hole in the sweep
+record, and the others still compute.
 
 The store is the service's only state: one record per job in the
 store's ``jobs`` namespace (the ``jobs`` table of a SQLite store) holds
@@ -22,24 +20,21 @@ its counters and its event log, one entry per settled cell::
      "events": [{"seq", "index", "status", "scenario", "label",
                  "fingerprint"}, ...]}
 
-A job's record (its log begins at its first write) is written when
-there is news, through the backend's atomic read-modify-write
-(:meth:`~repro.harness.store.ExperimentStore.update_job`): a job with
-cells to compute is marked ``running``, its replayed cells counted and
-logged, before its first computation; each computed cell is one more
-write, and the last write also closes the job out, after the sweep
-record.  A warm job is one write, a cold one ``cells + 1``.  A write
-skips a cell the log holds and leaves a terminal record as it is, so
-running a job again changes nothing settled: a service starts by
-re-queueing every ``queued``/``running`` job it finds.  In memory are
-only the queue and the ids of the jobs a worker here holds.
+A job's record is written through the backend's atomic
+read-modify-write (:meth:`~repro.harness.store.ExperimentStore.\
+update_job`) just before each computation — the first marks the job
+``running`` — with the cells settled since, in expansion order; the
+last write closes the job out, after the sweep record.  A warm job
+is one write, a cold one ``cells + 1``.  A write skips a cell the log
+holds and leaves a terminal record as it is, so running a job again
+changes nothing settled: a service starts by re-queueing every
+``queued``/``running`` job it finds.  In memory are only the queue and
+the ids of the jobs a worker here holds.
 
-Determinism: cells are executed with ``workers=1`` and no shared
-lottery cache — a cell's results are a pure function of its bindings
-and seeds — and the sweep record lists rows in expansion order, so the
-recorded rows are byte-identical to a direct
-:func:`~repro.harness.scenarios.run_sweep` against any backend (pinned
-by tests and the CI ``service-smoke`` differential).
+Determinism: cells run in one process with no shared lottery cache (a
+cell's results are a pure function of its bindings and seeds), so the
+recorded rows are byte-identical to a direct ``run_sweep`` on any
+backend (pinned by tests and the CI ``service-smoke`` differential).
 """
 
 from __future__ import annotations
@@ -52,7 +47,8 @@ import uuid
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
-from repro.harness.scenarios import Cell, _replay, execute_or_replay
+from repro.harness.runner import InlineSubmitter
+from repro.harness.scenarios import cell_event, settle_cells
 from repro.harness.sweep_library import SWEEPS, resolve_sweep
 
 JOB_QUEUED = "queued"
@@ -194,14 +190,13 @@ class ExperimentService:
                 self._tasks.task_done()
 
     def _run_job(self, job_id: str) -> None:
-        """One job, start to finish, from its record: the sweep expanded
-        as submitted, ``run_sweep``'s plan, then each miss computed in
-        expansion order.  A batch — the replayed cells, then each
-        computed one — is written when the next computation starts, so
-        the last one carries the close-out: the sweep record (failed
-        cells as holes), then the terminal state.  A sweep that no longer
-        resolves, or now expands to another cell count (the log would
-        mix two expansions), fails the job in one write."""
+        """One job from its record: the sweep expanded as submitted, its
+        cells settled by ``settle_cells``.  The job's own policy: a
+        computation that raises is a hole, not an abort, and the cells
+        settled so far are written just before each computation, so the
+        last batch carries the close-out (the sweep record, then the
+        terminal state).  A sweep that no longer resolves, or expands to
+        another cell count, fails the job in one write."""
         record = self.store.load_job(job_id)
         try:
             spec = resolve_sweep(record["sweep"], **record["overrides"])
@@ -211,40 +206,36 @@ class ExperimentService:
                     f"sweep {spec.name!r} now expands to {len(cells)} "
                     f"cells, not the job's {record['total']}")
         except ConfigurationError as error:
-            return self._settle(job_id, [], [], [], JOB_FAILED, str(error))
-        plan = [_replay(cell, self.store) for cell in cells]
-        fingerprints = [fingerprint for fingerprint, _ in plan]
-        rows = [result and result.row() for _, result in plan]
-        batch = [(index, result, None)
-                 for index, (_, result) in enumerate(plan) if result]
-        for index, (_, replayed) in enumerate(plan):
-            if replayed is not None:
-                continue
-            self._settle(job_id, cells, fingerprints, batch)
-            try:
-                result, error_text = execute_or_replay(
-                    cells[index], store=self.store,
-                    sweep_name=spec.name), None
-            except Exception:
-                result, error_text = None, traceback.format_exc(limit=8)
-            rows[index] = result and result.row()
-            batch = [(index, result, error_text)]
+            return self._settle(job_id, [], JOB_FAILED, str(error))
+        fingerprints, rows, batch = [], [], []
+        for index, cell, fingerprint, computes, settle in settle_cells(
+                cells, InlineSubmitter(), self.store, spec.name):
+            error_text = None
+            if not computes:
+                result = settle()
+            else:
+                self._settle(job_id, batch)
+                batch = []
+                try:
+                    result = settle()
+                except Exception:
+                    result, error_text = None, traceback.format_exc(limit=8)
+            fingerprints.append(fingerprint)
+            rows.append(result and result.row())
+            batch.append((index, cell, fingerprint, result, error_text))
         complete = None not in rows
         self.store.record_sweep(spec.name, spec.description, fingerprints,
                                 complete=complete, rows=rows)
-        self._settle(job_id, cells, fingerprints, batch,
-                     JOB_DONE if complete else JOB_FAILED)
+        self._settle(job_id, batch, JOB_DONE if complete else JOB_FAILED)
 
-    def _settle(self, job_id: str, cells: List[Cell],
-                fingerprints: List[str], batch: List[tuple],
+    def _settle(self, job_id: str, batch: List[tuple],
                 state: str = JOB_RUNNING,
                 error: Optional[str] = None) -> None:
-        """Count and log a batch of ``(index, result or None, error
-        text)`` cells in the job record, moved to ``state`` — one atomic
-        write.  A logged cell is skipped and a terminal record left as it
-        is, so running a job again changes nothing already settled.  A
-        terminal ``state`` lets the job go *before* pollers are woken, so
-        that one poll reads the whole log and a terminal record."""
+        """Count and log a batch of ``(index, cell, fingerprint, result
+        or None, error text)`` in one atomic write, moving the job to
+        ``state``; a logged cell and a terminal record are left as they
+        are.  A terminal ``state`` lets the job go *before* pollers are
+        woken, so that one poll reads the whole log and a final record."""
 
         def _mutate(record: Dict[str, Any]) -> Dict[str, Any]:
             if record["state"] in (JOB_DONE, JOB_FAILED):
@@ -257,26 +248,19 @@ class ExperimentService:
             record["error"] = record.get("error") or error
             log = record.setdefault("events", [])
             logged = {event["index"] for event in log}
-            for index, result, error_text in batch:
+            for index, cell, fingerprint, result, error_text in batch:
                 if index in logged:
                     continue
-                status = ("failed" if result is None
-                          else "replayed" if result.cached else "computed")
+                event = cell_event(index, cell, fingerprint, result,
+                                   "failed", seq=len(log))
+                status = event["status"]
                 record["failed_cells" if status == "failed" else status] += 1
                 # Keep the first failure's traceback; later ones only
                 # bump the counter.
                 if status == "failed" and record.get("error") is None:
-                    record["error"] = (f"cell {index} "
-                                       f"({cells[index].label()}): "
+                    record["error"] = (f"cell {index} ({cell.label()}): "
                                        f"{error_text}")
-                log.append({
-                    "seq": len(log),
-                    "index": index,
-                    "status": status,
-                    "scenario": cells[index].scenario,
-                    "label": cells[index].label(),
-                    "fingerprint": fingerprints[index],
-                })
+                log.append(event)
             return record
 
         self.store.update_job(job_id, _mutate)

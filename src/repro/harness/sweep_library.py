@@ -452,6 +452,7 @@ SMOKE = SweepSpec(
     ),
 )
 
+#: In registration order, which is the results book's section order.
 SWEEPS: Dict[str, SweepSpec] = {
     sweep.name: sweep
     for sweep in (COMM_VS_N, ADVERSARY_GRID, RESILIENCE_FRONTIER,
@@ -459,12 +460,6 @@ SWEEPS: Dict[str, SweepSpec] = {
                   LEADER_VS_DELTA, LEADER_VS_QUADRATIC,
                   WORDS_VS_ACTUAL_F, TOPOLOGY_GRID, SMOKE)
 }
-
-#: Canonical presentation order (registration order above): the results
-#: book (``harness/report.py``) sections known sweeps this way, so the
-#: book reads headline-first regardless of store directory listing
-#: order; sweeps not in the library sort alphabetically after.
-SWEEP_ORDER = tuple(SWEEPS)
 
 
 def resolve_sweep(name: str, network: Optional[str] = None,

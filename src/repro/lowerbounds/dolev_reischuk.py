@@ -27,9 +27,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Set
 
 from repro.adversaries.sandbox import Deaf, SandboxAdversary
 from repro.errors import ConfigurationError
-from repro.harness.runner import run_instance
 from repro.protocols.base import ProtocolInstance
 from repro.sim.conditions import NetworkConditions
+from repro.sim.engine import run_instance
 from repro.sim.network import Delivery, Envelope
 from repro.types import AdversaryModel, Bit, NodeId, Round
 
@@ -123,6 +123,24 @@ class _PrimeAdversary(SandboxAdversary):
         return None
 
 
+def run_adversary_a(builder: Callable[..., ProtocolInstance], n: int,
+                    f: int, sender_input: Bit, seed=0, sender: NodeId = 0,
+                    conditions: Optional[NetworkConditions] = None,
+                    **builder_kwargs):
+    """Run 1 — adversary A corrupts V, the first ``f/2`` nodes other
+    than ``sender`` — as ``(instance, adversary, result)``.  Theorem 4's
+    census runs the same adversary."""
+    half_f = f // 2
+    corrupt_set = [node for node in range(n) if node != sender][:half_f]
+    instance = builder(n=n, f=f, sender_input=sender_input, seed=seed,
+                       **builder_kwargs)
+    adversary = _IgnoringSetAdversary(corrupt_set, ignore_first=half_f)
+    result = run_instance(instance, f, adversary,
+                          model=AdversaryModel.ADAPTIVE, seed=seed,
+                          conditions=conditions)
+    return instance, adversary, result
+
+
 @dataclass
 class DolevReischukReport:
     """Outcome of the two-run experiment."""
@@ -170,15 +188,10 @@ def run_dolev_reischuk_attack(
     if f < 2:
         raise ConfigurationError("the experiment needs f >= 2")
     half_f = f // 2
-    corrupt_set = [node for node in range(n) if node != sender][:half_f]
-
     # ---- Run 1: adversary A --------------------------------------------
-    instance = builder(n=n, f=f, sender_input=sender_input, seed=seed,
-                       **builder_kwargs)
-    adversary_a = _IgnoringSetAdversary(corrupt_set, ignore_first=half_f)
-    result_a = run_instance(instance, f, adversary_a,
-                            model=AdversaryModel.ADAPTIVE, seed=seed,
-                            conditions=conditions)
+    instance, adversary_a, result_a = run_adversary_a(
+        builder, n, f, sender_input, seed, sender, conditions,
+        **builder_kwargs)
     messages_into_v = sum(adversary_a.received_by.values())
     honest_outputs = set(result_a.honest_outputs)
     honest_bit = honest_outputs.pop() if len(honest_outputs) == 1 else None
@@ -186,7 +199,7 @@ def run_dolev_reischuk_attack(
     # ---- Find the starved member p ----------------------------------------
     victim: Optional[NodeId] = None
     victim_count: Optional[int] = None
-    for node_id in corrupt_set:
+    for node_id in adversary_a.corrupt_set:
         count = adversary_a.received_by[node_id]
         if count <= half_f and (victim_count is None or count < victim_count):
             victim = node_id
@@ -202,8 +215,8 @@ def run_dolev_reischuk_attack(
         instance2 = builder(n=n, f=f, sender_input=sender_input, seed=seed,
                             **builder_kwargs)
         suppressors = sorted(adversary_a.senders_to[victim])
-        adversary_ap = _PrimeAdversary(corrupt_set, victim, suppressors,
-                                       ignore_first=half_f)
+        adversary_ap = _PrimeAdversary(adversary_a.corrupt_set, victim,
+                                       suppressors, ignore_first=half_f)
         result_ap = run_instance(instance2, f, adversary_ap,
                                  model=AdversaryModel.ADAPTIVE, seed=seed,
                                  conditions=conditions)

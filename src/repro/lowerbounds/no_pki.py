@@ -35,7 +35,7 @@ from repro.eligibility.vrf_eligibility import VrfEligibility
 from repro.errors import ConfigurationError
 from repro.protocols.broadcast import build_broadcast_from_ba
 from repro.protocols.phase_king_subquadratic import build_phase_king_subquadratic
-from repro.rng import Seed, derive_rng
+from repro.rng import Seed, derive_rng, derive_seed
 from repro.sim.network import Delivery
 from repro.sim.node import Node, RoundContext
 from repro.types import Bit, NodeId, SecurityParameters
@@ -202,10 +202,8 @@ def run_hypothetical_experiment(
 
 
 def derive_seed_left(seed: Seed) -> str:
-    from repro.rng import derive_seed
     return derive_seed(seed, "left-pki")
 
 
 def derive_seed_right(seed: Seed) -> str:
-    from repro.rng import derive_seed
     return derive_seed(seed, "right-pki")

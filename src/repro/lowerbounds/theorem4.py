@@ -19,9 +19,11 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 from repro.adversaries.strongly_adaptive import IsolationAdversary
-from repro.harness.runner import run_instance
+from repro.lowerbounds.dolev_reischuk import run_adversary_a
 from repro.protocols.base import ProtocolInstance
+from repro.rng import derive_rng
 from repro.sim.conditions import NetworkConditions
+from repro.sim.engine import run_instance
 from repro.types import AdversaryModel, Bit, NodeId
 
 __all__ = [
@@ -97,9 +99,6 @@ def run_theorem4_census(
     *study*: the proof's counting argument is stated for lock-step, so
     conditioned frequencies are empirical, not the theorem's).
     """
-    from repro.lowerbounds.dolev_reischuk import _IgnoringSetAdversary
-    from repro.rng import derive_rng
-
     half_f = f // 2
     budget = epsilon * half_f * half_f
     zs: List[int] = []
@@ -108,22 +107,17 @@ def run_theorem4_census(
     xy_hits = 0
     protocol_name = ""
     for seed in seeds:
-        instance = builder(n=n, f=f, sender_input=sender_input, seed=seed,
-                           **builder_kwargs)
+        instance, adversary, _ = run_adversary_a(
+            builder, n, f, sender_input, seed, conditions=conditions,
+            **builder_kwargs)
         protocol_name = instance.name
-        corrupt_set = [node for node in range(n) if node != 0][:half_f]
-        adversary = _IgnoringSetAdversary(corrupt_set, ignore_first=half_f)
-        from repro.harness.runner import run_instance
-        run_instance(instance, f, adversary,
-                     model=AdversaryModel.ADAPTIVE, seed=seed,
-                     conditions=conditions)
         z = sum(adversary.received_by.values())
         zs.append(z)
         x = z < budget
         # The adversary picks p uniformly at random from V (the proof's
         # second coin).
         rng = derive_rng(seed, "theorem4-p")
-        p = rng.choice(corrupt_set)
+        p = rng.choice(adversary.corrupt_set)
         y = adversary.received_by[p] <= half_f
         x_hits += x
         y_hits += y

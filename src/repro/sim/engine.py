@@ -271,3 +271,22 @@ class Simulation:
             network_stats=getattr(self.network, "stats", None),
             rounds_budget=self.max_rounds,
         )
+
+
+def run_instance(instance, f: int, adversary: Optional[Adversary] = None,
+                 model: AdversaryModel = AdversaryModel.ADAPTIVE,
+                 seed: Seed = 0, max_rounds: Optional[int] = None,
+                 transcript_retention: str = TRANSCRIPT_FULL,
+                 conditions: Optional[NetworkConditions] = None,
+                 ) -> ExecutionResult:
+    """Execute one :class:`~repro.protocols.base.ProtocolInstance`, read
+    by its fields, against one adversary."""
+    if max_rounds is None:
+        max_rounds = instance.max_rounds
+    return Simulation(
+        nodes=instance.nodes, corruption_budget=f, model=model,
+        adversary=adversary, max_rounds=max_rounds, seed=seed,
+        inputs=instance.inputs, conditions=conditions,
+        signing_capabilities=instance.signing_capabilities,
+        mining_capabilities=instance.mining_capabilities,
+        transcript_retention=transcript_retention).run()

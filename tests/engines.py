@@ -29,7 +29,7 @@ from unittest import mock
 
 import pytest
 
-from repro.harness import runner
+from repro.sim import engine as engine_module
 from repro.sim.engine import Simulation
 from repro.sim.node import RoundContext
 from repro.types import NodeId
@@ -122,11 +122,11 @@ SIMULATIONS = {LOCKSTEP: LockstepSimulation, EVENT: Simulation,
 def running_on(engine):
     """Every ``run_instance`` of this process inside the block executes
     on ``engine``."""
-    with mock.patch.object(runner, "Simulation", SIMULATIONS[engine]):
+    with mock.patch.object(engine_module, "Simulation", SIMULATIONS[engine]):
         yield
 
 
 def run(instance, f, adversary=None, *, engine=EVENT, **kwargs):
     """``run_instance(instance, f, adversary, **kwargs)`` on ``engine``."""
     with running_on(engine):
-        return runner.run_instance(instance, f, adversary, **kwargs)
+        return engine_module.run_instance(instance, f, adversary, **kwargs)

@@ -5,11 +5,11 @@ import pytest
 from repro.adversaries import CrashAdversary
 from repro.analysis.complexity import (
     expected_dolev_strong_multicasts,
-    expected_iterations_subquadratic,
     expected_quadratic_multicasts,
     expected_subquadratic_multicasts,
     message_size_bound_bits,
 )
+from repro.analysis.parameters import expected_iterations
 from repro.harness import run_trials
 from repro.protocols import (
     build_dolev_strong,
@@ -33,7 +33,7 @@ class TestClosedForms:
             expected_subquadratic_multicasts(30, 0)
 
     def test_expected_iterations_close_to_2e(self):
-        assert 4.0 < expected_iterations_subquadratic(1000) < 6.0
+        assert 4.0 < expected_iterations(1000) < 6.0
 
     def test_message_size_bound_scales_linearly_in_lambda(self):
         small = message_size_bound_bits(20, 512, 32)

@@ -23,7 +23,6 @@ from repro.harness.scenarios import (
     rounds_saved_columns,
     run_sweep,
 )
-from repro.harness import scenarios
 from repro.harness.store import ExperimentStore
 from repro.harness.sweep_library import SWEEPS
 from repro.protocols import build_subquadratic_ba
@@ -309,7 +308,7 @@ DECLARED_EXECUTORS = {
 def _derived_contract(key):
     """The ``DECLARED_EXECUTORS`` row of executor ``key``, read off
     signatures alone."""
-    names = named_parameters(scenarios._executor(key))
+    names = named_parameters(EXECUTORS[key])
     required = {name for name, is_required in names.items() if is_required}
     # lam/epsilon fold when the final recipient of the cell's kwargs
     # names ``params``: the executor itself, or — it names ``builder`` —
@@ -332,7 +331,7 @@ class TestExecutorContract:
         # An executor that names ``epsilon`` means its own: it is the one
         # reserved binding that reaches an executor verbatim.
         assert {key for key in EXECUTORS
-                if "epsilon" in named_parameters(scenarios._executor(key))} \
+                if "epsilon" in named_parameters(EXECUTORS[key])} \
             == {"theorem4", "theorem4-census"}
 
     def test_a_bare_function_is_an_executor(self, monkeypatch):

@@ -2,7 +2,9 @@
 and worker pool, the HTTP API end to end, concurrent overlapping
 submissions, warm-store replay through the API, artifact byte-identity
 against a direct ``run_sweep``, what a malformed request is answered,
-and what a kept connection does when the server goes away."""
+and what a kept connection does when the server goes away.  It ends
+with the tracemalloc slope over 250 warm jobs: a replayed job leaves no
+memory behind in the service."""
 
 import gc
 import http.client

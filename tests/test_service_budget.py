@@ -2,8 +2,8 @@
 
 ``bench/run.py``'s ``service-closed`` workload says how long a replayed
 job takes; a clock cannot gate a merge on a shared runner, so the same
-facts are pinned here as numbers that repeat exactly: store calls per
-job, TCP connections per client, long-polls per settled job.  Beside
+facts are pinned here as exact counts that repeat on any runner: store
+calls per job, TCP connections per client, long-polls per settled job.  Beside
 them, what the job task must not change: the job record's final fields,
 the sweep record and the event log of warm, cold, mixed, failing-cell
 and zero-cell jobs.  A job is one task, so a warm job does not wait
@@ -18,19 +18,45 @@ from collections import Counter
 
 import pytest
 
-from repro.harness.scenarios import ScenarioSpec, SweepSpec
+from repro.harness.scenarios import (
+    PROTOCOLS,
+    ProtocolEntry,
+    ScenarioSpec,
+    SweepSpec,
+    run_sweep,
+)
 from repro.harness.service import (
     ExperimentService,
     ServiceClient,
     ServiceError,
 )
-from repro.harness.service import queue as service_queue
 from repro.harness.store import ExperimentStore
 from repro.harness.sweep_library import SWEEPS
 from tests.test_service import Served
+from tests.test_sweep_dispatch import build_faulty_quadratic
 
 CELLS = SWEEPS["smoke"].expand()
 COUNTED = ("load_cell", "save_cell", "update_job", "save_sweep")
+
+
+def twin_sweep(name, protocol="subquadratic", **fixed):
+    """Two scenarios that differ only in name: one fingerprint."""
+    fixed = fixed or {"n": 24, "f_fraction": 0.25, "lam": 10}
+    return SweepSpec(name=name, scenarios=tuple(
+        ScenarioSpec(name=scenario, protocol=protocol, fixed=fixed,
+                     inputs="mixed", seeds=(0, 1))
+        for scenario in "ab"))
+
+
+@pytest.fixture()
+def faulty(tmp_path, monkeypatch):
+    """A registered builder that raises at ``n == 7`` while its marker
+    file exists, and the marker."""
+    monkeypatch.setitem(PROTOCOLS, "faulty-quadratic",
+                        ProtocolEntry(build_faulty_quadratic))
+    marker = tmp_path / "fault"
+    marker.touch()
+    return {"f": 2, "fault": str(marker), "fault_n": 7}
 
 
 @pytest.fixture()
@@ -70,21 +96,22 @@ def forget_cell(store, index):
                            (store.fingerprint(CELLS[index]),))
 
 
-def expected_events(store, statuses):
-    """The log a job must leave, as a set of per-cell entries: settle
-    order is the workers' business, everything else is fixed."""
+def expected_events(store, statuses, cells=CELLS):
+    """The log a job must leave, as a set of per-cell entries (its order
+    is pinned apart, against ``run_sweep``'s events)."""
     return sorted(
         (index, status, cell.scenario, cell.label(), store.fingerprint(cell))
-        for index, (cell, status) in enumerate(zip(CELLS, statuses)))
+        for index, (cell, status) in enumerate(zip(cells, statuses)))
 
 
-def assert_log(store, events, statuses):
-    assert [event["seq"] for event in events] == list(range(len(CELLS)))
+def assert_log(store, events, statuses, cells=CELLS):
+    assert [event["seq"] for event in events] == list(range(len(cells)))
     assert all(set(event) == {"seq", "index", "status", "scenario",
                               "label", "fingerprint"} for event in events)
     assert sorted((event["index"], event["status"], event["scenario"],
                    event["label"], event["fingerprint"])
-                  for event in events) == expected_events(store, statuses)
+                  for event in events) \
+        == expected_events(store, statuses, cells)
 
 
 def assert_record(record, state="done", **counters):
@@ -114,6 +141,8 @@ class TestStoreCallsPerJob:
         # last one closes the job out.
         assert calls["update_job"] == len(CELLS) + 1
         assert calls["save_sweep"] == 1
+        # One lookup per cell: a miss is not looked up again to compute.
+        assert calls["load_cell"] == len(CELLS)
 
     def test_warm_job_is_one_lookup_per_cell_and_one_write(self, store,
                                                            calls):
@@ -146,17 +175,31 @@ class TestStoreCallsPerJob:
         assert {key: after[key] for key in after if key != "recorded_at"} \
             == {key: before[key] for key in before if key != "recorded_at"}
 
-    def test_failing_cell_is_counted_and_leaves_a_hole(self, store,
+    def test_mixed_job_logs_in_expansion_order(self, store):
+        """Read in ``seq`` order, the log is ``run_sweep``'s ``on_cell``
+        stream against the same store state: replayed cells are not
+        logged ahead of the computed one before them."""
+        with ExperimentService(store, workers=2) as service:
+            run_job(service)
+            forget_cell(store, 0)
+            _, events = run_job(service)
+        forget_cell(store, 0)
+        swept = []
+        run_sweep(SWEEPS["smoke"], store=store, on_cell=lambda event:
+                  swept.append((event["index"], event["status"],
+                                event["fingerprint"])))
+        assert swept[0][1] == "computed"
+        assert [(event["index"], event["status"], event["fingerprint"])
+                for event in sorted(events, key=lambda e: e["seq"])] \
+            == swept
+
+    def test_failing_cell_is_counted_and_leaves_a_hole(self, store, faulty,
                                                       monkeypatch):
-        execute = service_queue.execute_or_replay
-
-        def fail_the_first(cell, **kwargs):
-            if cell == CELLS[0]:
-                raise RuntimeError("no such luck")
-            return execute(cell, **kwargs)
-
-        monkeypatch.setattr(service_queue, "execute_or_replay",
-                            fail_the_first)
+        sweep = SweepSpec(name="faulty", scenarios=(ScenarioSpec(
+            name="q", protocol="faulty-quadratic", grid={"n": (7, 9)},
+            fixed=faulty, seeds=range(2)),))
+        monkeypatch.setitem(SWEEPS, "faulty", sweep)
+        cells = sweep.expand()
         # The sweep record is written while the job is still running, so
         # a client that reads a terminal state can fetch the artifact.
         states = []
@@ -168,17 +211,42 @@ class TestStoreCallsPerJob:
 
         monkeypatch.setattr(store.backend, "save_sweep", noting_the_state)
         with ExperimentService(store, workers=2) as service:
-            record, events = run_job(service)
+            record, events = run_job(service, "faulty")
         assert states == ["running"]
-        assert_record(record, state="failed", failed_cells=1,
-                      computed=len(CELLS) - 1)
-        assert record["error"].startswith(f"cell 0 ({CELLS[0].label()}): ")
-        assert "RuntimeError: no such luck" in record["error"]
+        assert_record(record, state="failed", total=len(cells),
+                      failed_cells=1, computed=len(cells) - 1)
+        assert record["error"].startswith(f"cell 0 ({cells[0].label()}): ")
+        assert "RuntimeError: injected builder fault at n=7" \
+            in record["error"]
         assert_log(store, events,
-                   ["failed"] + ["computed"] * (len(CELLS) - 1))
-        sweep = store.load_sweep("smoke")
-        assert sweep["complete"] is False
-        assert sweep["rows"][0] is None and all(sweep["rows"][1:])
+                   ["failed"] + ["computed"] * (len(cells) - 1), cells)
+        recorded = store.load_sweep("faulty")
+        assert recorded["complete"] is False
+        assert recorded["rows"][0] is None and all(recorded["rows"][1:])
+
+    def test_a_twin_computes_once_and_replays(self, store, calls,
+                                              monkeypatch):
+        sweep = twin_sweep("twins")
+        monkeypatch.setitem(SWEEPS, "twins", sweep)
+        with ExperimentService(store, workers=2) as service:
+            record, events = run_job(service, "twins")
+        assert_record(record, total=2, computed=1, replayed=1)
+        assert [(event["index"], event["status"]) for event in events] \
+            == [(0, "computed"), (1, "replayed")]
+        assert calls["save_cell"] == 1
+        assert store.load_sweep("twins")["complete"] is True
+
+    def test_a_twin_of_a_failed_cell_is_a_hole(self, store, faulty,
+                                               monkeypatch):
+        monkeypatch.setitem(SWEEPS, "twins", twin_sweep(
+            "twins", "faulty-quadratic", n=7, **faulty))
+        with ExperimentService(store, workers=2) as service:
+            record, events = run_job(service, "twins")
+        assert_record(record, state="failed", total=2, failed_cells=2)
+        assert record["error"].startswith("cell 0 (a ")
+        assert [(event["index"], event["status"]) for event in events] \
+            == [(0, "failed"), (1, "failed")]
+        assert store.load_sweep("twins")["rows"] == [None, None]
 
     def test_zero_cell_job_settles(self, store, monkeypatch):
         monkeypatch.setitem(SWEEPS, "empty",
