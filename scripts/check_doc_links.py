@@ -93,7 +93,7 @@ ENTRY_RE = re.compile(r"^PR (\d+)\b", re.MULTILINE)
 #: ROADMAP tracks it as a metric that should fall; a PR that must raise
 #: it raises the ceiling in the same change and says why in CHANGES.md.
 #: Lower it whenever a PR ends below.
-SRC_LINE_CEILING = 17455
+SRC_LINE_CEILING = 17409
 
 
 def src_line_count(root: Path) -> int:

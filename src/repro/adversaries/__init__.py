@@ -1,13 +1,14 @@
 """Attack strategies.
 
 Every lower bound and every security claim in the paper corresponds to an
-executable adversary here:
+executable adversary here.  Each overrides only the hooks it uses, and
+every static corrupt set is :class:`CrashAdversary`'s ``victims``:
 
 - :mod:`repro.adversaries.crash` — corrupt-and-silence (liveness floor).
 - :mod:`repro.adversaries.menu` — not an attack but the vocabulary: what
   a corrupt node can say per quorum family; the next two are policies on it.
-- :mod:`repro.adversaries.static_byzantine` — static equivocation: corrupt
-  nodes vote/ACK both bits every round (the Lemma 11 stress test).
+- :mod:`repro.adversaries.static_byzantine` — static equivocation: the
+  crash victims vote/ACK both bits every round (the Lemma 11 stress test).
 - :mod:`repro.adversaries.view_split` — the same menu, unicast: bit ``b``
   only to the honest nodes of parity ``b`` (divergent certificate views).
 - :mod:`repro.adversaries.adaptive_speaker` — corrupts nodes the moment
@@ -30,6 +31,8 @@ executable adversary here:
 - :mod:`repro.adversaries.actual_faults` — the adaptive-BA dial: crash
   exactly ``k <= f`` nodes (the first ``k``, i.e. the upcoming
   collectors/leaders), so measured words track the *actual* fault count.
+- :mod:`repro.adversaries.sandbox` — runs corrupted nodes' own logic
+  through filters; the Dolev–Reischuk and isolation adversaries use it.
 """
 
 from repro.adversaries.sandbox import SandboxRunner

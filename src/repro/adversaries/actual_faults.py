@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+from repro.adversaries.crash import CrashAdversary
 from repro.errors import ConfigurationError
-from repro.sim.adversary import Adversary
-from repro.sim.network import Envelope
-from repro.types import Round
+from repro.types import NodeId
 
 
-class ActualFaultsAdversary(Adversary):
+class ActualFaultsAdversary(CrashAdversary):
     """Statically corrupts the first ``actual`` nodes (default: the whole
     budget ``f``) and never sends anything on their behalf."""
 
@@ -38,16 +37,11 @@ class ActualFaultsAdversary(Adversary):
                 f"actual fault count must be non-negative, got {actual}")
         self.actual = actual
 
-    def on_setup(self) -> None:
-        api = self.api
-        actual = self.actual if self.actual is not None \
-            else api.corruption_budget
-        if actual > api.corruption_budget:
+    def choose_victims(self) -> List[NodeId]:
+        budget = self.api.corruption_budget
+        actual = self.actual if self.actual is not None else budget
+        if actual > budget:
             raise ConfigurationError(
                 f"actual fault count {actual} exceeds the corruption "
-                f"budget f={api.corruption_budget}")
-        for node_id in range(actual):
-            api.corrupt(node_id)
-
-    def react(self, round_index: Round, staged: List[Envelope]) -> None:
-        return None
+                f"budget f={budget}")
+        return list(range(actual))

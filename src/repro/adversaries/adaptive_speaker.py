@@ -1,9 +1,11 @@
 """Corrupt whoever speaks — the canonical adaptive strategy.
 
 The rushing adversary watches the staged messages of every round and
-corrupts each (not-yet-corrupt) multicaster until its budget runs out;
-from the next voting opportunity on, each corrupted node attempts to
-authenticate the *opposite* bit of whatever it was seen sending.
+corrupts each (not-yet-corrupt) multicaster of a vote or ACK until its
+budget runs out; that same round the corrupted node tries to
+authenticate the *opposite* bit of what it was seen sending, then falls
+silent.  A flipped vote past iteration 1 carries the observed proposal,
+which justifies only the observed bit, so no honest node accepts it.
 
 Against **round-specific** eligibility this is devastating (see
 :mod:`repro.adversaries.equivocation` for the sharpened same-round

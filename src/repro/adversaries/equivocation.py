@@ -32,7 +32,7 @@ Outcome matrix (experiment E6):
 
 from __future__ import annotations
 
-from typing import List, Optional, Set
+from typing import List, Set
 
 from repro.errors import ConfigurationError, SignatureError
 from repro.protocols.base import ProtocolInstance
@@ -52,9 +52,7 @@ class AckEquivocationAdversary(Adversary):
 
     name = "ack-equivocation"
 
-    def __init__(self, instance: ProtocolInstance,
-                 target_epoch: Optional[int] = None,
-                 reserve: int = 0) -> None:
+    def __init__(self, instance: ProtocolInstance, reserve: int = 0) -> None:
         super().__init__()
         services = instance.services
         authenticator = services.get("authenticator")
@@ -66,8 +64,7 @@ class AckEquivocationAdversary(Adversary):
         # Target the second-to-last epoch: the split beliefs it creates
         # are ACKed (and become the outputs) in the final epoch, leaving
         # the protocol no time to self-heal.
-        self.target_epoch = (target_epoch if target_epoch is not None
-                             else max(0, config.epochs - 2))
+        self.target_epoch = max(0, config.epochs - 2)
         self.reserve = reserve
         # Keep enough budget in hand to corrupt the ~λ eligible ACKers of
         # the target epoch (the threshold is 2λ/3, so 2·threshold ≥ λ).

@@ -26,7 +26,7 @@ from repro.errors import ConfigurationError
 from repro.protocols.base import ProtocolInstance
 from repro.sim.adversary import Adversary
 from repro.sim.leader import LeaderOracle
-from repro.sim.network import Delivery, Envelope
+from repro.sim.network import Delivery
 from repro.types import NodeId, Round
 
 
@@ -63,6 +63,3 @@ class LeaderKillerAdversary(Adversary):
             return
         api.corrupt(leader)
         self.killed.append(leader)
-
-    def react(self, round_index: Round, staged: List[Envelope]) -> None:
-        return None

@@ -5,15 +5,15 @@ Several of the paper's adversaries corrupt nodes but keep them running the
 
 - Dolev–Reischuk's ``A``: the corrupt set V behaves honestly except it
   ignores the first f/2 messages and stays silent towards other V members;
-- Dolev–Reischuk's ``A'`` / Theorem 4's isolation: corrupted senders
-  "behave correctly" except they never talk to the victim ``p``.
+- Dolev–Reischuk's ``A'`` (``A`` with the victim ``p`` spared) /
+  Theorem 4's isolation: corrupted senders "behave correctly" except
+  they never talk to ``p``.
 
 :class:`SandboxRunner` provides exactly that: it adopts corruption grants
 and, each round, steps every adopted node with an adversary-filtered inbox,
 then re-injects the node's staged messages through an adversary-controlled
 send filter.  :class:`SandboxAdversary` is the base of the adversaries that
-own one; :class:`Deaf` is the ignore-the-first-f/2 inbox filter ``A`` and
-``A'`` share.
+own one; :class:`Deaf` is ``A``'s ignore-the-first-f/2 inbox filter.
 """
 
 from __future__ import annotations

@@ -10,22 +10,22 @@ against the subquadratic protocols it exercises the quorum-intersection
 bound at its worst case.
 
 What a corrupt node can say is :mod:`repro.adversaries.menu`; this class
-is the policy "the last ``f`` nodes say all of it", and :meth:`targets`
-— who receives each bit — is the one thing its subclasses change.
+is the policy "the crash victims — the last ``f`` nodes — say all of
+it", and :meth:`targets` (who receives each bit) is all subclasses change.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+from repro.adversaries.crash import CrashAdversary
 from repro.adversaries.menu import ByzantineMenu
 from repro.protocols.base import ProtocolInstance
-from repro.sim.adversary import Adversary
 from repro.sim.network import Envelope
 from repro.types import Bit, NodeId, Round
 
 
-class StaticEquivocationAdversary(Adversary):
+class StaticEquivocationAdversary(CrashAdversary):
     """Corrupts a fixed set at setup and equivocates relentlessly."""
 
     name = "static-equivocation"
@@ -36,13 +36,11 @@ class StaticEquivocationAdversary(Adversary):
         super().__init__()
         self.menu = ByzantineMenu(instance, self.name, self.admits)
         self.family = self.menu.family.name
-        self.corrupted: List[NodeId] = []
 
-    def on_setup(self) -> None:
-        api = self.api
-        for node_id in range(api.n - api.corruption_budget, api.n):
-            api.corrupt(node_id)
-            self.corrupted.append(node_id)
+    @property
+    def corrupted(self) -> List[NodeId]:
+        """The equivocators: the static set, in corruption order."""
+        return self.victims
 
     def targets(self, bit: Bit) -> Sequence[Optional[NodeId]]:
         """Recipients of a ``bit`` message, ascending (None = multicast)."""
@@ -50,6 +48,6 @@ class StaticEquivocationAdversary(Adversary):
 
     def react(self, round_index: Round, staged: List[Envelope]) -> None:
         for node_id, bit, payload in self.menu.offers(
-                round_index, staged, self.corrupted):
+                round_index, staged, self.victims):
             for target in self.targets(bit):
                 self.api.inject(node_id, target, payload)

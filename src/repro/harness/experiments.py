@@ -352,11 +352,11 @@ def experiment_e6(trials: int = 5) -> ExperimentResult:
             ("round-no-erasure", "round-specific", False),
             ("round-erasure", "round-specific", True),
             ("bit-specific", "bit-specific (paper)", False)):
-        records = _one(sweep, scenario).payload
-        rate = sum(result.consistent() for result, _ in records) / trials
+        cell = _one(sweep, scenario)
         forged = 0 if scenario == "bit-specific" else round(mean(
-            [float(adversary.forged) for _, adversary in records]), 1)
-        table.add_row(design, erasure, rate, forged)
+            [float(adversary.forged) for _, adversary in cell.payload]), 1)
+        table.add_row(design, erasure, cell.metrics["consistency_rate"],
+                      forged)
     return ExperimentResult("E6", [table], sweep.rows())
 
 

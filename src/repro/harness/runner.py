@@ -27,7 +27,6 @@ from repro.sim.adversary import Adversary
 from repro.sim.conditions import NetworkConditions, NetworkStats
 from repro.sim.engine import TRANSCRIPT_FULL, run_instance
 from repro.sim.result import ExecutionResult
-from repro.types import AdversaryModel
 
 #: Builds an adversary for a freshly constructed protocol instance.
 AdversaryFactory = Callable[[ProtocolInstance], Adversary]
@@ -162,7 +161,6 @@ def _run_one_trial(
     f: int,
     seed,
     adversary_factory: Optional[AdversaryFactory] = None,
-    model: AdversaryModel = AdversaryModel.ADAPTIVE,
     transcript_retention: str = TRANSCRIPT_FULL,
     conditions: Optional[NetworkConditions] = None,
     **builder_kwargs,
@@ -177,7 +175,7 @@ def _run_one_trial(
     instance = builder(f=f, seed=seed, **builder_kwargs)
     adversary = (adversary_factory(instance)
                  if adversary_factory is not None else None)
-    result = run_instance(instance, f, adversary, model, seed=seed,
+    result = run_instance(instance, f, adversary, seed=seed,
                           transcript_retention=transcript_retention,
                           conditions=conditions)
     if not gc.isenabled():
@@ -239,7 +237,7 @@ def trial_submitter(workers: int = 1, pool=None) -> Iterator[Any]:
 def submit_trials(submitter, builder: Callable[..., ProtocolInstance], f: int,
                   seeds: Sequence, **trial) -> List[Any]:
     """Submit one trial per seed to ``submitter`` (``trial``: the
-    remaining keyword arguments of :func:`run_trials`); the futures come
+    remaining keyword arguments of :func:`_run_one_trial`); the futures come
     back in seed order, for :func:`gather_trials`."""
     return [submitter.submit(_run_one_trial, builder, f, seed, **trial)
             for seed in seeds]
@@ -256,9 +254,7 @@ def run_trials(
     f: int,
     seeds: Sequence,
     adversary_factory: Optional[AdversaryFactory] = None,
-    model: AdversaryModel = AdversaryModel.ADAPTIVE,
     workers: int = 1,
-    transcript_retention: str = TRANSCRIPT_FULL,
     conditions: Optional[NetworkConditions] = None,
     pool=None,
     **builder_kwargs,
@@ -291,5 +287,4 @@ def run_trials(
     with trial_submitter(min(workers, len(seeds)), pool) as submitter:
         return gather_trials(submit_trials(
             submitter, builder, f, seeds, adversary_factory=adversary_factory,
-            model=model, transcript_retention=transcript_retention,
             conditions=conditions, **builder_kwargs))

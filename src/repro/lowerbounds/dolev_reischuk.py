@@ -8,12 +8,13 @@ directly executable:
    ``f/2`` messages sent to it and (ii) never talks to other members of
    ``V``.  Count the messages honest nodes send into ``V``.
 2. If some ``p ∈ V`` received at most ``f/2`` messages, **Run 2
-   (adversary A')** — don't corrupt ``p``; instead corrupt exactly the
-   senders ``S(p)`` observed in Run 1 and have them behave honestly except
-   that they never send to ``p``.  Determinism makes Run 2's view
-   identical to Run 1 for everyone outside ``S(p) ∪ {p}`` — so they output
-   the Run-1 bit, while ``p``, having heard nothing, outputs its
-   silent-default.  If the two differ, consistency is violated.
+   (adversary A', which is A with p spared)** — don't corrupt ``p``;
+   additionally corrupt the senders ``S(p)`` observed in Run 1 and have
+   them behave honestly except that they never send to ``p``.
+   Determinism makes Run 2's view identical to Run 1 for everyone
+   outside ``S(p) ∪ {p}`` — so they output the Run-1 bit, while ``p``,
+   having heard nothing, outputs its silent-default.  If the two differ,
+   consistency is violated.
 
 Protocols that send **more** than ``(f/2)²`` messages into ``V`` (e.g.
 Dolev–Strong) leave no such ``p`` and the harness reports the attack
@@ -31,18 +32,31 @@ from repro.protocols.base import ProtocolInstance
 from repro.sim.conditions import NetworkConditions
 from repro.sim.engine import run_instance
 from repro.sim.network import Delivery, Envelope
-from repro.types import AdversaryModel, Bit, NodeId, Round
+from repro.types import Bit, NodeId, Round
 
 
 class _IgnoringSetAdversary(SandboxAdversary):
-    """Adversary A: V behaves honestly, deaf for f/2 messages, mute to V."""
+    """Adversary A: V behaves honestly, deaf for f/2 messages, mute to V.
+
+    Given the starved member ``victim`` p and the ``senders`` S(p) Run 1
+    observed, it is Run 2's A', "almost identical to A" (Section 2): p is
+    spared, and the senders outside V are corrupted after ``V \\ {p}``,
+    behaving honestly except that they stay silent towards p.  V stays
+    mute towards all of V, p included (``|V| - 1 + |S(p) \\ V| <= f``).
+    """
 
     name = "dolev-reischuk-A"
 
-    def __init__(self, corrupt_set: Sequence[NodeId], ignore_first: int) -> None:
+    def __init__(self, corrupt_set: Sequence[NodeId], ignore_first: int,
+                 victim: Optional[NodeId] = None,
+                 senders: Sequence[NodeId] = ()) -> None:
         super().__init__()
         self.corrupt_set = list(corrupt_set)
-        self._inbox_filter = Deaf(corrupt_set, ignore_first)
+        self.victim = victim
+        members = [node for node in corrupt_set if node != victim]
+        self.senders = [node for node in senders if node not in corrupt_set]
+        self._corrupted = members + self.senders
+        self._inbox_filter = Deaf(members, ignore_first)
         #: messages (from so-far-honest nodes) addressed into V, per member.
         self.received_by: Dict[NodeId, int] = {node: 0 for node in corrupt_set}
         #: distinct honest senders observed attempting to reach each member.
@@ -50,13 +64,16 @@ class _IgnoringSetAdversary(SandboxAdversary):
             node: set() for node in corrupt_set}
 
     def on_setup(self) -> None:
-        for node_id in self.corrupt_set:
+        for node_id in self._corrupted:
             self.sandbox.adopt(self.api.corrupt(node_id))
 
     def _send_filter(self, node_id: NodeId, recipient: Optional[NodeId],
                      payload) -> bool:
-        # (ii): V members do not send messages to each other.
-        return recipient not in self.received_by or recipient is None
+        if node_id in self.received_by:
+            # (ii): V members do not send messages to each other.
+            return recipient is None or recipient not in self.received_by
+        # S(p) members: honest except towards the victim.
+        return recipient is not None and recipient != self.victim
 
     def observe_deliveries(self, round_index: Round,
                            inboxes: Dict[NodeId, List[Delivery]]) -> None:
@@ -80,49 +97,6 @@ class _IgnoringSetAdversary(SandboxAdversary):
                 self.senders_to[recipient].add(envelope.sender)
 
 
-class _PrimeAdversary(SandboxAdversary):
-    """Adversary A': "almost identical to A" (Section 2).
-
-    Keeps corrupting ``V \\ {p}`` with A's deaf/mute behaviour, leaves the
-    starved member ``p`` honest, and additionally corrupts the senders
-    ``S(p)``, who behave honestly except that they never send to ``p``.
-    Total corruptions: ``|V| - 1 + |S(p)| <= f``.
-    """
-
-    name = "dolev-reischuk-A-prime"
-
-    def __init__(self, corrupt_set: Sequence[NodeId], victim: NodeId,
-                 senders: Sequence[NodeId], ignore_first: int) -> None:
-        super().__init__()
-        self.v_members = [node for node in corrupt_set if node != victim]
-        self.v_set = set(corrupt_set)  # including p: V stays mute towards p
-        self.victim = victim
-        self.senders = [node for node in senders if node not in self.v_set]
-        self._inbox_filter = Deaf(self.v_members, ignore_first)
-
-    def on_setup(self) -> None:
-        for node_id in self.v_members:
-            self.sandbox.adopt(self.api.corrupt(node_id))
-        for node_id in self.senders:
-            self.sandbox.adopt(self.api.corrupt(node_id))
-
-    def _send_filter(self, node_id: NodeId, recipient: Optional[NodeId],
-                     payload) -> bool:
-        if node_id in self.v_set:
-            # V members: mute towards V (including p), as under A.
-            return recipient is None or recipient not in self.v_set
-        # S(p) members: honest except towards the victim.
-        return recipient is not None and recipient != self.victim
-
-    def observe_deliveries(self, round_index: Round,
-                           inboxes: Dict[NodeId, List[Delivery]]) -> None:
-        self.sandbox.step(inboxes, inbox_filter=self._inbox_filter,
-                          send_filter=self._send_filter)
-
-    def react(self, round_index: Round, staged: List[Envelope]) -> None:
-        return None
-
-
 def run_adversary_a(builder: Callable[..., ProtocolInstance], n: int,
                     f: int, sender_input: Bit, seed=0, sender: NodeId = 0,
                     conditions: Optional[NetworkConditions] = None,
@@ -135,8 +109,7 @@ def run_adversary_a(builder: Callable[..., ProtocolInstance], n: int,
     instance = builder(n=n, f=f, sender_input=sender_input, seed=seed,
                        **builder_kwargs)
     adversary = _IgnoringSetAdversary(corrupt_set, ignore_first=half_f)
-    result = run_instance(instance, f, adversary,
-                          model=AdversaryModel.ADAPTIVE, seed=seed,
+    result = run_instance(instance, f, adversary, seed=seed,
                           conditions=conditions)
     return instance, adversary, result
 
@@ -196,14 +169,11 @@ def run_dolev_reischuk_attack(
     honest_outputs = set(result_a.honest_outputs)
     honest_bit = honest_outputs.pop() if len(honest_outputs) == 1 else None
 
-    # ---- Find the starved member p ----------------------------------------
-    victim: Optional[NodeId] = None
-    victim_count: Optional[int] = None
-    for node_id in adversary_a.corrupt_set:
-        count = adversary_a.received_by[node_id]
-        if count <= half_f and (victim_count is None or count < victim_count):
-            victim = node_id
-            victim_count = count
+    # ---- Find the starved member p (fewest messages, then lowest id) -----
+    starved = [(count, node_id)
+               for node_id, count in adversary_a.received_by.items()
+               if count <= half_f]
+    victim_count, victim = min(starved) if starved else (None, None)
     feasible = victim is not None
     senders_to_victim = (len(adversary_a.senders_to[victim]) if feasible else 0)
 
@@ -214,11 +184,10 @@ def run_dolev_reischuk_attack(
         # ---- Run 2: adversary A' ----------------------------------------
         instance2 = builder(n=n, f=f, sender_input=sender_input, seed=seed,
                             **builder_kwargs)
-        suppressors = sorted(adversary_a.senders_to[victim])
-        adversary_ap = _PrimeAdversary(adversary_a.corrupt_set, victim,
-                                       suppressors, ignore_first=half_f)
-        result_ap = run_instance(instance2, f, adversary_ap,
-                                 model=AdversaryModel.ADAPTIVE, seed=seed,
+        adversary_ap = _IgnoringSetAdversary(
+            adversary_a.corrupt_set, ignore_first=half_f, victim=victim,
+            senders=sorted(adversary_a.senders_to[victim]))
+        result_ap = run_instance(instance2, f, adversary_ap, seed=seed,
                                  conditions=conditions)
         victim_output = result_ap.outputs.get(victim)
         other_nodes = [node for node in result_ap.forever_honest

@@ -19,7 +19,6 @@ accidentally exceed the model it claims to work in.
 
 from __future__ import annotations
 
-import abc
 import weakref
 from typing import Any, Dict, List, Optional, TYPE_CHECKING
 
@@ -141,8 +140,9 @@ class AdversaryApi:
                             self._sim.rng_for_node)
 
 
-class Adversary(abc.ABC):
-    """Base class for attack strategies."""
+class Adversary:
+    """Base class for attack strategies: each hook is a no-op until an
+    attack overrides it."""
 
     name = "adversary"
 
@@ -160,7 +160,6 @@ class Adversary(abc.ABC):
                            inboxes: Dict[NodeId, List[Delivery]]) -> None:
         """Called after delivery, before honest nodes act."""
 
-    @abc.abstractmethod
     def react(self, round_index: Round, staged: List[Envelope]) -> None:
         """The rushing step: observe staged honest messages and act."""
 
@@ -169,6 +168,3 @@ class PassiveAdversary(Adversary):
     """Corrupts nobody and does nothing (honest executions)."""
 
     name = "passive"
-
-    def react(self, round_index: Round, staged: List[Envelope]) -> None:
-        return None

@@ -18,6 +18,7 @@ from repro.protocols import (
     build_quadratic_ba,
     build_subquadratic_ba,
 )
+from repro.protocols.messages import VoteMsg
 from repro.sim.trace import summarize_transcript
 from repro.types import AdversaryModel, SecurityParameters
 
@@ -93,6 +94,28 @@ class TestAdaptiveSpeaker:
         adversary = AdaptiveSpeakerAdversary(instance, spare_budget=35)
         result = run_instance(instance, f, adversary, seed=2)
         assert result.corruptions_used <= f - 35
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="a flipped vote past iteration 1 carries the observed "
+               "proposal, which is for the other bit (ROADMAP 7)")
+    def test_late_flipped_votes_are_valid(self):
+        # The adversary-grid's n = 200 speaker cell, seed 0.
+        n, f, seed = 200, 50, 0
+        instance = build_subquadratic_ba(
+            n, f, [i % 2 for i in range(n)], seed=seed,
+            params=SecurityParameters(lam=30, epsilon=0.1))
+        result = run_instance(instance, f, AdaptiveSpeakerAdversary(instance),
+                              seed=seed)
+        honest = next(node for node in instance.nodes
+                      if node.node_id in result.forever_honest)
+        late = [envelope.payload for envelope in result.transcript
+                if not envelope.honest_sender
+                and isinstance(envelope.payload, VoteMsg)
+                and envelope.payload.iteration > 1]
+        if not late:
+            pytest.fail("the cell injects no flipped vote past iteration 1")
+        assert all(honest._valid_vote(vote) for vote in late)
 
 
 class TestIsolation:

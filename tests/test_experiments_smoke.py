@@ -40,6 +40,14 @@ protocol         n   f   msgs into V  budget (f/2)²  starved p found  violation
 naive-broadcast  40  16  9            64             yes              yes
 dolev-strong     24  10  95           25             no               no"""
 
+E6_STDOUT = """\
+E6 (Remark 3.3) — eligibility design vs same-round equivocation
+design                erasure  consistency rate  forged ACKs/run
+--------------------  -------  ----------------  ---------------
+round-specific        no       0                 26
+round-specific        yes      1                 0
+bit-specific (paper)  no       1                 0"""
+
 E7_STDOUT = """\
 E7 (Theorem 3) — hypothetical experiment Q --- 1 --- Q'
 setup      n   Q outputs  Q' outputs  bridge  contradiction  Q' speakers (corruptions)  bridge rejections
@@ -117,6 +125,9 @@ class TestViews:
 class TestCheapExperiments:
     def test_e2_stdout_pinned(self):
         _assert_stdout(experiment_e2().render(), E2_STDOUT)
+
+    def test_e6_stdout_pinned(self):
+        _assert_stdout(experiment_e6(trials=2).render(), E6_STDOUT)
 
     def test_e7_stdout_pinned(self):
         _assert_stdout(experiment_e7().render(), E7_STDOUT)

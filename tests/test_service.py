@@ -175,15 +175,18 @@ class TestServiceQueue:
         """``shutdown(wait=False)`` lets a queued job go; the next service
         on the same store finds it and settles it under its own id."""
         service = ExperimentService(sqlite_store, workers=1)
-        release = threading.Event()
+        held, release = threading.Event(), threading.Event()
         run_job = service._run_job
 
         def held_job(*job):
+            held.set()
             release.wait(30)
             run_job(*job)
 
         service._run_job = held_job
-        first, second = service.submit("smoke"), service.submit("smoke")
+        first = service.submit("smoke")
+        assert held.wait(30)  # the worker holds the first job
+        second = service.submit("smoke")
         service.shutdown(wait=False)
         assert not service.poll(second)[1]
         release.set()
