@@ -1,7 +1,9 @@
 """E1–E12 at full scale: one runner, the paper's claims asserted on rows.
 
-``CLAIMS`` maps each experiment to the arguments of its full-scale run
-and a check.  A check reads the sweep's artifact rows
+``CLAIMS`` maps each experiment to a check of the run ``repro
+experiment EN`` prints: the experiment at its own defaults, so the
+claims hold at exactly the CLI's scale.  A check reads the sweep's
+artifact rows
 (``ExperimentResult.rows`` — what ``SweepResult.rows()`` exports) and,
 for the few numbers no row carries, the printed tables' own cells
 (``lines``: one ``{column: value}`` dict per table line, values as
@@ -207,23 +209,22 @@ def check_e12(rows, tables):
 
 
 CLAIMS = {
-    "E1": (dict(trials=3), check_e1),
-    "E2": (dict(), check_e2),
-    "E3": (dict(trials=3), check_e3),
-    "E4": (dict(trials=15), check_e4),
-    "E5": (dict(trials=5), check_e5),
-    "E6": (dict(trials=5), check_e6),
-    "E7": (dict(), check_e7),
-    "E8": (dict(samples=400), check_e8),
-    "E9": (dict(trials=3), check_e9),
-    "E10": (dict(trials=2), check_e10),
-    "E11": (dict(trials=3), check_e11),
-    "E12": (dict(trials=4), check_e12),
+    "E1": check_e1,
+    "E2": check_e2,
+    "E3": check_e3,
+    "E4": check_e4,
+    "E5": check_e5,
+    "E6": check_e6,
+    "E7": check_e7,
+    "E8": check_e8,
+    "E9": check_e9,
+    "E10": check_e10,
+    "E11": check_e11,
+    "E12": check_e12,
 }
 
 
 @pytest.mark.parametrize("name", list(CLAIMS))
 def bench_experiment(run_experiment, name):
-    kwargs, check = CLAIMS[name]
-    result = run_experiment(ALL_EXPERIMENTS[name], **kwargs)
-    check(result.rows, [lines(table) for table in result.tables])
+    result = run_experiment(ALL_EXPERIMENTS[name])
+    CLAIMS[name](result.rows, [lines(table) for table in result.tables])

@@ -237,7 +237,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one protocol execution")
     run.add_argument("--protocol", choices=sorted(PROTOCOLS),
                      default="subquadratic")
-    run.add_argument("-n", type=int, default=200, help="number of nodes")
+    run.add_argument("-n", type=_int_at_least(1), default=200,
+                     help="number of nodes")
     run.add_argument("-f", type=_int_at_least(0), default=None,
                      help="corruption budget (default: 0.25n)")
     run.add_argument("--adversary", choices=sorted(ADVERSARIES),

@@ -5,7 +5,6 @@ persistent experiment store / results book, and the experiment tables
 from repro.harness.report import render_book, write_book
 from repro.harness.runner import run_instance, run_trials, TrialStats
 from repro.harness.scenarios import (
-    CachedCellPayload,
     Cell,
     CellResult,
     ScenarioSpec,
@@ -27,7 +26,6 @@ __all__ = [
     "TrialStats",
     "Table",
     "rows_to_table",
-    "CachedCellPayload",
     "Cell",
     "CellResult",
     "ScenarioSpec",

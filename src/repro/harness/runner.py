@@ -18,6 +18,7 @@ import gc
 import inspect
 from contextlib import contextmanager
 from functools import lru_cache, partial
+from operator import attrgetter, methodcaller
 from types import MappingProxyType, SimpleNamespace
 from typing import (
     Any, Callable, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple)
@@ -32,31 +33,27 @@ from repro.sim.result import ExecutionResult
 AdversaryFactory = Callable[[ProtocolInstance], Adversary]
 
 
+def _mean_of(value: Callable[[ExecutionResult], int],
+             empty: float) -> property:
+    """A :class:`TrialStats` property: ``value`` summed over the trials,
+    divided by their count (``empty`` when there are none)."""
+    def read(stats: "TrialStats") -> float:
+        results = stats._results
+        return sum(map(value, results)) / len(results) if results else empty
+    return property(read)
+
+
 class TrialStats:
     """Aggregated security predicates over repeated executions.
 
-    Each predicate is evaluated exactly once, when the result is added;
-    the rate properties read O(1) counters instead of re-scanning every
-    stored result on each access.  Results enter exclusively through
-    :meth:`add` (``results`` is a read-only view), so the counters can
-    never drift from the stored sample.
+    Holds its results and nothing else: each rate and mean is the
+    integer sum of a per-trial value divided by :attr:`trials`, folded
+    when read, so no tally can drift from the stored sample.  Results
+    enter through :meth:`add` (``results`` is a read-only view).
     """
 
     def __init__(self, results: Optional[List[ExecutionResult]] = None) -> None:
-        self._results: List[ExecutionResult] = []
-        self._consistent = 0
-        self._valid = 0
-        self._violations = 0
-        self._decided = 0
-        self._multicasts = 0
-        self._multicast_bits = 0
-        self._rounds = 0
-        self._corruptions = 0
-        self._max_message_bits = 0
-        self._network_trials = 0
-        self._network = NetworkStats()
-        for result in results or []:
-            self.add(result)
+        self._results: List[ExecutionResult] = list(results or [])
 
     @property
     def results(self) -> Tuple[ExecutionResult, ...]:
@@ -65,75 +62,45 @@ class TrialStats:
 
     def add(self, result: ExecutionResult) -> None:
         self._results.append(result)
-        consistent = result.consistent()
-        valid = result.agreement_valid()
-        self._consistent += consistent
-        self._valid += valid
-        self._violations += not (consistent and valid)
-        self._decided += result.all_decided()
-        self._multicasts += result.metrics.multicast_complexity_messages
-        self._multicast_bits += result.metrics.multicast_complexity_bits
-        self._rounds += result.rounds_executed
-        self._corruptions += result.corruptions_used
-        self._max_message_bits = max(self._max_message_bits,
-                                     result.metrics.max_message_bits)
-        network = result.network_stats
-        if network is not None:
-            self._network_trials += 1
-            self._network.accumulate(network)
 
     @property
     def trials(self) -> int:
         return len(self._results)
 
-    @property
-    def consistency_rate(self) -> float:
-        return self._consistent / self.trials if self._results else 1.0
-
-    @property
-    def validity_rate(self) -> float:
-        return self._valid / self.trials if self._results else 1.0
-
-    @property
-    def violation_rate(self) -> float:
-        return self._violations / self.trials if self._results else 0.0
-
-    @property
-    def termination_rate(self) -> float:
-        return self._decided / self.trials if self._results else 1.0
-
-    @property
-    def mean_multicasts(self) -> float:
-        return self._multicasts / self.trials if self._results else 0.0
-
-    @property
-    def mean_multicast_bits(self) -> float:
-        return self._multicast_bits / self.trials if self._results else 0.0
-
-    @property
-    def mean_rounds(self) -> float:
-        return self._rounds / self.trials if self._results else 0.0
-
-    @property
-    def mean_corruptions(self) -> float:
-        return self._corruptions / self.trials if self._results else 0.0
+    consistency_rate = _mean_of(methodcaller("consistent"), 1.0)
+    validity_rate = _mean_of(methodcaller("agreement_valid"), 1.0)
+    violation_rate = _mean_of(lambda result: not (
+        result.consistent() and result.agreement_valid()), 0.0)
+    termination_rate = _mean_of(methodcaller("all_decided"), 1.0)
+    mean_multicasts = _mean_of(
+        attrgetter("metrics.multicast_complexity_messages"), 0.0)
+    mean_multicast_bits = _mean_of(
+        attrgetter("metrics.multicast_complexity_bits"), 0.0)
+    mean_rounds = _mean_of(attrgetter("rounds_executed"), 0.0)
+    mean_corruptions = _mean_of(attrgetter("corruptions_used"), 0.0)
 
     @property
     def max_message_bits(self) -> int:
         """Largest single message seen across all trials."""
-        return self._max_message_bits
+        return max((result.metrics.max_message_bits
+                    for result in self._results), default=0)
 
     # -- network-conditions aggregates (conditioned executions only) --------
     @property
     def has_network_stats(self) -> bool:
         """Whether any trial ran under nontrivial network conditions."""
-        return self._network_trials > 0
+        return any(result.network_stats is not None
+                   for result in self._results)
 
     @property
     def network(self) -> NetworkStats:
         """All conditioned trials folded into one :class:`NetworkStats`
         (sums; peak for ``max_in_flight``)."""
-        return self._network
+        total = NetworkStats()
+        for result in self._results:
+            if result.network_stats is not None:
+                total.accumulate(result.network_stats)
+        return total
 
     def decision_rounds(self) -> List[int]:
         rounds: List[int] = []
@@ -256,7 +223,6 @@ def run_trials(
     adversary_factory: Optional[AdversaryFactory] = None,
     workers: int = 1,
     conditions: Optional[NetworkConditions] = None,
-    pool=None,
     **builder_kwargs,
 ) -> TrialStats:
     """Build and run the protocol once per seed; aggregate the outcomes.
@@ -276,15 +242,13 @@ def run_trials(
     adversary factory, and the execution results must be picklable —
     true for all module-level builders in this repo.
 
-    ``pool`` lends an already-running ``ProcessPoolExecutor`` instead
-    (:func:`trial_submitter`); even a single seed routes through it
-    rather than bypass its workers' state in the parent.  Either way
-    this is ``gather_trials(submit_trials(…))``;
+    This is ``gather_trials(submit_trials(…))``;
     :func:`~repro.harness.scenarios.run_sweep` calls the two halves
-    itself, to have every cell in flight before it awaits the first.
+    itself, to have every cell in flight before it awaits the first, and
+    :func:`~repro.harness.scenarios.execute_or_replay` takes a lent pool.
     """
     seeds = list(seeds)
-    with trial_submitter(min(workers, len(seeds)), pool) as submitter:
+    with trial_submitter(min(workers, len(seeds))) as submitter:
         return gather_trials(submit_trials(
             submitter, builder, f, seeds, adversary_factory=adversary_factory,
             conditions=conditions, **builder_kwargs))

@@ -85,6 +85,7 @@ from repro.adversaries import (
     StaticEquivocationAdversary,
     ViewSplitAdversary,
 )
+from repro.analysis.stats import mean
 from repro.eligibility import DifficultySchedule, FMineEligibility
 from repro.eligibility.lottery_cache import SharedLotteryCache, release_cache
 from repro.errors import ConfigurationError
@@ -619,7 +620,8 @@ def _stats_metrics(stats: TrialStats, entry: ProtocolEntry) -> Dict[str, Any]:
     # Network-axis columns only for conditioned cells, so sweeps that
     # never leave perfect synchrony keep byte-identical artifacts.
     if stats.has_network_stats:
-        metrics.update((name, getattr(stats.network, name))
+        network = stats.network
+        metrics.update((name, getattr(network, name))
                        for name in NETWORK_COLUMNS)
     # Likewise each protocol's own columns: only in its own rows.
     for columns in entry.columns:
@@ -673,9 +675,8 @@ def _cell_committee_census(n, f, seeds, params, topic=("Vote", 1, 1),
     schedule = DifficultySchedule.for_parameters(params, n)
     if threshold is None:
         threshold = (params.lam + 1) // 2
+    # One (committee size, corrupt members) per seed.
     samples: List[Tuple[int, int]] = []
-    corrupt_hits = 0
-    honest_misses = 0
     for seed in seeds:
         # Deliberately no coin_cache: every census sample has a unique
         # seed, so the sweep-wide cache could never hit — it would only
@@ -686,15 +687,17 @@ def _cell_committee_census(n, f, seeds, params, topic=("Vote", 1, 1),
                     if source.capability_for(node).try_mine(topic) is not None]
         corrupt = sum(1 for node in eligible if node < f)
         samples.append((len(eligible), corrupt))
-        corrupt_hits += corrupt >= threshold
-        honest_misses += (len(eligible) - corrupt) < threshold
-    count = len(samples)
+
+    def sample_mean(values: List[int]) -> float:
+        return mean(values) if values else 0.0
+
     return samples, {
-        "samples": count,
-        "mean_committee_size":
-            sum(size for size, _ in samples) / count if count else 0.0,
-        "corrupt_quorum_rate": corrupt_hits / count if count else 0.0,
-        "honest_miss_rate": honest_misses / count if count else 0.0,
+        "samples": len(samples),
+        "mean_committee_size": sample_mean([size for size, _ in samples]),
+        "corrupt_quorum_rate": sample_mean(
+            [corrupt >= threshold for _, corrupt in samples]),
+        "honest_miss_rate": sample_mean(
+            [size - corrupt < threshold for size, corrupt in samples]),
         "threshold": threshold,
     }
 
@@ -749,20 +752,6 @@ def _start(cell: Cell, coin_cache: Optional[SharedLotteryCache],
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CachedCellPayload:
-    """Placeholder payload for a cell replayed from an experiment store.
-
-    Store records keep metrics only — per-trial results and
-    :class:`TrialStats` are never persisted — so a replayed cell refuses
-    payload access the same way a computed cell's trials, which keep no
-    transcript (``transcript_retained=False``), refuse replay and
-    invariant checks: loudly, instead of handing back fabricated data.
-    """
-
-    fingerprint: str
-
-
 @dataclass
 class CellResult:
     """One executed cell: the raw payload plus its flat metrics row.
@@ -770,9 +759,11 @@ class CellResult:
     ``payload`` keeps the executor's native result (a
     :class:`TrialStats`, an attack report, per-seed records) so table
     code can reach per-trial data; ``metrics`` holds only scalars and is
-    what artifacts serialize.  Cells replayed from an experiment store
-    carry a :class:`CachedCellPayload` instead (``cached=True``) and
-    refuse payload access.
+    what artifacts serialize.  A cell replayed from an experiment store
+    has no payload (``cached=True``) and refuses payload access: store
+    records keep metrics only, so it fails loudly — as a computed
+    cell's trials, which keep no transcript, refuse replay and invariant
+    checks — instead of handing back fabricated data.
     """
 
     cell: Cell
@@ -786,11 +777,11 @@ class CellResult:
 
     @property
     def stats(self) -> TrialStats:
-        if isinstance(self.payload, CachedCellPayload):
+        if self.cached:
             raise TypeError(
                 f"cell {self.cell.label()!r} was replayed from the "
                 f"experiment store (fingerprint "
-                f"{self.payload.fingerprint[:12]}); stored records keep "
+                f"{self.fingerprint[:12]}); stored records keep "
                 "metrics only — re-run without the store, or bump the "
                 "store salt, for TrialStats; no sweep cell keeps "
                 "transcripts: run_trials(...), run_instance(...) and "
@@ -902,9 +893,8 @@ def _replay(cell: Cell, store, share_lottery: bool = True,
     # names, binding labels — outside the fingerprint) always tracks
     # the current spec.
     return fingerprint, None if record is None else CellResult(
-        cell=cell, payload=CachedCellPayload(fingerprint=fingerprint),
-        metrics=dict(record["metrics"]), fingerprint=fingerprint,
-        cached=True)
+        cell=cell, payload=None, metrics=dict(record["metrics"]),
+        fingerprint=fingerprint, cached=True)
 
 
 def _settle(cell: Cell, fingerprint: Optional[str],
@@ -1017,7 +1007,7 @@ def run_sweep(sweep: SweepSpec, workers: int = 1,
 
     ``store`` (an :class:`~repro.harness.store.ExperimentStore`) makes
     the sweep incremental: recorded cells replay byte-identically (as
-    :class:`CachedCellPayload` cells), fresh ones are recorded, and no
+    ``cached`` cells without a payload), fresh ones are recorded, and no
     lottery counters are reported (a warm replay draws no coins, and
     its artifacts must equal the cold run's).  ``shard=(k, m)``
     (1-based) computes only cells whose expansion index ``i`` has

@@ -55,9 +55,9 @@ once.  See ``docs/RESULTS.md`` for the full rules.
 
 Stored records keep **metrics only** (the scalar row a sweep artifact
 serializes); :class:`~repro.harness.runner.TrialStats` payloads are not
-retained, and replayed cells refuse payload access the same way a sweep
-trial's discarded transcript refuses replay (see
-:class:`~repro.harness.scenarios.CachedCellPayload`).
+retained: a replayed cell has no payload (``CellResult.cached``) and
+refuses payload access the same way a sweep trial's discarded transcript
+refuses replay (see :class:`~repro.harness.scenarios.CellResult`).
 
 Backends
 --------

@@ -16,9 +16,10 @@ attack succeeds, with a corruption count of the order of the protocol's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.adversaries.strongly_adaptive import IsolationAdversary
+from repro.analysis.stats import mean
 from repro.lowerbounds.dolev_reischuk import run_adversary_a
 from repro.protocols.base import ProtocolInstance
 from repro.rng import derive_rng
@@ -101,10 +102,8 @@ def run_theorem4_census(
     """
     half_f = f // 2
     budget = epsilon * half_f * half_f
-    zs: List[int] = []
-    x_hits = 0
-    y_hits = 0
-    xy_hits = 0
+    # One (z, X, Y) per seed.
+    outcomes: List[Tuple[int, bool, bool]] = []
     protocol_name = ""
     for seed in seeds:
         instance, adversary, _ = run_adversary_a(
@@ -112,28 +111,22 @@ def run_theorem4_census(
             **builder_kwargs)
         protocol_name = instance.name
         z = sum(adversary.received_by.values())
-        zs.append(z)
-        x = z < budget
         # The adversary picks p uniformly at random from V (the proof's
         # second coin).
         rng = derive_rng(seed, "theorem4-p")
         p = rng.choice(adversary.corrupt_set)
-        y = adversary.received_by[p] <= half_f
-        x_hits += x
-        y_hits += y
-        xy_hits += x and y
-    trials = len(zs)
+        outcomes.append((z, z < budget, adversary.received_by[p] <= half_f))
     return Theorem4Census(
         protocol=protocol_name,
         n=n,
         f=f,
         epsilon=epsilon,
-        trials=trials,
-        mean_z=sum(zs) / trials,
+        trials=len(outcomes),
+        mean_z=mean([z for z, _, _ in outcomes]),
         markov_budget=budget,
-        event_x_rate=x_hits / trials,
-        event_y_rate=y_hits / trials,
-        event_xy_rate=xy_hits / trials,
+        event_x_rate=mean([x for _, x, _ in outcomes]),
+        event_y_rate=mean([y for _, _, y in outcomes]),
+        event_xy_rate=mean([x and y for _, x, y in outcomes]),
         theorem_bound=1 - 2 * epsilon,
     )
 
@@ -158,10 +151,9 @@ def run_theorem4_attack(
     attack (the staging/suppression contract the strongly adaptive
     adversary relies on is unchanged under conditions).
     """
-    violations = 0
-    exhausted = 0
-    corruptions: List[int] = []
-    messages: List[int] = []
+    # One (violated, budget exhausted, corruptions, honest messages) per
+    # seed.
+    outcomes: List[Tuple[bool, bool, int, int]] = []
     protocol_name = ""
     for seed in seeds:
         instance = builder(n=n, f=f, sender_input=sender_input, seed=seed,
@@ -173,19 +165,17 @@ def run_theorem4_attack(
                               seed=seed, conditions=conditions)
         broken = not (result.consistent()
                       and result.broadcast_valid(0, sender_input))
-        violations += broken
-        exhausted += adversary.budget_exhausted
-        corruptions.append(result.corruptions_used)
-        messages.append(result.metrics.classical_message_count)
-    trials = len(list(seeds))
+        outcomes.append((broken, adversary.budget_exhausted,
+                         result.corruptions_used,
+                         result.metrics.classical_message_count))
     return Theorem4Report(
         protocol=protocol_name,
         n=n,
         f=f,
-        trials=trials,
+        trials=len(outcomes),
         message_bound=(epsilon * f / 2) ** 2,
-        mean_honest_messages=sum(messages) / trials,
-        mean_corruptions=sum(corruptions) / trials,
-        budget_exhausted_rate=exhausted / trials,
-        violation_rate=violations / trials,
+        mean_honest_messages=mean([m for _, _, _, m in outcomes]),
+        mean_corruptions=mean([c for _, _, c, _ in outcomes]),
+        budget_exhausted_rate=mean([e for _, e, _, _ in outcomes]),
+        violation_rate=mean([v for v, _, _, _ in outcomes]),
     )

@@ -46,8 +46,9 @@ Semantics (see ``docs/NETWORK.md`` for the full model):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from heapq import heappop, heappush
+from operator import add
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
@@ -453,8 +454,9 @@ class NetworkStats:
     adversary_delayed_copies: int = 0
     #: Sum over delivered copies of (delivery round - send round).
     latency_total: int = 0
-    #: Peak number of scheduled-but-undelivered copies.
-    max_in_flight: int = 0
+    #: Peak number of scheduled-but-undelivered copies (folded across
+    #: executions by its peak, every other field by its sum).
+    max_in_flight: int = field(default=0, metadata={"fold": max})
     #: Network rounds the conditioned engine executed.
     network_rounds: int = 0
     #: Idle network ticks: rounds in which the network neither drained a
@@ -479,20 +481,14 @@ class NetworkStats:
         return self.latency_total / self.delivered_copies
 
     def accumulate(self, other: "NetworkStats") -> None:
-        """Fold another execution's stats into this aggregate (peak for
-        ``max_in_flight``, sums elsewhere) — used by
+        """Fold another execution's stats into this aggregate, each field
+        by its ``fold`` (the sum unless it declares another) — used by
         :class:`~repro.harness.runner.TrialStats` so multi-trial network
         aggregation reuses these fields instead of mirroring them."""
-        self.delivered_copies += other.delivered_copies
-        self.dropped_copies += other.dropped_copies
-        self.duplicated_copies += other.duplicated_copies
-        self.deferred_copies += other.deferred_copies
-        self.adversary_delayed_copies += other.adversary_delayed_copies
-        self.latency_total += other.latency_total
-        self.max_in_flight = max(self.max_in_flight, other.max_in_flight)
-        self.network_rounds += other.network_rounds
-        self.skipped_ticks += other.skipped_ticks
-        self.events_processed += other.events_processed
+        for stat in fields(self):
+            fold = stat.metadata.get("fold", add)
+            setattr(self, stat.name,
+                    fold(getattr(self, stat.name), getattr(other, stat.name)))
 
 
 class PendingCopy(NamedTuple):

@@ -134,6 +134,8 @@ class TestCli:
          "65535, got '65536'"),
         (["run", "--protocol", "quadratic", "-n", "4", "-f", "-1"],
          "argument -f: expected an integer of at least 0, got '-1'"),
+        (["run", "--protocol", "quadratic", "-n", "-4"],
+         "argument -n: expected an integer of at least 1, got '-4'"),
         (["run", "-n", "40", "-f", "5", "--lam", "0"],
          "argument --lam: expected an integer of at least 1, got '0'"),
         (["run", "-n", "40", "-f", "5", "--lam", "-3"],

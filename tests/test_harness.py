@@ -5,6 +5,7 @@ import pytest
 from repro.adversaries import CrashAdversary
 from repro.harness import Table, run_instance, run_trials
 from repro.harness.runner import TrialStats
+from repro.harness.scenarios import ScenarioSpec, execute_or_replay
 from repro.protocols import build_quadratic_ba
 from repro.sim.result import ExecutionResult
 
@@ -71,46 +72,49 @@ class _CountingPool:
         return self.pool.submit(*args, **kwargs)
 
 
+def _quadratic_cell(seeds):
+    """One quadratic-BA cell at n = 7, f = 3 over ``seeds``."""
+    return ScenarioSpec(name="lent", protocol="quadratic",
+                        fixed={"n": 7, "f": 3}, inputs="mixed",
+                        seeds=seeds).cells()[0]
+
+
 class TestLentPool:
     def test_single_seed_routes_through_the_pool(self):
-        # Satellite regression: a lone seed used to bypass a lent pool
-        # entirely (silently discarding the worker-process state the
-        # caller lent the pool to preserve). It must submit like any
-        # other seed — and aggregate identically to the inline path.
+        # A lone seed must not bypass a lent pool (silently discarding
+        # the worker-process state the caller lent the pool to
+        # preserve). It submits like any other seed — and aggregates
+        # identically to the inline path.
         from concurrent.futures import ProcessPoolExecutor
 
-        n, f = 7, 3
-        kwargs = dict(f=f, n=n, inputs=[1] * n)
+        cell = _quadratic_cell((5,))
         with ProcessPoolExecutor(max_workers=1) as pool:
             counting = _CountingPool(pool)
-            pooled = run_trials(build_quadratic_ba, seeds=[5],
-                                pool=counting, **kwargs)
+            pooled = execute_or_replay(cell, pool=counting)
         assert counting.submits == 1
-        inline = run_trials(build_quadratic_ba, seeds=[5], **kwargs)
-        assert _stats_signature(pooled) == _stats_signature(inline)
+        inline = execute_or_replay(cell)
+        assert pooled.row() == inline.row()
+        assert _stats_signature(pooled.stats) == _stats_signature(inline.stats)
 
     def test_pool_vs_inline_determinism_multi_seed(self):
         from concurrent.futures import ProcessPoolExecutor
 
-        n, f = 7, 3
-        kwargs = dict(f=f, n=n, inputs=[i % 2 for i in range(n)])
+        cell = _quadratic_cell((0, 1, 2))
         with ProcessPoolExecutor(max_workers=2) as pool:
             counting = _CountingPool(pool)
-            pooled = run_trials(build_quadratic_ba, seeds=range(3),
-                                pool=counting, **kwargs)
+            pooled = execute_or_replay(cell, pool=counting)
         assert counting.submits == 3
-        inline = run_trials(build_quadratic_ba, seeds=range(3), **kwargs)
-        assert _stats_signature(pooled) == _stats_signature(inline)
+        inline = execute_or_replay(cell)
+        assert pooled.row() == inline.row()
+        assert _stats_signature(pooled.stats) == _stats_signature(inline.stats)
 
     def test_empty_seeds_with_pool_runs_nothing(self):
         class ExplodingPool:
             def submit(self, *args, **kwargs):  # pragma: no cover
                 raise AssertionError("no seeds, no submits")
 
-        n, f = 7, 3
-        stats = run_trials(build_quadratic_ba, f=f, seeds=[],
-                           pool=ExplodingPool(), n=n, inputs=[1] * n)
-        assert stats.trials == 0
+        result = execute_or_replay(_quadratic_cell(()), pool=ExplodingPool())
+        assert result.stats.trials == 0
 
 
 class TestRunInstance:

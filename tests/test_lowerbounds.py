@@ -76,6 +76,19 @@ class TestTheorem4:
         assert report.violation_rate == 0.0
         assert report.budget_exhausted_rate == 1.0
 
+    def test_one_shot_seeds_count_every_trial(self):
+        """A generator of seeds is read once: the report counts the
+        trials it ran, exactly as the same seeds given as a list."""
+        kwargs = dict(n=41, f=19, sender_input=1,
+                      ba_builder=build_quadratic_ba, max_iterations=10)
+        from_generator = run_theorem4_attack(
+            build_broadcast_from_ba, seeds=(seed for seed in [0, 1]),
+            **kwargs)
+        from_list = run_theorem4_attack(
+            build_broadcast_from_ba, seeds=[0, 1], **kwargs)
+        assert from_generator.trials == 2
+        assert from_generator == from_list
+
 
 class TestNoPkiHypotheticalExperiment:
     def test_shared_ro_reaches_contradiction(self):

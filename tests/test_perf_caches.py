@@ -7,11 +7,14 @@ the parallel trial runner) must be *observationally invisible*: identical
 message content, and no cache poisoning via partial-key collisions.
 """
 
+import dataclasses
 import hashlib
 
 import pytest
 
+from repro.adversaries import CrashAdversary
 from repro.harness.runner import TrialStats, run_instance, run_trials
+from repro.harness.scenarios import STATS_COLUMNS
 from repro.protocols import verification
 from repro.protocols.certificates import Certificate, certificate_from_votes
 from repro.protocols.messages import SignedVote
@@ -19,6 +22,7 @@ from repro.protocols.quadratic_ba import build_quadratic_ba
 from repro.protocols.subquadratic_ba import build_subquadratic_ba
 from repro.serialization import canonical_bytes
 from repro.errors import SimulationError
+from repro.sim.conditions import NETWORKS, NetworkStats
 from repro.sim.engine import Simulation
 
 
@@ -237,21 +241,51 @@ class TestParallelTrials:
                 == [_result_digest(r) for r in parallel.results])
 
 
+def _recomputed_columns(results):
+    """Every ``STATS_COLUMNS`` value, recomputed from ``results``."""
+    count = len(results)
+    return {
+        "trials": count,
+        "consistency_rate": sum(r.consistent() for r in results) / count,
+        "validity_rate": sum(r.agreement_valid() for r in results) / count,
+        "termination_rate": sum(r.all_decided() for r in results) / count,
+        "violation_rate": sum(not (r.consistent() and r.agreement_valid())
+                              for r in results) / count,
+        "mean_rounds": sum(r.rounds_executed for r in results) / count,
+        "mean_multicasts": sum(r.metrics.multicast_complexity_messages
+                               for r in results) / count,
+        "mean_multicast_bits": sum(r.metrics.multicast_complexity_bits
+                                   for r in results) / count,
+        "mean_corruptions": sum(r.corruptions_used for r in results) / count,
+        "max_message_bits": max(r.metrics.max_message_bits for r in results),
+    }
+
+
 class TestTrialStatsCounters:
-    def test_rates_match_recomputation(self):
+    @pytest.mark.parametrize("network", [None, "wan"])
+    def test_rates_match_recomputation(self, network):
         n, f = 13, 6
         stats = run_trials(build_quadratic_ba, f=f, seeds=range(3),
-                           n=n, inputs=[i % 2 for i in range(n)])
+                           n=n, inputs=[i % 2 for i in range(n)],
+                           adversary_factory=lambda _: CrashAdversary(),
+                           conditions=NETWORKS.get(network))
         results = stats.results
-        assert stats.consistency_rate == (
-            sum(r.consistent() for r in results) / len(results))
-        assert stats.validity_rate == (
-            sum(r.agreement_valid() for r in results) / len(results))
-        assert stats.violation_rate == (
-            sum(not (r.consistent() and r.agreement_valid())
-                for r in results) / len(results))
-        assert stats.termination_rate == (
-            sum(r.all_decided() for r in results) / len(results))
+        assert ({name: getattr(stats, name) for name in STATS_COLUMNS}
+                == _recomputed_columns(results))
+        conditioned = [r.network_stats for r in results
+                       if r.network_stats is not None]
+        assert len(conditioned) == (0 if network is None else len(results))
+        assert stats.has_network_stats == bool(conditioned)
+        for stat in dataclasses.fields(NetworkStats):
+            values = [getattr(each, stat.name) for each in conditioned]
+            expected = (max(values, default=0) if stat.name == "max_in_flight"
+                        else sum(values))
+            assert getattr(stats.network, stat.name) == expected, stat.name
+        if network is not None:
+            assert stats.network.delivered_copies > 0
+
+    def test_holds_only_its_results(self):
+        assert vars(TrialStats()) == {"_results": []}
 
     def test_preloaded_results_are_counted(self):
         source = run_trials(build_quadratic_ba, f=2, seeds=range(2),

@@ -13,7 +13,8 @@ from repro.eligibility import DifficultySchedule, FMineEligibility
 from repro.eligibility.lottery_cache import SharedLotteryCache, shared_cache
 from repro.errors import ConfigurationError
 from repro.harness import run_instance, run_trials
-from repro.harness.runner import named_parameters
+from repro.harness.runner import (
+    gather_trials, named_parameters, submit_trials)
 from repro.harness.scenarios import (
     EXECUTORS,
     PROTOCOLS,
@@ -532,12 +533,12 @@ class TestLotteryCache:
                       params=SecurityParameters(lam=10),
                       coin_cache=cache)
         with ProcessPoolExecutor(max_workers=1) as pool:
-            first = run_trials(build_subquadratic_ba, f=6, seeds=range(2),
-                               pool=pool, **kwargs)
+            first = gather_trials(submit_trials(
+                pool, build_subquadratic_ba, 6, range(2), **kwargs))
             stats_after_one = pool.submit(
                 _worker_cache_stats, "test-worker-pool-token").result()
-            second = run_trials(build_subquadratic_ba, f=6, seeds=range(2),
-                                pool=pool, **kwargs)
+            second = gather_trials(submit_trials(
+                pool, build_subquadratic_ba, 6, range(2), **kwargs))
             stats_after_two = pool.submit(
                 _worker_cache_stats, "test-worker-pool-token").result()
         assert stats_after_one["misses"] > 0

@@ -13,7 +13,6 @@ from repro.errors import ConfigurationError
 from repro.harness.scenarios import (
     EXECUTORS,
     PROTOCOLS,
-    CachedCellPayload,
     ScenarioSpec,
     SweepSpec,
     run_sweep,
@@ -325,12 +324,14 @@ class TestWarmReplay:
         warm = run_sweep(tiny_sweep(), store=store)
         cell = warm.cells[0]
         assert cell.cached
-        assert isinstance(cell.payload, CachedCellPayload)
+        assert cell.payload is None
         # Same refusal contract as metrics-only transcripts: stored
         # records keep metrics only, so TrialStats/transcript access
         # must fail loudly instead of fabricating data.
         with pytest.raises(TypeError, match="replayed from the "
-                                            "experiment store"):
+                                            "experiment store "
+                                            f"\\(fingerprint "
+                                            f"{cell.fingerprint[:12]}\\)"):
             cell.stats
 
     def test_store_runs_report_no_lottery_counters(self, tmp_path):
