@@ -3,7 +3,8 @@
 The strongly adaptive adversary watches the wire; whenever anyone stages a
 message that would reach the victim, it corrupts the sender *in that
 round* and erases the victim's copy — the corrupted sender keeps following
-the protocol towards everyone else.  Because the subquadratic protocol has
+the protocol towards everyone else and withholds what it sends next from
+the victim.  Because the subquadratic protocol has
 only O(λ²) speakers, the whole network is silenced towards the victim with
 a corruption budget far below f: the victim times out on a default output
 while everyone else agrees on the sender's bit.
@@ -41,7 +42,8 @@ def main() -> None:
     others = sorted({result.outputs[i] for i in result.forever_honest
                      if i != victim})
     print(f"  corruptions spent:   {result.corruptions_used}  (budget {f})")
-    print(f"  removed copies:      {adversary.removed_copies}")
+    print(f"  removed copies:      {adversary.removed_copies}"
+          "  (after the fact; later copies are withheld)")
     print(f"  victim output:       {result.outputs[victim]}")
     print(f"  everyone else:       {others}")
     print(f"  consistency broken:  {not result.consistent()}\n")

@@ -11,24 +11,25 @@ Several of the paper's adversaries corrupt nodes but keep them running the
 
 :class:`SandboxRunner` provides exactly that: it adopts corruption grants
 and, each round, steps every adopted node with an adversary-filtered inbox,
-then re-injects the node's staged messages through an adversary-controlled
-send filter.  :class:`SandboxAdversary` is the base of the adversaries that
-own one; :class:`Deaf` is ``A``'s ignore-the-first-f/2 inbox filter.
+then re-injects the node's staged messages minus the recipients a send
+filter withholds (a multicast stays one, without the withheld copies).
+:class:`SandboxAdversary` is the base of the adversaries that own one;
+:class:`Deaf` is ``A``'s ignore-the-first-f/2 inbox filter.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional
+from typing import AbstractSet, Callable, Dict, Iterable, List, Optional
 
 from repro.sim.adversary import Adversary, AdversaryApi
 from repro.sim.corruption import CorruptionGrant
-from repro.sim.network import Delivery, Envelope
+from repro.sim.network import Delivery
 from repro.types import NodeId
 
 #: Keep-this-delivery predicate: (node_id, delivery) -> bool.
 InboxFilter = Callable[[NodeId, Delivery], bool]
-#: Allow-this-send predicate: (node_id, recipient_or_None, payload) -> bool.
-SendFilter = Callable[[NodeId, Optional[NodeId], object], bool]
+#: Withheld recipients of a staged message: (node_id, payload) -> set.
+SendFilter = Callable[[NodeId, object], AbstractSet[NodeId]]
 
 
 class SandboxRunner:
@@ -41,25 +42,20 @@ class SandboxRunner:
     def adopt(self, grant: CorruptionGrant) -> None:
         self.grants[grant.node_id] = grant
 
-    @property
-    def members(self) -> List[NodeId]:
-        return sorted(self.grants)
-
     def step(
         self,
         inboxes: Dict[NodeId, List[Delivery]],
         inbox_filter: Optional[InboxFilter] = None,
         send_filter: Optional[SendFilter] = None,
-    ) -> List[Envelope]:
-        """Run one round of every adopted node; returns injected envelopes.
+    ) -> None:
+        """Run one round of every adopted node.
 
         Nodes adopted during the current round's reaction step must not be
         re-run this round (their honest step already happened); callers
         should invoke :meth:`step` from ``observe_deliveries``, i.e. at the
         start of the *next* round, which achieves exactly that.
         """
-        injected: List[Envelope] = []
-        for node_id in self.members:
+        for node_id in sorted(self.grants):
             node = self.grants[node_id].node
             if node.halted:
                 continue
@@ -70,9 +66,11 @@ class SandboxRunner:
             ctx = self.api.make_context(node_id, inbox)
             node.on_round(ctx)
             for recipient, payload in ctx.staged:
-                if send_filter is None or send_filter(node_id, recipient, payload):
-                    injected.append(self.api.inject(node_id, recipient, payload))
-        return injected
+                withheld = (send_filter(node_id, payload)
+                            if send_filter is not None else ())
+                if recipient not in withheld:
+                    self.api.inject(node_id, recipient, payload,
+                                    withheld=withheld)
 
 
 class SandboxAdversary(Adversary):

@@ -24,10 +24,10 @@ infeasible — the executable content of the ``Ω(f²)`` bound.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import AbstractSet, Callable, Dict, List, Optional, Sequence, Set
 
 from repro.adversaries.sandbox import Deaf, SandboxAdversary
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
 from repro.protocols.base import ProtocolInstance
 from repro.sim.conditions import NetworkConditions
 from repro.sim.engine import run_instance
@@ -67,13 +67,12 @@ class _IgnoringSetAdversary(SandboxAdversary):
         for node_id in self._corrupted:
             self.sandbox.adopt(self.api.corrupt(node_id))
 
-    def _send_filter(self, node_id: NodeId, recipient: Optional[NodeId],
-                     payload) -> bool:
+    def _send_filter(self, node_id: NodeId, payload) -> AbstractSet[NodeId]:
         if node_id in self.received_by:
             # (ii): V members do not send messages to each other.
-            return recipient is None or recipient not in self.received_by
+            return self.received_by.keys()
         # S(p) members: honest except towards the victim.
-        return recipient is not None and recipient != self.victim
+        return {self.victim}
 
     def observe_deliveries(self, round_index: Round,
                            inboxes: Dict[NodeId, List[Delivery]]) -> None:
@@ -100,15 +99,18 @@ class _IgnoringSetAdversary(SandboxAdversary):
 def run_adversary_a(builder: Callable[..., ProtocolInstance], n: int,
                     f: int, sender_input: Bit, seed=0, sender: NodeId = 0,
                     conditions: Optional[NetworkConditions] = None,
-                    **builder_kwargs):
+                    victim: Optional[NodeId] = None,
+                    senders: Sequence[NodeId] = (), **builder_kwargs):
     """Run 1 — adversary A corrupts V, the first ``f/2`` nodes other
-    than ``sender`` — as ``(instance, adversary, result)``.  Theorem 4's
-    census runs the same adversary."""
+    than ``sender`` — as ``(instance, adversary, result)``; with
+    ``victim`` and ``senders`` it is Run 2's A'.  Theorem 4's census
+    runs the same adversary."""
     half_f = f // 2
     corrupt_set = [node for node in range(n) if node != sender][:half_f]
     instance = builder(n=n, f=f, sender_input=sender_input, seed=seed,
                        **builder_kwargs)
-    adversary = _IgnoringSetAdversary(corrupt_set, ignore_first=half_f)
+    adversary = _IgnoringSetAdversary(corrupt_set, ignore_first=half_f,
+                                      victim=victim, senders=senders)
     result = run_instance(instance, f, adversary, seed=seed,
                           conditions=conditions)
     return instance, adversary, result
@@ -157,6 +159,8 @@ def run_dolev_reischuk_attack(
     stated for lock-step delivery: Run 2's different send pattern shifts
     the network's coin stream, so a conditioned report is an empirical
     observation about the attack's robustness, not the Ω(f²) proof.
+    Under lock-step, a node outside ``S(p) ∪ V`` whose Run 2 output
+    differs from Run 1's is a :class:`SimulationError` of the harness.
     """
     if f < 2:
         raise ConfigurationError("the experiment needs f >= 2")
@@ -182,16 +186,18 @@ def run_dolev_reischuk_attack(
     violated = False
     if feasible:
         # ---- Run 2: adversary A' ----------------------------------------
-        instance2 = builder(n=n, f=f, sender_input=sender_input, seed=seed,
-                            **builder_kwargs)
-        adversary_ap = _IgnoringSetAdversary(
-            adversary_a.corrupt_set, ignore_first=half_f, victim=victim,
-            senders=sorted(adversary_a.senders_to[victim]))
-        result_ap = run_instance(instance2, f, adversary_ap, seed=seed,
-                                 conditions=conditions)
+        _, _, result_ap = run_adversary_a(
+            builder, n, f, sender_input, seed, sender, conditions,
+            victim=victim, senders=sorted(adversary_a.senders_to[victim]),
+            **builder_kwargs)
         victim_output = result_ap.outputs.get(victim)
         other_nodes = [node for node in result_ap.forever_honest
                        if node != victim]
+        if conditions is None and any(
+                result_ap.outputs.get(node) != result_a.outputs.get(node)
+                for node in other_nodes):
+            raise SimulationError(
+                "Run 2 is not view-identical to Run 1 outside S(p) ∪ V")
         other_bits = {result_ap.outputs[node] for node in other_nodes}
         others_output = other_bits.pop() if len(other_bits) == 1 else None
         violated = (victim_output is not None and others_output is not None

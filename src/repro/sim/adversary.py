@@ -20,7 +20,7 @@ accidentally exceed the model it claims to work in.
 from __future__ import annotations
 
 import weakref
-from typing import Any, Dict, List, Optional, TYPE_CHECKING
+from typing import Any, Dict, Iterable, List, Optional, TYPE_CHECKING
 
 from repro.errors import CapabilityError
 from repro.sim.corruption import CorruptionGrant
@@ -121,12 +121,19 @@ class AdversaryApi:
         self._sim.network.delay(envelope, recipient, rounds)
 
     def inject(self, sender: NodeId, recipient: Optional[NodeId],
-               payload: Any) -> Envelope:
-        """Send a message from a corrupt node (``recipient=None`` = multicast)."""
+               payload: Any, withheld: Iterable[NodeId] = ()) -> Envelope:
+        """Send a message from a corrupt node (``recipient=None`` = multicast).
+
+        A multicast's ``withheld`` recipients get no copy.  It was never
+        sent, so unlike :meth:`remove` this works in every model."""
         if not self.is_corrupt(sender):
             raise CapabilityError(
                 f"cannot send from node {sender}: it is not corrupt")
-        return self._sim.stage_adversarial(sender, recipient, payload)
+        envelope = self._sim.stage_adversarial(sender, recipient, payload)
+        if recipient is None:
+            for node_id in withheld:
+                self._sim.network.suppress(envelope, node_id)
+        return envelope
 
     def make_context(self, node_id: NodeId, inbox: List[Delivery]) -> RoundContext:
         """A sandbox context for running a corrupt node's own logic.

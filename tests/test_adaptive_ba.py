@@ -263,7 +263,7 @@ class _LoneDeciderCollector(Adversary):
 
 class TestSilentHaltCounterexample:
     @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP 1a: a non-collector that adopts a Decide quorum sent in "
+        "ROADMAP item 3: a non-collector that adopts a Decide quorum sent in "
         "a trusted round halts without relaying it, so a Byzantine "
         "collector that shows the Decide to one node strands the nodes "
         "it locked (the silent-halt policy, AdaptiveBaNode._settle)"))

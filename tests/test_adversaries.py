@@ -98,7 +98,7 @@ class TestAdaptiveSpeaker:
     @pytest.mark.xfail(
         strict=True, raises=AssertionError,
         reason="a flipped vote past iteration 1 carries the observed "
-               "proposal, which is for the other bit (ROADMAP 7)")
+               "proposal, which is for the other bit (ROADMAP item 10)")
     def test_late_flipped_votes_are_valid(self):
         # The adversary-grid's n = 200 speaker cell, seed 0.
         n, f, seed = 200, 50, 0

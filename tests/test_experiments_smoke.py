@@ -14,6 +14,7 @@ from repro.harness.experiments import (
     _E2_SWEEP,
     ALL_EXPERIMENTS,
     VIEWS,
+    experiment_e1,
     experiment_e2,
     experiment_e6,
     experiment_e7,
@@ -32,6 +33,23 @@ REDUCED = {
     "E10": dict(trials=1),
     "E11": dict(trials=1),
 }
+
+E1_STDOUT = """\
+E1 (Theorem 1/4) — strongly adaptive isolation attack
+protocol                           n    f    honest msgs  bound (εf/2)²  corruptions  budget dead  violation rate
+---------------------------------  ---  ---  -----------  -------------  -----------  -----------  --------------
+broadcast[subquadratic-ba[fmine]]  900  400  61132        1600           67.7         0            1
+broadcast[quadratic-ba]            41   19   5147         4              19           1            0
+
+E1b — the Theorem 4 proof events, measured (adversary A)
+quantity                value
+----------------------  -----
+E[z] (messages into V)  17400
+Markov budget ε(f/2)²   32400
+P[X: z under budget]    1
+P[Y: random p starved]  1
+P[X ∩ Y]                1
+theorem bound 1-2ε      0.5"""
 
 E2_STDOUT = """\
 E2 (Section 2 warmup) — Dolev–Reischuk attack
@@ -58,11 +76,15 @@ pki        24  [0]        [1]         0       no             21                 
 
 def _assert_stdout(rendered, pinned):
     """``rendered`` is ``pinned`` byte for byte, given that every line
-    under the title is space-padded to the table's one width (which is
-    all the pinned text, stripped of trailing blanks, leaves open)."""
-    title, *body = rendered.split("\n")
-    assert len({len(line) for line in body}) == 1
-    assert [title] + [line.rstrip() for line in body] == pinned.split("\n")
+    under a table's title is space-padded to the table's one width (which
+    is all the pinned text, stripped of trailing blanks, leaves open)."""
+    tables = rendered.split("\n\n")
+    assert len(tables) == len(pinned.split("\n\n"))
+    for table, pinned_table in zip(tables, pinned.split("\n\n")):
+        title, *body = table.split("\n")
+        assert len({len(line) for line in body}) == 1
+        assert ([title] + [line.rstrip() for line in body]
+                == pinned_table.split("\n"))
 
 
 def _scenario(rows, name):
@@ -123,6 +145,9 @@ class TestViews:
 
 
 class TestCheapExperiments:
+    def test_e1_stdout_pinned(self):
+        _assert_stdout(experiment_e1().render(), E1_STDOUT)
+
     def test_e2_stdout_pinned(self):
         _assert_stdout(experiment_e2().render(), E2_STDOUT)
 

@@ -6,7 +6,9 @@ from repro.adversaries import SandboxRunner
 from repro.errors import ConfigurationError
 from repro.harness import run_instance
 from repro.protocols import build_naive_broadcast
+from repro.protocols.naive import NaiveBit, NaiveBroadcastNode
 from repro.sim.adversary import Adversary
+from repro.types import AdversaryModel
 
 
 class TestNaiveBroadcast:
@@ -93,22 +95,38 @@ class TestSandboxRunner:
             def observe_deliveries(self, round_index, inboxes):
                 self.sandbox.step(
                     inboxes,
-                    send_filter=lambda node, recipient, payload:
-                        recipient != self.blocked)
+                    send_filter=lambda node, payload: {self.blocked})
 
             def react(self, round_index, staged):
                 return None
 
+        class MulticastingSender(NaiveBroadcastNode):
+            """Sends its round-0 bit as one multicast, not n - 1 unicasts."""
+
+            def on_round(self, ctx):
+                if ctx.round == 0:
+                    self.heard = self.sender_input
+                    ctx.multicast(NaiveBit(bit=self.heard))
+
         n, f = 10, 4
-        # Sender corrupted-but-honest except it never talks to node 7;
-        # with no relays, node 7 hears nothing and outputs the default.
-        instance = build_naive_broadcast(n, f, 0, relay_width=0,
-                                         default_when_silent=1)
-        adversary = MuteTowardsVictim(victims=[0], blocked=7)
-        result = run_instance(instance, f, adversary, seed=0)
-        assert result.outputs[7] == 1
-        assert all(result.outputs[node] == 0
-                   for node in result.forever_honest if node != 7)
+        for multicast in (False, True):
+            # Sender corrupted-but-honest except it never talks to node 7;
+            # with no relays, node 7 hears nothing and outputs the default.
+            instance = build_naive_broadcast(n, f, 0, relay_width=0,
+                                             default_when_silent=1)
+            if multicast:
+                instance.nodes[0] = MulticastingSender(
+                    0, n, 0, 0, relay_width=0, total_rounds=4)
+            adversary = MuteTowardsVictim(victims=[0], blocked=7)
+            # Withholding needs no after-the-fact removal: the adaptive
+            # model suffices.
+            result = run_instance(instance, f, adversary,
+                                  model=AdversaryModel.ADAPTIVE, seed=0)
+            assert result.outputs[7] == 1
+            assert all(result.outputs[node] == 0
+                       for node in result.forever_honest if node != 7)
+            # The withheld multicast is still one corrupt multicast.
+            assert result.metrics.corrupt_multicast_count == int(multicast)
 
     def test_inbox_filter_makes_node_deaf(self):
         class DeafVictims(Adversary):

@@ -522,7 +522,7 @@ class TestKeptConnection:
 
 
 def test_traced_memory_does_not_grow_with_jobs(served):
-    """ROADMAP 5(iii): bench/workloads.py says the service's "memory
+    """ROADMAP item 13: bench/workloads.py says the service's "memory
     grows with every job".  With a handler thread and a store connection
     per client connection rather than per request, 200 further warm jobs
     may add less than 256 KB of traced Python memory (a job's event log
