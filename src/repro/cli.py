@@ -187,7 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           ".repro-store)")
     rep.add_argument("--out", default=None, metavar="PATH",
                      help="output document path (default: "
-                          "<store>/book.md or book.html)")
+                          "<store>/book.md or book.html; <stem>.book.md "
+                          "beside a SQLite store <stem>.sqlite)")
     rep.add_argument("--format", choices=["md", "html"], dest="fmt",
                      default="md", help="document format")
     rep.add_argument("--baseline", default=None, metavar="JSON",

@@ -32,11 +32,13 @@ through SQLite with no new flags.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sqlite3
 import tempfile
 import threading
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
@@ -46,12 +48,69 @@ SQLITE_SUFFIXES = (".sqlite", ".sqlite3", ".db")
 #: The 16-byte header every SQLite database file starts with.
 _SQLITE_MAGIC = b"SQLite format 3\x00"
 
+#: The exact classes JSON writes as scalars: a container of only these
+#: is encoded whole in C, and is its own canonical form.
+JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(depth: int, sort_keys: bool) -> json.JSONEncoder:
+    """The C encoder for a container of scalars at ``depth``: no indent,
+    but an item separator that carries the indentation."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "),
+                            sort_keys=sort_keys)
+
+
+def _key_text(key: Any) -> str:
+    """A dict key as ``json.dumps`` writes it."""
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float, type(None))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {type(key).__name__}")
+        key = _flat_encoder(0, False).encode(key)
+    return encode_basestring_ascii(key)
+
+
+def indented_json(value: Any, sort_keys: bool = False,
+                  _depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=sort_keys)``, byte for byte.
+
+    The stdlib encodes any ``indent`` in Python.  Here a list, tuple or
+    dict of scalars only (a row, a metrics dict, a sweep's fingerprints)
+    goes to the C encoder whole, its indentation carried by the item
+    separator; only the containers above those are walked here.
+    """
+    if type(value) is str:
+        return encode_basestring_ascii(value)
+    if type(value) is int:
+        return int.__repr__(value)
+    if isinstance(value, dict):
+        items, brackets = value.values(), "{}"
+    elif isinstance(value, (list, tuple)):
+        items, brackets = value, "[]"
+    else:  # the other scalars; anything else raises as json.dumps does
+        return _flat_encoder(0, sort_keys).encode(value)
+    if not value:
+        return brackets
+    pad = "\n" + "  " * (_depth + 1)
+    if JSON_SCALARS.issuperset(map(type, items)):
+        body = _flat_encoder(_depth + 1, sort_keys).encode(value)[1:-1]
+    elif brackets == "{}":
+        pairs = sorted(value.items()) if sort_keys else value.items()
+        body = ("," + pad).join(
+            f"{_key_text(key)}: {indented_json(item, sort_keys, _depth + 1)}"
+            for key, item in pairs)
+    else:
+        body = ("," + pad).join(indented_json(item, sort_keys, _depth + 1)
+                                for item in value)
+    return f"{brackets[0]}{pad}{body}\n{'  ' * _depth}{brackets[1]}"
+
 
 def _dumps(record: Dict[str, Any]) -> str:
     """The canonical record encoding shared by both backends (the JSON
     tree writes exactly this text; SQLite stores it as the row value),
     so records survive a backend migration byte-identically."""
-    return json.dumps(record, indent=2) + "\n"
+    return indented_json(record) + "\n"
 
 
 #: The record namespaces and what each one's key is called: the SQLite

@@ -32,6 +32,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.harness.backends import indented_json
 from repro.harness.store import ExperimentStore
 from repro.harness.sweep_library import SWEEPS
 from repro.harness.tables import View, rows_to_table
@@ -409,8 +410,9 @@ def write_book(store: ExperimentStore,
     """Render and write the book plus its JSON snapshot.
 
     ``out_path`` defaults to ``<store>/book.md`` (``book.html`` for
-    ``fmt="html"``); the snapshot lands next to it with a ``.json``
-    suffix.  Returns ``(book_path, snapshot_path)``.
+    ``fmt="html"``), or to ``<stem>.book.md`` beside a store that is one
+    file, ``<stem>.sqlite``; the snapshot lands next to it with a
+    ``.json`` suffix.  Returns ``(book_path, snapshot_path)``.
     """
     baseline = None
     if baseline_path is not None:
@@ -424,7 +426,9 @@ def write_book(store: ExperimentStore,
                 f"baseline {baseline_path} is not a book snapshot "
                 "(expected a JSON object with a 'sweeps' object)")
     if out_path is None:
-        out_path = store.root / f"book.{'html' if fmt == 'html' else 'md'}"
+        name = f"book.{'html' if fmt == 'html' else 'md'}"
+        out_path = store.root.with_suffix(f".{name}") \
+            if store.root.is_file() else store.root / name
     out_path = Path(out_path)
     document, snapshot = render_book(store, baseline=baseline, fmt=fmt)
     out_path.parent.mkdir(parents=True, exist_ok=True)
@@ -435,6 +439,6 @@ def write_book(store: ExperimentStore,
         # overwrite the book itself.
         snapshot_path = out_path.with_suffix(".snapshot.json")
     snapshot_path.write_text(
-        json.dumps(snapshot, indent=2, sort_keys=True) + "\n",
+        indented_json(snapshot, sort_keys=True) + "\n",
         encoding="utf-8")
     return out_path, snapshot_path

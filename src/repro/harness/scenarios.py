@@ -89,6 +89,7 @@ from repro.analysis.stats import mean
 from repro.eligibility import DifficultySchedule, FMineEligibility
 from repro.eligibility.lottery_cache import SharedLotteryCache, release_cache
 from repro.errors import ConfigurationError
+from repro.harness.backends import indented_json
 from repro.harness.runner import (
     InlineSubmitter, TrialStats, gather_trials, named_parameters,
     submit_trials, trial_submitter)
@@ -817,7 +818,7 @@ def sweep_json_text(name: str, rows: List[Dict[str, Any]],
     a store — emits byte-identical artifacts for the same rows.
     """
     payload = {"sweep": name, "rows": rows, "lottery": lottery}
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return indented_json(payload, sort_keys=True) + "\n"
 
 
 def sweep_csv_text(rows: List[Dict[str, Any]]) -> str:

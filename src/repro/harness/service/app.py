@@ -54,6 +54,7 @@ from typing import Any, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import ConfigurationError
+from repro.harness.backends import indented_json
 from repro.harness.report import render_book
 from repro.harness.scenarios import sweep_csv_text, sweep_json_text
 from repro.harness.service.queue import (
@@ -138,7 +139,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
         super().end_headers()
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = (json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        body = (indented_json(payload, sort_keys=True) + "\n"
                 ).encode("utf-8")
         self._send(status, body, "application/json; charset=utf-8")
 

@@ -80,7 +80,8 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.errors import ConfigurationError
-from repro.harness.backends import StoreBackend, backend_for_path
+from repro.harness.backends import (
+    JSON_SCALARS, StoreBackend, backend_for_path)
 
 #: Code-version salt folded into every fingerprint.  Bump this string
 #: whenever a change alters execution results or metric definitions
@@ -133,6 +134,8 @@ def _canon(value: Any) -> Any:
                        for f in dataclasses.fields(value)},
         }
     if isinstance(value, (list, tuple)):
+        if JSON_SCALARS.issuperset(map(type, value)):
+            return list(value)  # a scalar is its own canonical form
         return [_canon(item) for item in value]
     if isinstance(value, (set, frozenset)):
         # Sets are unordered, so the canonical form must impose one —
@@ -247,9 +250,11 @@ class ExperimentStore:
     Cell records are content-addressed (keyed by fingerprint) and carry
     no timestamps, so the cell namespace populated twice from the same
     code and specs is byte-identical (sweep records do carry a
-    ``recorded_at`` timestamp).  Writes are atomic in every backend, so
-    an interrupted sweep never leaves a truncated record — the next
-    ``--resume`` simply recomputes the missing cells.
+    ``recorded_at`` timestamp: when their content was last written).  A
+    warm replay writes nothing: every cell replays, and the sweep record
+    it would write equals the stored one.  Writes are atomic in every
+    backend, so an interrupted sweep never leaves a truncated record —
+    the next ``--resume`` simply recomputes the missing cells.
 
     Sweep records always list the sweep's **full** cell-fingerprint
     expansion (including cells a ``--shard`` run skipped), so concurrent
@@ -342,8 +347,13 @@ class ExperimentStore:
         ``--no-shared-lottery``) addresses different cells and so
         replaces the section with that variant (both variants' cell
         records persist; re-run without the override to switch back).
+
+        A run whose record would equal the stored one in every field but
+        ``recorded_at`` writes nothing, so a warm replay leaves the
+        store as it found it and ``recorded_at`` is when the content was
+        last written.
         """
-        self.backend.save_sweep(name, {
+        record = {
             "schema": self.SCHEMA,
             "sweep": name,
             "description": description,
@@ -354,7 +364,11 @@ class ExperimentStore:
             "cells": list(fingerprints),
             "rows": list(rows) if rows is not None
             else [None] * len(fingerprints),
-        })
+        }
+        stored = self.backend.load_sweep(name)
+        if stored is None or \
+                dict(stored, recorded_at=record["recorded_at"]) != record:
+            self.backend.save_sweep(name, record)
 
     def load_sweep(self, name: str) -> Optional[Dict[str, Any]]:
         record = self.backend.load_sweep(name)

@@ -13,6 +13,7 @@ import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.harness.backends import (
     NAMESPACES,
@@ -21,9 +22,11 @@ from repro.harness.backends import (
     SQLiteBackend,
     StoreBackend,
     backend_for_path,
+    indented_json,
     is_sqlite_path,
 )
 from repro.harness.scenarios import run_sweep
+from repro.harness.service import ExperimentService
 from repro.harness.store import ExperimentStore
 
 from tests.test_store import tiny_sweep
@@ -398,3 +401,66 @@ class TestLoadJobs:
             assert "zz-foreign" in store.job_ids()
             assert "zz-foreign" not in [
                 record["id"] for record in store.load_jobs()]
+
+
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.integers(min_value=2**64) | st.floats() | st.text())
+KEYS = st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+JSON = st.recursive(
+    SCALARS,
+    lambda children: (st.lists(children, max_size=12)
+                      | st.lists(SCALARS, min_size=8, max_size=16)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(), children, max_size=10)
+                      | st.dictionaries(KEYS, children, max_size=6)
+                      | st.dictionaries(KEYS, SCALARS, min_size=8,
+                                        max_size=16)),
+    max_leaves=60)
+
+
+def dumps_or_error(encode, value, sort_keys):
+    """What one encoder makes of ``value``: its text, or the class of the
+    error it raises (mixed key types cannot be sorted)."""
+    try:
+        return encode(value, sort_keys)
+    except TypeError as error:
+        return type(error)
+
+
+class TestIndentedJson:
+    """``indented_json`` is ``json.dumps(indent=2)`` byte for byte, the
+    containers of scalars it hands to the C encoder included."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(JSON, st.booleans())
+    def test_equals_the_stdlib_on_any_document(self, value, sort_keys):
+        assert dumps_or_error(indented_json, value, sort_keys) \
+            == dumps_or_error(
+                lambda value, sort_keys: json.dumps(
+                    value, indent=2, sort_keys=sort_keys), value, sort_keys)
+
+    @pytest.mark.parametrize("value", [
+        float("nan"), float("inf"), -float("inf"), 2**70, -(2**64) - 1,
+        "ü ✓ \U0001f600 \"\\\n", [], {}, (), [[]], {"": {}},
+        list(range(8)), [float("nan")] * 8,
+        {None: [1], True: {}, 1.5: 3, 2**65: "x", -0.0: None},
+        dict.fromkeys([-1.0, float("inf"), 2**65, False, "k", "l", "m",
+                       "n"], "v")])
+    def test_edge_values(self, value):
+        assert indented_json(value) == json.dumps(value, indent=2)
+
+    def test_every_record_of_a_filled_store(self, tmp_path):
+        """The files were written by ``indented_json``."""
+        store = ExperimentStore(tmp_path)
+        run_sweep(tiny_sweep(), store=store)
+        with ExperimentService(store, workers=1) as service:
+            service.wait(service.submit("smoke"), timeout=120)
+        kinds = collections.Counter()
+        for path in sorted(tmp_path.rglob("*.json")):
+            text = path.read_text(encoding="utf-8")
+            record = json.loads(text)
+            kinds[path.relative_to(tmp_path).parts[0]] += 1
+            assert text == json.dumps(record, indent=2) + "\n"
+            assert indented_json(record, sort_keys=True) \
+                == json.dumps(record, indent=2, sort_keys=True)
+        assert set(kinds) == set(NAMESPACES) and kinds["jobs"] == 1

@@ -1,5 +1,7 @@
 """Tests for the CLI and the trace-analysis helpers."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -430,6 +432,25 @@ class TestCliStoreAndReport:
         monkeypatch.setitem(SWEEPS, "tinycli", self._tiny())
         assert main(["sweep", "tinycli", "--shard", "1/2"]) == 2
         assert "--shard requires --store" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["md", "html"])
+    def test_report_on_a_sqlite_store_writes_beside_the_file(
+            self, capsys, tmp_path, monkeypatch, fmt):
+        """A SQLite store is one file, so ``<store>/book.md`` would lie
+        inside it: the book and its snapshot land beside it."""
+        from repro.harness.sweep_library import SWEEPS
+
+        monkeypatch.setitem(SWEEPS, "tinycli", self._tiny())
+        store_file = tmp_path / "corpus.sqlite"
+        assert main(["sweep", "tinycli", "--store", str(store_file)]) == 0
+        capsys.readouterr()
+        assert main(["report", "--store", str(store_file),
+                     "--format", fmt]) == 0
+        book = tmp_path / f"corpus.book.{fmt}"
+        assert f"wrote {book} and {tmp_path / 'corpus.book.json'}" \
+            in capsys.readouterr().out
+        assert "tinycli" in book.read_text()
+        json.loads((tmp_path / "corpus.book.json").read_text())
 
     def test_report_without_store_exits_2(self, capsys, tmp_path):
         assert main(["report", "--store", str(tmp_path / "absent")]) == 2

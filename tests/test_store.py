@@ -354,6 +354,76 @@ class TestWarmReplay:
         assert shared.rows() == unshared.rows()
 
 
+def tree_state(root):
+    """Every file under ``root``: its bytes, inode and mtime."""
+    return {path: (path.read_bytes(), path.stat().st_ino,
+                   path.stat().st_mtime_ns)
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+def count_sweep_writes(store, monkeypatch):
+    """A list that gains the record of every ``save_sweep`` call."""
+    writes = []
+    inner = store.backend.save_sweep
+
+    def save_sweep(name, record):
+        writes.append(record)
+        inner(name, record)
+    monkeypatch.setattr(store.backend, "save_sweep", save_sweep)
+    return writes
+
+
+class TestWarmReplayWritesNothing:
+    """A sweep record that would differ from the stored one only in
+    ``recorded_at`` is not written: a warm replay leaves the store as it
+    found it, and ``recorded_at`` is when the content was last written."""
+
+    def test_warm_run_leaves_every_tree_file_untouched(self, tmp_path):
+        store = ExperimentStore(tmp_path)
+        run_sweep(tiny_sweep(), store=store)
+        before = tree_state(tmp_path)
+        assert any(path.parent.name == "sweeps" for path in before)
+        warm = run_sweep(tiny_sweep(), store=store)
+        assert warm.store_stats["replayed"] == len(warm.cells)
+        assert tree_state(tmp_path) == before
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_warm_sqlite_run_never_saves_the_sweep(self, tmp_path,
+                                                   monkeypatch):
+        store = ExperimentStore(tmp_path / "corpus.sqlite")
+        run_sweep(tiny_sweep(), store=store)
+        writes = count_sweep_writes(store, monkeypatch)
+        before = store.load_sweep("tiny")
+        run_sweep(tiny_sweep(), store=store)
+        assert writes == []
+        assert store.load_sweep("tiny") == before
+        store.close()
+
+    @pytest.mark.parametrize("change", ["rename", "shard", "salt"])
+    def test_a_content_change_rewrites_the_record(self, tmp_path,
+                                                  monkeypatch, change):
+        store = ExperimentStore(tmp_path)
+        first, second = tiny_sweep(), tiny_sweep()
+        first_shard = second_shard = None
+        if change == "rename":
+            second = dataclasses.replace(second, scenarios=(
+                dataclasses.replace(second.scenarios[0], name="renamed"),))
+        elif change == "shard":
+            first_shard, second_shard = (1, 2), (2, 2)
+        run_sweep(first, store=store, shard=first_shard)
+        before = store.load_sweep("tiny")
+        if change == "salt":
+            store = ExperimentStore(tmp_path, salt="another-salt")
+        writes = count_sweep_writes(store, monkeypatch)
+        run_sweep(second, store=store, shard=second_shard)
+        assert len(writes) == 1
+        after = store.load_sweep("tiny")
+        changed = {key for key in after if after[key] != before[key]}
+        assert changed - {"recorded_at"} == {
+            "rename": {"rows"}, "shard": {"complete", "rows"},
+            "salt": {"salt", "cells"}}[change]
+
+
 class TestResumeAndGrowth:
     def test_interrupted_sweep_resumes_with_missing_cells_only(
             self, tmp_path, monkeypatch):
