@@ -47,8 +47,9 @@ Semantics (see ``docs/NETWORK.md`` for the full model):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from functools import lru_cache
 from heapq import heappop, heappush
-from operator import add
+from operator import add, lt
 from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
@@ -407,8 +408,12 @@ class NetworkConditions:
         parts = [f"Δ={self.delta}"]
         if self.gst:
             parts.append(f"gst={self.gst}")
-        if self.latency != ("fixed", 1) and self.latency != ("uniform", 1,
-                                                             self.delta):
+        if self.pre_gst_cap is not None:
+            parts.append(f"cap={self.pre_gst_cap}")
+        # The latency goes unsaid only where it is the default for this Δ:
+        # lock-step at Δ = 1, :meth:`uniform`'s ``[1, Δ]`` above it.
+        if self.latency != (("fixed", 1) if self.delta == 1
+                            else ("uniform", 1, self.delta)):
             parts.append("latency=" + ",".join(str(x) for x in self.latency))
         if self.drop_rate:
             parts.append(f"drop={self.drop_rate}")
@@ -501,6 +506,51 @@ class PendingCopy(NamedTuple):
     delivery: Delivery
 
 
+@lru_cache(maxsize=64)
+def _byte_draw_table(low: int, width: int, cap: int) -> Tuple[bytes, bytes]:
+    """The ``translate`` table and deletions mapping a word's top byte to
+    ``min(draw + low, cap)`` or rejecting it."""
+    shift = 8 - width.bit_length()
+    return (bytes(min((top >> shift) + low, cap) for top in range(256)),
+            bytes(top for top in range(256) if top >> shift >= width))
+
+
+def draw_uniform_batch(getrandbits, count: int, low: int, width: int,
+                       cap: int) -> bytearray:
+    """``count`` draws of ``min(randint(low, low + width - 1), cap)``
+    (``width, cap <= 255``): the values that many calls return, leaving the
+    generator where they leave it, with one call per rejection round.
+
+    ``randint`` calls ``getrandbits(b)``, ``b = width.bit_length()``, until
+    the value is below ``width``, and in CPython that is the next 32-bit
+    output's top ``b`` bits, while ``getrandbits(32 * m)`` is the next
+    ``m`` outputs, the first lowest.  So byte ``4i + 3`` of its
+    little-endian bytes, shifted right by ``8 - b``, is the ``i``-th draw.
+    Each word yields at most one value, so asking for as many words as
+    values are missing never reads past the last one; below 8 missing a
+    round costs more than single draws.
+    """
+    draws = bytearray()
+    if count >= 8:
+        table, rejected = _byte_draw_table(low, width, cap)
+        while count - len(draws) >= 8:
+            missing = count - len(draws)
+            words = getrandbits(32 * missing).to_bytes(4 * missing, "little")
+            draws += words[3::4].translate(table, rejected)
+    bits = width.bit_length()
+    while len(draws) < count:
+        draw = getrandbits(bits)
+        if draw < width:
+            draws.append(min(draw + low, cap))
+    return draws
+
+
+def _clamped_sums(delays, extras, cap: int) -> List[int]:
+    # min(delay + extra, cap), without the builtin min's call cost.
+    return [delay if delay < cap else cap
+            for delay in map(add, delays, extras)]
+
+
 class ConditionedNetwork(SynchronousNetwork):
     """Delay/drop/duplicate/partition semantics over the staging contract.
 
@@ -542,6 +592,11 @@ class ConditionedNetwork(SynchronousNetwork):
         #: Extra rounds requested by the adversary for in-flight copies,
         #: keyed by (envelope_id, recipient) — recipient None = all.
         self._extra_delay: Dict[Tuple[int, Optional[NodeId]], int] = {}
+        #: Surcharge rows by sender, filled as senders send (None when no
+        #: link is charged).
+        topology = conditions.topology
+        self._link_rows: Optional[Dict[NodeId, List[int]]] = (
+            None if topology is None or topology.is_trivial else {})
 
     # -- the adversarial scheduler hook -------------------------------------
     def delay(self, envelope: Envelope, recipient: Optional[NodeId] = None,
@@ -569,43 +624,123 @@ class ConditionedNetwork(SynchronousNetwork):
             heappush(self._due_rounds, due_round)
         return bucket
 
-    def _schedule_window(self, sent_round: Round) -> None:
-        """Drain the staging window into the calendar — the one loop every
-        copy passes through.
+    def _link_row(self, sender: NodeId) -> List[int]:
+        rows = self._link_rows
+        if sender not in rows:
+            topology, n = self.conditions.topology, self.n
+            rows[sender] = [topology.link_extra(sender, receiver, n)
+                            for receiver in range(n)]
+        return rows[sender]
 
-        What cannot change inside a window is read once (pre-/post-GST,
-        hence the cap and whether the loss coins are live; the latency
-        family; whether a topology or any adversarial delay exists), so a
-        plain post-GST window pays one draw and one list append per copy
-        and the other regimes are flag checks in the same loop.  Coins
-        come from the one labelled stream in a fixed order per copy —
-        drop, duplicate, then a latency draw per scheduled copy; link
-        surcharges and adversarial delays draw nothing.  The uniform draw
-        is ``Random.randint`` unrolled (``randrange`` → ``_randbelow``:
-        ``getrandbits(width.bit_length())`` until below the width): the
-        same stream, bit for bit, minus three wrapper frames per copy.
+    def _schedule_window(self, sent_round: Round) -> None:
+        """Drain the staging window into the calendar: one group per delay
+        drawn, each copy filed under its recipient in staging order.
+
+        Coins come from the one labelled stream in a fixed order per copy
+        — drop, duplicate, then a latency draw per scheduled copy; link
+        surcharges and adversarial delays draw nothing.  A lossless window
+        draws only latencies, so when they are uniform with a spread and
+        cap that fit a byte it takes them in one batch, then files each
+        copy (:meth:`_file_batch`).  Any other window draws as each copy
+        comes (:meth:`_file_per_copy`; a lossy window's coins interleave).
+        Both read the stream ``randint`` would, bit for bit, and no
+        further.
         """
         conditions = self.conditions
         pre_gst = sent_round < conditions.gst
         cap = conditions.effective_pre_gst_cap if pre_gst else conditions.delta
-        drop_rate = conditions.drop_rate if pre_gst else 0.0
-        duplicate_rate = conditions.duplicate_rate if pre_gst else 0.0
-        lossy = bool(drop_rate or duplicate_rate)
-        topology = conditions.topology
-        extra_delay = self._extra_delay
+        lossy = pre_gst and bool(conditions.drop_rate
+                                 or conditions.duplicate_rate)
         family, low = conditions.latency[:2]
         width = conditions.latency[2] - low + 1 if family == "uniform" else 0
+        slots: List[Any] = [None] * (cap + 1)  # delay -> {recipient: copies}
+        if width and not lossy and max(width, cap) <= 255:
+            self._file_batch(slots, cap, low, width)
+        else:
+            self._file_per_copy(slots, cap, lossy, family, low, width)
+        scheduled = 0
+        for delay, targets in enumerate(slots):
+            if targets:
+                count = sum(map(len, targets.values()))
+                self._bucket(sent_round + delay).append(
+                    [sent_round, targets, count])
+                scheduled += count
+        self._reset_window()
+        self._extra_delay = {}
+        self._in_flight += scheduled
+        self.stats.events_processed += scheduled
+
+    def _file_batch(self, slots: List[Any], cap: int, low: int,
+                    width: int) -> None:
+        """List the window's copies, draw their delays at once
+        (:func:`draw_uniform_batch`), add surcharges and adversarial
+        delays, then file ``zip(recipients, deliveries, delays)``."""
+        extra_delay = self._extra_delay
+        everyone = range(self.n)
+        targets: List[NodeId] = []
+        sent: List[Delivery] = []
+        surcharges = None if self._link_rows is None else []
+        pushes = [] if extra_delay else None
+        for envelope, delivery, blocked in self._surviving_entries():
+            if envelope.recipient is not None:
+                recipients = (envelope.recipient,)
+                targets.append(envelope.recipient)
+                sent.append(delivery)
+            else:
+                recipients = list(everyone)
+                del recipients[envelope.sender]
+                if blocked:
+                    recipients = [recipient for recipient in recipients
+                                  if recipient not in blocked]
+                targets += recipients
+                sent += [delivery] * len(recipients)
+            if surcharges is not None:
+                surcharges += map(self._link_row(envelope.sender).__getitem__,
+                                  recipients)
+            if pushes is not None:
+                key = envelope.envelope_id
+                push_all = extra_delay.get((key, None), 0)
+                pushes += [push_all + extra_delay.get((key, recipient), 0)
+                           for recipient in recipients]
+        delays = draw_uniform_batch(self._rng.getrandbits, len(targets),
+                                    low, width, cap)
+        # min(min(d, cap) + e, cap) == min(d + e, cap): the surcharge lands
+        # before the clamp, the adversary's push after it.
+        if surcharges is not None:
+            delays = _clamped_sums(delays, surcharges, cap)
+        if pushes is not None:
+            pushed = _clamped_sums(delays, pushes, cap)
+            # Only *effective* delays count: those that moved a copy.
+            self.stats.adversary_delayed_copies += sum(
+                map(lt, delays, pushed))
+            delays = pushed
+        for recipient, delivery, delay in zip(targets, sent, delays):
+            filed = slots[delay]
+            if filed is None:
+                filed = slots[delay] = {}
+            filed.setdefault(recipient, []).append(delivery)
+
+    def _file_per_copy(self, slots: List[Any], cap: int, lossy: bool,
+                       family: str, low: Any, width: int) -> None:
+        """File copy by copy, drawing each copy's coins as it comes; the
+        uniform draw is ``Random.randint`` unrolled (``_randbelow``:
+        ``getrandbits(width.bit_length())`` until below the width)."""
+        conditions = self.conditions
+        drop_rate = conditions.drop_rate if lossy else 0.0
+        duplicate_rate = conditions.duplicate_rate if lossy else 0.0
+        extra_delay = self._extra_delay
         bits = width.bit_length()
         getrandbits = self._rng.getrandbits
         coin = self._rng.random
-        n = self.n
-        everyone = range(n)
-        slots = [None] * (cap + 1)  # delay -> this window's group due then
-        dropped = duplicated = delayed = scheduled = 0
+        everyone = range(self.n)
+        row = None
+        dropped = duplicated = delayed = 0
         for envelope, delivery, blocked in self._surviving_entries():
             sender = envelope.sender
             recipients = (everyone if envelope.recipient is None
                           else (envelope.recipient,))
+            if self._link_rows is not None:
+                row = self._link_row(sender)
             if extra_delay:
                 envelope_id = envelope.envelope_id
                 extra_all = extra_delay.get((envelope_id, None), 0)
@@ -635,8 +770,8 @@ class ConditionedNetwork(SynchronousNetwork):
                         delay = 1
                         while coin() >= low and delay < 64:
                             delay += 1
-                    if topology is not None:
-                        delay += topology.link_extra(sender, recipient, n)
+                    if row is not None:
+                        delay += row[recipient]
                     if delay > cap:
                         delay = cap
                     if extra_delay:
@@ -647,22 +782,14 @@ class ConditionedNetwork(SynchronousNetwork):
                             # clamp nullified moved nothing.
                             delay = min(delay + extra, cap)
                             delayed += 1
-                    group = slots[delay]
-                    if group is None:
-                        group = slots[delay] = [sent_round, {}, 0]
-                        self._bucket(sent_round + delay).append(group)
-                    group[1].setdefault(recipient, []).append(delivery)
-                    scheduled += 1
-        for group in filter(None, slots):
-            group[2] = sum(map(len, group[1].values()))
-        self._reset_window()
-        self._extra_delay = {}
-        self._in_flight += scheduled
+                    filed = slots[delay]
+                    if filed is None:
+                        filed = slots[delay] = {}
+                    filed.setdefault(recipient, []).append(delivery)
         stats = self.stats
         stats.dropped_copies += dropped
         stats.duplicated_copies += duplicated
         stats.adversary_delayed_copies += delayed
-        stats.events_processed += scheduled
 
     def _defer_blocked(self, bucket: list, round_index: Round) -> list:
         """The groups of a due bucket cut to the copies deliverable now; a

@@ -364,6 +364,18 @@ def _grid():
                                 topology=LinkTopology.ring(extra=1))
     yield from (conditions for conditions in NETWORKS.values()
                 if not conditions.is_perfect)
+    # A lossless window draws its latencies in one batch when spread and
+    # cap fit a byte: one cell on each side of that bound, a cap past it
+    # (the per-copy loop), and a spread whose hi lies above Δ.
+    for delta in (255, 256):
+        yield NetworkConditions.uniform(delta)
+        yield NetworkConditions.uniform(delta, gst=13, pre_gst_cap=delta)
+    yield NetworkConditions(delta=300, latency=("uniform", 1, 4))
+    yield NetworkConditions(delta=300, latency=("uniform", 1, 4),
+                            topology=matrix)
+    yield NetworkConditions(delta=64, latency=("uniform", 3, 130))
+    yield NetworkConditions(delta=64, gst=13, latency=("uniform", 3, 130),
+                            topology=LinkTopology.ring(extra=40))
 
 
 GRID = list(_grid())
@@ -372,6 +384,17 @@ GRID = list(_grid())
 @pytest.mark.parametrize("index", range(len(GRID)))
 def test_grid_streams_match_the_per_copy_reference(index):
     new = assert_identical_streams(GRID[index], 5, 1000 + index)
+    assert new[1]["delivered_copies"] > 0
+
+
+@pytest.mark.parametrize("conditions", [
+    NETWORKS["wan"], NETWORKS["lossy"],
+    NetworkConditions.uniform(4, topology=LinkTopology.clustered())],
+    ids=["wan", "lossy", "wan-clustered"])
+def test_wide_streams_match_the_per_copy_reference(conditions):
+    """At n = 64 one multicast's 63 draws take several rejection
+    rounds of a batch."""
+    new = assert_identical_streams(conditions, 64, 7)
     assert new[1]["delivered_copies"] > 0
 
 

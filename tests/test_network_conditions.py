@@ -84,6 +84,31 @@ class TestConditionsValidation:
         assert "gst=9" in NETWORKS["lossy"].describe()
         assert "partitions=1" in NETWORKS["split-heal"].describe()
 
+    def test_describe_tells_different_networks_apart(self):
+        # The latency goes unsaid only where it is the default for Δ.
+        assert NetworkConditions.uniform(4).describe() == "Δ=4"
+        assert NetworkConditions(delta=4).describe() == "Δ=4 latency=fixed,1"
+        assert NetworkConditions().describe() == "Δ=1"
+        assert NetworkConditions.uniform(1).describe() == \
+            "Δ=1 latency=uniform,1,1"
+        lossy = dict(delta=3, gst=9, drop_rate=0.1)
+        assert NetworkConditions(**lossy).describe() != \
+            NetworkConditions(pre_gst_cap=30, **lossy).describe()
+        assert NetworkConditions.uniform(3, gst=9, pre_gst_cap=30,
+                                         drop_rate=0.1).describe() == \
+            "Δ=3 gst=9 cap=30 drop=0.1"
+
+    def test_library_sweep_labels_are_the_uniform_rows(self):
+        # Every inline NetworkConditions a library sweep binds is
+        # uniform(Δ) without a cap, so neither rule above changes its label.
+        from repro.harness.sweep_library import SWEEPS
+        labels = {dict(cell.bindings)["network"]
+                  for sweep in SWEEPS.values() for cell in sweep.expand()
+                  if dict(cell.bindings).get("network", "perfect")
+                  not in NETWORKS}
+        assert labels == {f"Δ={delta} gst=12 drop={drop}"
+                          for delta in (2, 3, 4, 6) for drop in (0.1, 0.3)}
+
 
 class TestScheduling:
     def test_fixed_latency_delivers_exactly_then(self):

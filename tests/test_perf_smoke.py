@@ -6,7 +6,9 @@ steps, ``SignedVote`` constructions and ``signed_vote`` calls, sequence
 sizings, digests per issued-signature check, topic encodings, keyed sorts,
 ``random.Random`` seedings, pool submits before the first awaited
 result, view-machine steps, tally scans, decide-quorum checks, NewView
-absorb steps and calendar bucket lengths — not wall time, so CI hardware variance cannot flake it.  Before the
+absorb steps, calendar bucket lengths and a conditioned window's
+``getrandbits`` calls — not wall time, so CI hardware variance cannot
+flake it.  Before the
 content-addressed verification caches, the n = 96 quadratic-BA run
 below performed ~921k checks; with them it performs a few hundred.  The
 budget is deliberately generous (50 per node) so legitimate protocol
@@ -62,18 +64,28 @@ def test_quadratic_ba_n96_handler_call_budget():
 
 
 def test_post_gst_window_draws_bits_and_pushes_rounds(monkeypatch):
-    """The conditioned scheduler's per-copy cost on a plain post-GST
-    multicast window is a ``getrandbits`` draw and a list append: it
-    never climbs ``random.Random.randint``'s wrapper stack, and the heap
-    holds *due rounds* — one push per distinct round the window's copies
-    come due in, however many copies there are."""
+    """A plain post-GST ``wan`` window takes its latency draws in
+    batches: one ``getrandbits`` call per rejection round (each asks for
+    the draws still missing) until fewer than 8 are, then single draws —
+    not one or more calls per copy: the per-copy loop made ≈ 2 calls a
+    copy, as ``wan``'s 3-bit draw rejects half the words.  Rejection
+    rounds roughly halve what is missing, so the bound is two calls per
+    bit of the copy count plus 16 for the last few draws.  The window
+    never climbs ``random.Random.randint``'s wrapper stack,
+    and the heap holds *due rounds* — one push per distinct round the
+    window's copies come due in, however many copies there are."""
     import heapq
     import random
 
     from repro.sim import conditions as conditions_module
     from repro.sim.conditions import NETWORKS, ConditionedNetwork
 
-    calls = {"randint": 0, "heappush": 0}
+    calls = {"randint": 0, "heappush": 0, "getrandbits": 0}
+
+    class CountingRandom(random.Random):
+        def getrandbits(self, bits):
+            calls["getrandbits"] += 1
+            return super().getrandbits(bits)
 
     def counting_randint(self, low, high):
         calls["randint"] += 1
@@ -86,20 +98,31 @@ def test_post_gst_window_draws_bits_and_pushes_rounds(monkeypatch):
     monkeypatch.setattr(random.Random, "randint", counting_randint)
     monkeypatch.setattr(conditions_module, "heappush", counting_heappush)
 
-    n, senders = 64, 10
-    network = ConditionedNetwork(n, NETWORKS["wan"], seed=1)
+    n = 64
+    wan = NETWORKS["wan"]
+    network = ConditionedNetwork(n, wan, seed=1)
+    counting = CountingRandom()
+    counting.setstate(network._rng.getstate())
+    network._rng = counting
     network.advance_to(0, {})
-    for sender in range(senders):
-        network.stage(sender, None, "vote", 0, honest_sender=True)
-    network.advance_to(1, {node: [] for node in range(n)})
-
-    pending = network.pending_copies()
-    due_rounds = {copy.due_round for copy in pending}
-    copies = network.stats.events_processed
-    assert copies == senders * (n - 1)
-    assert len(pending) + network.stats.delivered_copies == copies
+    for clock, senders in enumerate((10, 1, n), start=1):
+        for sender in range(senders):
+            network.stage(sender, None, "vote", clock - 1,
+                          honest_sender=True)
+        before = dict(calls), network.stats.events_processed
+        network.advance_to(clock, {node: [] for node in range(n)})
+        copies = network.stats.events_processed - before[1]
+        assert copies == senders * (n - 1)
+        draws = calls["getrandbits"] - before[0]["getrandbits"]
+        assert draws <= 2 * copies.bit_length() + 16, (
+            f"{draws} getrandbits calls for {copies} copies: the window "
+            "draws per copy instead of per rejection round")
+        pushes = calls["heappush"] - before[0]["heappush"]
+        assert pushes <= wan.delta
     assert calls["randint"] == 0
-    assert calls["heappush"] <= len(due_rounds | {1}) <= NETWORKS["wan"].delta
+    pending = network.pending_copies()
+    assert len(pending) + network.stats.delivered_copies == \
+        network.stats.events_processed
 
 
 def _run_n96():
