@@ -26,7 +26,7 @@ from repro.crypto.registry import KeyRegistry, SigningCapability
 from repro.eligibility.base import EligibilitySource, MiningCapability, Topic
 from repro.sim.leader import LeaderOracle
 from repro.sim.node import Node
-from repro.types import Bit, NodeId
+from repro.types import Audience, Bit, NodeId
 
 
 class Authenticator(abc.ABC):
@@ -150,3 +150,8 @@ class ProtocolInstance:
     #: Mode-specific shared objects attacks may need (registry,
     #: eligibility source, leader oracle, ...).
     services: Dict[str, Any] = field(default_factory=dict)
+    #: ``payload ->`` the one node whose state it can change, or ``None``
+    #: for every node (total: a malformed payload maps to ``None``).  A
+    #: conditioned network counts a copy for any other honest recipient
+    #: without delivering it; ``None`` here means every copy is delivered.
+    audience: Optional[Audience] = None

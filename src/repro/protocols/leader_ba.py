@@ -81,7 +81,7 @@ from repro.serialization import intern_payload
 from repro.sim.conditions import NetworkConditions
 from repro.sim.leader import LeaderOracle, RoundRobinLeaderOracle
 from repro.sim.node import RoundContext
-from repro.types import Bit, NodeId
+from repro.types import Audience, Bit, NodeId
 
 #: Protocol rounds per view, in phase order.
 PHASE_NEW_VIEW = "NewView"
@@ -300,13 +300,6 @@ class LeaderBaNode(ViewNode):
             self.new_views.setdefault(msg.view, {}).setdefault(
                 msg.bit, {}).setdefault(msg.sender, msg)
 
-    def _new_view_audience(self, msg: NewViewMsg) -> Optional[NodeId]:
-        """Every node for a NewView carrying a QC, else only the view's
-        leader (-1, nobody, without an oracle)."""
-        if msg.qc is not None:
-            return None
-        return -1 if self._oracle is None else self._oracle.leader(msg.view)
-
     def _absorb_propose(self, msg: LeaderProposeMsg) -> None:
         self.absorb_lock(msg.qc)
         self.proposals.setdefault(msg.view, []).append(msg)
@@ -446,13 +439,24 @@ LeaderBaNode._HANDLERS = {
                    LeaderBaNode._absorb_precommit),
     LeaderDecideMsg: (LeaderBaNode._valid_decide, LeaderBaNode._absorb_decide),
 }
-LeaderBaNode._AUDIENCE = {NewViewMsg: LeaderBaNode._new_view_audience}
 LeaderBaNode._ACTIONS = {
     PHASE_NEW_VIEW: LeaderBaNode._do_new_view,
     PHASE_PROPOSE: LeaderBaNode._do_propose,
     PHASE_PREVOTE: LeaderBaNode._do_prevote,
     PHASE_PRECOMMIT: LeaderBaNode._do_precommit,
 }
+
+
+def new_view_audience(oracle: LeaderOracle) -> Audience:
+    """The instance's ``audience``: a NewView without a QC can change only
+    its view's leader (:meth:`LeaderBaNode._absorb_new_view`); any other
+    payload, a malformed one included, may change every node (``None``)."""
+    def audience(payload: Any) -> Optional[NodeId]:
+        if (payload.__class__ is NewViewMsg and payload.qc is None
+                and payload.view.__class__ is int):
+            return oracle.leader(payload.view)
+        return None
+    return audience
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +503,8 @@ def build_leader_ba(
     return build_view_instance(
         "leader-ba" if heights == 1 else "leader-chain", "leader BA",
         LeaderBaNode, n, f, inputs, seed, registry_mode, group, conditions,
-        configure, oracle=leader_oracle)
+        configure, audience=new_view_audience(leader_oracle),
+        oracle=leader_oracle)
 
 
 def build_leader_chain(

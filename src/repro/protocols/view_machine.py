@@ -62,7 +62,7 @@ from repro.rng import Seed
 from repro.serialization import _intern_field_key, intern_by_key
 from repro.sim.conditions import NetworkConditions
 from repro.sim.node import RoundContext
-from repro.types import Bit, NodeId, Round
+from repro.types import Audience, Bit, NodeId, Round
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,10 @@ class ViewConfig:
     verification: VerificationCache
     #: Units budgeted; a node undecided past them halts.
     units: int
+    #: The instance's ``audience`` (``ProtocolInstance.audience``): the
+    #: one node a payload's absorb step can change, ``None`` for every
+    #: node; no function at all means every payload reaches every node.
+    audience: Optional[Audience]
 
 
 class ViewNode(VerifyingNode):
@@ -179,9 +183,6 @@ class ViewNode(VerifyingNode):
     #: is recipient-independent and runs once per payload object per
     #: execution; the absorb step is the recipient's own state update.
     _HANDLERS: Dict[type, Tuple[Callable, Callable]]
-    #: Payload class → ``(node, msg) ->`` the one node its absorb step can
-    #: change (``None``: every node); absent classes reach every node.
-    _AUDIENCE: Dict[type, Callable] = {}
     #: Phase → action ``(node, ctx, unit)``; a phase without a send of
     #: its own has no entry.
     _ACTIONS: Dict[str, Callable]
@@ -302,9 +303,9 @@ class ViewNode(VerifyingNode):
                 continue
             handler = handlers.get(msg.__class__)
             if handler is not None and handler[0](self, msg):
-                audience = self._AUDIENCE.get(msg.__class__)
+                audience = self.config.audience
                 self._verification.mark_valid(
-                    msg, handler[1], audience and audience(self, msg))
+                    msg, handler[1], audience and audience(msg))
                 handler[1](self, msg)
 
     # -- decision ------------------------------------------------------------
@@ -407,6 +408,7 @@ def build_view_instance(
     group: SchnorrGroup,
     conditions: Optional[NetworkConditions],
     configure: Callable[..., ViewConfig],
+    audience: Optional[Audience] = None,
     **services: Any,
 ) -> ProtocolInstance:
     """The builder steps every family shares.
@@ -418,6 +420,7 @@ def build_view_instance(
     under; ``None`` (or perfect conditions) is lock-step, where every
     round is trusted.  ``configure(**shared_fields)`` returns the
     family's config (and validates the family's own arguments);
+    ``audience`` is the instance's (:attr:`ViewConfig.audience`) and
     ``services`` are the family's extra service entries.
     """
     if len(inputs) != n:
@@ -433,6 +436,7 @@ def build_view_instance(
         authenticator=authenticator,
         trusted_send_round=trusted_send_round_for(conditions),
         verification=VerificationCache(),
+        audience=audience,
     )
     nodes = [node_cls(node_id, n, inputs[node_id], config)
              for node_id in range(n)]
@@ -450,4 +454,5 @@ def build_view_instance(
             "threshold": config.threshold,
             "config": config,
         },
+        audience=audience,
     )

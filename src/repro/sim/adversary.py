@@ -165,7 +165,10 @@ class Adversary:
 
     def observe_deliveries(self, round_index: Round,
                            inboxes: Dict[NodeId, List[Delivery]]) -> None:
-        """Called after delivery, before honest nodes act."""
+        """Called after delivery, before honest nodes act.  On a
+        conditioned network an honest node's inbox omits the copies it
+        cannot act on (``ProtocolInstance.audience``); a node corrupt
+        when a copy was scheduled gets every copy sent to it."""
 
     def react(self, round_index: Round, staged: List[Envelope]) -> None:
         """The rushing step: observe staged honest messages and act."""

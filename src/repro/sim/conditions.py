@@ -50,12 +50,13 @@ from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from heapq import heappop, heappush
 from operator import add, lt
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    AbstractSet, Any, Dict, List, Mapping, NamedTuple, Optional, Tuple)
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.rng import Seed, derive_rng
 from repro.sim.network import Delivery, Envelope, SynchronousNetwork
-from repro.types import NodeId, Round
+from repro.types import Audience, NodeId, Round
 
 #: Supported latency-distribution spec heads (first element of the
 #: ``latency`` tuple).  Specs are plain tuples so conditions stay
@@ -573,11 +574,23 @@ class ConditionedNetwork(SynchronousNetwork):
     ``tests/test_conditioned_schedule_differential.py``.  The heap is
     touched once per distinct due round, and :meth:`next_due_round`
     exposes its head so the event engine can skip idle ticks entirely.
+
+    A copy is **inert** when ``audience(payload)`` names one node other
+    than its recipient and the recipient is not in ``corrupt`` (the live
+    corrupt set) when the window drains: no honest recipient acts on it.
+    It draws its coins like any copy and counts in its group's ``count``
+    (so in every :class:`NetworkStats` field), but is never filed or
+    delivered; a group may thus hold no copy at all.  Under partitions
+    every copy is filed (:meth:`_defer_blocked` re-queues by recipient).
     """
 
     def __init__(self, n: int, conditions: NetworkConditions,
-                 seed: Seed = 0, retain_transcript: bool = True) -> None:
+                 seed: Seed = 0, retain_transcript: bool = True,
+                 audience: Optional[Audience] = None,
+                 corrupt: AbstractSet[NodeId] = frozenset()) -> None:
         super().__init__(n, retain_transcript=retain_transcript)
+        self._audience = audience
+        self._corrupt = corrupt
         if conditions.topology is not None:
             conditions.topology.check_n(n)
         self.conditions = conditions
@@ -634,7 +647,7 @@ class ConditionedNetwork(SynchronousNetwork):
 
     def _schedule_window(self, sent_round: Round) -> None:
         """Drain the staging window into the calendar: one group per delay
-        drawn, each copy filed under its recipient in staging order.
+        drawn, each filed copy under its recipient in staging order.
 
         Coins come from the one labelled stream in a fixed order per copy
         — drop, duplicate, then a latency draw per scheduled copy; link
@@ -644,7 +657,7 @@ class ConditionedNetwork(SynchronousNetwork):
         copy (:meth:`_file_batch`).  Any other window draws as each copy
         comes (:meth:`_file_per_copy`; a lossy window's coins interleave).
         Both read the stream ``randint`` would, bit for bit, and no
-        further.
+        further, inert copies included (see the class docstring).
         """
         conditions = self.conditions
         pre_gst = sent_round < conditions.gst
@@ -653,56 +666,88 @@ class ConditionedNetwork(SynchronousNetwork):
                                  or conditions.duplicate_rate)
         family, low = conditions.latency[:2]
         width = conditions.latency[2] - low + 1 if family == "uniform" else 0
+        audience = None if conditions.partitions else self._audience
         slots: List[Any] = [None] * (cap + 1)  # delay -> {recipient: copies}
         if width and not lossy and max(width, cap) <= 255:
-            self._file_batch(slots, cap, low, width)
+            counts = self._file_batch(slots, cap, low, width, audience)
         else:
-            self._file_per_copy(slots, cap, lossy, family, low, width)
+            counts = self._file_per_copy(slots, cap, lossy, family, low,
+                                         width, audience)
         scheduled = 0
         for delay, targets in enumerate(slots):
-            if targets:
-                count = sum(map(len, targets.values()))
+            count = (counts[delay] if counts is not None
+                     else sum(map(len, targets.values())) if targets else 0)
+            if count:
                 self._bucket(sent_round + delay).append(
-                    [sent_round, targets, count])
+                    [sent_round, targets or {}, count])
                 scheduled += count
         self._reset_window()
         self._extra_delay = {}
         self._in_flight += scheduled
         self.stats.events_processed += scheduled
 
-    def _file_batch(self, slots: List[Any], cap: int, low: int,
-                    width: int) -> None:
-        """List the window's copies, draw their delays at once
+    def _file_batch(self, slots: List[Any], cap: int, low: int, width: int,
+                    audience: Optional[Audience]) -> Optional[List[int]]:
+        """List the window's filed copies, draw every copy's delay at once
         (:func:`draw_uniform_batch`), add surcharges and adversarial
-        delays, then file ``zip(recipients, deliveries, delays)``."""
+        delays, then file ``zip(recipients, deliveries, delays)`` over the
+        filed copies.  An envelope with a reader files only the reader's
+        and the corrupt recipients' copies (an adversary may read any
+        corrupt inbox).  Returns the copies per delay when some copy went
+        unfiled, else ``None`` (the slots hold them all)."""
         extra_delay = self._extra_delay
+        corrupt = self._corrupt
         everyone = range(self.n)
         targets: List[NodeId] = []
         sent: List[Delivery] = []
+        # (first draw, end, sender, recipients filed) of each envelope
+        # with unfiled copies; every other draw is a filed copy's.
+        partial: List[Tuple[int, int, NodeId, List[NodeId]]] = []
+        kept_for: Dict[NodeId, List[NodeId]] = {}  # reader -> nodes filed
+        drawn = 0
         surcharges = None if self._link_rows is None else []
         pushes = [] if extra_delay else None
         for envelope, delivery, blocked in self._surviving_entries():
-            if envelope.recipient is not None:
-                recipients = (envelope.recipient,)
-                targets.append(envelope.recipient)
-                sent.append(delivery)
+            sender, recipient = envelope.sender, envelope.recipient
+            # The one node the copies can matter to (None: any node); an
+            # envelope with a suppressed copy files every copy.
+            reader = (audience(envelope.payload)
+                      if audience is not None and not blocked else None)
+            if recipient is not None:
+                recipients = (recipient,)
+                if (reader is None or recipient == reader
+                        or recipient in corrupt):
+                    targets.append(recipient)
+                    sent.append(delivery)
+                else:
+                    partial.append((drawn, drawn + 1, sender, []))
             else:
                 recipients = list(everyone)
-                del recipients[envelope.sender]
+                del recipients[sender]
                 if blocked:
                     recipients = [recipient for recipient in recipients
                                   if recipient not in blocked]
-                targets += recipients
-                sent += [delivery] * len(recipients)
+                kept = recipients
+                if reader is not None:
+                    kept = kept_for.get(reader)
+                    if kept is None:
+                        kept = kept_for[reader] = sorted(corrupt | {reader})
+                    if sender == reader or sender in corrupt:
+                        kept = [node for node in kept if node != sender]
+                    partial.append((drawn, drawn + len(recipients), sender,
+                                    kept))
+                targets += kept
+                sent += [delivery] * len(kept)
+            drawn += len(recipients)
             if surcharges is not None:
-                surcharges += map(self._link_row(envelope.sender).__getitem__,
+                surcharges += map(self._link_row(sender).__getitem__,
                                   recipients)
             if pushes is not None:
                 key = envelope.envelope_id
                 push_all = extra_delay.get((key, None), 0)
                 pushes += [push_all + extra_delay.get((key, recipient), 0)
                            for recipient in recipients]
-        delays = draw_uniform_batch(self._rng.getrandbits, len(targets),
+        delays = draw_uniform_batch(self._rng.getrandbits, drawn,
                                     low, width, cap)
         # min(min(d, cap) + e, cap) == min(d + e, cap): the surcharge lands
         # before the clamp, the adversary's push after it.
@@ -714,26 +759,49 @@ class ConditionedNetwork(SynchronousNetwork):
             self.stats.adversary_delayed_copies += sum(
                 map(lt, delays, pushed))
             delays = pushed
-        for recipient, delivery, delay in zip(targets, sent, delays):
-            filed = slots[delay]
-            if filed is None:
-                filed = slots[delay] = {}
-            filed.setdefault(recipient, []).append(delivery)
+        filed = delays
+        if partial:
+            filed, at = delays[:0], 0
+            for start, stop, sender, kept in partial:
+                # Such a multicast is unsuppressed: its draws, with a slot
+                # for the sender, are indexed by recipient.
+                row = delays[start:stop]
+                row.insert(sender, 0)
+                filed.extend(delays[at:start])
+                filed.extend(map(row.__getitem__, kept))
+                at = stop
+            filed.extend(delays[at:])
+        for recipient, delivery, delay in zip(targets, sent, filed):
+            slot = slots[delay]
+            if slot is None:
+                slot = slots[delay] = {}
+            slot.setdefault(recipient, []).append(delivery)
+        if not partial:
+            return None
+        counts = [0] * (cap + 1)  # no delay is below the least draw
+        for delay in range(min(low, cap), cap + 1):
+            counts[delay] = delays.count(delay)
+        return counts
 
     def _file_per_copy(self, slots: List[Any], cap: int, lossy: bool,
-                       family: str, low: Any, width: int) -> None:
+                       family: str, low: Any, width: int,
+                       audience: Optional[Audience]) -> Optional[List[int]]:
         """File copy by copy, drawing each copy's coins as it comes; the
         uniform draw is ``Random.randint`` unrolled (``_randbelow``:
-        ``getrandbits(width.bit_length())`` until below the width)."""
+        ``getrandbits(width.bit_length())`` until below the width).
+        Returns the copies per delay with an ``audience``, else ``None``
+        (the slots hold them all)."""
         conditions = self.conditions
         drop_rate = conditions.drop_rate if lossy else 0.0
         duplicate_rate = conditions.duplicate_rate if lossy else 0.0
         extra_delay = self._extra_delay
+        corrupt = self._corrupt
         bits = width.bit_length()
         getrandbits = self._rng.getrandbits
         coin = self._rng.random
         everyone = range(self.n)
         row = None
+        counts = None if audience is None else [0] * (cap + 1)
         dropped = duplicated = delayed = 0
         for envelope, delivery, blocked in self._surviving_entries():
             sender = envelope.sender
@@ -744,6 +812,8 @@ class ConditionedNetwork(SynchronousNetwork):
             if extra_delay:
                 envelope_id = envelope.envelope_id
                 extra_all = extra_delay.get((envelope_id, None), 0)
+            reader = (audience(envelope.payload)
+                      if audience is not None and not blocked else None)
             for recipient in recipients:
                 if recipient == sender or (blocked and recipient in blocked):
                     continue
@@ -782,6 +852,11 @@ class ConditionedNetwork(SynchronousNetwork):
                             # clamp nullified moved nothing.
                             delay = min(delay + extra, cap)
                             delayed += 1
+                    if counts is not None:
+                        counts[delay] += 1
+                        if (reader is not None and recipient != reader
+                                and recipient not in corrupt):
+                            continue  # inert: counted, never filed
                     filed = slots[delay]
                     if filed is None:
                         filed = slots[delay] = {}
@@ -790,6 +865,7 @@ class ConditionedNetwork(SynchronousNetwork):
         stats.dropped_copies += dropped
         stats.duplicated_copies += duplicated
         stats.adversary_delayed_copies += delayed
+        return counts
 
     def _defer_blocked(self, bucket: list, round_index: Round) -> list:
         """The groups of a due bucket cut to the copies deliverable now; a
@@ -830,8 +906,9 @@ class ConditionedNetwork(SynchronousNetwork):
         return self._due_rounds[0] if self._due_rounds else None
 
     def pending_copies(self) -> List[PendingCopy]:
-        """Every in-flight copy by due round, group, recipient and
-        scheduling order (a snapshot for tests and diagnostics)."""
+        """Every filed in-flight copy by due round, group, recipient and
+        scheduling order (a snapshot for tests and diagnostics; inert
+        copies are counted, never filed)."""
         return [PendingCopy(due_round, sent_round, recipient, delivery)
                 for due_round in sorted(self._buckets)
                 for sent_round, targets, _ in self._buckets[due_round]

@@ -47,7 +47,7 @@ from repro.sim.metrics import CommunicationMetrics
 from repro.sim.network import Envelope, SynchronousNetwork
 from repro.sim.node import Node, RoundContext
 from repro.sim.result import ExecutionResult
-from repro.types import AdversaryModel, Bit, NodeId, Round
+from repro.types import AdversaryModel, Audience, Bit, NodeId, Round
 
 #: Keep every envelope ever staged (replay / invariant checking).
 TRANSCRIPT_FULL = "full"
@@ -74,6 +74,7 @@ class Simulation:
         mining_capabilities: Optional[Sequence] = None,
         transcript_retention: str = TRANSCRIPT_FULL,
         conditions: Optional[NetworkConditions] = None,
+        audience: Optional[Audience] = None,
     ) -> None:
         if not nodes:
             raise SimulationError("need at least one node")
@@ -90,13 +91,16 @@ class Simulation:
         if conditions is not None and conditions.is_perfect:
             conditions = None
         self.conditions = conditions
+        self.controller = CorruptionController(self.n, corruption_budget, model)
         retain = transcript_retention == TRANSCRIPT_FULL
         if conditions is None:
             self.network = SynchronousNetwork(self.n, retain_transcript=retain)
         else:
+            # The live corrupt set: a copy to a corrupt node is always
+            # filed, whatever its payload's audience.
             self.network = ConditionedNetwork(
-                self.n, conditions, seed=seed, retain_transcript=retain)
-        self.controller = CorruptionController(self.n, corruption_budget, model)
+                self.n, conditions, seed=seed, retain_transcript=retain,
+                audience=audience, corrupt=self.controller.corrupt_set)
         self.metrics = CommunicationMetrics(n=self.n)
         self.adversary = adversary if adversary is not None else PassiveAdversary()
         self.max_rounds = max_rounds
@@ -289,4 +293,5 @@ def run_instance(instance, f: int, adversary: Optional[Adversary] = None,
         inputs=instance.inputs, conditions=conditions,
         signing_capabilities=instance.signing_capabilities,
         mining_capabilities=instance.mining_capabilities,
-        transcript_retention=transcript_retention).run()
+        transcript_retention=transcript_retention,
+        audience=instance.audience).run()

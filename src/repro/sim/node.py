@@ -80,7 +80,9 @@ class Node(abc.ABC):
 
     #: A node's promise: before this round, an :meth:`on_round` call with
     #: an empty inbox is a no-op (it stages nothing, changes no state and
-    #: reads no coin), so the engine skips it.  Mail still gets its call.
+    #: reads no coin), so the engine skips it.  Mail still gets its call,
+    #: but only mail it can act on: a conditioned network delivers no
+    #: copy outside its payload's audience (``ProtocolInstance.audience``).
     asleep_until: Round = 0
 
     def __init__(self, node_id: NodeId, n: int) -> None:

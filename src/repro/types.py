@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Any, Callable, Optional
 
 # A node identifier.  Nodes are numbered 0 .. n-1 as in Appendix A.1.
 NodeId = int
@@ -19,6 +20,10 @@ Bit = int
 
 # A synchronous round index, starting at 0.
 Round = int
+
+# ``payload ->`` the one node whose state the payload can change, or None
+# for every node (``ProtocolInstance.audience``).
+Audience = Callable[[Any], Optional[NodeId]]
 
 #: Conventional designated sender for Byzantine Broadcast (Appendix A.2.1
 #: uses node 0 as the sender).

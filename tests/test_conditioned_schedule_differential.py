@@ -22,7 +22,11 @@ and driven side by side with the real one:
   copy healing into a non-empty bucket, behind its recipient's earlier
   copies; one round fed by two windows; overdue buckets);
 - **whole executions** with the engine's network swapped for the
-  reference: same decisions, transcripts, stats and RNG end state.
+  reference: same decisions, transcripts, stats and RNG end state.  The
+  reference files every copy, so the leader-family cases also hold the
+  real network's inert copies (a QC-less NewView to an honest node other
+  than its view's leader: counted, never filed) to the delivering
+  schedule, and every corrupt node's inbox to the one it had before.
 """
 
 import dataclasses
@@ -33,11 +37,15 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
-from repro.adversaries import DelayAdversary
+from repro.adversaries import (
+    DelayAdversary,
+    LeaderKillerAdversary,
+    ViewSplitAdversary,
+)
 from repro.errors import SimulationError
 from repro.harness import run_instance
 from repro.protocols import build_quadratic_ba
-from repro.protocols.leader_ba import build_leader_ba
+from repro.protocols.leader_ba import NewViewMsg, build_leader_ba
 from repro.rng import derive_rng
 from repro.sim.conditions import (
     NETWORKS,
@@ -47,6 +55,7 @@ from repro.sim.conditions import (
     NetworkStats,
     Partition,
 )
+from repro.sim.adversary import Adversary, PassiveAdversary
 from repro.sim.network import Delivery, Envelope, SynchronousNetwork
 from tests.test_delivery_differential import drain_staged
 from tests.test_event_engine_differential import _snapshot
@@ -87,7 +96,9 @@ class LegacyConditionedNetwork(SynchronousNetwork):
     ``has_pending``, ``next_due_round``, ``finish_clock``, ``deliver``)
     matches the real class so the engine can run on it unchanged."""
 
-    def __init__(self, n, conditions, seed=0, retain_transcript=True):
+    def __init__(self, n, conditions, seed=0, retain_transcript=True,
+                 audience=None, corrupt=frozenset()):
+        # Files every copy: audience and corrupt set are ignored.
         super().__init__(n, retain_transcript=retain_transcript)
         if conditions.topology is not None:
             conditions.topology.check_n(n)
@@ -272,12 +283,43 @@ def pending_by_group(pending):
                          for due, sent, recipient, delivery in pending)
 
 
-def drive_stream(network_class, conditions, n, case, ticks=40):
+class Readers:
+    """A stream's audience side: the reader of payload ``m{clock}.{index}``
+    (none for every third index), the live corrupt set the stream grows,
+    that set as each clock's window drains, and the payloads with a
+    suppressed copy."""
+
+    def __init__(self, n):
+        self.n = n
+        self.corrupt = set()
+        self.corrupt_at = {}
+        self.suppressed = set()
+
+    def audience(self, payload):
+        clock, index = map(int, payload[1:].split("."))
+        return None if index % 3 == 0 else (clock + index) % self.n
+
+    def filed(self, conditions, recipient, delivery):
+        """Whether the network files this copy (else it is inert)."""
+        payload = delivery.payload
+        reader = self.audience(payload)
+        if (conditions.partitions or reader is None
+                or payload in self.suppressed):
+            return True
+        clock = int(payload[1:].split(".")[0])
+        return recipient == reader or recipient in self.corrupt_at[clock]
+
+
+def drive_stream(network_class, conditions, n, case, ticks=40, readers=None):
     """Drive one network through the staging stream ``case`` names and
     return everything observable.  The stream's own generator never reads
-    the network, so both implementations see the same operations."""
+    the network, so both implementations see the same operations.  With
+    ``readers`` the network gets their audience and corrupt set, which
+    the stream grows between windows."""
     rng = random.Random(f"schedule-stream-{case}")
-    network = network_class(n, conditions, seed=case)
+    network = network_class(n, conditions, seed=case, **(
+        {} if readers is None
+        else {"audience": readers.audience, "corrupt": readers.corrupt}))
     per_tick = []
     clock = 0
     while clock < ticks:
@@ -285,6 +327,10 @@ def drive_stream(network_class, conditions, n, case, ticks=40):
         network.advance_to(clock, tape)
         per_tick.append((clock, tape.inboxes(),
                          pending_by_group(network.pending_copies())))
+        if readers is not None:
+            if rng.random() < 0.2:
+                readers.corrupt.add(rng.randrange(n))
+            readers.corrupt_at[clock] = frozenset(readers.corrupt)
         for index in range(rng.randint(0, 4)):
             sender = rng.randrange(n)
             recipient = rng.choice((None, None, rng.randrange(n)))
@@ -293,6 +339,8 @@ def drive_stream(network_class, conditions, n, case, ticks=40):
             action = rng.random()
             if action < 0.15:
                 network.suppress(envelope, rng.randrange(n))
+                if readers is not None:
+                    readers.suppressed.add(envelope.payload)
             elif action < 0.20:
                 network.suppress(envelope)
             elif action < 0.35:
@@ -396,6 +444,45 @@ def test_wide_streams_match_the_per_copy_reference(conditions):
     rounds of a batch."""
     new = assert_identical_streams(conditions, 64, 7)
     assert new[1]["delivered_copies"] > 0
+
+
+@pytest.mark.parametrize("index", range(len(GRID)))
+def test_inert_copies_are_counted_not_filed(index):
+    """With an audience, a copy to a node that is neither its payload's
+    reader nor corrupt when its window drains is counted, not filed: per
+    tick each recipient's deliveries and pending calendar are the
+    reference's minus those copies, and the stats, RNG end state and
+    queue head are the reference's, inert copies included."""
+    conditions, n, case = GRID[index], 5, 2000 + index
+    readers = Readers(n)
+    new = drive_stream(ConditionedNetwork, conditions, n, case,
+                       readers=readers)
+    old = drive_stream(LegacyConditionedNetwork, conditions, n, case,
+                       readers=Readers(n))
+
+    def filed(pairs):
+        kept = {}
+        for key, copies in pairs.items():
+            recipient = key if isinstance(key, int) else key[2]
+            copies = [copy for copy in copies
+                      if readers.filed(conditions, recipient, copy)]
+            if copies:
+                kept[key] = copies
+        return kept
+
+    def copies(pairs):
+        return sum(map(len, pairs.values()))
+
+    inert = 0
+    for (clock, delivered, pending), (_, want, want_pending) in zip(
+            new[0], old[0]):
+        assert delivered == filed(want), f"tick {clock}: deliveries differ"
+        assert pending == filed(want_pending), \
+            f"tick {clock}: pending calendar differs"
+        inert += copies(want) - copies(delivered)
+    assert new[1:] == old[1:]
+    inert += copies(want_pending) - copies(pending)  # still in flight
+    assert inert > 0 or conditions.partitions
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +606,33 @@ def test_overdue_buckets_pop_in_due_order(network_class):
 # Whole executions on the reference network.
 # ---------------------------------------------------------------------------
 
+class CorruptInboxes(Adversary):
+    """``inner`` with every hook passed through, logging each inbox of a
+    node corrupt when ``observe_deliveries`` is called, as it receives it."""
+
+    def __init__(self, inner):
+        super().__init__()
+        self.inner = inner
+        self.log = []
+
+    def bind(self, api):
+        self.api = api
+        self.inner.bind(api)
+
+    def observe_deliveries(self, round_index, inboxes):
+        api = self.api
+        self.log.append((round_index, {
+            node: list(inboxes[node])
+            for node in range(api.n) if api.is_corrupt(node)}))
+        self.inner.observe_deliveries(round_index, inboxes)
+
+    def react(self, round_index, staged):
+        self.inner.react(round_index, staged)
+
+
 def _execution(monkeypatch, network_class, build, conditions, adversary):
+    """One execution on ``network_class``; ``adversary(instance)`` is
+    wrapped in :class:`CorruptInboxes`, whose log is returned too."""
     networks = []
 
     def recording(*args, **kwargs):
@@ -528,9 +641,11 @@ def _execution(monkeypatch, network_class, build, conditions, adversary):
 
     monkeypatch.setattr("repro.sim.engine.ConditionedNetwork", recording)
     instance, f = build()
-    result = run_instance(instance, f, adversary, seed=5,
+    observer = CorruptInboxes(adversary(instance))
+    result = run_instance(instance, f, observer, seed=5,
                           conditions=conditions)
-    return {**_snapshot(result), "rng": networks[0]._rng.getstate()}
+    return ({**_snapshot(result), "rng": networks[0]._rng.getstate()},
+            observer.log)
 
 
 def _quadratic():
@@ -544,14 +659,20 @@ def _leader(network):
     return build
 
 
+def _passive(instance):
+    return PassiveAdversary()
+
+
 EXECUTIONS = [
     ("quadratic-wan-delayed", _quadratic, "wan",
-     lambda: DelayAdversary(fraction=0.5, seed=5)),
-    ("quadratic-lossy", _quadratic, "lossy", lambda: None),
+     lambda instance: DelayAdversary(fraction=0.5, seed=5)),
+    ("quadratic-lossy", _quadratic, "lossy", _passive),
     ("quadratic-split-heal", _quadratic, "split-heal",
-     lambda: DelayAdversary(fraction=1.0, seed=5)),
-    ("leader-lossy", _leader("lossy"), "lossy", lambda: None),
-    ("leader-split-heal", _leader("split-heal"), "split-heal", lambda: None),
+     lambda instance: DelayAdversary(fraction=1.0, seed=5)),
+    ("leader-lossy", _leader("lossy"), "lossy", _passive),
+    ("leader-split-heal", _leader("split-heal"), "split-heal", _passive),
+    ("leader-killer-wan", _leader("wan"), "wan", LeaderKillerAdversary),
+    ("view-split-wan", _leader("wan"), "wan", ViewSplitAdversary),
 ]
 
 
@@ -559,9 +680,40 @@ EXECUTIONS = [
                          ids=[case[0] for case in EXECUTIONS])
 def test_executions_match_on_the_reference_network(
         monkeypatch, name, build, network, adversary):
-    new = _execution(monkeypatch, ConditionedNetwork, build,
-                     NETWORKS[network], adversary())
-    old = _execution(monkeypatch, LegacyConditionedNetwork, build,
-                     NETWORKS[network], adversary())
+    new, _ = _execution(monkeypatch, ConditionedNetwork, build,
+                        NETWORKS[network], adversary)
+    old, _ = _execution(monkeypatch, LegacyConditionedNetwork, build,
+                        NETWORKS[network], adversary)
     assert new == old
     assert new["network_stats"]["delivered_copies"] > 0
+
+
+@pytest.mark.parametrize("name", ["leader-killer-wan", "view-split-wan"])
+def test_corrupt_inboxes_match_on_the_reference_network(monkeypatch, name):
+    """An adversary reads a corrupt node's inbox (sandboxes, ``Deaf``
+    filters), so the real network files a copy to a node corrupt at
+    window time whatever its payload's audience: each such inbox, per
+    round, is the one the every-copy reference delivers — QC-less
+    NewViews of other leaders' views included."""
+    _, build, network, adversary = next(
+        case for case in EXECUTIONS if case[0] == name)
+    _, new = _execution(monkeypatch, ConditionedNetwork, build,
+                        NETWORKS[network], adversary)
+    _, old = _execution(monkeypatch, LegacyConditionedNetwork, build,
+                        NETWORKS[network], adversary)
+    def text(log):
+        return [(round_index, {
+            node: [(delivery.sender, repr(delivery.payload))
+                   for delivery in inbox]
+            for node, inbox in inboxes.items()})
+            for round_index, inboxes in log]
+
+    assert text(new) == text(old)
+    # Not vacuous: some corrupt inbox holds a copy outside its audience.
+    leader = build()[0].services["oracle"].leader
+    assert any(
+        isinstance(delivery.payload, NewViewMsg)
+        and delivery.payload.qc is None
+        and leader(delivery.payload.view) != node
+        for _, inboxes in new for node, inbox in inboxes.items()
+        for delivery in inbox)

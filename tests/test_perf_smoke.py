@@ -6,7 +6,8 @@ steps, ``SignedVote`` constructions and ``signed_vote`` calls, sequence
 sizings, digests per issued-signature check, topic encodings, keyed sorts,
 ``random.Random`` seedings, pool submits before the first awaited
 result, view-machine steps, tally scans, decide-quorum checks, NewView
-absorb steps, calendar bucket lengths and a conditioned window's
+absorb steps, QC-less NewView copies in honest non-leaders' inboxes,
+calendar bucket lengths and a conditioned window's
 ``getrandbits`` calls — not wall time, so CI hardware variance cannot
 flake it.  Before the
 content-addressed verification caches, the n = 96 quadratic-BA run
@@ -386,11 +387,16 @@ def test_leader_chain_checks_each_decide_quorum_once(monkeypatch):
 
 
 def test_leader_killer_n25_files_and_absorbs_per_recipient(monkeypatch):
-    """A NewView without a QC can change only its view's leader, so the
-    other recipients skip its absorb step; and the calendar files copies
-    under their recipient, so a due round's bucket holds one group per
-    window that fed it.  At the parent every copy of every NewView was
-    absorbed (≈ n - 1 per message) and a bucket held one entry per copy."""
+    """A NewView without a QC can change only its view's leader: the
+    conditioned window counts its copies to other honest nodes without
+    filing them, so none reaches such a node's inbox, while
+    ``delivered_copies`` still counts every copy sent; any recipient
+    that does get one (the lock-step network delivers every copy) skips
+    its absorb step.  The calendar files copies under their recipient,
+    so a due round's bucket holds one group per window that fed it.
+    Before the window counted them, ≈ n - 2 copies of each such NewView
+    reached honest non-leaders; before the audience skip every copy was
+    absorbed; before the calendar a bucket held one entry per copy."""
     from repro.adversaries import LeaderKillerAdversary
     from repro.protocols.leader_ba import (
         LeaderBaNode,
@@ -428,9 +434,32 @@ def test_leader_killer_n25_files_and_absorbs_per_recipient(monkeypatch):
     instance = build_leader_ba(n, f, [i % 2 for i in range(n)], seed=1,
                                conditions=wan)
     leader = instance.services["oracle"].leader
-    result = run_instance(instance, f, LeaderKillerAdversary(instance),
-                          seed=1, conditions=wan)
+    inert = []
+
+    class Watching(LeaderKillerAdversary):
+        def observe_deliveries(self, round_index, inboxes):
+            inert.extend(
+                (round_index, node, delivery.payload.view)
+                for node in range(n) if not self.api.is_corrupt(node)
+                for delivery in inboxes[node]
+                if isinstance(delivery.payload, NewViewMsg)
+                and delivery.payload.qc is None
+                and leader(delivery.payload.view) != node)
+            super().observe_deliveries(round_index, inboxes)
+
+    result = run_instance(instance, f, Watching(instance), seed=1,
+                          conditions=wan)
     assert result.consistent() and result.all_decided()
+    assert not inert, (
+        f"(round, node, view) {inert[:3]}: {len(inert)} QC-less NewView "
+        f"copies reached honest nodes other than the view's leader")
+    # wan loses nothing and delays at most Δ, so every copy but those of
+    # the last round (staged after the final drain) was delivered.
+    last = result.rounds_executed - 1
+    sent = sum(n - 1 if envelope.recipient is None else 1
+               for envelope in result.transcript
+               if envelope.round_sent < last)
+    assert result.network_stats.delivered_copies == sent
     new_views = [envelope.payload for envelope in result.transcript
                  if isinstance(envelope.payload, NewViewMsg)]
     leader_copies = sum(leader(msg.view) != msg.sender for msg in new_views)

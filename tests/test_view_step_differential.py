@@ -28,7 +28,9 @@ A third shortcut is the NewView audience: a cached NewView without a QC
 runs its absorb step only on its view's leader.  Uncached, every
 recipient runs it, so :func:`test_new_view_audience_skip_matches_uncached`
 compares the two on leader-ba under ``leader-killer`` and ``view-split``
-at n = 13 and 25.
+at n = 13 and 25.  A conditioned network without partitions delivers
+such a copy to no other honest node at all, so the grid also runs
+``split-heal``, whose partitions make every copy arrive.
 """
 
 import pytest
@@ -192,7 +194,8 @@ def test_round_step_matches_the_reference(monkeypatch, shape, network):
 
 AUDIENCE_GRID = [(adversary, network, n)
                  for adversary in ("leader-killer", "view-split")
-                 for network in ("wan", "lossy") for n in (13, 25)]
+                 for network in ("wan", "lossy", "split-heal")
+                 for n in (13, 25)]
 ADVERSARIES = {"leader-killer": LeaderKillerAdversary,
                "view-split": ViewSplitAdversary}
 
@@ -233,7 +236,7 @@ def _audience_run(monkeypatch, adversary, network, n):
 def test_new_view_audience_skip_matches_uncached(monkeypatch, adversary,
                                                  network, n):
     """A cached NewView without a QC runs its absorb step only on its
-    view's leader (``LeaderBaNode._AUDIENCE``); uncached, every recipient
+    view's leader (``ProtocolInstance.audience``); uncached, every recipient
     runs it.  Decisions, every node's lock after each of its steps,
     beliefs, the leaders' NewView material, views, words and transcripts
     must not move.
