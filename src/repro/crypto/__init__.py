@@ -6,57 +6,18 @@ paper's real-world instantiation (Appendix D) relies on:
 - :mod:`repro.crypto.groups` — Schnorr (prime-order subgroup) arithmetic
   with hash-to-group, over both small test parameters and a 2048-bit MODP
   group.
-- :mod:`repro.crypto.prf` — an HMAC-SHA256 PRF and the DDH ("exponentiation")
-  PRF ``PRF_k(m) = H1(m)^k`` the VRF is built from.
 - :mod:`repro.crypto.schnorr` — Schnorr signatures (Fiat–Shamir).
-- :mod:`repro.crypto.commitment` — hash commitments and perfectly-binding
-  ElGamal commitments (the binding flavour Appendix D.2 requires).
-- :mod:`repro.crypto.dleq` — Chaum–Pedersen discrete-log-equality NIZK and
-  the two-witness "committed-key VRF" sigma proof, Fiat–Shamir compiled.
+- :mod:`repro.crypto.commitment` — perfectly-binding ElGamal commitments
+  (the binding flavour Appendix D.2 requires).
+- :mod:`repro.crypto.dleq` — the two-witness "committed-key VRF" sigma
+  proof, Fiat–Shamir compiled.
 - :mod:`repro.crypto.vrf` — the adaptively-structured VRF of Appendix D:
-  public key = perfectly-binding commitment to the PRF key, evaluation
-  proof = NIZK that the evaluation matches the committed key.
+  public key = perfectly-binding commitment to the key of the DDH PRF
+  ``H1(m)^k``, evaluation proof = NIZK that the evaluation matches the
+  committed key.
 - :mod:`repro.crypto.forward_secure` — forward-secure signatures (Merkle
   tree over per-epoch keys) used by the memory-erasure baseline
   (Chen–Micali "ephemeral keys", footnote 5).
 - :mod:`repro.crypto.registry` — an ideal signature/PKI registry for fast
   large-scale simulation, enforcing unforgeability by construction.
 """
-
-from repro.crypto.groups import SchnorrGroup, TEST_GROUP, MODP_2048_GROUP
-from repro.crypto.prf import HmacPrf, DdhPrf
-from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature, sign, verify
-from repro.crypto.commitment import (
-    HashCommitment,
-    ElGamalCommitmentScheme,
-    ElGamalCommitment,
-)
-from repro.crypto.dleq import DleqProof, prove_dleq, verify_dleq
-from repro.crypto.vrf import VrfKeyPair, VrfOutput, VrfPublicKey
-from repro.crypto.forward_secure import ForwardSecureKeyPair, ForwardSecureSignature
-from repro.crypto.registry import KeyRegistry, IdealSignature
-
-__all__ = [
-    "SchnorrGroup",
-    "TEST_GROUP",
-    "MODP_2048_GROUP",
-    "HmacPrf",
-    "DdhPrf",
-    "SchnorrKeyPair",
-    "SchnorrSignature",
-    "sign",
-    "verify",
-    "HashCommitment",
-    "ElGamalCommitmentScheme",
-    "ElGamalCommitment",
-    "DleqProof",
-    "prove_dleq",
-    "verify_dleq",
-    "VrfKeyPair",
-    "VrfOutput",
-    "VrfPublicKey",
-    "ForwardSecureKeyPair",
-    "ForwardSecureSignature",
-    "KeyRegistry",
-    "IdealSignature",
-]

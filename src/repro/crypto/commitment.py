@@ -5,9 +5,6 @@ computationally hiding (under selective opening): each node's public key is
 a commitment to its PRF secret key, and perfect binding is what makes the
 knowledge extraction of Lemma 32 exact.  The ElGamal commitment
 ``com(v; s) = (g^s, h^s · g^v)`` has precisely these properties under DDH.
-
-A hash commitment (computationally binding, hiding in the ROM) is also
-provided for places where perfect binding is not needed and speed matters.
 """
 
 from __future__ import annotations
@@ -16,26 +13,6 @@ import random
 from dataclasses import dataclass
 
 from repro.crypto.groups import SchnorrGroup
-from repro.crypto.hashing import hash_bytes
-
-
-@dataclass(frozen=True)
-class HashCommitment:
-    """A SHA-256 commitment ``H(tag, value, randomness)``."""
-
-    digest: bytes
-
-    @staticmethod
-    def commit(value: bytes, randomness: bytes) -> "HashCommitment":
-        if len(randomness) < 16:
-            raise ValueError("randomness must be at least 128 bits")
-        return HashCommitment(hash_bytes("hash-commit", value, randomness))
-
-    def open(self, value: bytes, randomness: bytes) -> bool:
-        try:
-            return HashCommitment.commit(value, randomness) == self
-        except ValueError:
-            return False
 
 
 @dataclass(frozen=True)

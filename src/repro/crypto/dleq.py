@@ -9,10 +9,7 @@ a NIZK for the language L (Appendix D.3):
 With PRF := the DDH PRF and com := the ElGamal commitment, this language
 becomes a conjunction of three discrete-log relations, provable with a
 standard two-witness sigma protocol (:func:`prove_committed_key`,
-:func:`verify_committed_key`).  The classic single-witness Chaum–Pedersen
-DLEQ proof is also provided.
-
-Both proofs are Fiat–Shamir compiled (random-oracle model);
+:func:`verify_committed_key`), Fiat–Shamir compiled (random-oracle model);
 docs/ARCHITECTURE.md (``crypto/``) documents this substitution for the
 paper's bilinear-group NIZK.
 """
@@ -25,45 +22,6 @@ from typing import Any
 
 from repro.crypto.commitment import ElGamalCommitment
 from repro.crypto.groups import SchnorrGroup
-
-
-@dataclass(frozen=True)
-class DleqProof:
-    """Chaum–Pedersen proof that ``log_g(X) = log_base(Y)``."""
-
-    challenge: int
-    response: int
-
-
-def prove_dleq(group: SchnorrGroup, secret: int, base: int,
-               rng: random.Random, context: Any = None) -> DleqProof:
-    """Prove knowledge of ``x`` with ``X = g^x`` and ``Y = base^x``."""
-    x_public = group.exp(group.g, secret)
-    y_public = group.exp(base, secret)
-    nonce = group.random_scalar(rng)
-    t1 = group.exp(group.g, nonce)
-    t2 = group.exp(base, nonce)
-    challenge = group.challenge_scalar(
-        "dleq", x_public, y_public, base, t1, t2, context)
-    response = (nonce + challenge * secret) % group.q
-    return DleqProof(challenge=challenge, response=response)
-
-
-def verify_dleq(group: SchnorrGroup, x_public: int, y_public: int, base: int,
-                proof: DleqProof, context: Any = None) -> bool:
-    """Verify a Chaum–Pedersen DLEQ proof; never raises."""
-    for element in (x_public, y_public, base):
-        if not group.is_element(element):
-            return False
-    if not (0 <= proof.challenge < group.q and 0 <= proof.response < group.q):
-        return False
-    t1 = group.mul(group.exp(group.g, proof.response),
-                   group.inv(group.exp(x_public, proof.challenge)))
-    t2 = group.mul(group.exp(base, proof.response),
-                   group.inv(group.exp(y_public, proof.challenge)))
-    expected = group.challenge_scalar(
-        "dleq", x_public, y_public, base, t1, t2, context)
-    return expected == proof.challenge
 
 
 @dataclass(frozen=True)

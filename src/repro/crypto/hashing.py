@@ -12,8 +12,6 @@ from typing import Any
 
 from repro.serialization import canonical_bytes
 
-HASH_BITS = 256
-
 
 def hash_bytes(domain: str, *parts: bytes) -> bytes:
     """SHA-256 over a domain tag and length-framed byte parts."""

@@ -12,9 +12,9 @@ This module implements exactly that pipeline over a DDH group:
 
 - secret key: PRF key ``k`` plus commitment randomness ``s``;
 - public key: ElGamal commitment ``(g^s, h^s · g^k)``;
-- evaluation on message ``m``: group element ``gamma = H1(m)^k``, hashed to
-  the final pseudorandom value ``beta = H2(gamma)`` used for the threshold
-  comparison;
+- evaluation on message ``m``: group element ``gamma = H1(m)^k`` (Appendix
+  D's DDH PRF), hashed to the final pseudorandom value ``beta = H2(gamma)``
+  used for the threshold comparison;
 - proof: the committed-key sigma proof of :mod:`repro.crypto.dleq`.
 
 Uniqueness — the property the lower-bound-evading protocols lean on — holds

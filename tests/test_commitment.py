@@ -1,39 +1,10 @@
-"""Tests for commitment schemes."""
+"""Tests for the perfectly binding ElGamal commitment."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.crypto.commitment import (
-    ElGamalCommitmentScheme,
-    HashCommitment,
-)
-
-
-class TestHashCommitment:
-    def test_roundtrip(self):
-        commitment = HashCommitment.commit(b"value", b"r" * 16)
-        assert commitment.open(b"value", b"r" * 16)
-
-    def test_wrong_value_rejected(self):
-        commitment = HashCommitment.commit(b"value", b"r" * 16)
-        assert not commitment.open(b"other", b"r" * 16)
-
-    def test_wrong_randomness_rejected(self):
-        commitment = HashCommitment.commit(b"value", b"r" * 16)
-        assert not commitment.open(b"value", b"s" * 16)
-
-    def test_short_randomness_rejected(self):
-        with pytest.raises(ValueError):
-            HashCommitment.commit(b"v", b"short")
-
-    def test_open_with_short_randomness_is_false(self):
-        commitment = HashCommitment.commit(b"v", b"r" * 16)
-        assert not commitment.open(b"v", b"tiny")
-
-    def test_hiding_structure(self):
-        # Different randomness -> different commitment to the same value.
-        c1 = HashCommitment.commit(b"v", b"r" * 16)
-        c2 = HashCommitment.commit(b"v", b"s" * 16)
-        assert c1 != c2
+from repro.crypto.commitment import ElGamalCommitmentScheme
 
 
 class TestElGamalCommitment:
@@ -83,3 +54,45 @@ class TestElGamalCommitment:
         c1 = scheme.commit(42, group.random_scalar(rng))
         c2 = scheme.commit(42, group.random_scalar(rng))
         assert c1 != c2
+
+    def test_commit_is_a_function_of_value_and_randomness(self, group):
+        scheme = ElGamalCommitmentScheme(group)
+        assert scheme.commit(42, 777) == scheme.commit(42, 777)
+
+    def test_zero_value_commits_and_opens(self, group, rng):
+        scheme = ElGamalCommitmentScheme(group)
+        commitment, randomness = scheme.commit_random(0, rng)
+        assert scheme.open(commitment, 0, randomness)
+
+    def test_additively_homomorphic(self, group, rng):
+        """Componentwise products commit to the sum under the summed
+        randomness: the algebra the committed-key proof verifies."""
+        scheme = ElGamalCommitmentScheme(group)
+        (a, r), (b, s) = [(group.random_scalar(rng), group.random_scalar(rng))
+                          for _ in range(2)]
+        ca, cb = scheme.commit(a, r), scheme.commit(b, s)
+        product = replace(ca, u=group.mul(ca.u, cb.u), v=group.mul(ca.v, cb.v))
+        assert scheme.open(product, (a + b) % group.q, (r + s) % group.q)
+
+    @pytest.mark.parametrize("scalars", [
+        lambda q: (q, 1), lambda q: (-1, 1), lambda q: (1, 0),
+        lambda q: (1, q)],
+        ids=["value-at-order", "negative-value", "zero-randomness",
+             "randomness-at-order"])
+    def test_open_with_invalid_scalars_is_false(self, group, scalars):
+        """``open`` answers, never raises, when ``commit``'s scalar
+        checks reject the pair; without them ``(q, 1)`` would open
+        ``commit(0, 1)``, since exponents reduce mod q."""
+        scheme = ElGamalCommitmentScheme(group)
+        assert scheme.open(scheme.commit(0, 1), *scalars(group.q)) is False
+
+    @pytest.mark.parametrize("zero", [True, False],
+                             ids=["zero", "outside-subgroup"])
+    @pytest.mark.parametrize("component", ["u", "v"])
+    def test_malformed_components_are_not_well_formed(self, group, rng,
+                                                      component, zero):
+        scheme = ElGamalCommitmentScheme(group)
+        commitment, _ = scheme.commit_random(group.random_scalar(rng), rng)
+        element = 0 if zero else group.p - getattr(commitment, component)
+        assert not scheme.is_well_formed(
+            replace(commitment, **{component: element}))

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.adversaries import CrashAdversary, StaticEquivocationAdversary
+from repro.adversaries import StaticEquivocationAdversary
 from repro.harness import run_instance
 from repro.lowerbounds.no_pki import derive_seed_left, derive_seed_right
 from repro.protocols import build_subquadratic_ba
-from repro.protocols.multivalued import build_multivalued_ba
 from repro.sim.adversary import Adversary
 from repro.sim.engine import Simulation
 from repro.sim.node import Node
@@ -19,23 +18,6 @@ class TestNoPkiSeeds:
     def test_side_seeds_are_independent(self):
         assert derive_seed_left(7) != derive_seed_right(7)
         assert derive_seed_left(7) != derive_seed_left(8)
-
-
-class TestMultivaluedUnderAttack:
-    def test_crash_and_equivocation(self):
-        n, f = 100, 25
-        instance = build_multivalued_ba(n, f, [0x3] * n, width=2,
-                                        seed=9, params=PARAMS)
-        result = run_instance(instance, f, CrashAdversary(), seed=9)
-        assert set(result.honest_outputs) == {0x3}
-
-    def test_mixed_values_with_crash(self):
-        n, f = 100, 25
-        values = [i % 4 for i in range(n)]
-        instance = build_multivalued_ba(n, f, values, width=2,
-                                        seed=10, params=PARAMS)
-        result = run_instance(instance, f, CrashAdversary(), seed=10)
-        assert result.consistent()
 
 
 class TestEngineDetails:

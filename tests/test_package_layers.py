@@ -9,6 +9,11 @@ an import under ``if TYPE_CHECKING:`` does not, because it never runs.
 Nothing in ``src/`` resolves a dotted name at run time
 (``importlib.import_module``, ``__import__``): that is an import this
 scan could not see.  docs/ARCHITECTURE.md lists the same order.
+
+Every module must also be *reached*: run by importing a command's entry
+point (:data:`ENTRY_POINTS`), by the same scan, or named in
+:data:`UNREACHED` with the reason it stays.  Code no command reaches
+feeds no claim, so it does not belong in ``src/``.
 """
 
 import ast
@@ -22,6 +27,21 @@ LAYERS = ("types", "errors", "rng", "serialization", "analysis", "crypto",
           "harness", "cli", "__main__", "repro")
 
 RESOLVERS = ("import_module", "__import__")
+
+#: The modules a ``repro`` command starts from.
+ENTRY_POINTS = ("repro.cli", "repro.__main__")
+
+#: Modules no entry point reaches, each with the ROADMAP item that
+#: either gives it a command or deletes it.
+UNREACHED = {
+    "repro.harness.invariants":
+        "test-only transcript checks; item 2 (c)'s explorer runs them",
+    "repro.harness.replay":
+        "test-only narratives; item 5 (b)'s `repro explain` prints them",
+    "repro.harness.profiling":
+        "bench/proxies.py imports it; item 5 (a) or item 6's PR A "
+        "replaces it",
+}
 
 
 def _unit_of_path(path):
@@ -43,7 +63,9 @@ def _is_type_checking(test):
 
 def imported_modules(tree):
     """``(line, module)`` for every absolute import in ``tree``, at any
-    depth, except under ``if TYPE_CHECKING:``."""
+    depth, except under ``if TYPE_CHECKING:``; a name a ``from`` import
+    takes is yielded as ``module.name``, which may or may not be a
+    module."""
     pending = [tree]
     while pending:
         node = pending.pop()
@@ -55,9 +77,8 @@ def imported_modules(tree):
         elif isinstance(node, ast.ImportFrom):
             assert node.level == 0, f"line {node.lineno}: relative import"
             yield node.lineno, node.module
-            if node.module == "importlib":
-                yield from ((node.lineno, f"importlib.{alias.name}")
-                            for alias in node.names)
+            yield from ((node.lineno, f"{node.module}.{alias.name}")
+                        for alias in node.names)
         pending.extend(ast.iter_child_nodes(node))
 
 
@@ -66,12 +87,115 @@ def _sources():
         yield path, ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _module_name(path):
+    parts = ("repro",) + path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _with_packages(module):
+    """``module`` and the packages an import of it runs first."""
+    parts = module.split(".")
+    return [".".join(parts[:end]) for end in range(1, len(parts) + 1)]
+
+
+def reached_modules(trees, entry_points=ENTRY_POINTS):
+    """The names in ``trees`` (module name -> AST) that importing
+    ``entry_points`` runs."""
+    reached = set()
+    pending = [name for entry in entry_points
+               for name in _with_packages(entry)]
+    while pending:
+        module = pending.pop()
+        if module in reached or module not in trees:
+            continue
+        reached.add(module)
+        for _, imported in imported_modules(trees[module]):
+            pending.extend(_with_packages(imported))
+    return reached
+
+
 def test_the_scan_sees_deferred_imports_and_skips_type_checking():
     tree = ast.parse("def f():\n    from repro.harness import runner\n"
                      "if TYPE_CHECKING:\n    import repro.cli\n"
                      "else:\n    import repro.sim\n")
     assert sorted(imported_modules(tree)) == [(2, "repro.harness"),
+                                              (2, "repro.harness.runner"),
                                               (6, "repro.sim")]
+
+
+def test_the_closure_follows_packages_and_from_imported_modules():
+    trees = {name: ast.parse(text) for name, text in {
+        "repro": "",
+        "repro.cli": "from repro.sim import engine, Simulation\n"
+                     "def main():\n    import repro.harness.runner\n",
+        "repro.sim": "",
+        "repro.sim.engine": "",
+        "repro.harness": "",
+        "repro.harness.runner": "",
+        "repro.harness.unused": "",
+        "repro.typed": "if TYPE_CHECKING:\n    import repro.harness.unused\n",
+    }.items()}
+    assert reached_modules(trees, ("repro.cli",)) == {
+        "repro", "repro.cli", "repro.sim", "repro.sim.engine",
+        "repro.harness", "repro.harness.runner"}
+    assert "repro.harness.unused" not in reached_modules(
+        trees, ("repro.typed",))
+
+
+def closure_mismatch(trees, allowlist, entry_points=ENTRY_POINTS):
+    """``(stray, stale)``: unreached modules ``allowlist`` does not
+    name, and entries that are reached or not in ``trees`` at all."""
+    unreached = set(trees) - reached_modules(trees, entry_points)
+    return (sorted(unreached - set(allowlist)),
+            sorted(set(allowlist) - unreached))
+
+
+def _toy_tree(**extra):
+    sources = {"repro": "", "repro.cli": "import repro.sim.engine\n",
+               "repro.sim": "", "repro.sim.engine": "",
+               "repro.sim.spare": "", **extra}
+    return {name: ast.parse(text) for name, text in sources.items()}
+
+
+def test_the_closure_check_names_a_module_nothing_reaches():
+    assert closure_mismatch(_toy_tree(), {}, ("repro.cli",)) == (
+        ["repro.sim.spare"], [])
+    assert closure_mismatch(_toy_tree(), {"repro.sim.spare": "why"},
+                            ("repro.cli",)) == ([], [])
+
+
+def test_the_closure_check_drops_an_entry_once_it_is_reached():
+    trees = _toy_tree(**{"repro.sim.engine": "from repro.sim import spare\n"})
+    assert closure_mismatch(trees, {"repro.sim.spare": "why"},
+                            ("repro.cli",)) == ([], ["repro.sim.spare"])
+
+
+def test_the_closure_check_drops_an_entry_once_it_is_deleted():
+    assert closure_mismatch(_toy_tree(), {"repro.sim.spare": "why",
+                                          "repro.sim.gone": "why"},
+                            ("repro.cli",)) == ([], ["repro.sim.gone"])
+
+
+def test_a_package_init_runs_before_its_submodule():
+    trees = _toy_tree(**{"repro.sim": "from repro.sim import spare\n"})
+    assert closure_mismatch(trees, {}, ("repro.cli",)) == ([], [])
+
+
+def test_every_allowlist_entry_gives_its_roadmap_item():
+    assert all("item " in reason for reason in UNREACHED.values())
+
+
+def test_the_entry_points_exist():
+    modules = {_module_name(path) for path, _ in _sources()}
+    assert set(ENTRY_POINTS) <= modules
+
+
+def test_every_module_is_reached_or_allowlisted():
+    trees = {_module_name(path): tree for path, tree in _sources()}
+    stray, stale = closure_mismatch(trees, UNREACHED)
+    assert stray == [], f"no command reaches {stray}"
+    # An entry that is reached, or gone, leaves the allowlist with it.
+    assert stale == [], f"UNREACHED lists reached or missing {stale}"
 
 
 def test_every_unit_is_declared():

@@ -32,13 +32,11 @@ from repro.protocols import (
     verification,
 )
 from repro.protocols.base import EligibilityAuthenticator
-from repro.protocols.multivalued import build_multivalued_ba
 from repro.rng import derive_rng, derive_seed
 from repro.sim import engine as engine_mod
 from repro.sim.adversary import Adversary
 from repro.sim.engine import Simulation
 from repro.sim.node import RoundContext
-from repro.types import SecurityParameters
 
 from tests.test_delivery_differential import _snapshot
 from tests.test_round_digest import (
@@ -49,8 +47,6 @@ from tests.test_round_digest import (
     node_state,
     own_vote,
 )
-
-PARAMS = SecurityParameters(lam=30, epsilon=0.1)
 
 
 # -- (a) the coin, against the formulation it replaced --------------------------
@@ -257,9 +253,6 @@ def _mixed(n):
 COIN_READERS = {
     "phase-king": lambda: run_instance(
         build_phase_king(40, 9, _mixed(40), seed=2, epochs=5), 9, seed=2),
-    "multivalued": lambda: run_instance(
-        build_multivalued_ba(60, 15, [(i * 19) % 16 for i in range(60)],
-                             width=4, seed=3, params=PARAMS), 15, seed=3),
     "broadcast-phase-king": lambda: run_instance(
         build_broadcast_from_ba(build_phase_king, n=30, f=7, sender_input=1,
                                 seed=4, epochs=4), 7, seed=4),

@@ -1,8 +1,19 @@
 """Tests for the committed-key VRF (Appendix D compiler)."""
 
+import random
 from dataclasses import replace
 
-from repro.crypto.vrf import VrfKeyPair, VrfOutput, verify_vrf
+import pytest
+
+from repro.crypto.commitment import ElGamalCommitmentScheme
+from repro.crypto.hashing import hash_objects_to_int
+from repro.crypto.vrf import (
+    VRF_OUTPUT_BITS,
+    VrfKeyPair,
+    VrfOutput,
+    VrfPublicKey,
+    verify_vrf,
+)
 
 
 class TestVrfCorrectness:
@@ -82,3 +93,102 @@ class TestVrfPseudorandomness:
         k1 = VrfKeyPair.generate(group, rng)
         k2 = VrfKeyPair.generate(group, rng)
         assert k1.evaluate("m", rng).beta != k2.evaluate("m", rng).beta
+
+
+class TestVrfKeyGeneration:
+    def test_key_is_a_nonzero_scalar(self, group, rng):
+        keypair = VrfKeyPair.generate(group, rng)
+        assert 0 < keypair.key < group.q
+        assert 0 < keypair.randomness < group.q
+
+    def test_public_key_opens_to_the_key(self, group, rng):
+        """Corrupting a node reveals ``(key, randomness)``, and that pair
+        is the one opening of its published commitment."""
+        keypair = VrfKeyPair.generate(group, rng)
+        scheme = ElGamalCommitmentScheme(group)
+        assert scheme.open(keypair.public.commitment, keypair.key,
+                           keypair.randomness)
+        assert not scheme.open(keypair.public.commitment,
+                               (keypair.key + 1) % group.q,
+                               keypair.randomness)
+
+    def test_public_key_is_well_formed(self, group, rng):
+        keypair = VrfKeyPair.generate(group, rng)
+        assert ElGamalCommitmentScheme(group).is_well_formed(
+            keypair.public.commitment)
+
+    def test_deterministic_per_setup_seed(self, group):
+        assert VrfKeyPair.generate(group, random.Random(5)) == \
+            VrfKeyPair.generate(group, random.Random(5))
+
+
+class TestVrfEvaluationIsTheDdhPrf:
+    """``gamma = H1(m)^k`` is Appendix D's DDH PRF under the committed
+    key, and ``beta = H2(gamma)`` is what eligibility compares."""
+
+    def test_gamma_is_the_message_base_to_the_key(self, group, rng):
+        keypair = VrfKeyPair.generate(group, rng)
+        base = group.hash_to_group_from_object(("Vote", 1, 0))
+        assert keypair.evaluate(("Vote", 1, 0), rng).gamma == group.exp(
+            base, keypair.key)
+
+    def test_gamma_is_a_group_element(self, group, rng):
+        keypair = VrfKeyPair.generate(group, rng)
+        assert group.is_element(keypair.evaluate("hello", rng).gamma)
+
+    def test_gamma_message_sensitivity(self, group, rng):
+        keypair = VrfKeyPair.generate(group, rng)
+        assert keypair.evaluate("a", rng).gamma != \
+            keypair.evaluate("b", rng).gamma
+
+    def test_gamma_key_sensitivity(self, group, rng):
+        k1 = VrfKeyPair.generate(group, rng)
+        k2 = VrfKeyPair.generate(group, rng)
+        assert k1.evaluate("m", rng).gamma != k2.evaluate("m", rng).gamma
+
+    def test_beta_is_the_output_hash_of_gamma(self, group, rng):
+        output = VrfKeyPair.generate(group, rng).evaluate("m", rng)
+        assert output.beta == hash_objects_to_int(
+            "vrf-output", output.gamma) % (1 << VRF_OUTPUT_BITS)
+
+    def test_only_the_proof_depends_on_the_prover_coins(self, group, rng):
+        keypair = VrfKeyPair.generate(group, rng)
+        out1 = keypair.evaluate("m", random.Random(1))
+        out2 = keypair.evaluate("m", random.Random(2))
+        assert (out1.gamma, out1.beta) == (out2.gamma, out2.beta)
+        assert out1.proof != out2.proof
+
+    @pytest.mark.parametrize("message", [
+        "m", b"m", ("Vote", 1, 0), 7, None, ("ACK", (2, "x"), b"\x00")])
+    def test_any_canonically_encoded_message_roundtrips(self, group, rng,
+                                                        message):
+        keypair = VrfKeyPair.generate(group, rng)
+        assert verify_vrf(group, keypair.public, message,
+                          keypair.evaluate(message, rng))
+
+
+def _malformed(group, public, output):
+    p, q = group.p, group.q
+    return {
+        "gamma-zero": (public, replace(output, gamma=0)),
+        "gamma-outside-subgroup": (
+            public, replace(output, gamma=p - output.gamma)),
+        "gamma-at-modulus": (public, replace(output, gamma=p)),
+        "challenge-at-order": (public, replace(
+            output, proof=replace(output.proof, challenge=q))),
+        "negative-response": (public, replace(
+            output, proof=replace(output.proof, response_key=-1))),
+        "key-commitment-zero": (VrfPublicKey(commitment=replace(
+            public.commitment, u=0)), output),
+    }
+
+
+class TestVerifyVrfNeverRaises:
+    @pytest.mark.parametrize("case", [
+        "gamma-zero", "gamma-outside-subgroup", "gamma-at-modulus",
+        "challenge-at-order", "negative-response", "key-commitment-zero"])
+    def test_malformed_output_is_rejected(self, group, rng, case):
+        keypair = VrfKeyPair.generate(group, rng)
+        output = keypair.evaluate("m", rng)
+        public, forged = _malformed(group, keypair.public, output)[case]
+        assert verify_vrf(group, public, "m", forged) is False
