@@ -8,8 +8,9 @@ the documentation graph in :data:`REQUIRED_LINKS`: pages that must
 cross-link each other (e.g. the protocol reference ``docs/PROTOCOLS.md``
 must be reachable from the README and the architecture/network pages),
 that every ``*.md`` name a ``src/`` docstring or comment cites is a
-markdown file of the repo (:func:`dead_citations`), the length cap on
-``CHANGES.md`` entries (:data:`CHANGES_CAP`) and the ceiling on the
+markdown file of the repo and every ``tests/…py`` path that ``src/`` or
+a ``docs/*.md`` page cites exists (:func:`dead_citations`), the length
+cap on ``CHANGES.md`` entries (:data:`CHANGES_CAP`) and the ceiling on the
 line count of ``src/`` (:data:`SRC_LINE_CEILING`).  Exits non-zero
 listing every broken or missing link, every dead citation, every
 oversized entry and a ``src/`` off its ceiling — run once in CI, by
@@ -33,6 +34,9 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 #: A ``*.md`` name cited in ``src/``, such as ``docs/RESULTS.md``; an
 #: HTTP route such as ``/book.md`` is not one.
 CITATION_RE = re.compile(r"(?<![\w/.-])([A-Za-z][\w./-]*\.md)\b")
+
+#: A test file cited by its repo path, such as ``tests/reference.py``.
+TEST_CITATION_RE = re.compile(r"(?<![\w/.-])(tests/[\w./-]*\.py)\b")
 
 SKIP_PREFIXES = ("http://", "https://", "mailto:", "#")
 SKIP_DIRS = {".git", "__pycache__", ".pytest_cache", "node_modules"}
@@ -93,7 +97,7 @@ ENTRY_RE = re.compile(r"^PR (\d+)\b", re.MULTILINE)
 #: fall, so it is a ratchet: a PR that ends below it must lower it to
 #: the new count, and a PR that must raise it raises it in the same
 #: change and says why in CHANGES.md.
-SRC_LINE_CEILING = 17010
+SRC_LINE_CEILING = 16997
 
 
 def src_line_count(root: Path) -> int:
@@ -152,16 +156,26 @@ def broken_links(root: Path):
 def dead_citations(root: Path):
     """``(file:line, name)`` for each ``*.md`` name cited in ``src/``
     that no markdown file answers to, by its repo path or that path's
-    tail (``PROTOCOLS.md`` names ``docs/PROTOCOLS.md``)."""
+    tail (``PROTOCOLS.md`` names ``docs/PROTOCOLS.md``), and for each
+    ``tests/…py`` path cited in ``src/`` or ``docs/*.md`` that is not a
+    file of the repo."""
     known = [path.relative_to(root).as_posix()
              for path in iter_markdown(root)]
-    for path in sorted((root / "src").rglob("*.py")):
+    sources = (sorted((root / "src").rglob("*.py"))
+               + sorted((root / "docs").glob("*.md")))
+    for path in sources:
         lines = path.read_text(encoding="utf-8").splitlines()
         for number, line in enumerate(lines, 1):
+            where = f"{path.relative_to(root)}:{number}"
+            for name in TEST_CITATION_RE.findall(line):
+                if not (root / name).is_file():
+                    yield where, name
+            if path.suffix != ".py":
+                continue
             for name in CITATION_RE.findall(line):
                 if not any(markdown == name or markdown.endswith("/" + name)
                            for markdown in known):
-                    yield f"{path.relative_to(root)}:{number}", name
+                    yield where, name
 
 
 def missing_required_links(root: Path):
@@ -208,7 +222,7 @@ def main() -> int:
     if broken or missing or dead or oversized or off_ceiling:
         print(f"{len(broken)} broken and {len(missing)} missing required "
               f"link(s) across {checked} markdown file(s); "
-              f"{len(dead)} dead citation(s) in src/; "
+              f"{len(dead)} dead citation(s) in src/ and docs/; "
               f"{len(oversized)} CHANGES.md entries over the cap; "
               f"src/ at {src_lines} of {SRC_LINE_CEILING} lines")
         return 1

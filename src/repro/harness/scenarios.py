@@ -610,7 +610,7 @@ STATS_COLUMNS = (
 #: A conditioned row's network columns, read off ``stats.network``.  The
 #: scheduler's two (``skipped_ticks``, ``events_processed``) are
 #: engine-invariant: tests/test_event_engine_differential.py compares
-#: whole sweep artifacts across the event and lock-step engines.
+#: whole sweep artifacts across the event engine and its reference.
 NETWORK_COLUMNS = (
     "mean_delivery_latency", "max_in_flight", "dropped_copies",
     "skipped_ticks", "events_processed")

@@ -409,10 +409,10 @@ class AbaNode(VerifyingNode):
         first successful validation marks the object
         (``VerificationCache.valid_payloads``) and spares every later
         recipient.  The front is read directly — a single execution
-        admits millions of deliveries at n = 1536, and ``mark_valid`` is
-        gated on CACHING_ENABLED, so the dict stays empty (every ``get``
-        misses) when caching is off.  Failures are never remembered: a
-        ``False`` can become ``True`` later.
+        admits millions of deliveries at n = 1536, and a cache whose
+        ``mark_valid`` keeps nothing leaves every ``get`` a miss.
+        Failures are never remembered: a ``False`` can become ``True``
+        later.
         """
         try:
             handler = _HANDLERS[msg.__class__]

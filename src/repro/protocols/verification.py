@@ -42,8 +42,9 @@ verification (no caching), so cache entries can never go stale when
 payload objects are garbage-collected (e.g. under the engine's
 ``metrics-only`` transcript retention).
 
-``CACHING_ENABLED`` exists for differential testing: determinism tests
-flip it off and assert byte-identical execution results either way.
+Every memo is a shortcut over a predicate: ``UncachedVerification`` in
+``tests/reference.py`` calls the predicates straight, builds no digest
+and marks no payload — the per-message fold every memo must agree with.
 """
 
 from __future__ import annotations
@@ -56,9 +57,6 @@ from repro.protocols.messages import SignedVote
 from repro.serialization import type_tagged
 from repro.sim.node import Node
 from repro.types import Bit, NodeId
-
-#: Global kill-switch used by determinism tests; leave True in production.
-CACHING_ENABLED = True
 
 #: Per-table entry cap.  The identity fronts pin their objects, so an
 #: unbounded execution (the metrics-only retention use case) would grow
@@ -121,9 +119,9 @@ class VerificationCache:
         must give up (``None``) on any message that fails validation.
         One slot, overwritten each round, so neither a digest nor its
         delivery list outlives the next round.  Returns ``None`` without
-        a broadcast and when caching is disabled.
+        a broadcast.
         """
-        if broadcast is None or not CACHING_ENABLED:
+        if broadcast is None:
             return None
         slot = self._round_digest
         if slot is None or slot[0] is not broadcast:
@@ -134,16 +132,12 @@ class VerificationCache:
                    audience: Optional[NodeId] = None) -> None:
         """Mark a payload as validated, with its ``absorb`` step if any
         and the one node that step can change (``None``: every node)."""
-        if not CACHING_ENABLED:
-            return
         _trim(self.valid_payloads)
         self.valid_payloads[id(payload)] = (payload, absorb, audience)
 
     def check_auth(self, authenticator: Authenticator, node_id: NodeId,
                    topic: Any, auth: Any) -> bool:
         """Memoized ``authenticator.check`` (content-keyed, auth included)."""
-        if not CACHING_ENABLED:
-            return authenticator.check(node_id, topic, auth)
         try:
             key = (type_tagged(node_id), type_tagged(topic),
                    type_tagged(auth))
@@ -171,8 +165,6 @@ class VerificationCache:
     def check_certificate(self, certificate: Certificate, threshold: int,
                           check_vote: Callable[[SignedVote], bool]) -> bool:
         """Memoized ``verify_certificate``, keyed by object identity."""
-        if not CACHING_ENABLED:
-            return verify_certificate(certificate, threshold, check_vote)
         entry = self._cert_true_by_id.get(id(certificate))
         if entry is not None and entry[0] is certificate:
             return True
@@ -189,7 +181,7 @@ class VerificationCache:
         if entry is not None and entry[0] is members and entry[1] == args:
             return True
         valid = predicate(members, *args)
-        if valid and CACHING_ENABLED and members.__class__ is tuple:
+        if valid and members.__class__ is tuple:
             _trim(self._quorum_true_by_id)
             self._quorum_true_by_id[id(members)] = (members, args)
         return valid
@@ -198,8 +190,6 @@ class VerificationCache:
                        iteration: int, bit: Bit, auth: Any) -> bool:
         """Memoized ``proposer.check`` (votes re-attach the same proposal
         n times per round — footnote 11)."""
-        if not CACHING_ENABLED:
-            return proposer.check(sender, iteration, bit, auth)
         try:
             key = (type_tagged(sender), type_tagged(iteration),
                    type_tagged(bit), type_tagged(auth))

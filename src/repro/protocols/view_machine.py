@@ -290,7 +290,7 @@ class ViewNode(VerifyingNode):
         # so the first successful validation marks it with its absorb
         # step and audience, which the other n - 1 recipients call
         # straight or skip.  The front is read directly (this loop is the
-        # protocol step's hot path) and stays empty when caching is off;
+        # protocol step's hot path) and is empty if the cache keeps none;
         # failures are never remembered — a ``False`` can become ``True``.
         front = self._verification.valid_payloads
         handlers = self._HANDLERS

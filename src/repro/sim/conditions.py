@@ -570,8 +570,8 @@ class ConditionedNetwork(SynchronousNetwork):
     keyed ``(due_round, insertion counter)`` pops them (staging order,
     then re-queues); only the cross-recipient interleaving, which nothing
     observes, differs.  That keeps the event engine result-identical to
-    the Δ-lockstep synchronizer and to the per-copy reference kept in
-    ``tests/test_conditioned_schedule_differential.py``.  The heap is
+    the per-copy heap of the reference executor (``tests/reference.py``,
+    with the Δ-lockstep synchronizer).  The heap is
     touched once per distinct due round, and :meth:`next_due_round`
     exposes its head so the event engine can skip idle ticks entirely.
 
@@ -895,10 +895,6 @@ class ConditionedNetwork(SynchronousNetwork):
         self.stats.deferred_copies += requeued
         self.stats.events_processed += requeued
         return passing
-
-    def has_pending(self) -> bool:
-        """Whether any scheduled copy is still awaiting delivery."""
-        return bool(self._due_rounds)
 
     def next_due_round(self) -> Optional[Round]:
         """The earliest round with a scheduled delivery (``None`` when

@@ -24,12 +24,13 @@ and jumps the clock straight to the next tick that has any work — a
 staging window to drain, a due delivery, or a protocol step.  Idle
 Δ-ticks in between are skipped outright (``NetworkStats.skipped_ticks``
 counts them), which is where sparse-latency WAN topologies win their
-wall clock.  The historical Δ-lockstep synchronizer lives on as the
-differential reference in ``tests/engines.py`` (a :class:`Simulation`
-subclass overriding :meth:`Simulation._run_conditioned`), and the
-conformance suite asserts the two produce *identical* executions — same
-decisions, rounds, transcripts, NetworkStats, and RNG draw order.  See
-``docs/NETWORK.md`` ("Event engine").
+wall clock.  The historical Δ-lockstep synchronizer lives on in the
+reference executor, ``tests/reference.py`` (a :class:`Simulation`
+subclass that also steps every node every tick and folds every
+message), and its battery asserts the two produce *identical*
+executions — same decisions, rounds, transcripts, node states,
+NetworkStats, and RNG draw order.  See ``docs/NETWORK.md`` ("Event
+engine").
 """
 
 from __future__ import annotations

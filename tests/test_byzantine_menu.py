@@ -49,7 +49,7 @@ from repro.sim.leader import RandomLeaderOracle
 from repro.sim.network import Delivery
 from repro.sim.node import RoundContext
 from repro.types import SecurityParameters
-from tests.test_perf_caches import _result_digest
+from tests.reference import digest
 
 PARAMS = SecurityParameters(lam=30, epsilon=0.1)
 SEEDS = (1, 2, 3)
@@ -171,7 +171,7 @@ def _digest(policy, world, seed):
     adversary = POLICIES[policy](instance)
     result = run_instance(instance, f, adversary, seed=seed,
                           conditions=conditions)
-    return _result_digest(result)[:16]
+    return digest(result)[:16]
 
 
 @pytest.mark.parametrize("policy, world", sorted(PINNED))

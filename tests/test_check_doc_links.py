@@ -70,6 +70,22 @@ class TestLinksAndCitations:
         assert list(checker.dead_citations(tmp_path)) == [
             (str(Path("src/m.py")) + ":1", "docs/GONE.md")]
 
+    def test_a_cited_test_file_must_exist(self, checker, tmp_path):
+        """A ``tests/…py`` path in a ``src/`` docstring or a docs page
+        is dead until the file exists; a test id's ``::`` tail is not
+        part of the path, and a page outside ``docs/`` is not read."""
+        _write(tmp_path, "src/m.py", '"""See tests/reference.py."""\n')
+        _write(tmp_path, "docs/A.md", "\n`tests/test_gone.py::TestX` and "
+                                      "`tests/test_kept.py`\n")
+        _write(tmp_path, "tests/test_kept.py", "")
+        _write(tmp_path, "README.md", "tests/test_elsewhere.py\n")
+        assert list(checker.dead_citations(tmp_path)) == [
+            (str(Path("src/m.py")) + ":1", "tests/reference.py"),
+            (str(Path("docs/A.md")) + ":2", "tests/test_gone.py")]
+        _write(tmp_path, "tests/reference.py", "")
+        _write(tmp_path, "tests/test_gone.py", "")
+        assert list(checker.dead_citations(tmp_path)) == []
+
 
 class TestChangesCap:
     def test_only_entries_from_the_cap_pr_on_are_held_to_it(self, checker,

@@ -5,9 +5,8 @@ into a calendar queue (a bucket per due round, holding one group of
 per-recipient lists per window that fed it).  The implementation it
 replaced — one ``_schedule_copy`` → ``_copy_delay`` → ``draw_latency`` →
 ``randint`` call chain, one ``_PendingCopy`` and one heap entry *per
-copy* — is kept here, verbatim, as :class:`LegacyConditionedNetwork`
-(the way ``legacy_deliver`` is kept in ``test_delivery_differential.py``)
-and driven side by side with the real one:
+copy* — is the reference executor's ``LegacyConditionedNetwork``
+(``tests/reference.py``), driven here side by side with the real one:
 
 - **random staging streams** straight against the two networks
   (unicasts, multicasts, suppressed copies, ``delay()`` on one copy and
@@ -31,9 +30,6 @@ and driven side by side with the real one:
 
 import dataclasses
 import random
-from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
 
 import pytest
 
@@ -42,198 +38,19 @@ from repro.adversaries import (
     LeaderKillerAdversary,
     ViewSplitAdversary,
 )
-from repro.errors import SimulationError
 from repro.harness import run_instance
 from repro.protocols import build_quadratic_ba
 from repro.protocols.leader_ba import NewViewMsg, build_leader_ba
-from repro.rng import derive_rng
 from repro.sim.conditions import (
     NETWORKS,
     ConditionedNetwork,
     LinkTopology,
     NetworkConditions,
-    NetworkStats,
     Partition,
 )
 from repro.sim.adversary import Adversary, PassiveAdversary
-from repro.sim.network import Delivery, Envelope, SynchronousNetwork
-from tests.test_delivery_differential import drain_staged
-from tests.test_event_engine_differential import _snapshot
-from tests.test_event_engine_properties import random_conditions
-
-
-# ---------------------------------------------------------------------------
-# The reference: the per-copy heap scheduler, as it stood before.
-# ---------------------------------------------------------------------------
-
-def legacy_draw_latency(conditions: NetworkConditions,
-                        rng: random.Random) -> int:
-    """One base-delay draw through the public ``random.Random`` API."""
-    head = conditions.latency[0]
-    if head == "fixed":
-        return conditions.latency[1]
-    if head == "uniform":
-        return rng.randint(conditions.latency[1], conditions.latency[2])
-    p = conditions.latency[1]
-    delay = 1
-    while rng.random() >= p and delay < 64:
-        delay += 1
-    return delay
-
-
-@dataclass
-class _PendingCopy:
-    envelope: Envelope
-    recipient: int
-    sent_round: int
-    due_round: int
-    delivery: Delivery
-
-
-class LegacyConditionedNetwork(SynchronousNetwork):
-    """One heap entry ``(due_round, seq, recipient, copy)`` per copy; the
-    public surface (``delay``, ``advance_to(round, inboxes)``,
-    ``has_pending``, ``next_due_round``, ``finish_clock``, ``deliver``)
-    matches the real class so the engine can run on it unchanged."""
-
-    def __init__(self, n, conditions, seed=0, retain_transcript=True,
-                 audience=None, corrupt=frozenset()):
-        # Files every copy: audience and corrupt set are ignored.
-        super().__init__(n, retain_transcript=retain_transcript)
-        if conditions.topology is not None:
-            conditions.topology.check_n(n)
-        self.conditions = conditions
-        self.stats = NetworkStats()
-        self._rng = derive_rng(seed, "network-conditions")
-        self._queue: List[Tuple[int, int, int, _PendingCopy]] = []
-        self._seq = 0
-        self._extra_delay: Dict[Tuple[int, Optional[int]], int] = {}
-
-    def delay(self, envelope, recipient=None, rounds=1):
-        if envelope.envelope_id not in self._staged_ids:
-            raise SimulationError(
-                "cannot delay a message that is not in flight")
-        if rounds < 1:
-            raise SimulationError(f"delay must be >= 1 round, got {rounds}")
-        key = (envelope.envelope_id, recipient)
-        self._extra_delay[key] = self._extra_delay.get(key, 0) + rounds
-
-    def _copy_delay(self, envelope, recipient, sent_round):
-        conditions = self.conditions
-        cap = (conditions.delta if sent_round >= conditions.gst
-               else conditions.effective_pre_gst_cap)
-        base = legacy_draw_latency(conditions, self._rng)
-        if conditions.topology is not None:
-            base += conditions.topology.link_extra(
-                envelope.sender, recipient, self.n)
-        base = min(base, cap)
-        extra = (self._extra_delay.get((envelope.envelope_id, recipient), 0)
-                 + self._extra_delay.get((envelope.envelope_id, None), 0))
-        if not extra:
-            return base
-        total = min(base + extra, cap)
-        if total > base:
-            self.stats.adversary_delayed_copies += 1
-        return total
-
-    def _schedule_copy(self, envelope, recipient, sent_round, delivery):
-        conditions = self.conditions
-        stats = self.stats
-        pre_gst = sent_round < conditions.gst
-        if pre_gst and conditions.drop_rate \
-                and self._rng.random() < conditions.drop_rate:
-            stats.dropped_copies += 1
-            return
-        copies = 1
-        if pre_gst and conditions.duplicate_rate \
-                and self._rng.random() < conditions.duplicate_rate:
-            copies = 2
-            stats.duplicated_copies += 1
-        for _ in range(copies):
-            due = sent_round + self._copy_delay(envelope, recipient,
-                                                sent_round)
-            self._enqueue(due, _PendingCopy(
-                envelope=envelope, recipient=recipient,
-                sent_round=sent_round, due_round=due, delivery=delivery))
-
-    def _enqueue(self, due_round, copy):
-        heappush(self._queue, (due_round, self._seq, copy.recipient, copy))
-        self._seq += 1
-        self.stats.events_processed += 1
-
-    def _defer(self, copy, heal_round):
-        copy.due_round = heal_round
-        self._enqueue(heal_round, copy)
-        self.stats.deferred_copies += 1
-
-    def _blocking_partition(self, copy, round_index):
-        for partition in self.conditions.partitions:
-            if partition.active_at(round_index) and partition.separates(
-                    copy.envelope.sender, copy.recipient, self.n):
-                return partition
-        return None
-
-    def has_pending(self):
-        return bool(self._queue)
-
-    def next_due_round(self):
-        return self._queue[0][0] if self._queue else None
-
-    def pending_copies(self):
-        return [(copy.due_round, copy.sent_round, copy.recipient,
-                 copy.delivery)
-                for _, _, _, copy in sorted(self._queue,
-                                            key=lambda entry: entry[:2])]
-
-    def pop_due(self, round_index) -> List[_PendingCopy]:
-        """The old ``advance_to``: surviving due copies in heap order."""
-        jumped = round_index - self._delivered_round - 1
-        if jumped < 0:
-            raise SimulationError("network clock cannot move backwards")
-        stats = self.stats
-        stats.skipped_ticks += jumped
-        sent_round = max(self._delivered_round, 0)
-        worked = bool(self._staged)
-
-        def schedule(envelope, recipient, delivery):
-            self._schedule_copy(envelope, recipient, sent_round, delivery)
-
-        drain_staged(self, schedule)
-        self._extra_delay = {}
-        self._delivered_round = round_index
-        stats.network_rounds = round_index + 1
-        stats.max_in_flight = max(stats.max_in_flight, len(self._queue))
-        queue = self._queue
-        delivered = []
-        while queue and queue[0][0] <= round_index:
-            copy = heappop(queue)[3]
-            worked = True
-            partition = self._blocking_partition(copy, round_index)
-            if partition is not None:
-                self._defer(copy, partition.end)
-                continue
-            delivered.append(copy)
-            stats.delivered_copies += 1
-            stats.latency_total += round_index - copy.sent_round
-        if not worked:
-            stats.skipped_ticks += 1
-        return delivered
-
-    def advance_to(self, round_index, inboxes):
-        for copy in self.pop_due(round_index):
-            inboxes[copy.recipient].append(copy.delivery)
-
-    def finish_clock(self, network_rounds):
-        tail = network_rounds - self._delivered_round - 1
-        if tail > 0:
-            self.stats.skipped_ticks += tail
-            self.stats.network_rounds = network_rounds
-            self._delivered_round = network_rounds - 1
-
-    def deliver(self):
-        inboxes = {node: [] for node in range(self.n)}
-        self.advance_to(self._delivered_round + 1, inboxes)
-        return inboxes
+from tests.conftest import random_conditions
+from tests.reference import LegacyConditionedNetwork, observe
 
 
 # ---------------------------------------------------------------------------
@@ -355,8 +172,7 @@ def drive_stream(network_class, conditions, n, case, ticks=40, readers=None):
         # (several overdue buckets then pop in one call).
         clock += 1 if rng.random() < 0.7 else rng.randint(2, 5)
     return (per_tick, dataclasses.asdict(network.stats),
-            network._rng.getstate(), network.has_pending(),
-            network.next_due_round())
+            network._rng.getstate(), network.next_due_round())
 
 
 def assert_identical_streams(conditions, n, case):
@@ -522,7 +338,7 @@ def test_deferred_copy_heals_into_a_non_empty_bucket(network_class):
     assert network.stats.events_processed == 4
     assert network.stats.adversary_delayed_copies == 2
     assert network.stats.latency_total == 6 + 6 + 4
-    assert not network.has_pending()
+    assert network.next_due_round() is None
 
 
 @pytest.mark.parametrize("network_class",
@@ -550,7 +366,7 @@ def test_two_windows_feed_one_round_in_window_order(network_class):
         1: ["early-1", "late-1"], 2: ["early-2", "late-2"]}
     assert network.stats.latency_total == 3 + 3 + 1 + 1
     assert network.stats.delivered_copies == 4
-    assert not network.has_pending()
+    assert network.next_due_round() is None
 
 
 @pytest.mark.parametrize("network_class",
@@ -579,7 +395,7 @@ def test_requeue_lands_behind_its_recipients_earlier_copies(network_class):
         "waiting-2", "crossing"]
     assert [delivery.payload for delivery in inboxes[1]] == ["waiting-1"]
     assert network.stats.latency_total == 6 * 3
-    assert not network.has_pending()
+    assert network.next_due_round() is None
 
 
 @pytest.mark.parametrize("network_class",
@@ -644,7 +460,7 @@ def _execution(monkeypatch, network_class, build, conditions, adversary):
     observer = CorruptInboxes(adversary(instance))
     result = run_instance(instance, f, observer, seed=5,
                           conditions=conditions)
-    return ({**_snapshot(result), "rng": networks[0]._rng.getstate()},
+    return ({**observe(result), "rng": networks[0]._rng.getstate()},
             observer.log)
 
 

@@ -29,8 +29,8 @@ from repro.protocols.messages import AckMsg
 from repro.protocols.phase_king import phase_king_rounds
 from repro.sim.adversary import Adversary
 from repro.sim.conditions import NETWORKS, NetworkConditions
-from tests import engines
-from tests.engines import both_engines
+from tests import reference
+from tests.reference import both_engines
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +175,8 @@ class TestPhaseKingEarlyStop:
         for seed in range(5):
             instance = build_phase_king_early_stop(
                 n, f, [1] * n, seed=seed, conditions=conditions)
-            result = engines.run(instance, f, seed=seed,
-                                 conditions=conditions, engine=engine)
+            result = reference.run(instance, f, seed=seed,
+                                   conditions=conditions, engine=engine)
             assert result.consistent() and result.agreement_valid()
             assert min(result.decision_rounds()) > trusted
 
@@ -197,8 +197,8 @@ class TestPhaseKingEarlyStop:
             instance = build_phase_king_early_stop(
                 n, f, [i % 2 for i in range(n)], seed=seed,
                 conditions=conditions)
-            result = engines.run(instance, f, seed=seed,
-                                 conditions=conditions, engine=engine)
+            result = reference.run(instance, f, seed=seed,
+                                   conditions=conditions, engine=engine)
             assert result.consistent(), (trial, delta, gst, drop, seed)
             assert result.agreement_valid(), (trial, delta, gst, drop, seed)
             assert result.all_decided(), (trial, delta, gst, drop, seed)
@@ -257,8 +257,8 @@ class TestQuadraticEarlyStop:
             instance = build_quadratic_ba_early_stop(
                 n, f, [i % 2 for i in range(n)], seed=seed,
                 conditions=conditions)
-            result = engines.run(instance, f, adversary, seed=seed,
-                                 conditions=conditions, engine=engine)
+            result = reference.run(instance, f, adversary, seed=seed,
+                                   conditions=conditions, engine=engine)
             assert result.consistent(), (trial, delta, gst, seed)
             assert result.agreement_valid(), (trial, delta, gst, seed)
 

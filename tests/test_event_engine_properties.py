@@ -36,11 +36,11 @@ from repro.harness import run_instance
 from repro.protocols import build_quadratic_ba
 from repro.sim.conditions import (
     ConditionedNetwork,
-    LinkTopology,
     NetworkConditions,
     Partition,
     PendingCopy,
 )
+from tests.conftest import random_conditions
 
 #: 200 sampled engine-level configurations (the satellite's floor),
 #: split into chunks so one failing sample names a small replay set.
@@ -48,50 +48,6 @@ AGREEMENT_CASES = 200
 CHUNK = 10
 
 SCHEDULER_CASES = range(60)
-
-
-def random_conditions(rng: random.Random,
-                      delta_bounded: bool = False) -> NetworkConditions:
-    """One random network environment over the full conditions surface:
-    Δ, GST with pre-GST losses, every latency family, every n-independent
-    topology kind, and (sometimes) a healing partition.
-
-    ``delta_bounded=True`` restricts to the regime the synchronizer
-    argument guarantees correctness in — ``gst=0``, no losses, no
-    partitions — leaving Δ, latency, topology, and adversarial delaying
-    as the random axes."""
-    delta = rng.randint(1, 6)
-    kind = rng.choice(("fixed", "uniform", "geometric"))
-    if kind == "fixed":
-        latency = ("fixed", rng.randint(1, delta))
-    elif kind == "uniform":
-        lo = rng.randint(1, delta)
-        latency = ("uniform", lo, rng.randint(lo, delta))
-    else:
-        latency = ("geometric", rng.choice((0.3, 0.5, 0.8)))
-    gst = 0 if delta_bounded else rng.choice(
-        (0, 0, rng.randint(1, 2 * delta)))
-    drop_rate = rng.choice((0.0, 0.1, 0.25)) if gst else 0.0
-    duplicate_rate = rng.choice((0.0, 0.1)) if gst else 0.0
-    topology = None
-    if delta > 1:
-        topology = rng.choice((
-            None,
-            LinkTopology.clustered(clusters=rng.choice((2, 4)),
-                                   extra=rng.randint(1, delta)),
-            LinkTopology.star(hub=0, extra=rng.randint(1, delta)),
-            LinkTopology.ring(extra=1),
-        ))
-    partitions = ()
-    if not delta_bounded and rng.random() < 0.3:
-        start = rng.randint(0, 4)
-        partitions = (Partition(start=start,
-                                end=start + rng.randint(2, 6),
-                                split=rng.choice((0.3, 0.5, 0.7))),)
-    return NetworkConditions(
-        delta=delta, gst=gst, latency=latency, drop_rate=drop_rate,
-        duplicate_rate=duplicate_rate, partitions=partitions,
-        topology=topology)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,10 @@
 
 Two pinned claims for ``protocols/leader_ba.py``:
 
-- **Both-engines identity** (the bar of
-  ``test_event_engine_differential.py``): event-scheduler and lock-step
-  executions of the leader family are byte-identical — outputs, decided
-  rounds, transcripts, metrics, every ``NetworkStats`` counter, and the
-  conditioned network's RNG end state — across the named presets, both
-  adversaries, and the chained workload.
+- **Both engines decide**: a leader-family execution decides on the
+  event engine and on the reference executor alike
+  (``tests/test_reference_battery.py`` holds the two byte-identical for
+  every network preset and admitted adversary).
 - **Leader-killer regressions**: assassinating every announced leader
   costs exactly the rotation views the budget predicts, but an honest
   view after GST (budget exhausted, round-robin rotation past the
@@ -16,15 +14,9 @@ Two pinned claims for ``protocols/leader_ba.py``:
   attacking the wrong schedule.
 """
 
-import dataclasses
-
 import pytest
 
-from repro.adversaries import (
-    CrashAdversary,
-    LeaderKillerAdversary,
-    ViewSplitAdversary,
-)
+from repro.adversaries import LeaderKillerAdversary, ViewSplitAdversary
 from repro.errors import ConfigurationError
 from repro.harness.runner import run_instance
 from repro.protocols import (
@@ -36,110 +28,22 @@ from repro.protocols import (
 )
 from repro.protocols.leader_ba import decision_view_of
 from repro.sim.conditions import NETWORKS, NetworkConditions
-from tests import engines
-from tests.engines import EVENT, LOCKSTEP, SIMULATIONS, both_engines
-
-
-def _snapshot(result):
-    """Everything a conditioned execution observably produced."""
-    return {
-        "outputs": result.outputs,
-        "decided_rounds": result.decided_rounds,
-        "rounds_executed": result.rounds_executed,
-        "rounds_saved": result.rounds_saved,
-        "transcript": [
-            (e.envelope_id, e.sender, e.recipient, repr(e.payload),
-             e.round_sent, e.honest_sender)
-            for e in result.transcript],
-        "metrics": (result.metrics.honest_multicast_count,
-                    result.metrics.honest_multicast_bits,
-                    result.metrics.honest_unicast_count,
-                    result.metrics.honest_unicast_bits,
-                    result.metrics.corrupt_multicast_count,
-                    result.metrics.corrupt_unicast_count,
-                    result.metrics.max_message_bits,
-                    dict(result.metrics.per_round_honest_multicasts),
-                    result.metrics.per_round_multicast_bits()),
-        "network_stats": dataclasses.asdict(result.network_stats),
-    }
+from tests import reference
+from tests.reference import both_engines
 
 
 def _inputs(n):
     return [i % 2 for i in range(n)]
 
 
-ADVERSARIES = {
-    "none": lambda instance: None,
-    "crash": lambda instance: CrashAdversary(),
-    "leader-killer": LeaderKillerAdversary,
-    "view-split": ViewSplitAdversary,
-}
-
-CONDITIONS = ("lan", "wan", "lossy", "split-heal")
-
-GRID = [(builder, network, adversary)
-        for builder in ("leader-ba", "leader-chain")
-        for network in CONDITIONS
-        for adversary in ("none", "leader-killer")] + [
-    ("leader-ba", "wan", "crash"),
-    ("leader-ba", "lossy", "view-split"),
-    ("leader-chain", "wan", "view-split"),
-]
-
-
-def _build(builder, conditions):
-    if builder == "leader-chain":
-        return build_leader_chain(10, 3, _inputs(10), seed=7, heights=2,
-                                  conditions=conditions)
-    return build_leader_ba(10, 3, _inputs(10), seed=7,
-                           conditions=conditions)
-
-
-def _execute(builder, network, adversary, engine, **kwargs):
-    conditions = NETWORKS[network]
-    instance = _build(builder, conditions)
-    return engines.run(instance, 3, ADVERSARIES[adversary](instance),
-                       seed=7, conditions=conditions, engine=engine,
-                       **kwargs)
-
-
-class TestBothEnginesIdentity:
-    @pytest.mark.parametrize("builder,network,adversary", GRID,
-                             ids=[f"{b}-{n}-{a}" for b, n, a in GRID])
-    def test_event_engine_matches_lockstep(self, builder, network,
-                                           adversary):
-        event = _execute(builder, network, adversary, EVENT)
-        lockstep = _execute(builder, network, adversary, LOCKSTEP)
-        assert _snapshot(event) == _snapshot(lockstep)
-        # Real conditioned executions, not fast-path ones — and the
-        # guarantees hold while the engines agree.
-        assert event.network_stats is not None
-        assert event.consistent() and event.agreement_valid()
-
-    @both_engines
-    def test_decides_on_either_engine(self, engine):
-        result = _execute("leader-ba", "wan", "none", engine)
-        assert result.all_decided() and result.consistent()
-
-    def test_rng_streams_end_in_the_same_state(self):
-        """Draw-order identity, not just draw-outcome identity: the
-        conditioned network's RNG ends a leader-family execution in the
-        same state under both loops."""
-        conditions = NETWORKS["lossy"]
-
-        def final_rng_state(engine):
-            instance = build_leader_ba(10, 3, _inputs(10), seed=13,
-                                       conditions=conditions)
-            simulation = SIMULATIONS[engine](
-                nodes=instance.nodes, corruption_budget=3, seed=13,
-                max_rounds=instance.max_rounds, inputs=instance.inputs,
-                signing_capabilities=instance.signing_capabilities,
-                mining_capabilities=instance.mining_capabilities,
-                conditions=conditions)
-            simulation.run()
-            return simulation.network._rng.getstate()
-
-        assert final_rng_state(EVENT) == final_rng_state(LOCKSTEP)
+@both_engines
+def test_decides_on_either_engine(engine):
+    conditions = NETWORKS["wan"]
+    instance = build_leader_ba(10, 3, _inputs(10), seed=7,
+                               conditions=conditions)
+    result = reference.run(instance, 3, seed=7, conditions=conditions,
+                           engine=engine)
+    assert result.all_decided() and result.consistent()
 
 
 class TestQuorumThreshold:

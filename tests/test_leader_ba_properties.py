@@ -48,7 +48,7 @@ from repro.protocols.leader_ba import (
 )
 from repro.sim.adversary import Adversary
 from repro.sim.conditions import LinkTopology, NetworkConditions, Partition
-from tests import engines
+from tests import reference
 
 #: 120 sampled adversarial configurations (above the satellite's 100
 #: floor), split into chunks so a failing sample names a small replay
@@ -149,7 +149,7 @@ class TestLeaderBaProperties:
             inputs, expected = random_inputs(rng, n)
             seed = rng.randint(0, 2**16)
             kind = rng.choice(ADVERSARY_KINDS)
-            engine = rng.choice(("lockstep", "event"))
+            engine = rng.choice(("reference", "event"))
             budget = default_views_per_height(f, conditions)
 
             instance = build_leader_ba(n, f, inputs, seed=seed,
@@ -157,8 +157,8 @@ class TestLeaderBaProperties:
                                        conditions=conditions)
             histories = instrument_locks(instance)
             adversary = make_adversary(kind, instance, seed)
-            result = engines.run(instance, f, adversary, seed=seed,
-                                 conditions=conditions, engine=engine)
+            result = reference.run(instance, f, adversary, seed=seed,
+                                   conditions=conditions, engine=engine)
             context = (f"case {case}: n={n} f={f} heights={heights} "
                        f"adversary={kind} {engine} "
                        f"{conditions.describe()}")

@@ -14,8 +14,8 @@ from repro.sim.conditions import (
     Partition,
 )
 from repro.sim.network import SynchronousNetwork
-from tests import engines
-from tests.engines import both_engines
+from tests import reference
+from tests.reference import both_engines
 
 
 def drain(network, rounds):
@@ -116,14 +116,14 @@ class TestScheduling:
         network = ConditionedNetwork(3, conditions, seed=0)
         network.deliver()  # round 0 (nothing staged yet)
         network.stage(0, 1, "m", 0, honest_sender=True)
-        assert not network.has_pending()  # staged, not yet scheduled
+        assert network.next_due_round() is None  # staged, not scheduled
         rounds = [network.deliver()]
-        assert network.has_pending()  # scheduled for round 3
+        assert network.next_due_round() == 3
         rounds.extend(drain(network, 2))
         assert rounds[0][1] == []  # round 1
         assert rounds[1][1] == []  # round 2
         assert [d.payload for d in rounds[2][1]] == ["m"]  # round 3
-        assert not network.has_pending()
+        assert network.next_due_round() is None
 
     def test_post_gst_delay_clamped_to_delta(self):
         """A latency draw above Δ cannot escape the Δ bound post-GST."""
@@ -294,8 +294,8 @@ class TestPartitions:
         conditions = NETWORKS["split-heal"]
         n, f = 12, 2
         instance = build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=4)
-        result = engines.run(instance, f, seed=4, conditions=conditions,
-                             engine=engine)
+        result = reference.run(instance, f, seed=4, conditions=conditions,
+                               engine=engine)
         assert result.consistent()
         assert result.all_decided()
         assert result.network_stats.deferred_copies > 0
@@ -332,7 +332,7 @@ class TestEngineIntegration:
         n, f = 10, 2
         plain = run_instance(
             build_quadratic_ba(n, f, [1] * n, seed=1), f, seed=1)
-        conditioned = engines.run(
+        conditioned = reference.run(
             build_quadratic_ba(n, f, [1] * n, seed=1), f, seed=1,
             conditions=NETWORKS["wan"], engine=engine)
         assert conditioned.rounds_executed == plain.rounds_executed
@@ -340,7 +340,7 @@ class TestEngineIntegration:
     @both_engines
     def test_network_stats_accounting(self, engine):
         n, f = 10, 2
-        result = engines.run(
+        result = reference.run(
             build_quadratic_ba(n, f, [1] * n, seed=2), f, seed=2,
             conditions=NETWORKS["wan"], engine=engine)
         stats = result.network_stats
@@ -355,6 +355,6 @@ class TestEngineIntegration:
     def test_passive_adversary_and_conditions_compose(self, engine):
         n, f = 8, 2
         instance = build_quadratic_ba(n, f, [0] * n, seed=3)
-        result = engines.run(instance, f, PassiveAdversary(), seed=3,
-                             conditions=NETWORKS["lan"], engine=engine)
+        result = reference.run(instance, f, PassiveAdversary(), seed=3,
+                               conditions=NETWORKS["lan"], engine=engine)
         assert result.consistent() and result.agreement_valid()

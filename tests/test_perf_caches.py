@@ -8,22 +8,20 @@ message content, and no cache poisoning via partial-key collisions.
 """
 
 import dataclasses
-import hashlib
 
 import pytest
 
 from repro.adversaries import CrashAdversary
 from repro.harness.runner import TrialStats, run_instance, run_trials
 from repro.harness.scenarios import STATS_COLUMNS
-from repro.protocols import verification
 from repro.protocols.certificates import Certificate, certificate_from_votes
 from repro.protocols.messages import SignedVote
 from repro.protocols.quadratic_ba import build_quadratic_ba
 from repro.protocols.subquadratic_ba import build_subquadratic_ba
-from repro.serialization import canonical_bytes
 from repro.errors import SimulationError
 from repro.sim.conditions import NETWORKS, NetworkStats
 from repro.sim.engine import Simulation
+from tests.reference import digest, fold_every_message
 
 
 def _signed_votes(registry, iteration, bit, voters):
@@ -31,24 +29,11 @@ def _signed_votes(registry, iteration, bit, voters):
             for voter in voters}
 
 
-def _result_digest(result):
-    """Full-content fingerprint of an execution result."""
-    h = hashlib.sha256()
-    h.update(canonical_bytes([
-        (e.envelope_id, e.sender, e.recipient, e.round_sent, e.honest_sender)
-        for e in result.transcript]))
-    for envelope in result.transcript:
-        h.update(canonical_bytes(envelope.payload))
-    h.update(canonical_bytes(result.outputs))
-    h.update(canonical_bytes(result.decided_rounds))
-    h.update(canonical_bytes(vars(result.metrics)))
-    h.update(canonical_bytes(result.rounds_executed))
-    return h.hexdigest()
-
-
-def _run_quadratic(seed, n=13, f=6, **kwargs):
+def _run_quadratic(seed, n=13, f=6, cached=True, **kwargs):
     inputs = [i % 2 for i in range(n)]
     instance = build_quadratic_ba(n, f, inputs, seed=seed)
+    if not cached:
+        fold_every_message(instance.nodes)
     return run_instance(instance, f, seed=seed, **kwargs)
 
 
@@ -186,24 +171,22 @@ class TestCertificateCacheSoundness:
 
 
 class TestDeterminism:
-    def test_identical_results_with_and_without_caching(self, monkeypatch):
-        cached = {seed: _result_digest(_run_quadratic(seed))
-                  for seed in range(3)}
-        monkeypatch.setattr(verification, "CACHING_ENABLED", False)
-        uncached = {seed: _result_digest(_run_quadratic(seed))
+    def test_identical_results_with_and_without_caching(self):
+        cached = {seed: digest(_run_quadratic(seed)) for seed in range(3)}
+        uncached = {seed: digest(_run_quadratic(seed, cached=False))
                     for seed in range(3)}
         assert cached == uncached
 
-    def test_subquadratic_identical_with_and_without_caching(self, monkeypatch):
-        def build_and_run():
+    def test_subquadratic_identical_with_and_without_caching(self):
+        def build_and_run(cached):
             n, f = 24, 5
             inputs = [i % 2 for i in range(n)]
             instance = build_subquadratic_ba(n, f, inputs, seed=11)
-            return _result_digest(run_instance(instance, f, seed=11))
+            if not cached:
+                fold_every_message(instance.nodes)
+            return digest(run_instance(instance, f, seed=11))
 
-        with_cache = build_and_run()
-        monkeypatch.setattr(verification, "CACHING_ENABLED", False)
-        assert build_and_run() == with_cache
+        assert build_and_run(False) == build_and_run(True)
 
     def test_metrics_only_retention_changes_nothing_but_transcript(self):
         full = _run_quadratic(5)
@@ -237,8 +220,8 @@ class TestParallelTrials:
         assert serial.mean_multicast_bits == parallel.mean_multicast_bits
         assert serial.mean_rounds == parallel.mean_rounds
         assert serial.decision_rounds() == parallel.decision_rounds()
-        assert ([_result_digest(r) for r in serial.results]
-                == [_result_digest(r) for r in parallel.results])
+        assert ([digest(r) for r in serial.results]
+                == [digest(r) for r in parallel.results])
 
 
 def _recomputed_columns(results):

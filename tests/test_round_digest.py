@@ -4,15 +4,17 @@
 ``RoundContext.broadcast`` — from one validated, tallied digest instead
 of folding the same deliveries n times (docs/PERFORMANCE.md, "Shared
 round digest").  The fold is the reference semantics and is what runs
-with ``CACHING_ENABLED`` off, so everything here is differential: the
-same execution, or the same deliveries into twin nodes, down both paths,
-compared on the full ``ExecutionResult`` *and* on the nodes' final state
-including dict orders (``votes_seen`` order picks certificates,
-``commits_seen`` order picks the pending decision).
+on ``tests/reference.py``'s ``UncachedVerification``, so everything here
+is differential: the same execution, or the same deliveries into twin
+nodes, down both paths, compared on the full ``ExecutionResult`` *and*
+on the nodes' final state including dict orders (``votes_seen`` order
+picks certificates, ``commits_seen`` order picks the pending decision).
 
 (a) is the execution-level battery; (b) holds one case per trap the
 closed form has to get right, plus a seeded random stream of valid
-messages into twin nodes that lands on every deviation rule.
+messages into twin nodes that lands on every deviation rule; (c) is the
+empty-prior merge, the digest's shortcut for a node that has recorded
+nothing of the round (docs/PERFORMANCE.md, "Sparse rounds").
 """
 
 import random
@@ -27,7 +29,6 @@ from repro.adversaries import (
 from repro.crypto.registry import KeyRegistry
 from repro.eligibility.fmine import FMine, FMineTicket
 from repro.harness.runner import run_instance
-from repro.protocols import verification
 from repro.protocols.aba import (
     PHASE_PROPOSE,
     AbaConfig,
@@ -52,6 +53,7 @@ from repro.sim.leader import RoundRobinLeaderOracle
 from repro.sim.network import Delivery, SynchronousNetwork, own_view
 from repro.sim.node import RoundContext
 from repro.types import AdversaryModel, SecurityParameters
+from tests.reference import UncachedVerification, fold_every_message, observe
 
 PARAMS = SecurityParameters(lam=30, epsilon=0.1)
 
@@ -156,9 +158,11 @@ INPUTS = {
 }
 
 
-def _execute(protocol, adversary, inputs, seed):
+def _execute(protocol, adversary, inputs, seed, cached=True):
     instance, f = BUILDERS[protocol](
         INPUTS[inputs](SIZES[protocol], seed), seed)
+    if not cached:
+        fold_every_message(instance.nodes)
     attacker, model = ADVERSARIES[adversary](instance)
     result = run_instance(instance, f, attacker, model=model, seed=seed)
     return execution_snapshot(result, instance)
@@ -172,8 +176,7 @@ def test_digest_path_equals_per_message_fold(monkeypatch, protocol,
     for seed in (1, 2, 3):
         spy = DigestSpy(monkeypatch)
         shared = _execute(protocol, adversary, inputs, seed)
-        monkeypatch.setattr(verification, "CACHING_ENABLED", False)
-        folded = _execute(protocol, adversary, inputs, seed)
+        folded = _execute(protocol, adversary, inputs, seed, cached=False)
         monkeypatch.undo()
         assert shared == folded, (protocol, adversary, inputs, seed)
         # The comparison must not be fold-vs-fold by accident: rounds of
@@ -506,8 +509,8 @@ class TestDeviationRules:
 
     def test_caching_off_never_builds_a_digest(self, monkeypatch):
         world = World()
+        world.config.verification = UncachedVerification()
         spy = DigestSpy(monkeypatch)
-        monkeypatch.setattr(verification, "CACHING_ENABLED", False)
         assert_same(world, 6,
                     broadcast_of([world.vote(v, 1, 1) for v in range(5)]))
         assert spy.built == [] and spy.merged == 0
@@ -694,10 +697,12 @@ def test_forged_then_mined_ticket_keeps_per_recipient_semantics(monkeypatch):
     n, f, seed = 60, 18, 8
     vote_round = 4  # iteration 2's Vote phase: the forgery is delivered
 
-    def run(upto):
+    def run(upto, cached=True):
         instance = build_subquadratic_ba(
             n, f, [i % 2 for i in range(n)], seed=seed, params=PARAMS,
             max_iterations=3)
+        if not cached:
+            fold_every_message(instance.nodes)
         # A twin functionality flips the execution's coins without
         # recording an attempt in it.
         adversary = ForgeBeforeMined(FMine(
@@ -720,7 +725,146 @@ def test_forged_then_mined_ticket_keeps_per_recipient_semantics(monkeypatch):
 
     # And the whole execution equals the per-message reference.
     shared_instance, _, shared = run(None)
-    monkeypatch.setattr(verification, "CACHING_ENABLED", False)
-    folded_instance, _, folded = run(None)
+    folded_instance, _, folded = run(None, cached=False)
     assert (execution_snapshot(shared, shared_instance)
             == execution_snapshot(folded, folded_instance))
+
+
+# -- (c) the empty-prior merge ---------------------------------------------------
+
+
+#: Votes of iteration 2 beside commits of iteration 1: a commit's
+#: certificate must rank below the round's vote iteration, or the digest
+#: gives the round up to the fold (``RoundDigest.seal``).
+VOTES, COMMITS = 2, 1
+
+
+def _tally_round(world, rng, node_id=None, own_vote_bit=None):
+    """A benign-looking round as node ``node_id`` meets it: votes for
+    either bit, maybe a few commits and a Terminate, all from other
+    nodes — plus the node's own vote when it cast one (which it tallied
+    when it staged it: the invariant the merge rests on)."""
+    others = [v for v in range(world.n) if v != node_id]
+    messages = []
+    for bit in rng.sample((0, 1), rng.randrange(1, 3)):
+        voters = rng.sample(others, rng.randrange(1, len(others) + 1))
+        messages += [world.vote(v, VOTES, bit) for v in voters]
+    if own_vote_bit is not None:
+        messages.append(world.vote(node_id, VOTES, own_vote_bit))
+    rng.shuffle(messages)
+    if rng.random() < 0.5:
+        bit = rng.getrandbits(1)
+        messages += [world.commit(c, COMMITS, bit)
+                     for c in rng.sample(others, rng.randrange(1, 6))]
+    if rng.random() < 0.3:
+        messages.append(world.terminate(rng.choice(others), COMMITS,
+                                        rng.getrandbits(1)))
+    return broadcast_of(messages)
+
+
+def _prior_state(world, kind, bit, picks):
+    """A ``prepare`` hook putting a node into one of the prior states the
+    merge distinguishes; ``picks`` are two other nodes."""
+    def record(node, voters):
+        for voter in voters:
+            node._record_vote(VOTES, bit, voter,
+                              world.vote(voter, VOTES, bit).auth)
+
+    def prepare(node):
+        if kind == "empty":
+            node.votes_seen[(VOTES, bit)] = {}
+            node.commits_seen[(COMMITS, bit)] = {}
+        elif kind == "partial":
+            record(node, picks)
+            node.commits_seen[(COMMITS, bit)] = {
+                picks[0]: world.commit(picks[0], COMMITS, bit)}
+        elif kind == "own-late-vote":
+            own_vote(world, VOTES, bit)(node)
+        elif kind == "quorum-on-hand":
+            record(node, range(world.f + 1))
+        elif kind == "quorum-without-certificate":
+            node.votes_seen[(VOTES, bit)] = {
+                v: world.vote(v, VOTES, bit).auth
+                for v in range(world.f + 1)}
+        else:
+            assert kind == "absent"
+    return prepare
+
+
+PRIOR_KINDS = ("absent", "empty", "partial", "own-late-vote",
+               "quorum-on-hand", "quorum-without-certificate")
+
+
+@pytest.mark.parametrize("kind", PRIOR_KINDS)
+def test_merge_equals_the_fold_from_every_prior_state(monkeypatch, kind):
+    world = World()
+    spy = DigestSpy(monkeypatch)
+    for seed in range(60):
+        rng = random.Random(f"{kind}:{seed}")
+        node_id, bit = rng.randrange(world.n), rng.getrandbits(1)
+        picks = rng.sample([v for v in range(world.n) if v != node_id], 2)
+        broadcast = _tally_round(
+            world, rng, node_id, bit if kind == "own-late-vote" else None)
+        assert_same(world, node_id, broadcast,
+                    _prior_state(world, kind, bit, picks))
+    assert spy.built and all(spy.built)
+    if kind in ("absent", "empty"):
+        assert spy.merged == 60  # the shortcut, not the fold, was compared
+
+
+def test_merged_nodes_never_share_a_tally_dict():
+    world = World()
+    broadcast = broadcast_of(
+        [world.vote(v, VOTES, 1) for v in (4, 2, 6, 0, 5)]
+        + [world.commit(c, COMMITS, 1) for c in (6, 0)])
+    nodes = [world.node(node_id) for node_id in (1, 3)]
+    rng = random.Random(0)
+    for node in nodes:
+        node._process_inbox(
+            RoundContext(node.node_id, 1, None, rng, broadcast))
+    digest = world.config.verification._round_digest[1]
+    tally, commits = digest.votes[(VOTES, 1)], digest.commits[(COMMITS, 1)]
+    for node in nodes:
+        mine = node.votes_seen[(VOTES, 1)], node.commits_seen[(COMMITS, 1)]
+        assert [list(entries) for entries in mine] == [[4, 2, 6, 0, 5], [6, 0]]
+        assert mine[0] is not tally.votes and mine[1] is not commits
+        assert node._shared_tallies[(VOTES, 1)] is tally
+        assert node.best_cert[1] is tally.quorum
+    first, second = nodes
+    assert first.votes_seen[(VOTES, 1)] is not second.votes_seen[(VOTES, 1)]
+    assert (first.commits_seen[(COMMITS, 1)]
+            is not second.commits_seen[(COMMITS, 1)])
+    # A late vote recorded by one node reaches neither its twin nor the
+    # digest the next node will merge from.
+    first._record_vote(VOTES, 1, 1, world.vote(1, VOTES, 1).auth)
+    first.commits_seen[(COMMITS, 1)][1] = world.commit(1, COMMITS, 1)
+    assert 1 not in second.votes_seen[(VOTES, 1)] and 1 not in tally.votes
+    assert 1 not in second.commits_seen[(COMMITS, 1)] and 1 not in commits
+
+
+def test_caching_off_folds_to_the_same_state(monkeypatch):
+    world = World()
+    rng = random.Random(17)
+    rounds = [_tally_round(world, rng, node_id=6) for _ in range(20)]
+    merged = [node_state(assert_same(world, 6, broadcast))
+              for broadcast in rounds]
+    spy = DigestSpy(monkeypatch)
+    world.config.verification = UncachedVerification()
+    folded = [node_state(assert_same(world, 6, broadcast))
+              for broadcast in rounds]
+    assert spy.built == [] and merged == folded
+
+
+def test_subquadratic_execution_equals_the_fold_at_scale(monkeypatch):
+    """Whole executions in the regime the shortcut is for — hundreds of
+    silent nodes, a few dozen speakers — against the per-message fold."""
+    for seed, inputs in ((1, [1] * 384), (2, [i % 2 for i in range(384)])):
+        def execute(cached):
+            instance = build_subquadratic_ba(384, 150, inputs, seed=seed,
+                                             max_iterations=6)
+            if not cached:
+                fold_every_message(instance.nodes)
+            result = run_instance(instance, 150, seed=seed)
+            return observe(result), [node_state(node)
+                                     for node in instance.nodes]
+        assert execute(True) == execute(False)

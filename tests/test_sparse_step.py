@@ -5,9 +5,10 @@ Three shortcuts make a lottery loser's round cheap (docs/PERFORMANCE.md,
 ``Fmine`` coin is computed in one frame, and ``AbaNode._merge_digest``
 copies a round tally into a node that has recorded nothing.  Each must
 leave every deterministic field where it was, so everything here is
-differential — the formulations they replaced live on in this file as
-the oracles: :class:`ReferenceFMine`, :func:`eager_honest_step`, and the
-per-message fold (``tests/test_round_digest.py``'s twin-node harness).
+differential against the formulations they replaced, which live on in
+``tests/reference.py``: ``ReferenceFMine`` and ``eager_honest_step``
+here, and the per-message fold in ``tests/test_round_digest.py``'s
+empty-prior merge cases.
 """
 
 import random
@@ -28,59 +29,22 @@ from repro.protocols import (
     build_broadcast_from_ba,
     build_phase_king,
     build_quadratic_ba,
-    build_subquadratic_ba,
-    verification,
 )
 from repro.protocols.base import EligibilityAuthenticator
-from repro.rng import derive_rng, derive_seed
+from repro.rng import derive_rng
 from repro.sim import engine as engine_mod
 from repro.sim.adversary import Adversary
 from repro.sim.engine import Simulation
 from repro.sim.node import RoundContext
-
-from tests.test_delivery_differential import _snapshot
-from tests.test_round_digest import (
-    DigestSpy,
-    World,
-    assert_same,
-    broadcast_of,
-    node_state,
-    own_vote,
+from tests.reference import (
+    ReferenceFMine,
+    eager_honest_step,
+    observe,
+    reference_coin,
 )
 
 
 # -- (a) the coin, against the formulation it replaced --------------------------
-
-
-def reference_coin(seed, node_id, topic, probability):
-    return derive_rng(seed, "fmine", node_id, topic).random() < probability
-
-
-class ReferenceFMine:
-    """``FMine`` as it was: ``mine → _flip → probability → _compute_flip →
-    derive_rng → derive_seed``, one frame each."""
-
-    def __init__(self, schedule, seed, coin_cache=None):
-        self.schedule, self.seed, self.coin_cache = schedule, seed, coin_cache
-        self.coins = {}
-
-    def mine(self, node_id, topic):
-        key = (node_id, topic)
-        if key not in self.coins:
-            probability = self.schedule.probability(topic)
-            if self.coin_cache is None:
-                coin = reference_coin(self.seed, node_id, topic, probability)
-            else:
-                coin = self.coin_cache.coin(
-                    (derive_seed(self.seed, "fmine", node_id, topic),
-                     probability),
-                    lambda: reference_coin(self.seed, node_id, topic,
-                                           probability))
-            self.coins[key] = coin
-        return self.coins[key]
-
-    def verify(self, node_id, topic):
-        return self.coins.get((node_id, topic), False)
 
 
 SEEDS = [0, 1, 7, -3, 2**70, "", "seed", "1", "a\x1fb", "naïve ☃"]
@@ -227,25 +191,6 @@ class TestFigureOneSemantics:
 # -- (c) ctx.rng derived on first read -----------------------------------------
 
 
-def eager_honest_step(self, round_index, inboxes):
-    """``Simulation._honest_step`` as it was: every stepping node's
-    stream derived before its step, every attribute looked up per node."""
-    broadcast = getattr(inboxes, "broadcast", None)
-    for node in self.nodes:
-        node_id = node.node_id
-        if self.controller.is_corrupt(node_id) or node.halted:
-            continue
-        ctx = RoundContext(
-            node_id, round_index,
-            inboxes[node_id] if broadcast is None else None,
-            self.rng_for_node(node_id), broadcast)
-        node.on_round(ctx)
-        for recipient, payload in ctx.staged:
-            envelope = self.network.stage(
-                node_id, recipient, payload, round_index, honest_sender=True)
-            self.metrics.record(envelope)
-
-
 def _mixed(n):
     return [i % 2 for i in range(n)]
 
@@ -279,11 +224,11 @@ class NodeStreamCounter:
 @pytest.mark.parametrize("name", sorted(COIN_READERS))
 def test_lazy_stream_executions_equal_the_eager_engine(monkeypatch, name):
     counter = NodeStreamCounter(monkeypatch)
-    lazy = _snapshot(COIN_READERS[name]())
+    lazy = observe(COIN_READERS[name]())
     derived_lazily = len(counter.nodes)
     assert derived_lazily == len(set(counter.nodes))  # memo: once per node
     monkeypatch.setattr(Simulation, "_honest_step", eager_honest_step)
-    eager = _snapshot(COIN_READERS[name]())
+    eager = observe(COIN_READERS[name]())
     assert lazy == eager
     if "phase-king" in name:
         assert derived_lazily > 0  # the coins were really flipped
@@ -331,145 +276,3 @@ def test_context_accepts_a_stream_or_a_provider():
     assert asked == []
     assert ctx.rng is stream and ctx.rng is stream and asked == [2]
     assert RoundContext(2, 0, [], None).rng is None
-
-
-# -- (e) the empty-prior merge ---------------------------------------------------
-
-
-#: Votes of iteration 2 beside commits of iteration 1: a commit's
-#: certificate must rank below the round's vote iteration, or the digest
-#: gives the round up to the fold (``RoundDigest.seal``).
-VOTES, COMMITS = 2, 1
-
-
-def _tally_round(world, rng, node_id=None, own_vote_bit=None):
-    """A benign-looking round as node ``node_id`` meets it: votes for
-    either bit, maybe a few commits and a Terminate, all from other
-    nodes — plus the node's own vote when it cast one (which it tallied
-    when it staged it: the invariant the merge rests on)."""
-    others = [v for v in range(world.n) if v != node_id]
-    messages = []
-    for bit in rng.sample((0, 1), rng.randrange(1, 3)):
-        voters = rng.sample(others, rng.randrange(1, len(others) + 1))
-        messages += [world.vote(v, VOTES, bit) for v in voters]
-    if own_vote_bit is not None:
-        messages.append(world.vote(node_id, VOTES, own_vote_bit))
-    rng.shuffle(messages)
-    if rng.random() < 0.5:
-        bit = rng.getrandbits(1)
-        messages += [world.commit(c, COMMITS, bit)
-                     for c in rng.sample(others, rng.randrange(1, 6))]
-    if rng.random() < 0.3:
-        messages.append(world.terminate(rng.choice(others), COMMITS,
-                                        rng.getrandbits(1)))
-    return broadcast_of(messages)
-
-
-def _prior_state(world, kind, bit, picks):
-    """A ``prepare`` hook putting a node into one of the prior states the
-    merge distinguishes; ``picks`` are two other nodes."""
-    def record(node, voters):
-        for voter in voters:
-            node._record_vote(VOTES, bit, voter,
-                              world.vote(voter, VOTES, bit).auth)
-
-    def prepare(node):
-        if kind == "empty":
-            node.votes_seen[(VOTES, bit)] = {}
-            node.commits_seen[(COMMITS, bit)] = {}
-        elif kind == "partial":
-            record(node, picks)
-            node.commits_seen[(COMMITS, bit)] = {
-                picks[0]: world.commit(picks[0], COMMITS, bit)}
-        elif kind == "own-late-vote":
-            own_vote(world, VOTES, bit)(node)
-        elif kind == "quorum-on-hand":
-            record(node, range(world.f + 1))
-        elif kind == "quorum-without-certificate":
-            node.votes_seen[(VOTES, bit)] = {
-                v: world.vote(v, VOTES, bit).auth
-                for v in range(world.f + 1)}
-        else:
-            assert kind == "absent"
-    return prepare
-
-
-PRIOR_KINDS = ("absent", "empty", "partial", "own-late-vote",
-               "quorum-on-hand", "quorum-without-certificate")
-
-
-@pytest.mark.parametrize("kind", PRIOR_KINDS)
-def test_merge_equals_the_fold_from_every_prior_state(monkeypatch, kind):
-    world = World()
-    spy = DigestSpy(monkeypatch)
-    for seed in range(60):
-        rng = random.Random(f"{kind}:{seed}")
-        node_id, bit = rng.randrange(world.n), rng.getrandbits(1)
-        picks = rng.sample([v for v in range(world.n) if v != node_id], 2)
-        broadcast = _tally_round(
-            world, rng, node_id, bit if kind == "own-late-vote" else None)
-        assert_same(world, node_id, broadcast,
-                    _prior_state(world, kind, bit, picks))
-    assert spy.built and all(spy.built)
-    if kind in ("absent", "empty"):
-        assert spy.merged == 60  # the shortcut, not the fold, was compared
-
-
-def test_merged_nodes_never_share_a_tally_dict():
-    world = World()
-    broadcast = broadcast_of(
-        [world.vote(v, VOTES, 1) for v in (4, 2, 6, 0, 5)]
-        + [world.commit(c, COMMITS, 1) for c in (6, 0)])
-    nodes = [world.node(node_id) for node_id in (1, 3)]
-    rng = random.Random(0)
-    for node in nodes:
-        node._process_inbox(
-            RoundContext(node.node_id, 1, None, rng, broadcast))
-    digest = world.config.verification._round_digest[1]
-    tally, commits = digest.votes[(VOTES, 1)], digest.commits[(COMMITS, 1)]
-    for node in nodes:
-        mine = node.votes_seen[(VOTES, 1)], node.commits_seen[(COMMITS, 1)]
-        assert [list(entries) for entries in mine] == [[4, 2, 6, 0, 5], [6, 0]]
-        assert mine[0] is not tally.votes and mine[1] is not commits
-        assert node._shared_tallies[(VOTES, 1)] is tally
-        assert node.best_cert[1] is tally.quorum
-    first, second = nodes
-    assert first.votes_seen[(VOTES, 1)] is not second.votes_seen[(VOTES, 1)]
-    assert (first.commits_seen[(COMMITS, 1)]
-            is not second.commits_seen[(COMMITS, 1)])
-    # A late vote recorded by one node reaches neither its twin nor the
-    # digest the next node will merge from.
-    first._record_vote(VOTES, 1, 1, world.vote(1, VOTES, 1).auth)
-    first.commits_seen[(COMMITS, 1)][1] = world.commit(1, COMMITS, 1)
-    assert 1 not in second.votes_seen[(VOTES, 1)] and 1 not in tally.votes
-    assert 1 not in second.commits_seen[(COMMITS, 1)] and 1 not in commits
-
-
-def test_caching_off_folds_to_the_same_state(monkeypatch):
-    world = World()
-    rng = random.Random(17)
-    rounds = [_tally_round(world, rng, node_id=6) for _ in range(20)]
-    merged = [node_state(assert_same(world, 6, broadcast))
-              for broadcast in rounds]
-    spy = DigestSpy(monkeypatch)
-    monkeypatch.setattr(verification, "CACHING_ENABLED", False)
-    folded = [node_state(assert_same(world, 6, broadcast))
-              for broadcast in rounds]
-    assert spy.built == [] and merged == folded
-
-
-def test_subquadratic_execution_equals_the_fold_at_scale(monkeypatch):
-    """Whole executions in the regime the shortcut is for — hundreds of
-    silent nodes, a few dozen speakers — against the per-message fold."""
-    for seed, inputs in ((1, [1] * 384), (2, _mixed(384))):
-        def execute():
-            instance = build_subquadratic_ba(384, 150, inputs, seed=seed,
-                                             max_iterations=6)
-            result = run_instance(instance, 150, seed=seed)
-            return _snapshot(result), [node_state(node)
-                                       for node in instance.nodes]
-        shared = execute()
-        monkeypatch.setattr(verification, "CACHING_ENABLED", False)
-        folded = execute()
-        monkeypatch.undo()
-        assert shared == folded
