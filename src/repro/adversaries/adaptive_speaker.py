@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.errors import ConfigurationError
+from repro.adversaries.menu import family_of
 from repro.protocols.base import ProtocolInstance
 from repro.protocols.messages import AckMsg, VoteMsg
 from repro.sim.adversary import Adversary
@@ -35,11 +35,10 @@ class AdaptiveSpeakerAdversary(Adversary):
     def __init__(self, instance: ProtocolInstance,
                  spare_budget: int = 0) -> None:
         super().__init__()
-        services = instance.services
-        if "authenticator" not in services:
-            raise ConfigurationError(
-                "adaptive speaker attack needs the authenticator in services")
-        self.authenticator = services["authenticator"]
+        # Only the iterated families' votes and ACKs are flipped: on any
+        # other family the attack would corrupt nobody.
+        family_of(instance, "speaker", ("aba", "phase-king"))
+        self.authenticator = instance.services["authenticator"]
         #: Number of corruptions to hold in reserve (never spent).
         self.spare_budget = spare_budget
         self.corrupted: List[NodeId] = []

@@ -79,7 +79,6 @@ from repro.harness.scenarios import (
 )
 from repro.errors import ConfigurationError
 from repro.sim.conditions import NETWORKS, TOPOLOGIES
-from repro.sim.trace import summarize_transcript
 
 #: ``run``-able protocols, derived from the scenario layer's registry
 #: rather than hand-maintained: every entry whose builder takes per-node
@@ -501,7 +500,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"run: {error}", file=sys.stderr)
         return 2
     (result,) = stats.results
-    trace = summarize_transcript(result.require_transcript())
     print(f"protocol:            {instances[0].name}")
     print(f"n / f:               {cell.n} / {cell.f}  "
           f"(adversary: {args.adversary})")
@@ -524,7 +522,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"corruptions used:    {result.corruptions_used}")
     print(f"honest multicasts:   "
           f"{result.metrics.multicast_complexity_messages}")
-    print(f"distinct speakers:   {trace.speaker_count}")
+    print(f"distinct speakers:   {len(result.honest_speakers())}")
     print(f"multicast bits:      {result.metrics.multicast_complexity_bits}")
     print(f"classical messages:  {result.metrics.classical_message_count}")
     violated = not (result.consistent() and result.agreement_valid())

@@ -4,8 +4,8 @@ This package implements, from scratch in pure Python, every primitive the
 paper's real-world instantiation (Appendix D) relies on:
 
 - :mod:`repro.crypto.groups` — Schnorr (prime-order subgroup) arithmetic
-  with hash-to-group, over both small test parameters and a 2048-bit MODP
-  group.
+  with hash-to-group, over any safe-prime group; the library ships small
+  test parameters (the tests also build the 2048-bit MODP group).
 - :mod:`repro.crypto.schnorr` — Schnorr signatures (Fiat–Shamir).
 - :mod:`repro.crypto.commitment` — perfectly-binding ElGamal commitments
   (the binding flavour Appendix D.2 requires).

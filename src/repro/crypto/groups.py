@@ -8,12 +8,12 @@ the same compiler over an ordinary DDH-hard group: a prime-order-q subgroup of
 exercise — commitments to PRF keys, per-message evaluation proofs, public
 verifiability — carries over unchanged.
 
-Two parameter sets ship with the library:
-
-- :data:`TEST_GROUP` — a 129-bit safe prime.  *Not secure*; fast enough to
-  run full protocol executions with real proofs inside the test suite.
-- :data:`MODP_2048_GROUP` — the RFC 3526 2048-bit MODP group (a genuine
-  safe prime), for realistic sizing/benchmarks.
+The library ships one parameter set, :data:`TEST_GROUP` — a 129-bit safe
+prime.  *Not secure*; fast enough to run full protocol executions with
+real proofs inside the test suite.  Building a :class:`SchnorrGroup`
+checks its generators and derives ``h``, so a production-size group (the
+test suite's RFC 3526 2048-bit MODP group) is built where it is used,
+not at import.
 
 Group elements are plain ``int`` values in ``[1, p)``; scalars are ``int``
 values in ``[0, q)``.  Keeping elements as integers lets the serialization
@@ -145,27 +145,5 @@ TEST_GROUP = SchnorrGroup(
     name="test-129",
     p=2 * _TEST_Q + 1,
     q=_TEST_Q,
-    g=4,
-)
-
-# RFC 3526 group 14 (2048-bit MODP).  p is a safe prime; 4 = 2^2 generates
-# the order-q subgroup of quadratic residues.
-_MODP_2048_P = int(
-    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E08"
-    "8A67CC74020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B"
-    "302B0A6DF25F14374FE1356D6D51C245E485B576625E7EC6F44C42E9"
-    "A637ED6B0BFF5CB6F406B7EDEE386BFB5A899FA5AE9F24117C4B1FE6"
-    "49286651ECE45B3DC2007CB8A163BF0598DA48361C55D39A69163FA8"
-    "FD24CF5F83655D23DCA3AD961C62F356208552BB9ED529077096966D"
-    "670C354E4ABC9804F1746C08CA18217C32905E462E36CE3BE39E772C"
-    "180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
-    "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFF"
-    "FFFFFFFF",
-    16,
-)
-MODP_2048_GROUP = SchnorrGroup(
-    name="modp-2048",
-    p=_MODP_2048_P,
-    q=(_MODP_2048_P - 1) // 2,
     g=4,
 )

@@ -121,9 +121,11 @@ def profile_phase_budget(instance: ProtocolInstance, f: int, seed=0,
     ``authenticator.check``.  All wrappers are restored on exit; the
     function is not reentrant (profile one execution at a time).
     Verify/sizing time inside the honest step is subtracted from the
-    *protocol* bucket so the buckets stay disjoint; ``ConditionedNetwork``
-    overrides ``deliver``, so conditioned turnover never lands in the
-    *deliver* bucket.
+    *protocol* bucket so the buckets stay disjoint.  Both clocks call
+    their seam through ``self`` (``SynchronousNetwork.steps`` calls
+    ``deliver``, ``ConditionedNetwork.steps`` only ``advance_to``), so
+    the class-level wrappers see every tick and conditioned turnover
+    never lands in the *deliver* bucket.
     """
     state = {"deliver": 0.0, "scheduler": 0.0, "step": 0.0, "verify": 0.0,
              "sizing": 0.0, "nested": 0.0, "in_step": False, "checks": 0}

@@ -44,7 +44,6 @@ from repro.sim.metrics import CommunicationMetrics
 from repro.sim.network import Delivery, Envelope, SynchronousNetwork
 from repro.sim.node import Node, RoundContext
 from repro.sim.result import ExecutionResult
-from repro.sim.trace import TraceSummary, committee_per_topic, summarize_transcript
 
 __all__ = [
     "Adversary",
@@ -72,7 +71,4 @@ __all__ = [
     "Node",
     "RoundContext",
     "ExecutionResult",
-    "TraceSummary",
-    "committee_per_topic",
-    "summarize_transcript",
 ]

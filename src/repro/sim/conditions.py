@@ -51,7 +51,8 @@ from functools import lru_cache
 from heapq import heappop, heappush
 from operator import add, lt
 from typing import (
-    AbstractSet, Any, Dict, List, Mapping, NamedTuple, Optional, Tuple)
+    AbstractSet, Any, Dict, Iterator, List, Mapping, NamedTuple, NoReturn,
+    Optional, Tuple)
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.rng import Seed, derive_rng
@@ -572,8 +573,8 @@ class ConditionedNetwork(SynchronousNetwork):
     observes, differs.  That keeps the event engine result-identical to
     the per-copy heap of the reference executor (``tests/reference.py``,
     with the Δ-lockstep synchronizer).  The heap is
-    touched once per distinct due round, and :meth:`next_due_round`
-    exposes its head so the event engine can skip idle ticks entirely.
+    touched once per distinct due round, and its head
+    (:meth:`next_due_round`) lets :meth:`steps` skip idle ticks.
 
     A copy is **inert** when ``audience(payload)`` names one node other
     than its recipient and the recipient is not in ``corrupt`` (the live
@@ -898,7 +899,7 @@ class ConditionedNetwork(SynchronousNetwork):
 
     def next_due_round(self) -> Optional[Round]:
         """The earliest round with a scheduled delivery (``None`` when
-        nothing is in flight) — the event engine's skip-ahead horizon."""
+        nothing is in flight) — :meth:`steps`'s skip-ahead horizon."""
         return self._due_rounds[0] if self._due_rounds else None
 
     def pending_copies(self) -> List[PendingCopy]:
@@ -958,26 +959,53 @@ class ConditionedNetwork(SynchronousNetwork):
         if not worked:
             stats.skipped_ticks += 1
 
-    def finish_clock(self, network_rounds: Round) -> None:
-        """Account the idle tail between the last executed tick and the
-        round limit — the lock-step loop runs its clock all the way out,
-        so an event-engine execution that exhausts its round budget must
-        do the same for ``network_rounds``/``skipped_ticks`` to agree."""
-        tail = network_rounds - self._delivered_round - 1
+    def steps(self, max_rounds: int
+              ) -> Iterator[Tuple[Round, Dict[NodeId, List[Delivery]]]]:
+        """The event clock: ``(protocol round, inboxes)`` at each of
+        ``max_rounds`` protocol steps, one per Δ network rounds.
+
+        The synchronizer argument — a step every Δ network rounds, so
+        every Δ-bounded delivery lands before the step that needs it —
+        with a clock that visits only ticks with work: the tick after a
+        step (its staging window drains into the calendar in staging
+        order, so the coin stream is the lock-step one), every tick with
+        a due delivery (extending the step's inboxes) and every step
+        tick.  The ticks in between are jumped; :meth:`advance_to`
+        accounts them in ``stats.skipped_ticks`` as the lock-step loop's
+        no-op rounds, so :class:`NetworkStats` is the lock-step one.  A
+        consumer that stops early (every honest node halted) never
+        resumes this generator; one that takes every step gets the idle
+        tail up to the round budget accounted the same way.
+        """
+        stretch = self.conditions.delta
+        limit = max_rounds * stretch
+        inboxes = {node: [] for node in range(self.n)}
+        network_round = 0
+        while network_round < limit:
+            self.advance_to(network_round, inboxes)
+            if network_round % stretch == 0:
+                yield network_round // stretch, inboxes
+                inboxes = {node: [] for node in range(self.n)}
+            # A non-empty staging window forces the very next tick (its
+            # coins are drawn at the clock the synchronizer draws them);
+            # otherwise jump to the earlier of the next due delivery and
+            # the next step.
+            if self._staged:
+                network_round += 1
+                continue
+            upcoming = network_round - network_round % stretch + stretch
+            due = self.next_due_round()
+            network_round = upcoming if due is None else min(due, upcoming)
+        tail = limit - self._delivered_round - 1
         if tail > 0:
             self.stats.skipped_ticks += tail
-            self.stats.network_rounds = network_rounds
-            self._delivered_round = network_rounds - 1
+            self.stats.network_rounds = limit
+            self._delivered_round = limit - 1
 
-    def deliver(self) -> Dict[NodeId, List[Delivery]]:
-        """Advance one network round — the Δ-lockstep synchronizer's
-        per-tick entry point (the event engine calls :meth:`advance_to`
-        directly and skips the ticks this would return empty inboxes
-        for).  Scheduling order, the single seeded coin stream and
-        calendar-order delivery make identical seeds and conditions
-        replay byte-identically.
-        """
-        inboxes: Dict[NodeId, List[Delivery]] = {
-            node: [] for node in range(self.n)}
-        self.advance_to(self._delivered_round + 1, inboxes)
-        return inboxes
+    def deliver(self) -> NoReturn:
+        """Refused: the staging window drains into the calendar, never
+        straight into the next round's inboxes (the lock-step turnover
+        this class inherits).  Tick with :meth:`advance_to` or
+        :meth:`steps`."""
+        raise SimulationError(
+            "a conditioned network ticks through advance_to() or steps()")

@@ -17,20 +17,17 @@ The loop ends when every so-far-honest node has halted or the round limit
 is reached, after which outputs are finalized (undecided nodes fall back
 to their protocol's default, as in the Theorem 4 termination convention).
 
-Conditioned executions (``conditions=``) are driven by an **event
-scheduler**: instead of ticking the network once per Δ network round,
-the engine reads the head of the conditioned network's calendar queue
-and jumps the clock straight to the next tick that has any work — a
-staging window to drain, a due delivery, or a protocol step.  Idle
-Δ-ticks in between are skipped outright (``NetworkStats.skipped_ticks``
-counts them), which is where sparse-latency WAN topologies win their
-wall clock.  The historical Δ-lockstep synchronizer lives on in the
-reference executor, ``tests/reference.py`` (a :class:`Simulation`
-subclass that also steps every node every tick and folds every
-message), and its battery asserts the two produce *identical*
-executions — same decisions, rounds, transcripts, node states,
-NetworkStats, and RNG draw order.  See ``docs/NETWORK.md`` ("Event
-engine").
+The network owns the clock: the loop runs over ``network.steps()``.  A
+:class:`SynchronousNetwork` yields each round's deliveries in turn; a
+:class:`ConditionedNetwork` (``conditions=``) yields one protocol step
+per Δ network rounds and jumps the idle ticks in between, so
+sparse-latency WAN topologies pay only for the ticks with work
+(``NetworkStats.skipped_ticks`` counts the rest).  The reference
+executor, ``tests/reference.py``, ticks every network round and steps
+every node every tick, and its battery asserts the two produce
+*identical* executions — same decisions, rounds, transcripts, node
+states, NetworkStats, and RNG draw order.  See ``docs/NETWORK.md``
+("The event engine").
 """
 
 from __future__ import annotations
@@ -88,7 +85,7 @@ class Simulation:
         self.transcript_retention = transcript_retention
         # Perfect conditions ARE the lock-step model: normalize them to
         # None so the unconditioned fast path below stays byte-identical
-        # (same network class, same loop, same RNG consumption).
+        # (same network class, same clock, same RNG consumption).
         if conditions is not None and conditions.is_perfect:
             conditions = None
         self.conditions = conditions
@@ -178,57 +175,6 @@ class Simulation:
         return all(node.halted or self.controller.is_corrupt(node.node_id)
                    for node in self.nodes)
 
-    def _run_conditioned(self) -> int:
-        """The event-driven partial-synchrony loop.
-
-        The synchronizer argument — one protocol step per Δ network
-        rounds, so every Δ-bounded delivery lands before the step that
-        needs it — with a clock that only visits ticks that have work: the tick after a step (its staging window
-        must drain into the calendar queue, in staging order, so the RNG
-        stream is untouched), every tick with a due delivery (its bucket
-        is appended to the step buffers in scheduling order), and every
-        step tick.  Idle ticks in between are jumped over; the
-        conditioned network accounts them in ``stats.skipped_ticks``
-        exactly as the lock-step path counts its no-op rounds, keeping
-        NetworkStats engine-invariant.
-        """
-        network = self.network
-        stretch = self.conditions.delta
-        limit = self.max_rounds * stretch
-        n = self.n
-        buffered: Dict[NodeId, list] = {node: [] for node in range(n)}
-        rounds_executed = 0
-        network_round = 0
-        while network_round < limit:
-            network.advance_to(network_round, buffered)
-            if network_round % stretch == 0:
-                round_index = network_round // stretch
-                self.current_round = round_index
-                self.adversary.observe_deliveries(round_index, buffered)
-                self._honest_step(round_index, buffered)
-                buffered = {node: [] for node in range(n)}
-                self.adversary.react(round_index, network.in_flight())
-                rounds_executed = round_index + 1
-                if self._all_honest_halted():
-                    break
-            # The next tick with work.  A non-empty staging window forces
-            # the very next tick (its coins must be drawn at the same
-            # clock the synchronizer would draw them); otherwise jump to
-            # the earlier of the next due event and the next step.
-            if network.has_staged():
-                network_round += 1
-                continue
-            upcoming = network_round - network_round % stretch + stretch
-            due = network.next_due_round()
-            if due is not None and due < upcoming:
-                upcoming = due
-            network_round = upcoming
-        else:
-            # Round budget exhausted without a halt: the lock-step loop
-            # would have ticked its clock all the way out.
-            network.finish_clock(limit)
-        return rounds_executed
-
     def run(self) -> ExecutionResult:
         if self._ran:
             raise SimulationError("a Simulation instance runs exactly once")
@@ -238,18 +184,14 @@ class Simulation:
         self.adversary.bind(self._api)
 
         rounds_executed = 0
-        if self.conditions is not None:
-            rounds_executed = self._run_conditioned()
-        else:
-            for round_index in range(self.max_rounds):
-                self.current_round = round_index
-                inboxes = self.network.deliver()
-                self.adversary.observe_deliveries(round_index, inboxes)
-                self._honest_step(round_index, inboxes)
-                self.adversary.react(round_index, self.network.in_flight())
-                rounds_executed = round_index + 1
-                if self._all_honest_halted():
-                    break
+        for round_index, inboxes in self.network.steps(self.max_rounds):
+            self.current_round = round_index
+            self.adversary.observe_deliveries(round_index, inboxes)
+            self._honest_step(round_index, inboxes)
+            self.adversary.react(round_index, self.network.in_flight())
+            rounds_executed = round_index + 1
+            if self._all_honest_halted():
+                break
 
         # The size memo pins message objects; this execution's messages
         # never recur in a later one, so release them now.

@@ -207,11 +207,6 @@ class SynchronousNetwork:
         """Envelopes staged this round (the rushing adversary's view)."""
         return list(self._staged)
 
-    def has_staged(self) -> bool:
-        """Whether the current staging window holds any envelope (the
-        event engine must execute the very next tick when it does)."""
-        return bool(self._staged)
-
     def is_suppressed(self, envelope: Envelope, recipient: NodeId) -> bool:
         blocked = self._suppressed.get(envelope.envelope_id, _NONE_BLOCKED)
         return True if blocked is None else recipient in blocked
@@ -264,3 +259,9 @@ class SynchronousNetwork:
         self._reset_window()
         self._delivered_round += 1
         return RoundInboxes(self.n, entries)
+
+    def steps(self, max_rounds: int) -> Iterator[Tuple[Round, RoundInboxes]]:
+        """The clock the engine steps by: ``(round, inboxes)`` for each of
+        ``max_rounds`` rounds, one :meth:`deliver` each."""
+        for round_index in range(max_rounds):
+            yield round_index, self.deliver()

@@ -32,7 +32,8 @@ class ExecutionResult:
     decided_rounds: Dict[NodeId, Optional[Round]]
     metrics: CommunicationMetrics
     inputs: Dict[NodeId, Bit] = field(default_factory=dict)
-    #: Every envelope ever staged, for trace analysis (repro.sim.trace).
+    #: Every envelope ever staged, for transcript analyses
+    #: (:meth:`honest_speakers`, invariants, replay).
     transcript: List[Envelope] = field(default_factory=list)
     #: False under ``metrics-only`` retention: ``transcript`` is empty
     #: because it was *discarded* (:meth:`require_transcript` refuses).
@@ -61,7 +62,7 @@ class ExecutionResult:
     def require_transcript(self) -> List[Envelope]:
         """The transcript, refusing to hand back a discarded one.
 
-        Transcript-based analyses (invariants, replay, trace summaries)
+        Transcript-based analyses (invariants, replay, the speaker set)
         must call this rather than read ``transcript`` directly: an
         execution run under ``metrics-only`` retention — every trial of
         a sweep cell — has an *empty* transcript that would make every
@@ -91,6 +92,13 @@ class ExecutionResult:
         """All forever-honest nodes output the same bit."""
         outputs = self.honest_outputs
         return len(set(outputs)) <= 1
+
+    def honest_speakers(self) -> Set[NodeId]:
+        """The nodes that multicast while honest: Theorem 2 makes this
+        set sublinear for the compiled protocols, and its size is the
+        Theorem 4 adversary's corruption bill."""
+        return {envelope.sender for envelope in self.require_transcript()
+                if envelope.is_multicast and envelope.honest_sender}
 
     def agreement_valid(self) -> bool:
         """Agreement validity w.r.t. the recorded inputs."""

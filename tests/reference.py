@@ -13,7 +13,7 @@ of them, all at once, and is written to be read rather than to be fast:
   as they did before nodes could sleep (:class:`ReferenceLeaderNode`,
   :class:`ReferenceAdaptiveNode`); and the clock visits every network
   round (the Δ-lockstep synchronizer,
-  :meth:`ReferenceSimulation._run_conditioned`).
+  :meth:`LegacyConditionedNetwork.steps`).
 - **Eager delivery, one draw per copy.**  A round's messages expand into
   one plain inbox per recipient (:func:`legacy_deliver`); under network
   conditions each copy draws its own latency with ``randint`` and waits
@@ -25,7 +25,7 @@ of them, all at once, and is written to be read rather than to be fast:
   call.
 
 The two step references of earlier suites are one class here:
-``LockstepSimulation``'s loop is :meth:`ReferenceSimulation._run_conditioned`,
+``LockstepSimulation``'s loop is :meth:`LegacyConditionedNetwork.steps`,
 and ``WakefulSimulation``'s step, the stream aside, is
 :func:`eager_honest_step`.
 
@@ -63,11 +63,11 @@ from repro.protocols.verification import VerificationCache
 from repro.rng import derive_rng, derive_seed
 from repro.serialization import canonical_bytes
 from repro.sim import engine as engine_module
-from repro.sim.conditions import NetworkConditions, NetworkStats
+from repro.sim.conditions import (
+    ConditionedNetwork, NetworkConditions, NetworkStats)
 from repro.sim.engine import Simulation
 from repro.sim.network import Delivery, Envelope, SynchronousNetwork
 from repro.sim.node import Node, RoundContext
-from repro.types import NodeId
 
 
 # -- verification that caches nothing -----------------------------------------
@@ -167,9 +167,11 @@ class _PendingCopy:
 class LegacyConditionedNetwork(SynchronousNetwork):
     """One heap entry ``(due_round, seq, recipient, copy)`` per copy; the
     public surface (``delay``, ``advance_to(round, inboxes)``,
-    ``next_due_round``, ``pending_copies``, ``finish_clock``,
+    ``next_due_round``, ``pending_copies``, ``steps``, the refused
     ``deliver``) matches ``ConditionedNetwork`` so the engine can run on
     it unchanged."""
+
+    deliver = ConditionedNetwork.deliver
 
     def __init__(self, n, conditions, seed=0, retain_transcript=True,
                  audience=None, corrupt=frozenset()):
@@ -295,17 +297,25 @@ class LegacyConditionedNetwork(SynchronousNetwork):
         for copy in self.pop_due(round_index):
             inboxes[copy.recipient].append(copy.delivery)
 
-    def finish_clock(self, network_rounds):
-        tail = network_rounds - self._delivered_round - 1
-        if tail > 0:
-            self.stats.skipped_ticks += tail
-            self.stats.network_rounds = network_rounds
-            self._delivered_round = network_rounds - 1
+    def steps(self, max_rounds):
+        """The Δ-lockstep synchronizer.
 
-    def deliver(self):
-        inboxes = {node: [] for node in range(self.n)}
-        self.advance_to(self._delivered_round + 1, inboxes)
-        return inboxes
+        With every copy delivered within Δ network rounds of sending
+        (post-GST), stepping the protocol only every Δ rounds guarantees
+        each step sees everything the previous step sent — so a
+        lock-step protocol runs unchanged under any Δ-bounded delivery
+        schedule.  The clock ticks every network round; deliveries
+        landing between steps accumulate into per-node buffers handed
+        over at the next step, and idle ticks run as no-ops
+        (``NetworkStats.skipped_ticks``).
+        """
+        stretch = self.conditions.delta
+        buffered = {node: [] for node in range(self.n)}
+        for network_round in range(max_rounds * stretch):
+            self.advance_to(network_round, buffered)
+            if network_round % stretch == 0:
+                yield network_round // stretch, buffered
+                buffered = {node: [] for node in range(self.n)}
 
 
 # -- the view machines' step before nodes could sleep -------------------------
@@ -456,41 +466,6 @@ class ReferenceSimulation(Simulation):
         fold_every_message(self.nodes)
 
     _honest_step = eager_honest_step
-
-    def _run_conditioned(self) -> int:
-        """The Δ-lockstep synchronizer.
-
-        With every copy delivered within Δ network rounds of sending
-        (post-GST), stepping the protocol only every Δ rounds guarantees
-        each step sees everything the previous step sent — so a
-        lock-step protocol runs unchanged under any Δ-bounded delivery
-        schedule.  ``current_round`` (and everything the adversary and
-        the nodes see) stays in *protocol* rounds; the network keeps its
-        own network-round clock.  Deliveries landing between steps
-        accumulate into per-node buffers handed over at the next step,
-        and idle ticks run as no-ops (``NetworkStats.skipped_ticks``).
-        """
-        stretch = self.conditions.delta
-        n = self.n
-        buffered: Dict[NodeId, list] = {node: [] for node in range(n)}
-        rounds_executed = 0
-        for network_round in range(self.max_rounds * stretch):
-            inboxes = self.network.deliver()
-            for node, deliveries in inboxes.items():
-                if deliveries:
-                    buffered[node].extend(deliveries)
-            if network_round % stretch:
-                continue
-            round_index = network_round // stretch
-            self.current_round = round_index
-            self.adversary.observe_deliveries(round_index, buffered)
-            self._honest_step(round_index, buffered)
-            buffered = {node: [] for node in range(n)}
-            self.adversary.react(round_index, self.network.in_flight())
-            rounds_executed = round_index + 1
-            if self._all_honest_halted():
-                break
-        return rounds_executed
 
 
 # -- the engine axis ----------------------------------------------------------

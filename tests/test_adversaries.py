@@ -19,7 +19,6 @@ from repro.protocols import (
     build_subquadratic_ba,
 )
 from repro.protocols.messages import VoteMsg
-from repro.sim.trace import summarize_transcript
 from repro.types import AdversaryModel, SecurityParameters
 
 PARAMS = SecurityParameters(lam=24, epsilon=0.1)
@@ -51,7 +50,7 @@ class TestCrashAdversary:
         instance = build_quadratic_ba(n, f, [1] * n, seed=0)
         result = run_instance(instance, f, CrashAdversary(), seed=0)
         silent = {node for node in range(n - f, n)}
-        speakers = summarize_transcript(result.transcript).honest_speakers
+        speakers = result.honest_speakers()
         assert not (speakers & silent)
 
 
@@ -85,7 +84,7 @@ class TestAdaptiveSpeaker:
         instance = build_subquadratic_ba(n, f, [1] * n, seed=2, params=PARAMS)
         adversary = AdaptiveSpeakerAdversary(instance)
         result = run_instance(instance, f, adversary, seed=2)
-        speakers = summarize_transcript(result.transcript).honest_speakers
+        speakers = result.honest_speakers()
         assert set(adversary.corrupted) <= speakers
 
     def test_spare_budget_respected(self):

@@ -17,6 +17,11 @@ copy* — is the reference executor's ``LegacyConditionedNetwork``
   recipient), the same :class:`NetworkStats` and the same RNG end state
   (the cross-recipient interleaving is not part of the contract; see
   :func:`assert_identical_streams`);
+- **the two clocks**: ``ConditionedNetwork.steps``, which jumps idle
+  ticks, against the reference's tick-every-round ``steps`` under the
+  same staging between steps, whole budget or stopped early: same
+  inboxes per step, stats (idle tail included), RNG state and queue
+  head;
 - **directed cases** for the orders a bucket must reproduce (a deferred
   copy healing into a non-empty bucket, behind its recipient's earlier
   copies; one round fed by two windows; overdue buckets);
@@ -299,6 +304,60 @@ def test_inert_copies_are_counted_not_filed(index):
     assert new[1:] == old[1:]
     inert += copies(want_pending) - copies(pending)  # still in flight
     assert inert > 0 or conditions.partitions
+
+
+# ---------------------------------------------------------------------------
+# The clocks: the event clock's jumps against the Δ-lockstep clock.
+# ---------------------------------------------------------------------------
+
+CLOCK_STEPS = 10
+
+
+def drive_steps(network_class, conditions, n, case, stop):
+    """Walk ``network.steps(CLOCK_STEPS)``, staging the batch ``case``
+    names after every step (where the engine's nodes and adversary
+    stage), and stop consuming after step ``stop`` (``None``: take every
+    step).  Returns each step's ``(round, inboxes)``, then the stats, the
+    RNG state and the queue head."""
+    rng = random.Random(f"clock-stream-{case}")
+    network = network_class(n, conditions, seed=case)
+    yielded = []
+    for round_index, inboxes in network.steps(CLOCK_STEPS):
+        yielded.append((round_index, inboxes))
+        if round_index == stop:
+            break
+        for index in range(rng.randint(0, 4)):
+            recipient = rng.choice((None, rng.randrange(n)))
+            envelope = network.stage(rng.randrange(n), recipient,
+                                     f"m{round_index}.{index}", round_index,
+                                     honest_sender=True)
+            if rng.random() < 0.2:
+                network.delay(envelope, rounds=rng.randint(1, 3))
+    return (yielded, dataclasses.asdict(network.stats),
+            network._rng.getstate(), network.next_due_round())
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_event_clock_matches_the_lockstep_clock(case):
+    """``ConditionedNetwork.steps`` visits only ticks with work; the
+    reference's ``LegacyConditionedNetwork.steps`` ticks every network
+    round.  Each step must get the same inboxes, and both must end with
+    the same stats, RNG state and queue head: the jumped ticks count as
+    ``skipped_ticks``, and so does the idle tail when the consumer takes
+    the whole budget, but not when it stops early (the engine's halt)."""
+    rng = random.Random(f"clock-conditions-{case}")
+    conditions = random_conditions(rng)
+    n = rng.randint(3, 8)
+    stop = rng.choice((None, rng.randrange(CLOCK_STEPS)))
+    new = drive_steps(ConditionedNetwork, conditions, n, case, stop)
+    assert new == drive_steps(
+        LegacyConditionedNetwork, conditions, n, case, stop)
+    rounds = [round_index for round_index, _ in new[0]]
+    last = CLOCK_STEPS - 1 if stop is None else stop
+    assert rounds == list(range(last + 1))
+    delta = conditions.delta
+    assert new[1]["network_rounds"] == (
+        CLOCK_STEPS * delta if stop is None else stop * delta + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,8 @@ def test_budget_exhaustion_accounts_the_idle_tail():
     """An execution that runs out its round budget without halting must
     report the same clock on both loops: the lock-step synchronizer
     ticks the network all the way to ``max_rounds·Δ``, so the event
-    engine's ``finish_clock`` must account the idle tail it never ran."""
+    clock, ``ConditionedNetwork.steps``, must account the idle tail it
+    never ran."""
     event = _execute("wan", EVENT, max_rounds=2)
     lockstep = _execute("wan", REFERENCE, max_rounds=2)
     assert observe(event) == observe(lockstep)

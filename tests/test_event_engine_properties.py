@@ -3,9 +3,10 @@
 Two layers of randomized evidence for the event engine:
 
 - **Scheduler-order invariants**, checked by driving a
-  :class:`~repro.sim.conditions.ConditionedNetwork` directly with the
-  event engine's own access pattern (jump to the earlier of the next
-  step frontier and the next due timestamp): no copy is ever delivered
+  :class:`~repro.sim.conditions.ConditionedNetwork`'s own clock,
+  :meth:`~repro.sim.conditions.ConditionedNetwork.steps`, tick by tick
+  (it jumps to the earlier of the next step frontier and the next due
+  timestamp): no copy is ever delivered
   before its timestamp, post-GST deliveries respect the Δ clamp, no
   copy ever crosses an active partition, and deferred copies heal in
   their original queue order.
@@ -51,7 +52,7 @@ SCHEDULER_CASES = range(60)
 
 
 # ---------------------------------------------------------------------------
-# Scheduler-order invariants (unit level, event-engine access pattern)
+# Scheduler-order invariants (unit level, the network's own clock)
 # ---------------------------------------------------------------------------
 
 def blocking_partition(conditions, copy, round_index, n):
@@ -66,28 +67,29 @@ def blocking_partition(conditions, copy, round_index, n):
 
 def drive_event_pattern(network: ConditionedNetwork, rng: random.Random,
                         steps: int = 8):
-    """Replicate the event engine's clock walk over a conditioned
-    network, staging a random message batch at every step frontier.
-    Returns ``(delivered_round, copy)`` records in delivery order, each
-    ``copy`` a :class:`~repro.sim.conditions.PendingCopy`.
+    """Walk ``network.steps(steps)``, staging a random message batch at
+    every step it yields.  Returns ``(delivered_round, copy)`` records in
+    delivery order, each ``copy`` a
+    :class:`~repro.sim.conditions.PendingCopy`.
 
-    The network only hands back per-recipient lists, so the walk reads
-    the public :meth:`~ConditionedNetwork.pending_copies` snapshot around
-    every tick and checks the tick against it: what was already in the
-    calendar and due is delivered first, in calendar order, unless an
-    active partition moves it to its heal round; whatever else arrives
-    was scheduled by this very tick from the window staged before it."""
+    The network only hands back per-recipient lists, so every tick the
+    walk makes goes through a wrapped ``advance_to`` that reads the
+    public :meth:`~ConditionedNetwork.pending_copies` snapshot around it
+    and checks the tick against it: what was already in the calendar
+    and due is delivered first, in calendar order, unless an active
+    partition moves it to its heal round; whatever else arrives was
+    scheduled by this very tick from the window staged before it."""
     conditions = network.conditions
-    delta = conditions.delta
-    limit = steps * delta
     n = network.n
     records = []
-    staged = set()
-    previous = network_round = 0
-    while network_round < limit:
+    tick = network.advance_to
+    previous = [0]
+
+    def checked_tick(network_round, inboxes):
         before = network.pending_copies()
-        inboxes = {node: [] for node in range(n)}
-        network.advance_to(network_round, inboxes)
+        staged = {envelope.payload for envelope in network.in_flight()}
+        held = {node: len(inboxes[node]) for node in range(n)}
+        tick(network_round, inboxes)
         after = network.pending_copies()
         # The skip-ahead walk never overshoots a timestamp, and no due
         # copy outlives its tick except through a partition.
@@ -103,32 +105,23 @@ def drive_event_pattern(network: ConditionedNetwork, rng: random.Random,
             else:
                 assert copy._replace(due_round=partition.end) in after
         for node in range(n):
+            arrived = inboxes[node][held[node]:]
             mine = [copy for copy in released if copy.recipient == node]
-            assert inboxes[node][:len(mine)] == [
-                copy.delivery for copy in mine]
+            assert arrived[:len(mine)] == [copy.delivery for copy in mine]
             records.extend((network_round, copy) for copy in mine)
-            for delivery in inboxes[node][len(mine):]:
+            for delivery in arrived[len(mine):]:
                 assert delivery.payload in staged
                 records.append((network_round, PendingCopy(
-                    network_round, previous, node, delivery)))
-        staged = set()
-        if network_round % delta == 0:
-            for index in range(rng.randint(0, 3)):
-                sender = rng.randrange(n)
-                recipient = rng.choice((None, rng.randrange(n)))
-                staged.add(f"m{network_round}.{index}")
-                network.stage(sender, recipient,
-                              f"m{network_round}.{index}", network_round,
-                              honest_sender=True)
-        previous = network_round
-        if network.has_staged():
-            network_round += 1
-            continue
-        upcoming = network_round - network_round % delta + delta
-        due_next = network.next_due_round()
-        if due_next is not None and due_next < upcoming:
-            upcoming = due_next
-        network_round = upcoming
+                    network_round, previous[0], node, delivery)))
+        previous[0] = network_round
+
+    network.advance_to = checked_tick
+    for round_index, _ in network.steps(steps):
+        for index in range(rng.randint(0, 3)):
+            sender = rng.randrange(n)
+            recipient = rng.choice((None, rng.randrange(n)))
+            network.stage(sender, recipient, f"m{round_index}.{index}",
+                          round_index, honest_sender=True)
     return records
 
 

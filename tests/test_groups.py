@@ -5,11 +5,28 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.crypto.groups import (
-    MODP_2048_GROUP,
-    SchnorrGroup,
-    TEST_GROUP,
-    is_probable_prime,
+from repro.crypto.groups import SchnorrGroup, TEST_GROUP, is_probable_prime
+
+# RFC 3526 group 14 (2048-bit MODP).  p is a safe prime; 4 = 2^2 generates
+# the order-q subgroup of quadratic residues.
+_MODP_2048_P = int(
+    "FFFFFFFFFFFFFFFFC90FDAA22168C234C4C6628B80DC1CD129024E08"
+    "8A67CC74020BBEA63B139B22514A08798E3404DDEF9519B3CD3A431B"
+    "302B0A6DF25F14374FE1356D6D51C245E485B576625E7EC6F44C42E9"
+    "A637ED6B0BFF5CB6F406B7EDEE386BFB5A899FA5AE9F24117C4B1FE6"
+    "49286651ECE45B3DC2007CB8A163BF0598DA48361C55D39A69163FA8"
+    "FD24CF5F83655D23DCA3AD961C62F356208552BB9ED529077096966D"
+    "670C354E4ABC9804F1746C08CA18217C32905E462E36CE3BE39E772C"
+    "180E86039B2783A2EC07A28FB5C55DF06F4C52C9DE2BCBF695581718"
+    "3995497CEA956AE515D2261898FA051015728E5A8AACAA68FFFFFFFF"
+    "FFFFFFFF",
+    16,
+)
+MODP_2048_GROUP = SchnorrGroup(
+    name="modp-2048",
+    p=_MODP_2048_P,
+    q=(_MODP_2048_P - 1) // 2,
+    g=4,
 )
 
 

@@ -18,9 +18,16 @@ from tests import reference
 from tests.reference import both_engines
 
 
+def tick(network):
+    """Execute the network's next tick and return its inboxes."""
+    inboxes = {node: [] for node in range(network.n)}
+    network.advance_to(network.stats.network_rounds, inboxes)
+    return inboxes
+
+
 def drain(network, rounds):
     """Collect per-round inboxes over several network rounds."""
-    return [network.deliver() for _ in range(rounds)]
+    return [tick(network) for _ in range(rounds)]
 
 
 class TestConditionsValidation:
@@ -114,10 +121,10 @@ class TestScheduling:
     def test_fixed_latency_delivers_exactly_then(self):
         conditions = NetworkConditions(delta=3, latency=("fixed", 3))
         network = ConditionedNetwork(3, conditions, seed=0)
-        network.deliver()  # round 0 (nothing staged yet)
+        tick(network)  # round 0 (nothing staged yet)
         network.stage(0, 1, "m", 0, honest_sender=True)
         assert network.next_due_round() is None  # staged, not scheduled
-        rounds = [network.deliver()]
+        rounds = [tick(network)]
         assert network.next_due_round() == 3
         rounds.extend(drain(network, 2))
         assert rounds[0][1] == []  # round 1
@@ -129,7 +136,7 @@ class TestScheduling:
         """A latency draw above Δ cannot escape the Δ bound post-GST."""
         conditions = NetworkConditions(delta=2, latency=("fixed", 50))
         network = ConditionedNetwork(2, conditions, seed=0)
-        network.deliver()
+        tick(network)
         network.stage(0, 1, "m", 0, honest_sender=True)
         rounds = drain(network, 2)
         assert [d.payload for d in rounds[1][1]] == ["m"]
@@ -138,7 +145,7 @@ class TestScheduling:
         conditions = NetworkConditions(
             delta=2, gst=100, latency=("fixed", 50), pre_gst_cap=4)
         network = ConditionedNetwork(2, conditions, seed=0)
-        network.deliver()
+        tick(network)
         network.stage(0, 1, "m", 0, honest_sender=True)
         rounds = drain(network, 4)
         assert [d.payload for d in rounds[3][1]] == ["m"]
@@ -146,7 +153,7 @@ class TestScheduling:
     def test_pre_gst_drop_everything(self):
         conditions = NetworkConditions(delta=2, gst=1000, drop_rate=0.99)
         network = ConditionedNetwork(2, conditions, seed=0)
-        network.deliver()
+        tick(network)
         for _ in range(20):
             network.stage(0, 1, "m", 0, honest_sender=True)
         delivered = sum(len(r[1]) for r in drain(network, 10))
@@ -167,7 +174,7 @@ class TestScheduling:
         conditions = NetworkConditions(delta=2, gst=1000,
                                        duplicate_rate=0.99)
         network = ConditionedNetwork(2, conditions, seed=0)
-        network.deliver()
+        tick(network)
         network.stage(0, 1, "m", 0, honest_sender=True)
         delivered = sum(len(r[1]) for r in drain(network, 10))
         assert delivered == 2
@@ -178,7 +185,7 @@ class TestScheduling:
 
         def schedule(seed):
             network = ConditionedNetwork(4, conditions, seed=seed)
-            network.deliver()
+            tick(network)
             for index in range(10):
                 network.stage(0, None, index, 0, honest_sender=True)
             return [
@@ -195,7 +202,7 @@ class TestScheduling:
         rounds — the reordering partial synchrony is about."""
         conditions = NetworkConditions(delta=4, latency=("uniform", 1, 4))
         network = ConditionedNetwork(8, conditions, seed=1)
-        network.deliver()
+        tick(network)
         network.stage(0, None, "m", 0, honest_sender=True)
         arrival = {}
         for round_index, inboxes in enumerate(drain(network, 4), start=1):
@@ -206,11 +213,20 @@ class TestScheduling:
         assert len(set(arrival.values())) > 1
 
 
+    def test_refuses_the_lock_step_turnover(self):
+        """The staging window drains into the calendar, never straight
+        into the next round's inboxes as the inherited ``deliver`` would."""
+        network = ConditionedNetwork(2, NetworkConditions(delta=2), seed=0)
+        network.stage(0, 1, "m", 0, honest_sender=True)
+        with pytest.raises(SimulationError, match="advance_to"):
+            network.deliver()
+
+
 class TestSuppressionAndDelay:
     def test_suppression_still_respected(self):
         conditions = NetworkConditions(delta=2)
         network = ConditionedNetwork(4, conditions, seed=0)
-        network.deliver()
+        tick(network)
         envelope = network.stage(0, None, "m", 0, honest_sender=True)
         network.suppress(envelope, recipient=2)
         delivered_to = set()
@@ -222,7 +238,7 @@ class TestSuppressionAndDelay:
     def test_delay_defers_delivery_to_delta_deadline(self):
         conditions = NetworkConditions(delta=3, latency=("fixed", 1))
         network = ConditionedNetwork(2, conditions, seed=0)
-        network.deliver()
+        tick(network)
         envelope = network.stage(0, 1, "m", 0, honest_sender=True)
         network.delay(envelope, rounds=10)  # clamped to Δ = 3
         rounds = drain(network, 3)
@@ -233,9 +249,9 @@ class TestSuppressionAndDelay:
     def test_delay_window_is_the_staging_round(self):
         conditions = NetworkConditions(delta=2)
         network = ConditionedNetwork(2, conditions, seed=0)
-        network.deliver()
+        tick(network)
         envelope = network.stage(0, 1, "m", 0, honest_sender=True)
-        network.deliver()  # envelope now scheduled, no longer staged
+        tick(network)  # envelope now scheduled, no longer staged
         with pytest.raises(SimulationError):
             network.delay(envelope, rounds=1)
 
@@ -244,16 +260,16 @@ class TestSuppressionAndDelay:
         so it must not inflate adversary_delayed_copies."""
         conditions = NetworkConditions(delta=1, latency=("geometric", 0.5))
         network = ConditionedNetwork(2, conditions, seed=0)
-        network.deliver()
+        tick(network)
         envelope = network.stage(0, 1, "m", 0, honest_sender=True)
         network.delay(envelope, rounds=5)  # Δ=1: fully clamped away
-        assert [d.payload for d in network.deliver()[1]] == ["m"]
+        assert [d.payload for d in tick(network)[1]] == ["m"]
         assert network.stats.adversary_delayed_copies == 0
 
     def test_delay_rejects_nonpositive(self):
         conditions = NetworkConditions(delta=2)
         network = ConditionedNetwork(2, conditions, seed=0)
-        network.deliver()
+        tick(network)
         envelope = network.stage(0, 1, "m", 0, honest_sender=True)
         with pytest.raises(SimulationError):
             network.delay(envelope, rounds=0)
@@ -272,7 +288,7 @@ class TestPartitions:
         conditions = NetworkConditions(
             delta=1, latency=("fixed", 1), partitions=(partition,))
         network = ConditionedNetwork(4, conditions, seed=0)
-        network.deliver()
+        tick(network)
         network.stage(0, 3, "cross", 0, honest_sender=True)  # 0 | 3
         network.stage(0, 1, "local", 0, honest_sender=True)  # same side
         rounds = drain(network, 6)

@@ -10,10 +10,12 @@ Nothing in ``src/`` resolves a dotted name at run time
 (``importlib.import_module``, ``__import__``): that is an import this
 scan could not see.  docs/ARCHITECTURE.md lists the same order.
 
-Every module must also be *reached*: run by importing a command's entry
-point (:data:`ENTRY_POINTS`), by the same scan, or named in
-:data:`UNREACHED` with the reason it stays.  Code no command reaches
-feeds no claim, so it does not belong in ``src/``.
+Every module must also be *reached* from a command's entry point
+(:data:`ENTRY_POINTS`) by the same scan, or named in :data:`UNREACHED`
+with the reason it stays.  The scan counts names: a name taken from a
+package reaches the module the package's ``__init__`` re-exports it
+from, and no other module that ``__init__`` re-exports.  Code no
+command reaches feeds no claim, so it does not belong in ``src/``.
 """
 
 import ast
@@ -41,6 +43,12 @@ UNREACHED = {
     "repro.harness.profiling":
         "bench/proxies.py imports it; item 5 (a) or item 6's PR A "
         "replaces it",
+    "repro.adversaries.adaptive_committee":
+        "an example and tests run it; item 4's claimed-model matrix runs "
+        "it as an attack outside static-committee's claim",
+    "repro.analysis.complexity":
+        "only tests read its predictions; item 11's ledger states them "
+        "as the bounds beside the measured rows",
 }
 
 
@@ -98,20 +106,47 @@ def _with_packages(module):
     return [".".join(parts[:end]) for end in range(1, len(parts) + 1)]
 
 
+def _reexports(module, tree, trees):
+    """The top-level ``from`` imports of ``module`` that take no module,
+    when it is a package ``__init__``, and ``{package.name: module.name}``
+    for the names they re-export."""
+    statements, names = [], {}
+    if any(other.startswith(module + ".") for other in trees):
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom):
+                taken = {f"{module}.{alias.asname or alias.name}":
+                         f"{node.module}.{alias.name}" for alias in node.names}
+                if not set(taken.values()) & set(trees):
+                    statements.append(node)
+                    names.update(taken)
+    return statements, names
+
+
 def reached_modules(trees, entry_points=ENTRY_POINTS):
-    """The names in ``trees`` (module name -> AST) that importing
-    ``entry_points`` runs."""
-    reached = set()
+    """The modules in ``trees`` (module name -> AST) that importing
+    ``entry_points`` reaches, counting names: a package ``__init__``'s
+    re-export reaches the module it takes a name from only when a
+    reached module takes that name from the package."""
+    reexported, runs = {}, {}
+    for module, tree in trees.items():
+        statements, names = _reexports(module, tree, trees)
+        reexported.update(names)
+        body = [node for node in tree.body if node not in statements]
+        runs[module] = [imported for _, imported in imported_modules(
+            ast.Module(body=body, type_ignores=[]))]
+    seen = set()
     pending = [name for entry in entry_points
                for name in _with_packages(entry)]
     while pending:
-        module = pending.pop()
-        if module in reached or module not in trees:
+        name = pending.pop()
+        if name in seen:
             continue
-        reached.add(module)
-        for _, imported in imported_modules(trees[module]):
+        seen.add(name)
+        if name in reexported:
+            pending.extend(_with_packages(reexported[name]))
+        for imported in runs.get(name, ()):
             pending.extend(_with_packages(imported))
-    return reached
+    return seen & set(trees)
 
 
 def test_the_scan_sees_deferred_imports_and_skips_type_checking():
@@ -178,6 +213,17 @@ def test_the_closure_check_drops_an_entry_once_it_is_deleted():
 
 def test_a_package_init_runs_before_its_submodule():
     trees = _toy_tree(**{"repro.sim": "from repro.sim import spare\n"})
+    assert closure_mismatch(trees, {}, ("repro.cli",)) == ([], [])
+
+
+def test_a_reexport_reaches_only_the_names_taken_from_the_package():
+    trees = _toy_tree(**{
+        "repro.cli": "from repro.sim import run\n",
+        "repro.sim": "from repro.sim.engine import run\n"
+                     "from repro.sim.spare import Spare as Unused\n"})
+    assert closure_mismatch(trees, {}, ("repro.cli",)) == (
+        ["repro.sim.spare"], [])
+    trees["repro.cli"] = ast.parse("from repro.sim import run, Unused\n")
     assert closure_mismatch(trees, {}, ("repro.cli",)) == ([], [])
 
 

@@ -46,6 +46,27 @@ def test_quadratic_ba_n96_check_call_budget():
         f"budget {budget}: verification memoization has regressed")
 
 
+def test_phase_budget_books_each_clock_to_its_seam():
+    """The bench's ``sim.deliver_ms`` and ``sim.scheduler_ms`` read these
+    buckets: the lock-step clock ticks through ``deliver`` and never the
+    scheduler; a conditioned clock ticks through ``advance_to`` and never
+    ``deliver``.  A clock that bypassed its seam would read 0 here."""
+    from repro.sim.conditions import NETWORKS
+
+    n, f = 16, 5
+
+    def budget(**kwargs):
+        instance = build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=1)
+        return profile_phase_budget(instance, f, seed=1, **kwargs)
+
+    lockstep = budget()
+    assert lockstep.deliver_seconds > 0
+    assert lockstep.scheduler_seconds == 0
+    wan = budget(conditions=NETWORKS["wan"])
+    assert wan.scheduler_seconds > 0
+    assert wan.deliver_seconds == 0
+
+
 def test_quadratic_ba_n96_handler_call_budget():
     """A benign run is all plain multicasts, so every round is absorbed
     from one shared digest: one step per *message* (≈ n per round), not

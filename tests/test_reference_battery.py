@@ -27,7 +27,7 @@ on one core, so the battery cuts what repeats itself:
 - entries taking ``params`` run at their registry config (n = 32,
   f = 8, λ = 12), once per adversary, the networks taken in turn.
 
-That is 297 cells in ≈ 12 s.
+That is 285 cells in ≈ 12 s.
 
 **Proof of teeth.**  Each of these one-line mutants, applied to a copy
 of ``src/``, fails these cells:
