@@ -14,15 +14,15 @@ from repro.serialization import canonical_bytes
 
 
 def hash_bytes(domain: str, *parts: bytes) -> bytes:
-    """SHA-256 over a domain tag and length-framed byte parts."""
-    hasher = hashlib.sha256()
+    """SHA-256 over a domain tag and length-framed byte parts, hashed as
+    one joined string (one ``update`` per frame costs more than the
+    copy)."""
     tag = domain.encode("ascii")
-    hasher.update(len(tag).to_bytes(2, "big"))
-    hasher.update(tag)
+    framed = [len(tag).to_bytes(2, "big"), tag]
     for part in parts:
-        hasher.update(len(part).to_bytes(8, "big"))
-        hasher.update(part)
-    return hasher.digest()
+        framed.append(len(part).to_bytes(8, "big"))
+        framed.append(part)
+    return hashlib.sha256(b"".join(framed)).digest()
 
 
 def hash_to_int(domain: str, *parts: bytes) -> int:

@@ -86,6 +86,9 @@ class KeyRegistry:
         # canonical_bytes of a signed topic, per type_tagged(topic): every
         # signer of ("Vote", r, b) digests the same encoding.
         self._topic_bytes: dict = {}
+        # canonical_bytes of a signer id, per type_tagged(node_id): a node
+        # signs many topics and its id encodes the same every time.
+        self._signer_bytes: dict = {}
         # id(signature) -> (signature, type-tagged (node, message)) per
         # ideal signature issued on a hashable message: the object a node
         # signs is the one its recipients verify, by identity and tag, with
@@ -122,9 +125,10 @@ class KeyRegistry:
 
     def _expected_digest(self, node_id: NodeId, message: Any,
                          tag: Any = None) -> tuple:
-        """``hash_objects("ideal-sig", node_id, message)`` with the topic
-        encoded once per ``type_tagged`` form, and the ``(node, message)``
-        tag, or ``None`` for an unhashable (so mutable) message."""
+        """``hash_objects("ideal-sig", node_id, message)`` with the signer
+        and the topic each encoded once per ``type_tagged`` form, and the
+        ``(node, message)`` tag, or ``None`` for an unhashable (so
+        mutable) message."""
         try:
             if tag is None:
                 tag = (type_tagged(node_id), type_tagged(message))
@@ -133,7 +137,10 @@ class KeyRegistry:
             return hash_objects("ideal-sig", node_id, message), None
         if encoded is None:
             encoded = self._topic_bytes[tag[1]] = canonical_bytes(message)
-        return hash_bytes("ideal-sig", canonical_bytes(node_id), encoded), tag
+        signer = self._signer_bytes.get(tag[0])
+        if signer is None:
+            signer = self._signer_bytes[tag[0]] = canonical_bytes(node_id)
+        return hash_bytes("ideal-sig", signer, encoded), tag
 
     # -- verification ------------------------------------------------------
     def verify(self, node_id: NodeId, message: Any, signature: Signature) -> bool:

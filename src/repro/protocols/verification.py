@@ -11,11 +11,12 @@ table is keyed by follows how its objects come to exist:
   copies of a vote arrive by different routes (inside a certificate, as
   a ``VoteMsg``): vote, topic and proposal checks are keyed by
   **content**.
-- **Certificates and decide quorums are interned at construction**
-  (``certificate_from_votes``, ``view_machine.intern_quorum``) and the
-  simulation hands every recipient of a message the same payload: all
-  three are keyed by **identity**, and a content-equal copy that is not
-  the identical object is simply verified again.
+- **Wrapped votes, certificates and decide quorums are interned at
+  construction** (``signed_vote``, ``certificate_from_votes``,
+  ``view_machine.intern_quorum``) and the simulation hands every
+  recipient of a message the same payload: all three are keyed by
+  **identity** (``_vote_true_by_id`` in front of the vote's content
+  key), and any other copy is verified again.
 
 Soundness rests on three invariants:
 
@@ -79,8 +80,9 @@ class VerificationCache:
     successful verification serves every other node.
     """
 
-    __slots__ = ("_auth", "_proposals", "_cert_true_by_id",
-                 "_quorum_true_by_id", "valid_payloads", "_round_digest")
+    __slots__ = ("_auth", "_proposals", "_vote_true_by_id",
+                 "_cert_true_by_id", "_quorum_true_by_id", "valid_payloads",
+                 "_round_digest")
 
     def __init__(self) -> None:
         # type_tagged (node_id, topic, auth) of verified checks; covers
@@ -88,6 +90,9 @@ class VerificationCache:
         self._auth: set = set()
         # type_tagged (sender, iteration, bit, auth) of verified proposals.
         self._proposals: set = set()
+        # Identity front: verified SignedVote objects, which signed_vote
+        # interns (a vote and every certificate holding it share one).
+        self._vote_true_by_id: Dict[int, SignedVote] = {}
         # Identity front: certificate objects known to have verified.
         # Construction interns certificates, so the later recipients and
         # re-assemblers of a quorum hold the same object.
@@ -153,14 +158,23 @@ class VerificationCache:
 
     def check_vote(self, authenticator: Authenticator,
                    vote: SignedVote) -> bool:
-        """Memoized vote check, keyed ``(voter, iteration, bit, auth)``.
-
-        Shares entries with :meth:`check_auth` — a vote arriving inside a
-        certificate and the same vote arriving as a ``VoteMsg`` hit the
-        same cache line.
-        """
-        return self.check_auth(authenticator, vote.voter,
-                               ("Vote", vote.iteration, vote.bit), vote.auth)
+        """Memoized vote check: by identity, then by the content key
+        ``(voter, iteration, bit, auth)`` it shares with :meth:`check_auth`
+        (a vote inside a certificate and as a ``VoteMsg`` hit one line).
+        Only a vote that hashes (so holds no mutable auth) is kept by
+        identity."""
+        if self._vote_true_by_id.get(id(vote)) is vote:
+            return True
+        valid = self.check_auth(authenticator, vote.voter,
+                                ("Vote", vote.iteration, vote.bit), vote.auth)
+        if valid:
+            try:
+                hash(vote)
+            except TypeError:
+                return valid
+            _trim(self._vote_true_by_id)
+            self._vote_true_by_id[id(vote)] = vote
+        return valid
 
     def check_certificate(self, certificate: Certificate, threshold: int,
                           check_vote: Callable[[SignedVote], bool]) -> bool:

@@ -622,9 +622,7 @@ class ConditionedNetwork(SynchronousNetwork):
         scheduled; post-GST the total is still clamped to Δ, so the
         adversary can push a copy to the Δ deadline but never past it.
         """
-        if envelope.envelope_id not in self._staged_ids:
-            raise SimulationError(
-                "cannot delay a message that is not in flight")
+        self._require_in_flight(envelope, "delay")
         if rounds < 1:
             raise SimulationError(f"delay must be >= 1 round, got {rounds}")
         key = (envelope.envelope_id, recipient)

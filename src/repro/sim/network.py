@@ -32,13 +32,19 @@ sender, sender self-skip on unicasts, per-``(envelope, recipient)``
 suppression) is stated once, in :meth:`_surviving_entries`; both
 :meth:`deliver` and the conditioned network's window scheduler (which
 fans each record out into per-recipient copies) consume it.
+
+:class:`Envelope` and :class:`Delivery` are ``NamedTuple`` records,
+built positionally (no per-field ``object.__setattr__``) once per send
+and once per surviving envelope.  They are network bookkeeping, never
+message content, so no payload may carry one — the size model would
+measure it as a sequence, not a record.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass
-from typing import Any, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Set, Tuple)
 
 from repro.errors import SimulationError
 from repro.types import NodeId, Round
@@ -47,8 +53,7 @@ from repro.types import NodeId, Round
 _NONE_BLOCKED: FrozenSet[NodeId] = frozenset()
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     """One send operation: a unicast (``recipient`` set) or a multicast."""
 
     envelope_id: int
@@ -63,8 +68,7 @@ class Envelope:
         return self.recipient is None
 
 
-@dataclass(frozen=True)
-class Delivery:
+class Delivery(NamedTuple):
     """A message as seen by its recipient (channel-authenticated sender)."""
 
     sender: NodeId
@@ -142,8 +146,10 @@ class SynchronousNetwork:
             raise SimulationError("network needs at least one node")
         self.n = n
         self._next_envelope_id = 0
+        #: Id of the current window's first envelope: an envelope is in
+        #: flight iff ``_window_start <= envelope_id < _next_envelope_id``.
+        self._window_start = 0
         self._staged: List[Envelope] = []
-        self._staged_ids: Set[int] = set()
         #: envelope_id -> suppressed recipients; ``None`` means every copy
         #: of the envelope is suppressed (O(1) instead of n set entries).
         self._suppressed: Dict[int, Optional[Set[NodeId]]] = {}
@@ -161,17 +167,10 @@ class SynchronousNetwork:
         """Record a send; the message leaves the sender immediately."""
         if recipient is not None and not 0 <= recipient < self.n:
             raise SimulationError(f"recipient {recipient} out of range")
-        envelope = Envelope(
-            envelope_id=self._next_envelope_id,
-            sender=sender,
-            recipient=recipient,
-            payload=payload,
-            round_sent=round_sent,
-            honest_sender=honest_sender,
-        )
+        envelope = Envelope(self._next_envelope_id, sender, recipient,
+                            payload, round_sent, honest_sender)
         self._next_envelope_id += 1
         self._staged.append(envelope)
-        self._staged_ids.add(envelope.envelope_id)
         if self.retain_transcript:
             self.transcript.append(envelope)
         return envelope
@@ -189,9 +188,7 @@ class SynchronousNetwork:
         ``(envelope_id, sender)`` entry for the sender's own copy, which
         does not exist (a sender never receives its own message).
         """
-        if envelope.envelope_id not in self._staged_ids:
-            raise SimulationError(
-                "cannot suppress a message that is not in flight")
+        self._require_in_flight(envelope, "suppress")
         if recipient is None:
             self._suppressed[envelope.envelope_id] = None
         else:
@@ -202,6 +199,13 @@ class SynchronousNetwork:
                 self._suppressed[envelope.envelope_id] = {recipient}
             else:
                 blocked.add(recipient)
+
+    def _require_in_flight(self, envelope: Envelope, verb: str) -> None:
+        """Refuse an envelope outside the current staging window."""
+        if not (self._window_start <= envelope.envelope_id
+                < self._next_envelope_id):
+            raise SimulationError(
+                f"cannot {verb} a message that is not in flight")
 
     def in_flight(self) -> List[Envelope]:
         """Envelopes staged this round (the rushing adversary's view)."""
@@ -233,13 +237,11 @@ class SynchronousNetwork:
             if recipient is not None and (
                     recipient == envelope.sender or recipient in blocked):
                 continue
-            yield (envelope,
-                   Delivery(sender=envelope.sender, payload=envelope.payload),
-                   blocked)
+            yield envelope, Delivery(envelope.sender, envelope.payload), blocked
 
     def _reset_window(self) -> None:
         self._staged = []
-        self._staged_ids = set()
+        self._window_start = self._next_envelope_id
         self._suppressed = {}
 
     def deliver(self) -> RoundInboxes:

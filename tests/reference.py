@@ -87,6 +87,11 @@ class UncachedVerification(VerificationCache):
     def check_auth(self, authenticator, node_id, topic, auth):
         return authenticator.check(node_id, topic, auth)
 
+    def check_vote(self, authenticator, vote):
+        return authenticator.check(vote.voter,
+                                   ("Vote", vote.iteration, vote.bit),
+                                   vote.auth)
+
     def check_certificate(self, certificate, threshold, check_vote):
         return verify_certificate(certificate, threshold, check_vote)
 
@@ -187,9 +192,7 @@ class LegacyConditionedNetwork(SynchronousNetwork):
         self._extra_delay: Dict[Tuple[int, Optional[int]], int] = {}
 
     def delay(self, envelope, recipient=None, rounds=1):
-        if envelope.envelope_id not in self._staged_ids:
-            raise SimulationError(
-                "cannot delay a message that is not in flight")
+        self._require_in_flight(envelope, "delay")
         if rounds < 1:
             raise SimulationError(f"delay must be >= 1 round, got {rounds}")
         key = (envelope.envelope_id, recipient)

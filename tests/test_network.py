@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.network import SynchronousNetwork
+from repro.sim.conditions import ConditionedNetwork, NetworkConditions
+from repro.sim.network import Delivery, Envelope, SynchronousNetwork
 
 
 class TestDelivery:
@@ -119,6 +120,49 @@ class TestSuppression:
         network.suppress(envelope, recipient=1)
         network.suppress(envelope)
         assert all(network.deliver()[node] == [] for node in range(4))
+
+
+class TestStagingWindow:
+    """An envelope is in flight iff its id lies in the current window:
+    ``suppress`` and ``delay`` refuse one from a drained window (or one
+    never staged) and accept one from the current window."""
+
+    def test_suppress_refuses_a_drained_window(self):
+        network = SynchronousNetwork(4)
+        drained = network.stage(0, None, "old", 0, honest_sender=True)
+        network.deliver()
+        current = network.stage(1, None, "new", 1, honest_sender=True)
+        with pytest.raises(SimulationError, match="not in flight"):
+            network.suppress(drained)
+        with pytest.raises(SimulationError, match="not in flight"):
+            network.suppress(current._replace(envelope_id=2))
+        network.suppress(current, recipient=2)
+        inboxes = network.deliver()
+        assert inboxes[2] == []
+        assert [d.payload for d in inboxes[0]] == ["new"]
+
+    def test_delay_refuses_a_drained_window(self):
+        network = ConditionedNetwork(3, NetworkConditions(delta=3), seed=0)
+        drained = network.stage(0, 1, "old", 0, honest_sender=True)
+        network.advance_to(0, {node: [] for node in range(3)})
+        current = network.stage(0, 1, "new", 0, honest_sender=True)
+        with pytest.raises(SimulationError, match="not in flight"):
+            network.delay(drained)
+        with pytest.raises(SimulationError, match="not in flight"):
+            network.delay(current._replace(envelope_id=2))
+        network.delay(current, rounds=2)
+        assert network._extra_delay == {(current.envelope_id, None): 2}
+
+    def test_records_are_immutable_values(self):
+        envelope = Envelope(0, 1, None, "m", 0, True)
+        delivery = Delivery(1, "m")
+        assert envelope.is_multicast
+        assert envelope == Envelope(0, 1, None, "m", 0, True)
+        assert delivery == Delivery(sender=1, payload="m")
+        assert hash(delivery) == hash(Delivery(1, "m"))
+        for record, field in ((envelope, "payload"), (delivery, "sender")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, "forged")
 
 
 class TestTranscript:

@@ -169,6 +169,31 @@ class TestCertificateCacheSoundness:
         assert not node._check_vote_auth(bad)
         assert node._check_vote_auth(good)
 
+    def test_vote_identity_front_keeps_only_verified_votes(self):
+        """A refused vote object is refused on every sight, a verified one
+        is then known by identity, and one whose auth is unhashable (so
+        could change) is never kept by identity."""
+        from repro.protocols.verification import VerificationCache
+
+        instance, registry, node = self._instance()
+        forged = SignedVote(iteration=1, bit=1, voter=2, auth=registry
+                            .capability_for(5).sign(("Vote", 1, 1)))
+        assert not node._check_vote_auth(forged)
+        assert not node._check_vote_auth(forged)
+        good = SignedVote(iteration=1, bit=1, voter=2, auth=registry
+                          .capability_for(2).sign(("Vote", 1, 1)))
+        assert node._check_vote_auth(good)
+        assert node._verification._vote_true_by_id == {id(good): good}
+
+        class AcceptsAll:
+            def check(self, node_id, topic, auth):
+                return True
+
+        cache = VerificationCache()
+        mutable = SignedVote(iteration=1, bit=1, voter=2, auth=["sig"])
+        assert cache.check_vote(AcceptsAll(), mutable)
+        assert cache._vote_true_by_id == {}
+
 
 class TestDeterminism:
     def test_identical_results_with_and_without_caching(self):

@@ -100,6 +100,20 @@ class TestIdealLedger:
         assert registry.verify(1, ("Vote", 1, True), signature)
         assert not registry.verify(1, ("Vote", 1, 1), signature)
 
+    def test_bool_signer_is_not_its_int_twin(self):
+        """The signer's encoding is memoized per type-tagged id, so node
+        1's signature must not verify for signer ``True`` — not by its
+        ledger entry, nor by a copy that goes through the digest, in
+        either order of warming the memo."""
+        registry = KeyRegistry(4, IDEAL_MODE)
+        signature = registry.capability_for(1).sign("m")
+        copy = IdealSignature(signer=1, digest=signature.digest)
+        assert not registry.verify(True, "m", copy)
+        assert not registry.verify(True, "m", signature)
+        assert registry.verify(1, "m", copy)
+        assert registry.verify(1, "m", signature)
+        assert not registry.verify(True, "m", copy)
+
     def test_a_stale_entry_vouches_for_no_other_object(self):
         """What a recycled ``id`` would look like were entries not
         pinned: the entry under a forged token's id holds an honest

@@ -149,19 +149,21 @@ class TestFingerprint:
         assert key["f"] == 3  # callable f resolved before fingerprinting
 
 
-#: The row schema — SHA-256 over the sorted artifact-row columns of every
-#: registry protocol, perfect synchrony and ``wan`` — pinned beside the
-#: salt it was recorded under.  ``STORE_SALT`` cannot be derived from the
-#: schema (engine-semantics changes need a bump too), so the test below
-#: is what keeps a column change from forgetting it.
-ROW_SCHEMA_PIN = (
+#: The rows — SHA-256 over the artifact rows (columns and values) of
+#: every registry protocol, perfect synchrony and ``wan``, seed 0 —
+#: pinned beside the salt they were recorded under.  ``STORE_SALT`` is
+#: bumped by hand, and a change that moves a row without a bump makes
+#: every warm store replay the old row, silently; the test below is what
+#: keeps a column change or an engine-semantics change from forgetting
+#: it.  The rows are deterministic and take about half a second.
+ROW_PIN = (
     "ba-repro-store-v4",
-    "1547a85b79865acab250d5b2fe5a704c3abf68d51b48b59850abc45e9597b5d7")
+    "99d47745917e4a433a04da2c0ce229ecdad5115e5cc5f9362b686c63c90293bd")
 
 
-def _row_schema():
-    """``{protocol: {network: sorted row columns}}`` for the registry."""
-    schema = {}
+def _pinned_rows():
+    """``{protocol: {network: artifact row}}`` for the registry."""
+    rows = {}
     for key, entry in PROTOCOLS.items():
         fixed = ({"n": 32, "f": 8, "lam": 12} if entry.takes("params")
                  else {"n": 10, "f": 3})
@@ -169,33 +171,32 @@ def _row_schema():
             fixed["sender_input"] = 1
         if entry.takes("ba_builder"):
             fixed["ba_builder"] = "quadratic"
-        rows = run_sweep(SweepSpec(name="schema", scenarios=(ScenarioSpec(
+        sweep = run_sweep(SweepSpec(name="schema", scenarios=(ScenarioSpec(
             name=key, protocol=key, fixed=fixed,
-            grid={"network": ("perfect", "wan")}, seeds=(0,)),))).rows()
-        schema[key] = {row["network"]: sorted(row) for row in rows}
-    return schema
+            grid={"network": ("perfect", "wan")}, seeds=(0,)),)))
+        rows[key] = {row["network"]: row for row in sweep.rows()}
+    return rows
 
 
-def test_row_schema_is_pinned_beside_the_store_salt():
-    pinned_salt, pinned_digest = ROW_SCHEMA_PIN
-    schema = _row_schema()
+def test_rows_are_pinned_beside_the_store_salt():
+    pinned_salt, pinned_digest = ROW_PIN
+    rows = _pinned_rows()
     digest = hashlib.sha256(
-        json.dumps(schema, sort_keys=True).encode()).hexdigest()
+        json.dumps(rows, sort_keys=True).encode()).hexdigest()
     if digest != pinned_digest:
         assert STORE_SALT != pinned_salt, (
-            "artifact row columns changed but the salt did not: bump "
-            "STORE_SALT in harness/store.py (records under the old salt "
-            "would replay into the new row shape), then re-pin "
-            f"ROW_SCHEMA_PIN to ({STORE_SALT!r}, {digest!r})")
-        pytest.fail(f"STORE_SALT was bumped for a column change: re-pin "
-                    f"ROW_SCHEMA_PIN to ({STORE_SALT!r}, {digest!r})")
+            "artifact rows changed (a column or a value) but the salt did "
+            "not: bump STORE_SALT in harness/store.py (records under the "
+            "old salt would replay the old rows), then re-pin ROW_PIN to "
+            f"({STORE_SALT!r}, {digest!r})")
+        pytest.fail(f"STORE_SALT was bumped for a row change: re-pin "
+                    f"ROW_PIN to ({STORE_SALT!r}, {digest!r})")
     assert STORE_SALT == pinned_salt, (
-        "STORE_SALT changed with the row schema intact (an "
-        "engine-semantics bump): re-pin ROW_SCHEMA_PIN's salt to "
-        f"{STORE_SALT!r}")
+        "STORE_SALT changed with every row intact: re-pin ROW_PIN's salt "
+        f"to {STORE_SALT!r}")
     # The pin covers what it says: every protocol, both column shapes.
-    assert set(schema) == set(PROTOCOLS)
-    for key, shapes in schema.items():
+    assert set(rows) == set(PROTOCOLS)
+    for key, shapes in rows.items():
         assert set(shapes["wan"]) - set(shapes["perfect"]) >= {
             "skipped_ticks", "events_processed"}, key
 
