@@ -49,10 +49,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from heapq import heappop, heappush
+from itertools import compress
 from operator import add, lt
 from typing import (
-    AbstractSet, Any, Dict, Iterator, List, Mapping, NamedTuple, NoReturn,
-    Optional, Tuple)
+    AbstractSet, Any, Dict, Iterator, List, Mapping, NoReturn, Optional,
+    Tuple)
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.rng import Seed, derive_rng
@@ -498,16 +499,6 @@ class NetworkStats:
                     fold(getattr(self, stat.name), getattr(other, stat.name)))
 
 
-class PendingCopy(NamedTuple):
-    """One in-flight copy as :meth:`ConditionedNetwork.pending_copies`
-    reports it (the calendar itself stores window groups)."""
-
-    due_round: Round
-    sent_round: Round
-    recipient: NodeId
-    delivery: Delivery
-
-
 @lru_cache(maxsize=64)
 def _byte_draw_table(low: int, width: int, cap: int) -> Tuple[bytes, bytes]:
     """The ``translate`` table and deletions mapping a word's top byte to
@@ -572,9 +563,12 @@ class ConditionedNetwork(SynchronousNetwork):
     then re-queues); only the cross-recipient interleaving, which nothing
     observes, differs.  That keeps the event engine result-identical to
     the per-copy heap of the reference executor (``tests/reference.py``,
-    with the Δ-lockstep synchronizer).  The heap is
-    touched once per distinct due round, and its head
-    (:meth:`next_due_round`) lets :meth:`steps` skip idle ticks.
+    with the Δ-lockstep synchronizer).  The heap is touched once per
+    distinct due round, and its head (:meth:`next_due_round`) lets
+    :meth:`steps` skip idle ticks.  A staging window drains in one call
+    (:meth:`_schedule_window`): one pass lists its copies, one of two
+    sources draws their delays (a lossless uniform window's in one batch,
+    any other's copy by copy), and one loop files them.
 
     A copy is **inert** when ``audience(payload)`` names one node other
     than its recipient and the recipient is not in ``corrupt`` (the live
@@ -648,15 +642,17 @@ class ConditionedNetwork(SynchronousNetwork):
         """Drain the staging window into the calendar: one group per delay
         drawn, each filed copy under its recipient in staging order.
 
-        Coins come from the one labelled stream in a fixed order per copy
-        — drop, duplicate, then a latency draw per scheduled copy; link
-        surcharges and adversarial delays draw nothing.  A lossless window
-        draws only latencies, so when they are uniform with a spread and
-        cap that fit a byte it takes them in one batch, then files each
-        copy (:meth:`_file_batch`).  Any other window draws as each copy
-        comes (:meth:`_file_per_copy`; a lossy window's coins interleave).
+        One pass lists the window's copies in staging order: recipient,
+        delivery, link surcharge, adversarial push, and whether the copy
+        is filed or inert (see the class docstring).  One source then
+        draws their delays from the labelled stream: a lossless window
+        whose latencies are uniform with a spread and cap that fit a byte
+        takes them in one :func:`draw_uniform_batch`, any other copy by
+        copy (:meth:`_draw_per_copy`: a lossy window's coins interleave).
         Both read the stream ``randint`` would, bit for bit, and no
-        further, inert copies included (see the class docstring).
+        further, inert copies included.  The surcharge lands before the
+        clamp and the push after it (``min(min(d, cap) + e, cap) ==
+        min(d + e, cap)``), and one loop files the filed copies.
         """
         conditions = self.conditions
         pre_gst = sent_round < conditions.gst
@@ -666,90 +662,63 @@ class ConditionedNetwork(SynchronousNetwork):
         family, low = conditions.latency[:2]
         width = conditions.latency[2] - low + 1 if family == "uniform" else 0
         audience = None if conditions.partitions else self._audience
-        slots: List[Any] = [None] * (cap + 1)  # delay -> {recipient: copies}
-        if width and not lossy and max(width, cap) <= 255:
-            counts = self._file_batch(slots, cap, low, width, audience)
-        else:
-            counts = self._file_per_copy(slots, cap, lossy, family, low,
-                                         width, audience)
-        scheduled = 0
-        for delay, targets in enumerate(slots):
-            count = (counts[delay] if counts is not None
-                     else sum(map(len, targets.values())) if targets else 0)
-            if count:
-                self._bucket(sent_round + delay).append(
-                    [sent_round, targets or {}, count])
-                scheduled += count
-        self._reset_window()
-        self._extra_delay = {}
-        self._in_flight += scheduled
-        self.stats.events_processed += scheduled
-
-    def _file_batch(self, slots: List[Any], cap: int, low: int, width: int,
-                    audience: Optional[Audience]) -> Optional[List[int]]:
-        """List the window's filed copies, draw every copy's delay at once
-        (:func:`draw_uniform_batch`), add surcharges and adversarial
-        delays, then file ``zip(recipients, deliveries, delays)`` over the
-        filed copies.  An envelope with a reader files only the reader's
-        and the corrupt recipients' copies (an adversary may read any
-        corrupt inbox).  Returns the copies per delay when some copy went
-        unfiled, else ``None`` (the slots hold them all)."""
         extra_delay = self._extra_delay
         corrupt = self._corrupt
         everyone = range(self.n)
-        targets: List[NodeId] = []
-        sent: List[Delivery] = []
-        # (first draw, end, sender, recipients filed) of each envelope
-        # with unfiled copies; every other draw is a filed copy's.
-        partial: List[Tuple[int, int, NodeId, List[NodeId]]] = []
-        kept_for: Dict[NodeId, List[NodeId]] = {}  # reader -> nodes filed
-        drawn = 0
+        recipients: List[NodeId] = []
+        deliveries: List[Delivery] = []
         surcharges = None if self._link_rows is None else []
         pushes = [] if extra_delay else None
+        filed = None if audience is None else []
+        filed_by: Dict[NodeId, List[bool]] = {}  # reader -> row by node
         for envelope, delivery, blocked in self._surviving_entries():
             sender, recipient = envelope.sender, envelope.recipient
-            # The one node the copies can matter to (None: any node); an
-            # envelope with a suppressed copy files every copy.
-            reader = (audience(envelope.payload)
-                      if audience is not None and not blocked else None)
             if recipient is not None:
-                recipients = (recipient,)
-                if (reader is None or recipient == reader
-                        or recipient in corrupt):
-                    targets.append(recipient)
-                    sent.append(delivery)
-                else:
-                    partial.append((drawn, drawn + 1, sender, []))
+                listed = (recipient,)
             else:
-                recipients = list(everyone)
-                del recipients[sender]
+                listed = list(everyone)
+                del listed[sender]
                 if blocked:
-                    recipients = [recipient for recipient in recipients
-                                  if recipient not in blocked]
-                kept = recipients
-                if reader is not None:
-                    kept = kept_for.get(reader)
-                    if kept is None:
-                        kept = kept_for[reader] = sorted(corrupt | {reader})
-                    if sender == reader or sender in corrupt:
-                        kept = [node for node in kept if node != sender]
-                    partial.append((drawn, drawn + len(recipients), sender,
-                                    kept))
-                targets += kept
-                sent += [delivery] * len(kept)
-            drawn += len(recipients)
+                    listed = [node for node in listed if node not in blocked]
+            if filed is not None:
+                # The one node the copies can matter to (None: any node);
+                # an envelope with a suppressed copy files every copy.
+                reader = None if blocked else audience(envelope.payload)
+                if reader is None:
+                    filed += [True] * len(listed)
+                else:
+                    # An adversary may read any corrupt inbox.
+                    row = filed_by.get(reader)
+                    if row is None:
+                        row = filed_by[reader] = [
+                            node == reader or node in corrupt
+                            for node in everyone]
+                    if recipient is not None:
+                        filed.append(row[recipient])
+                    else:
+                        filed += row[:sender]
+                        filed += row[sender + 1:]
+            recipients += listed
+            deliveries += [delivery] * len(listed)
             if surcharges is not None:
-                surcharges += map(self._link_row(sender).__getitem__,
-                                  recipients)
+                surcharges += map(self._link_row(sender).__getitem__, listed)
             if pushes is not None:
                 key = envelope.envelope_id
                 push_all = extra_delay.get((key, None), 0)
-                pushes += [push_all + extra_delay.get((key, recipient), 0)
-                           for recipient in recipients]
-        delays = draw_uniform_batch(self._rng.getrandbits, drawn,
-                                    low, width, cap)
-        # min(min(d, cap) + e, cap) == min(d + e, cap): the surcharge lands
-        # before the clamp, the adversary's push after it.
+                pushes += [push_all + extra_delay.get((key, node), 0)
+                           for node in listed]
+        if width and not lossy and max(width, cap) <= 255:
+            delays = draw_uniform_batch(self._rng.getrandbits,
+                                        len(recipients), low, width, cap)
+        else:
+            delays, picks = self._draw_per_copy(len(recipients), cap, lossy,
+                                                family, low, width)
+            if picks is not None:
+                recipients, deliveries, surcharges, pushes, filed = (
+                    None if column is None
+                    else [column[index] for index in picks]
+                    for column in (recipients, deliveries, surcharges,
+                                   pushes, filed))
         if surcharges is not None:
             delays = _clamped_sums(delays, surcharges, cap)
         if pushes is not None:
@@ -758,113 +727,74 @@ class ConditionedNetwork(SynchronousNetwork):
             self.stats.adversary_delayed_copies += sum(
                 map(lt, delays, pushed))
             delays = pushed
-        filed = delays
-        if partial:
-            filed, at = delays[:0], 0
-            for start, stop, sender, kept in partial:
-                # Such a multicast is unsuppressed: its draws, with a slot
-                # for the sender, are indexed by recipient.
-                row = delays[start:stop]
-                row.insert(sender, 0)
-                filed.extend(delays[at:start])
-                filed.extend(map(row.__getitem__, kept))
-                at = stop
-            filed.extend(delays[at:])
-        for recipient, delivery, delay in zip(targets, sent, filed):
+        copies = zip(recipients, deliveries, delays)
+        inert = filed is not None and not all(filed)
+        if inert:
+            copies = compress(copies, filed)
+            # Every copy counts; bytes count faster than a list of ints.
+            counted = bytes(delays) if cap <= 255 else delays
+        slots: List[Any] = [None] * (cap + 1)  # delay -> {recipient: copies}
+        for recipient, delivery, delay in copies:
             slot = slots[delay]
             if slot is None:
                 slot = slots[delay] = {}
             slot.setdefault(recipient, []).append(delivery)
-        if not partial:
-            return None
-        counts = [0] * (cap + 1)  # no delay is below the least draw
-        for delay in range(min(low, cap), cap + 1):
-            counts[delay] = delays.count(delay)
-        return counts
+        for delay, targets in enumerate(slots):
+            count = (counted.count(delay) if inert
+                     else sum(map(len, targets.values())) if targets else 0)
+            if count:
+                self._bucket(sent_round + delay).append(
+                    [sent_round, targets or {}, count])
+        self._reset_window()
+        self._extra_delay = {}
+        self._in_flight += len(delays)
+        self.stats.events_processed += len(delays)
 
-    def _file_per_copy(self, slots: List[Any], cap: int, lossy: bool,
-                       family: str, low: Any, width: int,
-                       audience: Optional[Audience]) -> Optional[List[int]]:
-        """File copy by copy, drawing each copy's coins as it comes; the
-        uniform draw is ``Random.randint`` unrolled (``_randbelow``:
+    def _draw_per_copy(self, listed: int, cap: int, lossy: bool, family: str,
+                       low: Any, width: int
+                       ) -> Tuple[List[int], Optional[List[int]]]:
+        """Each of ``listed`` copies' coins in turn: drop, duplicate, then
+        a latency per scheduled copy, clamped to ``cap``; the uniform draw
+        is ``Random.randint`` unrolled (``_randbelow``:
         ``getrandbits(width.bit_length())`` until below the width).
-        Returns the copies per delay with an ``audience``, else ``None``
-        (the slots hold them all)."""
-        conditions = self.conditions
+        Returns the delays and, for a lossy window, each delay's listed
+        copy (none for a dropped copy, twice for a duplicated one)."""
+        conditions, stats = self.conditions, self.stats
         drop_rate = conditions.drop_rate if lossy else 0.0
         duplicate_rate = conditions.duplicate_rate if lossy else 0.0
-        extra_delay = self._extra_delay
-        corrupt = self._corrupt
         bits = width.bit_length()
         getrandbits = self._rng.getrandbits
         coin = self._rng.random
-        everyone = range(self.n)
-        row = None
-        counts = None if audience is None else [0] * (cap + 1)
-        dropped = duplicated = delayed = 0
-        for envelope, delivery, blocked in self._surviving_entries():
-            sender = envelope.sender
-            recipients = (everyone if envelope.recipient is None
-                          else (envelope.recipient,))
-            if self._link_rows is not None:
-                row = self._link_row(sender)
-            if extra_delay:
-                envelope_id = envelope.envelope_id
-                extra_all = extra_delay.get((envelope_id, None), 0)
-            reader = (audience(envelope.payload)
-                      if audience is not None and not blocked else None)
-            for recipient in recipients:
-                if recipient == sender or (blocked and recipient in blocked):
+        delays: List[int] = []
+        picks: Optional[List[int]] = [] if lossy else None
+        for index in range(listed):
+            copies = 1
+            if lossy:
+                if drop_rate and coin() < drop_rate:
+                    stats.dropped_copies += 1
                     continue
-                copies = 1
-                if lossy:
-                    if drop_rate and coin() < drop_rate:
-                        dropped += 1
-                        continue
-                    if duplicate_rate and coin() < duplicate_rate:
-                        copies = 2
-                        duplicated += 1
-                while copies:
-                    copies -= 1
-                    if width:
+                picks.append(index)
+                if duplicate_rate and coin() < duplicate_rate:
+                    copies = 2
+                    stats.duplicated_copies += 1
+                    picks.append(index)
+            while copies:
+                copies -= 1
+                if width:
+                    delay = getrandbits(bits)
+                    while delay >= width:
                         delay = getrandbits(bits)
-                        while delay >= width:
-                            delay = getrandbits(bits)
-                        delay += low
-                    elif family == "fixed":
-                        delay = low
-                    else:
-                        # geometric(p): trials up to the first success
-                        # (tail-capped so p close to 0 cannot spin).
-                        delay = 1
-                        while coin() >= low and delay < 64:
-                            delay += 1
-                    if row is not None:
-                        delay += row[recipient]
-                    if delay > cap:
-                        delay = cap
-                    if extra_delay:
-                        extra = extra_all + extra_delay.get(
-                            (envelope_id, recipient), 0)
-                        if extra and delay < cap:
-                            # Only *effective* delays count: one the
-                            # clamp nullified moved nothing.
-                            delay = min(delay + extra, cap)
-                            delayed += 1
-                    if counts is not None:
-                        counts[delay] += 1
-                        if (reader is not None and recipient != reader
-                                and recipient not in corrupt):
-                            continue  # inert: counted, never filed
-                    filed = slots[delay]
-                    if filed is None:
-                        filed = slots[delay] = {}
-                    filed.setdefault(recipient, []).append(delivery)
-        stats = self.stats
-        stats.dropped_copies += dropped
-        stats.duplicated_copies += duplicated
-        stats.adversary_delayed_copies += delayed
-        return counts
+                    delay += low
+                elif family == "fixed":
+                    delay = low
+                else:
+                    # geometric(p): trials up to the first success
+                    # (tail-capped so p close to 0 cannot spin).
+                    delay = 1
+                    while coin() >= low and delay < 64:
+                        delay += 1
+                delays.append(delay if delay < cap else cap)
+        return delays, picks
 
     def _defer_blocked(self, bucket: list, round_index: Round) -> list:
         """The groups of a due bucket cut to the copies deliverable now; a
@@ -899,16 +829,6 @@ class ConditionedNetwork(SynchronousNetwork):
         """The earliest round with a scheduled delivery (``None`` when
         nothing is in flight) — :meth:`steps`'s skip-ahead horizon."""
         return self._due_rounds[0] if self._due_rounds else None
-
-    def pending_copies(self) -> List[PendingCopy]:
-        """Every filed in-flight copy by due round, group, recipient and
-        scheduling order (a snapshot for tests and diagnostics; inert
-        copies are counted, never filed)."""
-        return [PendingCopy(due_round, sent_round, recipient, delivery)
-                for due_round in sorted(self._buckets)
-                for sent_round, targets, _ in self._buckets[due_round]
-                for recipient, deliveries in targets.items()
-                for delivery in deliveries]
 
     def advance_to(self, round_index: Round,
                    inboxes: Mapping[NodeId, List[Delivery]]) -> None:

@@ -50,7 +50,7 @@ import hashlib
 import random
 from contextlib import contextmanager
 from heapq import heappop, heappush
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 from unittest import mock
 
 import pytest
@@ -172,9 +172,9 @@ class _PendingCopy:
 class LegacyConditionedNetwork(SynchronousNetwork):
     """One heap entry ``(due_round, seq, recipient, copy)`` per copy; the
     public surface (``delay``, ``advance_to(round, inboxes)``,
-    ``next_due_round``, ``pending_copies``, ``steps``, the refused
-    ``deliver``) matches ``ConditionedNetwork`` so the engine can run on
-    it unchanged."""
+    ``next_due_round``, ``steps``, the refused ``deliver``) matches
+    ``ConditionedNetwork`` so the engine can run on it unchanged, and
+    :func:`pending_copies` reads either's queue."""
 
     deliver = ConditionedNetwork.deliver
 
@@ -256,12 +256,6 @@ class LegacyConditionedNetwork(SynchronousNetwork):
     def next_due_round(self):
         return self._queue[0][0] if self._queue else None
 
-    def pending_copies(self):
-        return [(copy.due_round, copy.sent_round, copy.recipient,
-                 copy.delivery)
-                for _, _, _, copy in sorted(self._queue,
-                                            key=lambda entry: entry[:2])]
-
     def pop_due(self, round_index) -> List[_PendingCopy]:
         """The old ``advance_to``: surviving due copies in heap order."""
         jumped = round_index - self._delivered_round - 1
@@ -319,6 +313,33 @@ class LegacyConditionedNetwork(SynchronousNetwork):
             if network_round % stretch == 0:
                 yield network_round // stretch, buffered
                 buffered = {node: [] for node in range(self.n)}
+
+
+class PendingCopy(NamedTuple):
+    """One filed in-flight copy, as :func:`pending_copies` lists it."""
+
+    due_round: int
+    sent_round: int
+    recipient: int
+    delivery: Delivery
+
+
+def pending_copies(network) -> List[PendingCopy]:
+    """Every filed in-flight copy of a conditioned network, by due round
+    and then scheduling order: for ``ConditionedNetwork`` its calendar's
+    groups, recipients and lists (inert copies are counted, never filed),
+    for :class:`LegacyConditionedNetwork` its heap's order."""
+    if isinstance(network, LegacyConditionedNetwork):
+        return [PendingCopy(copy.due_round, copy.sent_round, copy.recipient,
+                            copy.delivery)
+                for _, _, _, copy in sorted(network._queue,
+                                            key=lambda entry: entry[:2])]
+    buckets = network._buckets
+    return [PendingCopy(due_round, sent_round, recipient, delivery)
+            for due_round in sorted(buckets)
+            for sent_round, targets, _ in buckets[due_round]
+            for recipient, deliveries in targets.items()
+            for delivery in deliveries]
 
 
 # -- the view machines' step before nodes could sleep -------------------------

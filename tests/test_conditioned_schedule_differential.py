@@ -55,7 +55,11 @@ from repro.sim.conditions import (
 )
 from repro.sim.adversary import Adversary, PassiveAdversary
 from tests.conftest import random_conditions
-from tests.reference import LegacyConditionedNetwork, observe
+from tests.reference import (
+    LegacyConditionedNetwork,
+    observe,
+    pending_copies,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +103,7 @@ def per_recipient(pairs):
 
 
 def pending_by_group(pending):
-    """A ``pending_copies()`` snapshot keyed by (due, sent, recipient),
+    """A :func:`~tests.reference.pending_copies` snapshot keyed by (due, sent, recipient),
     each key's copies in calendar order."""
     return per_recipient(((due, sent, recipient), delivery)
                          for due, sent, recipient, delivery in pending)
@@ -148,7 +152,7 @@ def drive_stream(network_class, conditions, n, case, ticks=40, readers=None):
         tape = DeliveryTape()
         network.advance_to(clock, tape)
         per_tick.append((clock, tape.inboxes(),
-                         pending_by_group(network.pending_copies())))
+                         pending_by_group(pending_copies(network))))
         if readers is not None:
             if rng.random() < 0.2:
                 readers.corrupt.add(rng.randrange(n))
@@ -245,6 +249,12 @@ def _grid():
     yield NetworkConditions(delta=64, latency=("uniform", 3, 130))
     yield NetworkConditions(delta=64, gst=13, latency=("uniform", 3, 130),
                             topology=LinkTopology.ring(extra=40))
+    # Losses, duplicates and link surcharges with no partitions: the
+    # per-copy source re-indexes surcharges, pushes and inert flags in one
+    # window.
+    yield NetworkConditions(delta=4, gst=13, latency=("uniform", 1, 4),
+                            drop_rate=0.2, duplicate_rate=0.3,
+                            topology=matrix)
 
 
 GRID = list(_grid())
@@ -390,7 +400,7 @@ def test_deferred_copy_heals_into_a_non_empty_bucket(network_class):
     network.delay(late, 2, rounds=2)                         # due 6
     network.advance_to(3, tape)
     assert [(copy[0], copy[3].payload)
-            for copy in network.pending_copies()] == [
+            for copy in pending_copies(network)] == [
         (6, "early"), (6, "crossing"), (6, "late")]
     network.advance_to(6, tape)
     assert _payloads(tape) == ["early", "crossing", "late"]

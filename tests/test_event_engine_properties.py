@@ -39,9 +39,9 @@ from repro.sim.conditions import (
     ConditionedNetwork,
     NetworkConditions,
     Partition,
-    PendingCopy,
 )
 from tests.conftest import random_conditions
+from tests.reference import PendingCopy, pending_copies
 
 #: 200 sampled engine-level configurations (the satellite's floor),
 #: split into chunks so one failing sample names a small replay set.
@@ -70,11 +70,11 @@ def drive_event_pattern(network: ConditionedNetwork, rng: random.Random,
     """Walk ``network.steps(steps)``, staging a random message batch at
     every step it yields.  Returns ``(delivered_round, copy)`` records in
     delivery order, each ``copy`` a
-    :class:`~repro.sim.conditions.PendingCopy`.
+    :class:`~tests.reference.PendingCopy`.
 
     The network only hands back per-recipient lists, so every tick the
     walk makes goes through a wrapped ``advance_to`` that reads the
-    public :meth:`~ConditionedNetwork.pending_copies` snapshot around it
+    :func:`~tests.reference.pending_copies` snapshot around it
     and checks the tick against it: what was already in the calendar
     and due is delivered first, in calendar order, unless an active
     partition moves it to its heal round; whatever else arrives was
@@ -86,11 +86,11 @@ def drive_event_pattern(network: ConditionedNetwork, rng: random.Random,
     previous = [0]
 
     def checked_tick(network_round, inboxes):
-        before = network.pending_copies()
+        before = pending_copies(network)
         staged = {envelope.payload for envelope in network.in_flight()}
         held = {node: len(inboxes[node]) for node in range(n)}
         tick(network_round, inboxes)
-        after = network.pending_copies()
+        after = pending_copies(network)
         # The skip-ahead walk never overshoots a timestamp, and no due
         # copy outlives its tick except through a partition.
         assert all(copy.due_round >= network_round for copy in before)
@@ -164,7 +164,7 @@ class TestSchedulerOrderInvariants:
             for delivered_round, copy in records)
         assert stats.events_processed == (
             stats.delivered_copies + stats.deferred_copies
-            + len(network.pending_copies()))
+            + len(pending_copies(network)))
         assert stats.skipped_ticks + stats.delivered_copies > 0
         assert stats.skipped_ticks < stats.network_rounds
 

@@ -101,6 +101,7 @@ def test_post_gst_window_draws_bits_and_pushes_rounds(monkeypatch):
 
     from repro.sim import conditions as conditions_module
     from repro.sim.conditions import NETWORKS, ConditionedNetwork
+    from tests.reference import pending_copies
 
     calls = {"randint": 0, "heappush": 0, "getrandbits": 0}
 
@@ -142,7 +143,7 @@ def test_post_gst_window_draws_bits_and_pushes_rounds(monkeypatch):
         pushes = calls["heappush"] - before[0]["heappush"]
         assert pushes <= wan.delta
     assert calls["randint"] == 0
-    pending = network.pending_copies()
+    pending = pending_copies(network)
     assert len(pending) + network.stats.delivered_copies == \
         network.stats.events_processed
 

@@ -61,7 +61,9 @@ class Served:
                          daemon=True).start()
 
     def drop_connections(self):
-        for accepted in self.accepted:
+        # A snapshot: the accept thread may append a reconnect meanwhile,
+        # and that socket is not one of the connections being dropped.
+        for accepted in list(self.accepted):
             try:
                 accepted.shutdown(socket.SHUT_RDWR)
             except OSError:
