@@ -47,7 +47,10 @@ class StaticEquivocationAdversary(CrashAdversary):
         return (None,)
 
     def react(self, round_index: Round, staged: List[Envelope]) -> None:
+        halves = None  # both bits' targets, listed at the first offer
         for node_id, bit, payload in self.menu.offers(
                 round_index, staged, self.victims):
-            for target in self.targets(bit):
+            if halves is None:
+                halves = (self.targets(0), self.targets(1))
+            for target in halves[bit]:
                 self.api.inject(node_id, target, payload)

@@ -26,7 +26,7 @@ from repro.analysis.complexity import (
     expected_quadratic_multicasts,
     expected_subquadratic_multicasts,
 )
-from repro.analysis.stats import mean, percentile, stddev
+from repro.analysis.stats import mean, percentile
 
 __all__ = [
     "binomial_tail_ge",
@@ -43,5 +43,4 @@ __all__ = [
     "expected_subquadratic_multicasts",
     "mean",
     "percentile",
-    "stddev",
 ]

@@ -12,15 +12,6 @@ def mean(values: Sequence[float]) -> float:
     return sum(values) / len(values)
 
 
-def stddev(values: Sequence[float]) -> float:
-    """Population standard deviation."""
-    if not values:
-        raise ValueError("stddev of empty sequence")
-    center = mean(values)
-    return math.sqrt(sum((value - center) ** 2 for value in values)
-                     / len(values))
-
-
 def percentile(values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile, ``q`` in [0, 100]."""
     if not values:

@@ -69,27 +69,34 @@ def certificate_from_votes(iteration: int, bit: Bit, votes: dict,
     only ``threshold`` votes are included — the minimum needed — keeping
     the message size at the paper's O(λ(log κ + log n)).
 
-    Every honest node assembles the same certificate from the same
-    (shared) auth objects: each vote resolves through :func:`signed_vote`
-    and the certificate through the identity of its wrapped votes, which
-    it pins, so after the first build the others cost one arena lookup
-    per vote and construct nothing.  ``base``, a certificate for the same
-    ``iteration`` and ``bit`` (a round's quorum), lends its wrapped vote
-    wherever both the voter and the auth *object* match, which spares
-    even that lookup; an equivocator's other auth is wrapped afresh.
+    Every honest node wraps the same (shared) auth objects.  ``base``, a
+    certificate for the same ``iteration`` and ``bit`` (a round's quorum),
+    lends a vote wherever voter and auth *object* match; else the arena's
+    row for the class-tagged ``(iteration, bit)`` (voter → the last
+    :func:`signed_vote` result) answers if its vote holds that auth object
+    and voter class, else :func:`signed_vote` does.  The certificate is
+    keyed by its votes' identity, which it pins.
     """
     lent = {} if base is None else {
         vote.voter: vote for vote in base.votes
         if votes.get(vote.voter) is vote.auth}
-    wrapped = tuple([
-        lent.get(voter) or signed_vote(iteration, bit, voter, votes[voter])
-        for voter in sorted(votes)[:threshold]])
+    row = intern_by_key((signed_vote, iteration, iteration.__class__,
+                         bit, bit.__class__), dict)
+    wrapped = []
+    for voter in sorted(votes)[:threshold]:
+        vote = lent.get(voter)
+        if vote is None:
+            auth, vote = votes[voter], row.get(voter)
+            if (vote is None or vote.auth is not auth
+                    or vote.voter.__class__ is not voter.__class__):
+                vote = row[voter] = signed_vote(iteration, bit, voter, auth)
+        wrapped.append(vote)
     # iteration and bit are in the key for the empty quorum only: any
     # wrapped vote already fixes both.
     return intern_by_key(
         (Certificate, _intern_field_key(iteration), _intern_field_key(bit),
          tuple(map(id, wrapped))),
-        lambda: Certificate(iteration=iteration, bit=bit, votes=wrapped))
+        lambda: Certificate(iteration, bit, tuple(wrapped)))
 
 
 def verify_certificate(certificate: Certificate, threshold: int,

@@ -36,6 +36,8 @@ machine", has the table of per-family differences):
   authenticated individually, never through the certificate cache (whose
   keys do not record *which* predicate verified — a decide quorum must
   not be replayable as a vote certificate), once per interned tuple.
+  A decider's members tuple is keyed by sender and auth identity, a key
+  built only when they are not the last ``(DECIDE, unit, bit)`` tuple's.
 - **Drain gate** (:meth:`ViewNode.on_round`): a node whose announcement
   was sent before the conditions' ``trusted_send_round`` keeps
   re-announcing at each unit boundary until a trusted round passes, so
@@ -45,6 +47,7 @@ machine", has the table of per-family differences):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.crypto.groups import SchnorrGroup
@@ -315,13 +318,19 @@ class ViewNode(VerifyingNode):
         if auth is None:
             return None
         quorum = self.members_seen.get((unit, bit), {})
-        chosen = sorted(quorum.values(),
-                        key=lambda m: m.sender)[:self.config.threshold]
+        chosen = [quorum[sender]
+                  for sender in sorted(quorum)[:self.config.threshold]]
         # Every decider picks the same members, so the content-equal
-        # tuples collapse to one object.
-        members = intern_quorum(
-            self.DECIDE, unit, bit, [(m.sender, m.auth) for m in chosen],
-            lambda: tuple(chosen))
+        # tuples collapse to one object; the front, an arena entry, skips
+        # the key when they are exactly its last tuple's (module docstring).
+        front = intern_by_key((intern_quorum, self.DECIDE, unit,
+                               unit.__class__, bit, bit.__class__), list)
+        members = front[-1] if front else ()
+        if len(members) != len(chosen) or not all(map(is_, members, chosen)):
+            members = intern_quorum(
+                self.DECIDE, unit, bit, [(m.sender, m.auth) for m in chosen],
+                lambda: tuple(chosen))
+            front.append(members)
         return self.DECIDE(unit, bit, members, self.node_id, auth)
 
     def _sent_trusted(self, round_index: Round) -> bool:

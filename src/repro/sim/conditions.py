@@ -643,12 +643,13 @@ class ConditionedNetwork(SynchronousNetwork):
         drawn, each filed copy under its recipient in staging order.
 
         One pass lists the window's copies in staging order: recipient,
-        delivery, link surcharge, adversarial push, and whether the copy
-        is filed or inert (see the class docstring).  One source then
-        draws their delays from the labelled stream: a lossless window
-        whose latencies are uniform with a spread and cap that fit a byte
-        takes them in one :func:`draw_uniform_batch`, any other copy by
-        copy (:meth:`_draw_per_copy`: a lossy window's coins interleave).
+        delivery, link surcharge, adversarial push, and, from the first
+        envelope with a reader on, whether the copy is filed or inert
+        (see the class docstring).  One source then draws their delays
+        from the labelled stream: a lossless window whose latencies are
+        uniform with a spread and cap that fit a byte takes them in one
+        :func:`draw_uniform_batch`, any other copy by copy
+        (:meth:`_draw_per_copy`: a lossy window's coins interleave).
         Both read the stream ``randint`` would, bit for bit, and no
         further, inert copies included.  The surcharge lands before the
         clamp and the push after it (``min(min(d, cap) + e, cap) ==
@@ -669,7 +670,7 @@ class ConditionedNetwork(SynchronousNetwork):
         deliveries: List[Delivery] = []
         surcharges = None if self._link_rows is None else []
         pushes = [] if extra_delay else None
-        filed = None if audience is None else []
+        filed: Optional[List[bool]] = None  # from the first reader on
         filed_by: Dict[NodeId, List[bool]] = {}  # reader -> row by node
         for envelope, delivery, blocked in self._surviving_entries():
             sender, recipient = envelope.sender, envelope.recipient
@@ -680,13 +681,13 @@ class ConditionedNetwork(SynchronousNetwork):
                 del listed[sender]
                 if blocked:
                     listed = [node for node in listed if node not in blocked]
-            if filed is not None:
+            if audience is not None:
                 # The one node the copies can matter to (None: any node);
                 # an envelope with a suppressed copy files every copy.
                 reader = None if blocked else audience(envelope.payload)
-                if reader is None:
-                    filed += [True] * len(listed)
-                else:
+                if reader is not None:
+                    if filed is None:  # back-fill: every earlier copy
+                        filed = [True] * len(recipients)
                     # An adversary may read any corrupt inbox.
                     row = filed_by.get(reader)
                     if row is None:
@@ -698,6 +699,8 @@ class ConditionedNetwork(SynchronousNetwork):
                     else:
                         filed += row[:sender]
                         filed += row[sender + 1:]
+                elif filed is not None:
+                    filed += [True] * len(listed)
             recipients += listed
             deliveries += [delivery] * len(listed)
             if surcharges is not None:

@@ -63,18 +63,6 @@ class CorruptionController:
     def honest_nodes(self) -> list[NodeId]:
         return [node for node in range(self.n) if node not in self.corrupt_set]
 
-    def was_honest_in_round(self, node_id: NodeId, round_index: Round) -> bool:
-        """Whether the node stayed honest for the whole of ``round_index``.
-
-        A node corrupted *during* round r counts as no-longer-honest for
-        r here; note the engine attributes messages by honesty at the
-        moment of sending, so a message sent just before the mid-round
-        corruption still counts as honest (the paper's "honest mining
-        attempt" convention).
-        """
-        fell = self.corruption_round.get(node_id)
-        return fell is None or fell > round_index
-
     def authorize(self, node_id: NodeId, round_index: Round) -> None:
         """Validate a corruption request before the engine executes it."""
         if not 0 <= node_id < self.n:

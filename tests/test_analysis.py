@@ -16,7 +16,6 @@ from repro.analysis import (
     honest_quorum_failure_probability,
     mean,
     percentile,
-    stddev,
     terminate_propagation_failure,
 )
 from repro.analysis.parameters import (
@@ -147,10 +146,6 @@ class TestStats:
     def test_mean(self):
         assert mean([1.0, 2.0, 3.0]) == 2.0
 
-    def test_stddev(self):
-        assert stddev([2.0, 2.0, 2.0]) == 0.0
-        assert stddev([0.0, 2.0]) == 1.0
-
     def test_percentile(self):
         values = list(range(1, 101))
         assert percentile(values, 50) == 50
@@ -158,9 +153,8 @@ class TestStats:
         assert percentile(values, 100) == 100
 
     def test_empty_sequences_raise(self):
-        for fn in (mean, stddev):
-            with pytest.raises(ValueError):
-                fn([])
+        with pytest.raises(ValueError):
+            mean([])
         with pytest.raises(ValueError):
             percentile([], 50)
         with pytest.raises(ValueError):

@@ -20,7 +20,13 @@ from repro.protocols.certificates import (
     signed_vote,
     verify_certificate,
 )
+from repro.protocols.leader_ba import (
+    LeaderDecideMsg,
+    PrecommitMsg,
+    build_leader_ba,
+)
 from repro.protocols.messages import SignedVote, VoteMsg
+from repro.protocols.view_machine import intern_quorum
 from repro.serialization import clear_size_cache
 
 
@@ -131,7 +137,14 @@ class TestAssemblyMemoSoundness:
     (i), (ii), (iii); (B) wrap key without ``iteration`` — kills (iii),
     (iv); (C) wrap memo in a dict ``clear_size_cache`` does not drop —
     kills (ii); (D) ``base`` lends a vote by voter alone — kills (v),
-    (vi)."""
+    (vi).  In front of the arena sit a vote row per ``(iteration, bit)``
+    and a decide front per ``(Decide class, unit, bit)``: (E) the row
+    lends by voter alone, or by an *equal* auth — kills (i), (vii);
+    (F) row key without the scalars' classes, or no voter-class check —
+    kills (viii); (G) rows in a dict ``clear_size_cache`` does not drop
+    — kills (ii), (ix); (H) the decide front reuses its last tuple on
+    length or first member alone, or by equal members — kills (x);
+    (I) the decide front outlives ``clear_size_cache`` — kills (x)."""
 
     @staticmethod
     def _reference(iteration, bit, votes, threshold):
@@ -259,6 +272,100 @@ class TestAssemblyMemoSoundness:
                     assert own is vote
                     lent += 1
         assert lent > 0
+
+    def test_row_never_lends_an_equal_but_distinct_auth(self):
+        """(vii) The row keeps the last vote wrapped per voter: an
+        equivocator's second auth, equal but another object, is wrapped
+        on its own, and its first auth again gets the arena's first vote
+        — what :func:`signed_vote` answers, each time."""
+        first = IdealSignature(signer=0, digest=b"d")
+        second = IdealSignature(signer=0, digest=b"d")
+        shared = IdealSignature(signer=1, digest=b"e")
+        original = certificate_from_votes(1, 0, {0: first, 1: shared}, 2)
+        for auth in (second, first, second):
+            certificate = certificate_from_votes(
+                1, 0, {0: auth, 1: shared}, 2)
+            assert certificate.votes[0].auth is auth
+            assert certificate.votes[0] is signed_vote(1, 0, 0, auth)
+            assert certificate.votes[1] is original.votes[1]
+        assert certificate.votes[0] is not original.votes[0]
+
+    def test_bool_and_int_scalars_take_separate_rows(self):
+        """(viii) ``True == 1``, but a bool encodes in 8 bits and an int
+        in 64: an iteration, bit or voter of the other class never takes
+        a vote from an int's row."""
+        auths = {1: "t", 2: "u"}
+        plain = certificate_from_votes(1, 1, auths, 2)
+        for iteration, bit, votes in ((True, 1, auths), (1, True, auths),
+                                      (1, 1, {True: "t", 2: "u"})):
+            certificate = certificate_from_votes(iteration, bit, votes, 2)
+            assert certificate == plain
+            for vote, (voter, auth) in zip(certificate.votes,
+                                           sorted(votes.items())):
+                assert vote is signed_vote(iteration, bit, voter, auth)
+                assert [vote.iteration.__class__, vote.bit.__class__,
+                        vote.voter.__class__] == [
+                    iteration.__class__, bit.__class__, voter.__class__]
+
+    def test_clear_size_cache_releases_every_row(self):
+        """(ix) The rows are arena entries: they pin their votes until
+        ``clear_size_cache()``, and a quorum assembled after it gets the
+        arena's new votes, never a row's stale ones."""
+        auths = {voter: IdealSignature(signer=voter, digest=b"d")
+                 for voter in range(3)}
+        refs = [weakref.ref(vote) for iteration in (1, 2) for vote in
+                certificate_from_votes(iteration, 0, auths, 3).votes]
+        gc.collect()
+        assert all(ref() is not None for ref in refs)
+        clear_size_cache()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+        again = certificate_from_votes(1, 0, auths, 3)
+        assert again == self._reference(1, 0, auths, 3)
+        assert all(vote is signed_vote(1, 0, vote.voter, vote.auth)
+                   for vote in again.votes)
+
+    def test_decide_front_rebuilds_when_one_member_differs(self):
+        """(x) A decider's members tuple: the front answers with the
+        last tuple only when every chosen member is that tuple's own
+        object.  One member replaced by another object gets a new tuple
+        — the one :func:`intern_quorum` holds; a re-created member with
+        the same auth object gets intern_quorum's old tuple back; after
+        ``clear_size_cache()`` the tuple is built anew."""
+        instance = build_leader_ba(4, 1, [0] * 4, seed=0)
+        node = instance.nodes[0]
+
+        def precommit(sender):
+            return PrecommitMsg(view=1, bit=0, sender=sender,
+                                auth=IdealSignature(signer=sender,
+                                                    digest=b"p"))
+
+        def assembled():
+            return node.quorum_decide_msg(1, 0).precommits
+
+        def interned_quorum(members):
+            return intern_quorum(
+                LeaderDecideMsg, 1, 0,
+                [(member.sender, member.auth) for member in members],
+                lambda: None)
+
+        tally = node.members_seen[(1, 0)] = {
+            sender: precommit(sender) for sender in (3, 0, 2, 1)}
+        first = assembled()
+        assert first == tuple(tally[sender] for sender in range(3))
+        assert assembled() is first is interned_quorum(first)
+        tally[1] = precommit(1)
+        second = assembled()
+        assert second == first and second is not first
+        assert second[1] is tally[1]
+        assert second is interned_quorum(second)
+        tally[1] = PrecommitMsg(view=1, bit=0, sender=1, auth=first[1].auth)
+        assert assembled() is first
+        tally[1] = first[1]
+        assert assembled() is first
+        clear_size_cache()
+        third = assembled()
+        assert third == first and third is not first
 
     def test_vote_msg_wraps_to_the_certificates_vote(self):
         certificate = certificate_from_votes(2, 1, {3: "t", 4: "u"}, 2)

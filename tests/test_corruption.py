@@ -59,14 +59,6 @@ class TestHonestyTracking:
         assert not controller.is_so_far_honest(2)
         assert controller.is_so_far_honest(1)
 
-    def test_was_honest_in_round(self):
-        """Corrupted in round 3: honest through round 2, not from 3 on."""
-        controller = CorruptionController(5, 2, AdversaryModel.ADAPTIVE)
-        controller.mark_corrupt(2, 3)
-        assert controller.was_honest_in_round(2, 2)
-        assert not controller.was_honest_in_round(2, 3)
-        assert not controller.was_honest_in_round(2, 4)
-
     def test_honest_nodes_listing(self):
         controller = CorruptionController(4, 2, AdversaryModel.ADAPTIVE)
         controller.mark_corrupt(1, 0)
