@@ -7,22 +7,31 @@ never collide with VRF output hashes even on identical payloads.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from typing import Any
 
 from repro.serialization import canonical_bytes
 
 
-def hash_bytes(domain: str, *parts: bytes) -> bytes:
-    """SHA-256 over a domain tag and length-framed byte parts, hashed as
-    one joined string (one ``update`` per frame costs more than the
-    copy)."""
+@functools.lru_cache(maxsize=None)
+def domain_frame(domain: str) -> bytes:
+    """A domain tag as :func:`hash_bytes` frames it: 2-byte length, tag."""
     tag = domain.encode("ascii")
-    framed = [len(tag).to_bytes(2, "big"), tag]
+    return len(tag).to_bytes(2, "big") + tag
+
+
+def frame(part: bytes) -> bytes:
+    """A byte part as :func:`hash_bytes` frames it: 8-byte length, part."""
+    return len(part).to_bytes(8, "big") + part
+
+
+def hash_bytes(domain: str, *parts: bytes) -> bytes:
+    """SHA-256 over a domain frame and framed byte parts."""
+    digest = hashlib.sha256(domain_frame(domain))
     for part in parts:
-        framed.append(len(part).to_bytes(8, "big"))
-        framed.append(part)
-    return hashlib.sha256(b"".join(framed)).digest()
+        digest.update(frame(part))
+    return digest.digest()
 
 
 def hash_to_int(domain: str, *parts: bytes) -> int:

@@ -21,10 +21,11 @@ world they run in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from hashlib import sha256
 from typing import Any, Union
 
 from repro.crypto.groups import SchnorrGroup, TEST_GROUP
-from repro.crypto.hashing import hash_bytes, hash_objects
+from repro.crypto.hashing import domain_frame, frame, hash_objects
 from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature
 from repro.crypto.schnorr import sign as schnorr_sign
 from repro.crypto.schnorr import verify as schnorr_verify
@@ -35,6 +36,47 @@ from repro.types import NodeId
 
 IDEAL_MODE = "ideal"
 REAL_MODE = "real"
+
+
+#: The domain frame of every ideal signature's digest.
+_SIG_DOMAIN = domain_frame("ideal-sig")
+
+
+def ledger_tag(node_id: NodeId, topic: Any) -> Any:
+    """The type-tagged ``(node_id, topic)`` a :func:`ledger_holds` entry
+    is filed under, or ``None`` for an unhashable (so mutable) topic: its
+    content could change."""
+    try:
+        tag = (type_tagged(node_id), type_tagged(topic))
+        hash(tag)
+    except TypeError:
+        return None
+    return tag
+
+
+def ledger_record(ledger: dict, auth: Any, tag: Any) -> Any:
+    """Enter ``auth`` in a :func:`ledger_holds` table under a
+    :func:`ledger_tag` (none for ``None``) and return it: the one writer
+    of every issuer's ledger."""
+    if tag is not None:
+        ledger[id(auth)] = (auth, tag)
+    return auth
+
+
+def ledger_holds(ledger: dict, auth: Any, node_id: NodeId,
+                 topic: Any) -> bool:
+    """Whether an issuer's ``ledger`` — ``id(auth) -> (auth, type-tagged
+    (node, topic))``, each entry pinning its auth, so no recycled id
+    aliases — holds this very ``auth`` for ``(node_id, topic)``.  Tags
+    compare as finely as canonical bytes (``True`` is not ``1``); never
+    raises."""
+    entry = ledger.get(id(auth))
+    if entry is None or entry[0] is not auth:
+        return False
+    try:
+        return entry[1] == (type_tagged(node_id), type_tagged(topic))
+    except TypeError:  # an element's tag is unhashable: never issued
+        return False
 
 
 @dataclass(frozen=True)
@@ -83,17 +125,15 @@ class KeyRegistry:
         rng = derive_rng(seed, "key-registry")
         self._capabilities = [SigningCapability(self, node) for node in range(n)]
         self._issued: set[tuple[NodeId, bytes]] = set()
-        # canonical_bytes of a signed topic, per type_tagged(topic): every
-        # signer of ("Vote", r, b) digests the same encoding.
-        self._topic_bytes: dict = {}
-        # canonical_bytes of a signer id, per type_tagged(node_id): a node
-        # signs many topics and its id encodes the same every time.
-        self._signer_bytes: dict = {}
-        # id(signature) -> (signature, type-tagged (node, message)) per
-        # ideal signature issued on a hashable message: the object a node
-        # signs is the one its recipients verify, by identity and tag, with
-        # no digest.  An entry pins its signature (no recycled id aliases);
-        # the tag is as fine as the digest's encoding (True == 1 is not).
+        # The hashed frames, memoized per type_tagged form: a signer id's
+        # prefix (domain frame + signer frame) and a topic's frame, so a
+        # digest is one sha256 over their join.
+        self._signer_prefixes: dict = {}
+        self._topic_frames: dict = {}
+        # The ledger_holds table of every signature issued on a hashable
+        # message, in either mode: the object a node signs is the one its
+        # recipients verify, by identity and tag, with no digest or
+        # modular exponentiation.
         self._ledger: dict = {}
         self._rng = rng
         if mode == REAL_MODE:
@@ -115,38 +155,44 @@ class KeyRegistry:
                 f"counterfeit capability for node {capability.node_id}")
         node_id = capability.node_id
         if self.mode == REAL_MODE:
-            return schnorr_sign(self._keypairs[node_id], message, self._rng)
+            return ledger_record(
+                self._ledger,
+                schnorr_sign(self._keypairs[node_id], message, self._rng),
+                ledger_tag(node_id, message))
         digest, tag = self._expected_digest(node_id, message)
         self._issued.add((node_id, digest))
-        signature = IdealSignature(signer=node_id, digest=digest)
-        if tag is not None:
-            self._ledger[id(signature)] = (signature, tag)
-        return signature
+        return ledger_record(self._ledger,
+                             IdealSignature(signer=node_id, digest=digest),
+                             tag)
 
-    def _expected_digest(self, node_id: NodeId, message: Any,
-                         tag: Any = None) -> tuple:
-        """``hash_objects("ideal-sig", node_id, message)`` with the signer
-        and the topic each encoded once per ``type_tagged`` form, and the
-        ``(node, message)`` tag, or ``None`` for an unhashable (so
+    def _expected_digest(self, node_id: NodeId, message: Any) -> tuple:
+        """``hash_objects("ideal-sig", node_id, message)`` as one sha256
+        over the signer's memoized prefix and the topic's memoized frame,
+        and the ``(node, message)`` tag, or ``None`` for an unhashable (so
         mutable) message."""
         try:
-            if tag is None:
-                tag = (type_tagged(node_id), type_tagged(message))
-            encoded = self._topic_bytes.get(tag[1])
+            tag = (type_tagged(node_id), type_tagged(message))
+            topic_frame = self._topic_frames.get(tag[1])
         except TypeError:
             return hash_objects("ideal-sig", node_id, message), None
-        if encoded is None:
-            encoded = self._topic_bytes[tag[1]] = canonical_bytes(message)
-        signer = self._signer_bytes.get(tag[0])
-        if signer is None:
-            signer = self._signer_bytes[tag[0]] = canonical_bytes(node_id)
-        return hash_bytes("ideal-sig", signer, encoded), tag
+        if topic_frame is None:
+            topic_frame = self._topic_frames[tag[1]] = frame(
+                canonical_bytes(message))
+        prefix = self._signer_prefixes.get(tag[0])
+        if prefix is None:
+            prefix = self._signer_prefixes[tag[0]] = _SIG_DOMAIN + frame(
+                canonical_bytes(node_id))
+        return sha256(prefix + topic_frame).digest(), tag
 
     # -- verification ------------------------------------------------------
     def verify(self, node_id: NodeId, message: Any, signature: Signature) -> bool:
         """Verify a signature on ``message`` by ``node_id``; never raises."""
         if not 0 <= node_id < self.n:
             return False
+        if ledger_holds(self._ledger, signature, node_id, message):
+            return True
+        # Any other object — a copy, a token never issued — is checked in
+        # full: the Schnorr equation, or the recomputed digest.
         if self.mode == REAL_MODE:
             if not isinstance(signature, SchnorrSignature):
                 return False
@@ -154,18 +200,9 @@ class KeyRegistry:
                                   message, signature)
         if not isinstance(signature, IdealSignature):
             return False
-        try:
-            tag = (type_tagged(node_id), type_tagged(message))
-        except TypeError:
-            tag = None  # an element's tag is unhashable: no ledger entry
-        entry = self._ledger.get(id(signature))
-        if entry is not None and entry[0] is signature and entry[1] == tag:
-            return True
-        # Any other object — a copy, a token never issued — is checked
-        # against its recomputed digest.
         if signature.signer != node_id:
             return False
-        expected = self._expected_digest(node_id, message, tag)[0]
+        expected = self._expected_digest(node_id, message)[0]
         return (signature.digest == expected
                 and (node_id, signature.digest) in self._issued)
 

@@ -87,54 +87,39 @@ class EligibilityAuthenticator(Authenticator):
         return self.source.capability_for(node_id)
 
 
-class ProposerPolicy(abc.ABC):
-    """Who may send ``(Propose, r, b)``, and how it is verified."""
+class ProposerPolicy:
+    """Who may send ``(Propose, r, b)``: whoever ``authenticator``
+    authenticates on that topic — in the compiled worlds, anyone who
+    mines it."""
 
-    @abc.abstractmethod
+    def __init__(self, authenticator: Authenticator) -> None:
+        self.authenticator = authenticator
+
     def attempt(self, node_id: NodeId, iteration: int, bit: Bit) -> Optional[Any]:
         """Auth for a proposal, or None if this node may not propose."""
+        return self.authenticator.attempt(node_id, ("Propose", iteration, bit))
 
-    @abc.abstractmethod
     def check(self, node_id: NodeId, iteration: int, bit: Bit, auth: Any) -> bool:
         """Verify a received proposal's right to exist."""
+        return self.authenticator.check(node_id, ("Propose", iteration, bit),
+                                        auth)
 
 
 class OracleProposerPolicy(ProposerPolicy):
-    """Warmup worlds: the announced oracle leader signs its proposal."""
+    """Warmup worlds: only the announced oracle leader may propose."""
 
     def __init__(self, oracle: LeaderOracle, authenticator: Authenticator) -> None:
+        super().__init__(authenticator)
         self.oracle = oracle
-        self.authenticator = authenticator
 
     def attempt(self, node_id: NodeId, iteration: int, bit: Bit) -> Optional[Any]:
         if self.oracle.leader(iteration) != node_id:
             return None
-        return self.authenticator.attempt(node_id, ("Propose", iteration, bit))
+        return super().attempt(node_id, iteration, bit)
 
     def check(self, node_id: NodeId, iteration: int, bit: Bit, auth: Any) -> bool:
-        if self.oracle.leader(iteration) != node_id:
-            return False
-        return self.authenticator.check(node_id, ("Propose", iteration, bit), auth)
-
-
-class MiningProposerPolicy(ProposerPolicy):
-    """Compiled worlds: anyone who mines ``(Propose, r, b)`` may propose."""
-
-    def __init__(self, source: EligibilitySource) -> None:
-        self.source = source
-
-    def attempt(self, node_id: NodeId, iteration: int, bit: Bit) -> Optional[Any]:
-        return self.source.capability_for(node_id).try_mine(
-            ("Propose", iteration, bit))
-
-    def check(self, node_id: NodeId, iteration: int, bit: Bit, auth: Any) -> bool:
-        if auth is None:
-            return False
-        if getattr(auth, "node_id", None) != node_id:
-            return False
-        if getattr(auth, "topic", None) != ("Propose", iteration, bit):
-            return False
-        return self.source.verify(auth)
+        return (self.oracle.leader(iteration) == node_id
+                and super().check(node_id, iteration, bit, auth))
 
 
 @dataclass

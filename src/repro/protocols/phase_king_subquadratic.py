@@ -20,7 +20,7 @@ from repro.crypto.groups import SchnorrGroup, TEST_GROUP
 from repro.errors import ConfigurationError
 from repro.protocols.base import (
     EligibilityAuthenticator,
-    MiningProposerPolicy,
+    ProposerPolicy,
     ProtocolInstance,
 )
 from repro.protocols.phase_king import (
@@ -66,10 +66,11 @@ def build_phase_king_subquadratic(
     if eligibility is None:
         eligibility = make_eligibility(n, params, seed, mode, group,
                                        coin_cache=coin_cache)
+    authenticator = EligibilityAuthenticator(eligibility)
     config = PhaseKingConfig(
         threshold=ack_threshold(params),
-        authenticator=EligibilityAuthenticator(eligibility),
-        proposer=MiningProposerPolicy(eligibility),
+        authenticator=authenticator,
+        proposer=ProposerPolicy(authenticator),
         epochs=epochs,
     )
     nodes = [PhaseKingNode(node_id, n, inputs[node_id], config)

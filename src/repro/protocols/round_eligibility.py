@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Tuple
 
 from repro.crypto.hashing import hash_objects
+from repro.crypto.registry import ledger_holds, ledger_record, ledger_tag
 from repro.eligibility.base import EligibilitySource, Topic
 from repro.errors import ConfigurationError, SignatureError
 from repro.protocols.base import Authenticator, ProposerPolicy, ProtocolInstance
@@ -160,6 +161,9 @@ class RoundEligibilityAuthenticator(Authenticator):
         self.source = source
         self.epoch_registry = epoch_registry
         self.memory_erasure = memory_erasure
+        # The ledger_holds table of every auth ``attempt`` handed out: its
+        # ticket stays mined and its signature issued, erased key or not.
+        self._ledger: dict = {}
 
     def attempt(self, node_id: NodeId, topic: Topic) -> Optional[RoundAuth]:
         ticket = self.source.capability_for(node_id).try_mine(
@@ -172,9 +176,14 @@ class RoundEligibilityAuthenticator(Authenticator):
         if self.memory_erasure:
             # Chen–Micali: erase the slot key immediately after voting.
             capability.evolve(slot + 1)
-        return RoundAuth(ticket=ticket, signature=signature)
+        return ledger_record(self._ledger,
+                             RoundAuth(ticket=ticket, signature=signature),
+                             ledger_tag(node_id, topic))
 
     def check(self, node_id: NodeId, topic: Topic, auth: Any) -> bool:
+        if ledger_holds(self._ledger, auth, node_id, topic):
+            return True
+        # Any other object: the lottery ticket and the per-slot signature.
         if not isinstance(auth, RoundAuth):
             return False
         ticket = auth.ticket
@@ -257,23 +266,6 @@ class _RealFsCapability:
         self._registry._keypairs[self.node_id].evolve(to_slot)
 
 
-class RoundMiningProposerPolicy(ProposerPolicy):
-    """Proposals mined per round (bit chosen after winning — equivocable)."""
-
-    def __init__(self, authenticator: RoundEligibilityAuthenticator) -> None:
-        self.authenticator = authenticator
-
-    def attempt(self, node_id: NodeId, iteration: int,
-                bit: Bit) -> Optional[RoundAuth]:
-        return self.authenticator.attempt(
-            node_id, ("Propose", iteration, bit))
-
-    def check(self, node_id: NodeId, iteration: int, bit: Bit,
-              auth: Any) -> bool:
-        return self.authenticator.check(
-            node_id, ("Propose", iteration, bit), auth)
-
-
 def build_round_eligibility(
     n: int,
     f: int,
@@ -308,7 +300,9 @@ def build_round_eligibility(
     config = PhaseKingConfig(
         threshold=max(1, math.ceil(2 * params.lam / 3)),
         authenticator=authenticator,
-        proposer=RoundMiningProposerPolicy(authenticator),
+        # A proposal is mined per round, the bit chosen after winning
+        # (equivocable).
+        proposer=ProposerPolicy(authenticator),
         epochs=epochs,
     )
     nodes = [PhaseKingNode(node_id, n, inputs[node_id], config)

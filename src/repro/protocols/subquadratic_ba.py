@@ -30,7 +30,7 @@ from repro.errors import ConfigurationError
 from repro.protocols.aba import AbaConfig, AbaNode, rounds_for_iterations
 from repro.protocols.base import (
     EligibilityAuthenticator,
-    MiningProposerPolicy,
+    ProposerPolicy,
     ProtocolInstance,
 )
 from repro.rng import Seed
@@ -103,7 +103,7 @@ def build_subquadratic_ba(
     config = AbaConfig(
         threshold=committee_threshold(params),
         authenticator=authenticator,
-        proposer=MiningProposerPolicy(eligibility),
+        proposer=ProposerPolicy(authenticator),
         max_iterations=max_iterations,
     )
     nodes = [AbaNode(node_id, n, inputs[node_id], config)

@@ -4,29 +4,35 @@ Verification of votes, certificates and proposals is a *public*
 predicate — authenticators and eligibility lotteries are deterministic
 functions any party can evaluate, and the result does not depend on
 which node performs the check — so one :class:`VerificationCache` is
-shared by every node of a protocol instance (via its config).  What a
-table is keyed by follows how its objects come to exist:
+shared by every node of a protocol instance (via its config).  How a
+check is answered follows how its objects come to exist:
 
-- **Auths are issued**, one object per signing, and content-equal
-  copies of a vote arrive by different routes (inside a certificate, as
-  a ``VoteMsg``): vote, topic and proposal checks are keyed by
-  **content**.
+- **Auths are issued**, one object per signing or won coin, and the
+  object a node issues is the one every recipient is handed — inside a
+  certificate, as a ``VoteMsg``, re-attached to a vote.  Auth and
+  proposal checks go straight to ``authenticator.check``, whose issuer
+  looks that object up in its own ledger first; no content key is
+  built.
 - **Wrapped votes, certificates and decide quorums are interned at
   construction** (``signed_vote``, ``certificate_from_votes``,
   ``view_machine.intern_quorum``) and the simulation hands every
   recipient of a message the same payload: all three are keyed by
-  **identity** (``_vote_true_by_id`` in front of the vote's content
-  key), and any other copy is verified again.
+  **identity** (``_vote_true_by_id`` in front of the vote's auth
+  check), and any other copy is verified again.
 
 Soundness rests on three invariants:
 
-**Content keys cover everything the verifier reads.**  A vote entry is
-keyed by ``(voter, iteration, bit, auth)`` — the ``auth`` term is
-load-bearing: without it, a tampered vote carrying a forged auth would
-collide with a previously-verified honest vote and poison the cache;
-proposals by ``(sender, iteration, bit, auth)``.  Keys are
-:func:`~repro.serialization.type_tagged` because dict equality is coarser
-than canonical-bytes equality (``True == 1``, but they sign differently).
+**An issued auth is answered by its issuer's ledger; anything else by
+the predicate.**  The key registry (either mode) and the round-eligibility
+authenticator answer ``True`` at the top of ``check`` only for the very
+object they handed ``node_id`` for that topic, compared by
+:func:`~repro.serialization.type_tagged` equality (``True == 1``, but
+they sign differently).  A content-equal copy, a token never handed out,
+or an issued object presented under another node or topic misses the
+ledger and gets the full predicate: the digest, the Schnorr equation,
+the coin and the slot signature.  ``Fmine`` keeps no ledger (its
+predicate is a dict lookup), nor does the VRF world, which memoizes its
+own verdicts.
 
 **Only positive results are kept.**  A ``True`` is permanent — ideal
 signatures stay issued, ``Fmine`` coins stay recorded, real
@@ -38,9 +44,9 @@ refused object is checked again on every sight, so the answer is always
 the predicate's current value.
 
 **Identity entries pin their object**, so a recycled ``id()`` can never
-alias.  Messages with unhashable ``auth`` objects fall back to direct
-verification (no caching), so cache entries can never go stale when
-payload objects are garbage-collected (e.g. under the engine's
+alias — the issuers' ledgers as much as the tables here.  A vote with an
+unhashable ``auth`` is never kept by identity, so no entry goes stale
+when payload objects are garbage-collected (e.g. under the engine's
 ``metrics-only`` transcript retention).
 
 Every memo is a shortcut over a predicate: ``UncachedVerification`` in
@@ -55,7 +61,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.protocols.base import Authenticator, ProposerPolicy
 from repro.protocols.certificates import Certificate, verify_certificate
 from repro.protocols.messages import SignedVote
-from repro.serialization import type_tagged
 from repro.sim.node import Node
 from repro.types import Bit, NodeId
 
@@ -80,16 +85,10 @@ class VerificationCache:
     successful verification serves every other node.
     """
 
-    __slots__ = ("_auth", "_proposals", "_vote_true_by_id",
-                 "_cert_true_by_id", "_quorum_true_by_id", "valid_payloads",
-                 "_round_digest")
+    __slots__ = ("_vote_true_by_id", "_cert_true_by_id",
+                 "_quorum_true_by_id", "valid_payloads", "_round_digest")
 
     def __init__(self) -> None:
-        # type_tagged (node_id, topic, auth) of verified checks; covers
-        # votes, status, commit, terminate, and commit-reference checks.
-        self._auth: set = set()
-        # type_tagged (sender, iteration, bit, auth) of verified proposals.
-        self._proposals: set = set()
         # Identity front: verified SignedVote objects, which signed_vote
         # interns (a vote and every certificate holding it share one).
         self._vote_true_by_id: Dict[int, SignedVote] = {}
@@ -142,27 +141,15 @@ class VerificationCache:
 
     def check_auth(self, authenticator: Authenticator, node_id: NodeId,
                    topic: Any, auth: Any) -> bool:
-        """Memoized ``authenticator.check`` (content-keyed, auth included)."""
-        try:
-            key = (type_tagged(node_id), type_tagged(topic),
-                   type_tagged(auth))
-            if key in self._auth:
-                return True
-        except TypeError:  # unhashable auth: verify directly, never cache
-            return authenticator.check(node_id, topic, auth)
-        valid = authenticator.check(node_id, topic, auth)
-        if valid:
-            _trim(self._auth)
-            self._auth.add(key)
-        return valid
+        """``authenticator.check``: an issuer answers an auth it issued
+        from its own ledger (see the module docstring)."""
+        return authenticator.check(node_id, topic, auth)
 
     def check_vote(self, authenticator: Authenticator,
                    vote: SignedVote) -> bool:
-        """Memoized vote check: by identity, then by the content key
-        ``(voter, iteration, bit, auth)`` it shares with :meth:`check_auth`
-        (a vote inside a certificate and as a ``VoteMsg`` hit one line).
-        Only a vote that hashes (so holds no mutable auth) is kept by
-        identity."""
+        """Memoized vote check: by identity, then :meth:`check_auth` on
+        ``(voter, ("Vote", iteration, bit), auth)``.  Only a vote that
+        hashes (so holds no mutable auth) is kept by identity."""
         if self._vote_true_by_id.get(id(vote)) is vote:
             return True
         valid = self.check_auth(authenticator, vote.voter,
@@ -202,20 +189,9 @@ class VerificationCache:
 
     def check_proposal(self, proposer: ProposerPolicy, sender: NodeId,
                        iteration: int, bit: Bit, auth: Any) -> bool:
-        """Memoized ``proposer.check`` (votes re-attach the same proposal
-        n times per round — footnote 11)."""
-        try:
-            key = (type_tagged(sender), type_tagged(iteration),
-                   type_tagged(bit), type_tagged(auth))
-            if key in self._proposals:
-                return True
-        except TypeError:
-            return proposer.check(sender, iteration, bit, auth)
-        valid = proposer.check(sender, iteration, bit, auth)
-        if valid:
-            _trim(self._proposals)
-            self._proposals.add(key)
-        return valid
+        """``proposer.check`` (votes re-attach the same proposal n times
+        per round — footnote 11, and the issuer's ledger answers each)."""
+        return proposer.check(sender, iteration, bit, auth)
 
 
 class VerifyingNode(Node):

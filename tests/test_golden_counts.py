@@ -53,20 +53,22 @@ SEED = 1
 #: family -> [(n, f, rounds, envelopes, multicast bits,
 #: ``authenticator.check`` calls)]: split inputs, seed 1, perfect
 #: synchrony, f = n/2 − 1 (quadratic) or ⌊100n/256⌋ (subquadratic).
+#: Every auth check reaches ``check`` (no content memo sits in front of
+#: it); an issued auth is answered there by its issuer's ledger.
 SCALING = {
     "quadratic": [
-        (96, 47, 7, 481, 11_682_848, 385),
-        (192, 95, 7, 961, 45_851_936, 769),
-        (384, 191, 7, 1921, 181_651_232, 1537),
-        (768, 383, 7, 3841, 723_094_304, 3073),
-        (1536, 767, 7, 7681, 2_885_358_368, 6145),
+        (96, 47, 7, 481, 11_682_848, 625),
+        (192, 95, 7, 961, 45_851_936, 1249),
+        (384, 191, 7, 1921, 181_651_232, 2497),
+        (768, 383, 7, 3841, 723_094_304, 4993),
+        (1536, 767, 7, 7681, 2_885_358_368, 9985),
     ],
     "subquadratic": [
-        (96, 37, 7, 198, 1_903_224, 151),
-        (192, 75, 27, 414, 1_137_472, 375),
-        (384, 150, 7, 201, 1_907_064, 160),
-        (768, 300, 11, 231, 2_322_208, 195),
-        (1536, 600, 7, 185, 1_763_336, 147),
+        (96, 37, 7, 198, 1_903_224, 227),
+        (192, 75, 27, 414, 1_137_472, 440),
+        (384, 150, 7, 201, 1_907_064, 244),
+        (768, 300, 11, 231, 2_322_208, 280),
+        (1536, 600, 7, 185, 1_763_336, 231),
     ],
 }
 BUILDERS = {"quadratic": build_quadratic_ba,
@@ -136,7 +138,7 @@ EVENT_ENGINE = [
 ]
 EVENT_ENGINE_TRIALS = 12
 #: ``authenticator.check`` calls of seed 1 at the sparsest Δ.
-EVENT_ENGINE_SPARSEST_CHECK_CALLS = 33
+EVENT_ENGINE_SPARSEST_CHECK_CALLS = 53
 
 
 def _sparse_links(delta):

@@ -7,8 +7,9 @@ key per miss and served 0 hits once construction interned certificates).
 The traffic test wraps every table ``VerificationCache`` declares — read
 off ``__slots__``, so a table added later is held to the same bar — with
 a counting subclass from the test side and requires a hit on each over a
-small fixed set of executions; the registry's signature ledger and the
-size memo's tuple entries are held to the same bar.  The semantics test
+small fixed set of executions; the issuers' ledgers (the registry's
+signatures, round-eligibility auths) and the size memo's tuple entries
+are held to the same bar.  The semantics test
 pins what removing the per-node certificate memo narrowed: a node's
 answer about a certificate is always the predicate's current value.
 """
@@ -23,6 +24,8 @@ from repro.harness.scenarios import ScenarioSpec, SweepSpec, run_sweep
 from repro.harness.sweep_library import SWEEPS
 from repro.protocols.certificates import certificate_from_votes
 from repro.protocols.quadratic_ba import build_quadratic_ba
+from repro.protocols.round_eligibility import RoundEligibilityAuthenticator
+from repro.protocols.round_eligibility import build_round_eligibility
 from repro.protocols.subquadratic_ba import build_subquadratic_ba
 from repro.protocols.verification import VerificationCache
 from repro.types import SecurityParameters
@@ -58,8 +61,8 @@ class TupleCountingDict(dict):
 
 
 def _workloads():
-    """The `smoke` sweep (subquadratic, Fmine), a dense quadratic run on
-    split inputs, a view machine under loss and a view-splitting
+    """The `smoke` sweep (subquadratic, Fmine), dense quadratic and
+    round-eligibility runs on split inputs, a view machine under loss and a view-splitting
     adversary, and a three-height chain on wan (its deciders' Decides
     share one interned precommit tuple per height) — in process, so the
     wrapped tables see the traffic."""
@@ -67,6 +70,8 @@ def _workloads():
     n, f = 24, 11
     run_instance(build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=1),
                  f, seed=1)
+    run_instance(build_round_eligibility(n, 4, [i % 2 for i in range(n)],
+                                         seed=1), 4, seed=1)
     for name, protocol, adversary, network in (
             ("view-split", "leader-ba", "view-split", "lossy"),
             ("leader-chain", "leader-chain", None, "wan")):
@@ -78,8 +83,9 @@ def _workloads():
 
 #: The identity memos below the verification cache, held to the same bar.
 LEDGER = "KeyRegistry._ledger"
+ROUND_AUTHS = "RoundEligibilityAuthenticator._ledger"
 TUPLE_SIZES = "serialization._SIZE_BY_ID[tuple]"
-TABLES = VerificationCache.__slots__ + (LEDGER, TUPLE_SIZES)
+TABLES = VerificationCache.__slots__ + (LEDGER, ROUND_AUTHS, TUPLE_SIZES)
 
 
 @pytest.fixture(scope="module")
@@ -109,17 +115,24 @@ def hits():
         totals["_round_digest"] += digest is not None and not built
         return digest
 
-    original_registry_init = KeyRegistry.__init__
+    def counting_ledger(cls, name):
+        original = cls.__init__
 
-    def counting_registry_init(self, *args, **kwargs):
-        original_registry_init(self, *args, **kwargs)
-        self._ledger = CountingDict()
-        tables.append((LEDGER, self._ledger))
+        def counting_init(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            self._ledger = CountingDict()
+            tables.append((name, self._ledger))
+
+        return counting_init
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(VerificationCache, "__init__", counting_init)
         patch.setattr(VerificationCache, "round_digest", counting_digest)
-        patch.setattr(KeyRegistry, "__init__", counting_registry_init)
+        patch.setattr(KeyRegistry, "__init__",
+                      counting_ledger(KeyRegistry, LEDGER))
+        patch.setattr(RoundEligibilityAuthenticator, "__init__",
+                      counting_ledger(RoundEligibilityAuthenticator,
+                                      ROUND_AUTHS))
         sizes = TupleCountingDict()
         patch.setattr(serialization, "_SIZE_BY_ID", sizes)
         _workloads()
@@ -133,7 +146,7 @@ def hits():
 def test_every_table_serves_hits(hits, slot):
     assert hits[slot] >= 1, (
         f"{slot} served no hit over the smoke sweep, "
-        f"quadratic n=24, leader-ba n=13 lossy/view-split and "
+        f"quadratic and round-eligibility n=24, leader-ba n=13 lossy/view-split and "
         f"leader-chain n=13 wan: a memo tier without traffic should be "
         f"deleted, not kept")
 

@@ -44,20 +44,22 @@ class TestCertificateCacheSoundness:
 
     def test_content_equal_certificate_hits_cache(self):
         """A certificate assembled independently (new objects, equal
-        content) must not trigger a second cryptographic pass."""
+        content) must not trigger a second cryptographic pass: its votes
+        carry the issued auths, which the registry answers from its
+        ledger with no digest."""
         instance, registry, node = self._instance()
         votes = _signed_votes(registry, 1, 1, range(4))
         first = certificate_from_votes(1, 1, votes, node.config.threshold)
         assert node._check_certificate(first)
 
         counted = []
-        original = node.config.authenticator.check
+        original = registry._expected_digest
 
-        def counting(node_id, topic, auth):
-            counted.append((node_id, topic))
-            return original(node_id, topic, auth)
+        def counting(node_id, message):
+            counted.append((node_id, message))
+            return original(node_id, message)
 
-        node.config.authenticator.check = counting
+        registry._expected_digest = counting
         # Built by hand: certificate_from_votes itself interns assembly,
         # so it would return ``first``.  The content cache must still
         # cover genuinely distinct content-equal objects (e.g. arriving
@@ -70,7 +72,7 @@ class TestCertificateCacheSoundness:
                 sorted(votes.items())[:node.config.threshold]))
         assert second is not first and second == first
         assert node._check_certificate(second)
-        assert counted == []  # pure cache hit
+        assert counted == []  # no digest recomputed
 
     def test_cache_shared_across_nodes_of_one_instance(self):
         """Verification is a public predicate: once node 0 verified a

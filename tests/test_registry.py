@@ -14,6 +14,7 @@ from repro.crypto.registry import (
     SigningCapability,
 )
 from repro.crypto.hashing import hash_objects
+from repro.crypto.schnorr import SchnorrSignature
 from repro.errors import ConfigurationError, ForgeryAttempt
 
 
@@ -40,6 +41,23 @@ class TestIdealMode:
         forged = IdealSignature(
             signer=1, digest=hash_objects("ideal-sig", 1, "m"))
         assert not registry.verify(1, "m", forged)
+
+    def test_digest_is_the_framed_hash_of_signer_and_message(self):
+        """The memoized signer prefix and topic frame hash to exactly
+        ``hash_objects("ideal-sig", node, message)``, warm or cold, and
+        the bool/int twins of a signer or topic keep their own frames."""
+        registry = KeyRegistry(4, IDEAL_MODE)
+        for _ in range(2):
+            for node in (0, 3, True):
+                for message in (("Vote", 2, 0), ("Vote", 2, False), "m",
+                                b"\x00", None, (("Propose", 1, 1), 7)):
+                    node_id = 1 if node is True else node
+                    digest = registry.capability_for(node_id).sign(
+                        message).digest
+                    assert digest == hash_objects("ideal-sig", node_id,
+                                                  message), (node, message)
+                    assert registry._expected_digest(node, message)[0] \
+                        == hash_objects("ideal-sig", node, message)
 
     def test_counterfeit_capability_rejected(self):
         registry = KeyRegistry(4, IDEAL_MODE)
@@ -146,11 +164,27 @@ class TestRealMode:
         signature = registry.capability_for(2).sign("m")
         assert not registry.verify(1, "m", signature)
 
-    def test_real_mode_keeps_an_empty_ledger(self, group):
+    def test_real_mode_answers_an_issued_signature_by_identity(
+            self, group, monkeypatch):
+        """An issued Schnorr signature verifies from the ledger, with no
+        modular exponentiation; a copy, another topic or another signer
+        runs the full equation."""
+        from repro.crypto import registry as registry_module
+
         registry = KeyRegistry(3, REAL_MODE, group, seed=5)
         signature = registry.capability_for(2).sign(("Vote", 1, 1))
+        calls = []
+        original = registry_module.schnorr_verify
+        monkeypatch.setattr(
+            registry_module, "schnorr_verify",
+            lambda *args: calls.append(args) or original(*args))
         assert registry.verify(2, ("Vote", 1, 1), signature)
-        assert registry._ledger == {}
+        assert calls == []
+        copy = SchnorrSignature(signature.challenge, signature.response)
+        assert registry.verify(2, ("Vote", 1, 1), copy)
+        assert not registry.verify(2, ("Vote", 1, True), signature)
+        assert not registry.verify(1, ("Vote", 1, 1), signature)
+        assert len(calls) == 3
 
     def test_ideal_token_rejected_in_real_mode(self, group):
         registry = KeyRegistry(3, REAL_MODE, group, seed=5)
