@@ -198,6 +198,7 @@ def build_static_committee(
         mining_capabilities=[],
         services={
             "registry": registry,
+            "authenticator": authenticator,
             "committee": committee,
             "threshold": committee_f + 1,
         },

@@ -28,12 +28,19 @@ every node every tick, and its battery asserts the two produce
 *identical* executions — same decisions, rounds, transcripts, node
 states, NetworkStats, and RNG draw order.  See ``docs/NETWORK.md``
 ("The event engine").
+
+An ``observer`` is called with the name of each phase of the loop as
+it ends: ``"network"`` when the clock yields a round, ``"step"`` once
+the honest step has staged its sends, ``"sizing"`` once the loop has
+counted them in the metrics, ``"other"`` after the adversary's
+setup and after each rushing step.  The time between two calls is the
+named phase's: ``repro.harness.profiling`` builds its buckets so.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Dict, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import SimulationError
 from repro.serialization import clear_size_cache
@@ -55,6 +62,13 @@ TRANSCRIPT_METRICS_ONLY = "metrics-only"
 
 _RETENTION_POLICIES = (TRANSCRIPT_FULL, TRANSCRIPT_METRICS_ONLY)
 
+#: An observer is called with the name of each phase as it ends.
+Observer = Callable[[str], None]
+
+
+def _unobserved(phase: str) -> None:
+    pass
+
 
 class Simulation:
     """A single protocol execution against one adversary."""
@@ -73,6 +87,7 @@ class Simulation:
         transcript_retention: str = TRANSCRIPT_FULL,
         conditions: Optional[NetworkConditions] = None,
         audience: Optional[Audience] = None,
+        observer: Optional[Observer] = None,
     ) -> None:
         if not nodes:
             raise SimulationError("need at least one node")
@@ -110,6 +125,7 @@ class Simulation:
         self._node_rngs: Dict[NodeId, random.Random] = {}
         self._api = AdversaryApi(self)
         self._ran = False
+        self.observer = observer if observer is not None else _unobserved
 
     # -- services used by the adversary API ---------------------------------
     def rng_for_node(self, node_id: NodeId) -> random.Random:
@@ -146,7 +162,9 @@ class Simulation:
         return envelope
 
     # -- the round loop ------------------------------------------------------
-    def _honest_step(self, round_index: Round, inboxes) -> None:
+    def _honest_step(self, round_index: Round, inboxes) -> List[Envelope]:
+        """Step every awake so-far-honest node; the envelopes it staged,
+        in staging order."""
         # A round of unblocked multicasts has one delivery list common to
         # every node; handing it over (instead of n materialized inboxes)
         # lets a protocol absorb it once for all of them.
@@ -156,7 +174,8 @@ class Simulation:
         corrupt = self.controller.corrupt_set
         rng_for_node = self.rng_for_node
         stage = self.network.stage
-        record = self.metrics.record
+        sent: List[Envelope] = []
+        send = sent.append
         for node in self.nodes:
             node_id = node.node_id
             if node.halted or node_id in corrupt or (
@@ -168,8 +187,9 @@ class Simulation:
                 rng_for_node, broadcast)
             node.on_round(ctx)
             for recipient, payload in ctx.staged:
-                record(stage(node_id, recipient, payload, round_index,
-                             honest_sender=True))
+                send(stage(node_id, recipient, payload, round_index,
+                           honest_sender=True))
+        return sent
 
     def _all_honest_halted(self) -> bool:
         return all(node.halted or self.controller.is_corrupt(node.node_id)
@@ -182,13 +202,22 @@ class Simulation:
 
         # Setup phase (round -1): static adversaries corrupt here.
         self.adversary.bind(self._api)
+        observe = self.observer
+        observe("other")
 
+        record = self.metrics.record
         rounds_executed = 0
         for round_index, inboxes in self.network.steps(self.max_rounds):
+            observe("network")
             self.current_round = round_index
             self.adversary.observe_deliveries(round_index, inboxes)
-            self._honest_step(round_index, inboxes)
+            sent = self._honest_step(round_index, inboxes)
+            observe("step")
+            for envelope in sent:
+                record(envelope)
+            observe("sizing")
             self.adversary.react(round_index, self.network.in_flight())
+            observe("other")
             rounds_executed = round_index + 1
             if self._all_honest_halted():
                 break
@@ -225,9 +254,11 @@ def run_instance(instance, f: int, adversary: Optional[Adversary] = None,
                  seed: Seed = 0, max_rounds: Optional[int] = None,
                  transcript_retention: str = TRANSCRIPT_FULL,
                  conditions: Optional[NetworkConditions] = None,
+                 observer: Optional[Observer] = None,
                  ) -> ExecutionResult:
     """Execute one :class:`~repro.protocols.base.ProtocolInstance`, read
-    by its fields, against one adversary."""
+    by its fields, against one adversary (``observer``: the
+    module docstring)."""
     if max_rounds is None:
         max_rounds = instance.max_rounds
     return Simulation(
@@ -237,4 +268,4 @@ def run_instance(instance, f: int, adversary: Optional[Adversary] = None,
         signing_capabilities=instance.signing_capabilities,
         mining_capabilities=instance.mining_capabilities,
         transcript_retention=transcript_retention,
-        audience=instance.audience).run()
+        audience=instance.audience, observer=observer).run()

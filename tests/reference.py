@@ -453,8 +453,9 @@ class ReferenceFMine:
 def eager_honest_step(self, round_index, inboxes):
     """``Simulation._honest_step`` as it was: every non-halted honest node
     steps, asleep or not, its stream derived before its step, every
-    attribute looked up per node."""
+    attribute looked up per node; the envelopes staged."""
     broadcast = getattr(inboxes, "broadcast", None)
+    sent = []
     for node in self.nodes:
         node_id = node.node_id
         if self.controller.is_corrupt(node_id) or node.halted:
@@ -465,9 +466,9 @@ def eager_honest_step(self, round_index, inboxes):
             self.rng_for_node(node_id), broadcast)
         node.on_round(ctx)
         for recipient, payload in ctx.staged:
-            envelope = self.network.stage(
-                node_id, recipient, payload, round_index, honest_sender=True)
-            self.metrics.record(envelope)
+            sent.append(self.network.stage(
+                node_id, recipient, payload, round_index, honest_sender=True))
+    return sent
 
 
 class ReferenceSimulation(Simulation):
@@ -606,10 +607,11 @@ def execute(instance, f, adversary=None, *, engine=EVENT, **kwargs):
             return super().run()
 
         def _honest_step(self, round_index, inboxes):
-            super()._honest_step(round_index, inboxes)
+            sent = super()._honest_step(round_index, inboxes)
             corrupt = self.controller.corrupt_set
             trace.append([_scalars(node) for node in self.nodes
                           if node.node_id not in corrupt])
+            return sent
 
     with mock.patch.object(engine_module, "Simulation", Recorded):
         result = engine_module.run_instance(instance, f, adversary, **kwargs)

@@ -22,13 +22,18 @@ is right.
 """
 
 import functools
+import gc
 
-from repro.harness.profiling import (
-    profile_handler_calls,
-    profile_phase_budget,
-)
+import pytest
+
+from repro.harness.profiling import profile_phase_budget
 from repro.harness.runner import run_instance
+from repro.protocols import aba
 from repro.protocols.quadratic_ba import build_quadratic_ba
+from repro.protocols.static_committee import build_static_committee
+from repro.sim import engine, metrics
+from repro.sim.conditions import NETWORKS, ConditionedNetwork
+from repro.sim.network import SynchronousNetwork
 
 
 def test_quadratic_ba_n96_check_call_budget():
@@ -49,11 +54,9 @@ def test_quadratic_ba_n96_check_call_budget():
 
 def test_phase_budget_books_each_clock_to_its_seam():
     """The bench's ``sim.deliver_ms`` and ``sim.scheduler_ms`` read these
-    buckets: the lock-step clock ticks through ``deliver`` and never the
-    scheduler; a conditioned clock ticks through ``advance_to`` and never
-    ``deliver``.  A clock that bypassed its seam would read 0 here."""
-    from repro.sim.conditions import NETWORKS
-
+    buckets: the lock-step clock's turns book to ``deliver`` and never
+    to the scheduler; a conditioned clock's to ``scheduler`` and never
+    to ``deliver``."""
     n, f = 16, 5
 
     def budget(**kwargs):
@@ -68,20 +71,109 @@ def test_phase_budget_books_each_clock_to_its_seam():
     assert wan.deliver_seconds == 0
 
 
-def test_quadratic_ba_n96_handler_call_budget():
+def _shared_seams():
+    """The class and module attributes the loop's phases run through,
+    which every thread of the process shares."""
+    return [SynchronousNetwork.deliver, ConditionedNetwork.advance_to,
+            engine.Simulation._honest_step, metrics.encoded_size_bits]
+
+
+@pytest.mark.parametrize("network", [None, "wan"])
+def test_phase_budget_rebinds_no_shared_attribute(monkeypatch, network):
+    """The profiler times a run from the loop's own phase stamps: every
+    verification in a profiled run sees the shared seams as they were."""
+    n, f = 16, 5
+    instance = build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=1)
+    authenticator = instance.services["authenticator"]
+    check = authenticator.check
+    originals = _shared_seams()
+    seen = []
+
+    def spy(node_id, topic, auth):
+        seen.append([now is then
+                     for now, then in zip(_shared_seams(), originals)])
+        return check(node_id, topic, auth)
+
+    monkeypatch.setattr(authenticator, "check", spy)
+    profile = profile_phase_budget(
+        instance, f, seed=1,
+        conditions=network and NETWORKS[network])
+    assert profile.check_calls == len(seen) > 0
+    assert all(all(row) for row in seen)
+
+
+def test_phase_budget_pauses_and_restores_the_collector(monkeypatch):
+    """The collector is off during a profiled run (its pauses would land
+    in whichever bucket they hit) and back as the caller left it after
+    one, also when the run raises."""
+    n, f = 16, 5
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            instance = build_quadratic_ba(n, f, [0] * n, seed=1)
+            profile_phase_budget(instance, f, seed=1)
+            assert gc.isenabled() is enabled
+
+        gc.enable()
+        instance = build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=1)
+        during = []
+
+        def failing(node_id, topic, auth):
+            during.append(gc.isenabled())
+            raise RuntimeError("check failed")
+
+        monkeypatch.setattr(instance.services["authenticator"], "check",
+                            failing)
+        with pytest.raises(RuntimeError, match="check failed"):
+            profile_phase_budget(instance, f, seed=1)
+        assert during == [False]
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_static_committee_profiles():
+    """The static-committee builder names its authenticator, so the
+    profiler can wrap it (measured: 80 checks at n = 64, seed 1)."""
+    n, f = 64, 21
+    instance = build_static_committee(n, f, [i % 2 for i in range(n)], seed=1)
+    profile = profile_phase_budget(instance, f, seed=1)
+    assert profile.result.consistent()
+    assert profile.result.all_decided()
+    assert profile.check_calls == 80
+
+
+def test_quadratic_ba_n96_handler_call_budget(monkeypatch):
     """A benign run is all plain multicasts, so every round is absorbed
     from one shared digest: one step per *message* (≈ n per round), not
     one per delivery (≈ n² per round).  Measured: 385 steps over 7 rounds
-    at n = 96; the per-message fold takes 36 575."""
+    at n = 96; the per-message fold takes 36 575.
+
+    Every per-message step dispatches through ``aba._HANDLERS``; the run
+    reads a copy of it whose absorb and tally entries count their calls.
+    """
+    calls = [0]
+
+    def counting(step):
+        def counted(target, message):
+            calls[0] += 1
+            return step(target, message)
+        return counted
+
+    monkeypatch.setattr(aba, "_HANDLERS", {
+        cls: None if handler is None else (
+            handler[0], counting(handler[1]), counting(handler[2]))
+        for cls, handler in aba._HANDLERS.items()})
     n, f = 96, 47
     instance = build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=1)
-    profile = profile_handler_calls(instance, f, seed=1)
+    result = run_instance(instance, f, seed=1)
 
-    assert profile.result.consistent()
-    assert profile.result.all_decided()
-    budget = 3 * n * profile.result.rounds_executed
-    assert profile.handler_calls <= budget, (
-        f"{profile.handler_calls} per-message handler steps, budget "
+    assert result.consistent()
+    assert result.all_decided()
+    budget = 3 * n * result.rounds_executed
+    assert calls[0] <= budget, (
+        f"{calls[0]} per-message handler steps, budget "
         f"{budget}: rounds are being folded delivery by delivery instead "
         f"of absorbed from the shared round digest")
 
@@ -101,7 +193,6 @@ def test_post_gst_window_draws_bits_and_pushes_rounds(monkeypatch):
     import random
 
     from repro.sim import conditions as conditions_module
-    from repro.sim.conditions import NETWORKS, ConditionedNetwork
     from tests.reference import pending_copies
 
     calls = {"randint": 0, "heappush": 0, "getrandbits": 0}
@@ -328,7 +419,6 @@ def test_subquadratic_n384_silent_node_pays_one_coin(monkeypatch):
 def _run_chain13():
     """A three-height leader chain at n = 13 on wan, seed 1."""
     from repro.protocols.leader_ba import build_leader_chain
-    from repro.sim.conditions import NETWORKS
 
     n, f = 13, 4
     wan = NETWORKS["wan"]
