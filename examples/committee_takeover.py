@@ -24,7 +24,7 @@ def main() -> None:
     print(f"n={n}, adaptive corruption budget f={f}, unanimous input 1\n")
 
     instance = build_static_committee(n, f, [1] * n, seed=seed)
-    committee = instance.services["committee"]
+    committee = instance.authenticator.committee
     adversary = CommitteeTakeoverAdversary(instance)
     result = run_instance(instance, f, adversary, seed=seed)
     print(f"static committee (public, size {len(committee)}):")

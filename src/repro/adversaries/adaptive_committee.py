@@ -17,7 +17,8 @@ from typing import Dict, List
 
 from repro.errors import ConfigurationError
 from repro.protocols.base import ProtocolInstance
-from repro.protocols.static_committee import CommitteeOutputMsg
+from repro.protocols.static_committee import (
+    CommitteeAuthenticator, CommitteeOutputMsg)
 from repro.sim.adversary import Adversary
 from repro.sim.corruption import CorruptionGrant
 from repro.sim.network import Envelope
@@ -31,12 +32,12 @@ class CommitteeTakeoverAdversary(Adversary):
 
     def __init__(self, instance: ProtocolInstance) -> None:
         super().__init__()
-        services = instance.services
-        if "committee" not in services or "registry" not in services:
+        authenticator = instance.authenticator
+        if not isinstance(authenticator, CommitteeAuthenticator):
             raise ConfigurationError(
-                "committee takeover needs committee + registry in services")
-        self.committee: List[NodeId] = list(services["committee"])
-        self.registry = services["registry"]
+                "committee takeover needs a public committee")
+        self.committee: List[NodeId] = sorted(authenticator.committee)
+        self.registry = authenticator.registry
         self.grants: Dict[NodeId, CorruptionGrant] = {}
         self._attacked = False
 

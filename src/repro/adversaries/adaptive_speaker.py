@@ -38,7 +38,7 @@ class AdaptiveSpeakerAdversary(Adversary):
         # Only the iterated families' votes and ACKs are flipped: on any
         # other family the attack would corrupt nobody.
         family_of(instance, "speaker", ("aba", "phase-king"))
-        self.authenticator = instance.services["authenticator"]
+        self.authenticator = instance.authenticator
         #: Number of corruptions to hold in reserve (never spent).
         self.spare_budget = spare_budget
         self.corrupted: List[NodeId] = []

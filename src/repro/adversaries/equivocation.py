@@ -54,13 +54,12 @@ class AckEquivocationAdversary(Adversary):
 
     def __init__(self, instance: ProtocolInstance, reserve: int = 0) -> None:
         super().__init__()
-        services = instance.services
-        authenticator = services.get("authenticator")
+        authenticator = instance.authenticator
         if not isinstance(authenticator, RoundEligibilityAuthenticator):
             raise ConfigurationError(
                 "this attack targets round-specific eligibility protocols")
         self.authenticator = authenticator
-        config = services["config"]
+        config = instance.config
         # Target the second-to-last epoch: the split beliefs it creates
         # are ACKed (and become the outputs) in the final epoch, leaving
         # the protocol no time to self-heal.

@@ -39,7 +39,8 @@ class LeaderKillerAdversary(Adversary):
 
     def __init__(self, instance: ProtocolInstance) -> None:
         super().__init__()
-        oracle = instance.services.get("oracle")
+        proposer = getattr(instance.config, "proposer", None)
+        oracle = getattr(proposer, "oracle", None)
         if not isinstance(oracle, LeaderOracle):
             raise ConfigurationError(
                 "leader-killer needs an announced leader oracle")

@@ -43,8 +43,8 @@ class Family:
     """One quorum family's public schedule and corrupt-node vocabulary."""
 
     name: str
-    #: The shared-config class the family's builders install in
-    #: ``instance.services["config"]`` — how an instance is recognized.
+    #: The shared-config class the family's builders declare as
+    #: ``instance.config`` — how an instance is recognized.
     config_cls: type
     #: ``schedule(protocol_round) -> (unit, phase)``; the unit (iteration,
     #: epoch, view) is also the leader oracle's epoch key.
@@ -146,7 +146,7 @@ FAMILIES: Tuple[Family, ...] = (
 def family_of(instance: ProtocolInstance, policy: str,
               admits: Sequence[str]) -> Family:
     """The instance's family if ``policy`` admits it, else a refusal."""
-    config = instance.services.get("config")
+    config = instance.config
     for family in FAMILIES:
         if isinstance(config, family.config_cls) and family.name in admits:
             return family
@@ -162,7 +162,7 @@ class ByzantineMenu:
     def __init__(self, instance: ProtocolInstance, policy: str,
                  admits: Sequence[str]) -> None:
         self.family = family_of(instance, policy, admits)
-        self.config = instance.services["config"]
+        self.config = instance.config
         #: Broadcast-from-BA runs the inner protocol one round late.
         self.round_offset = (
             1 if isinstance(instance.nodes[0], BroadcastNode) else 0)

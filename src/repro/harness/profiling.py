@@ -69,16 +69,17 @@ def profile_phase_budget(instance: ProtocolInstance, f: int, seed=0,
     time to the :class:`PhaseBudget` buckets.
 
     The run's observer books each phase stamp; the one wrap is the
-    instance's ``authenticator.check``, removed on exit.  The cyclic
-    collector runs before the execution and is off during it, so no
-    pause lands in a bucket; the caller's collector state is restored
-    (the collector is process-wide: threads profiling at once share it).
+    instance's ``authenticator.check``, removed on exit.  An entry with
+    no authenticator (``dolev-strong``, ``naive-broadcast``) books
+    verify as 0 and ``check_calls`` as 0.  The cyclic collector runs
+    before the execution and is off during it, so no pause lands in a
+    bucket; the caller's collector state is restored (the collector is
+    process-wide: threads profiling at once share it).
     """
     seconds = {"network": 0.0, "step": 0.0, "sizing": 0.0, "other": 0.0}
     verify_seconds = unbooked = 0.0
     check_calls = 0
-    authenticator = instance.services["authenticator"]
-    check = authenticator.check
+    authenticator = instance.authenticator
 
     def timed_check(node_id, topic, auth):
         nonlocal unbooked, check_calls
@@ -99,14 +100,17 @@ def profile_phase_budget(instance: ProtocolInstance, f: int, seed=0,
     collecting = gc.isenabled()
     gc.collect()
     gc.disable()
-    authenticator.check = timed_check
+    if authenticator is not None:
+        check = authenticator.check
+        authenticator.check = timed_check
     try:
         start = last = perf_counter()
         result = run_instance(instance, f, seed=seed, conditions=conditions,
                               observer=stamp)
         stamp("other")
     finally:
-        del authenticator.check
+        if authenticator is not None:
+            del authenticator.check
         if collecting:
             gc.enable()
 

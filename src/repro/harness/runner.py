@@ -229,11 +229,11 @@ def run_trials(
 
     The builder receives ``seed=<seed>`` plus ``builder_kwargs``; the
     adversary factory (if any) is invoked on each fresh instance, so
-    attacks can read the instance's services.  A builder that names a
-    ``conditions`` parameter receives ``conditions`` as well — the
-    GST-aware early-stopping builders and the view families derive their
-    trusted-round gate and view timers from the same conditions the
-    engine runs under.
+    attacks can read the instance's authenticator and config.  A
+    builder that names a ``conditions`` parameter receives
+    ``conditions`` as well — the GST-aware early-stopping builders and
+    the view families derive their trusted-round gate and view timers
+    from the same conditions the engine runs under.
 
     ``workers > 1`` fans the seeds across a ``ProcessPoolExecutor``.
     Results are aggregated in seed order regardless of which worker

@@ -22,8 +22,8 @@ import abc
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.crypto.registry import KeyRegistry, SigningCapability
-from repro.eligibility.base import EligibilitySource, MiningCapability, Topic
+from repro.crypto.registry import KeyRegistry
+from repro.eligibility.base import EligibilitySource, Topic
 from repro.sim.leader import LeaderOracle
 from repro.sim.node import Node
 from repro.types import Audience, Bit, NodeId
@@ -44,10 +44,6 @@ class Authenticator(abc.ABC):
     def check(self, node_id: NodeId, topic: Topic, auth: Any) -> bool:
         """Publicly verify an auth object; never raises."""
 
-    @abc.abstractmethod
-    def capability_of(self, node_id: NodeId) -> Any:
-        """The per-node secret capability (revealed on corruption)."""
-
 
 class SignatureAuthenticator(Authenticator):
     """Quadratic world: every node may speak; auth = signature on topic."""
@@ -60,9 +56,6 @@ class SignatureAuthenticator(Authenticator):
 
     def check(self, node_id: NodeId, topic: Topic, auth: Any) -> bool:
         return self.registry.verify(node_id, topic, auth)
-
-    def capability_of(self, node_id: NodeId) -> SigningCapability:
-        return self.registry.capability_for(node_id)
 
 
 class EligibilityAuthenticator(Authenticator):
@@ -82,9 +75,6 @@ class EligibilityAuthenticator(Authenticator):
         if getattr(auth, "topic", None) != topic:
             return False
         return self.source.verify(auth)
-
-    def capability_of(self, node_id: NodeId) -> MiningCapability:
-        return self.source.capability_for(node_id)
 
 
 class ProposerPolicy:
@@ -132,9 +122,12 @@ class ProtocolInstance:
     inputs: Dict[NodeId, Bit]
     signing_capabilities: Sequence[Any] = field(default_factory=list)
     mining_capabilities: Sequence[Any] = field(default_factory=list)
-    #: Mode-specific shared objects attacks may need (registry,
-    #: eligibility source, leader oracle, ...).
-    services: Dict[str, Any] = field(default_factory=dict)
+    #: The one authenticator the nodes check auths through, or ``None``
+    #: (Dolev–Strong verifies its chains itself; naive relay signs none).
+    authenticator: Optional[Authenticator] = None
+    #: The shared config of the entry's quorum family — how
+    #: ``adversaries.menu.FAMILIES`` recognizes it — or ``None``.
+    config: Any = None
     #: ``payload ->`` the one node whose state it can change, or ``None``
     #: for every node (total: a malformed payload maps to ``None``).  A
     #: conditioned network counts a copy for any other honest recipient

@@ -122,6 +122,6 @@ def build_broadcast_from_ba(
         inputs={sender: sender_input},
         signing_capabilities=instance.signing_capabilities,
         mining_capabilities=instance.mining_capabilities,
-        services=dict(instance.services, sender=sender,
-                      inner_name=instance.name),
+        authenticator=instance.authenticator,
+        config=instance.config,
     )

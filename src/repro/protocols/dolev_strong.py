@@ -139,5 +139,4 @@ def build_dolev_strong(
         inputs={sender: sender_input},
         signing_capabilities=[registry.capability_for(i) for i in range(n)],
         mining_capabilities=[],
-        services={"registry": registry, "sender": sender},
     )

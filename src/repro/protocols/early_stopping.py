@@ -94,7 +94,7 @@ def build_quadratic_ba_early_stop(
     instance = build_quadratic_ba(
         n, f, inputs, seed=seed, max_iterations=max_iterations,
         registry_mode=registry_mode, group=group, oracle=oracle)
-    config = instance.services["config"]
+    config = instance.config
     config.early_stop_unanimity = True
     config.trusted_send_round = trusted_send_round_for(conditions)
     instance.name = "quadratic-ba-early-stop"
@@ -127,7 +127,7 @@ def build_phase_king_early_stop(
     instance = build_phase_king(
         n, f, inputs, seed=seed, epochs=epochs,
         registry_mode=registry_mode, group=group, oracle=oracle)
-    config = instance.services["config"]
+    config = instance.config
     config.early_stop_unanimity = True
     config.trusted_send_round = trusted_send_round_for(conditions)
     instance.name = "phase-king-early-stop"

@@ -503,8 +503,7 @@ def build_leader_ba(
     return build_view_instance(
         "leader-ba" if heights == 1 else "leader-chain", "leader BA",
         LeaderBaNode, n, f, inputs, seed, registry_mode, group, conditions,
-        configure, audience=new_view_audience(leader_oracle),
-        oracle=leader_oracle)
+        configure, audience=new_view_audience(leader_oracle))
 
 
 def build_leader_chain(

@@ -110,5 +110,4 @@ def build_naive_broadcast(
         inputs={sender: sender_input},
         signing_capabilities=[],
         mining_capabilities=[],
-        services={"sender": sender, "relay_width": relay_width},
     )

@@ -299,11 +299,6 @@ def build_phase_king(
         inputs={i: inputs[i] for i in range(n)},
         signing_capabilities=[registry.capability_for(i) for i in range(n)],
         mining_capabilities=[],
-        services={
-            "registry": registry,
-            "authenticator": authenticator,
-            "oracle": leader_oracle,
-            "threshold": config.threshold,
-            "config": config,
-        },
+        authenticator=authenticator,
+        config=config,
     )

@@ -83,11 +83,6 @@ def build_phase_king_subquadratic(
         inputs=input_map,
         signing_capabilities=[],
         mining_capabilities=[eligibility.capability_for(i) for i in range(n)],
-        services={
-            "eligibility": eligibility,
-            "authenticator": config.authenticator,
-            "threshold": config.threshold,
-            "params": params,
-            "config": config,
-        },
+        authenticator=authenticator,
+        config=config,
     )

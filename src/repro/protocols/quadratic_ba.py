@@ -65,11 +65,6 @@ def build_quadratic_ba(
         inputs=input_map,
         signing_capabilities=[registry.capability_for(i) for i in range(n)],
         mining_capabilities=[],
-        services={
-            "registry": registry,
-            "authenticator": authenticator,
-            "oracle": leader_oracle,
-            "threshold": f + 1,
-            "config": config,
-        },
+        authenticator=authenticator,
+        config=config,
     )

@@ -196,10 +196,6 @@ class RoundEligibilityAuthenticator(Authenticator):
         return self.epoch_registry.verify(node_id, signing_slot(topic), topic,
                                           auth.signature)
 
-    def capability_of(self, node_id: NodeId):
-        return (self.source.capability_for(node_id),
-                self.epoch_registry.capability_for(node_id))
-
 
 class RealFsEpochRegistry:
     """Drop-in for :class:`EpochKeyRegistry` using the real Merkle-tree
@@ -316,13 +312,6 @@ def build_round_eligibility(
         signing_capabilities=[epoch_registry.capability_for(i)
                               for i in range(n)],
         mining_capabilities=[eligibility.capability_for(i) for i in range(n)],
-        services={
-            "eligibility": eligibility,
-            "epoch_registry": epoch_registry,
-            "authenticator": authenticator,
-            "threshold": config.threshold,
-            "memory_erasure": memory_erasure,
-            "params": params,
-            "config": config,
-        },
+        authenticator=authenticator,
+        config=config,
     )

@@ -66,9 +66,6 @@ class CommitteeAuthenticator(Authenticator):
             return False
         return self.registry.verify(node_id, topic, auth)
 
-    def capability_of(self, node_id: NodeId):
-        return self.registry.capability_for(node_id)
-
 
 class CommitteeLeaderOracle(LeaderOracle):
     """Random leader drawn from the committee (public announcement)."""
@@ -196,10 +193,5 @@ def build_static_committee(
         inputs={i: inputs[i] for i in range(n)},
         signing_capabilities=[registry.capability_for(i) for i in range(n)],
         mining_capabilities=[],
-        services={
-            "registry": registry,
-            "authenticator": authenticator,
-            "committee": committee,
-            "threshold": committee_f + 1,
-        },
+        authenticator=authenticator,
     )

@@ -116,11 +116,6 @@ def build_subquadratic_ba(
         inputs=input_map,
         signing_capabilities=[],
         mining_capabilities=[eligibility.capability_for(i) for i in range(n)],
-        services={
-            "eligibility": eligibility,
-            "authenticator": authenticator,
-            "threshold": committee_threshold(params),
-            "params": params,
-            "config": config,
-        },
+        authenticator=authenticator,
+        config=config,
     )

@@ -418,7 +418,6 @@ def build_view_instance(
     conditions: Optional[NetworkConditions],
     configure: Callable[..., ViewConfig],
     audience: Optional[Audience] = None,
-    **services: Any,
 ) -> ProtocolInstance:
     """The builder steps every family shares.
 
@@ -429,8 +428,7 @@ def build_view_instance(
     under; ``None`` (or perfect conditions) is lock-step, where every
     round is trusted.  ``configure(**shared_fields)`` returns the
     family's config (and validates the family's own arguments);
-    ``audience`` is the instance's (:attr:`ViewConfig.audience`) and
-    ``services`` are the family's extra service entries.
+    ``audience`` is the instance's (:attr:`ViewConfig.audience`).
     """
     if len(inputs) != n:
         raise ConfigurationError("need exactly one input bit per node")
@@ -456,12 +454,7 @@ def build_view_instance(
         inputs={i: inputs[i] for i in range(n)},
         signing_capabilities=[registry.capability_for(i) for i in range(n)],
         mining_capabilities=[],
-        services={
-            "registry": registry,
-            "authenticator": authenticator,
-            **services,
-            "threshold": config.threshold,
-            "config": config,
-        },
+        authenticator=authenticator,
+        config=config,
         audience=audience,
     )

@@ -199,7 +199,7 @@ class TestBuilderValidation:
     def test_threshold_is_n_minus_f(self):
         for n, f in ((4, 1), (7, 2), (10, 3), (25, 8)):
             instance = build_adaptive_ba(n, f, [0] * n)
-            assert instance.services["threshold"] == n - f
+            assert instance.config.threshold == n - f
             assert 2 * (n - f) - n > f  # quorum overlap beats doublers
 
 
@@ -214,8 +214,8 @@ class _LoneDeciderCollector(Adversary):
 
     def __init__(self, instance):
         super().__init__()
-        self.sign = instance.services["authenticator"].attempt
-        self.threshold = instance.services["threshold"]
+        self.sign = instance.authenticator.attempt
+        self.threshold = instance.config.threshold
         self.reports = {}
         self.acks = {}
 

@@ -172,7 +172,7 @@ class TestLeaderKiller:
 
 
 class TestCommitteeTakeover:
-    def test_needs_committee_services(self):
+    def test_needs_committee_authenticator(self):
         instance = build_quadratic_ba(10, 4, [1] * 10)
         with pytest.raises(ConfigurationError):
             CommitteeTakeoverAdversary(instance)

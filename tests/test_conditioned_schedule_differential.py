@@ -595,7 +595,7 @@ def test_corrupt_inboxes_match_on_the_reference_network(monkeypatch, name):
 
     assert text(new) == text(old)
     # Not vacuous: some corrupt inbox holds a copy outside its audience.
-    leader = build()[0].services["oracle"].leader
+    leader = build()[0].config.proposer.oracle.leader
     assert any(
         isinstance(delivery.payload, NewViewMsg)
         and delivery.payload.qc is None

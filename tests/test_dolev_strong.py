@@ -15,8 +15,8 @@ class EquivocatingSenderAdversary(Adversary):
 
     def __init__(self, instance):
         super().__init__()
-        self.registry = instance.services["registry"]
-        self.sender = instance.services["sender"]
+        self.registry = instance.nodes[0].registry
+        self.sender = instance.nodes[0].sender
         self.grant = None
 
     def on_setup(self):
@@ -97,7 +97,7 @@ class TestChainValidation:
     def test_chain_must_start_with_sender(self):
         n, f = 6, 2
         instance = build_dolev_strong(n, f, 1, seed=0)
-        registry = instance.services["registry"]
+        registry = instance.nodes[0].registry
         signature = registry.capability_for(3).sign(("ds", 0, 1))
         msg = ChainMsg(bit=1, chain=((3, signature),))
         assert not instance.nodes[2]._chain_valid(msg, round_index=1)
@@ -105,7 +105,7 @@ class TestChainValidation:
     def test_chain_length_must_cover_round(self):
         n, f = 6, 2
         instance = build_dolev_strong(n, f, 1, seed=0)
-        registry = instance.services["registry"]
+        registry = instance.nodes[0].registry
         signature = registry.capability_for(0).sign(("ds", 0, 1))
         msg = ChainMsg(bit=1, chain=((0, signature),))
         assert instance.nodes[2]._chain_valid(msg, round_index=1)
@@ -114,7 +114,7 @@ class TestChainValidation:
     def test_duplicate_signers_rejected(self):
         n, f = 6, 2
         instance = build_dolev_strong(n, f, 1, seed=0)
-        registry = instance.services["registry"]
+        registry = instance.nodes[0].registry
         signature = registry.capability_for(0).sign(("ds", 0, 1))
         msg = ChainMsg(bit=1, chain=((0, signature), (0, signature)))
         assert not instance.nodes[2]._chain_valid(msg, round_index=2)

@@ -47,7 +47,7 @@ class HalfUnanimityAdversary(Adversary):
 
     def __init__(self, instance, bit=1):
         super().__init__()
-        self.authenticator = instance.services["authenticator"]
+        self.authenticator = instance.authenticator
         self.bit = bit
         self.victim = None
 
@@ -140,7 +140,7 @@ class TestPhaseKingEarlyStop:
 
         n, f = 12, 3
         instance = build_phase_king_early_stop(n, f, [1] * n, seed=11)
-        config = instance.services["config"]
+        config = instance.config
         plain_config = dataclasses.replace(
             config, early_stop_unanimity=False)
         for node in instance.nodes:

@@ -65,6 +65,24 @@ class TestFMineFunctionality:
         expected = 2000 * params.committee_probability(100)
         assert 0.6 * expected < wins < 1.4 * expected
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 20: coins are keyed by (node, topic) under Python "
+        "equality, so True and 1 share a key but draw from two streams"))
+    def test_bool_relabelled_topic_verifies_as_a_fresh_mine(self):
+        """Once node 3 mined ("Vote", 1, 1), verifying ("Vote", 1, True)
+        agrees with a fresh instance's mine of that label (n = 100,
+        λ = 12: 39 of seeds 0–199 disagree today)."""
+        schedule = DifficultySchedule.for_parameters(
+            SecurityParameters(lam=12), 100)
+        disagreeing = []
+        for seed in range(200):
+            fmine = FMine(schedule, seed)
+            fmine.mine(3, ("Vote", 1, 1))
+            fresh = FMine(schedule, seed).mine(3, ("Vote", 1, True))
+            if fmine.verify(3, ("Vote", 1, True)) != fresh:
+                disagreeing.append(seed)
+        assert disagreeing == []
+
 
 class TestFMineEligibility:
     def test_winning_ticket_verifies(self, schedule):

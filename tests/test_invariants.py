@@ -63,7 +63,7 @@ class TestSubquadraticInvariants:
             n, f, [i % 2 for i in range(n)], seed=seed, params=PARAMS)
         adversary = _adversary(adversary_kind, instance)
         result = run_instance(instance, f, adversary, seed=seed)
-        threshold = instance.services["threshold"]
+        threshold = instance.config.threshold
         violations = check_aba_invariants(result, instance.nodes, threshold)
         assert violations == [], violations
 
@@ -96,7 +96,7 @@ class TestPhaseKingInvariants:
                                     seed=seed, epochs=8)
         adversary = CrashAdversary() if crash else None
         result = run_instance(instance, f, adversary, seed=seed)
-        threshold = instance.services["threshold"]
+        threshold = instance.config.threshold
         assert quorum_intersection_on_acks(result, threshold) is None
 
 

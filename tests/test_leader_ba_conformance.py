@@ -57,7 +57,7 @@ class TestQuorumThreshold:
                                      (7, 2), (8, 2), (9, 2), (10, 3)])
     def test_threshold_is_n_minus_f(self, n, f):
         instance = build_leader_ba(n, f, _inputs(n))
-        threshold = instance.services["threshold"]
+        threshold = instance.config.threshold
         assert threshold == n - f
         # The safety bound itself: two quorums overlap in more nodes
         # than the adversary can double-vote.

@@ -241,7 +241,7 @@ class _LoneDeciderLeader(Adversary):
 
     def __init__(self, instance):
         super().__init__()
-        config = instance.services["config"]
+        config = instance.config
         self.sign = config.authenticator.attempt
         self.propose_auth = config.proposer.attempt
         self.quorum = config.fallback_quorum

@@ -165,7 +165,7 @@ def test_refused_certificate_is_accepted_once_its_tickets_are_mined():
     topic = ("Vote", 1, 1)
     # Coins are a function of (seed, node, topic): a twin instance tells
     # who will win without mining anything in the instance under test.
-    twin = build().services["eligibility"]
+    twin = build().authenticator.source
     instance = build()
     node = instance.nodes[0]
     threshold = node.config.threshold
@@ -179,7 +179,7 @@ def test_refused_certificate_is_accepted_once_its_tickets_are_mined():
                for winner in winners}, threshold)
     assert not node._check_certificate(forged)
     assert not node._check_certificate(forged)  # still the current value
-    eligibility = instance.services["eligibility"]
+    eligibility = instance.authenticator.source
     for winner in winners:
         assert eligibility.capability_for(winner).try_mine(topic) is not None
     assert node._check_certificate(forged)

@@ -88,7 +88,7 @@ class TestQuadraticBaUnderRandomConditions:
         assert_secure(result, expected)
         # Transcript-level invariants, not just end-state predicates.
         assert honest_votes_unique_per_iteration(result) is None
-        threshold = instance.services["config"].threshold
+        threshold = instance.config.threshold
         assert commits_carry_valid_certificates(result, threshold) is None
 
 

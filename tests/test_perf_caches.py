@@ -40,7 +40,7 @@ def _run_quadratic(seed, n=13, f=6, cached=True, **kwargs):
 class TestCertificateCacheSoundness:
     def _instance(self, n=7, f=3, seed=0):
         instance = build_quadratic_ba(n, f, [1] * n, seed=seed)
-        return instance, instance.services["registry"], instance.nodes[0]
+        return instance, instance.authenticator.registry, instance.nodes[0]
 
     def test_content_equal_certificate_hits_cache(self):
         """A certificate assembled independently (new objects, equal
@@ -144,7 +144,7 @@ class TestCertificateCacheSoundness:
 
         n, f = 24, 5
         instance = build_subquadratic_ba(n, f, [1] * n, seed=4)
-        eligibility = instance.services["eligibility"]
+        eligibility = instance.authenticator.source
         node = instance.nodes[0]
         topic = ("Vote", 1, 1)
         winner = None

@@ -28,12 +28,13 @@ import pytest
 
 from repro.harness.profiling import profile_phase_budget
 from repro.harness.runner import run_instance
+from repro.harness.scenarios import PROTOCOLS
 from repro.protocols import aba
 from repro.protocols.quadratic_ba import build_quadratic_ba
-from repro.protocols.static_committee import build_static_committee
 from repro.sim import engine, metrics
 from repro.sim.conditions import NETWORKS, ConditionedNetwork
 from repro.sim.network import SynchronousNetwork
+from tests.conftest import registry_config
 
 
 def test_quadratic_ba_n96_check_call_budget():
@@ -84,7 +85,7 @@ def test_phase_budget_rebinds_no_shared_attribute(monkeypatch, network):
     verification in a profiled run sees the shared seams as they were."""
     n, f = 16, 5
     instance = build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=1)
-    authenticator = instance.services["authenticator"]
+    authenticator = instance.authenticator
     check = authenticator.check
     originals = _shared_seams()
     seen = []
@@ -123,8 +124,7 @@ def test_phase_budget_pauses_and_restores_the_collector(monkeypatch):
             during.append(gc.isenabled())
             raise RuntimeError("check failed")
 
-        monkeypatch.setattr(instance.services["authenticator"], "check",
-                            failing)
+        monkeypatch.setattr(instance.authenticator, "check", failing)
         with pytest.raises(RuntimeError, match="check failed"):
             profile_phase_budget(instance, f, seed=1)
         assert during == [False]
@@ -133,15 +133,26 @@ def test_phase_budget_pauses_and_restores_the_collector(monkeypatch):
         (gc.enable if was_enabled else gc.disable)()
 
 
-def test_static_committee_profiles():
-    """The static-committee builder names its authenticator, so the
-    profiler can wrap it (measured: 80 checks at n = 64, seed 1)."""
-    n, f = 64, 21
-    instance = build_static_committee(n, f, [i % 2 for i in range(n)], seed=1)
+#: ``check_calls`` per registry entry at n = 16, seed 1 (the committee
+#: entries at n = 32, f = 8, λ = 12).  Dolev–Strong and the naive relay
+#: have no authenticator: they book no check and no verify time.
+PROFILED_CHECK_CALLS = {
+    "subquadratic": 138, "quadratic": 103, "quadratic-early-stop": 81,
+    "leader-ba": 55, "leader-chain": 239, "adaptive-ba": 61,
+    "phase-king": 5100, "phase-king-early-stop": 765,
+    "phase-king-subquadratic": 8153, "static-committee": 56,
+    "round-eligibility": 8060, "dolev-strong": 0, "naive-broadcast": 0,
+    "broadcast-from-ba": 38,
+}
+
+
+@pytest.mark.parametrize("key", sorted(PROTOCOLS))
+def test_every_registry_entry_profiles(key):
+    instance, f = registry_config(key, 16, 1)
     profile = profile_phase_budget(instance, f, seed=1)
-    assert profile.result.consistent()
-    assert profile.result.all_decided()
-    assert profile.check_calls == 80
+    assert profile.result.all_decided() and profile.result.consistent()
+    assert profile.check_calls == PROFILED_CHECK_CALLS[key]
+    assert (profile.verify_seconds > 0) is (instance.authenticator is not None)
 
 
 def test_quadratic_ba_n96_handler_call_budget(monkeypatch):
@@ -408,7 +419,7 @@ def test_subquadratic_n384_silent_node_pays_one_coin(monkeypatch):
     instance = build_subquadratic_ba(n, f, [1] * n, seed=1)
     result = run_instance(instance, f, seed=1)
     assert result.consistent() and result.all_decided()
-    attempts = len(instance.services["eligibility"].fmine._coins)
+    attempts = len(instance.authenticator.source.fmine._coins)
     assert attempts >= n * result.rounds_executed
     assert node_streams == []
     assert len(seedings) <= attempts + 4, (
@@ -619,7 +630,7 @@ def test_leader_killer_n25_files_and_absorbs_per_recipient(monkeypatch):
                         recording_schedule)
     instance = build_leader_ba(n, f, [i % 2 for i in range(n)], seed=1,
                                conditions=wan)
-    leader = instance.services["oracle"].leader
+    leader = instance.config.proposer.oracle.leader
     inert = []
 
     class Watching(LeaderKillerAdversary):

@@ -101,8 +101,8 @@ def _captured_topics(instance, result):
     afford that is not small: a captured committee certifies whatever bit
     the adversary likes.
     """
-    fmine = instance.services["eligibility"].fmine
-    threshold = instance.services["threshold"]
+    fmine = instance.authenticator.source.fmine
+    threshold = instance.config.threshold
     last_iteration = schedule(max(result.rounds_executed - 1, 0))[0]
     return [
         (kind, iteration, bit)

@@ -3,8 +3,8 @@
 Each registry protocol whose quorums are fixed numbers (not the
 committee families' sampled ones, whose guarantee is probabilistic) is
 built at every ``n <= 64`` and ``0 <= f < n`` its builder accepts, and the
-``threshold`` and ``fallback_quorum`` in ``instance.services["config"]``
-must satisfy what the protocol's safety argument needs:
+``threshold`` and ``fallback_quorum`` in ``instance.config`` must
+satisfy what the protocol's safety argument needs:
 
 - ``f < threshold <= n - f``: the faulty nodes alone never make a quorum,
   and the honest ones alone always can;
@@ -49,7 +49,7 @@ def test_quorums_hold_at_every_admitted_n_and_f(name):
             except ConfigurationError:
                 continue
             admitted.append((n, f))
-            config = instance.services["config"]
+            config = instance.config
             threshold = config.threshold
             assert f < threshold <= n - f, (n, f, threshold)
             if family != "f + 1":

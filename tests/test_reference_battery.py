@@ -82,7 +82,7 @@ class DecideReplayAdversary(CrashAdversary):
 
     def __init__(self, instance):
         super().__init__()
-        config = instance.services.get("config")
+        config = instance.config
         if not isinstance(config, ViewConfig):
             raise ConfigurationError(
                 f"decide-replay cannot target {instance.name!r}")

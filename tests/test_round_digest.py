@@ -706,7 +706,7 @@ def test_forged_then_mined_ticket_keeps_per_recipient_semantics(monkeypatch):
         # A twin functionality flips the execution's coins without
         # recording an attempt in it.
         adversary = ForgeBeforeMined(FMine(
-            instance.services["eligibility"].fmine.schedule, seed))
+            instance.authenticator.source.fmine.schedule, seed))
         result = run_instance(instance, f, adversary, seed=seed,
                               max_rounds=upto)
         return instance, adversary, result

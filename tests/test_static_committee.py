@@ -43,7 +43,7 @@ class TestHonestAndStaticExecutions:
     def test_static_crash_of_non_members_tolerated(self):
         n, f = 60, 20
         instance = build_static_committee(n, f, [1] * n, seed=1)
-        committee = set(instance.services["committee"])
+        committee = set(instance.authenticator.committee)
         victims = [node for node in range(n) if node not in committee][:f]
         result = run_instance(instance, f, CrashAdversary(victims=victims),
                               model=AdversaryModel.STATIC, seed=1)
@@ -63,7 +63,7 @@ class TestAdaptiveTakeover:
             result = run_instance(instance, f, adversary, seed=seed)
             violations += not result.consistent()
             assert result.corruptions_used == len(
-                instance.services["committee"])
+                instance.authenticator.committee)
         assert violations == 3
 
     def test_attack_needs_budget_for_committee(self):

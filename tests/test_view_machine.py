@@ -122,11 +122,11 @@ class TestDecideQuorumFront:
         instance = build_leader_chain(n, f, [1] * n, seed=1, conditions=wan)
         assert run_instance(instance, f, seed=1,
                             conditions=wan).all_decided()
-        front = instance.services["config"].verification._quorum_true_by_id
+        front = instance.config.verification._quorum_true_by_id
         assert front, "no Decide was received and verified"
         members, (_, view, bit, _, _) = next(iter(front.values()))
         node = instance.nodes[0]
-        sign = instance.services["authenticator"].attempt
+        sign = instance.authenticator.attempt
 
         def decide(view, bit):
             return LeaderDecideMsg(view, bit, members, 1,

@@ -29,7 +29,7 @@ class TestViewSplitSafety:
         result = run_instance(instance, f, adversary, seed=seed)
         assert result.consistent()
         violations = check_aba_invariants(
-            result, instance.nodes, instance.services["threshold"])
+            result, instance.nodes, instance.config.threshold)
         assert violations == [], violations
 
     def test_quadratic_protocol_also_survives(self):

@@ -98,3 +98,28 @@ class TestVrfEligibility:
             source.capability_for(n).try_mine(("Vote", 1, 0)) is not None
             for n in range(64))
         assert 1 <= wins <= 20  # expected 8
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 20: verdicts are memoized by ticket equality, and "
+        "True == 1 there while the VRF encodes the two labels apart"))
+    def test_relabelled_ticket_verdict_ignores_call_order(self):
+        """A ticket relabelled to ("Vote", 1, True) gets the same verdict
+        checked fresh as after its ``1``-labelled original was verified
+        (n = 4, λ = 12: all 24 (seed, node) pairs of seeds 0–5 differ
+        today, False fresh and True after)."""
+        schedule = DifficultySchedule.for_parameters(
+            SecurityParameters(lam=12), 4)
+        order_dependent = []
+        for seed in range(6):
+            for node in range(4):
+                source = VrfEligibility(4, schedule, seed)
+                ticket = source.capability_for(node).try_mine(("Vote", 1, 1))
+                if ticket is None:
+                    continue
+                relabelled = dataclasses.replace(ticket,
+                                                 topic=("Vote", 1, True))
+                fresh = VrfEligibility(4, schedule, seed).verify(relabelled)
+                source.verify(ticket)
+                if source.verify(relabelled) != fresh:
+                    order_dependent.append((seed, node))
+        assert order_dependent == []
