@@ -2,41 +2,25 @@
 
 The warmup protocols sign every message (Section 3.1 / Appendix C.1), and
 Theorem 2 assumes a PKI established by trusted setup.  This module provides
-that setup in two interchangeable modes:
-
-- **ideal** — signatures are unforgeable by construction: signing requires
-  a *capability object* handed to each node at setup, and the registry
-  records every issued signature.  The adversary can only sign for a node
-  whose capability it obtained by corrupting that node (the corruption
-  controller hands capabilities over on corruption).  This is the
-  "assuming ideal signatures" mode the Appendix C proofs reason in, and it
-  is fast enough for thousands of nodes.
-- **real** — Schnorr signatures over a chosen group; capabilities wrap the
-  actual secret keys.
-
-Both modes expose the same interface, so protocols are agnostic to which
-world they run in.
+that setup with ideal signatures: unforgeable by construction, since
+signing requires a *capability object* handed to each node at setup, and
+the registry records every issued signature.  The adversary can only sign
+for a node whose capability it obtained by corrupting that node (the
+corruption controller hands capabilities over on corruption).  This is the
+"assuming ideal signatures" world the Appendix C proofs reason in, and it
+is fast enough for thousands of nodes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from hashlib import sha256
-from typing import Any, Union
+from typing import Any
 
-from repro.crypto.groups import SchnorrGroup, TEST_GROUP
 from repro.crypto.hashing import domain_frame, frame, hash_objects
-from repro.crypto.schnorr import SchnorrKeyPair, SchnorrSignature
-from repro.crypto.schnorr import sign as schnorr_sign
-from repro.crypto.schnorr import verify as schnorr_verify
 from repro.errors import ConfigurationError, ForgeryAttempt
-from repro.rng import derive_rng
 from repro.serialization import canonical_bytes, type_tagged
 from repro.types import NodeId
-
-IDEAL_MODE = "ideal"
-REAL_MODE = "real"
-
 
 #: The domain frame of every ideal signature's digest.
 _SIG_DOMAIN = domain_frame("ideal-sig")
@@ -87,9 +71,6 @@ class IdealSignature:
     digest: bytes
 
 
-Signature = Union[IdealSignature, SchnorrSignature]
-
-
 class SigningCapability:
     """The right to sign as one node.
 
@@ -102,7 +83,7 @@ class SigningCapability:
         self._registry = registry
         self.node_id = node_id
 
-    def sign(self, message: Any) -> Signature:
+    def sign(self, message: Any) -> IdealSignature:
         return self._registry._sign(self, message)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -110,19 +91,12 @@ class SigningCapability:
 
 
 class KeyRegistry:
-    """Per-execution PKI: key generation, signing, verification."""
+    """Per-execution PKI: capabilities, signing, verification."""
 
-    def __init__(self, n: int, mode: str = IDEAL_MODE,
-                 group: SchnorrGroup = TEST_GROUP,
-                 seed: int = 0) -> None:
+    def __init__(self, n: int) -> None:
         if n < 1:
             raise ConfigurationError("registry needs at least one node")
-        if mode not in (IDEAL_MODE, REAL_MODE):
-            raise ConfigurationError(f"unknown registry mode {mode!r}")
         self.n = n
-        self.mode = mode
-        self.group = group
-        rng = derive_rng(seed, "key-registry")
         self._capabilities = [SigningCapability(self, node) for node in range(n)]
         self._issued: set[tuple[NodeId, bytes]] = set()
         # The hashed frames, memoized per type_tagged form: a signer id's
@@ -131,17 +105,9 @@ class KeyRegistry:
         self._signer_prefixes: dict = {}
         self._topic_frames: dict = {}
         # The ledger_holds table of every signature issued on a hashable
-        # message, in either mode: the object a node signs is the one its
-        # recipients verify, by identity and tag, with no digest or
-        # modular exponentiation.
+        # message: the object a node signs is the one its recipients
+        # verify, by identity and tag, with no digest.
         self._ledger: dict = {}
-        self._rng = rng
-        if mode == REAL_MODE:
-            self._keypairs = [SchnorrKeyPair.generate(group, rng) for _ in range(n)]
-            self.public_keys = [kp.public for kp in self._keypairs]
-        else:
-            self._keypairs = []
-            self.public_keys = []
 
     # -- setup -----------------------------------------------------------
     def capability_for(self, node_id: NodeId) -> SigningCapability:
@@ -149,16 +115,12 @@ class KeyRegistry:
         return self._capabilities[node_id]
 
     # -- signing ----------------------------------------------------------
-    def _sign(self, capability: SigningCapability, message: Any) -> Signature:
+    def _sign(self, capability: SigningCapability,
+              message: Any) -> IdealSignature:
         if capability is not self._capabilities[capability.node_id]:
             raise ForgeryAttempt(
                 f"counterfeit capability for node {capability.node_id}")
         node_id = capability.node_id
-        if self.mode == REAL_MODE:
-            return ledger_record(
-                self._ledger,
-                schnorr_sign(self._keypairs[node_id], message, self._rng),
-                ledger_tag(node_id, message))
         digest, tag = self._expected_digest(node_id, message)
         self._issued.add((node_id, digest))
         return ledger_record(self._ledger,
@@ -185,19 +147,15 @@ class KeyRegistry:
         return sha256(prefix + topic_frame).digest(), tag
 
     # -- verification ------------------------------------------------------
-    def verify(self, node_id: NodeId, message: Any, signature: Signature) -> bool:
+    def verify(self, node_id: NodeId, message: Any,
+               signature: IdealSignature) -> bool:
         """Verify a signature on ``message`` by ``node_id``; never raises."""
         if not 0 <= node_id < self.n:
             return False
         if ledger_holds(self._ledger, signature, node_id, message):
             return True
         # Any other object — a copy, a token never issued — is checked in
-        # full: the Schnorr equation, or the recomputed digest.
-        if self.mode == REAL_MODE:
-            if not isinstance(signature, SchnorrSignature):
-                return False
-            return schnorr_verify(self.group, self.public_keys[node_id],
-                                  message, signature)
+        # full against the recomputed digest.
         if not isinstance(signature, IdealSignature):
             return False
         if signature.signer != node_id:
@@ -205,9 +163,3 @@ class KeyRegistry:
         expected = self._expected_digest(node_id, message)[0]
         return (signature.digest == expected
                 and (node_id, signature.digest) in self._issued)
-
-    def signature_bits(self) -> int:
-        """Nominal size of one signature for accounting purposes."""
-        if self.mode == REAL_MODE:
-            return 2 * 8 * ((self.group.q.bit_length() + 7) // 8)
-        return 512  # 256-bit digest + signer id, matching a real scheme

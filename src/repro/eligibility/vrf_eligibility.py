@@ -10,15 +10,20 @@ Replaces ``Fmine`` with the VRF of :mod:`repro.crypto.vrf`:
 
 Evaluations are memoized per topic — a VRF is a deterministic function, so
 re-mining the same topic cannot re-roll the lottery (the property the
-paper's Footnote 7 adaptive-security discussion is about).
+paper's Footnote 7 adaptive-security discussion is about).  Both memos are
+keyed by :func:`~repro.serialization.type_tagged` forms: ``True == 1``
+under Python equality, but the VRF encodes the two labels apart.
+
+Every source runs over the library's ``TEST_GROUP``; the primitives of
+:mod:`repro.crypto.vrf` take any group.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
-from repro.crypto.groups import SchnorrGroup, TEST_GROUP
+from repro.crypto.groups import TEST_GROUP
 from repro.crypto.vrf import VrfKeyPair, VrfOutput, VrfPublicKey, verify_vrf
 from repro.eligibility.base import (
     EligibilitySource,
@@ -28,6 +33,7 @@ from repro.eligibility.base import (
 )
 from repro.eligibility.difficulty import DifficultySchedule
 from repro.rng import Seed, derive_rng
+from repro.serialization import type_tagged
 from repro.types import NodeId
 
 
@@ -45,28 +51,29 @@ class VrfEligibility(EligibilitySource):
     node's VRF keypair and publishes the list of public keys (the PKI).
     """
 
-    def __init__(self, n: int, schedule: DifficultySchedule, seed: Seed,
-                 group: SchnorrGroup = TEST_GROUP) -> None:
+    def __init__(self, n: int, schedule: DifficultySchedule,
+                 seed: Seed) -> None:
         self.n = n
         self.schedule = schedule
-        self.group = group
+        self.group = TEST_GROUP
         setup_rng = derive_rng(seed, "vrf-setup")
-        self._keypairs = [VrfKeyPair.generate(group, setup_rng) for _ in range(n)]
+        self._keypairs = [VrfKeyPair.generate(TEST_GROUP, setup_rng)
+                          for _ in range(n)]
         #: The PKI: public keys indexed by node id, available to everyone.
         self.public_keys: list[VrfPublicKey] = [kp.public for kp in self._keypairs]
         self._prover_rng = derive_rng(seed, "vrf-prover")
         self._capabilities = [MiningCapability(self, node) for node in range(n)]
-        self._memo: Dict[Tuple[NodeId, Topic], VrfOutput] = {}
+        self._memo: Dict[Any, VrfOutput] = {}
         # Verification is pure (same ticket -> same verdict); memoize so
         # certificates re-checked by every recipient cost one proof check.
-        self._verified: Dict[Ticket, bool] = {}
+        self._verified: Dict[Any, bool] = {}
 
     def capability_for(self, node_id: NodeId) -> MiningCapability:
         return self._capabilities[node_id]
 
     def evaluate(self, node_id: NodeId, topic: Topic) -> VrfOutput:
         """Memoized VRF evaluation (a VRF is a function of the topic)."""
-        key = (node_id, topic)
+        key = type_tagged((node_id, topic))
         if key not in self._memo:
             self._memo[key] = self._keypairs[node_id].evaluate(
                 topic, self._prover_rng)
@@ -84,10 +91,11 @@ class VrfEligibility(EligibilitySource):
     def verify(self, ticket: Ticket) -> bool:
         if not isinstance(ticket, VrfTicket):
             return False
-        if ticket in self._verified:
-            return self._verified[ticket]
+        key = type_tagged(ticket)
+        if key in self._verified:
+            return self._verified[key]
         verdict = self._verify_uncached(ticket)
-        self._verified[ticket] = verdict
+        self._verified[key] = verdict
         return verdict
 
     def _verify_uncached(self, ticket: VrfTicket) -> bool:

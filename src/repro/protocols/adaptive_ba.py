@@ -70,8 +70,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence, Tuple
 
-from repro.crypto.groups import SchnorrGroup, TEST_GROUP
-from repro.crypto.registry import IDEAL_MODE
 from repro.errors import ConfigurationError
 from repro.protocols.base import ProtocolInstance
 from repro.protocols.certificates import (
@@ -409,8 +407,6 @@ def build_adaptive_ba(
     inputs: Sequence[Bit],
     seed: Seed = 0,
     epochs: Optional[int] = None,
-    registry_mode: str = IDEAL_MODE,
-    group: SchnorrGroup = TEST_GROUP,
     conditions: Optional[NetworkConditions] = None,
 ) -> ProtocolInstance:
     """Construct an adaptive-BA execution over ``n`` nodes (``n > 3f``,
@@ -429,5 +425,5 @@ def build_adaptive_ba(
         return ViewConfig(units=units, **shared)
 
     return build_view_instance(
-        "adaptive-ba", "adaptive BA", AdaptiveBaNode, n, f, inputs, seed,
-        registry_mode, group, conditions, configure)
+        "adaptive-ba", "adaptive BA", AdaptiveBaNode, n, f, inputs,
+        conditions, configure)

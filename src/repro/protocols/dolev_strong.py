@@ -20,8 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional, Set, Tuple
 
-from repro.crypto.groups import SchnorrGroup, TEST_GROUP
-from repro.crypto.registry import IDEAL_MODE, KeyRegistry
+from repro.crypto.registry import KeyRegistry
 from repro.errors import ConfigurationError
 from repro.protocols.base import ProtocolInstance
 from repro.rng import Seed
@@ -119,13 +118,11 @@ def build_dolev_strong(
     sender_input: Bit,
     seed: Seed = 0,
     sender: NodeId = BROADCAST_SENDER,
-    registry_mode: str = IDEAL_MODE,
-    group: SchnorrGroup = TEST_GROUP,
 ) -> ProtocolInstance:
     """Dolev–Strong broadcast; tolerates any ``f < n``."""
     if not 0 <= f < n:
         raise ConfigurationError(f"need 0 <= f < n, got f={f}, n={n}")
-    registry = KeyRegistry(n, registry_mode, group, seed)
+    registry = KeyRegistry(n)
     nodes = [
         DolevStrongNode(
             node_id, n, f, registry, sender=sender,

@@ -37,8 +37,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.crypto.groups import SchnorrGroup, TEST_GROUP
-from repro.crypto.registry import IDEAL_MODE
 from repro.protocols.base import ProtocolInstance
 from repro.protocols.phase_king import DEFAULT_EPOCHS, build_phase_king
 from repro.protocols.quadratic_ba import (
@@ -74,8 +72,6 @@ def build_quadratic_ba_early_stop(
     inputs: Sequence[Bit],
     seed: Seed = 0,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    registry_mode: str = IDEAL_MODE,
-    group: SchnorrGroup = TEST_GROUP,
     oracle: Optional[LeaderOracle] = None,
     conditions: Optional[NetworkConditions] = None,
 ) -> ProtocolInstance:
@@ -93,7 +89,7 @@ def build_quadratic_ba_early_stop(
     """
     instance = build_quadratic_ba(
         n, f, inputs, seed=seed, max_iterations=max_iterations,
-        registry_mode=registry_mode, group=group, oracle=oracle)
+        oracle=oracle)
     config = instance.config
     config.early_stop_unanimity = True
     config.trusted_send_round = trusted_send_round_for(conditions)
@@ -107,8 +103,6 @@ def build_phase_king_early_stop(
     inputs: Sequence[Bit],
     seed: Seed = 0,
     epochs: int = DEFAULT_EPOCHS,
-    registry_mode: str = IDEAL_MODE,
-    group: SchnorrGroup = TEST_GROUP,
     oracle: Optional[LeaderOracle] = None,
     conditions: Optional[NetworkConditions] = None,
 ) -> ProtocolInstance:
@@ -125,8 +119,7 @@ def build_phase_king_early_stop(
     saving, since phase-king never stops early on its own.
     """
     instance = build_phase_king(
-        n, f, inputs, seed=seed, epochs=epochs,
-        registry_mode=registry_mode, group=group, oracle=oracle)
+        n, f, inputs, seed=seed, epochs=epochs, oracle=oracle)
     config = instance.config
     config.early_stop_unanimity = True
     config.trusted_send_round = trusted_send_round_for(conditions)

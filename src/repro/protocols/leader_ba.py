@@ -56,8 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.crypto.groups import SchnorrGroup, TEST_GROUP
-from repro.crypto.registry import IDEAL_MODE
 from repro.errors import ConfigurationError
 from repro.protocols.base import (
     OracleProposerPolicy,
@@ -471,8 +469,6 @@ def build_leader_ba(
     seed: Seed = 0,
     heights: int = 1,
     views_per_height: Optional[int] = None,
-    registry_mode: str = IDEAL_MODE,
-    group: SchnorrGroup = TEST_GROUP,
     oracle: Optional[LeaderOracle] = None,
     conditions: Optional[NetworkConditions] = None,
 ) -> ProtocolInstance:
@@ -502,8 +498,8 @@ def build_leader_ba(
 
     return build_view_instance(
         "leader-ba" if heights == 1 else "leader-chain", "leader BA",
-        LeaderBaNode, n, f, inputs, seed, registry_mode, group, conditions,
-        configure, audience=new_view_audience(leader_oracle))
+        LeaderBaNode, n, f, inputs, conditions, configure,
+        audience=new_view_audience(leader_oracle))
 
 
 def build_leader_chain(
@@ -513,8 +509,6 @@ def build_leader_chain(
     seed: Seed = 0,
     heights: int = DEFAULT_CHAIN_HEIGHTS,
     views_per_height: Optional[int] = None,
-    registry_mode: str = IDEAL_MODE,
-    group: SchnorrGroup = TEST_GROUP,
     oracle: Optional[LeaderOracle] = None,
     conditions: Optional[NetworkConditions] = None,
 ) -> ProtocolInstance:
@@ -525,5 +519,5 @@ def build_leader_chain(
     traffic sustained over every height window."""
     return build_leader_ba(
         n, f, inputs, seed=seed, heights=heights,
-        views_per_height=views_per_height, registry_mode=registry_mode,
-        group=group, oracle=oracle, conditions=conditions)
+        views_per_height=views_per_height, oracle=oracle,
+        conditions=conditions)

@@ -24,8 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Set, Tuple
 
-from repro.crypto.groups import SchnorrGroup, TEST_GROUP
-from repro.crypto.registry import IDEAL_MODE, KeyRegistry
+from repro.crypto.registry import KeyRegistry
 from repro.errors import ConfigurationError
 from repro.protocols.base import (
     Authenticator,
@@ -271,8 +270,6 @@ def build_phase_king(
     inputs: Sequence[Bit],
     seed: Seed = 0,
     epochs: int = DEFAULT_EPOCHS,
-    registry_mode: str = IDEAL_MODE,
-    group: SchnorrGroup = TEST_GROUP,
     oracle: Optional[LeaderOracle] = None,
 ) -> ProtocolInstance:
     """The warmup of Section 3.1: signed multicasts, 2n/3 quorums."""
@@ -281,7 +278,7 @@ def build_phase_king(
     if not n > 3 * f:
         raise ConfigurationError(
             f"phase-king requires f < n/3: n={n}, f={f}")
-    registry = KeyRegistry(n, registry_mode, group, seed)
+    registry = KeyRegistry(n)
     authenticator = SignatureAuthenticator(registry)
     leader_oracle = oracle if oracle is not None else RoundRobinLeaderOracle(n)
     config = PhaseKingConfig(

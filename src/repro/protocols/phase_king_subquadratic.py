@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Sequence
 
-from repro.crypto.groups import SchnorrGroup, TEST_GROUP
 from repro.errors import ConfigurationError
 from repro.protocols.base import (
     EligibilityAuthenticator,
@@ -47,7 +46,6 @@ def build_phase_king_subquadratic(
     params: SecurityParameters = SecurityParameters(),
     epochs: int = DEFAULT_EPOCHS,
     mode: str = FMINE_MODE,
-    group: SchnorrGroup = TEST_GROUP,
     eligibility=None,
     coin_cache=None,
 ) -> ProtocolInstance:
@@ -64,7 +62,7 @@ def build_phase_king_subquadratic(
         raise ConfigurationError(
             f"phase-king requires f < n/3: n={n}, f={f}")
     if eligibility is None:
-        eligibility = make_eligibility(n, params, seed, mode, group,
+        eligibility = make_eligibility(n, params, seed, mode,
                                        coin_cache=coin_cache)
     authenticator = EligibilityAuthenticator(eligibility)
     config = PhaseKingConfig(

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence
 
-from repro.crypto.groups import SchnorrGroup, TEST_GROUP
-from repro.crypto.registry import IDEAL_MODE, KeyRegistry
+from repro.crypto.registry import KeyRegistry
 from repro.errors import ConfigurationError
 from repro.protocols.aba import AbaConfig, AbaNode, rounds_for_iterations
 from repro.protocols.base import (
@@ -32,8 +31,6 @@ def build_quadratic_ba(
     inputs: Sequence[Bit],
     seed: Seed = 0,
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
-    registry_mode: str = IDEAL_MODE,
-    group: SchnorrGroup = TEST_GROUP,
     oracle: Optional[LeaderOracle] = None,
 ) -> ProtocolInstance:
     """Construct a quadratic-BA execution over ``n`` nodes.
@@ -46,7 +43,7 @@ def build_quadratic_ba(
     if not n > 2 * f:
         raise ConfigurationError(
             f"quadratic BA requires honest majority: n={n} > 2f={2 * f}")
-    registry = KeyRegistry(n, registry_mode, group, seed)
+    registry = KeyRegistry(n)
     authenticator = SignatureAuthenticator(registry)
     leader_oracle = oracle if oracle is not None else RandomLeaderOracle(n, seed)
     config = AbaConfig(

@@ -122,9 +122,8 @@ class RoundAuth:
     """Ticket for the *round* lottery plus a per-epoch signature that
     binds the bit (the part erasure protects).
 
-    ``signature`` is an :class:`EpochSignature` in the ideal mode or a
-    :class:`~repro.crypto.forward_secure.ForwardSecureSignature` in the
-    real-crypto mode.
+    ``signature`` is an :class:`EpochSignature` from the
+    :class:`EpochKeyRegistry`.
     """
 
     ticket: Any
@@ -197,71 +196,6 @@ class RoundEligibilityAuthenticator(Authenticator):
                                           auth.signature)
 
 
-class RealFsEpochRegistry:
-    """Drop-in for :class:`EpochKeyRegistry` using the real Merkle-tree
-    forward-secure scheme of :mod:`repro.crypto.forward_secure`.
-
-    Same capability interface (``sign``/``evolve`` with slot semantics and
-    key erasure), but signatures are genuine Schnorr-under-Merkle-path
-    objects verified against each node's published root.
-    """
-
-    def __init__(self, n: int, max_slots: int, seed, group=None) -> None:
-        from repro.crypto.forward_secure import ForwardSecureKeyPair
-        from repro.crypto.groups import TEST_GROUP
-        from repro.rng import derive_rng
-
-        self.n = n
-        self.max_slots = max_slots
-        self.group = group if group is not None else TEST_GROUP
-        setup_rng = derive_rng(seed, "real-fs-setup")
-        self._keypairs = [
-            ForwardSecureKeyPair(self.group, max_slots, setup_rng)
-            for _ in range(n)
-        ]
-        #: The PKI: each node's Merkle root, public.
-        self.public_roots = [kp.public_root for kp in self._keypairs]
-        self._sign_rng = derive_rng(seed, "real-fs-sign")
-        self._capabilities = [
-            _RealFsCapability(self, node) for node in range(n)]
-
-    def capability_for(self, node_id: NodeId) -> "_RealFsCapability":
-        return self._capabilities[node_id]
-
-    def verify(self, node_id: NodeId, slot: int, message: Any,
-               signature: Any) -> bool:
-        from repro.crypto.forward_secure import (
-            ForwardSecureSignature,
-            verify_forward_secure,
-        )
-        if not isinstance(signature, ForwardSecureSignature):
-            return False
-        if signature.epoch != slot:
-            return False
-        return verify_forward_secure(
-            self.group, self.public_roots[node_id], self.max_slots,
-            message, signature)
-
-
-class _RealFsCapability:
-    """Real-crypto signing capability with slot-erasure semantics."""
-
-    def __init__(self, registry: RealFsEpochRegistry, node_id: NodeId) -> None:
-        self._registry = registry
-        self.node_id = node_id
-
-    @property
-    def current_epoch(self) -> int:
-        return self._registry._keypairs[self.node_id].current_epoch
-
-    def sign(self, slot: int, message: Any):
-        keypair = self._registry._keypairs[self.node_id]
-        return keypair.sign(slot, message, self._registry._sign_rng)
-
-    def evolve(self, to_slot: int) -> None:
-        self._registry._keypairs[self.node_id].evolve(to_slot)
-
-
 def build_round_eligibility(
     n: int,
     f: int,
@@ -271,26 +205,14 @@ def build_round_eligibility(
     epochs: int = DEFAULT_EPOCHS,
     memory_erasure: bool = False,
     mode: str = FMINE_MODE,
-    fs_mode: str = "ideal",
 ) -> ProtocolInstance:
-    """Phase-king with round-specific eligibility (± memory erasure).
-
-    ``fs_mode="ideal"`` uses the ideal epoch-key functionality;
-    ``fs_mode="real"`` uses the genuine Merkle-tree forward-secure
-    signature scheme (slower; for small-n validation runs).
-    """
+    """Phase-king with round-specific eligibility (± memory erasure)."""
     if len(inputs) != n:
         raise ConfigurationError("need exactly one input bit per node")
     if not n > 3 * f:
         raise ConfigurationError(f"phase-king requires f < n/3: n={n}, f={f}")
     eligibility = make_eligibility(n, params, seed, mode)
-    if fs_mode == "ideal":
-        epoch_registry = EpochKeyRegistry(n)
-    elif fs_mode == "real":
-        epoch_registry = RealFsEpochRegistry(
-            n, max_slots=2 * epochs + 2, seed=seed)
-    else:
-        raise ConfigurationError(f"unknown fs_mode {fs_mode!r}")
+    epoch_registry = EpochKeyRegistry(n)
     authenticator = RoundEligibilityAuthenticator(
         eligibility, epoch_registry, memory_erasure)
     config = PhaseKingConfig(

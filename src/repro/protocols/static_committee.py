@@ -19,8 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.crypto.groups import SchnorrGroup, TEST_GROUP
-from repro.crypto.registry import IDEAL_MODE, KeyRegistry
+from repro.crypto.registry import KeyRegistry
 from repro.errors import ConfigurationError
 from repro.protocols.aba import AbaConfig, AbaNode, rounds_for_iterations
 from repro.protocols.base import (
@@ -155,8 +154,6 @@ def build_static_committee(
     seed: Seed = 0,
     committee_size: Optional[int] = None,
     max_iterations: int = 20,
-    registry_mode: str = IDEAL_MODE,
-    group: SchnorrGroup = TEST_GROUP,
 ) -> ProtocolInstance:
     """Committee BA with a CRS-elected, publicly-known committee."""
     if len(inputs) != n:
@@ -167,7 +164,7 @@ def build_static_committee(
         raise ConfigurationError("committee larger than the network")
     committee = elect_committee(n, size, seed)
     committee_f = (size - 1) // 2
-    registry = KeyRegistry(n, registry_mode, group, seed)
+    registry = KeyRegistry(n)
     authenticator = CommitteeAuthenticator(registry, committee)
     config = AbaConfig(
         threshold=committee_f + 1,

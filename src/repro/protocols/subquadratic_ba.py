@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from typing import Dict, Sequence
 
-from repro.crypto.groups import SchnorrGroup, TEST_GROUP
 from repro.eligibility.base import EligibilitySource
 from repro.eligibility.difficulty import DifficultySchedule
 from repro.eligibility.fmine import FMineEligibility
@@ -49,7 +48,6 @@ def committee_threshold(params: SecurityParameters) -> int:
 
 def make_eligibility(n: int, params: SecurityParameters, seed: Seed,
                      mode: str = FMINE_MODE,
-                     group: SchnorrGroup = TEST_GROUP,
                      coin_cache=None) -> EligibilitySource:
     """The eligibility source for the requested world.
 
@@ -65,7 +63,7 @@ SharedLotteryCache`) shares the ideal lottery's coins across instances
     if mode == FMINE_MODE:
         return FMineEligibility(n, schedule, seed, coin_cache=coin_cache)
     if mode == VRF_MODE:
-        return VrfEligibility(n, schedule, seed, group)
+        return VrfEligibility(n, schedule, seed)
     raise ConfigurationError(f"unknown eligibility mode {mode!r}")
 
 
@@ -77,7 +75,6 @@ def build_subquadratic_ba(
     params: SecurityParameters = SecurityParameters(),
     max_iterations: int = DEFAULT_MAX_ITERATIONS,
     mode: str = FMINE_MODE,
-    group: SchnorrGroup = TEST_GROUP,
     eligibility: EligibilitySource = None,
     coin_cache=None,
 ) -> ProtocolInstance:
@@ -97,7 +94,7 @@ def build_subquadratic_ba(
         raise ConfigurationError(
             f"subquadratic BA requires honest majority: n={n} > 2f={2 * f}")
     if eligibility is None:
-        eligibility = make_eligibility(n, params, seed, mode, group,
+        eligibility = make_eligibility(n, params, seed, mode,
                                        coin_cache=coin_cache)
     authenticator = EligibilityAuthenticator(eligibility)
     config = AbaConfig(

@@ -50,7 +50,6 @@ from dataclasses import dataclass
 from operator import is_
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.crypto.groups import SchnorrGroup
 from repro.crypto.registry import KeyRegistry
 from repro.errors import ConfigurationError
 from repro.protocols.base import (
@@ -61,7 +60,6 @@ from repro.protocols.base import (
 from repro.protocols.certificates import Certificate, rank
 from repro.protocols.early_stopping import trusted_send_round_for
 from repro.protocols.verification import VerificationCache, VerifyingNode
-from repro.rng import Seed
 from repro.serialization import _intern_field_key, intern_by_key
 from repro.sim.conditions import NetworkConditions
 from repro.sim.node import RoundContext
@@ -412,9 +410,6 @@ def build_view_instance(
     n: int,
     f: int,
     inputs: Sequence[Bit],
-    seed: Seed,
-    registry_mode: str,
-    group: SchnorrGroup,
     conditions: Optional[NetworkConditions],
     configure: Callable[..., ViewConfig],
     audience: Optional[Audience] = None,
@@ -435,7 +430,7 @@ def build_view_instance(
     if not n > 3 * f:
         raise ConfigurationError(
             f"{family} requires f < n/3: n={n}, f={f}")
-    registry = KeyRegistry(n, registry_mode, group, seed)
+    registry = KeyRegistry(n)
     authenticator = SignatureAuthenticator(registry)
     config = configure(
         threshold=n - f,

@@ -23,7 +23,7 @@ from tests.conftest import receive
 @pytest.fixture
 def world():
     n, f = 7, 3
-    registry = KeyRegistry(n, "ideal")
+    registry = KeyRegistry(n)
     authenticator = SignatureAuthenticator(registry)
     config = AbaConfig(
         threshold=f + 1,

@@ -44,7 +44,7 @@ class TestSchedule:
 @pytest.fixture
 def aba_world():
     n, f = 7, 3
-    registry = KeyRegistry(n, "ideal")
+    registry = KeyRegistry(n)
     authenticator = SignatureAuthenticator(registry)
     oracle = RoundRobinLeaderOracle(n)
     config = AbaConfig(

@@ -139,15 +139,6 @@ class TestChallengeScalar:
 class TestModp2048Operations:
     """Targeted tests on the production-size group (slow ops, few cases)."""
 
-    def test_schnorr_signature_roundtrip(self, rng):
-        from repro.crypto.schnorr import SchnorrKeyPair, sign, verify
-        keypair = SchnorrKeyPair.generate(MODP_2048_GROUP, rng)
-        signature = sign(keypair, ("Vote", 1, 1), rng)
-        assert verify(MODP_2048_GROUP, keypair.public, ("Vote", 1, 1),
-                      signature)
-        assert not verify(MODP_2048_GROUP, keypair.public, ("Vote", 1, 0),
-                          signature)
-
     def test_vrf_roundtrip(self, rng):
         from repro.crypto.vrf import VrfKeyPair, verify_vrf
         keypair = VrfKeyPair.generate(MODP_2048_GROUP, rng)

@@ -30,7 +30,7 @@ Seeded mutants, in ``repro.crypto.registry.ledger_holds`` and
 
 import pytest
 
-from repro.crypto.registry import IDEAL_MODE, IdealSignature, KeyRegistry
+from repro.crypto.registry import IdealSignature, KeyRegistry
 from repro.eligibility.difficulty import DifficultySchedule
 from repro.eligibility.fmine import FMineEligibility, FMineTicket
 from repro.protocols.base import (
@@ -70,7 +70,7 @@ def _check_auth(authenticator, node_id, topic, auth):
 
 
 def _signature_world(n=4):
-    registry = KeyRegistry(n, IDEAL_MODE)
+    registry = KeyRegistry(n)
     return registry, SignatureAuthenticator(registry)
 
 
@@ -150,7 +150,7 @@ class TestSignatureLedger:
         assert not _check_auth(authenticator, 1, message, signature)
 
     def test_a_committee_outsider_is_refused_despite_the_ledger(self):
-        registry = KeyRegistry(4, IDEAL_MODE)
+        registry = KeyRegistry(4)
         committee = CommitteeAuthenticator(registry, [1, 2])
         assert _check_auth(committee, 1, TOPIC, committee.attempt(1, TOPIC))
         outsider = registry.capability_for(3).sign(TOPIC)

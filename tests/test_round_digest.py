@@ -199,7 +199,7 @@ class World:
     n, f = 7, 3
 
     def __init__(self):
-        registry = KeyRegistry(self.n, "ideal")
+        registry = KeyRegistry(self.n)
         self.authenticator = SignatureAuthenticator(registry)
         self.oracle = RoundRobinLeaderOracle(self.n)
         self.config = AbaConfig(

@@ -117,44 +117,3 @@ class TestEquivocationAttack:
             90, 20, [1] * 90, seed=0, params=PARAMS, epochs=4)
         with pytest.raises(ConfigurationError):
             AckEquivocationAdversary(instance)
-
-
-class TestRealForwardSecureMode:
-    """The same matrix with genuine Merkle-tree FS signatures."""
-
-    PARAMS_SMALL = SecurityParameters(lam=12, epsilon=0.1)
-
-    def test_honest_validity(self):
-        n, f = 45, 13
-        instance = build_round_eligibility(
-            n, f, [1] * n, seed=0, params=self.PARAMS_SMALL, epochs=4,
-            fs_mode="real")
-        result = run_instance(instance, f, seed=0)
-        assert set(result.honest_outputs) == {1}
-
-    def test_no_erasure_is_broken(self):
-        n, f = 45, 13
-        instance = build_round_eligibility(
-            n, f, [1] * n, seed=1, params=self.PARAMS_SMALL, epochs=4,
-            memory_erasure=False, fs_mode="real")
-        adversary = AckEquivocationAdversary(instance, reserve=15)
-        result = run_instance(instance, f, adversary, seed=1)
-        assert not result.consistent()
-        assert adversary.forged > 0
-
-    def test_erasure_defends(self):
-        """Real key deletion: the Merkle-tree epoch key is gone, so the
-        forgery attempt raises inside the signing call."""
-        n, f = 45, 13
-        instance = build_round_eligibility(
-            n, f, [1] * n, seed=1, params=self.PARAMS_SMALL, epochs=4,
-            memory_erasure=True, fs_mode="real")
-        adversary = AckEquivocationAdversary(instance, reserve=15)
-        result = run_instance(instance, f, adversary, seed=1)
-        assert result.consistent()
-        assert adversary.forged == 0
-        assert adversary.failed_forgeries > 0
-
-    def test_unknown_fs_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            build_round_eligibility(30, 8, [0] * 30, fs_mode="quantum")

@@ -84,6 +84,17 @@ class TestVrfEligibility:
                 assert source.verify(ticket)  # cached path
                 return
 
+    def test_relabelled_topic_is_evaluated_on_its_own_bytes(self, source):
+        """``evaluate`` memoizes per type-tagged topic: after the
+        ``1``-labelled topic is evaluated, the ``True``-labelled one gets
+        its own evaluation, whose proof verifies for that label."""
+        from repro.crypto.vrf import verify_vrf
+        for node in range(4):
+            source.evaluate(node, ("Vote", 1, 1))
+            output = source.evaluate(node, ("Vote", 1, True))
+            assert verify_vrf(source.group, source.public_keys[node],
+                              ("Vote", 1, True), output)
+
     def test_public_keys_published(self, source):
         assert len(source.public_keys) == 16
 
@@ -99,14 +110,12 @@ class TestVrfEligibility:
             for n in range(64))
         assert 1 <= wins <= 20  # expected 8
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 20: verdicts are memoized by ticket equality, and "
-        "True == 1 there while the VRF encodes the two labels apart"))
     def test_relabelled_ticket_verdict_ignores_call_order(self):
         """A ticket relabelled to ("Vote", 1, True) gets the same verdict
         checked fresh as after its ``1``-labelled original was verified
-        (n = 4, λ = 12: all 24 (seed, node) pairs of seeds 0–5 differ
-        today, False fresh and True after)."""
+        (n = 4, λ = 12: a verdict memo keyed by ticket equality, where
+        ``True == 1``, answers all 24 (seed, node) pairs of seeds 0–5
+        False fresh and True after)."""
         schedule = DifficultySchedule.for_parameters(
             SecurityParameters(lam=12), 4)
         order_dependent = []
