@@ -55,7 +55,7 @@ class LeaderKillerAdversary(Adversary):
         # iteration for the paper protocols, a view for the leader family
         # — either way the oracle's epoch key) whose proposal round
         # begins now is corrupted before it can speak.
-        epoch, phase = self._family.schedule(round_index)
+        epoch, phase = self._family.schedule.schedule(round_index)
         if phase != self._family.propose_phase:
             return
         api = self.api

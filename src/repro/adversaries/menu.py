@@ -25,7 +25,7 @@ from typing import (
 
 from repro.errors import ConfigurationError
 from repro.protocols import aba, leader_ba, phase_king
-from repro.protocols.base import ProtocolInstance
+from repro.protocols.base import ProtocolInstance, ViewSchedule
 from repro.protocols.broadcast import BroadcastNode
 from repro.protocols.leader_ba import LeaderProposeMsg, NewViewMsg, PrevoteMsg
 from repro.protocols.messages import (
@@ -46,9 +46,9 @@ class Family:
     #: The shared-config class the family's builders declare as
     #: ``instance.config`` — how an instance is recognized.
     config_cls: type
-    #: ``schedule(protocol_round) -> (unit, phase)``; the unit (iteration,
-    #: epoch, view) is also the leader oracle's epoch key.
-    schedule: Callable[[Round], Tuple[int, str]]
+    #: The family's round arithmetic; the unit (iteration, epoch, view)
+    #: is also the leader oracle's epoch key.
+    schedule: ViewSchedule
     propose_phase: str
     #: phase -> ``entry(menu, node_id, unit, bit)``: the payload, or None
     #: when the pool cannot justify it or no auth is granted.
@@ -129,13 +129,13 @@ def _leader_prevote(menu, node_id, view, bit):
 
 
 FAMILIES: Tuple[Family, ...] = (
-    Family("aba", aba.AbaConfig, aba.schedule, aba.PHASE_PROPOSE,
+    Family("aba", aba.AbaConfig, aba.SCHEDULE, aba.PHASE_PROPOSE,
            {aba.PHASE_PROPOSE: _aba_propose, aba.PHASE_VOTE: _aba_vote}),
-    Family("phase-king", phase_king.PhaseKingConfig, phase_king.schedule,
+    Family("phase-king", phase_king.PhaseKingConfig, phase_king.SCHEDULE,
            phase_king.PHASE_PROPOSE,
            {phase_king.PHASE_PROPOSE: _king_propose,
             phase_king.PHASE_ACK: _king_ack}),
-    Family("leader-ba", leader_ba.LeaderBaConfig, leader_ba.schedule,
+    Family("leader-ba", leader_ba.LeaderBaConfig, leader_ba.SCHEDULE,
            leader_ba.PHASE_PROPOSE,
            {leader_ba.PHASE_NEW_VIEW: _leader_new_view,
             leader_ba.PHASE_PROPOSE: _leader_propose,
@@ -201,7 +201,7 @@ class ByzantineMenu:
                 self.note_attestation(NewViewMsg(
                     view=payload.view, bit=payload.bit, qc=None,
                     sender=payload.sender, auth=payload.auth))
-        unit, phase = self.family.schedule(protocol_round)
+        unit, phase = self.family.schedule.schedule(protocol_round)
         entry = self.family.entries.get(phase)
         if entry is None:
             return

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import Counter, defaultdict
 from typing import Dict, List
 
-from repro.protocols.aba import schedule
+from repro.protocols.aba import SCHEDULE
 from repro.protocols.certificates import rank
 from repro.protocols.messages import (
     AckMsg,
@@ -83,7 +83,7 @@ def _describe_round(round_index: int, envelopes, aba: bool) -> str:
     if not parts:
         parts.append(f"{len(envelopes)} messages")
     if aba:
-        iteration, phase = schedule(round_index)
+        iteration, phase = SCHEDULE.schedule(round_index)
         prefix = f"round {round_index:3d} [iter {iteration} {phase:<7s}]  "
     else:
         prefix = f"round {round_index:3d}  "

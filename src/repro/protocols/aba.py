@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.protocols.base import Authenticator, ProposerPolicy
+from repro.protocols.base import Authenticator, ProposerPolicy, ViewSchedule
 from repro.protocols.certificates import (
     Certificate,
     certificate_from_votes,
@@ -58,35 +58,13 @@ PHASE_PROPOSE = "Propose"
 PHASE_VOTE = "Vote"
 PHASE_COMMIT = "Commit"
 
-_LATER_PHASES = (PHASE_STATUS, PHASE_PROPOSE, PHASE_VOTE, PHASE_COMMIT)
-
-
-def schedule(round_index: Round) -> Tuple[int, str]:
-    """Map a global round to ``(iteration, phase)``.
-
-    Iteration 1 consists of Vote and Commit only (C.1: "the protocol for
-    the very first iteration skips the Status and Propose rounds").
-    """
-    if round_index == 0:
-        return 1, PHASE_VOTE
-    if round_index == 1:
-        return 1, PHASE_COMMIT
-    offset = round_index - 2
-    return 2 + offset // 4, _LATER_PHASES[offset % 4]
-
-
-def rounds_for_iterations(iterations: int) -> int:
-    """Rounds needed to run the given number of iterations to completion,
-    plus one delivery round so final-commit quorums can be tallied."""
-    if iterations < 1:
-        raise ValueError("need at least one iteration")
-    return 2 + 4 * (iterations - 1) + 1
-
-
-def vote_send_round(iteration: int) -> Round:
-    """The global round in which iteration-``r`` votes are multicast
-    (inverse of :func:`schedule` for the Vote phase)."""
-    return 0 if iteration == 1 else 4 * iteration - 4
+#: Iterations ``1, 2, ...`` of four rounds, but iteration 1 consists of
+#: Vote and Commit only (C.1: "the protocol for the very first iteration
+#: skips the Status and Propose rounds").  A budget runs three delivery
+#: rounds past the last iteration: one so final-commit quorums can be
+#: tallied, and two of margin.
+SCHEDULE = ViewSchedule((PHASE_STATUS, PHASE_PROPOSE, PHASE_VOTE, PHASE_COMMIT),
+                        skipped=2, trailing=3)
 
 
 class VoteTally:
@@ -253,6 +231,9 @@ class AbaNode(VerifyingNode):
         self.last_vote: Optional[Bit] = None
         self.decision: Optional[Bit] = None
         self.decision_iteration: Optional[int] = None
+        # The last valid Terminate's (iteration, bit), adopted at the end
+        # of the round that absorbed it.
+        self._adopted: Optional[Tuple[int, Bit]] = None
 
     # -- certificate tracking ------------------------------------------------
     def _absorb_certificate(self, certificate: Optional[Certificate]) -> None:
@@ -292,9 +273,8 @@ class AbaNode(VerifyingNode):
     def _valid_propose(self, msg: ProposeMsg) -> bool:
         if msg.bit not in (0, 1):
             return False
-        if not self._verification.check_proposal(
-                self.config.proposer, msg.sender, msg.iteration,
-                msg.bit, msg.auth):
+        if not self.config.proposer.check(msg.sender, msg.iteration,
+                                          msg.bit, msg.auth):
             return False
         return self._check_certificate(msg.certificate, expected_bit=msg.bit)
 
@@ -392,56 +372,15 @@ class AbaNode(VerifyingNode):
         self.commits_seen.setdefault(
             (msg.iteration, msg.bit), {}).setdefault(msg.sender, msg)
 
-    def _absorb_terminate(self, msg: TerminateMsg) -> Tuple[int, Bit]:
+    def _absorb_terminate(self, msg: TerminateMsg) -> None:
         # Record the quorum so this node's own (relayed) Terminate can
         # attach it.
         recorded = self.commits_seen.setdefault((msg.iteration, msg.bit), {})
         for commit in msg.commits:
             recorded.setdefault(commit.sender, commit)
-        return (msg.iteration, msg.bit)
+        self._adopted = (msg.iteration, msg.bit)
 
     # -- inbox processing ------------------------------------------------------
-    def _admit(self, msg: Any) -> Optional[tuple]:
-        """The handler-table entry of a message that is valid, else None.
-
-        Validation (not absorption) is recipient-independent, and the
-        simulation hands every recipient the same payload object: the
-        first successful validation marks the object
-        (``VerificationCache.valid_payloads``) and spares every later
-        recipient.  The front is read directly — a single execution
-        admits millions of deliveries at n = 1536, and a cache whose
-        ``mark_valid`` keeps nothing leaves every ``get`` a miss.
-        Failures are never remembered: a ``False`` can become ``True``
-        later.
-        """
-        try:
-            handler = _HANDLERS[msg.__class__]
-        except KeyError:
-            handler = _resolve_handler(msg.__class__)
-        if handler is None:
-            return None
-        entry = self._verification.valid_payloads.get(id(msg))
-        if entry is None or entry[0] is not msg:
-            if not handler[0](self, msg):
-                return None
-            self._verification.mark_valid(msg)
-        return handler
-
-    def _fold(self, inbox: List[Delivery]) -> Optional[Tuple[int, Bit]]:
-        """The reference semantics of a round: validate and absorb every
-        delivery, one at a time, in order.  Returns the last valid
-        Terminate's ``(iteration, bit)``, if any."""
-        pending: Optional[Tuple[int, Bit]] = None
-        admit = self._admit
-        for delivery in inbox:
-            msg = delivery.payload
-            handler = admit(msg)
-            if handler is not None:
-                adopted = handler[1](self, msg)
-                if adopted is not None:
-                    pending = adopted
-        return pending
-
     def _build_digest(self, broadcast: List[Delivery]) -> Optional[RoundDigest]:
         """Validate a round's common delivery list once and tally it.
 
@@ -452,11 +391,12 @@ class AbaNode(VerifyingNode):
         """
         digest = RoundDigest()
         for delivery in broadcast:
-            handler = self._admit(delivery.payload)
-            if handler is not None:
-                handler[2](digest, delivery)
-            elif _resolve_handler(delivery.payload.__class__) is not None:
-                return None  # invalid (a foreign payload is just skipped)
+            tally = _TALLIES.get(delivery.payload.__class__)
+            if tally is None:
+                continue  # a foreign payload is just skipped
+            if not self._admitted(delivery.payload):
+                return None
+            tally(digest, delivery)
         return digest if digest.seal(self.config.threshold) else None
 
     def _merge_digest(self, digest: RoundDigest) -> bool:
@@ -539,10 +479,11 @@ class AbaNode(VerifyingNode):
         anything else is folded message by message."""
         digest = self._verification.round_digest(
             ctx.broadcast, self._build_digest)
-        if digest is not None and self._merge_digest(digest):
-            pending = digest.terminate
-        else:
-            pending = self._fold(ctx.inbox)
+        if digest is None or not self._merge_digest(digest):
+            self._fold(ctx.inbox)
+        elif digest.terminate is not None:
+            self._adopted = digest.terminate
+        pending = self._adopted
         for (iteration, bit), commits in self.commits_seen.items():
             if len(commits) >= self.config.threshold:
                 pending = (iteration, bit)
@@ -678,13 +619,13 @@ class AbaNode(VerifyingNode):
         trusted = self.config.trusted_send_round
         for (iteration, bit), votes in self.votes_seen.items():
             if (len(votes) >= self.n
-                    and vote_send_round(iteration) >= trusted):
+                    and SCHEDULE.round_of(iteration, PHASE_VOTE) >= trusted):
                 return (iteration, bit)
         return None
 
     # -- main entry point ---------------------------------------------------------
     def on_round(self, ctx: RoundContext) -> None:
-        iteration, phase = schedule(ctx.round)
+        iteration, phase = SCHEDULE.schedule(ctx.round)
         pending = self._process_inbox(ctx)
         if pending is not None:
             self._terminate(ctx, pending[0], pending[1])
@@ -692,14 +633,7 @@ class AbaNode(VerifyingNode):
         if iteration > self.config.max_iterations:
             self.halted = True
             return
-        if phase == PHASE_STATUS:
-            self._do_status(ctx, iteration)
-        elif phase == PHASE_PROPOSE:
-            self._do_propose(ctx, iteration)
-        elif phase == PHASE_VOTE:
-            self._do_vote(ctx, iteration)
-        elif phase == PHASE_COMMIT:
-            self._do_commit(ctx, iteration)
+        self._ACTIONS[phase](self, ctx, iteration)
         if self.config.early_stop_unanimity:
             # The fast path runs *after* the phase action: at the Commit
             # round the node has already multicast its own commit (so the
@@ -725,30 +659,29 @@ class AbaNode(VerifyingNode):
         return decided if decided is not None else self._preferred_bit()
 
 
-#: Payload class → (validation predicate, per-node absorb step, digest
-#: tally step).  The single place a message type is wired in: the fold
-#: and the digest builder both dispatch through it, so they cannot
-#: disagree on what is valid.
-_HANDLERS: Dict[type, Optional[tuple]] = {
-    StatusMsg: (AbaNode._valid_status, AbaNode._absorb_status,
-                RoundDigest.add_status),
-    ProposeMsg: (AbaNode._valid_propose, AbaNode._absorb_propose,
-                 RoundDigest.add_propose),
-    VoteMsg: (AbaNode._valid_vote, AbaNode._absorb_vote,
-              RoundDigest.add_vote),
-    CommitMsg: (AbaNode._valid_commit, AbaNode._absorb_commit,
-                RoundDigest.add_commit),
-    TerminateMsg: (AbaNode._valid_terminate, AbaNode._absorb_terminate,
-                   RoundDigest.add_terminate),
+AbaNode._HANDLERS = {
+    StatusMsg: (AbaNode._valid_status, AbaNode._absorb_status),
+    ProposeMsg: (AbaNode._valid_propose, AbaNode._absorb_propose),
+    VoteMsg: (AbaNode._valid_vote, AbaNode._absorb_vote),
+    CommitMsg: (AbaNode._valid_commit, AbaNode._absorb_commit),
+    TerminateMsg: (AbaNode._valid_terminate, AbaNode._absorb_terminate),
 }
 
+#: Payload class → its round-digest tally step, for the classes of
+#: ``AbaNode._HANDLERS``: the fold and the digest builder both validate
+#: through that table, so they cannot disagree on what is valid.
+_TALLIES = {
+    StatusMsg: RoundDigest.add_status,
+    ProposeMsg: RoundDigest.add_propose,
+    VoteMsg: RoundDigest.add_vote,
+    CommitMsg: RoundDigest.add_commit,
+    TerminateMsg: RoundDigest.add_terminate,
+}
 
-def _resolve_handler(cls: type) -> Optional[tuple]:
-    """Table entry for a payload class not listed itself: its nearest
-    listed base class's (payload dataclasses are never subclassed
-    in-tree), or ``None`` for a foreign payload.  Memoized."""
-    if cls not in _HANDLERS:
-        _HANDLERS[cls] = next(
-            (_HANDLERS[base] for base in cls.__mro__ if base in _HANDLERS),
-            None)
-    return _HANDLERS[cls]
+#: Phase → action ``(node, ctx, iteration)``.
+AbaNode._ACTIONS = {
+    PHASE_STATUS: AbaNode._do_status,
+    PHASE_PROPOSE: AbaNode._do_propose,
+    PHASE_VOTE: AbaNode._do_vote,
+    PHASE_COMMIT: AbaNode._do_commit,
+}

@@ -20,8 +20,8 @@ monotonicity, the epoch budget, the carried-quorum Decide and the GST
 drain gate.
 
 Epochs: the execution proceeds in epochs ``e = 1, 2, ...``, each with a
-round-robin **collector** ``(e - 1) mod n`` and :data:`EPOCH_ROUNDS`
-lock-step rounds:
+round-robin **collector** ``(e - 1) mod n`` and four lock-step rounds
+(:data:`SCHEDULE`):
 
 1. **Report** — every active node *unicasts* a
    :class:`~repro.protocols.messages.SignedVote` for its current belief
@@ -100,20 +100,11 @@ PHASE_DECIDE = "Decide"
 SCHEDULE = ViewSchedule(
     (PHASE_REPORT, PHASE_PROPOSE, PHASE_ACK, PHASE_DECIDE))
 
-EPOCH_ROUNDS = SCHEDULE.rounds
-
 #: The documented fast-path constant: a fault-free unanimous execution
 #: costs at most ``FAST_PATH_WORD_FACTOR * n`` classical words (reports,
 #: one propose multicast, acks, one decide multicast — each at most
 #: ``n - 1`` words).
 FAST_PATH_WORD_FACTOR = 4
-
-#: ``(epoch, phase)`` of a global protocol round (epochs 1-based).
-epoch_schedule = SCHEDULE.schedule
-#: The (1-based) epoch a global protocol round belongs to.
-epoch_of_round = SCHEDULE.unit_of_round
-#: Round budget for a number of full epochs.
-rounds_for_epochs = SCHEDULE.rounds_for
 
 
 def collector_of(epoch: int, n: int) -> NodeId:

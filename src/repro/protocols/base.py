@@ -20,13 +20,104 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.crypto.registry import KeyRegistry
 from repro.eligibility.base import EligibilitySource, Topic
+from repro.sim.conditions import NetworkConditions
 from repro.sim.leader import LeaderOracle
 from repro.sim.node import Node
-from repro.types import Audience, Bit, NodeId
+from repro.types import Audience, Bit, NodeId, Round
+
+
+def trusted_send_round_for(conditions: Optional[NetworkConditions]) -> Round:
+    """The first protocol round whose sends provably reach every honest
+    node.  ``None`` (and perfect conditions) is lock-step synchrony:
+    every round's sends reach everyone, so every round is trusted."""
+    if conditions is None:
+        return 0
+    return conditions.trusted_send_round
+
+
+@dataclass(frozen=True)
+class ViewSchedule:
+    """The round ↔ (unit, phase) arithmetic of a round-structured family.
+
+    A unit (iteration, epoch, view) runs one protocol round per phase,
+    in order.  Three constants set the families apart:
+
+    - ``skipped``: leading phases the first unit does not run (Appendix
+      C's iteration 1 skips Status and Propose, so aba skips 2);
+    - ``first``: the first unit's index (phase-king's epochs are 0-based
+      and appear in signed topics; every other family counts from 1);
+    - ``trailing``: delivery rounds a budget runs past the last unit's
+      phases, so its last quorum can be tallied and its decision relayed.
+    """
+
+    phases: Tuple[str, ...]
+    skipped: int = 0
+    first: int = 1
+    trailing: int = 2
+
+    @property
+    def rounds(self) -> int:
+        """Protocol rounds per unit."""
+        return len(self.phases)
+
+    def schedule(self, round_index: Round) -> Tuple[int, str]:
+        """Map a global protocol round to ``(unit, phase)``."""
+        unit, offset = divmod(round_index + self.skipped, len(self.phases))
+        return unit + self.first, self.phases[offset]
+
+    def unit_of_round(self, round_index: Round) -> int:
+        """The unit a global protocol round belongs to."""
+        return (round_index + self.skipped) // self.rounds + self.first
+
+    def round_of(self, unit: int, phase: str) -> Round:
+        """The global round of a unit's phase (inverse of :meth:`schedule`)."""
+        return (self.rounds * (unit - self.first)
+                + self.phases.index(phase) - self.skipped)
+
+    def at_boundary(self, round_index: Round) -> bool:
+        """Whether a round opens a unit."""
+        return (round_index + self.skipped) % self.rounds == 0
+
+    def rounds_for(self, units: int) -> int:
+        """Round budget for ``units`` full units and the trailing
+        delivery rounds."""
+        if units < 1:
+            raise ValueError("need at least one unit")
+        return self.rounds * units - self.skipped + self.trailing
+
+    def default_budget(self, f: int, conditions: Optional[NetworkConditions],
+                       slack: int) -> int:
+        """The Δ-derived unit budget: ``ceil(trusted_send_round / rounds)``
+        units can burn before sends are reliable; after that ``f`` faulty
+        coordinators can each waste one, and ``slack`` more are the
+        family's own allowance."""
+        trusted = trusted_send_round_for(conditions)
+        return -(-trusted // self.rounds) + f + slack  # ceil division
+
+    def settled_unit(self, result: Any) -> int:
+        """The unit a finished execution settled in, for artifact rows.
+
+        The last honest decision round's unit when every honest node
+        decided; otherwise the unit of the last executed round (the
+        exhausted budget).
+        """
+        rounds = result.decision_rounds()
+        if rounds and result.all_decided():
+            # The decision round tallies the *previous* round's quorum,
+            # so the settled unit is the round before's.
+            return self.unit_of_round(max(max(rounds) - 1, 0))
+        settled = self.unit_of_round(max(result.rounds_executed - 1, 0))
+        budget = getattr(result, "rounds_budget", None)
+        if budget is not None and budget > self.rounds:
+            # An exhausted run must not report the trailing delivery
+            # rounds (rounds_for) as a unit of their own.
+            settled = min(settled,
+                          self.unit_of_round(budget - self.trailing) - 1)
+        return settled
 
 
 class Authenticator(abc.ABC):
@@ -74,7 +165,10 @@ class EligibilityAuthenticator(Authenticator):
             return False
         if getattr(auth, "topic", None) != topic:
             return False
-        return self.source.verify(auth)
+        try:
+            return self.source.verify(auth)
+        except TypeError:  # an unhashable topic: no coin is keyed by it
+            return False
 
 
 class ProposerPolicy:

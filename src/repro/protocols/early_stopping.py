@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.protocols.base import ProtocolInstance
+from repro.protocols.base import ProtocolInstance, trusted_send_round_for
 from repro.protocols.phase_king import DEFAULT_EPOCHS, build_phase_king
 from repro.protocols.quadratic_ba import (
     DEFAULT_MAX_ITERATIONS,
@@ -46,24 +46,12 @@ from repro.protocols.quadratic_ba import (
 from repro.rng import Seed
 from repro.sim.conditions import NetworkConditions
 from repro.sim.leader import LeaderOracle
-from repro.types import Bit, Round
+from repro.types import Bit
 
 __all__ = [
     "build_phase_king_early_stop",
     "build_quadratic_ba_early_stop",
-    "trusted_send_round_for",
 ]
-
-
-def trusted_send_round_for(conditions: Optional[NetworkConditions]) -> Round:
-    """The first protocol round the early-stop detectors may trust.
-
-    ``None`` (and perfect conditions) is lock-step synchrony: every
-    round's sends reach everyone, so detection is trusted from round 0.
-    """
-    if conditions is None:
-        return 0
-    return conditions.trusted_send_round
 
 
 def build_quadratic_ba_early_stop(

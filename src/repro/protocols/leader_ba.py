@@ -11,7 +11,7 @@ actions over :mod:`repro.protocols.view_machine`, which owns — and
 argues — the schedule, the ``n > 3f`` quorums, the lock's monotonicity,
 the view budget, the carried-quorum Decide and the GST drain gate.
 
-Each view ``v = 1, 2, ...`` occupies :data:`VIEW_ROUNDS` protocol rounds:
+Each view ``v = 1, 2, ...`` occupies four protocol rounds (:data:`SCHEDULE`):
 
 1. **NewView** — every node multicasts ``(NewView, v, b)`` attesting its
    current belief ``b`` and carrying its *lock* (the highest prevote-QC
@@ -90,20 +90,12 @@ PHASE_PRECOMMIT = "Precommit"
 SCHEDULE = ViewSchedule(
     (PHASE_NEW_VIEW, PHASE_PROPOSE, PHASE_PREVOTE, PHASE_PRECOMMIT))
 
-VIEW_ROUNDS = SCHEDULE.rounds
-
 #: Default number of repeated instances for the ``leader-chain`` workload.
 DEFAULT_CHAIN_HEIGHTS = 3
 
-#: ``(view, phase)`` of a global protocol round (views 1-based).
-schedule = SCHEDULE.schedule
-#: The (1-based) view a global protocol round belongs to.
-view_of_round = SCHEDULE.unit_of_round
-#: Round budget for a number of full views.
-rounds_for_views = SCHEDULE.rounds_for
 #: The view a finished execution settled in; ``view_changes`` artifact
 #: columns report this minus one — the views that ended without settling
-#: the execution.
+#: the execution.  ``bench/layers.py`` imports it by this name.
 decision_view_of = SCHEDULE.settled_unit
 
 
@@ -267,9 +259,8 @@ class LeaderBaNode(ViewNode):
     def _valid_propose(self, msg: LeaderProposeMsg) -> bool:
         if msg.bit not in (0, 1):
             return False
-        if not self._verification.check_proposal(
-                self.config.proposer, msg.sender, msg.view, msg.bit,
-                msg.auth):
+        if not self.config.proposer.check(msg.sender, msg.view, msg.bit,
+                                          msg.auth):
             return False
         if msg.qc is not None:
             return self._valid_qc(msg.qc, msg.view, expected_bit=msg.bit)

@@ -32,29 +32,27 @@ from repro.protocols.base import (
     ProposerPolicy,
     ProtocolInstance,
     SignatureAuthenticator,
+    ViewSchedule,
 )
 from repro.protocols.messages import (
     AckMsg,
     PhaseKingDecideMsg,
     PhaseKingProposeMsg,
 )
-from repro.protocols.verification import VerificationCache
+from repro.protocols.verification import VerificationCache, VerifyingNode
 from repro.rng import Seed
 from repro.sim.leader import LeaderOracle, RoundRobinLeaderOracle
-from repro.sim.node import Node, RoundContext
-from repro.types import Bit, NodeId, Round
+from repro.sim.node import RoundContext
+from repro.types import Bit, NodeId
 
 DEFAULT_EPOCHS = 20
 
 PHASE_PROPOSE = "Propose"
 PHASE_ACK = "ACK"
 
-
-def schedule(round_index: Round) -> Tuple[int, str]:
-    """Map a global round to ``(epoch, phase)``: epochs are 0-based, two
-    rounds each (epoch ``config.epochs`` is the final tally round)."""
-    epoch, is_ack_round = divmod(round_index, 2)
-    return epoch, PHASE_ACK if is_ack_round else PHASE_PROPOSE
+#: Epochs are 0-based (they appear in signed topics), two rounds each;
+#: a budget runs one round past the last epoch, the final tally round.
+SCHEDULE = ViewSchedule((PHASE_PROPOSE, PHASE_ACK), first=0, trailing=1)
 
 
 @dataclass
@@ -80,18 +78,12 @@ class PhaseKingConfig:
     trusted_send_round: int = 0
 
 
-def phase_king_rounds(epochs: int) -> int:
-    """Two rounds per epoch plus one final tally round."""
-    return 2 * epochs + 1
-
-
-class PhaseKingNode(Node):
+class PhaseKingNode(VerifyingNode):
     """One party of the phase-king protocol (warmup or compiled)."""
 
     def __init__(self, node_id: NodeId, n: int, input_bit: Bit,
                  config: PhaseKingConfig) -> None:
-        super().__init__(node_id, n)
-        self.config = config
+        super().__init__(node_id, n, config)
         self.belief: Bit = input_bit
         self.sticky: bool = True  # F = 1 at initialization (footnote 4)
         self.last_acked: Optional[Bit] = None
@@ -99,10 +91,6 @@ class PhaseKingNode(Node):
         self.acks_seen: Dict[Tuple[int, Bit], Set[NodeId]] = {}
         # epoch -> set of valid proposal bits heard.
         self.proposals_heard: Dict[int, Set[Bit]] = {}
-        # Content-addressed memo shared across the instance's nodes: an
-        # ACK or proposal is verified once per execution, not once per
-        # recipient.
-        self._verification = config.verification
         # Early-stopping bookkeeping (populated only when the variant is
         # enabled): the authenticated ACK objects per (epoch, bit) — the
         # raw material of a unanimity certificate — and a decision
@@ -111,50 +99,48 @@ class PhaseKingNode(Node):
         self._ack_msgs: Dict[Tuple[int, Bit], Dict[NodeId, AckMsg]] = {}
         self._adopted_decision: Optional[Tuple[int, Bit]] = None
 
-    # -- message intake -----------------------------------------------------
-    def _process_inbox(self, ctx: RoundContext) -> None:
-        for delivery in ctx.inbox:
-            msg = delivery.payload
-            if isinstance(msg, PhaseKingProposeMsg):
-                if msg.bit in (0, 1) and self._verification.check_proposal(
-                        self.config.proposer, msg.sender, msg.epoch,
-                        msg.bit, msg.auth):
-                    self.proposals_heard.setdefault(msg.epoch, set()).add(msg.bit)
-            elif isinstance(msg, AckMsg):
-                if msg.bit in (0, 1) and self._verification.check_auth(
-                        self.config.authenticator, msg.sender,
-                        ("ACK", msg.epoch, msg.bit), msg.auth):
-                    self.acks_seen.setdefault(
-                        (msg.epoch, msg.bit), set()).add(msg.sender)
-                    if self.config.early_stop_unanimity:
-                        self._ack_msgs.setdefault(
-                            (msg.epoch, msg.bit), {}).setdefault(
-                                msg.sender, msg)
-            elif isinstance(msg, PhaseKingDecideMsg):
-                if (self.config.early_stop_unanimity
-                        and self._decide_msg_valid(msg)):
-                    self._adopted_decision = (msg.epoch, msg.bit)
+    # -- message intake (VerifyingNode._fold over _HANDLERS) ----------------
+    def _valid_propose(self, msg: PhaseKingProposeMsg) -> bool:
+        return msg.bit in (0, 1) and self.config.proposer.check(
+            msg.sender, msg.epoch, msg.bit, msg.auth)
 
-    def _decide_msg_valid(self, msg: PhaseKingDecideMsg) -> bool:
+    def _absorb_propose(self, msg: PhaseKingProposeMsg) -> None:
+        self.proposals_heard.setdefault(msg.epoch, set()).add(msg.bit)
+
+    def _valid_ack(self, msg: AckMsg) -> bool:
+        return msg.bit in (0, 1) and self._check_auth(
+            msg.sender, ("ACK", msg.epoch, msg.bit), msg.auth)
+
+    def _absorb_ack(self, msg: AckMsg) -> None:
+        self.acks_seen.setdefault((msg.epoch, msg.bit), set()).add(msg.sender)
+        if self.config.early_stop_unanimity:
+            self._ack_msgs.setdefault(
+                (msg.epoch, msg.bit), {}).setdefault(msg.sender, msg)
+
+    def _valid_decide(self, msg: PhaseKingDecideMsg) -> bool:
         """A decide message is exactly as good as the unanimity
         certificate it carries: ``n`` authenticated epoch-``r`` ACKs for
         one bit, from a trusted (fully synchronous) epoch.  The sender's
         own authority is irrelevant — a valid certificate is
-        transferable proof regardless of who relays it."""
-        if msg.bit not in (0, 1):
+        transferable proof regardless of who relays it.  Only the
+        early-stopping variant reads one."""
+        if not self.config.early_stop_unanimity or msg.bit not in (0, 1):
             return False
-        if 2 * msg.epoch + 1 < self.config.trusted_send_round:
+        if SCHEDULE.round_of(msg.epoch, PHASE_ACK) < \
+                self.config.trusted_send_round:
             return False
         ackers: Set[NodeId] = set()
         for ack in msg.acks:
             if ack.epoch != msg.epoch or ack.bit != msg.bit:
                 return False
-            if not self._verification.check_auth(
-                    self.config.authenticator, ack.sender,
-                    ("ACK", ack.epoch, ack.bit), ack.auth):
+            if not self._check_auth(ack.sender, ("ACK", ack.epoch, ack.bit),
+                                    ack.auth):
                 return False
             ackers.add(ack.sender)
         return len(ackers) >= self.n
+
+    def _absorb_decide(self, msg: PhaseKingDecideMsg) -> None:
+        self._adopted_decision = (msg.epoch, msg.bit)
 
     def _tally(self, epoch: int) -> None:
         """Step 3: adopt a bit with ample ACKs, else clear the sticky flag."""
@@ -174,7 +160,7 @@ class PhaseKingNode(Node):
     def _unanimity_bit(self, epoch: int) -> Optional[Bit]:
         """The bit all ``n`` nodes ACKed in ``epoch``, if the epoch was
         unanimous and its ACK round is past the trusted-send round."""
-        if 2 * epoch + 1 < self.config.trusted_send_round:
+        if SCHEDULE.round_of(epoch, PHASE_ACK) < self.config.trusted_send_round:
             return None
         for bit in (0, 1):
             if len(self.acks_seen.get((epoch, bit), ())) >= self.n:
@@ -201,12 +187,12 @@ class PhaseKingNode(Node):
 
     # -- round behaviour --------------------------------------------------------
     def on_round(self, ctx: RoundContext) -> None:
-        self._process_inbox(ctx)
+        self._fold(ctx.inbox)
         if self._adopted_decision is not None:
             epoch, bit = self._adopted_decision
             self._early_decide(ctx, epoch, bit, certificate=None)
             return
-        epoch, phase = schedule(ctx.round)
+        epoch, phase = SCHEDULE.schedule(ctx.round)
         if epoch >= self.config.epochs:
             # Final tally round: absorb the last epoch's ACKs and stop.
             self._tally(self.config.epochs - 1)
@@ -264,6 +250,15 @@ class PhaseKingNode(Node):
         return self.last_acked if self.last_acked is not None else 0
 
 
+PhaseKingNode._HANDLERS = {
+    PhaseKingProposeMsg: (PhaseKingNode._valid_propose,
+                          PhaseKingNode._absorb_propose),
+    AckMsg: (PhaseKingNode._valid_ack, PhaseKingNode._absorb_ack),
+    PhaseKingDecideMsg: (PhaseKingNode._valid_decide,
+                         PhaseKingNode._absorb_decide),
+}
+
+
 def build_phase_king(
     n: int,
     f: int,
@@ -292,7 +287,7 @@ def build_phase_king(
     return ProtocolInstance(
         name="phase-king",
         nodes=nodes,
-        max_rounds=phase_king_rounds(epochs),
+        max_rounds=SCHEDULE.rounds_for(epochs),
         inputs={i: inputs[i] for i in range(n)},
         signing_capabilities=[registry.capability_for(i) for i in range(n)],
         mining_capabilities=[],

@@ -24,9 +24,9 @@ from repro.protocols.base import (
 )
 from repro.protocols.phase_king import (
     DEFAULT_EPOCHS,
+    SCHEDULE,
     PhaseKingConfig,
     PhaseKingNode,
-    phase_king_rounds,
 )
 from repro.protocols.subquadratic_ba import FMINE_MODE, make_eligibility
 from repro.rng import Seed
@@ -77,7 +77,7 @@ def build_phase_king_subquadratic(
     return ProtocolInstance(
         name=f"phase-king-subquadratic[{mode}]",
         nodes=nodes,
-        max_rounds=phase_king_rounds(epochs),
+        max_rounds=SCHEDULE.rounds_for(epochs),
         inputs=input_map,
         signing_capabilities=[],
         mining_capabilities=[eligibility.capability_for(i) for i in range(n)],

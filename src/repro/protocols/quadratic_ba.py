@@ -12,7 +12,7 @@ from typing import Dict, Optional, Sequence
 
 from repro.crypto.registry import KeyRegistry
 from repro.errors import ConfigurationError
-from repro.protocols.aba import AbaConfig, AbaNode, rounds_for_iterations
+from repro.protocols.aba import SCHEDULE, AbaConfig, AbaNode
 from repro.protocols.base import (
     OracleProposerPolicy,
     ProtocolInstance,
@@ -58,7 +58,7 @@ def build_quadratic_ba(
     return ProtocolInstance(
         name="quadratic-ba",
         nodes=nodes,
-        max_rounds=rounds_for_iterations(max_iterations) + 2,
+        max_rounds=SCHEDULE.rounds_for(max_iterations),
         inputs=input_map,
         signing_capabilities=[registry.capability_for(i) for i in range(n)],
         mining_capabilities=[],

@@ -35,9 +35,9 @@ from repro.errors import ConfigurationError, SignatureError
 from repro.protocols.base import Authenticator, ProposerPolicy, ProtocolInstance
 from repro.protocols.phase_king import (
     DEFAULT_EPOCHS,
+    SCHEDULE,
     PhaseKingConfig,
     PhaseKingNode,
-    phase_king_rounds,
 )
 from repro.protocols.subquadratic_ba import FMINE_MODE, make_eligibility
 from repro.rng import Seed
@@ -229,7 +229,7 @@ def build_round_eligibility(
     return ProtocolInstance(
         name=f"round-eligibility[{erasure_tag}]",
         nodes=nodes,
-        max_rounds=phase_king_rounds(epochs),
+        max_rounds=SCHEDULE.rounds_for(epochs),
         inputs={i: inputs[i] for i in range(n)},
         signing_capabilities=[epoch_registry.capability_for(i)
                               for i in range(n)],

@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.crypto.registry import KeyRegistry
 from repro.errors import ConfigurationError
-from repro.protocols.aba import AbaConfig, AbaNode, rounds_for_iterations
+from repro.protocols.aba import SCHEDULE, AbaConfig, AbaNode
 from repro.protocols.base import (
     Authenticator,
     OracleProposerPolicy,
@@ -173,7 +173,7 @@ def build_static_committee(
             CommitteeLeaderOracle(committee, seed), authenticator),
         max_iterations=max_iterations,
     )
-    max_rounds = rounds_for_iterations(max_iterations) + 2
+    max_rounds = SCHEDULE.rounds_for(max_iterations)
     committee_set = set(committee)
     nodes: List[Node] = []
     for node_id in range(n):

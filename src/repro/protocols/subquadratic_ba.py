@@ -26,7 +26,7 @@ from repro.eligibility.difficulty import DifficultySchedule
 from repro.eligibility.fmine import FMineEligibility
 from repro.eligibility.vrf_eligibility import VrfEligibility
 from repro.errors import ConfigurationError
-from repro.protocols.aba import AbaConfig, AbaNode, rounds_for_iterations
+from repro.protocols.aba import SCHEDULE, AbaConfig, AbaNode
 from repro.protocols.base import (
     EligibilityAuthenticator,
     ProposerPolicy,
@@ -109,7 +109,7 @@ def build_subquadratic_ba(
     return ProtocolInstance(
         name=f"subquadratic-ba[{mode}]",
         nodes=nodes,
-        max_rounds=rounds_for_iterations(max_iterations) + 2,
+        max_rounds=SCHEDULE.rounds_for(max_iterations),
         inputs=input_map,
         signing_capabilities=[],
         mining_capabilities=[eligibility.capability_for(i) for i in range(n)],

@@ -23,20 +23,20 @@ check is answered follows how its objects come to exist:
 Soundness rests on three invariants:
 
 **An issued auth is answered by its issuer's ledger; anything else by
-the predicate.**  The key registry (either mode) and the round-eligibility
+the predicate.**  The key registry and the round-eligibility
 authenticator answer ``True`` at the top of ``check`` only for the very
 object they handed ``node_id`` for that topic, compared by
 :func:`~repro.serialization.type_tagged` equality (``True == 1``, but
 they sign differently).  A content-equal copy, a token never handed out,
 or an issued object presented under another node or topic misses the
-ledger and gets the full predicate: the digest, the Schnorr equation,
-the coin and the slot signature.  ``Fmine`` keeps no ledger (its
+ledger and gets the full predicate: the digest, the coin and the slot
+signature.  ``Fmine`` keeps no ledger (its
 predicate is a dict lookup), nor does the VRF world, which memoizes its
 own verdicts.
 
 **Only positive results are kept.**  A ``True`` is permanent — ideal
-signatures stay issued, ``Fmine`` coins stay recorded, real
-signatures/VRFs are pure — but a ``False`` can legitimately become
+signatures stay issued, ``Fmine`` coins stay recorded, VRFs are
+pure — but a ``False`` can legitimately become
 ``True`` later (e.g. an adversary circulates a forged ticket *before* the
 honest node mines that topic; once mined, the content-equal honest ticket
 is valid).  No table, shared or per node, remembers a ``False``: a
@@ -52,13 +52,15 @@ when payload objects are garbage-collected (e.g. under the engine's
 Every memo is a shortcut over a predicate: ``UncachedVerification`` in
 ``tests/reference.py`` calls the predicates straight, builds no digest
 and marks no payload — the per-message fold every memo must agree with.
+:meth:`VerifyingNode._fold` is the one inbox loop of the round-structured
+families.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.protocols.base import Authenticator, ProposerPolicy
+from repro.protocols.base import Authenticator
 from repro.protocols.certificates import Certificate, verify_certificate
 from repro.protocols.messages import SignedVote
 from repro.sim.node import Node
@@ -139,21 +141,16 @@ class VerificationCache:
         _trim(self.valid_payloads)
         self.valid_payloads[id(payload)] = (payload, absorb, audience)
 
-    def check_auth(self, authenticator: Authenticator, node_id: NodeId,
-                   topic: Any, auth: Any) -> bool:
-        """``authenticator.check``: an issuer answers an auth it issued
-        from its own ledger (see the module docstring)."""
-        return authenticator.check(node_id, topic, auth)
-
     def check_vote(self, authenticator: Authenticator,
                    vote: SignedVote) -> bool:
-        """Memoized vote check: by identity, then :meth:`check_auth` on
-        ``(voter, ("Vote", iteration, bit), auth)``.  Only a vote that
+        """Memoized vote check: by identity, then ``authenticator.check``
+        on ``(voter, ("Vote", iteration, bit), auth)``.  Only a vote that
         hashes (so holds no mutable auth) is kept by identity."""
         if self._vote_true_by_id.get(id(vote)) is vote:
             return True
-        valid = self.check_auth(authenticator, vote.voter,
-                                ("Vote", vote.iteration, vote.bit), vote.auth)
+        valid = authenticator.check(vote.voter,
+                                    ("Vote", vote.iteration, vote.bit),
+                                    vote.auth)
         if valid:
             try:
                 hash(vote)
@@ -187,12 +184,6 @@ class VerificationCache:
             self._quorum_true_by_id[id(members)] = (members, args)
         return valid
 
-    def check_proposal(self, proposer: ProposerPolicy, sender: NodeId,
-                       iteration: int, bit: Bit, auth: Any) -> bool:
-        """``proposer.check`` (votes re-attach the same proposal n times
-        per round — footnote 11, and the issuer's ledger answers each)."""
-        return proposer.check(sender, iteration, bit, auth)
-
 
 class VerifyingNode(Node):
     """A protocol node verifying through its instance's shared cache.
@@ -201,14 +192,65 @@ class VerifyingNode(Node):
     ``threshold`` and shared ``verification`` cache.
     """
 
+    #: Payload class → (validation predicate, absorb step).  Validation
+    #: is recipient-independent and runs once per payload object per
+    #: execution; the absorb step is the recipient's own state update
+    #: and returns nothing.  A class not listed is a foreign payload.
+    _HANDLERS: Dict[type, Tuple[Callable, Callable]] = {}
+
     def __init__(self, node_id: NodeId, n: int, config: Any) -> None:
         super().__init__(node_id, n)
         self.config = config
         self._verification: VerificationCache = config.verification
 
+    def _audience(self, msg: Any) -> Optional[NodeId]:
+        """The one node a valid ``msg``'s absorb step can change, or
+        ``None`` for every node."""
+        return None
+
+    def _fold(self, inbox: List[Any]) -> None:
+        """Validate and absorb every delivery, one at a time, in order.
+
+        The simulation hands every recipient the same payload object, so
+        the first successful validation marks it (``valid_payloads``)
+        with its absorb step and audience, which the other recipients
+        call straight or skip.  The front is read directly (this loop is
+        the protocol step's hot path) and is empty if the cache keeps
+        none; failures are never remembered — a ``False`` can become
+        ``True`` later.
+        """
+        front = self._verification.valid_payloads
+        handlers = self._HANDLERS
+        me = self.node_id
+        for delivery in inbox:
+            msg = delivery.payload
+            entry = front.get(id(msg))
+            if entry is not None and entry[0] is msg:
+                if entry[2] is None or entry[2] == me:
+                    entry[1](self, msg)
+                continue
+            handler = handlers.get(msg.__class__)
+            if handler is not None and handler[0](self, msg):
+                self._verification.mark_valid(msg, handler[1],
+                                              self._audience(msg))
+                handler[1](self, msg)
+
+    def _admitted(self, msg: Any) -> bool:
+        """Whether ``msg`` is a listed payload that validates, marking it
+        as :meth:`_fold` does; nothing is absorbed."""
+        handler = self._HANDLERS.get(msg.__class__)
+        if handler is None:
+            return False
+        entry = self._verification.valid_payloads.get(id(msg))
+        if entry is not None and entry[0] is msg:
+            return True
+        if not handler[0](self, msg):
+            return False
+        self._verification.mark_valid(msg, handler[1], self._audience(msg))
+        return True
+
     def _check_auth(self, node_id: NodeId, topic: Any, auth: Any) -> bool:
-        return self._verification.check_auth(
-            self.config.authenticator, node_id, topic, auth)
+        return self.config.authenticator.check(node_id, topic, auth)
 
     def _check_vote_auth(self, vote: SignedVote) -> bool:
         return self._verification.check_vote(self.config.authenticator, vote)

@@ -10,10 +10,14 @@ predicate, absorb step) table, its phase actions and its settle policy.
 What is shared, and why it is sound (docs/PROTOCOLS.md, "Shared view
 machine", has the table of per-family differences):
 
-- **Schedule** (:class:`ViewSchedule`): unit ``u = 1, 2, ...`` owns
-  rounds ``4(u - 1) .. 4u - 1``, one per phase, and a budget of ``u``
-  units runs two trailing delivery rounds so the last quorum can be
-  tallied and its Decide relayed.
+- **Schedule** (:class:`~repro.protocols.base.ViewSchedule`, which aba
+  and phase-king declare too): unit ``u = 1, 2, ...`` owns rounds
+  ``4(u - 1) .. 4u - 1``, one per phase, and a budget of ``u`` units
+  runs two trailing delivery rounds so the last quorum can be tallied
+  and its Decide relayed.
+- **Inbox** (:meth:`~repro.protocols.verification.VerifyingNode._fold`):
+  the payload-class table's predicate runs once per payload object, and
+  the node's ``audience`` decides who absorbs a marked one.
 - **Quorums**: certificates and decide quorums need ``n - f`` distinct
   signers, so any two overlap in ``n - 2f > f`` nodes — more than the
   possible double-signers — for *every* admitted ``n > 3f`` (a fixed
@@ -56,81 +60,15 @@ from repro.protocols.base import (
     Authenticator,
     ProtocolInstance,
     SignatureAuthenticator,
+    ViewSchedule,
+    trusted_send_round_for,
 )
 from repro.protocols.certificates import Certificate, rank
-from repro.protocols.early_stopping import trusted_send_round_for
 from repro.protocols.verification import VerificationCache, VerifyingNode
 from repro.serialization import _intern_field_key, intern_by_key
 from repro.sim.conditions import NetworkConditions
 from repro.sim.node import RoundContext
 from repro.types import Audience, Bit, NodeId, Round
-
-
-@dataclass(frozen=True)
-class ViewSchedule:
-    """The round ↔ (unit, phase) arithmetic of one family (units 1-based)."""
-
-    phases: Tuple[str, ...]
-
-    @property
-    def rounds(self) -> int:
-        """Protocol rounds per unit."""
-        return len(self.phases)
-
-    def schedule(self, round_index: Round) -> Tuple[int, str]:
-        """Map a global protocol round to ``(unit, phase)``."""
-        unit, offset = divmod(round_index, self.rounds)
-        return unit + 1, self.phases[offset]
-
-    def unit_of_round(self, round_index: Round) -> int:
-        """The unit a global protocol round belongs to."""
-        return round_index // self.rounds + 1
-
-    def round_of(self, unit: int, phase: str) -> Round:
-        """The global round of a unit's phase (inverse of :meth:`schedule`)."""
-        return self.rounds * (unit - 1) + self.phases.index(phase)
-
-    def at_boundary(self, round_index: Round) -> bool:
-        """Whether a round opens a unit."""
-        return round_index % self.rounds == 0
-
-    def rounds_for(self, units: int) -> int:
-        """Round budget for ``units`` full units: every phase plus two
-        trailing delivery rounds, so the last unit's quorum can be
-        tallied and its decide announcement relayed."""
-        if units < 1:
-            raise ValueError("need at least one unit")
-        return self.rounds * units + 2
-
-    def default_budget(self, f: int, conditions: Optional[NetworkConditions],
-                       slack: int) -> int:
-        """The Δ-derived unit budget: ``ceil(trusted_send_round / rounds)``
-        units can burn before sends are reliable; after that ``f`` faulty
-        coordinators can each waste one, and ``slack`` more are the
-        family's own allowance."""
-        trusted = trusted_send_round_for(conditions)
-        return -(-trusted // self.rounds) + f + slack  # ceil division
-
-    def settled_unit(self, result: Any) -> int:
-        """The unit a finished execution settled in, for artifact rows.
-
-        The last honest decision round's unit when every honest node
-        decided; otherwise the unit of the last executed round (the
-        exhausted budget).
-        """
-        rounds = result.decision_rounds()
-        if rounds and result.all_decided():
-            # The decision round tallies the *previous* round's quorum,
-            # so the settled unit is the round before's.
-            return self.unit_of_round(max(max(rounds) - 1, 0))
-        settled = self.unit_of_round(max(result.rounds_executed - 1, 0))
-        budget = getattr(result, "rounds_budget", None)
-        if budget is not None and budget > self.rounds:
-            # The round budget pads two trailing delivery rounds past
-            # the last unit (rounds_for); an exhausted run must not
-            # report those as a unit of their own.
-            settled = min(settled, (budget - 2) // self.rounds)
-        return settled
 
 
 def mean_columns(results: Sequence[Any],
@@ -180,10 +118,6 @@ class ViewNode(VerifyingNode):
 
     #: The family's four phases.
     SCHEDULE: ViewSchedule
-    #: Payload class → (validation predicate, absorb step).  Validation
-    #: is recipient-independent and runs once per payload object per
-    #: execution; the absorb step is the recipient's own state update.
-    _HANDLERS: Dict[type, Tuple[Callable, Callable]]
     #: Phase → action ``(node, ctx, unit)``; a phase without a send of
     #: its own has no entry.
     _ACTIONS: Dict[str, Callable]
@@ -285,29 +219,9 @@ class ViewNode(VerifyingNode):
                                          b == self.belief, -b))
         return bit, sorted(backing[bit].items())[:quorum]
 
-    # -- inbox ---------------------------------------------------------------
-    def _process_inbox(self, ctx: RoundContext) -> None:
-        # The simulation hands every recipient the same payload object,
-        # so the first successful validation marks it with its absorb
-        # step and audience, which the other n - 1 recipients call
-        # straight or skip.  The front is read directly (this loop is the
-        # protocol step's hot path) and is empty if the cache keeps none;
-        # failures are never remembered — a ``False`` can become ``True``.
-        front = self._verification.valid_payloads
-        handlers = self._HANDLERS
-        for delivery in ctx.inbox:
-            msg = delivery.payload
-            entry = front.get(id(msg))
-            if entry is not None and entry[0] is msg:
-                if entry[2] is None or entry[2] == self.node_id:
-                    entry[1](self, msg)
-                continue
-            handler = handlers.get(msg.__class__)
-            if handler is not None and handler[0](self, msg):
-                audience = self.config.audience
-                self._verification.mark_valid(
-                    msg, handler[1], audience and audience(msg))
-                handler[1](self, msg)
+    def _audience(self, msg: Any) -> Optional[NodeId]:
+        audience = self.config.audience
+        return audience and audience(msg)
 
     # -- decision ------------------------------------------------------------
     def quorum_decide_msg(self, unit: int, bit: Bit) -> Optional[Any]:
@@ -383,7 +297,7 @@ class ViewNode(VerifyingNode):
                 self._announce(ctx, self._final_msg)
             return
         if ctx.inbox:
-            self._process_inbox(ctx)
+            self._fold(ctx.inbox)
         if self._maybe_decide(ctx) or ctx.round < self.asleep_until:
             return
         unit, phase = self.SCHEDULE.schedule(ctx.round)

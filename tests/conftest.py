@@ -17,6 +17,11 @@ def pytest_addoption(parser):
         "--committee-seed", type=int, default=0,
         help="the seed the single-omission battery builds and runs the "
              "committee-sampling entries at (tier-1 runs seed 0)")
+    parser.addoption(
+        "--withholding", default=None, metavar="N:K",
+        help="run the omission battery's test_k_withholding_nodes at "
+             "n = N with K withholders (CI: 8:2 and 10:3); without it "
+             "that test runs no group")
 
 
 @pytest.fixture
@@ -46,8 +51,9 @@ def mixed_inputs(n: int) -> list:
 def receive(node, msg):
     """Run one message through an ``AbaNode``'s per-message fold (validate,
     then absorb); returns the ``(iteration, bit)`` a valid Terminate
-    adopts, else ``None``."""
-    return node._fold([Delivery(sender=msg.sender, payload=msg)])
+    adopted, else ``None``."""
+    node._fold([Delivery(sender=msg.sender, payload=msg)])
+    return node._adopted
 
 
 def random_conditions(rng: random.Random,

@@ -84,9 +84,6 @@ class UncachedVerification(VerificationCache):
     def mark_valid(self, payload, absorb=None, audience=None):
         pass
 
-    def check_auth(self, authenticator, node_id, topic, auth):
-        return authenticator.check(node_id, topic, auth)
-
     def check_vote(self, authenticator, vote):
         return authenticator.check(vote.voter,
                                    ("Vote", vote.iteration, vote.bit),
@@ -97,9 +94,6 @@ class UncachedVerification(VerificationCache):
 
     def check_quorum(self, predicate, members, args):
         return predicate(members, *args)
-
-    def check_proposal(self, proposer, sender, iteration, bit, auth):
-        return proposer.check(sender, iteration, bit, auth)
 
 
 # -- delivery: eager per-recipient expansion ----------------------------------
@@ -372,7 +366,7 @@ def _step_every_round(self, ctx):
         if self.SCHEDULE.at_boundary(ctx.round):
             self._announce(ctx, self._final_msg)
         return
-    self._process_inbox(ctx)
+    self._fold(ctx.inbox)
     if _scan_every_round(self, ctx):
         return
     unit, phase = self.SCHEDULE.schedule(ctx.round)

@@ -3,42 +3,13 @@
 import pytest
 
 from repro.crypto.registry import KeyRegistry
-from repro.protocols.aba import (
-    AbaConfig,
-    AbaNode,
-    PHASE_COMMIT,
-    PHASE_PROPOSE,
-    PHASE_STATUS,
-    PHASE_VOTE,
-    rounds_for_iterations,
-    schedule,
-)
+from repro.protocols.aba import AbaConfig, AbaNode
 from repro.protocols.base import OracleProposerPolicy, SignatureAuthenticator
 from repro.protocols.certificates import certificate_from_votes
 from repro.protocols.messages import ProposeMsg, VoteMsg
 from repro.sim.leader import RoundRobinLeaderOracle
 from repro.sim.node import RoundContext
 from tests.conftest import receive
-
-
-class TestSchedule:
-    def test_iteration_one_skips_status_and_propose(self):
-        """C.1: 'the very first iteration skips Status and Propose'."""
-        assert schedule(0) == (1, PHASE_VOTE)
-        assert schedule(1) == (1, PHASE_COMMIT)
-
-    def test_later_iterations_have_four_phases(self):
-        assert schedule(2) == (2, PHASE_STATUS)
-        assert schedule(3) == (2, PHASE_PROPOSE)
-        assert schedule(4) == (2, PHASE_VOTE)
-        assert schedule(5) == (2, PHASE_COMMIT)
-        assert schedule(6) == (3, PHASE_STATUS)
-
-    def test_rounds_for_iterations(self):
-        assert rounds_for_iterations(1) == 3
-        assert rounds_for_iterations(2) == 7
-        with pytest.raises(ValueError):
-            rounds_for_iterations(0)
 
 
 @pytest.fixture

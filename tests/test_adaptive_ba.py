@@ -22,18 +22,15 @@ from repro.errors import ConfigurationError
 from repro.harness.runner import run_instance
 from repro.protocols import build_adaptive_ba, build_quadratic_ba
 from repro.protocols.adaptive_ba import (
-    EPOCH_ROUNDS,
     FAST_PATH_WORD_FACTOR,
+    SCHEDULE,
     AdaptiveAckMsg,
     AdaptiveDecideMsg,
     AdaptiveProposeMsg,
     actual_faults_of,
     collector_of,
     default_epochs,
-    epoch_of_round,
-    epoch_schedule,
     escalations_of,
-    rounds_for_epochs,
     words_of,
 )
 from repro.protocols.certificates import certificate_from_votes
@@ -156,24 +153,9 @@ class TestSafetyProperties:
 
 
 class TestScheduleHelpers:
-    def test_epoch_schedule_phases(self):
-        assert epoch_schedule(0) == (1, "Report")
-        assert epoch_schedule(1) == (1, "Propose")
-        assert epoch_schedule(2) == (1, "Ack")
-        assert epoch_schedule(3) == (1, "Decide")
-        assert epoch_schedule(4) == (2, "Report")
-        assert epoch_of_round(7) == 2
-        assert epoch_of_round(8) == 3
-
     def test_collector_rotation(self):
         assert [collector_of(e, 5) for e in range(1, 7)] == \
             [0, 1, 2, 3, 4, 0]
-
-    def test_round_budget(self):
-        assert rounds_for_epochs(1) == EPOCH_ROUNDS + 2
-        assert rounds_for_epochs(5) == 5 * EPOCH_ROUNDS + 2
-        with pytest.raises(ValueError):
-            rounds_for_epochs(0)
 
     def test_default_epochs_accounts_for_trusted_rounds(self):
         assert default_epochs(3, None) == 5
@@ -232,7 +214,7 @@ class _LoneDeciderCollector(Adversary):
                 self.acks[msg.sender] = msg
 
     def react(self, round_index, staged):
-        epoch, phase = epoch_schedule(round_index)
+        epoch, phase = SCHEDULE.schedule(round_index)
         if (epoch, phase) == (1, "Propose"):
             votes = dict(self.reports)
             for node_id in self.CORRUPT:

@@ -46,8 +46,6 @@ from repro.protocols.quadratic_ba import build_quadratic_ba
 from repro.protocols.subquadratic_ba import build_subquadratic_ba
 from repro.sim.conditions import NETWORKS
 from repro.sim.leader import RandomLeaderOracle
-from repro.sim.network import Delivery
-from repro.sim.node import RoundContext
 from repro.types import SecurityParameters
 from tests.reference import digest
 
@@ -184,22 +182,9 @@ def test_execution_is_the_one_the_hand_written_class_produced(policy, world):
 # -- (b) what the menu offers, an honest node accepts --------------------------
 
 
-def _king_accepts(node, payload):
-    """Phase-king validates inline, so the predicate is the effect: a
-    fresh node that is delivered the payload tallies it."""
-    fresh = PhaseKingNode(node.node_id, node.n, 0, node.config)
-    fresh._process_inbox(RoundContext(
-        fresh.node_id, 0, [Delivery(payload.sender, payload)], None))
-    return bool(fresh.proposals_heard or fresh.acks_seen)
-
-
 VALID = {
-    ProposeMsg: AbaNode._valid_propose,
-    VoteMsg: AbaNode._valid_vote,
-    PhaseKingProposeMsg: _king_accepts,
-    AckMsg: _king_accepts,
-    **{cls: valid for cls, (valid, _) in LeaderBaNode._HANDLERS.items()},
-}
+    cls: valid for node_cls in (AbaNode, PhaseKingNode, LeaderBaNode)
+    for cls, (valid, _) in node_cls._HANDLERS.items()}
 
 
 def _record_offers(adversary):

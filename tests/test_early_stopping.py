@@ -26,7 +26,7 @@ from repro.protocols import (
     build_quadratic_ba_early_stop,
 )
 from repro.protocols.messages import AckMsg
-from repro.protocols.phase_king import phase_king_rounds
+from repro.protocols.phase_king import SCHEDULE
 from repro.sim.adversary import Adversary
 from repro.sim.conditions import NETWORKS, NetworkConditions
 from tests import reference
@@ -83,7 +83,7 @@ class TestPhaseKingEarlyStop:
         # Epoch 0 is unanimous; everyone detects at the epoch-1 propose
         # round and halts — 3 rounds against a 41-round budget.
         assert result.rounds_executed == 3
-        assert result.rounds_saved == phase_king_rounds(20) - 3
+        assert result.rounds_saved == SCHEDULE.rounds_for(20) - 3
 
     def test_mixed_inputs_converge_then_stop(self):
         n, f = 13, 4
@@ -98,7 +98,7 @@ class TestPhaseKingEarlyStop:
         n, f = 13, 4
         result = run_instance(
             build_phase_king(n, f, [1] * n, seed=3), f, seed=3)
-        assert result.rounds_executed == phase_king_rounds(20)
+        assert result.rounds_executed == SCHEDULE.rounds_for(20)
         assert result.rounds_saved == 0
 
     def test_rounds_saved_zero_under_perfect_with_adversary(self):
@@ -114,7 +114,7 @@ class TestPhaseKingEarlyStop:
         assert stats.validity_rate == 1.0
         assert rounds_saved_columns(stats.results) == {
             "mean_rounds_saved": 0.0}
-        assert stats.mean_rounds == phase_king_rounds(20)
+        assert stats.mean_rounds == SCHEDULE.rounds_for(20)
 
     def test_half_unanimity_staggers_stops_but_agreement_holds(self):
         """The rushing equivocator completes unanimity for half the
@@ -149,7 +149,7 @@ class TestPhaseKingEarlyStop:
         result = run_instance(instance, f, seed=11)
         assert result.consistent() and result.agreement_valid()
         assert result.all_decided()
-        budget = phase_king_rounds(20)
+        budget = SCHEDULE.rounds_for(20)
         decision_rounds = [result.decided_rounds[node.node_id]
                            for node in instance.nodes]
         early = [r for r in decision_rounds if r < budget - 1]

@@ -2,9 +2,8 @@
 only when it is the very object the issuer handed out, for that node and
 that topic; anything else gets the full predicate.
 
-The key registry (either mode) and ``RoundEligibilityAuthenticator``
-keep a ledger; ``VerificationCache.check_auth`` and ``check_proposal``
-call ``check`` straight.  Every test here checks both halves: the issued
+The key registry and ``RoundEligibilityAuthenticator`` keep a ledger;
+nodes call ``check`` (and ``ProposerPolicy.check``) straight.  Every test here checks both halves: the issued
 object is answered with no predicate work (no digest, no coin or slot
 signature read), and a refused case — an issued auth under another
 topic or signer, a ``True``-for-``1`` topic, a content-equal copy, an
@@ -45,7 +44,6 @@ from repro.protocols.round_eligibility import (
     RoundEligibilityAuthenticator,
 )
 from repro.protocols.static_committee import CommitteeAuthenticator
-from repro.protocols.verification import VerificationCache
 from repro.sim.leader import LeaderOracle
 
 TOPIC = ("Vote", 1, 1)
@@ -65,21 +63,17 @@ class Counting:
         monkeypatch.setattr(obj, name, counted)
 
 
-def _check_auth(authenticator, node_id, topic, auth):
-    return VerificationCache().check_auth(authenticator, node_id, topic, auth)
-
-
 def _signature_world(n=4):
     registry = KeyRegistry(n)
     return registry, SignatureAuthenticator(registry)
 
 
 def _digested(monkeypatch, registry, node_id, topic, signature):
-    """``check_auth``'s answer for ``signature`` and whether it took
-    the registry's digest."""
+    """``check``'s answer for ``signature`` and whether it took the
+    registry's digest."""
     digests = Counting(monkeypatch, registry, "_expected_digest")
-    answer = _check_auth(SignatureAuthenticator(registry), node_id, topic,
-                         signature)
+    answer = SignatureAuthenticator(registry).check(node_id, topic,
+                                                    signature)
     return answer, digests.calls
 
 
@@ -118,7 +112,7 @@ class TestSignatureLedger:
         signature = authenticator.attempt(1, TOPIC)
         assert _digested(monkeypatch, registry, 1, ("Vote", 1, True),
                          signature) == (False, 1)
-        assert not _check_auth(authenticator, True, TOPIC, signature)
+        assert not authenticator.check(True, TOPIC, signature)
         signed_true = authenticator.attempt(1, ("Vote", True, 1))
         assert _digested(monkeypatch, registry, 1, ("Vote", True, 1),
                          signed_true) == (True, 0)
@@ -145,17 +139,17 @@ class TestSignatureLedger:
         message = ["Vote", 1, 1]
         signature = authenticator.attempt(1, message)
         assert registry._ledger == {}
-        assert _check_auth(authenticator, 1, ["Vote", 1, 1], signature)
+        assert authenticator.check(1, ["Vote", 1, 1], signature)
         message.append("grown")
-        assert not _check_auth(authenticator, 1, message, signature)
+        assert not authenticator.check(1, message, signature)
 
     def test_a_committee_outsider_is_refused_despite_the_ledger(self):
         registry = KeyRegistry(4)
         committee = CommitteeAuthenticator(registry, [1, 2])
-        assert _check_auth(committee, 1, TOPIC, committee.attempt(1, TOPIC))
+        assert committee.check(1, TOPIC, committee.attempt(1, TOPIC))
         outsider = registry.capability_for(3).sign(TOPIC)
         assert registry.verify(3, TOPIC, outsider)
-        assert not _check_auth(committee, 3, TOPIC, outsider)
+        assert not committee.check(3, TOPIC, outsider)
 
 
 class TestTicketsKeepNoLedger:
@@ -163,14 +157,13 @@ class TestTicketsKeepNoLedger:
             self, fmine_world):
         source, authenticator, winner = fmine_world
         forged = FMineTicket(node_id=winner, topic=TOPIC)
-        assert not _check_auth(authenticator, winner, TOPIC, forged)
-        assert not _check_auth(authenticator, winner, TOPIC, forged)
+        assert not authenticator.check(winner, TOPIC, forged)
+        assert not authenticator.check(winner, TOPIC, forged)
         honest = source.capability_for(winner).try_mine(TOPIC)
         assert honest == forged and honest is not forged
-        assert _check_auth(authenticator, winner, TOPIC, forged)
-        assert not _check_auth(authenticator, (winner + 1) % 100, TOPIC,
-                               forged)
-        assert not _check_auth(authenticator, winner, ("Vote", 1, 0), forged)
+        assert authenticator.check(winner, TOPIC, forged)
+        assert not authenticator.check((winner + 1) % 100, TOPIC, forged)
+        assert not authenticator.check(winner, ("Vote", 1, 0), forged)
 
 
 class TestRoundAuthLedger:
@@ -193,7 +186,7 @@ class TestRoundAuthLedger:
             self, monkeypatch, fmine_world):
         authenticator, winner, auth, predicate = self._world(
             monkeypatch, fmine_world)
-        assert _check_auth(authenticator, winner, ("Vote", 1, 1), auth)
+        assert authenticator.check(winner, ("Vote", 1, 1), auth)
         assert [count.calls for count in predicate] == [0, 0]
 
     def test_the_other_bit_and_a_copy_take_the_predicate(
@@ -201,12 +194,11 @@ class TestRoundAuthLedger:
         authenticator, winner, auth, predicate = self._world(
             monkeypatch, fmine_world, memory_erasure=False)
         for topic in (("Vote", 1, 0), ("Vote", 1, True)):
-            assert not _check_auth(authenticator, winner, topic, auth)
+            assert not authenticator.check(winner, topic, auth)
         assert [count.calls for count in predicate] == [2, 2]
-        assert not _check_auth(authenticator, (winner + 1) % 100, TOPIC,
-                               auth)
+        assert not authenticator.check((winner + 1) % 100, TOPIC, auth)
         copy = RoundAuth(ticket=auth.ticket, signature=auth.signature)
-        assert _check_auth(authenticator, winner, TOPIC, copy)
+        assert authenticator.check(winner, TOPIC, copy)
         assert [count.calls for count in predicate] == [3, 3]
 
     def test_a_mutable_topic_gets_no_entry(self, monkeypatch, fmine_world):
@@ -232,14 +224,13 @@ class TestProposals:
         policy = OracleProposerPolicy(FixedLeader(), authenticator)
         auth = policy.attempt(1, 2, 0)
         digests = Counting(monkeypatch, registry, "_expected_digest")
-        cache = VerificationCache()
-        assert cache.check_proposal(policy, 1, 2, 0, auth)
+        assert policy.check(1, 2, 0, auth)
         assert digests.calls == 0
-        assert not cache.check_proposal(policy, 1, 2, 1, auth)
-        assert not cache.check_proposal(policy, 1, 3, 0, auth)
+        assert not policy.check(1, 2, 1, auth)
+        assert not policy.check(1, 3, 0, auth)
         not_leader = registry.capability_for(2).sign(("Propose", 2, 0))
         assert registry.verify(2, ("Propose", 2, 0), not_leader)
-        assert not cache.check_proposal(policy, 2, 2, 0, not_leader)
+        assert not policy.check(2, 2, 0, not_leader)
 
     def test_mining_policy_asks_the_source(self, fmine_world):
         _, authenticator, _ = fmine_world
@@ -248,9 +239,28 @@ class TestProposals:
             policy.attempt(node, 1, 1) for node in range(100))
             if ticket is not None)
         node = auth.node_id
-        cache = VerificationCache()
-        assert cache.check_proposal(policy, node, 1, 1, auth)
-        assert not cache.check_proposal(policy, node, 1, 0, auth)
-        assert not cache.check_proposal(policy, (node + 1) % 100, 1, 1, auth)
+        assert policy.check(node, 1, 1, auth)
+        assert not policy.check(node, 1, 0, auth)
+        assert not policy.check((node + 1) % 100, 1, 1, auth)
         copy = FMineTicket(node_id=node, topic=auth.topic)
-        assert cache.check_proposal(policy, node, 1, 1, copy)
+        assert policy.check(node, 1, 1, copy)
+
+
+@pytest.mark.parametrize("mode", ["fmine", "vrf"])
+def test_an_unhashable_topic_is_refused_not_raised(mode):
+    """``Authenticator.check`` never raises: a ticket whose topic is a
+    list (it can never have been mined, since coins are keyed by topic)
+    is refused in both eligibility worlds."""
+    from dataclasses import replace
+
+    from repro.protocols.subquadratic_ba import make_eligibility
+    from repro.types import SecurityParameters
+
+    source = make_eligibility(4, SecurityParameters(lam=12), 0, mode)
+    authenticator = EligibilityAuthenticator(source)
+    won = next(ticket for ticket in (
+        authenticator.attempt(node, TOPIC) for node in range(4))
+        if ticket is not None)
+    assert authenticator.check(won.node_id, TOPIC, won)
+    listed = replace(won, topic=list(TOPIC))
+    assert authenticator.check(won.node_id, list(TOPIC), listed) is False

@@ -1,10 +1,6 @@
 """Tests for leader oracles and the execution-result predicates."""
 
-from repro.protocols.leader_ba import (
-    decision_view_of,
-    rounds_for_views,
-    view_of_round,
-)
+from repro.protocols.leader_ba import SCHEDULE, decision_view_of
 from repro.sim.leader import RandomLeaderOracle, RoundRobinLeaderOracle
 from repro.sim.metrics import CommunicationMetrics
 from repro.sim.result import ExecutionResult
@@ -93,7 +89,7 @@ class TestResultPredicates:
 class TestDecisionViewOf:
     def _timed_out(self, views):
         """A run that exhausted its ``views``-view budget undecided."""
-        budget = rounds_for_views(views)
+        budget = SCHEDULE.rounds_for(views)
         result = _result({0: 1, 1: 1})
         result.decided_rounds = {0: None, 1: None}
         result.rounds_executed = budget
@@ -106,11 +102,11 @@ class TestDecisionViewOf:
         round arithmetic lands on ``views + 1``."""
         for views in (1, 3, 7):
             result = self._timed_out(views)
-            assert view_of_round(result.rounds_executed - 1) == views + 1
+            assert SCHEDULE.unit_of_round(result.rounds_executed - 1) == views + 1
             assert decision_view_of(result) == views
 
     def test_decided_run_is_not_clamped(self):
         result = _result({0: 1, 1: 1})
-        result.rounds_budget = rounds_for_views(2)
+        result.rounds_budget = SCHEDULE.rounds_for(2)
         result.decided_rounds = {0: 5, 1: 5}
-        assert decision_view_of(result) == view_of_round(4)
+        assert decision_view_of(result) == SCHEDULE.unit_of_round(4)

@@ -43,8 +43,8 @@ from repro.protocols.leader_ba import (
     PrevoteMsg,
     build_leader_ba,
     decision_view_of,
+    SCHEDULE,
     default_views_per_height,
-    schedule,
 )
 from repro.sim.adversary import Adversary
 from repro.sim.conditions import LinkTopology, NetworkConditions, Partition
@@ -252,7 +252,7 @@ class _LoneDeciderLeader(Adversary):
             self.api.corrupt(node_id)
 
     def react(self, round_index, staged):
-        view, phase = schedule(round_index)
+        view, phase = SCHEDULE.schedule(round_index)
         if view != 1:
             return
         for envelope in staged:  # rushing: this round's honest sends

@@ -139,9 +139,9 @@ def test_phase_budget_pauses_and_restores_the_collector(monkeypatch):
 PROFILED_CHECK_CALLS = {
     "subquadratic": 138, "quadratic": 103, "quadratic-early-stop": 81,
     "leader-ba": 55, "leader-chain": 239, "adaptive-ba": 61,
-    "phase-king": 5100, "phase-king-early-stop": 765,
-    "phase-king-subquadratic": 8153, "static-committee": 56,
-    "round-eligibility": 8060, "dolev-strong": 0, "naive-broadcast": 0,
+    "phase-king": 340, "phase-king-early-stop": 51,
+    "phase-king-subquadratic": 263, "static-committee": 56,
+    "round-eligibility": 260, "dolev-strong": 0, "naive-broadcast": 0,
     "broadcast-from-ba": 38,
 }
 
@@ -161,8 +161,9 @@ def test_quadratic_ba_n96_handler_call_budget(monkeypatch):
     one per delivery (≈ n² per round).  Measured: 385 steps over 7 rounds
     at n = 96; the per-message fold takes 36 575.
 
-    Every per-message step dispatches through ``aba._HANDLERS``; the run
-    reads a copy of it whose absorb and tally entries count their calls.
+    Every per-message step dispatches through the class table
+    ``AbaNode._HANDLERS`` (absorb) or ``aba._TALLIES`` (digest tally);
+    the run reads copies of both whose steps count their calls.
     """
     calls = [0]
 
@@ -172,10 +173,11 @@ def test_quadratic_ba_n96_handler_call_budget(monkeypatch):
             return step(target, message)
         return counted
 
-    monkeypatch.setattr(aba, "_HANDLERS", {
-        cls: None if handler is None else (
-            handler[0], counting(handler[1]), counting(handler[2]))
-        for cls, handler in aba._HANDLERS.items()})
+    monkeypatch.setattr(aba.AbaNode, "_HANDLERS", {
+        cls: (valid, counting(absorb))
+        for cls, (valid, absorb) in aba.AbaNode._HANDLERS.items()})
+    monkeypatch.setattr(aba, "_TALLIES", {
+        cls: counting(tally) for cls, tally in aba._TALLIES.items()})
     n, f = 96, 47
     instance = build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=1)
     result = run_instance(instance, f, seed=1)
@@ -187,6 +189,33 @@ def test_quadratic_ba_n96_handler_call_budget(monkeypatch):
         f"{calls[0]} per-message handler steps, budget "
         f"{budget}: rounds are being folded delivery by delivery instead "
         f"of absorbed from the shared round digest")
+
+
+def test_phase_king_n96_check_budget(monkeypatch):
+    """Phase-king validates through the shared payload front, so a
+    benign run checks each ACK and proposal object once, not once per
+    recipient: at most a constant times n auth checks per round.
+    Measured: 1 940 checks over 41 rounds at n = 96 (≈ 0.5 n per round);
+    the per-recipient intake took 184 300 (≈ 47 n per round)."""
+    from repro.protocols.phase_king import build_phase_king
+
+    n, f = 96, 31
+    instance = build_phase_king(n, f, [i % 2 for i in range(n)], seed=1)
+    checks = [0]
+    check = instance.authenticator.check
+
+    def counting(node_id, topic, auth):
+        checks[0] += 1
+        return check(node_id, topic, auth)
+
+    monkeypatch.setattr(instance.authenticator, "check", counting)
+    result = run_instance(instance, f, seed=1)
+
+    assert result.consistent() and result.all_decided()
+    budget = 2 * n * result.rounds_executed
+    assert checks[0] <= budget, (
+        f"{checks[0]} auth checks, budget {budget}: phase-king payloads "
+        f"are validated once per recipient instead of once per object")
 
 
 def test_post_gst_window_draws_bits_and_pushes_rounds(monkeypatch):
@@ -479,16 +508,16 @@ def test_leader_chain_scans_the_tally_after_a_quorum_forms(monkeypatch):
 
 def test_leader_chain_checks_each_decide_quorum_once(monkeypatch):
     """Every decider multicasts its own Decide, but all carry one
-    interned precommit tuple: each member of it is ``check_auth``ed once
+    interned precommit tuple: each member of it is ``check``ed once
     per tuple, not once per Decide (≈ n times at the parent)."""
     import collections
 
-    from repro.protocols.verification import VerificationCache
+    from repro.protocols.base import SignatureAuthenticator
     from repro.protocols.view_machine import ViewNode
 
     checks = collections.Counter()
     verifying = []  # the decide tuple being checked, pinned for its id
-    quorum_of, check_auth = ViewNode._quorum_of, VerificationCache.check_auth
+    quorum_of, check = ViewNode._quorum_of, SignatureAuthenticator.check
 
     def counting_quorum_of(self, members, unit_field, unit, bit, topic,
                            size):
@@ -499,33 +528,34 @@ def test_leader_chain_checks_each_decide_quorum_once(monkeypatch):
         finally:
             verifying.pop()
 
-    def counting_check_auth(self, authenticator, node_id, topic, auth):
+    def counting_check(self, node_id, topic, auth):
         if verifying and verifying[-1] is not None:
             checks[id(verifying[-1]), node_id] += 1
-        return check_auth(self, authenticator, node_id, topic, auth)
+        return check(self, node_id, topic, auth)
 
     monkeypatch.setattr(ViewNode, "_quorum_of", counting_quorum_of)
-    monkeypatch.setattr(VerificationCache, "check_auth", counting_check_auth)
+    monkeypatch.setattr(SignatureAuthenticator, "check", counting_check)
     _run_chain13()
     assert checks, "no decide quorum was verified"
     assert max(checks.values()) == 1, (
-        f"a decide-quorum member was check_auth'ed "
+        f"a decide-quorum member was checked "
         f"{max(checks.values())} times for one interned tuple")
 
 
 def test_leader_chain_checks_each_vote_object_by_content_once(monkeypatch):
     """``signed_vote`` interns each wrapped vote, and a vote verified once
-    is known by identity: content-keyed checks (a ``check_auth`` under
-    ``check_vote``) stay within the distinct ``SignedVote`` objects
-    checked.  Measured: 26 for 26 votes; 225 at the parent, which keyed
-    every check by content."""
+    is known by identity: content-keyed checks (an authenticator
+    ``check`` under ``check_vote``) stay within the distinct
+    ``SignedVote`` objects checked.  Measured: 26 for 26 votes; 225 at
+    the parent, which keyed every check by content."""
+    from repro.protocols.base import SignatureAuthenticator
     from repro.protocols.verification import VerificationCache
 
     votes = {}  # id -> vote, pinned so ids stay distinct
     keyed = []
     inside = []
-    check_vote, check_auth = (VerificationCache.check_vote,
-                              VerificationCache.check_auth)
+    check_vote, check = (VerificationCache.check_vote,
+                         SignatureAuthenticator.check)
 
     def counting_check_vote(self, authenticator, vote):
         votes[id(vote)] = vote
@@ -535,13 +565,13 @@ def test_leader_chain_checks_each_vote_object_by_content_once(monkeypatch):
         finally:
             inside.pop()
 
-    def counting_check_auth(self, authenticator, node_id, topic, auth):
+    def counting_check(self, node_id, topic, auth):
         if inside:
             keyed.append(1)
-        return check_auth(self, authenticator, node_id, topic, auth)
+        return check(self, node_id, topic, auth)
 
     monkeypatch.setattr(VerificationCache, "check_vote", counting_check_vote)
-    monkeypatch.setattr(VerificationCache, "check_auth", counting_check_auth)
+    monkeypatch.setattr(SignatureAuthenticator, "check", counting_check)
     _run_chain13()
     assert votes, "no vote was checked"
     assert len(keyed) <= len(votes), (

@@ -6,7 +6,6 @@ from repro.adversaries import AdaptiveSpeakerAdversary, CrashAdversary
 from repro.errors import ConfigurationError
 from repro.harness import run_instance, run_trials
 from repro.protocols import build_phase_king, build_phase_king_subquadratic
-from repro.protocols.phase_king import phase_king_rounds
 from repro.protocols.phase_king_subquadratic import ack_threshold
 from repro.types import SecurityParameters
 from tests.conftest import mixed_inputs
@@ -32,7 +31,7 @@ class TestWarmupPhaseKing:
         n, f, epochs = 10, 3, 6
         instance = build_phase_king(n, f, [1] * n, seed=0, epochs=epochs)
         result = run_instance(instance, f, seed=0)
-        assert result.rounds_executed == phase_king_rounds(epochs)
+        assert result.rounds_executed == instance.max_rounds
 
     def test_crash_faults_tolerated(self):
         n, f = 12, 3

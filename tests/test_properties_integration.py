@@ -29,7 +29,7 @@ from repro.protocols import (
     build_quadratic_ba,
     build_subquadratic_ba,
 )
-from repro.protocols.aba import schedule
+from repro.protocols.aba import SCHEDULE
 from repro.types import SecurityParameters
 
 PARAMS = SecurityParameters(lam=30, epsilon=0.1)
@@ -103,7 +103,7 @@ def _captured_topics(instance, result):
     """
     fmine = instance.authenticator.source.fmine
     threshold = instance.config.threshold
-    last_iteration = schedule(max(result.rounds_executed - 1, 0))[0]
+    last_iteration = SCHEDULE.schedule(max(result.rounds_executed - 1, 0))[0]
     return [
         (kind, iteration, bit)
         for kind in ("Vote", "Commit")

@@ -31,10 +31,10 @@ from repro.eligibility.fmine import FMine, FMineTicket
 from repro.harness.runner import run_instance
 from repro.protocols.aba import (
     PHASE_PROPOSE,
+    SCHEDULE,
     AbaConfig,
     AbaNode,
     RoundDigest,
-    schedule,
 )
 from repro.protocols.base import OracleProposerPolicy, SignatureAuthenticator
 from repro.protocols.certificates import certificate_from_votes
@@ -676,7 +676,7 @@ class ForgeBeforeMined(Adversary):
         self.api.corrupt(self.api.n - 1)
 
     def react(self, round_index, staged):
-        if schedule(round_index) != (2, PHASE_PROPOSE):
+        if SCHEDULE.schedule(round_index) != (2, PHASE_PROPOSE):
             return
         proposal, = [e.payload for e in staged
                      if isinstance(e.payload, ProposeMsg)]

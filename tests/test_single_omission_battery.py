@@ -23,13 +23,20 @@ One test is one (entry, n, inputs, c) group and runs every victim.
 decides — node 0 under unanimous inputs, node 1 under alternating ones —
 which is 39 runs in nine groups, each a strict xfail until item 3 lands.
 
-Two withholders (item 2 (b)'s tier-1 slice): the seven deterministic
-agreement entries at n = 7, f = 2, every withholder pair, every victim
-set of one or two honest nodes and the three inputs — 945 runs per
-entry.  One test is one (entry, inputs, pair) group and runs its 15
-victim sets.  ``adaptive-ba`` strands a victim whenever the deciding
-collector is a withholder — 275 runs in 19 groups, each a strict xfail
+k withholders (item 2 (b)): the seven deterministic agreement entries,
+every withholder set, every victim set of one or two honest nodes and
+the three inputs.  One test is one (entry, inputs, withholders) group
+and runs all its victim sets.  ``adaptive-ba`` strands a victim whenever
+the deciding collector is a withholder, or under alternating inputs
+when nodes 0 and 2 both withhold; each such group is a strict xfail
 until item 3 lands.
+
+- Tier-1 (``test_two_withholding_nodes``): n = 7, k = 2, 945 runs per
+  entry; ``adaptive-ba`` strands 275 runs in 19 groups.
+- CI (``test_k_withholding_nodes``, selected by ``--withholding N:K``):
+  n = 8, k = 2 (1 260 runs per entry; 447 stranded in 22 groups) and
+  n = 10, k = 3 (10 080 runs per entry; 3 073 stranded in 115 groups).
+  Without the option it collects no group.
 """
 
 import itertools
@@ -60,15 +67,14 @@ SEEDED_VICTIMS = (8, 16, 24, 31)
 #: The withholder that strands every victim under adaptive-ba, per inputs.
 _DECIDING_COLLECTOR = {"ones": 0, "zeros": 0, "alternating": 1}
 
-#: The deterministic agreement entries the two-withholder battery runs.
+#: The deterministic agreement entries the k-withholder battery runs.
 PAIR_ENTRIES = ENTRIES[:7]
-PAIR_N = 7
 
-#: The adaptive-ba groups stranded though the pair holds no node of
-#: ``_DECIDING_COLLECTOR``: under alternating inputs, nodes 0 and 2 cut
-#: node 1, the epoch-2 collector, off from its quorum, so epoch 3
-#: decides, and its collector, node 2, withholds the decide from 1.
-_ALSO_STRANDED = {("alternating", (0, 2))}
+#: Withholders that strand adaptive-ba under alternating inputs though
+#: they hold no node of ``_DECIDING_COLLECTOR``: nodes 0 and 2 cut node
+#: 1, the epoch-2 collector, off from its quorum, so epoch 3 decides,
+#: and its collector, node 2, withholds the decide from 1.
+_CUTTING_PAIR = {0, 2}
 
 _STRANDED = pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
     "ROADMAP item 3: adaptive-ba's deciding collector withholds its "
@@ -111,16 +117,27 @@ def _groups():
                         id=f"{name}-n{n}-{inputs}-c{withholder}")
 
 
-def _pair_groups():
+def _withholding_groups(n, k):
     for name in PAIR_ENTRIES:
         for inputs in INPUTS:
-            for pair in itertools.combinations(range(PAIR_N), 2):
+            for withholders in itertools.combinations(range(n), k):
                 stranded = name == "adaptive-ba" and (
-                    _DECIDING_COLLECTOR[inputs] in pair
-                    or (inputs, pair) in _ALSO_STRANDED)
+                    _DECIDING_COLLECTOR[inputs] in withholders
+                    or (inputs == "alternating"
+                        and _CUTTING_PAIR <= set(withholders)))
                 yield pytest.param(
-                    name, inputs, pair, marks=(_STRANDED,) if stranded else (),
-                    id=f"{name}-n{PAIR_N}-{inputs}-c{pair[0]}{pair[1]}")
+                    name, n, inputs, withholders,
+                    marks=(_STRANDED,) if stranded else (),
+                    id=f"{name}-n{n}-{inputs}-c{''.join(map(str, withholders))}")
+
+
+def pytest_generate_tests(metafunc):
+    """``test_k_withholding_nodes`` runs the ``--withholding N:K`` scope."""
+    if metafunc.definition.originalname == "test_k_withholding_nodes":
+        scope = metafunc.config.getoption("--withholding")
+        groups = [] if scope is None else list(
+            _withholding_groups(*map(int, scope.split(":"))))
+        metafunc.parametrize("name, n, inputs, withholders", groups)
 
 
 def _failed_victims(name, n, f, bits, withholders, victim_sets, seed=0,
@@ -169,13 +186,22 @@ def test_one_withholding_node_seeded(name, withholder, committee_seed):
         f"invalid")
 
 
-@pytest.mark.parametrize("name, inputs, withholders", _pair_groups())
-def test_two_withholding_nodes(name, inputs, withholders):
-    honest = [node for node in range(PAIR_N) if node not in withholders]
+def _assert_withholding(name, n, inputs, withholders):
+    honest = [node for node in range(n) if node not in withholders]
     victim_sets = ([(victim,) for victim in honest]
                    + list(itertools.combinations(honest, 2)))
-    failed = _failed_victims(name, PAIR_N, 2, INPUTS[inputs](PAIR_N),
+    failed = _failed_victims(name, n, (n - 1) // 3, INPUTS[inputs](n),
                              withholders, victim_sets)
     assert not failed, (
         f"nodes {withholders} withholding from the victim sets {failed} "
         f"left an honest node undecided, inconsistent or invalid")
+
+
+@pytest.mark.parametrize("name, n, inputs, withholders",
+                         _withholding_groups(7, 2))
+def test_two_withholding_nodes(name, n, inputs, withholders):
+    _assert_withholding(name, n, inputs, withholders)
+
+
+def test_k_withholding_nodes(name, n, inputs, withholders):
+    _assert_withholding(name, n, inputs, withholders)

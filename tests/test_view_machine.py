@@ -1,8 +1,10 @@
 """The shared view machine (``protocols/view_machine.py``).
 
-``ViewSchedule`` arithmetic on its own, and the one lock hook both
-families absorb through: instrumented at :meth:`ViewNode.absorb_lock`,
-every absorption on every node of both families is rank-monotone.  The
+``ViewSchedule`` arithmetic on its own and as every round-structured
+family declares it (one table: aba, phase-king, leader-ba, adaptive-ba),
+and the one lock hook both view families absorb through: instrumented
+at :meth:`ViewNode.absorb_lock`, every absorption on every node of both
+families is rank-monotone.  The
 decide-quorum identity front never lends a verified tuple to a Decide
 of other arguments.
 """
@@ -11,11 +13,19 @@ import pytest
 
 from repro.adversaries import ActualFaultsAdversary, ViewSplitAdversary
 from repro.harness import run_instance
-from repro.protocols import build_adaptive_ba, build_leader_ba
+from repro.protocols import (
+    aba,
+    adaptive_ba,
+    build_adaptive_ba,
+    build_leader_ba,
+    leader_ba,
+    phase_king,
+)
 from repro.protocols.leader_ba import LeaderDecideMsg, build_leader_chain
 from repro.protocols.view_machine import ViewNode, ViewSchedule
 from repro.sim.conditions import NETWORKS, NetworkConditions
 
+from tests.conftest import registry_config
 from tests.test_leader_and_result import _result
 from tests.test_leader_ba_properties import (
     assert_locks_monotone,
@@ -23,6 +33,60 @@ from tests.test_leader_ba_properties import (
 )
 
 SCHEDULE = ViewSchedule(("A", "B", "C", "D"))
+
+
+#: Each round-structured family's schedule: ``(unit, phase)`` of rounds
+#: 0–11, ``rounds_for(1)`` and ``rounds_for(2)``, and the ``max_rounds``
+#: of every registry entry built on it (``registry_config`` at n = 16,
+#: seed 1: the builders' default unit counts).  Iteration 1 of aba skips
+#: Status and Propose (Appendix C.1), phase-king's epochs count from 0.
+FAMILY_SCHEDULES = {
+    "aba": (aba.SCHEDULE, [
+        (1, "Vote"), (1, "Commit"), (2, "Status"), (2, "Propose"),
+        (2, "Vote"), (2, "Commit"), (3, "Status"), (3, "Propose"),
+        (3, "Vote"), (3, "Commit"), (4, "Status"), (4, "Propose")],
+        (5, 9), {"quadratic": 121, "quadratic-early-stop": 121,
+                 "subquadratic": 161, "static-committee": 81,
+                 "broadcast-from-ba": 122}),
+    "phase-king": (phase_king.SCHEDULE, [
+        (0, "Propose"), (0, "ACK"), (1, "Propose"), (1, "ACK"),
+        (2, "Propose"), (2, "ACK"), (3, "Propose"), (3, "ACK"),
+        (4, "Propose"), (4, "ACK"), (5, "Propose"), (5, "ACK")],
+        (3, 5), {"phase-king": 41, "phase-king-early-stop": 41,
+                 "phase-king-subquadratic": 41, "round-eligibility": 41}),
+    "leader-ba": (leader_ba.SCHEDULE, [
+        (1, "NewView"), (1, "Propose"), (1, "Prevote"), (1, "Precommit"),
+        (2, "NewView"), (2, "Propose"), (2, "Prevote"), (2, "Precommit"),
+        (3, "NewView"), (3, "Propose"), (3, "Prevote"), (3, "Precommit")],
+        (6, 10), {"leader-ba": 34, "leader-chain": 98}),
+    "adaptive-ba": (adaptive_ba.SCHEDULE, [
+        (1, "Report"), (1, "Propose"), (1, "Ack"), (1, "Decide"),
+        (2, "Report"), (2, "Propose"), (2, "Ack"), (2, "Decide"),
+        (3, "Report"), (3, "Propose"), (3, "Ack"), (3, "Decide")],
+        (6, 10), {"adaptive-ba": 30}),
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_SCHEDULES))
+def test_family_schedule(family):
+    schedule, rounds, budgets, _ = FAMILY_SCHEDULES[family]
+    assert [schedule.schedule(r) for r in range(12)] == rounds
+    for round_index, (unit, phase) in enumerate(rounds):
+        assert schedule.unit_of_round(round_index) == unit
+        assert schedule.round_of(unit, phase) == round_index
+        assert schedule.at_boundary(round_index) == (
+            phase == schedule.phases[0])
+    assert (schedule.rounds_for(1), schedule.rounds_for(2)) == budgets
+    with pytest.raises(ValueError):
+        schedule.rounds_for(0)
+
+
+@pytest.mark.parametrize("family, key", [
+    (family, key) for family, (*_, entries) in sorted(FAMILY_SCHEDULES.items())
+    for key in sorted(entries)])
+def test_default_builder_budget(family, key):
+    instance, _ = registry_config(key, 16, 1)
+    assert instance.max_rounds == FAMILY_SCHEDULES[family][3][key]
 
 
 class TestViewSchedule:
