@@ -222,8 +222,10 @@ class ProtocolInstance:
     #: The shared config of the entry's quorum family — how
     #: ``adversaries.menu.FAMILIES`` recognizes it — or ``None``.
     config: Any = None
-    #: ``payload ->`` the one node whose state it can change, or ``None``
-    #: for every node (total: a malformed payload maps to ``None``).  A
-    #: conditioned network counts a copy for any other honest recipient
-    #: without delivering it; ``None`` here means every copy is delivered.
+    #: ``payload ->`` its readers: a row by node id, true where that node
+    #: can still act on it, or ``None`` for every node (total: a malformed
+    #: payload maps to ``None``).  A row reads only node state that moves
+    #: one way, so a node left out when a window drains stays out, and is
+    #: never mutated once returned.  A conditioned network counts a copy
+    #: for any other honest recipient without delivering it.
     audience: Optional[Audience] = None

@@ -294,19 +294,23 @@ class LeaderBaNode(ViewNode):
         self.proposals.setdefault(msg.view, []).append(msg)
 
     def _absorb_prevote(self, msg: PrevoteMsg) -> None:
-        self._record_prevote(msg.view, msg.bit, msg.sender, msg.auth)
-
-    def _record_prevote(self, view: int, bit: Bit, voter: NodeId,
-                        auth: Any) -> None:
-        votes = self.votes_seen.setdefault((view, bit), {})
-        votes.setdefault(voter, auth)
+        """Tally a valid prevote, first per voter (one get, one insert)."""
+        key = (msg.view, msg.bit)
+        votes = self.votes_seen.get(key)
+        if votes is None:
+            votes = self.votes_seen[key] = {}
+        if msg.sender in votes:
+            return
+        votes[msg.sender] = msg.auth
         # A quorum of valid prevotes *is* a QC; assemble and lock it the
-        # moment it forms (once locked at this rank, a larger vote set
-        # could never outrank it — same skip as AbaNode._record_vote).
-        if (len(votes) >= self.config.threshold
-                and rank(self.locked) < view):
-            self.absorb_lock(certificate_from_votes(
-                view, bit, votes, self.config.threshold))
+        # moment it forms.  Only the vote reaching the threshold asks:
+        # after it the lock ranks at least this view, and a larger vote
+        # set could never outrank it (same skip as AbaNode._record_vote).
+        if len(votes) == self.config.threshold:
+            locked = self.locked
+            if locked is None or locked.iteration < msg.view:
+                self.absorb_lock(certificate_from_votes(
+                    msg.view, msg.bit, votes, self.config.threshold))
 
     def _absorb_precommit(self, msg: PrecommitMsg) -> None:
         self.record_member(msg.view, msg.bit, msg)
@@ -394,10 +398,10 @@ class LeaderBaNode(ViewNode):
         auth = self._sign("Vote", view, chosen.bit)
         if auth is None:
             return
-        ctx.multicast(PrevoteMsg(view=view, bit=chosen.bit,
-                                 sender=self.node_id, auth=auth))
-        # Count the node's own prevote (the network does not self-deliver).
-        self._record_prevote(view, chosen.bit, self.node_id, auth)
+        message = PrevoteMsg(view=view, bit=chosen.bit,
+                             sender=self.node_id, auth=auth)
+        ctx.multicast(message)
+        self._absorb_prevote(message)  # the network does not self-deliver
 
     def _do_precommit(self, ctx: RoundContext, view: int) -> None:
         """Precommit the view's prevote quorum (locked as it formed)."""
@@ -436,14 +440,39 @@ LeaderBaNode._ACTIONS = {
 }
 
 
-def new_view_audience(oracle: LeaderOracle) -> Audience:
-    """The instance's ``audience``: a NewView without a QC can change only
-    its view's leader (:meth:`LeaderBaNode._absorb_new_view`); any other
-    payload, a malformed one included, may change every node (``None``)."""
-    def audience(payload: Any) -> Optional[NodeId]:
-        if (payload.__class__ is NewViewMsg and payload.qc is None
-                and payload.view.__class__ is int):
-            return oracle.leader(payload.view)
+def readers(oracle: LeaderOracle,
+            nodes: Sequence[LeaderBaNode]) -> Audience:
+    """The instance's ``audience``, read from the nodes' live state: a
+    NewView is read by its view's leader and, with a QC, by every node
+    whose lock ranks below it (:meth:`_absorb_new_view`); a Decide by
+    every node that has not settled its height (:meth:`_absorb_decide`);
+    any other payload, a malformed one included, by every node.  A lock
+    only rises and a settled height stays settled, so a node left out
+    when a window drains is still out when the copy would land."""
+    everyone = range(len(nodes))
+    leader_rows: Dict[NodeId, List[bool]] = {}
+    height_of_view = nodes[0].config.height_of_view
+
+    def audience(payload: Any) -> Optional[List[bool]]:
+        kind = payload.__class__
+        if kind is NewViewMsg and payload.view.__class__ is int:
+            leader = oracle.leader(payload.view)
+            qc = payload.qc
+            if qc is None:
+                row = leader_rows.get(leader)
+                if row is None:
+                    row = leader_rows[leader] = [
+                        node == leader for node in everyone]
+                return row
+            iteration = getattr(qc, "iteration", None)
+            if iteration.__class__ is not int:
+                return None
+            row = [rank(node.locked) < iteration for node in nodes]
+            row[leader] = True
+            return row
+        if kind is LeaderDecideMsg and payload.view.__class__ is int:
+            height = height_of_view(payload.view)
+            return [height not in node.height_decisions for node in nodes]
         return None
     return audience
 
@@ -490,7 +519,7 @@ def build_leader_ba(
     return build_view_instance(
         "leader-ba" if heights == 1 else "leader-chain", "leader BA",
         LeaderBaNode, n, f, inputs, conditions, configure,
-        audience=new_view_audience(leader_oracle))
+        audience=lambda nodes: readers(leader_oracle, nodes))
 
 
 def build_leader_chain(

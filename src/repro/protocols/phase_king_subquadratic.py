@@ -33,9 +33,15 @@ from repro.rng import Seed
 from repro.types import Bit, NodeId, SecurityParameters
 
 
-def ack_threshold(params: SecurityParameters) -> int:
-    """The ``2λ/3`` quorum threshold of Section 3.2."""
-    return max(1, math.ceil(2 * params.lam / 3))
+def ack_threshold(params: SecurityParameters, n: int) -> int:
+    """The ``2λ/3`` quorum threshold of Section 3.2, refused above ``n``:
+    no ACK quorum could ever form, so no run could reach agreement."""
+    threshold = max(1, math.ceil(2 * params.lam / 3))
+    if threshold > n:
+        raise ConfigurationError(
+            f"the 2λ/3 ACK threshold {threshold} (λ = {params.lam}) "
+            f"exceeds n = {n}: no quorum can form")
+    return threshold
 
 
 def build_phase_king_subquadratic(
@@ -61,12 +67,13 @@ def build_phase_king_subquadratic(
     if not n > 3 * f:
         raise ConfigurationError(
             f"phase-king requires f < n/3: n={n}, f={f}")
+    threshold = ack_threshold(params, n)
     if eligibility is None:
         eligibility = make_eligibility(n, params, seed, mode,
                                        coin_cache=coin_cache)
     authenticator = EligibilityAuthenticator(eligibility)
     config = PhaseKingConfig(
-        threshold=ack_threshold(params),
+        threshold=threshold,
         authenticator=authenticator,
         proposer=ProposerPolicy(authenticator),
         epochs=epochs,

@@ -24,7 +24,6 @@ bit-specific (ours)    equivocation attack     holds, *no erasure*
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Optional, Sequence, Tuple
 
@@ -39,6 +38,7 @@ from repro.protocols.phase_king import (
     PhaseKingConfig,
     PhaseKingNode,
 )
+from repro.protocols.phase_king_subquadratic import ack_threshold
 from repro.protocols.subquadratic_ba import FMINE_MODE, make_eligibility
 from repro.rng import Seed
 from repro.types import Bit, NodeId, SecurityParameters
@@ -211,12 +211,13 @@ def build_round_eligibility(
         raise ConfigurationError("need exactly one input bit per node")
     if not n > 3 * f:
         raise ConfigurationError(f"phase-king requires f < n/3: n={n}, f={f}")
+    threshold = ack_threshold(params, n)
     eligibility = make_eligibility(n, params, seed, mode)
     epoch_registry = EpochKeyRegistry(n)
     authenticator = RoundEligibilityAuthenticator(
         eligibility, epoch_registry, memory_erasure)
     config = PhaseKingConfig(
-        threshold=max(1, math.ceil(2 * params.lam / 3)),
+        threshold=threshold,
         authenticator=authenticator,
         # A proposal is mined per round, the bit chosen after winning
         # (equivocable).

@@ -134,12 +134,11 @@ class VerificationCache:
             slot = self._round_digest = (broadcast, build(broadcast))
         return slot[1]
 
-    def mark_valid(self, payload: Any, absorb: Optional[Callable] = None,
-                   audience: Optional[NodeId] = None) -> None:
-        """Mark a payload as validated, with its ``absorb`` step if any
-        and the one node that step can change (``None``: every node)."""
+    def mark_valid(self, payload: Any,
+                   absorb: Optional[Callable] = None) -> None:
+        """Mark a payload as validated, with its ``absorb`` step if any."""
         _trim(self.valid_payloads)
-        self.valid_payloads[id(payload)] = (payload, absorb, audience)
+        self.valid_payloads[id(payload)] = (payload, absorb)
 
     def check_vote(self, authenticator: Authenticator,
                    vote: SignedVote) -> bool:
@@ -203,36 +202,27 @@ class VerifyingNode(Node):
         self.config = config
         self._verification: VerificationCache = config.verification
 
-    def _audience(self, msg: Any) -> Optional[NodeId]:
-        """The one node a valid ``msg``'s absorb step can change, or
-        ``None`` for every node."""
-        return None
-
     def _fold(self, inbox: List[Any]) -> None:
         """Validate and absorb every delivery, one at a time, in order.
 
         The simulation hands every recipient the same payload object, so
         the first successful validation marks it (``valid_payloads``)
-        with its absorb step and audience, which the other recipients
-        call straight or skip.  The front is read directly (this loop is
-        the protocol step's hot path) and is empty if the cache keeps
-        none; failures are never remembered — a ``False`` can become
-        ``True`` later.
+        with its absorb step, which the other recipients call straight.
+        The front is read directly (this loop is the protocol step's hot
+        path) and is empty if the cache keeps none; failures are never
+        remembered — a ``False`` can become ``True`` later.
         """
         front = self._verification.valid_payloads
         handlers = self._HANDLERS
-        me = self.node_id
         for delivery in inbox:
             msg = delivery.payload
             entry = front.get(id(msg))
             if entry is not None and entry[0] is msg:
-                if entry[2] is None or entry[2] == me:
-                    entry[1](self, msg)
+                entry[1](self, msg)
                 continue
             handler = handlers.get(msg.__class__)
             if handler is not None and handler[0](self, msg):
-                self._verification.mark_valid(msg, handler[1],
-                                              self._audience(msg))
+                self._verification.mark_valid(msg, handler[1])
                 handler[1](self, msg)
 
     def _admitted(self, msg: Any) -> bool:
@@ -246,7 +236,7 @@ class VerifyingNode(Node):
             return True
         if not handler[0](self, msg):
             return False
-        self._verification.mark_valid(msg, handler[1], self._audience(msg))
+        self._verification.mark_valid(msg, handler[1])
         return True
 
     def _check_auth(self, node_id: NodeId, topic: Any, auth: Any) -> bool:

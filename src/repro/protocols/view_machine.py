@@ -17,7 +17,9 @@ machine", has the table of per-family differences):
   and its Decide relayed.
 - **Inbox** (:meth:`~repro.protocols.verification.VerifyingNode._fold`):
   the payload-class table's predicate runs once per payload object, and
-  the node's ``audience`` decides who absorbs a marked one.
+  every recipient absorbs a marked one; the instance's ``audience``
+  (:func:`~repro.protocols.leader_ba.readers`) keeps a copy no node can
+  act on out of the inboxes.
 - **Quorums**: certificates and decide quorums need ``n - f`` distinct
   signers, so any two overlap in ``n - 2f > f`` nodes — more than the
   possible double-signers — for *every* admitted ``n > 3f`` (a fixed
@@ -107,10 +109,6 @@ class ViewConfig:
     verification: VerificationCache
     #: Units budgeted; a node undecided past them halts.
     units: int
-    #: The instance's ``audience`` (``ProtocolInstance.audience``): the
-    #: one node a payload's absorb step can change, ``None`` for every
-    #: node; no function at all means every payload reaches every node.
-    audience: Optional[Audience]
 
 
 class ViewNode(VerifyingNode):
@@ -180,8 +178,11 @@ class ViewNode(VerifyingNode):
 
     def record_member(self, unit: int, bit: Bit, member: Any) -> None:
         """Tally a valid decide-quorum member, first per sender; a tally
-        reaching the threshold is a new quorum for :meth:`_maybe_decide`."""
-        recorded = self.members_seen.setdefault((unit, bit), {})
+        reaching the threshold is a new quorum for :meth:`_maybe_decide`.
+        One get and one insert per member (this runs once per copy)."""
+        recorded = self.members_seen.get((unit, bit))
+        if recorded is None:
+            recorded = self.members_seen[(unit, bit)] = {}
         if member.sender not in recorded:
             recorded[member.sender] = member
             if len(recorded) == self.config.threshold:
@@ -218,10 +219,6 @@ class ViewNode(VerifyingNode):
         bit = max(backed, key=lambda b: (len(backing[b]),
                                          b == self.belief, -b))
         return bit, sorted(backing[bit].items())[:quorum]
-
-    def _audience(self, msg: Any) -> Optional[NodeId]:
-        audience = self.config.audience
-        return audience and audience(msg)
 
     # -- decision ------------------------------------------------------------
     def quorum_decide_msg(self, unit: int, bit: Bit) -> Optional[Any]:
@@ -326,7 +323,7 @@ def build_view_instance(
     inputs: Sequence[Bit],
     conditions: Optional[NetworkConditions],
     configure: Callable[..., ViewConfig],
-    audience: Optional[Audience] = None,
+    audience: Optional[Callable[[Sequence[ViewNode]], Audience]] = None,
 ) -> ProtocolInstance:
     """The builder steps every family shares.
 
@@ -337,7 +334,8 @@ def build_view_instance(
     under; ``None`` (or perfect conditions) is lock-step, where every
     round is trusted.  ``configure(**shared_fields)`` returns the
     family's config (and validates the family's own arguments);
-    ``audience`` is the instance's (:attr:`ViewConfig.audience`).
+    ``audience(nodes)`` builds the instance's ``audience``, which only
+    the instance holds: it closes no reference cycle through the nodes.
     """
     if len(inputs) != n:
         raise ConfigurationError("need exactly one input bit per node")
@@ -352,7 +350,6 @@ def build_view_instance(
         authenticator=authenticator,
         trusted_send_round=trusted_send_round_for(conditions),
         verification=VerificationCache(),
-        audience=audience,
     )
     nodes = [node_cls(node_id, n, inputs[node_id], config)
              for node_id in range(n)]
@@ -365,5 +362,5 @@ def build_view_instance(
         mining_capabilities=[],
         authenticator=authenticator,
         config=config,
-        audience=audience,
+        audience=None if audience is None else audience(nodes),
     )

@@ -53,7 +53,7 @@ from itertools import compress
 from operator import add, lt
 from typing import (
     AbstractSet, Any, Dict, Iterator, List, Mapping, NoReturn, Optional,
-    Tuple)
+    Sequence, Tuple)
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.rng import Seed, derive_rng
@@ -570,11 +570,13 @@ class ConditionedNetwork(SynchronousNetwork):
     sources draws their delays (a lossless uniform window's in one batch,
     any other's copy by copy), and one loop files them.
 
-    A copy is **inert** when ``audience(payload)`` names one node other
-    than its recipient and the recipient is not in ``corrupt`` (the live
-    corrupt set) when the window drains: no honest recipient acts on it.
-    It draws its coins like any copy and counts in its group's ``count``
-    (so in every :class:`NetworkStats` field), but is never filed or
+    A copy is **inert** when its recipient is not among the readers
+    ``audience(payload)`` returns (a row by node id, read from the
+    nodes' live state) nor in ``corrupt`` (the live corrupt set) when
+    the window drains: no honest recipient acts on it then, and, the
+    readers shrinking monotonically, none at delivery either.  It draws
+    its coins like any copy and counts in its group's ``count`` (so in
+    every :class:`NetworkStats` field), but is never filed or
     delivered; a group may thus hold no copy at all.  Under partitions
     every copy is filed (:meth:`_defer_blocked` re-queues by recipient).
     """
@@ -644,8 +646,8 @@ class ConditionedNetwork(SynchronousNetwork):
 
         One pass lists the window's copies in staging order: recipient,
         delivery, link surcharge, adversarial push, and, from the first
-        envelope with a reader on, whether the copy is filed or inert
-        (see the class docstring).  One source then draws their delays
+        envelope with a readers row on, whether the copy is filed or
+        inert (see the class docstring).  One source then draws their delays
         from the labelled stream: a lossless window whose latencies are
         uniform with a spread and cap that fit a byte takes them in one
         :func:`draw_uniform_batch`, any other copy by copy
@@ -671,7 +673,9 @@ class ConditionedNetwork(SynchronousNetwork):
         surcharges = None if self._link_rows is None else []
         pushes = [] if extra_delay else None
         filed: Optional[List[bool]] = None  # from the first reader on
-        filed_by: Dict[NodeId, List[bool]] = {}  # reader -> row by node
+        # id(readers) -> (readers, filed row by node): the row pins its
+        # readers, so no id is reused within the window.
+        filed_by: Dict[int, Tuple[Sequence[bool], Sequence[bool]]] = {}
         for envelope, delivery, blocked in self._surviving_entries():
             sender, recipient = envelope.sender, envelope.recipient
             if recipient is not None:
@@ -682,18 +686,20 @@ class ConditionedNetwork(SynchronousNetwork):
                 if blocked:
                     listed = [node for node in listed if node not in blocked]
             if audience is not None:
-                # The one node the copies can matter to (None: any node);
+                # The nodes the copies can matter to (None: every node);
                 # an envelope with a suppressed copy files every copy.
-                reader = None if blocked else audience(envelope.payload)
-                if reader is not None:
+                readers = None if blocked else audience(envelope.payload)
+                if readers is not None:
                     if filed is None:  # back-fill: every earlier copy
                         filed = [True] * len(recipients)
                     # An adversary may read any corrupt inbox.
-                    row = filed_by.get(reader)
-                    if row is None:
-                        row = filed_by[reader] = [
-                            node == reader or node in corrupt
-                            for node in everyone]
+                    entry = filed_by.get(id(readers))
+                    if entry is None:
+                        entry = filed_by[id(readers)] = (readers, [
+                            reads or node in corrupt
+                            for node, reads in enumerate(readers)]
+                            if corrupt else readers)
+                    row = entry[1]
                     if recipient is not None:
                         filed.append(row[recipient])
                     else:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 # A node identifier.  Nodes are numbered 0 .. n-1 as in Appendix A.1.
 NodeId = int
@@ -21,9 +21,10 @@ Bit = int
 # A synchronous round index, starting at 0.
 Round = int
 
-# ``payload ->`` the one node whose state the payload can change, or None
-# for every node (``ProtocolInstance.audience``).
-Audience = Callable[[Any], Optional[NodeId]]
+# ``payload ->`` its readers: a row indexed by node id, true where that
+# node can still act on the payload, or None for every node
+# (``ProtocolInstance.audience``).
+Audience = Callable[[Any], Optional[Sequence[bool]]]
 
 #: Conventional designated sender for Byzantine Broadcast (Appendix A.2.1
 #: uses node 0 as the sender).

@@ -22,6 +22,10 @@ def pytest_addoption(parser):
         help="run the omission battery's test_k_withholding_nodes at "
              "n = N with K withholders (CI: 8:2 and 10:3); without it "
              "that test runs no group")
+    parser.addoption(
+        "--reference-cross", choices=("cut", "full"), default="cut",
+        help="the reference battery's cells: its 285-cell cut (tier-1) "
+             "or the full cross of about 1 800 (CI)")
 
 
 @pytest.fixture

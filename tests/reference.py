@@ -81,7 +81,7 @@ class UncachedVerification(VerificationCache):
     def round_digest(self, broadcast, build):
         return None
 
-    def mark_valid(self, payload, absorb=None, audience=None):
+    def mark_valid(self, payload, absorb=None):
         pass
 
     def check_vote(self, authenticator, vote):

@@ -153,6 +153,17 @@ class TestCli:
         assert captured.err.startswith("run: ") and message in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("protocol", ["phase-king-subquadratic",
+                                          "round-eligibility"])
+    def test_an_unreachable_ack_quorum_exits_2(self, capsys, protocol):
+        """At n = 16 the CLI's λ = 30 asks 20 ACKs: refused, never run to
+        a ``consistent: False`` with no adversary."""
+        assert main(["run", "--protocol", protocol, "-n", "16",
+                     "--input", "mixed"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("run: ")
+        assert "exceeds n = 16" in captured.err and captured.out == ""
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "E99"])

@@ -45,7 +45,13 @@ from repro.adversaries import (
 )
 from repro.harness import run_instance
 from repro.protocols import build_quadratic_ba
-from repro.protocols.leader_ba import NewViewMsg, build_leader_ba
+from repro.protocols.leader_ba import (
+    LeaderBaNode,
+    LeaderDecideMsg,
+    NewViewMsg,
+    build_leader_ba,
+    build_leader_chain,
+)
 from repro.sim.conditions import (
     NETWORKS,
     ConditionedNetwork,
@@ -110,30 +116,39 @@ def pending_by_group(pending):
 
 
 class Readers:
-    """A stream's audience side: the reader of payload ``m{clock}.{index}``
-    (none for every third index), the live corrupt set the stream grows,
-    that set as each clock's window drains, and the payloads with a
-    suppressed copy."""
+    """A stream's audience side: the readers row of payload
+    ``m{clock}.{index}`` (none for every third index, one reader's
+    shared row, or a fresh row of several), the live corrupt set the
+    stream grows, that set as each clock's window drains, and the
+    payloads with a suppressed copy."""
 
     def __init__(self, n):
         self.n = n
+        self.rows = {}
         self.corrupt = set()
         self.corrupt_at = {}
         self.suppressed = set()
 
     def audience(self, payload):
         clock, index = map(int, payload[1:].split("."))
-        return None if index % 3 == 0 else (clock + index) % self.n
+        everyone = range(self.n)
+        if index % 3 == 0:
+            return None
+        if index % 3 == 1:  # one reader: the same row object each time
+            reader = (clock + index) % self.n
+            return self.rows.setdefault(
+                reader, [node == reader for node in everyone])
+        return [(clock + index + node) % 3 == 0 for node in everyone]
 
     def filed(self, conditions, recipient, delivery):
         """Whether the network files this copy (else it is inert)."""
         payload = delivery.payload
-        reader = self.audience(payload)
-        if (conditions.partitions or reader is None
+        readers = self.audience(payload)
+        if (conditions.partitions or readers is None
                 or payload in self.suppressed):
             return True
         clock = int(payload[1:].split(".")[0])
-        return recipient == reader or recipient in self.corrupt_at[clock]
+        return readers[recipient] or recipient in self.corrupt_at[clock]
 
 
 def drive_stream(network_class, conditions, n, case, ticks=40, readers=None):
@@ -515,9 +530,11 @@ class CorruptInboxes(Adversary):
         self.inner.react(round_index, staged)
 
 
-def _execution(monkeypatch, network_class, build, conditions, adversary):
-    """One execution on ``network_class``; ``adversary(instance)`` is
-    wrapped in :class:`CorruptInboxes`, whose log is returned too."""
+def _execution(monkeypatch, network_class, build, conditions, adversary,
+               **kwargs):
+    """One execution on ``network_class`` (``kwargs`` to
+    ``run_instance``); ``adversary(instance)`` is wrapped in
+    :class:`CorruptInboxes`, whose log is returned too."""
     networks = []
 
     def recording(*args, **kwargs):
@@ -528,7 +545,7 @@ def _execution(monkeypatch, network_class, build, conditions, adversary):
     instance, f = build()
     observer = CorruptInboxes(adversary(instance))
     result = run_instance(instance, f, observer, seed=5,
-                          conditions=conditions)
+                          conditions=conditions, **kwargs)
     return ({**observe(result), "rng": networks[0]._rng.getstate()},
             observer.log)
 
@@ -541,6 +558,14 @@ def _leader(network):
     def build():
         return build_leader_ba(10, 3, [i % 2 for i in range(10)], seed=5,
                                conditions=NETWORKS[network]), 3
+    return build
+
+
+def _chain(n=7, conditions=NETWORKS["wan"]):
+    def build():
+        f = (n - 1) // 3
+        return build_leader_chain(n, f, [i % 2 for i in range(n)], seed=5,
+                                  conditions=conditions), f
     return build
 
 
@@ -558,6 +583,7 @@ EXECUTIONS = [
     ("leader-split-heal", _leader("split-heal"), "split-heal", _passive),
     ("leader-killer-wan", _leader("wan"), "wan", LeaderKillerAdversary),
     ("view-split-wan", _leader("wan"), "wan", ViewSplitAdversary),
+    ("leader-chain-wan", _chain(), "wan", _passive),
 ]
 
 
@@ -602,3 +628,93 @@ def test_corrupt_inboxes_match_on_the_reference_network(monkeypatch, name):
         and leader(delivery.payload.view) != node
         for _, inboxes in new for node, inbox in inboxes.items()
         for delivery in inbox)
+
+
+# ---------------------------------------------------------------------------
+# The readers rule: a copy no node can act on is counted, not filed.
+# ---------------------------------------------------------------------------
+
+def _handed_decides(monkeypatch, network_class, adversary=_passive, n=7,
+                    conditions=NETWORKS["wan"]):
+    """leader-chain at ``n`` over ``network_class``: for each Decide an
+    honest node is handed, whether it had settled that height; the
+    execution; and the corrupt inboxes' log."""
+    handed = []
+    step = LeaderBaNode.on_round
+
+    def recording(self, ctx):
+        for delivery in ctx.inbox or ():
+            payload = delivery.payload
+            if isinstance(payload, LeaderDecideMsg):
+                handed.append(self.config.height_of_view(payload.view)
+                              in self.height_decisions)
+        step(self, ctx)
+
+    monkeypatch.setattr(LeaderBaNode, "on_round", recording)
+    execution, log = _execution(monkeypatch, network_class,
+                                _chain(n, conditions), conditions, adversary)
+    monkeypatch.setattr(LeaderBaNode, "on_round", step)
+    return handed, execution, log
+
+
+def test_a_settled_node_is_never_handed_its_heights_decide(monkeypatch):
+    """A Decide is read only by nodes that have not settled its height:
+    no honest node that settled height h is handed a height-h Decide,
+    where the every-copy reference network hands settled nodes some."""
+    handed, _, _ = _handed_decides(monkeypatch, ConditionedNetwork)
+    assert not any(handed)
+    reference, _, _ = _handed_decides(monkeypatch, LegacyConditionedNetwork)
+    assert any(reference)
+
+
+class CorruptOnceSettled(Adversary):
+    """Corrupts node 0 in the rushing step of the round it stages its
+    first Decide, so it has settled that height and is corrupt when the
+    window drains."""
+
+    def react(self, round_index, staged):
+        if not self.api.is_corrupt(0) and any(
+                envelope.sender == 0
+                and isinstance(envelope.payload, LeaderDecideMsg)
+                for envelope in staged):
+            self.api.corrupt(0)
+
+
+def test_a_corrupt_recipient_is_still_handed_a_settled_heights_decide(
+        monkeypatch):
+    """An adversary may read any corrupt inbox, so a node corrupt when a
+    window drains is handed every copy, also a Decide of a height its
+    state had settled: its inbox per round is the reference's.  Fails
+    under the mutant that drops ``node in corrupt`` from the filed row."""
+    adversary = lambda instance: CorruptOnceSettled()  # noqa: E731
+    _, _, new = _handed_decides(monkeypatch, ConditionedNetwork, adversary)
+    _, _, old = _handed_decides(monkeypatch, LegacyConditionedNetwork,
+                                adversary)
+    decides = [(round_index, delivery.payload.view)
+               for round_index, inboxes in new
+               for delivery in inboxes.get(0, ())
+               if isinstance(delivery.payload, LeaderDecideMsg)]
+    assert decides and decides == [
+        (round_index, delivery.payload.view)
+        for round_index, inboxes in old
+        for delivery in inboxes.get(0, ())
+        if isinstance(delivery.payload, LeaderDecideMsg)]
+
+
+#: Losses until network round 40: some precommits never arrive.
+LATE_GST = NetworkConditions(delta=3, gst=40, latency=("uniform", 1, 3),
+                             drop_rate=0.1)
+
+
+def test_an_unsettled_node_is_handed_the_decide_it_needs(monkeypatch):
+    """leader-chain n = 4 with losses until a late GST: nodes that lost
+    precommits settle from Decides they are handed while unsettled, and
+    the execution is the every-copy reference network's.  Fails under
+    the mutant that files a Decide only for nodes that settled its
+    height."""
+    handed, new, _ = _handed_decides(
+        monkeypatch, ConditionedNetwork, n=4, conditions=LATE_GST)
+    _, old, _ = _handed_decides(
+        monkeypatch, LegacyConditionedNetwork, n=4, conditions=LATE_GST)
+    assert new == old
+    assert handed and not any(handed)

@@ -63,18 +63,24 @@ class TupleCountingDict(dict):
 def _workloads():
     """The `smoke` sweep (subquadratic, Fmine), dense quadratic and
     round-eligibility runs on split inputs, a view machine under loss and a view-splitting
-    adversary, and a three-height chain on wan (its deciders' Decides
-    share one interned precommit tuple per height) — in process, so the
-    wrapped tables see the traffic."""
+    adversary, and a three-height chain in lock-step (its deciders'
+    Decides share one interned precommit tuple per height, and lock-step
+    delivers them to settled nodes too; on wan no Decide reaches a node
+    that could still act on it) — in process, so the wrapped tables see
+    the traffic."""
     run_sweep(SWEEPS["smoke"])
     n, f = 24, 11
     run_instance(build_quadratic_ba(n, f, [i % 2 for i in range(n)], seed=1),
                  f, seed=1)
+    # λ = 12: the default λ = 40 asks 27 ACKs of 24 nodes, which the
+    # builder refuses.
     run_instance(build_round_eligibility(n, 4, [i % 2 for i in range(n)],
-                                         seed=1), 4, seed=1)
+                                         seed=1,
+                                         params=SecurityParameters(lam=12)),
+                 4, seed=1)
     for name, protocol, adversary, network in (
             ("view-split", "leader-ba", "view-split", "lossy"),
-            ("leader-chain", "leader-chain", None, "wan")):
+            ("leader-chain", "leader-chain", None, "perfect")):
         run_sweep(SweepSpec(name=name, scenarios=(ScenarioSpec(
             name=name, protocol=protocol, adversary=adversary,
             fixed={"n": 13, "f": 4, "network": network}, inputs="mixed",
@@ -147,7 +153,7 @@ def test_every_table_serves_hits(hits, slot):
     assert hits[slot] >= 1, (
         f"{slot} served no hit over the smoke sweep, "
         f"quadratic and round-eligibility n=24, leader-ba n=13 lossy/view-split and "
-        f"leader-chain n=13 wan: a memo tier without traffic should be "
+        f"leader-chain n=13 lock-step: a memo tier without traffic should be "
         f"deleted, not kept")
 
 

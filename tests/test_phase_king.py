@@ -5,7 +5,11 @@ import pytest
 from repro.adversaries import AdaptiveSpeakerAdversary, CrashAdversary
 from repro.errors import ConfigurationError
 from repro.harness import run_instance, run_trials
-from repro.protocols import build_phase_king, build_phase_king_subquadratic
+from repro.protocols import (
+    build_phase_king,
+    build_phase_king_subquadratic,
+    build_round_eligibility,
+)
 from repro.protocols.phase_king_subquadratic import ack_threshold
 from repro.types import SecurityParameters
 from tests.conftest import mixed_inputs
@@ -86,8 +90,20 @@ class TestSubquadraticPhaseKing:
         assert stats.consistency_rate == 1.0
 
     def test_ack_threshold_is_two_thirds_lambda(self):
-        assert ack_threshold(SecurityParameters(lam=30)) == 20
-        assert ack_threshold(SecurityParameters(lam=31)) == 21
+        assert ack_threshold(SecurityParameters(lam=30), 100) == 20
+        assert ack_threshold(SecurityParameters(lam=31), 100) == 21
+
+    @pytest.mark.parametrize("build", [build_phase_king_subquadratic,
+                                       build_round_eligibility])
+    def test_an_ack_threshold_above_n_is_refused(self, build):
+        """At n = 16 the default λ = 40 asks 27 ACKs of 16 nodes: no
+        quorum could form, so the builder refuses; a threshold of n
+        itself is admitted."""
+        with pytest.raises(ConfigurationError, match="exceeds n = 16"):
+            build(16, 5, [i % 2 for i in range(16)])
+        build(16, 5, [0] * 16, params=SecurityParameters(lam=24))  # 16
+        with pytest.raises(ConfigurationError, match="threshold 17"):
+            build(16, 5, [0] * 16, params=SecurityParameters(lam=25))
 
     def test_requires_f_below_third(self):
         with pytest.raises(ConfigurationError):

@@ -27,7 +27,10 @@ on one core, so the battery cuts what repeats itself:
 - entries taking ``params`` run at their registry config (n = 32,
   f = 8, λ = 12), once per adversary, the networks taken in turn.
 
-That is 285 cells in ≈ 12 s.
+That is 285 cells in ≈ 12 s.  ``--reference-cross full`` (a conftest
+option; CI runs it) runs the uncut cross instead: every admitted
+adversary on every network at every size and seed, the ``params``
+entries at their registry config.
 
 **Proof of teeth.**  Each of these one-line mutants, applied to a copy
 of ``src/``, fails these cells:
@@ -37,10 +40,15 @@ of ``src/``, fails these cells:
 - ``_clamped_sums`` ignores ``cap``: every entry (its ``delay`` cells);
 - the engine skips a sleeping node that has mail: ``leader-chain``
   under ``view-split``, in its end tallies;
-- ``new_view_audience`` names the leader also for a NewView carrying a
-  QC: ``leader-ba`` and ``leader-chain`` on ``lossy`` and
-  ``split-heal``, in the per-round trace only (a lock adopted a round
-  late, by the end the same);
+- the readers rule (``leader_ba.readers``) returns only the leader's
+  row also for a NewView carrying a QC: ``leader-ba`` and
+  ``leader-chain`` on ``lossy`` (e.g. ``leader-ba-none-lossy-13-1``);
+- the readers rule (``leader_ba.readers``) leaves out a node whose lock
+  ranks one below a QC (``rank(node.locked) + 1 < iteration``):
+  ``leader-ba`` and ``leader-chain`` on ``lossy`` (e.g.
+  ``leader-chain-none-lossy-13-1``), in the per-round trace.  Its
+  ``<`` → ``<=`` files more copies than needed, which is sound, and
+  survives;
 - ``VerificationCache.check_quorum``'s memo ignores ``args``:
   ``adaptive-ba`` under ``decide-replay``.
 
@@ -124,9 +132,14 @@ def admitted(key):
     return names
 
 
-def cells(key):
-    """``(adversary, network, n, seed)`` per cell of ``key`` (the module
-    docstring's cut of the full cross)."""
+def cells(key, full=False):
+    """``(adversary, network, n, seed)`` per cell of ``key``: the module
+    docstring's cut of the full cross, or with ``full`` the cross."""
+    if full:
+        sizes = (32,) if PROTOCOLS[key].takes("params") else SIZES
+        return [(name, network, n, seed) for name in admitted(key)
+                for network in NETWORK_NAMES for n in sizes
+                for seed in SEEDS]
     if PROTOCOLS[key].takes("params"):
         sizes = (32,)  # the registry config, whatever n is asked
         pairs = [(name, NETWORK_NAMES[index % len(NETWORK_NAMES)])
@@ -154,6 +167,20 @@ def _execute(key, adversary, network, n, seed, engine):
 CELLS = [(key, *cell) for key in REGISTRY_KEYS for cell in cells(key)]
 
 
+def pytest_generate_tests(metafunc):
+    """The reference cells: :data:`CELLS`, or the full cross under
+    ``--reference-cross full``."""
+    if metafunc.definition.originalname == (
+            "test_fast_engine_equals_the_reference"):
+        chosen = CELLS
+        if metafunc.config.getoption("--reference-cross") == "full":
+            chosen = [(key, *cell) for key in REGISTRY_KEYS
+                      for cell in cells(key, full=True)]
+        metafunc.parametrize(
+            "key,adversary,network,n,seed", chosen,
+            ids=["-".join(map(str, cell)) for cell in chosen])
+
+
 def test_one_case_per_registry_key():
     """Drop-out guard: the battery is parametrized by the registry
     itself, and every entry has cells on every network."""
@@ -163,9 +190,6 @@ def test_one_case_per_registry_key():
         assert {cell[1] for cell in cells(key)} == set(NETWORK_NAMES), key
 
 
-@pytest.mark.parametrize(
-    "key,adversary,network,n,seed", CELLS,
-    ids=["-".join(map(str, cell)) for cell in CELLS])
 def test_fast_engine_equals_the_reference(key, adversary, network, n, seed):
     cell = (adversary, network, n, seed)
     fast = _execute(key, *cell, EVENT)

@@ -16,14 +16,14 @@ so a sleeping node gets mail — comparing every honest node's end state
 down to its vote and member tallies.  :func:`test_the_chain_really_sleeps`
 keeps that comparison from being vacuous.
 
-A third shortcut is the NewView audience: a cached NewView without a QC
-runs its absorb step only on its view's leader.  Folding every message
-(``tests.reference.fold_every_message``), every recipient runs it, so
-:func:`test_new_view_audience_skip_matches_uncached` compares the two on
-leader-ba under ``leader-killer`` and ``view-split`` at n = 13 and 25.
-A conditioned network without partitions delivers such a copy to no
-other honest node at all, so the grid also runs ``split-heal``, whose
-partitions make every copy arrive.
+A third shortcut is the validity front: a cached NewView is validated
+by its first recipient and only absorbed by the rest.  Folding every
+message (``tests.reference.fold_every_message``), every recipient
+validates it too, so :func:`test_cached_new_view_fold_matches_uncached`
+compares the two on leader-ba under ``leader-killer`` and ``view-split``
+at n = 13 and 25.  A conditioned network without partitions delivers a
+NewView only to its readers (``leader_ba.readers``), so the grid also
+runs ``split-heal``, whose partitions make every copy arrive.
 """
 
 import pytest
@@ -55,7 +55,7 @@ def _mixed(n):
     return [i % 2 for i in range(n)]
 
 
-AUDIENCE_GRID = [(adversary, network, n)
+FOLD_GRID = [(adversary, network, n)
                  for adversary in ("leader-killer", "view-split")
                  for network in ("wan", "lossy", "split-heal")
                  for n in (13, 25)]
@@ -67,7 +67,7 @@ def _lock_of(node):
     return rank(node.locked), node.locked is not None and node.locked.bit
 
 
-def _audience_run(monkeypatch, adversary, network, n, cached):
+def _fold_run(monkeypatch, adversary, network, n, cached):
     """One leader-ba execution, cached or folding every message: its
     result, every node's lock after each of its steps, every honest
     node's end lock, belief and NewView material, the settled view and
@@ -97,22 +97,16 @@ def _audience_run(monkeypatch, adversary, network, n, cached):
             result.metrics.classical_message_count)
 
 
-@pytest.mark.parametrize("adversary,network,n", AUDIENCE_GRID,
-                         ids=[f"{a}-{w}-n{n}" for a, w, n in AUDIENCE_GRID])
-def test_new_view_audience_skip_matches_uncached(monkeypatch, adversary,
-                                                 network, n):
-    """A cached NewView without a QC runs its absorb step only on its
-    view's leader (``ProtocolInstance.audience``); uncached, every recipient
-    runs it.  Decisions, every node's lock after each of its steps,
-    beliefs, the leaders' NewView material, views, words and transcripts
-    must not move.
-
-    Mutants that fail this case (checked by hand on a copy): the audience
-    is the leader also for a NewView that carries a QC (a node adopts a
-    carried lock a round late, at the proposal), and the leader itself
-    skips the step (it proposes from the attestations it validated
-    first, or none)."""
-    runs = [_audience_run(monkeypatch, adversary, network, n, cached)
+@pytest.mark.parametrize("adversary,network,n", FOLD_GRID,
+                         ids=[f"{a}-{w}-n{n}" for a, w, n in FOLD_GRID])
+def test_cached_new_view_fold_matches_uncached(monkeypatch, adversary,
+                                               network, n):
+    """Cached, a NewView is validated once and absorbed by every
+    recipient; uncached, every recipient validates it as well.
+    Decisions, every node's lock after each of its steps, beliefs, the
+    leaders' NewView material, views, words and transcripts must not
+    move."""
+    runs = [_fold_run(monkeypatch, adversary, network, n, cached)
             for cached in (True, False)]
     assert runs[0] == runs[1]
     assert runs[0][0]["outputs"] and runs[0][1] and runs[0][3] >= 1
