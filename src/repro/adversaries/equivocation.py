@@ -63,7 +63,7 @@ class AckEquivocationAdversary(Adversary):
         # Target the second-to-last epoch: the split beliefs it creates
         # are ACKed (and become the outputs) in the final epoch, leaving
         # the protocol no time to self-heal.
-        self.target_epoch = max(0, config.epochs - 2)
+        self.target_epoch = max(0, config.units - 2)
         self.reserve = reserve
         # Keep enough budget in hand to corrupt the ~λ eligible ACKers of
         # the target epoch (the threshold is 2λ/3, so 2·threshold ≥ λ).

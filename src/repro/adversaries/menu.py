@@ -43,11 +43,9 @@ class Family:
     """One quorum family's public schedule and corrupt-node vocabulary."""
 
     name: str
-    #: The shared-config class the family's builders declare as
-    #: ``instance.config`` — how an instance is recognized.
-    config_cls: type
-    #: The family's round arithmetic; the unit (iteration, epoch, view)
-    #: is also the leader oracle's epoch key.
+    #: The family's round arithmetic, which its instances' configs
+    #: declare (how an instance is recognized); the unit (iteration,
+    #: epoch, view) is also the leader oracle's epoch key.
     schedule: ViewSchedule
     propose_phase: str
     #: phase -> ``entry(menu, node_id, unit, bit)``: the payload, or None
@@ -81,7 +79,7 @@ def _aba_vote(menu, node_id, iteration, bit):
 
 # -- phase-king (Section 3): nothing to justify, epochs are bounded --------
 def _king_propose(menu, node_id, epoch, bit):
-    if epoch >= menu.config.epochs:
+    if epoch >= menu.config.units:
         return None  # the final tally round
     auth = menu.config.proposer.attempt(node_id, epoch, bit)
     return None if auth is None else PhaseKingProposeMsg(
@@ -89,7 +87,7 @@ def _king_propose(menu, node_id, epoch, bit):
 
 
 def _king_ack(menu, node_id, epoch, bit):
-    if epoch >= menu.config.epochs:
+    if epoch >= menu.config.units:
         return None
     auth = menu.config.authenticator.attempt(node_id, ("ACK", epoch, bit))
     return None if auth is None else AckMsg(
@@ -129,14 +127,12 @@ def _leader_prevote(menu, node_id, view, bit):
 
 
 FAMILIES: Tuple[Family, ...] = (
-    Family("aba", aba.AbaConfig, aba.SCHEDULE, aba.PHASE_PROPOSE,
+    Family("aba", aba.SCHEDULE, aba.PHASE_PROPOSE,
            {aba.PHASE_PROPOSE: _aba_propose, aba.PHASE_VOTE: _aba_vote}),
-    Family("phase-king", phase_king.PhaseKingConfig, phase_king.SCHEDULE,
-           phase_king.PHASE_PROPOSE,
+    Family("phase-king", phase_king.SCHEDULE, phase_king.PHASE_PROPOSE,
            {phase_king.PHASE_PROPOSE: _king_propose,
             phase_king.PHASE_ACK: _king_ack}),
-    Family("leader-ba", leader_ba.LeaderBaConfig, leader_ba.SCHEDULE,
-           leader_ba.PHASE_PROPOSE,
+    Family("leader-ba", leader_ba.SCHEDULE, leader_ba.PHASE_PROPOSE,
            {leader_ba.PHASE_NEW_VIEW: _leader_new_view,
             leader_ba.PHASE_PROPOSE: _leader_propose,
             leader_ba.PHASE_PREVOTE: _leader_prevote}),
@@ -146,9 +142,9 @@ FAMILIES: Tuple[Family, ...] = (
 def family_of(instance: ProtocolInstance, policy: str,
               admits: Sequence[str]) -> Family:
     """The instance's family if ``policy`` admits it, else a refusal."""
-    config = instance.config
+    schedule = getattr(instance.config, "schedule", None)
     for family in FAMILIES:
-        if isinstance(config, family.config_cls) and family.name in admits:
+        if schedule is family.schedule and family.name in admits:
             return family
     raise ConfigurationError(
         f"{policy} cannot target {instance.name!r}: it admits the "

@@ -17,7 +17,9 @@ Properties implemented faithfully:
 
 Coins are drawn from a dedicated deterministic stream keyed by
 ``(node, topic)`` so executions replay exactly under a fixed seed and are
-independent of call order.
+independent of call order.  A topic is a message up to equality, so its
+stream is labelled with every ``bool`` or integral ``float`` spelled as
+an ``int``: ``("Vote", 1, True)`` has ``("Vote", 1, 1)``'s coin.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ from repro.eligibility.difficulty import DifficultySchedule
 from repro.eligibility.lottery_cache import SharedLotteryCache
 from repro.rng import SEPARATOR as _SEP, Seed, derive_seed
 from repro.types import NodeId
+
+
+#: Classes of topic elements that may equal an ``int`` under another repr.
+_RESPELLED = frozenset({bool, float})
 
 
 @dataclass(frozen=True)
@@ -73,8 +79,13 @@ class FMine:
             if probability is None:
                 probability = self.schedule.probability(topic)
                 self._probabilities[topic] = probability
-            # Always from this call's own reprs: ``True == 1`` as dict
-            # keys, but they are different labels of the stream.
+            # ``True == 1`` as dict keys: label the stream by the int
+            # spelling, whichever spelling comes first (an honest topic
+            # holds only str, int and None).
+            if not _RESPELLED.isdisjoint(map(type, topic)):
+                topic = tuple([int(item) if item.__class__ is bool or (
+                    item.__class__ is float and item.is_integer()) else item
+                    for item in topic])
             derived = f"{self._seed_prefix}{node_id!r}{_SEP}{topic!r}"
             if self._coin_cache is None:
                 coin = random.Random(derived).random() < probability

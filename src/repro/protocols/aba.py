@@ -30,17 +30,16 @@ At any time, a quorum of iteration-``r`` commits for ``b`` (or a valid
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.protocols.base import Authenticator, ProposerPolicy, ViewSchedule
+from repro.protocols.base import ViewSchedule
 from repro.protocols.certificates import (
     Certificate,
     certificate_from_votes,
     rank,
 )
-from repro.protocols.verification import VerificationCache, VerifyingNode
+from repro.protocols.verification import RoundConfig, VerifyingNode
 from repro.protocols.messages import (
     CommitMsg,
     ProposeMsg,
@@ -51,7 +50,7 @@ from repro.protocols.messages import (
 from repro.serialization import intern_by_key, intern_payload
 from repro.sim.network import Delivery
 from repro.sim.node import RoundContext
-from repro.types import Bit, NodeId, Round, other_bit
+from repro.types import Bit, NodeId, other_bit
 
 PHASE_STATUS = "Status"
 PHASE_PROPOSE = "Propose"
@@ -184,37 +183,11 @@ def _same_entries(prior: dict, shared: dict) -> bool:
     return all(shared.get(key) is value for key, value in prior.items())
 
 
-@dataclass
-class AbaConfig:
-    """Parameters distinguishing the quadratic and subquadratic worlds."""
-
-    threshold: int
-    authenticator: Authenticator
-    proposer: ProposerPolicy
-    max_iterations: int
-    #: Execution-wide memo for the public verification predicates; the
-    #: nodes of one instance share it (see repro.protocols.verification).
-    verification: VerificationCache = field(default_factory=VerificationCache)
-    #: GST-aware early stopping (the ``quadratic-early-stop`` registry
-    #: key): decide the moment an iteration's votes are unanimous — all
-    #: ``n`` voters for one bit — instead of waiting for the Commit
-    #: round-trip.  Sound because a unanimous vote round leaves at most
-    #: ``f < threshold`` possible opposite votes, so no conflicting
-    #: certificate can ever form.  Detection is gated on
-    #: ``trusted_send_round``: before it, drops or unhealed partitions
-    #: can fake unanimity in a single node's view (see
-    #: ``docs/PROTOCOLS.md``).
-    early_stop_unanimity: bool = False
-    #: First protocol round whose sends provably reach every honest node
-    #: (``NetworkConditions.trusted_send_round``; 0 under lock-step).
-    trusted_send_round: Round = 0
-
-
 class AbaNode(VerifyingNode):
     """One party of the iterated BA protocol."""
 
     def __init__(self, node_id: NodeId, n: int, input_bit: Bit,
-                 config: AbaConfig) -> None:
+                 config: RoundConfig) -> None:
         super().__init__(node_id, n, config)
         self.input_bit = input_bit
         # Highest certificate observed per bit (None = iteration-0 rank).
@@ -630,7 +603,7 @@ class AbaNode(VerifyingNode):
         if pending is not None:
             self._terminate(ctx, pending[0], pending[1])
             return
-        if iteration > self.config.max_iterations:
+        if iteration > self.config.units:
             self.halted = True
             return
         self._ACTIONS[phase](self, ctx, iteration)

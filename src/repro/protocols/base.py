@@ -219,8 +219,9 @@ class ProtocolInstance:
     #: The one authenticator the nodes check auths through, or ``None``
     #: (Dolev–Strong verifies its chains itself; naive relay signs none).
     authenticator: Optional[Authenticator] = None
-    #: The shared config of the entry's quorum family — how
-    #: ``adversaries.menu.FAMILIES`` recognizes it — or ``None``.
+    #: The nodes' shared ``verification.RoundConfig``, whose ``schedule``
+    #: is how ``adversaries.menu.FAMILIES`` recognizes the family, or
+    #: ``None``.
     config: Any = None
     #: ``payload ->`` its readers: a row by node id, true where that node
     #: can still act on it, or ``None`` for every node (total: a malformed

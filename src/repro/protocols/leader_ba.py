@@ -57,11 +57,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.protocols.base import (
-    OracleProposerPolicy,
-    ProposerPolicy,
-    ProtocolInstance,
-)
+from repro.protocols.base import OracleProposerPolicy, ProtocolInstance
 from repro.protocols.certificates import (
     Certificate,
     certificate_from_votes,
@@ -198,12 +194,11 @@ class LeaderDecideMsg:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(kw_only=True)
 class LeaderBaConfig(ViewConfig):
     """Shared parameters of one leader-BA execution; ``units`` is the
     total view budget over all heights."""
 
-    proposer: ProposerPolicy
     #: Views per chain height; view ``v`` belongs to height
     #: ``(v - 1) // views_per_height + 1``.
     views_per_height: int

@@ -21,15 +21,11 @@ The same node class also runs the Section 3.2 compiled protocol (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.crypto.registry import KeyRegistry
-from repro.errors import ConfigurationError
 from repro.protocols.base import (
-    Authenticator,
     OracleProposerPolicy,
-    ProposerPolicy,
     ProtocolInstance,
     SignatureAuthenticator,
     ViewSchedule,
@@ -39,7 +35,8 @@ from repro.protocols.messages import (
     PhaseKingDecideMsg,
     PhaseKingProposeMsg,
 )
-from repro.protocols.verification import VerificationCache, VerifyingNode
+from repro.protocols.verification import (
+    RoundConfig, VerifyingNode, admit, build_round_instance)
 from repro.rng import Seed
 from repro.sim.leader import LeaderOracle, RoundRobinLeaderOracle
 from repro.sim.node import RoundContext
@@ -55,48 +52,22 @@ PHASE_ACK = "ACK"
 SCHEDULE = ViewSchedule((PHASE_PROPOSE, PHASE_ACK), first=0, trailing=1)
 
 
-@dataclass
-class PhaseKingConfig:
-    threshold: int
-    authenticator: Authenticator
-    proposer: ProposerPolicy
-    epochs: int
-    #: Execution-wide memo for the public verification predicates; the
-    #: nodes of one instance share it (see repro.protocols.verification).
-    verification: VerificationCache = field(default_factory=VerificationCache)
-    #: GST-aware early stopping (the ``phase-king-early-stop`` registry
-    #: key): a node that observes a *unanimous* epoch — authenticated
-    #: ACKs for one bit from all ``n`` nodes — multicasts the ACK set as
-    #: a transferable unanimity certificate (:class:`PhaseKingDecideMsg`)
-    #: and halts instead of running out the epoch budget.  Detection is
-    #: gated on ``trusted_send_round``: a unanimous-looking epoch
-    #: observed while drops or partitions are still possible may be an
-    #: artifact of one node's view (see ``docs/PROTOCOLS.md``).
-    early_stop_unanimity: bool = False
-    #: First protocol round whose sends provably reach every honest node
-    #: (``NetworkConditions.trusted_send_round``; 0 under lock-step).
-    trusted_send_round: int = 0
-
-
 class PhaseKingNode(VerifyingNode):
     """One party of the phase-king protocol (warmup or compiled)."""
 
     def __init__(self, node_id: NodeId, n: int, input_bit: Bit,
-                 config: PhaseKingConfig) -> None:
+                 config: RoundConfig) -> None:
         super().__init__(node_id, n, config)
         self.belief: Bit = input_bit
         self.sticky: bool = True  # F = 1 at initialization (footnote 4)
         self.last_acked: Optional[Bit] = None
-        # (epoch, bit) -> set of distinct ACKers.
-        self.acks_seen: Dict[Tuple[int, Bit], Set[NodeId]] = {}
+        # (epoch, bit) -> ACKer -> its first valid ACK: the tally, and
+        # the raw material of an early-stop unanimity certificate.
+        self.acks_seen: Dict[Tuple[int, Bit], Dict[NodeId, AckMsg]] = {}
         # epoch -> set of valid proposal bits heard.
         self.proposals_heard: Dict[int, Set[Bit]] = {}
-        # Early-stopping bookkeeping (populated only when the variant is
-        # enabled): the authenticated ACK objects per (epoch, bit) — the
-        # raw material of a unanimity certificate — and a decision
-        # adopted from a received certificate, applied at the top of the
-        # next on_round.
-        self._ack_msgs: Dict[Tuple[int, Bit], Dict[NodeId, AckMsg]] = {}
+        # A decision adopted from a received unanimity certificate,
+        # applied at the top of the next on_round (early stopping only).
         self._adopted_decision: Optional[Tuple[int, Bit]] = None
 
     # -- message intake (VerifyingNode._fold over _HANDLERS) ----------------
@@ -112,10 +83,8 @@ class PhaseKingNode(VerifyingNode):
             msg.sender, ("ACK", msg.epoch, msg.bit), msg.auth)
 
     def _absorb_ack(self, msg: AckMsg) -> None:
-        self.acks_seen.setdefault((msg.epoch, msg.bit), set()).add(msg.sender)
-        if self.config.early_stop_unanimity:
-            self._ack_msgs.setdefault(
-                (msg.epoch, msg.bit), {}).setdefault(msg.sender, msg)
+        self.acks_seen.setdefault(
+            (msg.epoch, msg.bit), {}).setdefault(msg.sender, msg)
 
     def _valid_decide(self, msg: PhaseKingDecideMsg) -> bool:
         """A decide message is exactly as good as the unanimity
@@ -144,7 +113,7 @@ class PhaseKingNode(VerifyingNode):
 
     def _tally(self, epoch: int) -> None:
         """Step 3: adopt a bit with ample ACKs, else clear the sticky flag."""
-        counts = {bit: len(self.acks_seen.get((epoch, bit), set()))
+        counts = {bit: len(self.acks_seen.get((epoch, bit), ()))
                   for bit in (0, 1)}
         winners = [bit for bit in (0, 1) if counts[bit] >= self.config.threshold]
         if winners:
@@ -193,9 +162,9 @@ class PhaseKingNode(VerifyingNode):
             self._early_decide(ctx, epoch, bit, certificate=None)
             return
         epoch, phase = SCHEDULE.schedule(ctx.round)
-        if epoch >= self.config.epochs:
+        if epoch >= self.config.units:
             # Final tally round: absorb the last epoch's ACKs and stop.
-            self._tally(self.config.epochs - 1)
+            self._tally(self.config.units - 1)
             self.decide(self.finalize(), ctx.round)
             self.halted = True
             return
@@ -205,7 +174,7 @@ class PhaseKingNode(VerifyingNode):
                 if self.config.early_stop_unanimity:
                     unanimous = self._unanimity_bit(epoch - 1)
                     if unanimous is not None:
-                        acks = self._ack_msgs.get((epoch - 1, unanimous), {})
+                        acks = self.acks_seen[(epoch - 1, unanimous)]
                         self._early_decide(
                             ctx, epoch - 1, unanimous,
                             certificate=tuple(
@@ -235,11 +204,7 @@ class PhaseKingNode(VerifyingNode):
                 ack = AckMsg(epoch=epoch, bit=chosen,
                              sender=self.node_id, auth=auth)
                 ctx.multicast(ack)
-                self.acks_seen.setdefault(
-                    (epoch, chosen), set()).add(self.node_id)
-                if self.config.early_stop_unanimity:
-                    self._ack_msgs.setdefault(
-                        (epoch, chosen), {}).setdefault(self.node_id, ack)
+                self._absorb_ack(ack)
 
     def output(self) -> Optional[Bit]:
         if not self.halted:
@@ -268,29 +233,16 @@ def build_phase_king(
     oracle: Optional[LeaderOracle] = None,
 ) -> ProtocolInstance:
     """The warmup of Section 3.1: signed multicasts, 2n/3 quorums."""
-    if len(inputs) != n:
-        raise ConfigurationError("need exactly one input bit per node")
-    if not n > 3 * f:
-        raise ConfigurationError(
-            f"phase-king requires f < n/3: n={n}, f={f}")
+    admit("phase-king", n, f, inputs, 3)
     registry = KeyRegistry(n)
     authenticator = SignatureAuthenticator(registry)
     leader_oracle = oracle if oracle is not None else RoundRobinLeaderOracle(n)
-    config = PhaseKingConfig(
+    config = RoundConfig(
+        schedule=SCHEDULE,
         threshold=math.ceil(2 * n / 3),
         authenticator=authenticator,
         proposer=OracleProposerPolicy(leader_oracle, authenticator),
-        epochs=epochs,
+        units=epochs,
     )
-    nodes = [PhaseKingNode(node_id, n, inputs[node_id], config)
-             for node_id in range(n)]
-    return ProtocolInstance(
-        name="phase-king",
-        nodes=nodes,
-        max_rounds=SCHEDULE.rounds_for(epochs),
-        inputs={i: inputs[i] for i in range(n)},
-        signing_capabilities=[registry.capability_for(i) for i in range(n)],
-        mining_capabilities=[],
-        authenticator=authenticator,
-        config=config,
-    )
+    return build_round_instance("phase-king", PhaseKingNode, inputs, config,
+                                signing=registry)

@@ -14,7 +14,7 @@ paper lists them:
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
+from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.protocols.base import (
@@ -22,15 +22,12 @@ from repro.protocols.base import (
     ProposerPolicy,
     ProtocolInstance,
 )
-from repro.protocols.phase_king import (
-    DEFAULT_EPOCHS,
-    SCHEDULE,
-    PhaseKingConfig,
-    PhaseKingNode,
-)
+from repro.protocols.phase_king import DEFAULT_EPOCHS, SCHEDULE, PhaseKingNode
 from repro.protocols.subquadratic_ba import FMINE_MODE, make_eligibility
+from repro.protocols.verification import (
+    RoundConfig, admit, build_round_instance)
 from repro.rng import Seed
-from repro.types import Bit, NodeId, SecurityParameters
+from repro.types import Bit, SecurityParameters
 
 
 def ack_threshold(params: SecurityParameters, n: int) -> int:
@@ -62,32 +59,19 @@ def build_phase_king_subquadratic(
     ``coin_cache`` shares the ideal lottery's coins across instances (see
     :func:`~repro.protocols.subquadratic_ba.make_eligibility`).
     """
-    if len(inputs) != n:
-        raise ConfigurationError("need exactly one input bit per node")
-    if not n > 3 * f:
-        raise ConfigurationError(
-            f"phase-king requires f < n/3: n={n}, f={f}")
+    admit("phase-king", n, f, inputs, 3)
     threshold = ack_threshold(params, n)
     if eligibility is None:
         eligibility = make_eligibility(n, params, seed, mode,
                                        coin_cache=coin_cache)
     authenticator = EligibilityAuthenticator(eligibility)
-    config = PhaseKingConfig(
+    config = RoundConfig(
+        schedule=SCHEDULE,
         threshold=threshold,
         authenticator=authenticator,
         proposer=ProposerPolicy(authenticator),
-        epochs=epochs,
+        units=epochs,
     )
-    nodes = [PhaseKingNode(node_id, n, inputs[node_id], config)
-             for node_id in range(n)]
-    input_map: Dict[NodeId, Bit] = {i: inputs[i] for i in range(n)}
-    return ProtocolInstance(
-        name=f"phase-king-subquadratic[{mode}]",
-        nodes=nodes,
-        max_rounds=SCHEDULE.rounds_for(epochs),
-        inputs=input_map,
-        signing_capabilities=[],
-        mining_capabilities=[eligibility.capability_for(i) for i in range(n)],
-        authenticator=authenticator,
-        config=config,
-    )
+    return build_round_instance(f"phase-king-subquadratic[{mode}]",
+                                PhaseKingNode, inputs, config,
+                                mining=eligibility)

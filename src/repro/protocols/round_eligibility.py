@@ -30,16 +30,13 @@ from typing import Any, Optional, Sequence, Tuple
 from repro.crypto.hashing import hash_objects
 from repro.crypto.registry import ledger_holds, ledger_record, ledger_tag
 from repro.eligibility.base import EligibilitySource, Topic
-from repro.errors import ConfigurationError, SignatureError
+from repro.errors import SignatureError
 from repro.protocols.base import Authenticator, ProposerPolicy, ProtocolInstance
-from repro.protocols.phase_king import (
-    DEFAULT_EPOCHS,
-    SCHEDULE,
-    PhaseKingConfig,
-    PhaseKingNode,
-)
+from repro.protocols.phase_king import DEFAULT_EPOCHS, SCHEDULE, PhaseKingNode
 from repro.protocols.phase_king_subquadratic import ack_threshold
 from repro.protocols.subquadratic_ba import FMINE_MODE, make_eligibility
+from repro.protocols.verification import (
+    RoundConfig, admit, build_round_instance)
 from repro.rng import Seed
 from repro.types import Bit, NodeId, SecurityParameters
 
@@ -207,34 +204,22 @@ def build_round_eligibility(
     mode: str = FMINE_MODE,
 ) -> ProtocolInstance:
     """Phase-king with round-specific eligibility (± memory erasure)."""
-    if len(inputs) != n:
-        raise ConfigurationError("need exactly one input bit per node")
-    if not n > 3 * f:
-        raise ConfigurationError(f"phase-king requires f < n/3: n={n}, f={f}")
+    admit("phase-king", n, f, inputs, 3)
     threshold = ack_threshold(params, n)
     eligibility = make_eligibility(n, params, seed, mode)
     epoch_registry = EpochKeyRegistry(n)
     authenticator = RoundEligibilityAuthenticator(
         eligibility, epoch_registry, memory_erasure)
-    config = PhaseKingConfig(
+    config = RoundConfig(
+        schedule=SCHEDULE,
         threshold=threshold,
         authenticator=authenticator,
         # A proposal is mined per round, the bit chosen after winning
         # (equivocable).
         proposer=ProposerPolicy(authenticator),
-        epochs=epochs,
+        units=epochs,
     )
-    nodes = [PhaseKingNode(node_id, n, inputs[node_id], config)
-             for node_id in range(n)]
     erasure_tag = "erasure" if memory_erasure else "no-erasure"
-    return ProtocolInstance(
-        name=f"round-eligibility[{erasure_tag}]",
-        nodes=nodes,
-        max_rounds=SCHEDULE.rounds_for(epochs),
-        inputs={i: inputs[i] for i in range(n)},
-        signing_capabilities=[epoch_registry.capability_for(i)
-                              for i in range(n)],
-        mining_capabilities=[eligibility.capability_for(i) for i in range(n)],
-        authenticator=authenticator,
-        config=config,
-    )
+    return build_round_instance(f"round-eligibility[{erasure_tag}]",
+                                PhaseKingNode, inputs, config,
+                                signing=epoch_registry, mining=eligibility)

@@ -21,12 +21,13 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.crypto.registry import KeyRegistry
 from repro.errors import ConfigurationError
-from repro.protocols.aba import SCHEDULE, AbaConfig, AbaNode
+from repro.protocols.aba import SCHEDULE, AbaNode
 from repro.protocols.base import (
     Authenticator,
     OracleProposerPolicy,
     ProtocolInstance,
 )
+from repro.protocols.verification import RoundConfig
 from repro.rng import Seed, derive_rng
 from repro.sim.leader import LeaderOracle
 from repro.sim.node import Node, RoundContext
@@ -85,7 +86,7 @@ class CommitteeMemberNode(AbaNode):
     """Committee member: runs BA in-committee, then announces the output."""
 
     def __init__(self, node_id: NodeId, n: int, input_bit: Bit,
-                 config: AbaConfig, registry: KeyRegistry) -> None:
+                 config: RoundConfig, registry: KeyRegistry) -> None:
         super().__init__(node_id, n, input_bit, config)
         self._registry = registry
         self._announced = False
@@ -166,12 +167,13 @@ def build_static_committee(
     committee_f = (size - 1) // 2
     registry = KeyRegistry(n)
     authenticator = CommitteeAuthenticator(registry, committee)
-    config = AbaConfig(
+    config = RoundConfig(
+        schedule=SCHEDULE,
         threshold=committee_f + 1,
         authenticator=authenticator,
         proposer=OracleProposerPolicy(
             CommitteeLeaderOracle(committee, seed), authenticator),
-        max_iterations=max_iterations,
+        units=max_iterations,
     )
     max_rounds = SCHEDULE.rounds_for(max_iterations)
     committee_set = set(committee)

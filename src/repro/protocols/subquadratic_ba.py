@@ -19,21 +19,23 @@ removal), terminates in expected O(1) iterations, and multicasts
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence
+from typing import Sequence
 
 from repro.eligibility.base import EligibilitySource
 from repro.eligibility.difficulty import DifficultySchedule
 from repro.eligibility.fmine import FMineEligibility
 from repro.eligibility.vrf_eligibility import VrfEligibility
 from repro.errors import ConfigurationError
-from repro.protocols.aba import SCHEDULE, AbaConfig, AbaNode
+from repro.protocols.aba import SCHEDULE, AbaNode
 from repro.protocols.base import (
     EligibilityAuthenticator,
     ProposerPolicy,
     ProtocolInstance,
 )
+from repro.protocols.verification import (
+    RoundConfig, admit, build_round_instance)
 from repro.rng import Seed
-from repro.types import Bit, NodeId, SecurityParameters
+from repro.types import Bit, SecurityParameters
 
 DEFAULT_MAX_ITERATIONS = 40
 
@@ -88,31 +90,17 @@ def build_subquadratic_ba(
     ``coin_cache`` shares the ideal lottery's coins across instances (see
     :func:`make_eligibility`).
     """
-    if len(inputs) != n:
-        raise ConfigurationError("need exactly one input bit per node")
-    if not n > 2 * f:
-        raise ConfigurationError(
-            f"subquadratic BA requires honest majority: n={n} > 2f={2 * f}")
+    admit("subquadratic BA", n, f, inputs, 2)
     if eligibility is None:
         eligibility = make_eligibility(n, params, seed, mode,
                                        coin_cache=coin_cache)
     authenticator = EligibilityAuthenticator(eligibility)
-    config = AbaConfig(
+    config = RoundConfig(
+        schedule=SCHEDULE,
         threshold=committee_threshold(params),
         authenticator=authenticator,
         proposer=ProposerPolicy(authenticator),
-        max_iterations=max_iterations,
+        units=max_iterations,
     )
-    nodes = [AbaNode(node_id, n, inputs[node_id], config)
-             for node_id in range(n)]
-    input_map: Dict[NodeId, Bit] = {i: inputs[i] for i in range(n)}
-    return ProtocolInstance(
-        name=f"subquadratic-ba[{mode}]",
-        nodes=nodes,
-        max_rounds=SCHEDULE.rounds_for(max_iterations),
-        inputs=input_map,
-        signing_capabilities=[],
-        mining_capabilities=[eligibility.capability_for(i) for i in range(n)],
-        authenticator=authenticator,
-        config=config,
-    )
+    return build_round_instance(f"subquadratic-ba[{mode}]", AbaNode, inputs,
+                                config, mining=eligibility)

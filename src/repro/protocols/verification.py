@@ -1,4 +1,9 @@
-"""Verification memoization shared by the nodes of a protocol instance.
+"""The round-structured core: one config, one builder, one inbox loop.
+
+Every round-structured family (aba, phase-king, the view machines)
+declares an execution in one :class:`RoundConfig`, passes :func:`admit`
+and is built by :func:`build_round_instance`; its nodes are
+:class:`VerifyingNode` subclasses sharing a :class:`VerificationCache`.
 
 Verification of votes, certificates and proposals is a *public*
 predicate — authenticators and eligibility lotteries are deterministic
@@ -58,13 +63,16 @@ families.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.protocols.base import Authenticator
+from repro.errors import ConfigurationError
+from repro.protocols.base import (
+    Authenticator, ProposerPolicy, ProtocolInstance, ViewSchedule)
 from repro.protocols.certificates import Certificate, verify_certificate
 from repro.protocols.messages import SignedVote
 from repro.sim.node import Node
-from repro.types import Bit, NodeId
+from repro.types import Audience, Bit, NodeId, Round
 
 #: Per-table entry cap.  The identity fronts pin their objects, so an
 #: unbounded execution (the metrics-only retention use case) would grow
@@ -184,11 +192,32 @@ class VerificationCache:
         return valid
 
 
+@dataclass(kw_only=True)
+class RoundConfig:
+    """What the nodes of one round-structured execution share.  A warmup
+    and its compilation differ in ``threshold``, ``authenticator`` and
+    ``proposer`` alone (``protocols/base.py``)."""
+
+    schedule: ViewSchedule  # how ``adversaries.menu`` knows the family
+    threshold: int  # certificate (and decide-quorum) size
+    authenticator: Authenticator
+    units: int  # iterations, epochs or views budgeted
+    proposer: Optional[ProposerPolicy] = None  # None: a fixed coordinator
+    #: First protocol round whose sends provably reach every honest node
+    #: (``NetworkConditions.trusted_send_round``; 0 under lock-step).
+    trusted_send_round: Round = 0
+    #: GST-aware early stopping (the ``-early-stop`` entries): decide on a
+    #: unit whose votes or ACKs are unanimous, once its round is trusted —
+    #: before that, drops can fake unanimity (``docs/PROTOCOLS.md``).
+    early_stop_unanimity: bool = False
+    verification: VerificationCache = field(default_factory=VerificationCache)
+
+
 class VerifyingNode(Node):
     """A protocol node verifying through its instance's shared cache.
 
-    ``config`` carries the instance's ``authenticator``, certificate
-    ``threshold`` and shared ``verification`` cache.
+    ``config`` is the instance's :class:`RoundConfig`: its
+    ``authenticator``, ``threshold`` and shared ``verification`` cache.
     """
 
     #: Payload class → (validation predicate, absorb step).  Validation
@@ -253,3 +282,46 @@ class VerifyingNode(Node):
             return False
         return self._verification.check_certificate(
             certificate, self.config.threshold, self._check_vote_auth)
+
+
+def admit(family: str, n: int, f: int, inputs: Sequence[Bit],
+          ratio: int) -> None:
+    """Refuse what ``family`` cannot run: anything but one input bit per
+    node, or ``n <= ratio * f`` (2: honest majority; 3: ``f < n/3``)."""
+    if len(inputs) != n:
+        raise ConfigurationError("need exactly one input bit per node")
+    if not n > ratio * f:
+        raise ConfigurationError(
+            f"{family} requires honest majority: n={n} > 2f={2 * f}"
+            if ratio == 2 else f"{family} requires f < n/3: n={n}, f={f}")
+
+
+def build_round_instance(
+    name: str,
+    node_cls: type,
+    inputs: Sequence[Bit],
+    config: RoundConfig,
+    signing: Any = None,
+    mining: Any = None,
+    audience: Optional[Callable[[Sequence[Node]], Audience]] = None,
+) -> ProtocolInstance:
+    """One ``node_cls(node_id, n, input_bit, config)`` per input bit, for
+    ``config.units`` units.  ``signing`` and ``mining`` (a key registry,
+    an eligibility source) hand out the capabilities; ``audience(nodes)``
+    is held by the instance alone, so it closes no cycle via the nodes."""
+    n = len(inputs)
+    ids = range(n)
+    nodes = [node_cls(i, n, inputs[i], config) for i in ids]
+    return ProtocolInstance(
+        name=name,
+        nodes=nodes,
+        max_rounds=config.schedule.rounds_for(config.units),
+        inputs={i: inputs[i] for i in ids},
+        signing_capabilities=[] if signing is None else [
+            signing.capability_for(i) for i in ids],
+        mining_capabilities=[] if mining is None else [
+            mining.capability_for(i) for i in ids],
+        authenticator=config.authenticator,
+        config=config,
+        audience=None if audience is None else audience(nodes),
+    )

@@ -10,11 +10,16 @@ predicate, absorb step) table, its phase actions and its settle policy.
 What is shared, and why it is sound (docs/PROTOCOLS.md, "Shared view
 machine", has the table of per-family differences):
 
-- **Schedule** (:class:`~repro.protocols.base.ViewSchedule`, which aba
-  and phase-king declare too): unit ``u = 1, 2, ...`` owns rounds
-  ``4(u - 1) .. 4u - 1``, one per phase, and a budget of ``u`` units
-  runs two trailing delivery rounds so the last quorum can be tallied
-  and its Decide relayed.
+- **Config and builder** (:class:`ViewConfig`,
+  :func:`build_view_instance`): a
+  :class:`~repro.protocols.verification.RoundConfig` (schedule,
+  ``n - f`` threshold, unit budget — what aba and phase-king declare
+  too) plus the ``f + 1`` fallback quorum; the builder admits ``n > 3f``
+  and hands the rest to ``build_round_instance``.
+- **Schedule** (:class:`~repro.protocols.base.ViewSchedule`): unit
+  ``u = 1, 2, ...`` owns rounds ``4(u - 1) .. 4u - 1``, one per phase,
+  and a budget of ``u`` units runs two trailing delivery rounds so the
+  last quorum can be tallied and its Decide relayed.
 - **Inbox** (:meth:`~repro.protocols.verification.VerifyingNode._fold`):
   the payload-class table's predicate runs once per payload object, and
   every recipient absorbs a marked one; the instance's ``audience``
@@ -57,16 +62,15 @@ from operator import is_
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from repro.crypto.registry import KeyRegistry
-from repro.errors import ConfigurationError
 from repro.protocols.base import (
-    Authenticator,
     ProtocolInstance,
     SignatureAuthenticator,
     ViewSchedule,
     trusted_send_round_for,
 )
 from repro.protocols.certificates import Certificate, rank
-from repro.protocols.verification import VerificationCache, VerifyingNode
+from repro.protocols.verification import (
+    RoundConfig, VerifyingNode, admit, build_round_instance)
 from repro.serialization import _intern_field_key, intern_by_key
 from repro.sim.conditions import NetworkConditions
 from repro.sim.node import RoundContext
@@ -94,21 +98,12 @@ def intern_quorum(tag: type, unit: int, bit: Bit,
         build)
 
 
-@dataclass
-class ViewConfig:
-    """Shared parameters of one execution (one object per instance)."""
+@dataclass(kw_only=True)
+class ViewConfig(RoundConfig):
+    """A view machine's config: ``threshold`` is ``n - f``, the size of
+    certificates and decide quorums."""
 
-    threshold: int  # n - f: certificates and decide quorums
     fallback_quorum: int  # f + 1 fresh attestations justify a bit
-    authenticator: Authenticator
-    #: First protocol round whose sends provably reach every honest node
-    #: (``NetworkConditions.trusted_send_round``; 0 under lock-step).
-    trusted_send_round: Round
-    #: Execution-wide memo for the public verification predicates; the
-    #: nodes of one instance share it (see repro.protocols.verification).
-    verification: VerificationCache
-    #: Units budgeted; a node undecided past them halts.
-    units: int
 
 
 class ViewNode(VerifyingNode):
@@ -325,42 +320,20 @@ def build_view_instance(
     configure: Callable[..., ViewConfig],
     audience: Optional[Callable[[Sequence[ViewNode]], Audience]] = None,
 ) -> ProtocolInstance:
-    """The builder steps every family shares.
-
-    Admits ``n > 3f`` (the partial-synchrony optimum) with ``n - f``
-    quorums and ``f + 1`` fallback attestations, creates the key
-    registry, and derives the drain gate from ``conditions`` — the same
-    :class:`~repro.sim.conditions.NetworkConditions` the engine will run
-    under; ``None`` (or perfect conditions) is lock-step, where every
-    round is trusted.  ``configure(**shared_fields)`` returns the
-    family's config (and validates the family's own arguments);
-    ``audience(nodes)`` builds the instance's ``audience``, which only
-    the instance holds: it closes no reference cycle through the nodes.
+    """The builder steps every family shares: ``n > 3f``, ``n - f``
+    quorums, ``f + 1`` fallback attestations, a key registry, and the
+    drain gate from ``conditions`` (the engine's; ``None`` is lock-step,
+    where every round is trusted).  ``configure(**shared_fields)``
+    returns the family's config and checks the family's own arguments.
     """
-    if len(inputs) != n:
-        raise ConfigurationError("need exactly one input bit per node")
-    if not n > 3 * f:
-        raise ConfigurationError(
-            f"{family} requires f < n/3: n={n}, f={f}")
+    admit(family, n, f, inputs, 3)
     registry = KeyRegistry(n)
-    authenticator = SignatureAuthenticator(registry)
     config = configure(
+        schedule=node_cls.SCHEDULE,
         threshold=n - f,
         fallback_quorum=f + 1,
-        authenticator=authenticator,
+        authenticator=SignatureAuthenticator(registry),
         trusted_send_round=trusted_send_round_for(conditions),
-        verification=VerificationCache(),
     )
-    nodes = [node_cls(node_id, n, inputs[node_id], config)
-             for node_id in range(n)]
-    return ProtocolInstance(
-        name=name,
-        nodes=nodes,
-        max_rounds=node_cls.SCHEDULE.rounds_for(config.units),
-        inputs={i: inputs[i] for i in range(n)},
-        signing_capabilities=[registry.capability_for(i) for i in range(n)],
-        mining_capabilities=[],
-        authenticator=authenticator,
-        config=config,
-        audience=None if audience is None else audience(nodes),
-    )
+    return build_round_instance(name, node_cls, inputs, config,
+                                signing=registry, audience=audience)

@@ -414,9 +414,17 @@ def reference_coin(seed, node_id, topic, probability):
     return derive_rng(seed, "fmine", node_id, topic).random() < probability
 
 
+def int_spelling(topic):
+    """``topic`` with every element that equals an ``int`` spelled as one:
+    the one label of all equal topics' coin stream."""
+    return tuple(int(item) if isinstance(item, (bool, float))
+                 and item == int(item) else item for item in topic)
+
+
 class ReferenceFMine:
     """``FMine`` as it was: ``mine → _flip → probability → _compute_flip →
-    derive_rng → derive_seed``, one frame each."""
+    derive_rng → derive_seed``, one frame each; the stream is labelled by
+    the topic's :func:`int_spelling`."""
 
     def __init__(self, schedule, seed, coin_cache=None):
         self.schedule, self.seed, self.coin_cache = schedule, seed, coin_cache
@@ -426,13 +434,14 @@ class ReferenceFMine:
         key = (node_id, topic)
         if key not in self.coins:
             probability = self.schedule.probability(topic)
+            label = int_spelling(topic)
             if self.coin_cache is None:
-                coin = reference_coin(self.seed, node_id, topic, probability)
+                coin = reference_coin(self.seed, node_id, label, probability)
             else:
                 coin = self.coin_cache.coin(
-                    (derive_seed(self.seed, "fmine", node_id, topic),
+                    (derive_seed(self.seed, "fmine", node_id, label),
                      probability),
-                    lambda: reference_coin(self.seed, node_id, topic,
+                    lambda: reference_coin(self.seed, node_id, label,
                                            probability))
             self.coins[key] = coin
         return self.coins[key]

@@ -4,7 +4,7 @@ message streams exercise."""
 import pytest
 
 from repro.crypto.registry import KeyRegistry
-from repro.protocols.aba import AbaConfig, AbaNode
+from repro.protocols.aba import SCHEDULE, AbaNode
 from repro.protocols.base import OracleProposerPolicy, SignatureAuthenticator
 from repro.protocols.certificates import certificate_from_votes
 from repro.protocols.messages import (
@@ -14,6 +14,7 @@ from repro.protocols.messages import (
     TerminateMsg,
     VoteMsg,
 )
+from repro.protocols.verification import RoundConfig
 from repro.sim.leader import RoundRobinLeaderOracle
 from repro.sim.network import Delivery
 from repro.sim.node import RoundContext
@@ -25,12 +26,13 @@ def world():
     n, f = 7, 3
     registry = KeyRegistry(n)
     authenticator = SignatureAuthenticator(registry)
-    config = AbaConfig(
+    config = RoundConfig(
+        schedule=SCHEDULE,
         threshold=f + 1,
         authenticator=authenticator,
         proposer=OracleProposerPolicy(RoundRobinLeaderOracle(n),
                                       authenticator),
-        max_iterations=5,
+        units=5,
     )
     nodes = [AbaNode(i, n, 1, config) for i in range(n)]
     return n, f, authenticator, config, nodes
@@ -187,7 +189,7 @@ class TestFallbackOutput:
     def test_node_halts_after_max_iterations(self, world):
         n, f, authenticator, config, nodes = world
         node = nodes[0]
-        # Round far beyond max_iterations * 4 + 2.
-        ctx = RoundContext(0, 4 * config.max_iterations + 10, [], None)
+        # Round far beyond units * 4 + 2.
+        ctx = RoundContext(0, 4 * config.units + 10, [], None)
         node.on_round(ctx)
         assert node.halted

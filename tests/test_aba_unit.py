@@ -3,10 +3,11 @@
 import pytest
 
 from repro.crypto.registry import KeyRegistry
-from repro.protocols.aba import AbaConfig, AbaNode
+from repro.protocols.aba import SCHEDULE, AbaNode
 from repro.protocols.base import OracleProposerPolicy, SignatureAuthenticator
 from repro.protocols.certificates import certificate_from_votes
 from repro.protocols.messages import ProposeMsg, VoteMsg
+from repro.protocols.verification import RoundConfig
 from repro.sim.leader import RoundRobinLeaderOracle
 from repro.sim.node import RoundContext
 from tests.conftest import receive
@@ -18,11 +19,12 @@ def aba_world():
     registry = KeyRegistry(n)
     authenticator = SignatureAuthenticator(registry)
     oracle = RoundRobinLeaderOracle(n)
-    config = AbaConfig(
+    config = RoundConfig(
+        schedule=SCHEDULE,
         threshold=f + 1,
         authenticator=authenticator,
         proposer=OracleProposerPolicy(oracle, authenticator),
-        max_iterations=5,
+        units=5,
     )
     nodes = [AbaNode(i, n, 1, config) for i in range(n)]
     return n, f, registry, authenticator, config, nodes

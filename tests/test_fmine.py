@@ -65,13 +65,11 @@ class TestFMineFunctionality:
         expected = 2000 * params.committee_probability(100)
         assert 0.6 * expected < wins < 1.4 * expected
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 20: coins are keyed by (node, topic) under Python "
-        "equality, so True and 1 share a key but draw from two streams"))
     def test_bool_relabelled_topic_verifies_as_a_fresh_mine(self):
         """Once node 3 mined ("Vote", 1, 1), verifying ("Vote", 1, True)
         agrees with a fresh instance's mine of that label (n = 100,
-        λ = 12: 39 of seeds 0–199 disagree today)."""
+        λ = 12: 39 of seeds 0–199 disagreed while coins were keyed by
+        the raw ``(node, topic)``)."""
         schedule = DifficultySchedule.for_parameters(
             SecurityParameters(lam=12), 100)
         disagreeing = []

@@ -32,7 +32,6 @@ from repro.harness.runner import run_instance
 from repro.protocols.aba import (
     PHASE_PROPOSE,
     SCHEDULE,
-    AbaConfig,
     AbaNode,
     RoundDigest,
 )
@@ -48,6 +47,7 @@ from repro.protocols.messages import (
 )
 from repro.protocols.quadratic_ba import build_quadratic_ba
 from repro.protocols.subquadratic_ba import build_subquadratic_ba
+from repro.protocols.verification import RoundConfig
 from repro.sim.adversary import Adversary
 from repro.sim.leader import RoundRobinLeaderOracle
 from repro.sim.network import Delivery, SynchronousNetwork, own_view
@@ -202,11 +202,12 @@ class World:
         registry = KeyRegistry(self.n)
         self.authenticator = SignatureAuthenticator(registry)
         self.oracle = RoundRobinLeaderOracle(self.n)
-        self.config = AbaConfig(
+        self.config = RoundConfig(
+            schedule=SCHEDULE,
             threshold=self.f + 1,
             authenticator=self.authenticator,
             proposer=OracleProposerPolicy(self.oracle, self.authenticator),
-            max_iterations=9,
+            units=9,
         )
 
     def node(self, node_id, bit=1):

@@ -39,6 +39,7 @@ from repro.sim.node import RoundContext
 from tests.reference import (
     ReferenceFMine,
     eager_honest_step,
+    int_spelling,
     observe,
     reference_coin,
 )
@@ -52,8 +53,8 @@ SEEDS = [0, 1, 7, -3, 2**70, "", "seed", "1", "a\x1fb", "naïve ☃"]
 
 def random_topic(rng):
     kind = rng.choice(sorted(COMMITTEE_KINDS | LEADER_KINDS))
-    # Equal-comparing spellings (1 / True / 1.0) are different labels of
-    # the coin's stream: a memo keyed on the topic must not merge them.
+    # Equal-comparing spellings (1 / True / 1.0) are one topic: its coin
+    # must not depend on which spelling is mined first.
     bit = rng.choice((0, 1, 0, 1, None, True, False, 1.0))
     if kind == "Terminate":
         return (kind, bit)
@@ -86,34 +87,31 @@ def test_coin_equals_the_derive_rng_reference():
             assert fmine.verify(node_id, topic) is reference.verify(
                 node_id, topic)
             checked += 1
-        # First-time coins are the closed form itself, whatever spelling
-        # of an equal topic the functionality met first.
+        # Every coin is the closed form of its topic's int spelling,
+        # whatever spelling of an equal topic the functionality met first.
         for (node_id, topic), coin in reference.coins.items():
             assert coin is reference_coin(
-                seed, node_id, topic, schedule.probability(topic))
+                seed, node_id, int_spelling(topic),
+                schedule.probability(topic))
         assert list(fmine._coins.items()) == list(reference.coins.items())
     assert checked >= 500
 
 
-def test_equal_topics_of_different_spelling_flip_their_own_coins():
-    """``("Vote", 1, True) == ("Vote", 1, 1)`` share a probability memo
-    entry but not a stream: each node's coin comes from the repr it
-    mined, in whatever order the spellings arrive."""
+def test_equal_topics_of_different_spelling_share_one_coin():
+    """``("Vote", 1, True) == ("Vote", 1, 1)`` is one message: each node's
+    coin is the int spelling's, in whatever order the spellings arrive,
+    and any spelling verifies it."""
     schedule = DifficultySchedule(0.5, 0.5)
-    for first, second in ((1, True), (True, 1)):
-        fmine = FMine(schedule, seed=11)
-        nodes = range(64)
-        spelled = {}
-        for node_id in nodes:
-            bit = first if node_id % 2 else second
-            spelled[node_id] = fmine.mine(node_id, ("Vote", 1, bit))
-        expected = {
-            node_id: reference_coin(
-                11, node_id, ("Vote", 1, first if node_id % 2 else second),
-                0.5)
-            for node_id in nodes}
-        assert spelled == expected
     as_int = [reference_coin(11, n, ("Vote", 1, 1), 0.5) for n in range(64)]
+    for first, second in ((1, True), (True, 1), (1.0, True)):
+        fmine = FMine(schedule, seed=11)
+        spelled = [fmine.mine(node_id, ("Vote", 1,
+                                        first if node_id % 2 else second))
+                   for node_id in range(64)]
+        assert spelled == as_int
+        for bit in (1, True, 1.0):
+            assert [fmine.verify(node_id, ("Vote", 1, bit))
+                    for node_id in range(64)] == as_int
     as_bool = [reference_coin(11, n, ("Vote", 1, True), 0.5)
                for n in range(64)]
     assert as_int != as_bool  # or the case above proves nothing

@@ -16,6 +16,8 @@ from repro.harness.scenarios import (
     ScenarioSpec,
     SweepSpec,
     run_sweep,
+    sweep_csv_text,
+    sweep_json_text,
 )
 from repro.harness.store import (
     STORE_SALT,
@@ -199,6 +201,71 @@ def test_rows_are_pinned_beside_the_store_salt():
     for key, shapes in rows.items():
         assert set(shapes["wan"]) - set(shapes["perfect"]) >= {
             "skipped_ticks", "events_processed"}, key
+
+
+#: The library's artifacts — per ``SWEEPS`` entry, SHA-256 over its CSV
+#: and its JSON (the ``lottery.token``, numbered per process, dropped) —
+#: pinned beside the salt like ``ROW_PIN``: a change that moves a sweep
+#: row without a ``STORE_SALT`` bump fails here by sweep name.  All 11
+#: sweeps run in about 2 s.
+SWEEP_PIN = ("ba-repro-store-v4", {
+    "comm-vs-n":
+        "509d0202a520beced7d9a037a52bd8b7b2bae9e12bd99e489bd002be445afc69",
+    "adversary-grid":
+        "39cb1443d132fc71141497c4a3bd3afd35712485b89182913d4281b1be296291",
+    "resilience-frontier":
+        "2133e4c850fc3f4ea674d13a4adcc29718a44341daa470424c7d04348953ba9d",
+    "latency-stress":
+        "409cf569c9f12e0a54061337db8444edd4b746fe8afb0006dce36962ddd40c73",
+    "partition-heal":
+        "f9c6191560edb17f74d218c3899723c9233221b45aafeccba882c2a21fabfa53",
+    "early-stop-vs-delta":
+        "8498afa2907c12a3065132959e7b20d1312e6f8edc6de4d49cc84a908713fb7c",
+    "leader-vs-delta":
+        "bb85b7377406c88a65e6146b2e2ca283fecb3fc2b7397992e1a1bb859b3a0c81",
+    "leader-vs-quadratic":
+        "b403f8aa6b58671d3041ab5dbbf98c5a1654f10baa6bec88a4f70afc1d80a4bb",
+    "words-vs-actual-f":
+        "446fb99784bcc7a15e5f489e5e26e7b292e1a7b1070538c390bb7e819546ca63",
+    "topology-grid":
+        "77bb7118ea23ad59842128fdc1bb90feee230ea654032a7e4c5dfa0b19f111b1",
+    "smoke":
+        "3c2ccfa449d58a8defb6d7db87c1c939460655cf5a6fb02f14156cd4d8d9f9bc",
+})
+
+
+def _sweep_digests():
+    from repro.harness.sweep_library import SWEEPS
+
+    digests = {}
+    for name, spec in SWEEPS.items():
+        sweep = run_sweep(spec)
+        rows = sweep.rows()
+        lottery = sweep.lottery and {
+            key: value for key, value in sweep.lottery.items()
+            if key != "token"}
+        text = sweep_csv_text(rows) + sweep_json_text(name, rows, lottery)
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    return digests
+
+
+def test_library_artifacts_are_pinned_beside_the_store_salt():
+    pinned_salt, pinned = SWEEP_PIN
+    digests = _sweep_digests()
+    assert set(digests) == set(pinned), (
+        f"the library's sweeps changed: re-pin SWEEP_PIN to "
+        f"({STORE_SALT!r}, {digests!r})")
+    moved = sorted(name for name in digests if digests[name] != pinned[name])
+    if moved:
+        assert STORE_SALT != pinned_salt, (
+            f"sweep artifacts {moved} changed but the salt did not: bump "
+            "STORE_SALT in harness/store.py (records under the old salt "
+            "would replay the old rows), then re-pin SWEEP_PIN")
+        pytest.fail(f"STORE_SALT was bumped for a row change: re-pin "
+                    f"SWEEP_PIN to ({STORE_SALT!r}, {digests!r})")
+    assert STORE_SALT == pinned_salt, (
+        f"STORE_SALT changed with every artifact intact: re-pin "
+        f"SWEEP_PIN's salt to {STORE_SALT!r}")
 
 
 #: The store keys — SHA-256 over the newline-joined fingerprint of every
