@@ -97,7 +97,7 @@ ENTRY_RE = re.compile(r"^PR (\d+)\b", re.MULTILINE)
 #: fall, so it is a ratchet: a PR that ends below it must lower it to
 #: the new count, and a PR that must raise it raises it in the same
 #: change and says why in CHANGES.md.
-SRC_LINE_CEILING = 16235
+SRC_LINE_CEILING = 16220
 
 
 def src_line_count(root: Path) -> int:

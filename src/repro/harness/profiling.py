@@ -20,6 +20,7 @@ from typing import Optional
 from repro.harness.runner import run_instance
 from repro.protocols.base import ProtocolInstance
 from repro.sim.conditions import NetworkConditions
+from repro.sim.engine import Transcript
 from repro.sim.result import ExecutionResult
 
 
@@ -68,7 +69,8 @@ def profile_phase_budget(instance: ProtocolInstance, f: int, seed=0,
     """Run ``instance`` (under ``conditions``, if given) attributing wall
     time to the :class:`PhaseBudget` buckets.
 
-    The run's observer books each phase stamp; the one wrap is the
+    The run's observer books each phase stamp and keeps the result's
+    transcript, as the default observer would; the one wrap is the
     instance's ``authenticator.check``, removed on exit.  An entry with
     no authenticator (``dolev-strong``, ``naive-broadcast``) books
     verify as 0 and ``check_calls`` as 0.  The cyclic collector runs
@@ -79,6 +81,7 @@ def profile_phase_budget(instance: ProtocolInstance, f: int, seed=0,
     seconds = {"network": 0.0, "step": 0.0, "sizing": 0.0, "other": 0.0}
     verify_seconds = unbooked = 0.0
     check_calls = 0
+    transcript = Transcript()
     authenticator = instance.authenticator
 
     def timed_check(node_id, topic, auth):
@@ -89,8 +92,9 @@ def profile_phase_budget(instance: ProtocolInstance, f: int, seed=0,
         check_calls += 1
         return out
 
-    def stamp(phase):
+    def stamp(phase, sent):
         nonlocal last, unbooked, verify_seconds
+        transcript(phase, sent)
         now = perf_counter()
         seconds[phase] += now - last - unbooked
         verify_seconds += unbooked
@@ -107,7 +111,8 @@ def profile_phase_budget(instance: ProtocolInstance, f: int, seed=0,
         start = last = perf_counter()
         result = run_instance(instance, f, seed=seed, conditions=conditions,
                               observer=stamp)
-        stamp("other")
+        stamp("other", [])
+        result.transcript = list(transcript)
     finally:
         if authenticator is not None:
             del authenticator.check

@@ -26,7 +26,7 @@ from typing import (
 from repro.protocols.base import ProtocolInstance
 from repro.sim.adversary import Adversary
 from repro.sim.conditions import NetworkConditions, NetworkStats
-from repro.sim.engine import TRANSCRIPT_FULL, run_instance
+from repro.sim.engine import Observer, run_instance
 from repro.sim.result import ExecutionResult
 
 #: Builds an adversary for a freshly constructed protocol instance.
@@ -128,7 +128,7 @@ def _run_one_trial(
     f: int,
     seed,
     adversary_factory: Optional[AdversaryFactory] = None,
-    transcript_retention: str = TRANSCRIPT_FULL,
+    observer: Optional[Observer] = None,
     conditions: Optional[NetworkConditions] = None,
     **builder_kwargs,
 ) -> ExecutionResult:
@@ -143,8 +143,7 @@ def _run_one_trial(
     adversary = (adversary_factory(instance)
                  if adversary_factory is not None else None)
     result = run_instance(instance, f, adversary, seed=seed,
-                          transcript_retention=transcript_retention,
-                          conditions=conditions)
+                          conditions=conditions, observer=observer)
     if not gc.isenabled():
         del instance, adversary
         gc.collect()

@@ -104,7 +104,7 @@ from repro.sim.conditions import (
     NetworkConditions,
 )
 from repro.sim.adversary import PassiveAdversary
-from repro.sim.engine import TRANSCRIPT_METRICS_ONLY
+from repro.sim.engine import unobserved
 from repro.protocols import (
     build_adaptive_ba,
     build_broadcast_from_ba,
@@ -640,8 +640,7 @@ def _cell_trials(builder, n, f, seeds, conditions, adversary_factory,
         builder_kwargs["coin_cache"] = coin_cache
     return partial(gather_trials, submit_trials(
         submitter, builder, f, seeds, n=n, adversary_factory=adversary_factory,
-        conditions=conditions, transcript_retention=TRANSCRIPT_METRICS_ONLY,
-        **builder_kwargs))
+        conditions=conditions, observer=unobserved, **builder_kwargs))
 
 
 def _cell_per_seed(builder, n, f, seeds, conditions, adversary_factory,

@@ -27,7 +27,7 @@ from repro.protocols.base import (
     OracleProposerPolicy,
     ProtocolInstance,
 )
-from repro.protocols.verification import RoundConfig
+from repro.protocols.verification import RoundConfig, admit
 from repro.rng import Seed, derive_rng
 from repro.sim.leader import LeaderOracle
 from repro.sim.node import Node, RoundContext
@@ -157,8 +157,7 @@ def build_static_committee(
     max_iterations: int = 20,
 ) -> ProtocolInstance:
     """Committee BA with a CRS-elected, publicly-known committee."""
-    if len(inputs) != n:
-        raise ConfigurationError("need exactly one input bit per node")
+    admit("static committee", n, f, inputs, 2)
     size = committee_size if committee_size is not None else max(
         3, min(n, 2 * int(math.log2(max(n, 2))) + 1))
     if size > n:

@@ -51,8 +51,8 @@ the predicate's current value.
 **Identity entries pin their object**, so a recycled ``id()`` can never
 alias — the issuers' ledgers as much as the tables here.  A vote with an
 unhashable ``auth`` is never kept by identity, so no entry goes stale
-when payload objects are garbage-collected (e.g. under the engine's
-``metrics-only`` transcript retention).
+when payload objects are garbage-collected (e.g. in a run whose
+observer records no transcript).
 
 Every memo is a shortcut over a predicate: ``UncachedVerification`` in
 ``tests/reference.py`` calls the predicates straight, builds no digest
@@ -75,7 +75,7 @@ from repro.sim.node import Node
 from repro.types import Audience, Bit, NodeId, Round
 
 #: Per-table entry cap.  The identity fronts pin their objects, so an
-#: unbounded execution (the metrics-only retention use case) would grow
+#: unbounded execution (one that records no transcript) would grow
 #: resident memory O(total messages); clearing a table is always sound —
 #: entries are positive memos — and only costs re-verification.
 CACHE_LIMIT = 1 << 20

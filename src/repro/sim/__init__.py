@@ -34,11 +34,7 @@ from repro.sim.conditions import (
     Partition,
 )
 from repro.sim.corruption import CorruptionController, CorruptionGrant
-from repro.sim.engine import (
-    Simulation,
-    TRANSCRIPT_FULL,
-    TRANSCRIPT_METRICS_ONLY,
-)
+from repro.sim.engine import Simulation, Transcript
 from repro.sim.leader import LeaderOracle, RandomLeaderOracle, RoundRobinLeaderOracle
 from repro.sim.metrics import CommunicationMetrics
 from repro.sim.network import Delivery, Envelope, SynchronousNetwork
@@ -59,8 +55,7 @@ __all__ = [
     "CorruptionController",
     "CorruptionGrant",
     "Simulation",
-    "TRANSCRIPT_FULL",
-    "TRANSCRIPT_METRICS_ONLY",
+    "Transcript",
     "LeaderOracle",
     "RandomLeaderOracle",
     "RoundRobinLeaderOracle",

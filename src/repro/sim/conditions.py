@@ -547,7 +547,7 @@ def _clamped_sums(delays, extras, cap: int) -> List[int]:
 class ConditionedNetwork(SynchronousNetwork):
     """Delay/drop/duplicate/partition semantics over the staging contract.
 
-    Keeps the base class's staging, suppression, and transcript behavior
+    Keeps the base class's staging and suppression behavior
     (so adversary code and the engine's rushing window are unchanged) and
     replaces same-round delivery with a per-copy schedule: each copy gets
     a delivery round drawn deterministically from the trial seed, subject
@@ -582,10 +582,9 @@ class ConditionedNetwork(SynchronousNetwork):
     """
 
     def __init__(self, n: int, conditions: NetworkConditions,
-                 seed: Seed = 0, retain_transcript: bool = True,
-                 audience: Optional[Audience] = None,
+                 seed: Seed = 0, audience: Optional[Audience] = None,
                  corrupt: AbstractSet[NodeId] = frozenset()) -> None:
-        super().__init__(n, retain_transcript=retain_transcript)
+        super().__init__(n)
         self._audience = audience
         self._corrupt = corrupt
         if conditions.topology is not None:

@@ -29,12 +29,17 @@ every node every tick, and its battery asserts the two produce
 states, NetworkStats, and RNG draw order.  See ``docs/NETWORK.md``
 ("The event engine").
 
-An ``observer`` is called with the name of each phase of the loop as
-it ends: ``"network"`` when the clock yields a round, ``"step"`` once
-the honest step has staged its sends, ``"sizing"`` once the loop has
-counted them in the metrics, ``"other"`` after the adversary's
-setup and after each rushing step.  The time between two calls is the
-named phase's: ``repro.harness.profiling`` builds its buckets so.
+An ``observer`` is called as each phase of the loop ends, with the
+phase's name and the envelopes staged since its previous call, in
+staging order: ``"network"`` when the clock yields a round, ``"step"``
+once the honest step has staged its sends (after any injection from
+``observe_deliveries``), ``"sizing"`` once the loop has counted them in
+the metrics, ``"other"`` after the adversary's setup and after each
+rushing step.  The lists, joined, are every envelope of the run; a
+:class:`Transcript`, the default observer, keeps them as the result's
+``transcript``, and any other observer leaves it ``None``.  The time
+between two calls is the named phase's: ``repro.harness.profiling``
+builds its buckets so.
 """
 
 from __future__ import annotations
@@ -54,20 +59,19 @@ from repro.sim.node import Node, RoundContext
 from repro.sim.result import ExecutionResult
 from repro.types import AdversaryModel, Audience, Bit, NodeId, Round
 
-#: Keep every envelope ever staged (replay / invariant checking).
-TRANSCRIPT_FULL = "full"
-#: Keep no transcript; only the aggregate communication metrics.  Long
-#: executions stop accumulating unbounded envelope lists.
-TRANSCRIPT_METRICS_ONLY = "metrics-only"
-
-_RETENTION_POLICIES = (TRANSCRIPT_FULL, TRANSCRIPT_METRICS_ONLY)
-
-#: An observer is called with the name of each phase as it ends.
-Observer = Callable[[str], None]
+#: An observer is called with each phase's name and sends as it ends.
+Observer = Callable[[str, List[Envelope]], None]
 
 
-def _unobserved(phase: str) -> None:
-    pass
+def unobserved(phase: str, sent: List[Envelope]) -> None:
+    """The observer that keeps nothing: a run's ``transcript`` is None."""
+
+
+class Transcript(List[Envelope]):
+    """The observer that keeps every envelope staged, in staging order."""
+
+    def __call__(self, phase: str, sent: List[Envelope]) -> None:
+        self.extend(sent)
 
 
 class Simulation:
@@ -84,20 +88,14 @@ class Simulation:
         inputs: Optional[Dict[NodeId, Bit]] = None,
         signing_capabilities: Optional[Sequence] = None,
         mining_capabilities: Optional[Sequence] = None,
-        transcript_retention: str = TRANSCRIPT_FULL,
         conditions: Optional[NetworkConditions] = None,
         audience: Optional[Audience] = None,
         observer: Optional[Observer] = None,
     ) -> None:
         if not nodes:
             raise SimulationError("need at least one node")
-        if transcript_retention not in _RETENTION_POLICIES:
-            raise SimulationError(
-                f"unknown transcript retention {transcript_retention!r}; "
-                f"expected one of {_RETENTION_POLICIES}")
         self.nodes = list(nodes)
         self.n = len(nodes)
-        self.transcript_retention = transcript_retention
         # Perfect conditions ARE the lock-step model: normalize them to
         # None so the unconditioned fast path below stays byte-identical
         # (same network class, same clock, same RNG consumption).
@@ -105,15 +103,14 @@ class Simulation:
             conditions = None
         self.conditions = conditions
         self.controller = CorruptionController(self.n, corruption_budget, model)
-        retain = transcript_retention == TRANSCRIPT_FULL
         if conditions is None:
-            self.network = SynchronousNetwork(self.n, retain_transcript=retain)
+            self.network = SynchronousNetwork(self.n)
         else:
             # The live corrupt set: a copy to a corrupt node is always
             # filed, whatever its payload's audience.
             self.network = ConditionedNetwork(
-                self.n, conditions, seed=seed, retain_transcript=retain,
-                audience=audience, corrupt=self.controller.corrupt_set)
+                self.n, conditions, seed=seed, audience=audience,
+                corrupt=self.controller.corrupt_set)
         self.metrics = CommunicationMetrics(n=self.n)
         self.adversary = adversary if adversary is not None else PassiveAdversary()
         self.max_rounds = max_rounds
@@ -125,7 +122,9 @@ class Simulation:
         self._node_rngs: Dict[NodeId, random.Random] = {}
         self._api = AdversaryApi(self)
         self._ran = False
-        self.observer = observer if observer is not None else _unobserved
+        self.observer = observer if observer is not None else Transcript()
+        #: Envelopes staged since the observer's last call.
+        self._sent: List[Envelope] = []
 
     # -- services used by the adversary API ---------------------------------
     def rng_for_node(self, node_id: NodeId) -> random.Random:
@@ -159,7 +158,12 @@ class Simulation:
             sender, recipient, payload,
             round_sent=max(self.current_round, 0), honest_sender=False)
         self.metrics.record(envelope)
+        self._sent.append(envelope)
         return envelope
+
+    def _stamp(self, phase: str) -> None:
+        sent, self._sent = self._sent, []
+        self.observer(phase, sent)
 
     # -- the round loop ------------------------------------------------------
     def _honest_step(self, round_index: Round, inboxes) -> List[Envelope]:
@@ -202,22 +206,23 @@ class Simulation:
 
         # Setup phase (round -1): static adversaries corrupt here.
         self.adversary.bind(self._api)
-        observe = self.observer
-        observe("other")
+        stamp = self._stamp
+        stamp("other")
 
         record = self.metrics.record
         rounds_executed = 0
         for round_index, inboxes in self.network.steps(self.max_rounds):
-            observe("network")
+            stamp("network")
             self.current_round = round_index
             self.adversary.observe_deliveries(round_index, inboxes)
             sent = self._honest_step(round_index, inboxes)
-            observe("step")
+            self._sent += sent
+            stamp("step")
             for envelope in sent:
                 record(envelope)
-            observe("sizing")
+            stamp("sizing")
             self.adversary.react(round_index, self.network.in_flight())
-            observe("other")
+            stamp("other")
             rounds_executed = round_index + 1
             if self._all_honest_halted():
                 break
@@ -242,8 +247,8 @@ class Simulation:
             decided_rounds=decided_rounds,
             metrics=self.metrics,
             inputs=dict(self.inputs),
-            transcript=list(self.network.transcript),
-            transcript_retained=self.network.retain_transcript,
+            transcript=(list(self.observer)
+                        if isinstance(self.observer, Transcript) else None),
             network_stats=getattr(self.network, "stats", None),
             rounds_budget=self.max_rounds,
         )
@@ -252,7 +257,6 @@ class Simulation:
 def run_instance(instance, f: int, adversary: Optional[Adversary] = None,
                  model: AdversaryModel = AdversaryModel.ADAPTIVE,
                  seed: Seed = 0, max_rounds: Optional[int] = None,
-                 transcript_retention: str = TRANSCRIPT_FULL,
                  conditions: Optional[NetworkConditions] = None,
                  observer: Optional[Observer] = None,
                  ) -> ExecutionResult:
@@ -267,5 +271,4 @@ def run_instance(instance, f: int, adversary: Optional[Adversary] = None,
         inputs=instance.inputs, conditions=conditions,
         signing_capabilities=instance.signing_capabilities,
         mining_capabilities=instance.mining_capabilities,
-        transcript_retention=transcript_retention,
         audience=instance.audience, observer=observer).run()

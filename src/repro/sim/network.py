@@ -141,7 +141,7 @@ class RoundInboxes(Mapping):
 class SynchronousNetwork:
     """Stages envelopes during a round and delivers them the next round."""
 
-    def __init__(self, n: int, retain_transcript: bool = True) -> None:
+    def __init__(self, n: int) -> None:
         if n < 1:
             raise SimulationError("network needs at least one node")
         self.n = n
@@ -154,13 +154,6 @@ class SynchronousNetwork:
         #: of the envelope is suppressed (O(1) instead of n set entries).
         self._suppressed: Dict[int, Optional[Set[NodeId]]] = {}
         self._delivered_round: Round = -1
-        #: Whether to keep the full transcript (the engine's
-        #: ``metrics-only`` retention turns this off so long executions
-        #: stop accumulating unbounded envelope lists).
-        self.retain_transcript = retain_transcript
-        #: Full transcript of every envelope ever staged, for analysis
-        #: (empty when ``retain_transcript`` is False).
-        self.transcript: List[Envelope] = []
 
     def stage(self, sender: NodeId, recipient: Optional[NodeId], payload: Any,
               round_sent: Round, honest_sender: bool) -> Envelope:
@@ -171,8 +164,6 @@ class SynchronousNetwork:
                             payload, round_sent, honest_sender)
         self._next_envelope_id += 1
         self._staged.append(envelope)
-        if self.retain_transcript:
-            self.transcript.append(envelope)
         return envelope
 
     def suppress(self, envelope: Envelope, recipient: Optional[NodeId] = None) -> None:

@@ -33,11 +33,9 @@ class ExecutionResult:
     metrics: CommunicationMetrics
     inputs: Dict[NodeId, Bit] = field(default_factory=dict)
     #: Every envelope ever staged, for transcript analyses
-    #: (:meth:`honest_speakers`, invariants, replay).
-    transcript: List[Envelope] = field(default_factory=list)
-    #: False under ``metrics-only`` retention: ``transcript`` is empty
-    #: because it was *discarded* (:meth:`require_transcript` refuses).
-    transcript_retained: bool = True
+    #: (:meth:`honest_speakers`, invariants, replay); None when the run's
+    #: observer recorded none (:meth:`require_transcript` refuses).
+    transcript: Optional[List[Envelope]] = None
     #: Delivery-latency / drop / in-flight accounting when the execution
     #: ran under nontrivial :class:`~repro.sim.conditions.NetworkConditions`
     #: (None under perfect synchrony — the fast path records nothing).
@@ -60,19 +58,16 @@ class ExecutionResult:
         return max(0, self.rounds_budget - self.rounds_executed)
 
     def require_transcript(self) -> List[Envelope]:
-        """The transcript, refusing to hand back a discarded one.
+        """The transcript, refusing a run that recorded none.
 
         Transcript-based analyses (invariants, replay, the speaker set)
-        must call this rather than read ``transcript`` directly: an
-        execution run under ``metrics-only`` retention — every trial of
-        a sweep cell — has an *empty* transcript that would make every
-        scan vacuously report "nothing was sent"."""
-        if not self.transcript_retained:
+        call this rather than read ``transcript`` directly, so a run
+        whose observer kept nothing — every trial of a sweep cell —
+        raises instead of reporting "nothing was sent"."""
+        if self.transcript is None:
             raise ValueError(
-                "execution kept no transcript (metrics-only retention, "
-                "which every sweep cell runs under); a transcript comes "
-                "from run_trials(...), run_instance(...) or `repro run`, "
-                "whose default retention is full")
+                "execution kept no transcript, as no sweep cell does; "
+                "run_trials(...), run_instance(...) and `repro run` do")
         return self.transcript
 
     @property

@@ -172,10 +172,10 @@ class LegacyConditionedNetwork(SynchronousNetwork):
 
     deliver = ConditionedNetwork.deliver
 
-    def __init__(self, n, conditions, seed=0, retain_transcript=True,
-                 audience=None, corrupt=frozenset()):
+    def __init__(self, n, conditions, seed=0, audience=None,
+                 corrupt=frozenset()):
         # Files every copy: audience and corrupt set are ignored.
-        super().__init__(n, retain_transcript=retain_transcript)
+        super().__init__(n)
         if conditions.topology is not None:
             conditions.topology.check_n(n)
         self.conditions = conditions
@@ -481,13 +481,11 @@ class ReferenceSimulation(Simulation):
 
     def __init__(self, nodes, *args, **kwargs):
         super().__init__(nodes, *args, **kwargs)
-        retain = self.network.retain_transcript
         if self.conditions is None:
-            self.network = EagerNetwork(self.n, retain_transcript=retain)
+            self.network = EagerNetwork(self.n)
         else:
             self.network = LegacyConditionedNetwork(
-                self.n, self.conditions, seed=self.seed,
-                retain_transcript=retain)
+                self.n, self.conditions, seed=self.seed)
         for node in _with_inner(self.nodes):
             node.__class__ = REFERENCE_NODES.get(node.__class__,
                                                  node.__class__)

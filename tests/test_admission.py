@@ -16,8 +16,7 @@ from repro.types import SecurityParameters
 
 N = 9
 
-#: key -> (the first ``f`` past the bound, its refusal); ``None`` for an
-#: entry that bounds no ``f``.
+#: key -> (the first ``f`` past the bound, its refusal).
 BOUNDS = {
     "quadratic": (5, "quadratic BA requires honest majority: n=9 > 2f=10"),
     "quadratic-early-stop": (
@@ -31,7 +30,8 @@ BOUNDS = {
     "leader-ba": (3, "leader BA requires f < n/3: n=9, f=3"),
     "leader-chain": (3, "leader BA requires f < n/3: n=9, f=3"),
     "adaptive-ba": (3, "adaptive BA requires f < n/3: n=9, f=3"),
-    "static-committee": None,
+    "static-committee": (
+        5, "static committee requires honest majority: n=9 > 2f=10"),
 }
 
 KEYS = tuple(sorted(BOUNDS))
@@ -52,7 +52,7 @@ def test_every_inputs_entry_is_listed():
 
 @pytest.mark.parametrize("key", KEYS)
 def test_a_short_input_list_is_refused_first(key):
-    past = BOUNDS[key][0] if BOUNDS[key] else N - 1
+    past = BOUNDS[key][0]
     for f in (past - 1, past):
         with pytest.raises(ConfigurationError) as refusal:
             build(key, f, [0] * (N - 1))
@@ -61,9 +61,6 @@ def test_a_short_input_list_is_refused_first(key):
 
 @pytest.mark.parametrize("key", KEYS)
 def test_the_bound_refuses_past_and_admits_inside(key):
-    if BOUNDS[key] is None:
-        assert build(key, N - 1, [0] * N).nodes  # no bound on f
-        return
     past, message = BOUNDS[key]
     with pytest.raises(ConfigurationError) as refusal:
         build(key, past, [0] * N)

@@ -1,14 +1,19 @@
 """Tests for the simulation engine round loop and adversary API."""
 
+from dataclasses import replace
 from typing import List, Optional
 
 import pytest
 
 from repro.errors import CapabilityError, SimulationError
+from repro.protocols import build_quadratic_ba
 from repro.sim.adversary import Adversary
-from repro.sim.engine import Simulation
+from repro.sim.conditions import NETWORKS
+from repro.sim.engine import Simulation, Transcript
 from repro.sim.node import Node, RoundContext
 from repro.types import AdversaryModel
+from tests import reference
+from tests.reference import both_engines
 
 
 class EchoNode(Node):
@@ -229,3 +234,63 @@ class TestCapabilityEnforcement:
         result = Simulation(nodes, 2, model=AdversaryModel.STATIC,
                             adversary=SetupCorruptor()).run()
         assert result.corrupt_set == {0}
+
+
+class NoisyInjector(Adversary):
+    """Corrupts node 0 and injects from it at every hook that may."""
+
+    def on_setup(self):
+        self.api.corrupt(0)
+        self.api.inject(0, None, ("noise", "setup"))
+
+    def observe_deliveries(self, round_index, inboxes):
+        self.api.inject(0, 1, ("noise", "deliveries", round_index))
+
+    def react(self, round_index, staged):
+        self.api.inject(0, None, ("noise", "react", round_index))
+
+
+class PhaseLog:
+    """An observer that keeps each stamp, recording no transcript."""
+
+    def __init__(self):
+        self.stamps = []
+
+    def __call__(self, phase, sent):
+        self.stamps.append((phase, list(sent)))
+
+
+class TestObserver:
+    @both_engines
+    @pytest.mark.parametrize("network", (None, "lossy"))
+    def test_stamps_joined_are_the_transcript(self, engine, network):
+        def execute(observer):
+            n, f = 7, 2
+            instance = build_quadratic_ba(
+                n, f, [i % 2 for i in range(n)], seed=3)
+            return reference.run(
+                instance, f, NoisyInjector(), engine=engine, seed=3,
+                conditions=network and NETWORKS[network], observer=observer)
+
+        log = PhaseLog()
+        bare = execute(log)
+        recorded = execute(None)
+        joined = [envelope for _, sent in log.stamps for envelope in sent]
+        # Every envelope staged exactly once, in staging (= id) order.
+        assert [envelope.envelope_id for envelope in joined] == list(
+            range(len(joined)))
+        assert bare.transcript is None
+        assert recorded.transcript == joined
+        assert execute(Transcript()).transcript == joined
+        assert reference.observe(replace(bare, transcript=joined)) == (
+            reference.observe(recorded))
+        # Each injection lands in its hook's stamp; the clock and the
+        # sizing pass stage nothing.
+        assert log.stamps[0] == ("other", joined[:1])
+        for phase, sent in log.stamps[1:]:
+            kinds = [envelope.payload[1] if envelope.sender == 0 else "honest"
+                     for envelope in sent]
+            assert kinds == {
+                "network": [], "sizing": [], "other": ["react"],
+                "step": ["deliveries"] + ["honest"] * (len(sent) - 1),
+            }[phase]

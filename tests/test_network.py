@@ -164,16 +164,6 @@ class TestStagingWindow:
             with pytest.raises(AttributeError):
                 setattr(record, field, "forged")
 
-
-class TestTranscript:
-    def test_transcript_records_everything(self):
-        network = SynchronousNetwork(3)
-        network.stage(0, None, "a", 0, honest_sender=True)
-        network.deliver()
-        network.stage(1, 2, "b", 1, honest_sender=False)
-        network.deliver()
-        assert [e.payload for e in network.transcript] == ["a", "b"]
-
     def test_in_flight_shows_current_round_only(self):
         network = SynchronousNetwork(3)
         network.stage(0, None, "a", 0, honest_sender=True)

@@ -12,8 +12,9 @@ Also pinned here:
 
 - determinism — same seed + same conditions ⇒ byte-identical
   ``SweepResult`` artifacts, for any worker count;
-- the ``metrics-only`` retention refusal (transcript analyses must not
-  vacuously pass) still triggers when network conditions are active.
+- the refusal of a run that recorded no transcript (transcript analyses
+  must not vacuously pass) still triggers when network conditions are
+  active.
 """
 
 import math
@@ -36,6 +37,7 @@ from repro.protocols import (
     build_subquadratic_ba,
 )
 from repro.sim.conditions import NETWORKS, NetworkConditions
+from repro.sim.engine import unobserved
 from repro.types import SecurityParameters
 
 CASES = range(6)
@@ -203,32 +205,31 @@ class TestDeterministicArtifacts:
             [e.payload for e in second.transcript]
 
 
-class TestMetricsOnlyRefusalUnderConditions:
-    """Regression: ``metrics-only`` results must still be refused by the
-    transcript analyses when network conditions are active — a discarded
-    transcript must never vacuously pass an invariant scan."""
+class TestUnrecordedRefusalUnderConditions:
+    """Regression: a run that recorded no transcript must still be
+    refused by the transcript analyses when network conditions are
+    active — a missing transcript must never vacuously pass an
+    invariant scan."""
 
-    def _metrics_only_result(self):
+    def _unrecorded_result(self):
         n, f = 10, 2
         instance = build_quadratic_ba(n, f, [1] * n, seed=5)
-        return run_instance(instance, f, seed=5,
-                            transcript_retention="metrics-only",
+        return run_instance(instance, f, seed=5, observer=unobserved,
                             conditions=NETWORKS["wan"])
 
-    def test_retention_flag_survives_conditioned_network(self):
-        result = self._metrics_only_result()
-        assert result.transcript_retained is False
-        assert result.transcript == []
+    def test_no_transcript_under_conditioned_network(self):
+        result = self._unrecorded_result()
+        assert result.transcript is None
         assert result.network_stats is not None  # metrics still recorded
 
     def test_invariants_refuse(self):
-        result = self._metrics_only_result()
-        with pytest.raises(ValueError, match="metrics-only"):
+        result = self._unrecorded_result()
+        with pytest.raises(ValueError, match="no transcript"):
             honest_votes_unique_per_iteration(result)
-        with pytest.raises(ValueError, match="metrics-only"):
+        with pytest.raises(ValueError, match="no transcript"):
             commits_carry_valid_certificates(result, threshold=8)
 
     def test_replay_refuses(self):
-        result = self._metrics_only_result()
-        with pytest.raises(ValueError, match="metrics-only"):
+        result = self._unrecorded_result()
+        with pytest.raises(ValueError, match="no transcript"):
             narrate(result)

@@ -41,8 +41,8 @@ UNREACHED = {
     "repro.harness.replay":
         "test-only narratives; item 5 (b)'s `repro explain` prints them",
     "repro.harness.profiling":
-        "bench/proxies.py imports it (item 5 (a) rebuilt it on the "
-        "loop's observer); it stays until item 6's PR A unfreezes bench/",
+        "bench/proxies.py imports it (it books the loop's observer "
+        "stamps); it stays until ROADMAP item 6 unfreezes bench/",
     "repro.adversaries.adaptive_committee":
         "an example and tests run it; item 4's claimed-model matrix runs "
         "it as an attack outside static-committee's claim",

@@ -18,9 +18,8 @@ from repro.protocols.certificates import Certificate, certificate_from_votes
 from repro.protocols.messages import SignedVote
 from repro.protocols.quadratic_ba import build_quadratic_ba
 from repro.protocols.subquadratic_ba import build_subquadratic_ba
-from repro.errors import SimulationError
 from repro.sim.conditions import NETWORKS, NetworkStats
-from repro.sim.engine import Simulation
+from repro.sim.engine import unobserved
 from tests.reference import digest, fold_every_message
 
 
@@ -215,20 +214,15 @@ class TestDeterminism:
 
         assert build_and_run(False) == build_and_run(True)
 
-    def test_metrics_only_retention_changes_nothing_but_transcript(self):
+    def test_an_unrecorded_run_changes_nothing_but_transcript(self):
         full = _run_quadratic(5)
-        lean = _run_quadratic(5, transcript_retention="metrics-only")
-        assert lean.transcript == []
+        lean = _run_quadratic(5, observer=unobserved)
+        assert lean.transcript is None
         assert full.transcript  # default keeps everything
         assert lean.outputs == full.outputs
         assert lean.decided_rounds == full.decided_rounds
         assert lean.rounds_executed == full.rounds_executed
         assert vars(lean.metrics) == vars(full.metrics)
-
-    def test_unknown_retention_policy_rejected(self):
-        instance = build_quadratic_ba(5, 2, [1] * 5, seed=0)
-        with pytest.raises(SimulationError):
-            Simulation(instance.nodes, 2, transcript_retention="bogus")
 
 
 class TestParallelTrials:
@@ -336,13 +330,13 @@ class TestDiscardedTranscriptGuards:
     def test_invariant_checkers_refuse_discarded_transcript(self):
         from repro.harness.invariants import honest_votes_unique_per_iteration
 
-        result = _run_quadratic(3, transcript_retention="metrics-only")
-        with pytest.raises(ValueError, match="metrics-only"):
+        result = _run_quadratic(3, observer=unobserved)
+        with pytest.raises(ValueError, match="no transcript"):
             honest_votes_unique_per_iteration(result)
 
     def test_replay_refuses_discarded_transcript(self):
         from repro.harness.replay import narrate
 
-        result = _run_quadratic(3, transcript_retention="metrics-only")
-        with pytest.raises(ValueError, match="metrics-only"):
+        result = _run_quadratic(3, observer=unobserved)
+        with pytest.raises(ValueError, match="no transcript"):
             narrate(result)

@@ -32,6 +32,7 @@ from repro.harness.service import (
 )
 from repro.harness.store import ExperimentStore
 from repro.harness.sweep_library import SWEEPS
+from repro.protocols import build_quadratic_ba
 from tests.test_service import Served
 from tests.test_sweep_dispatch import build_faulty_quadratic
 
@@ -322,11 +323,20 @@ def test_a_store_failure_lets_the_job_go_and_keeps_the_worker(store,
 def test_a_warm_job_does_not_wait_behind_a_cold_jobs_cells(store,
                                                            monkeypatch):
     """Two workers, ``smoke`` recorded: a cold eight-cell sweep submitted
-    first holds one worker, and ``smoke`` settles on the other while the
-    cold job has computed fewer than half its cells.  With one queue task
-    per cell, ``smoke`` would queue behind every cold cell."""
+    first holds one worker, its cell computes held until ``smoke`` has
+    settled on the other, so the cold job has computed none of them by
+    then.  With one queue task per cell, ``smoke`` would queue behind
+    the held cold cells."""
+    release = threading.Event()
+
+    def held_quadratic(n, f, inputs, seed=0):
+        release.wait(timeout=60)
+        return build_quadratic_ba(n, f, inputs, seed=seed)
+
+    monkeypatch.setitem(PROTOCOLS, "held-quadratic",
+                        ProtocolEntry(held_quadratic))
     cold = SweepSpec("cold", (ScenarioSpec(
-        name="quadratic", protocol="quadratic",
+        name="quadratic", protocol="held-quadratic",
         grid={"n": tuple(range(40, 48))}, fixed={"f_fraction": 0.25},
         inputs="mixed", seeds=range(3)),), "eight cells to compute")
     monkeypatch.setitem(SWEEPS, "cold", cold)
@@ -337,10 +347,18 @@ def test_a_warm_job_does_not_wait_behind_a_cold_jobs_cells(store,
         while (store.load_job(cold_id)["state"] == "queued"
                and time.monotonic() < deadline):
             time.sleep(0.005)
-        record, _ = run_job(service)
-        assert record["replayed"] == len(CELLS)
-        assert store.load_job(cold_id)["computed"] < len(cold.expand()) / 2
-        assert service.wait(cold_id, timeout=120)["state"] == "done"
+        try:
+            record, _ = run_job(service)
+            assert record["state"] == "done"
+            assert record["replayed"] == len(CELLS)
+            cold_record = store.load_job(cold_id)
+            assert cold_record["state"] == "running"
+            assert cold_record["computed"] == 0
+        finally:
+            release.set()
+        record = service.wait(cold_id, timeout=120)
+        assert record["state"] == "done"
+        assert record["computed"] == len(cold.expand())
 
 
 class TestRequestsPerJob:

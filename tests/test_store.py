@@ -393,7 +393,7 @@ class TestWarmReplay:
         cell = warm.cells[0]
         assert cell.cached
         assert cell.payload is None
-        # Same refusal contract as metrics-only transcripts: stored
+        # Same refusal contract as unrecorded transcripts: stored
         # records keep metrics only, so TrialStats/transcript access
         # must fail loudly instead of fabricating data.
         with pytest.raises(TypeError, match="replayed from the "

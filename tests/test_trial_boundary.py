@@ -1,11 +1,11 @@
 """The trial boundary of a sweep: a trial returns what its cell reads.
 
 A sweep row is made of scalars of each :class:`ExecutionResult`, so a
-sweep cell's trials run under ``metrics-only`` retention — no transcript
-is built, none is pickled back from a pool worker, and a transcript
-analysis on such a result refuses instead of scanning an empty list.
-``run_trials`` / ``run_instance`` keep ``full`` as their default and are
-where a transcript comes from.  An owned pool's worker runs with the
+sweep cell's trials run with an observer that records nothing — no
+transcript is built, none is pickled back from a pool worker, and a
+transcript analysis on such a result refuses instead of scanning an
+empty list.  ``run_trials`` / ``run_instance`` record one by default and
+are where a transcript comes from.  An owned pool's worker runs with the
 cyclic collector off and its start-up heap frozen, and collects between
 trials; the collector of the calling process is never touched.
 """
@@ -25,7 +25,7 @@ from repro.harness.scenarios import (
 from repro.harness.sweep_library import SWEEPS
 from repro.protocols import build_quadratic_ba
 from repro.serialization import encoded_size_bits
-from repro.sim.engine import TRANSCRIPT_METRICS_ONLY
+from repro.sim.engine import unobserved
 from tests.test_byzantine_menu import PINNED, POLICIES, WORLDS
 from tests.test_perf_smoke import _InThreadPool
 
@@ -77,8 +77,7 @@ def test_sweep_trials_keep_no_transcript_and_analyses_refuse(sweep, workers):
     assert len(results) == sum(len(cell.seeds) for cell in sweep.expand()
                                if cell.executor in ("trials", "per-seed"))
     for result in results:
-        assert result.transcript_retained is False
-        assert result.transcript == []
+        assert result.transcript is None
         assert result.metrics.honest_multicast_count > 0
         for analysis in _refusals(result):
             with pytest.raises(ValueError, match="run_trials"):
@@ -100,10 +99,9 @@ def test_rows_do_not_depend_on_workers_or_retention(name):
             adversary_factory=cell.adversary and AdversaryFactorySpec(
                 cell.adversary, cell.adversary_kwargs),
             conditions=cell.network, **cell.builder_kwargs())
-        assert not any(result.transcript_retained
-                       for result in computed.stats.results)
+        assert all(result.transcript is None
+                   for result in computed.stats.results)
         for result in full.results:
-            assert result.transcript_retained is True
             assert len(result.require_transcript()) >= (
                 result.metrics.honest_multicast_count) > 0
             assert invariants.honest_votes_unique_per_iteration(result) is None
@@ -135,8 +133,8 @@ def test_per_round_totals_are_the_transcripts(policy, world):
         counts.values())
     instance, f, conditions = WORLDS[world](2)
     bare = run_instance(instance, f, POLICIES[policy](instance), seed=2,
-                        conditions=conditions,
-                        transcript_retention=TRANSCRIPT_METRICS_ONLY)
+                        conditions=conditions, observer=unobserved)
+    assert bare.transcript is None
     for metrics in (full.metrics, bare.metrics):
         assert metrics.per_round_multicast_bits() == bits
         assert metrics.per_round_honest_multicasts == counts
@@ -160,7 +158,7 @@ def _trial_then_probe(seed):
     """In one worker call: a trial, then what its collector looks like."""
     result = _run_one_trial(
         build_quadratic_ba, 10, seed, n=31, inputs=[i % 2 for i in range(31)],
-        transcript_retention=TRANSCRIPT_METRICS_ONLY)
+        observer=unobserved)
     return (result.consistent(), gc.isenabled(), gc.get_freeze_count(),
             gc.collect())
 
@@ -197,6 +195,6 @@ def test_stand_in_pool_that_ignores_initializer_keeps_its_collector(
     results = _trial_results(run_sweep(SWEEPS["smoke"], workers=2))
     monkeypatch.undo()
     assert log.count("submit") == len(results) == 4
-    assert all(not result.transcript_retained for result in results)
+    assert all(result.transcript is None for result in results)
     assert _collector() == before and before[0] is True
     assert collections == []
